@@ -1,9 +1,13 @@
 """Forward/backward passes of every layer, written against numpy only.
 
-Per-series tensors (embedding, quantile head) are looped over the series
-axis rather than fused into one einsum: the split runtime evaluates exactly
-the same per-series matmuls on the clients, which keeps split and
-centralized execution bit-identical.
+Everything that touches one series alone -- the embedding and the quantile
+head, forward and backward -- is a per-series kernel (`*_series`) on that
+series' [b x ...] column.  The batched functions only loop those kernels
+over the series axis, and a split client calls the same kernels on its own
+column; the window centering is one function whose summation order does
+not depend on the layout.  Split and centralized execution therefore evaluate
+the same floating-point operations in the same order and stay
+bit-identical at every window.
 """
 
 from __future__ import annotations
@@ -20,11 +24,32 @@ def _sigmoid(z):
     return out
 
 
+# ---------------------------------------------------------------- centering
+
+def center_windows(x):
+    """Subtract each window's recent level, its mean over the S samples:
+    x [b x S (x M)] -> (centered x, level [b (x M)]).
+
+    The sum runs in sample order (an accumulate fixes it), so a series gets
+    the same bits whether a client holds it as a contiguous [b x S] column or
+    the centralized batch holds it strided inside [b x S x M]; a plain
+    mean's pairwise summation would differ between the two from S = 8 up.
+    """
+    level = np.add.accumulate(x, axis=1)[:, -1] / x.shape[1]
+    return x - level[:, None], level
+
+
 # ---------------------------------------------------------------- embedding
 
 def embed_series(x_m, w_m, b_m):
     """One series window batch [b x S] -> token batch [b x D], tanh MLP."""
     return np.tanh(x_m @ w_m + b_m)
+
+
+def embed_series_backward(x_m, w_m, token_m, dtoken_m):
+    """Backward of embed_series: (dx_m [b x S], dw_m [S x D], db_m [D])."""
+    dpre = dtoken_m * (1.0 - token_m**2)
+    return dpre @ w_m.T, x_m.T @ dpre, dpre.sum(axis=0)
 
 
 def embed_forward(x, w, b):
@@ -43,10 +68,8 @@ def embed_backward(cache, w, dtokens):
     db = np.empty((m, w.shape[2]))
     dx = np.empty_like(x)
     for i in range(m):
-        dpre = dtokens[:, i] * (1.0 - tokens[:, i] ** 2)
-        dw[i] = x[:, :, i].T @ dpre
-        db[i] = dpre.sum(axis=0)
-        dx[:, :, i] = dpre @ w[i].T
+        dx[:, :, i], dw[i], db[i] = embed_series_backward(
+            x[:, :, i], w[i], tokens[:, i], dtokens[:, i])
     return dx, dw, db
 
 
@@ -197,6 +220,11 @@ def head_series(h_m, w_m, b_m):
     return h_m @ w_m + b_m
 
 
+def head_series_backward(h_m, w_m, dpred_m):
+    """Backward of head_series: (dh_m [b x H], dw_m [H], db_m scalar)."""
+    return np.outer(dpred_m, w_m), h_m.T @ dpred_m, dpred_m.sum()
+
+
 def head_forward(hs, w, b):
     """hs [b x M x H] -> thresholds [b x M] with per-series weights."""
     bsz, m, _ = hs.shape
@@ -212,7 +240,5 @@ def head_backward(hs, w, dpred):
     db = np.empty(m)
     dhs = np.empty_like(hs)
     for i in range(m):
-        dw[i] = hs[:, i].T @ dpred[:, i]
-        db[i] = dpred[:, i].sum()
-        dhs[:, i] = np.outer(dpred[:, i], w[i])
+        dhs[:, i], dw[i], db[i] = head_series_backward(hs[:, i], w[i], dpred[:, i])
     return dhs, dw, db

@@ -20,9 +20,15 @@ def pinball_loss(pred, label, alpha):
     return float(loss.mean())
 
 
-def pinball_grad(pred, label, alpha):
-    """Gradient of the mean pinball loss with respect to the predictions."""
+def pinball_grad(pred, label, alpha, count=None):
+    """Gradient of the mean pinball loss with respect to the predictions.
+
+    The mean runs over `count` predictions, all of `pred` by default.  A
+    split client passes the whole batch's b*M for its own column [b], so it
+    divides once by the same b*M and its gradient is bit-equal to that column
+    of the full-batch gradient.
+    """
     pred = np.asarray(pred, dtype=float)
     label = np.asarray(label, dtype=float)
     g = np.where(pred >= label, alpha, alpha - 1.0)
-    return g / pred.size
+    return g / (pred.size if count is None else count)

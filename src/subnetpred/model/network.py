@@ -60,9 +60,8 @@ def init_params(cfg, seed=0):
 def body_forward(params, cfg, tokens, masks=None):
     """Encoder stack + LSTM: tokens [b x M x D] -> hidden states [b x M x H]."""
     cache = {"enc": []}
-    maps = []
     for l in range(cfg.n_layers):
-        att, score_map, c_att = layers.attention_forward(
+        att, _, c_att = layers.attention_forward(
             tokens, params[f"enc{l}.wq"], params[f"enc{l}.wk"],
             params[f"enc{l}.wv"], params[f"enc{l}.wo"],
             params[f"enc{l}.bo"], cfg.n_heads)
@@ -72,12 +71,10 @@ def body_forward(params, cfg, tokens, masks=None):
         normed, c_ln = layers.layer_norm_forward(
             tokens + att, params[f"enc{l}.ln_g"], params[f"enc{l}.ln_b"])
         cache["enc"].append((c_att, mask, c_ln))
-        maps.append(score_map)
         tokens = normed
     hs, c_lstm = layers.lstm_forward(tokens, params["lstm.wx"],
                                      params["lstm.wh"], params["lstm.b"])
     cache["lstm"] = c_lstm
-    cache["maps"] = maps
     return hs, cache
 
 
@@ -101,6 +98,11 @@ def body_backward(params, cfg, cache, dhs):
     return dtokens, grads
 
 
+def embed_dropout(masks, i, shape):
+    """Dropout mask of series i's embedding token; None at inference."""
+    return None if masks is None else masks.mask(f"embed/{i}", shape)
+
+
 def forward(params, cfg, x, masks=None):
     """Full forward pass: x [b x S x M] -> thresholds [b x M] plus cache.
 
@@ -111,16 +113,15 @@ def forward(params, cfg, x, masks=None):
         raise ValueError(
             f"expected input [b x {cfg.window} x {cfg.n_series}], got {x.shape}")
     level = None
-    if getattr(cfg, "center_windows", False):
+    if cfg.center_windows:
         # per-instance recent level; the head predicts the offset from it,
         # which carries no parameters so the backward pass is unaffected
-        level = x.mean(axis=1)
-        x = x - level[:, None, :]
+        x, level = layers.center_windows(x)
     tokens, c_embed = layers.embed_forward(x, params["embed.w"], params["embed.b"])
     embed_mask = None
     if masks is not None:
         b, m, d = tokens.shape
-        cols = [masks.mask(f"embed/{i}", (b, d)) for i in range(m)]
+        cols = [embed_dropout(masks, i, (b, d)) for i in range(m)]
         if cols[0] is not None:
             embed_mask = np.stack(cols, axis=1)
             tokens = tokens * embed_mask
@@ -154,13 +155,6 @@ def predict(params, cfg, x, batch_size=1024):
         sl = slice(start, start + batch_size)
         out[sl], _ = forward(params, cfg, x[sl])
     return out
-
-
-def attention_maps(params, cfg, x):
-    """Head-averaged attention score maps per encoder layer for one batch."""
-    tokens, _ = layers.embed_forward(x, params["embed.w"], params["embed.b"])
-    _, cache = body_forward(params, cfg, tokens)
-    return cache["maps"]
 
 
 def forward_flops(cfg):

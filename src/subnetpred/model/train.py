@@ -36,6 +36,14 @@ def batch_schedule(n_instances, batch_size, seed, epoch, shuffle=True):
     return [perm[i:i + batch_size] for i in range(0, n_instances, batch_size)]
 
 
+def lr_at(train_cfg, epoch):
+    """Learning rate of one epoch: geometric from lr down to lr * lr_decay
+    at the last epoch (shared by the split runtime)."""
+    if train_cfg.epochs < 2:
+        return train_cfg.lr
+    return train_cfg.lr * train_cfg.lr_decay ** (epoch / (train_cfg.epochs - 1))
+
+
 def train(cfg, x, y, train_cfg, params=None, log=None):
     """Minimize the mean pinball loss at quantile 1 - cfg.alpha.
 
@@ -46,11 +54,9 @@ def train(cfg, x, y, train_cfg, params=None, log=None):
     if params is None:
         params = init_params(cfg, train_cfg.seed)
     opt = Adam(params, lr=train_cfg.lr)
-    decay = getattr(train_cfg, "lr_decay", 1.0)
     curve = []
     for epoch in range(train_cfg.epochs):
-        if decay != 1.0 and train_cfg.epochs > 1:
-            opt.lr = train_cfg.lr * decay ** (epoch / (train_cfg.epochs - 1))
+        opt.lr = lr_at(train_cfg, epoch)
         losses = []
         for bi, idx in enumerate(batch_schedule(x.shape[0], train_cfg.batch_size,
                                                 train_cfg.seed, epoch)):

@@ -12,6 +12,7 @@ import csv
 import hashlib
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,8 +24,7 @@ from .model import baselines as bl
 from .model import network
 from .model.train import train
 from .scenario import simulate
-from .split import (InProcessChannel, merge, partition, split_train)
-from .split.partition import SplitPartition
+from .split import InProcessChannel, partition, split_train
 
 
 class StageError(RuntimeError):
@@ -33,6 +33,22 @@ class StageError(RuntimeError):
     def __init__(self, stage, cause):
         super().__init__(f"stage {stage!r} failed: {cause}")
         self.stage = stage
+
+
+@contextmanager
+def _stage(name, seconds=None):
+    """Report any failure inside the block as StageError(name), unless an
+    inner stage already named it; store the block's wall time in seconds."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    except (ConfigError, StageError):
+        raise
+    except Exception as err:                       # noqa: BLE001
+        raise StageError(name, err) from err
+    finally:
+        if seconds is not None:
+            seconds[name] = time.perf_counter() - t0
 
 
 def _hash(obj):
@@ -137,17 +153,8 @@ def stage_train(spec, out, ds, split_mode=False):
     # asymmetric pinball gradients otherwise overshoot and anneal slowly
     init["head.b"][:] = np.quantile(ty, 1.0 - cfg.alpha, axis=0)
     if split_mode:
-        part = partition(init, cfg)
-        clients, server, curve = split_train(part, tx, ty, spec.train,
-                                             cfg.alpha, cfg.dropout,
-                                             InProcessChannel())
-        merged = SplitPartition(
-            heads=[{"w": c.params["embed.w"], "b": c.params["embed.b"]}
-                   for c in clients],
-            body=server.params,
-            tails=[{"w": c.params["head.w"], "b": c.params["head.b"]}
-                   for c in clients], cfg=cfg)
-        params = merge(merged)
+        params, curve = split_train(partition(init, cfg), tx, ty, spec.train,
+                                    InProcessChannel())
     else:
         result = train(cfg, tx, ty, spec.train, params=init)
         params, curve = result.params, result.loss_curve
@@ -215,12 +222,14 @@ def predictions_dbm(spec, out, trace, ds, variant):
              for m in range(inr.shape[0])], axis=1)
 
     split_mode = variant.endswith("-split")
-    params, cfg = stage_train(spec, out, ds, split_mode=split_mode)
+    with _stage("train_split" if split_mode else "train"):
+        params, cfg = stage_train(spec, out, ds, split_mode=split_mode)
     sx, _ = ds.test()
     thresholds = network.predict(params, cfg, sx)
     if variant in ("iqpt", "iqpt-split"):
         return ds.norm.invert(thresholds)
-    calibrated = stage_calibrate(spec, out, ds, params, cfg)
+    with _stage("calibrate"):
+        calibrated = stage_calibrate(spec, out, ds, params, cfg)
     if variant in ("evt-iqpt",):
         margins = np.array([tailcal.gpd_quantile(t, 1.0 - spec.varsigma)
                             for t in calibrated.tails])
@@ -292,26 +301,20 @@ def run_pipeline(spec, out):
 
     Artifacts land in `out`; stages already cached for this (spec, seed) are
     reused, so evaluating several variants against one scenario shares the
-    simulation, dataset, and checkpoints.
+    simulation, dataset, and checkpoints.  summary.json["stage_seconds"]
+    holds each stage's own wall time; evaluate includes the training and
+    calibration it runs.  A failure raises StageError naming the stage that
+    failed: simulate, prepare, train, train_split, calibrate or evaluate.
     """
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    t0 = time.time()
     stages = {}
-    try:
-        stage = "simulate"
+    with _stage("simulate", stages):
         trace = stage_simulate(spec, out)
-        stages["simulate"] = time.time() - t0
-        stage = "prepare"
+    with _stage("prepare", stages):
         ds = stage_prepare(spec, out, trace)
-        stages["prepare"] = time.time() - t0
-        stage = "evaluate"
+    with _stage("evaluate", stages):
         rows, detail = stage_evaluate(spec, out, trace, ds)
-        stages["evaluate"] = time.time() - t0
-    except (ConfigError,) as err:
-        raise
-    except Exception as err:                       # noqa: BLE001
-        raise StageError(stage, err) from err
 
     _write_results(out, rows)
     summary_path = out / "summary.json"

@@ -3,8 +3,8 @@
 Wire format of one message: a UTF-8 JSON header line
 {kind, source, dest, epoch, batch, shape, dtype} terminated by a newline,
 followed by the little-endian float payload bytes.  The in-process channel
-delivers exactly once and in per-(source, dest) order; loss and delay are
-injectable for protocol tests and latency accounting.
+delivers exactly once and in per-(source, dest) order, counts messages and
+bits, and can drop one message for protocol tests.
 """
 
 from __future__ import annotations
@@ -64,13 +64,11 @@ class SplitMessage:
 class InProcessChannel:
     """FIFO queues per (source, dest) pair with exactly-once delivery."""
 
-    def __init__(self, delay_model=None):
+    def __init__(self):
         self._queues = {}
         self._drop = set()
-        self.delay_model = delay_model
         self.sent_messages = 0
         self.sent_bits = 0
-        self.accumulated_delay = 0.0
         self.counts = {KIND_ACTIVATION: 0, KIND_GRADIENT: 0}
 
     def drop_next(self, source, dest):
@@ -85,8 +83,6 @@ class InProcessChannel:
         self.sent_messages += 1
         self.sent_bits += message.payload_bits
         self.counts[message.kind] += 1
-        if self.delay_model is not None:
-            self.accumulated_delay += self.delay_model(message)
         self._queues.setdefault(edge, deque()).append(message)
 
     def recv(self, dest, source, kind=None):

@@ -13,11 +13,12 @@ from __future__ import annotations
 import numpy as np
 
 from ..model import layers
-from ..model.losses import pinball_loss
-from ..model.network import body_backward, body_forward
+from ..model.losses import pinball_grad, pinball_loss
+from ..model.network import body_backward, body_forward, embed_dropout
 from ..model.optim import Adam, DropoutMasks
-from ..model.train import batch_schedule
+from ..model.train import batch_schedule, lr_at
 from .messages import KIND_ACTIVATION, KIND_GRADIENT, SplitMessage
+from .partition import merge
 
 SERVER = "server"
 
@@ -29,66 +30,53 @@ def client_name(index):
 class SplitClient:
     """One SA pair: embedding head, quantile tail, and the private data."""
 
-    def __init__(self, index, head, tail, x_col, y_col, lr, n_total_series,
-                 center_windows=True):
+    def __init__(self, index, head, tail, x_col, y_col, cfg, lr):
         self.index = index
         self.name = client_name(index)
+        self.cfg = cfg
         self.params = {"embed.w": head["w"], "embed.b": head["b"],
                        "head.w": tail["w"], "head.b": tail["b"]}
         self.x = x_col
         self.y = y_col
-        self.n_total = n_total_series
-        self.center_windows = center_windows
         self.opt = Adam(self.params, lr=lr)
         self._cache = None
         self._grads = None
 
     def head_forward(self, idx, masks):
+        """Embed this series' windows of batch idx; returns the token to send."""
         x_b = self.x[idx]
         level = None
-        if self.center_windows:
-            level = x_b.mean(axis=1)
-            x_b = x_b - level[:, None]
+        if self.cfg.center_windows:
+            x_b, level = layers.center_windows(x_b)
         token = layers.embed_series(x_b, self.params["embed.w"],
                                     self.params["embed.b"])
-        mask = masks.mask(f"embed/{self.index}", token.shape) if masks else None
-        sent = token if mask is None else token * mask
+        mask = embed_dropout(masks, self.index, token.shape)
         self._cache = {"x": x_b, "token": token, "mask": mask, "idx": idx,
                        "level": level}
-        return sent
+        return token if mask is None else token * mask
 
-    def tail_step(self, h_m, alpha):
+    def tail_step(self, h_m):
         """Forward the tail, evaluate the local pinball loss contribution,
         and return the gradient w.r.t. the received hidden state."""
-        idx = self._cache["idx"]
-        y_b = self.y[idx]
+        y_b = self.y[self._cache["idx"]]
         pred = layers.head_series(h_m, self.params["head.w"],
                                   self.params["head.b"])
         if self._cache["level"] is not None:
             pred = pred + self._cache["level"]
-        scale = pred.size * self.n_total
-        dpred = np.where(pred >= y_b, alpha, alpha - 1.0) / scale
-        self._grads = {
-            "head.w": h_m.T @ dpred,
-            "head.b": np.array(dpred.sum()),
-        }
-        loss = pinball_loss(pred, y_b, alpha) * pred.size / scale
-        dh = np.outer(dpred, self.params["head.w"])
-        return loss, dh
-
-    def tail_predict(self, h_m, level=None):
-        pred = layers.head_series(h_m, self.params["head.w"],
-                                  self.params["head.b"])
-        return pred if level is None else pred + level
+        alpha, m = self.cfg.alpha, self.cfg.n_series
+        dpred = pinball_grad(pred, y_b, alpha, count=pred.size * m)
+        dh, dw, db = layers.head_series_backward(h_m, self.params["head.w"], dpred)
+        self._grads = {"head.w": dw, "head.b": db}
+        return pinball_loss(pred, y_b, alpha) / m, dh
 
     def head_backward(self, dtoken):
-        token = self._cache["token"]
         mask = self._cache["mask"]
         if mask is not None:
             dtoken = dtoken * mask
-        dpre = dtoken * (1.0 - token**2)
-        self._grads["embed.w"] = self._cache["x"].T @ dpre
-        self._grads["embed.b"] = dpre.sum(axis=0)
+        # the raw windows have no upstream, so their gradient is dropped
+        _, self._grads["embed.w"], self._grads["embed.b"] = \
+            layers.embed_series_backward(self._cache["x"], self.params["embed.w"],
+                                         self._cache["token"], dtoken)
 
     def apply_update(self):
         self.opt.step(self.params, self._grads)
@@ -122,12 +110,12 @@ class SplitServer:
 
 def build_participants(part, x, y, lr):
     """Instantiate clients (one per series, owning its data column) and the
-    server from a SplitPartition plus the training tensors."""
+    server from a SplitPartition plus the training tensors.  The participants
+    hold the partition's arrays and update them in place."""
     cfg = part.cfg
     clients = [SplitClient(m, part.heads[m], part.tails[m],
                            np.ascontiguousarray(x[:, :, m]), y[:, m].copy(),
-                           lr, cfg.n_series,
-                           center_windows=getattr(cfg, "center_windows", False))
+                           cfg, lr)
                for m in range(cfg.n_series)]
     server = SplitServer(part.body, cfg, lr)
     return clients, server
@@ -155,23 +143,22 @@ def split_forward_batch(clients, server, channel, idx, masks, epoch, batch):
             for cl in clients]
 
 
-def split_train_epoch(clients, server, channel, alpha, dropout, seed, epoch,
-                      batch_size, n_instances=None):
+def split_train_epoch(clients, server, channel, seed, epoch, batch_size):
     """One synchronous epoch of U-shaped split training.
 
     Per batch: M head activations up, one body pass, M hidden states down,
     M cut gradients up, one body backward, M cut gradients down, then every
     participant applies its local Adam step.  Returns the mean batch loss.
     """
-    n = n_instances if n_instances is not None else clients[0].x.shape[0]
+    n = clients[0].x.shape[0]
     losses = []
     for bi, idx in enumerate(batch_schedule(n, batch_size, seed, epoch)):
-        masks = DropoutMasks(dropout, seed, epoch, bi)
+        masks = DropoutMasks(server.cfg.dropout, seed, epoch, bi)
         hidden = split_forward_batch(clients, server, channel, idx, masks,
                                      epoch, bi)
         batch_loss = 0.0
         for cl, h_m in zip(clients, hidden):
-            loss_m, dh = cl.tail_step(h_m, alpha)
+            loss_m, dh = cl.tail_step(h_m)
             batch_loss += loss_m
             channel.send(SplitMessage(KIND_GRADIENT, cl.name, SERVER,
                                       epoch, bi, dh))
@@ -190,53 +177,16 @@ def split_train_epoch(clients, server, channel, alpha, dropout, seed, epoch,
     return float(np.mean(losses))
 
 
-def split_train(part, x, y, train_cfg, alpha, dropout, channel):
-    """Full split training run; returns (clients, server, loss_curve).
-
-    Applies the same geometric learning-rate schedule as centralized
-    training so the two stay step-for-step identical.
-    """
+def split_train(part, x, y, train_cfg, channel):
+    """Full split training run from the partition's weights, which it trains
+    in place; returns (merged parameters, per-epoch loss curve)."""
     clients, server = build_participants(part, x, y, train_cfg.lr)
-    decay = getattr(train_cfg, "lr_decay", 1.0)
     curve = []
     for epoch in range(train_cfg.epochs):
-        if decay != 1.0 and train_cfg.epochs > 1:
-            lr = train_cfg.lr * decay ** (epoch / (train_cfg.epochs - 1))
-            server.opt.lr = lr
-            for cl in clients:
-                cl.opt.lr = lr
-        curve.append(split_train_epoch(clients, server, channel, alpha,
-                                       dropout, train_cfg.seed, epoch,
+        lr = lr_at(train_cfg, epoch)
+        for opt in [server.opt] + [cl.opt for cl in clients]:
+            opt.lr = lr
+        curve.append(split_train_epoch(clients, server, channel,
+                                       train_cfg.seed, epoch,
                                        train_cfg.batch_size))
-    return clients, server, curve
-
-
-def split_predict(clients, server, channel, x, batch_size=1024):
-    """Inference through the split pipeline; x is [n x S x M] and every
-    client reads only its own series column."""
-    n = x.shape[0]
-    out = np.empty((n, len(clients)))
-    for start in range(0, n, batch_size):
-        idx = np.arange(start, min(start + batch_size, n))
-        levels = {}
-        for cl in clients:
-            x_b = np.ascontiguousarray(x[idx][:, :, cl.index])
-            level = None
-            if cl.center_windows:
-                level = x_b.mean(axis=1)
-                x_b = x_b - level[:, None]
-            levels[cl.index] = level
-            token = layers.embed_series(x_b, cl.params["embed.w"],
-                                        cl.params["embed.b"])
-            channel.send(SplitMessage(KIND_ACTIVATION, cl.name, SERVER,
-                                      0, start, token))
-        tokens = np.stack(_gather(channel, SERVER, [c.name for c in clients],
-                                  KIND_ACTIVATION), axis=1)
-        hs = server.body_forward(tokens, None)
-        for m, cl in enumerate(clients):
-            channel.send(SplitMessage(KIND_ACTIVATION, SERVER, cl.name,
-                                      0, start, hs[:, m]))
-        for m, cl in enumerate(clients):
-            h_m = channel.recv(cl.name, SERVER, KIND_ACTIVATION).payload
-            out[idx, m] = cl.tail_predict(h_m, levels[cl.index])
-    return out
+    return merge(part), curve

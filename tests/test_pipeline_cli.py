@@ -2,16 +2,18 @@
 exit codes, sweep and report plumbing (all at smoke scale)."""
 
 import json
+import time
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from subnetpred import pipeline, tailcal
 from subnetpred.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from subnetpred.config import (ConfigError, desk_preset, parse_config_text,
                                spec_to_dict, tiny_preset)
-from subnetpred.pipeline import report, run_pipeline, sweep
+from subnetpred.pipeline import StageError, report, run_pipeline, sweep
 
 
 def smoke_spec(seed=0, variant="moving-average"):
@@ -61,11 +63,46 @@ def test_trained_variant_shares_checkpoint(tmp_path):
 
 def test_split_variant_trains_via_protocol_and_matches(tmp_path):
     spec = replace(smoke_spec(seed=8), variant="iqpt-split")
+    # an annealed rate, so that both loops must share the LR schedule
+    spec = replace(spec, train=replace(spec.train, lr_decay=0.1))
     detail_split = run_pipeline(spec, tmp_path)
     detail_central = run_pipeline(replace(spec, variant="iqpt"), tmp_path)
-    np.testing.assert_allclose(detail_split["coverage_per_sa"],
-                               detail_central["coverage_per_sa"], atol=1e-9)
-    assert (tmp_path / "model_split.bin").exists()
+    assert detail_split["coverage_per_sa"] == detail_central["coverage_per_sa"]
+    assert ((tmp_path / "model_split.bin").read_bytes()
+            == (tmp_path / "model.bin").read_bytes())
+
+
+def test_stage_seconds_are_per_stage(tmp_path):
+    t0 = time.perf_counter()
+    run_pipeline(smoke_spec(seed=11), tmp_path)
+    wall = time.perf_counter() - t0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    stages = summary["stage_seconds"]
+    assert set(stages) == {"simulate", "prepare", "evaluate"}
+    assert sum(stages.values()) <= wall
+
+
+def test_calibration_failure_names_calibrate_stage(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("tail fit failed")
+
+    monkeypatch.setattr(tailcal, "gpd_fit", fail)
+    with pytest.raises(StageError) as info:
+        run_pipeline(smoke_spec(seed=12, variant="cevt-iqpt"), tmp_path / "api")
+    assert info.value.stage == "calibrate"
+    assert main(["evaluate", "--preset", "tiny", "--seed", "12",
+                 "--variant", "cevt-iqpt", "--out", str(tmp_path / "cli")]) \
+        == EXIT_STAGE
+
+
+def test_split_training_failure_names_train_split_stage(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("client lost")
+
+    monkeypatch.setattr(pipeline, "split_train", fail)
+    with pytest.raises(StageError) as info:
+        run_pipeline(smoke_spec(seed=13, variant="iqpt-split"), tmp_path)
+    assert info.value.stage == "train_split"
 
 
 # ------------------------------------------------------------------- config

@@ -1,29 +1,29 @@
 """Split-execution contracts: partition identities, message schema and
 transport, functional equivalence against the centralized oracle, latency."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from subnetpred.config import ModelConfig, TrainConfig
-from subnetpred.model import (count_params, forward, init_params, predict,
-                              train)
-from subnetpred.model.optim import Adam
+from subnetpred.model import count_params, forward, init_params, train
 from subnetpred.split import (InProcessChannel, KIND_ACTIVATION,
                               KIND_GRADIENT, LatencyModel, ProtocolError,
                               SplitMessage, build_participants,
                               estimate_latency, latency_model_for, merge,
                               partition, partition_param_counts,
-                              partition_workloads, split_predict,
+                              partition_workloads, split_train,
                               split_train_epoch)
 
 CFG = ModelConfig(n_series=4, window=6, d_embed=16, n_heads=4, n_layers=2,
                   lstm_hidden=12, dropout=0.1, alpha=0.05)
 
 
-def make_data(n=96, seed=0):
+def make_data(n=96, seed=0, cfg=CFG):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((n, CFG.window, CFG.n_series))
-    y = rng.standard_normal((n, CFG.n_series))
+    x = rng.standard_normal((n, cfg.window, cfg.n_series))
+    y = rng.standard_normal((n, cfg.n_series))
     return x, y
 
 
@@ -72,59 +72,22 @@ def test_channel_orders_and_detects_loss():
         ch.recv("server", "sa0")
 
 
-def test_split_forward_matches_centralized():
-    params = init_params(CFG, seed=3)
-    part = partition(params, CFG)
-    x, y = make_data(40, 3)
-    clients, server = build_participants(part, x, y, lr=1e-3)
-    ch = InProcessChannel()
-    split_out = split_predict(clients, server, ch, x)
-    central = predict(params, CFG, x)
-    scale = np.abs(central).max()
-    assert np.abs(split_out - central).max() < 1e-6 * scale
-
-
-def test_split_predict_single_client_pipeline():
-    cfg = ModelConfig(n_series=1, window=6, d_embed=16, n_heads=4,
-                      n_layers=1, lstm_hidden=12, dropout=0.0)
-    params = init_params(cfg, seed=4)
-    part = partition(params, cfg)
-    rng = np.random.default_rng(4)
-    x = rng.standard_normal((10, cfg.window, 1))
-    clients, server = build_participants(part, x, rng.standard_normal((10, 1)),
-                                         lr=1e-3)
-    out = split_predict(clients, server, InProcessChannel(), x)
-    assert np.allclose(out, predict(params, cfg, x))
-
-
-def test_one_split_epoch_matches_centralized_training():
+@pytest.mark.parametrize("n_series", [4, 1])
+@pytest.mark.parametrize("window", [6, 16])
+def test_one_split_epoch_matches_centralized_training(window, n_series):
+    # bit-exact with window centering on: from window 8 up, a plain mean
+    # sums the client's contiguous column pairwise but the strided column of
+    # the centralized batch in order, so both paths share one centering
+    cfg = replace(CFG, window=window, n_series=n_series, center_windows=True)
     seed = 11
-    x, y = make_data(96, 5)
+    x, y = make_data(96, 5, cfg)
     train_cfg = TrainConfig(lr=1e-3, epochs=1, batch_size=32, seed=seed)
 
-    central = train(CFG, x, y, train_cfg)
-
-    part = partition(init_params(CFG, seed=seed), CFG)
-    clients, server = build_participants(part, x, y, train_cfg.lr)
-    ch = InProcessChannel()
-    split_train_epoch(clients, server, ch, CFG.alpha, CFG.dropout, seed,
-                      epoch=0, batch_size=train_cfg.batch_size)
-    merged = _merge_from_participants(clients, server, CFG)
+    central = train(cfg, x, y, train_cfg)
+    split, _ = split_train(partition(init_params(cfg, seed=seed), cfg), x, y,
+                           train_cfg, InProcessChannel())
     for key, tensor in central.params.items():
-        scale = np.abs(tensor).max()
-        assert np.abs(merged[key] - tensor).max() <= 1e-10 * scale, key
-
-
-def _merge_from_participants(clients, server, cfg):
-    from subnetpred.split.partition import SplitPartition, merge as do_merge
-    part = SplitPartition(
-        heads=[{"w": c.params["embed.w"], "b": c.params["embed.b"]}
-               for c in clients],
-        body=server.params,
-        tails=[{"w": c.params["head.w"], "b": c.params["head.b"]}
-               for c in clients],
-        cfg=cfg)
-    return do_merge(part)
+        assert np.array_equal(split[key], tensor), key
 
 
 def test_message_counts_per_batch():
@@ -133,8 +96,7 @@ def test_message_counts_per_batch():
     x, y = make_data(32, 6)
     clients, server = build_participants(part, x, y, lr=1e-3)
     ch = InProcessChannel()
-    split_train_epoch(clients, server, ch, CFG.alpha, 0.0, 0, epoch=0,
-                      batch_size=32)   # single batch
+    split_train_epoch(clients, server, ch, 0, epoch=0, batch_size=32)  # 1 batch
     m = CFG.n_series
     # heads up + body fan-out down = 2M activations; tail grads up + cut
     # grads down = 2M gradients
@@ -157,8 +119,7 @@ def test_labels_never_leave_clients():
         orig_send(msg)
 
     ch.send = spy
-    split_train_epoch(clients, server, ch, CFG.alpha, 0.0, 0, epoch=0,
-                      batch_size=32)
+    split_train_epoch(clients, server, ch, 0, epoch=0, batch_size=32)
     for payload in seen:
         assert np.abs(payload).max() < 900.0
 
@@ -167,24 +128,17 @@ def test_shuffled_arrival_order_is_reordered_by_id():
     # the server gathers per client id, so send order must not matter
     params = init_params(CFG, seed=8)
     x, y = make_data(24, 8)
-    part = partition(params, CFG)
-    clients, server = build_participants(part, x, y, lr=1e-3)
+    clients, server = build_participants(partition(params, CFG), x, y, lr=1e-3)
     ch = InProcessChannel()
     idx = np.arange(12)
-    from subnetpred.model import layers as L
-    levels = {}
     for cl in reversed(clients):     # reversed send order
-        x_b = x[idx][:, :, cl.index]
-        levels[cl.index] = x_b.mean(axis=1)
-        token = L.embed_series(x_b - levels[cl.index][:, None],
-                               cl.params["embed.w"], cl.params["embed.b"])
-        ch.send(SplitMessage(KIND_ACTIVATION, cl.name, "server", 0, 0, token))
+        ch.send(SplitMessage(KIND_ACTIVATION, cl.name, "server", 0, 0,
+                             cl.head_forward(idx, masks=None)))
     tokens = np.stack([ch.recv("server", cl.name, KIND_ACTIVATION).payload
                        for cl in clients], axis=1)
     hs = server.body_forward(tokens, None)
-    preds = np.stack([cl.tail_predict(hs[:, m], levels[m])
-                      for m, cl in enumerate(clients)], axis=1)
-    assert np.allclose(preds, predict(params, CFG, x[idx]))
+    _, cache = forward(params, CFG, x[idx])
+    assert np.array_equal(hs, cache["head"])
 
 
 def test_total_gradient_conserved_across_boundary():
@@ -208,7 +162,7 @@ def test_total_gradient_conserved_across_boundary():
     hidden = split_forward_batch(clients, server, ch, np.arange(64), masks, 0, 0)
     sq = 0.0
     for cl, h_m in zip(clients, hidden):
-        _, dh = cl.tail_step(h_m, CFG.alpha)
+        _, dh = cl.tail_step(h_m)
         ch.send(SplitMessage(KIND_GRADIENT, cl.name, "server", 0, 0, dh))
     dhs = np.stack([ch.recv("server", c.name, KIND_GRADIENT).payload
                     for c in clients], axis=1)

@@ -14,8 +14,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, PRESETS, load_config, spec_to_json
-from .pipeline import (StageError, run_pipeline, report, stage_calibrate,
-                       stage_prepare, stage_simulate, stage_train, sweep)
+from .pipeline import (StageError, _stage, run_pipeline, report,
+                       stage_calibrate, stage_prepare, stage_simulate,
+                       stage_train, sweep)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,6 +72,26 @@ def _load_spec(args):
     return spec
 
 
+def _split(spec):
+    return spec.variant.endswith("-split")
+
+
+def _stem(spec, name):
+    return name + "_split" if _split(spec) else name
+
+
+def _dataset(spec, out):
+    with _stage("simulate"):
+        trace = stage_simulate(spec, out)
+    with _stage("prepare"):
+        return stage_prepare(spec, out, trace)
+
+
+def _model(spec, out, ds):
+    with _stage(_stem(spec, "train")):
+        return stage_train(spec, out, ds, split_mode=_split(spec))
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
@@ -85,28 +106,24 @@ def main(argv=None):
         (out / "resolved_config.json").write_text(spec_to_json(spec))
 
         if args.command == "simulate":
-            trace = stage_simulate(spec, out)
+            with _stage("simulate"):
+                trace = stage_simulate(spec, out)
             print(f"trace: {trace.n_series} series x {trace.n_cycles} cycles "
                   f"-> {out / 'trace.csv'}")
         elif args.command == "prepare":
-            trace = stage_simulate(spec, out)
-            ds = stage_prepare(spec, out, trace)
+            ds = _dataset(spec, out)
             print(f"dataset: window={ds.window} train/cal/test = "
                   f"{ds.n_train}/{ds.n_cal}/{ds.n_test} -> {out / 'dataset.bin'}")
         elif args.command == "train":
-            trace = stage_simulate(spec, out)
-            ds = stage_prepare(spec, out, trace)
-            split_mode = spec.variant.endswith("-split")
-            params, cfg = stage_train(spec, out, ds, split_mode=split_mode)
-            stem = "model_split" if split_mode else "model"
-            print(f"checkpoint -> {out / (stem + '.bin')}")
+            ds = _dataset(spec, out)
+            _model(spec, out, ds)
+            print(f"checkpoint -> {out / (_stem(spec, 'model') + '.bin')}")
         elif args.command == "calibrate":
-            trace = stage_simulate(spec, out)
-            ds = stage_prepare(spec, out, trace)
-            params, cfg = stage_train(
-                spec, out, ds, split_mode=spec.variant.endswith("-split"))
-            stage_calibrate(spec, out, ds, params, cfg)
-            print(f"calibration -> {out / 'calibration.json'}")
+            ds = _dataset(spec, out)
+            params, cfg = _model(spec, out, ds)
+            with _stage("calibrate"):
+                stage_calibrate(spec, out, ds, params, cfg, _split(spec))
+            print(f"calibration -> {out / (_stem(spec, 'calibration') + '.json')}")
         elif args.command == "evaluate":
             detail = run_pipeline(spec, out)
             print(json.dumps(detail["ra"], indent=2))

@@ -16,12 +16,19 @@ import numpy as np
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    """Overflow-free logistic: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below.
+
+    Both branches share e = exp(-|z|), so one pass over the array evaluates
+    each element's branch with the same operations a masked two-branch
+    version would, bit for bit.
+    """
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    num /= e
+    return num
 
 
 # ---------------------------------------------------------------- centering
@@ -139,22 +146,26 @@ def attention_backward(cache, wq, wk, wv, wo, n_heads, dout):
 LN_EPS = 1e-5
 
 
+def _feature_mean(x):
+    """Mean over the last axis, summed exactly as ndarray.mean sums it."""
+    return np.add.reduce(x, axis=-1, keepdims=True) / x.shape[-1]
+
+
 def layer_norm_forward(x, gain, bias):
     """Normalize each token over its feature axis, then apply gain/bias."""
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + LN_EPS)
-    xhat = (x - mu) * inv
+    d = x - _feature_mean(x)
+    inv = 1.0 / np.sqrt(_feature_mean(d * d) + LN_EPS)
+    xhat = d * inv
     return gain * xhat + bias, (xhat, inv)
 
 
 def layer_norm_backward(cache, gain, dout):
     xhat, inv = cache
-    dgain = (dout * xhat).sum(axis=tuple(range(dout.ndim - 1)))
-    dbias = dout.sum(axis=tuple(range(dout.ndim - 1)))
+    lead = tuple(range(dout.ndim - 1))
+    dgain = np.add.reduce(dout * xhat, axis=lead)
+    dbias = np.add.reduce(dout, axis=lead)
     dxhat = dout * gain
-    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    dx = inv * (dxhat - _feature_mean(dxhat) - xhat * _feature_mean(dxhat * xhat))
     return dx, dgain, dbias
 
 
@@ -173,10 +184,10 @@ def lstm_forward(tokens, wx, wh, bias):
     steps = []
     for t in range(m):
         z = tokens[:, t] @ wx + h @ wh + bias
-        i = _sigmoid(z[:, :hsz])
-        f = _sigmoid(z[:, hsz:2 * hsz])
+        # one sigmoid over all four gates; the g columns are left unused
+        gates = _sigmoid(z)
+        i, f, o = gates[:, :hsz], gates[:, hsz:2 * hsz], gates[:, 3 * hsz:]
         g = np.tanh(z[:, 2 * hsz:3 * hsz])
-        o = _sigmoid(z[:, 3 * hsz:])
         c_new = f * c + i * g
         tc = np.tanh(c_new)
         h_new = o * tc

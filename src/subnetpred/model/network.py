@@ -148,11 +148,16 @@ def backward(params, cfg, cache, dpred):
     return grads
 
 
-def predict(params, cfg, x, batch_size=1024):
+# rows per inference forward; the backward caches a forward keeps are
+# dropped after each chunk, so a small chunk bounds predict's memory
+PREDICT_BATCH = 256
+
+
+def predict(params, cfg, x):
     """Deterministic batched inference (dropout disabled)."""
     out = np.empty((x.shape[0], cfg.n_series))
-    for start in range(0, x.shape[0], batch_size):
-        sl = slice(start, start + batch_size)
+    for start in range(0, x.shape[0], PREDICT_BATCH):
+        sl = slice(start, start + PREDICT_BATCH)
         out[sl], _ = forward(params, cfg, x[sl])
     return out
 

@@ -3,7 +3,7 @@
 Every stage writes its artifact plus a cache key derived from the relevant
 configuration slice; re-running with the same spec and seed reuses artifacts
 byte-for-byte (stage idempotency), and variants that share a trained model
-(iqpt / evt-iqpt / cevt-iqpt) reuse the same checkpoint.
+(iqpt / evt-iqpt / cevt-iqpt) reuse the same checkpoint and calibration.
 """
 
 from __future__ import annotations
@@ -170,13 +170,21 @@ def stage_train(spec, out, ds, split_mode=False):
     return params, cfg
 
 
-def stage_calibrate(spec, out, ds, params, cfg):
-    """EVT tail fits on training exceedances plus conformal scores."""
+def stage_calibrate(spec, out, ds, params, cfg, split_mode=False):
+    """EVT tail fits on training exceedances plus conformal scores.
+
+    Keyed on the train stage that built the model (stage_train must have
+    run in `out`), so variants sharing a checkpoint share one calibration;
+    the split model's goes to its own file.
+    """
     out = Path(out)
-    key = _hash({"train": _key_path(out, "train").read_text()
-                 if _key_path(out, "train").exists() else "",
+    suffix = "_split" if split_mode else ""
+    key = _hash({"train": _key_path(out, "train" + suffix).read_text(),
                  "beta": spec.beta, "varsigma": spec.varsigma})
-    path = out / "calibration.json"
+    stage = "calibrate" + suffix
+    path = out / f"calibration{suffix}.json"
+    if _cached(out, stage, key) and path.exists():
+        return tailcal.read_calibration_report(path)
     tx, ty = ds.train()
     cx, cy = ds.calibration()
     thresholds_train = network.predict(params, cfg, tx)
@@ -188,7 +196,7 @@ def stage_calibrate(spec, out, ds, params, cfg):
                                         varsigma=spec.varsigma)
     fractions = [e.size / ty.shape[0] for e in exceed]
     tailcal.write_calibration_report(path, calibrated, fractions)
-    _mark(out, "calibrate", key)
+    _mark(out, stage, key)
     return calibrated
 
 
@@ -229,7 +237,7 @@ def predictions_dbm(spec, out, trace, ds, variant):
     if variant in ("iqpt", "iqpt-split"):
         return ds.norm.invert(thresholds)
     with _stage("calibrate"):
-        calibrated = stage_calibrate(spec, out, ds, params, cfg)
+        calibrated = stage_calibrate(spec, out, ds, params, cfg, split_mode)
     if variant in ("evt-iqpt",):
         margins = np.array([tailcal.gpd_quantile(t, 1.0 - spec.varsigma)
                             for t in calibrated.tails])
@@ -334,7 +342,7 @@ def _write_manifest(spec, out):
     out = Path(out)
     artifacts = {}
     for name in ("trace.csv", "dataset.bin", "model.bin", "model_split.bin",
-                 "calibration.json", "results.csv"):
+                 "calibration.json", "calibration_split.json", "results.csv"):
         p = out / name
         if p.exists():
             artifacts[name] = _file_hash(p)

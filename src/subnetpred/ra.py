@@ -16,6 +16,7 @@ so :func:`achieved_bler` applied to the un-ceiled blocklength recovers
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc, ndtri
@@ -65,6 +66,12 @@ def dispersion(snr):
     return (1.0 - (1.0 + snr) ** -2) * LOG2E**2
 
 
+@lru_cache(maxsize=None)
+def _q_inverse_sq(eps):
+    """Qinv(eps)^2; a decision sizes the same few targets every cycle."""
+    return float(q_inverse(eps)) ** 2
+
+
 def blocklength(snr, payload_bits, eps_target):
     """Real-valued channel usage meeting the target BLER at the given SINR.
 
@@ -72,7 +79,7 @@ def blocklength(snr, payload_bits, eps_target):
     exactly payload_bits / C(snr).
     """
     snr = np.asarray(snr, dtype=float)
-    if np.any(snr <= 0.0):
+    if (snr <= 0.0).any():
         raise ValueError("snr must be positive")
     if not 0.0 < eps_target <= 0.5:
         raise ValueError("eps_target must lie in (0, 0.5]")
@@ -80,7 +87,7 @@ def blocklength(snr, payload_bits, eps_target):
     base = payload_bits / c
     if eps_target == 0.5:
         return base if base.shape else float(base)
-    q2 = float(q_inverse(eps_target)) ** 2
+    q2 = _q_inverse_sq(float(eps_target))
     v = dispersion(snr)
     corr = q2 * v / (2.0 * c**2) * (1.0 + np.sqrt(1.0 + 4.0 * payload_bits * c / (q2 * v)))
     out = base + corr

@@ -219,15 +219,14 @@ def calibrated_quantile(thresholds, calibrated, series=None):
     endpoint for negative-shape fits.
     """
     t = np.asarray(thresholds, dtype=float)
+    p = 1.0 - calibrated.varsigma
     if series is not None:
-        margin = gpd_quantile(calibrated.tails[series], 1.0 - calibrated.varsigma)
+        margin = gpd_quantile(calibrated.tails[series], p)
         return t + margin + calibrated.record.scores[series]
     t2 = np.atleast_2d(t.T).T
-    out = np.empty_like(t2)
-    for m in range(t2.shape[1]):
-        margin = gpd_quantile(calibrated.tails[m], 1.0 - calibrated.varsigma)
-        out[:, m] = t2[:, m] + margin + calibrated.record.scores[m]
-    return out.reshape(t.shape)
+    margins = np.array([gpd_quantile(tail, p) for tail in calibrated.tails])
+    # (t + margin) + score per element, the order of the single-series form
+    return (t2 + margins + calibrated.record.scores).reshape(t.shape)
 
 
 def calibration_report(calibrated, exceedance_fractions=None):
@@ -257,3 +256,17 @@ def calibration_report(calibrated, exceedance_fractions=None):
 def write_calibration_report(path, calibrated, exceedance_fractions=None):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(calibration_report(calibrated, exceedance_fractions), fh, indent=2)
+
+
+def read_calibration_report(path):
+    """The CalibratedTail a calibration report was written from; JSON floats
+    round-trip exactly, so it equals the original value for value."""
+    with open(path, encoding="utf-8") as fh:
+        report = json.load(fh)
+    rows = report["series"]
+    tails = tuple(GpdTail(r["shape"], r["scale"], r["n_exceedances"],
+                          r["log_likelihood"], r["fallback"]) for r in rows)
+    record = ConformalRecord(
+        scores=np.array([r["conformity_score"] for r in rows]),
+        beta=report["beta"], n_calibration=report["n_calibration"])
+    return CalibratedTail(tails=tails, record=record, varsigma=report["varsigma"])

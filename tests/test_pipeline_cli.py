@@ -95,6 +95,41 @@ def test_calibration_failure_names_calibrate_stage(tmp_path, monkeypatch):
         == EXIT_STAGE
 
 
+def calibrating_spec(variant):
+    """A tiny spec whose model leaves >= 30 training exceedances per series."""
+    spec = replace(smoke_spec(seed=0, variant=variant), n_cycles=2000)
+    return replace(spec, train=replace(spec.train, lr_decay=0.1))
+
+
+def test_calibration_is_cached_per_train_stage(tmp_path, monkeypatch):
+    fits = []
+    fit = tailcal.gpd_fit
+
+    def counted(*args, **kwargs):
+        fits.append(1)
+        return fit(*args, **kwargs)
+
+    monkeypatch.setattr(tailcal, "gpd_fit", counted)
+    first = run_pipeline(calibrating_spec("cevt-iqpt"), tmp_path)
+    n_series = len(first["coverage_per_sa"])
+    assert len(fits) == n_series
+    report = (tmp_path / "calibration.json").read_bytes()
+
+    fits.clear()
+    run_pipeline(calibrating_spec("evt-iqpt"), tmp_path)
+    again = run_pipeline(calibrating_spec("cevt-iqpt"), tmp_path)
+    assert fits == []
+    assert again == first     # the tail rebuilt from the report, bit for bit
+    assert (tmp_path / "calibration.json").read_bytes() == report
+
+    run_pipeline(calibrating_spec("cevt-iqpt-split"), tmp_path)
+    assert len(fits) == n_series
+    assert (tmp_path / "calibration.json").read_bytes() == report
+    assert (tmp_path / "calibration_split.json").exists()
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert {"calibration.json", "calibration_split.json"} <= set(manifest["artifacts"])
+
+
 def test_split_training_failure_names_train_split_stage(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("client lost")
@@ -183,6 +218,25 @@ def test_cli_prepare_train_calibrate_stage_flow(tmp_path):
     assert (out / "dataset.bin").exists()
     assert main(["train", *base, "--variant", "iqpt"]) == EXIT_OK
     assert (out / "model.bin").exists()
+
+
+@pytest.mark.parametrize("command, variant, target, stage", [
+    ("calibrate", "cevt-iqpt", (tailcal, "gpd_fit"), "calibrate"),
+    ("calibrate", "cevt-iqpt-split", (tailcal, "gpd_fit"), "calibrate"),
+    ("train", "iqpt", (pipeline, "train"), "train"),
+    ("train", "iqpt-split", (pipeline, "split_train"), "train_split"),
+])
+def test_cli_stage_failure_names_stage_and_exits_3(tmp_path, monkeypatch, capsys,
+                                                   command, variant, target, stage):
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(*target, fail)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text("n_cycles = 2000\ntrain.lr_decay = 0.1\n")
+    assert main([command, "--config", str(cfg), "--preset", "tiny", "--seed", "0",
+                 "--variant", variant, "--out", str(tmp_path / "run")]) == EXIT_STAGE
+    assert f"stage {stage!r} failed: injected" in capsys.readouterr().err
 
 
 def test_cli_config_error_exit_code(tmp_path):

@@ -14,7 +14,8 @@ from subnetpred.tailcal import (CalibratedTail, ConformalRecord, GpdTail,
                                 calibration_report, collect_exceedances,
                                 conformity_scores, finite_sample_quantile,
                                 gpd_fit, gpd_quantile, moments_estimate,
-                                rescale_threshold, _gpd_nll)
+                                read_calibration_report, rescale_threshold,
+                                write_calibration_report, _gpd_nll)
 
 
 def gpd_samples(shape, scale, n, rng):
@@ -225,3 +226,17 @@ def test_calibration_report_shape():
     assert rep["beta"] == 0.05
     assert rep["series"][0]["conformity_score"] == 0.5
     assert rep["series"][0]["exceedance_fraction"] == 0.05
+
+
+def test_calibration_report_round_trips_exactly(tmp_path):
+    tails = (GpdTail(0.1 / 3, math.pi, 41, -math.e), GpdTail(-0.7, 1e-9, 30, -1e300,
+                                                                 fallback=True))
+    cal = CalibratedTail(tails=tails,
+                         record=ConformalRecord(np.array([1 / 7, 2.0 ** -60]),
+                                                beta=0.05, n_calibration=123),
+                         varsigma=0.3)
+    write_calibration_report(tmp_path / "cal.json", cal, [0.05, 0.1])
+    back = read_calibration_report(tmp_path / "cal.json")
+    assert back.tails == cal.tails and back.varsigma == cal.varsigma
+    assert (back.record.beta, back.record.n_calibration) == (0.05, 123)
+    assert np.array_equal(back.record.scores, cal.record.scores)

@@ -17,6 +17,7 @@ from .config import ConfigError, PRESETS, load_config, spec_to_json
 from .pipeline import (StageError, _stage, run_pipeline, report,
                        stage_calibrate, stage_prepare, stage_simulate,
                        stage_train, sweep)
+from .scenario.simulate import write_trace_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,7 +38,7 @@ def build_parser():
     subs = parser.add_subparsers(dest="command", required=True)
 
     for name, desc in [
-            ("simulate", "generate the interference trace"),
+            ("simulate", "generate the interference trace and export trace.csv"),
             ("prepare", "window the trace into train/cal/test instances"),
             ("train", "train the quantile predictor"),
             ("calibrate", "fit tail models and conformal scores"),
@@ -108,6 +109,7 @@ def main(argv=None):
         if args.command == "simulate":
             with _stage("simulate"):
                 trace = stage_simulate(spec, out)
+                write_trace_csv(trace, out / "trace.csv")
             print(f"trace: {trace.n_series} series x {trace.n_cycles} cycles "
                   f"-> {out / 'trace.csv'}")
         elif args.command == "prepare":

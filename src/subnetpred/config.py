@@ -63,9 +63,11 @@ class TrafficModel:
 
     bernoulli: the round-robin scheduled SA pair transmits with prob eta.
     push-pull: the first n_reserved slots belong to fixed pull SA pairs;
-    remaining slots carry contention traffic with per-cycle activation
-    probability 1 - exp(-intensity / n_push_slots), and a Bern(eta) draw
-    gates every scheduled transmission on top.
+    each remaining slot belongs to one push SA pair, which is scheduled
+    while it executes a task burst.  Bursts start as a Poisson process of
+    `intensity` per second and last a geometric number of cycles with mean
+    burst_duration_s.  A Bern(eta) draw gates every scheduled transmission
+    on top.
     """
 
     variant: str = "bernoulli"
@@ -247,6 +249,14 @@ _SECTIONS = {
 
 _SPEC_KEYS = {f.name for f in fields(ExperimentSpec)} - set(_SECTIONS)
 
+# ModelConfig fields the pipeline sets itself; a value given here would be
+# dropped without effect, so the parser names the key that sets it instead
+_WIRED_KEYS = {
+    "model.alpha": "set the top-level alpha",
+    "model.n_series": "set deployment.sa_pairs_per_sn",
+    "model.window": "the window rule sets it (corr_threshold, max_lag)",
+}
+
 
 def _coerce(raw, kind):
     if kind is bool:
@@ -280,6 +290,8 @@ def parse_config_text(text, preset="desk", seed=None):
     section_updates = {name: {} for name in _SECTIONS}
     spec_updates = {}
     for key, raw in overrides.items():
+        if key in _WIRED_KEYS:
+            raise ConfigError(f"{key!r} is set by the pipeline: {_WIRED_KEYS[key]}")
         if "." in key:
             section, attr = key.split(".", 1)
             if section not in _SECTIONS:

@@ -84,29 +84,24 @@ def stage_simulate(spec, out):
                  "traffic": spec_to_dict(spec.traffic),
                  "channel": spec_to_dict(spec.channel),
                  "mobility": spec.mobility, "n_cycles": spec.n_cycles})
-    trace_csv = out / "trace.csv"
-    if _cached(out, "simulate", key) and trace_csv.exists():
-        return _load_trace(out)
+    if _cached(out, "simulate", key) and (out / "trace.npz").exists():
+        return simulate.load_trace(out / "trace")
     trace = simulate.simulate_trace(spec.deployment, spec.traffic, spec.channel,
                                     spec.n_cycles, mobility=spec.mobility)
-    simulate.write_trace_csv(trace, trace_csv)
-    np.savez(out / "trace_arrays.npz", true_power=trace.true_power,
-             est_power=trace.est_power, signal_power=trace.signal_power,
-             noise_power=trace.noise_power, est_noise_std=trace.est_noise_std,
-             seed=trace.seed)
+    simulate.save_trace(trace, out / "trace")
     _mark(out, "simulate", key)
     return trace
 
 
-def _load_trace(out):
-    arrays = np.load(Path(out) / "trace_arrays.npz")
-    meta = json.loads((Path(out) / "trace.json").read_text())
-    return simulate.InterferenceTrace(
-        true_power=arrays["true_power"], est_power=arrays["est_power"],
-        signal_power=arrays["signal_power"],
-        noise_power=float(arrays["noise_power"]),
-        est_noise_std=float(arrays["est_noise_std"]),
-        seed=int(arrays["seed"]), meta=meta)
+def _learning_dbm(spec, trace):
+    """Estimated interference in dBm as the predictors learn and read it.
+
+    Learning-domain dB floor: interference a decade below the receiver
+    noise floor is operationally irrelevant, and letting the raw 1e-20 W
+    trace clamp through would stretch the min-max range by ~80 dB.
+    """
+    return trace.est_dbm(floor=max(spec.channel.power_floor_w,
+                                   trace.noise_power * 0.1))
 
 
 def stage_prepare(spec, out, trace):
@@ -116,11 +111,7 @@ def stage_prepare(spec, out, trace):
                  "n_cal": spec.n_cal, "n_test": spec.n_test})
     if _cached(out, "prepare", key) and (out / "dataset.json").exists():
         return windowing.load_dataset(out / "dataset")
-    # learning-domain dB floor: interference a decade below the receiver
-    # noise floor is operationally irrelevant, and letting the raw 1e-20 W
-    # trace clamp through would stretch the min-max range by ~80 dB
-    floor_w = max(spec.channel.power_floor_w, trace.noise_power * 0.1)
-    series = trace.est_dbm(floor=floor_w)
+    series = _learning_dbm(spec, trace)
     window = windowing.stationary_interval(series, spec.corr_threshold,
                                            spec.max_lag)
     ds = windowing.restructure(series, window, spec.n_cal, spec.n_test)
@@ -216,8 +207,7 @@ def predictions_dbm(spec, out, trace, ds, variant):
     """
     cycles = ds.test_label_cycles()
     noise_dbm = 10.0 * np.log10(trace.noise_power) + 30.0
-    floor_w = max(spec.channel.power_floor_w, trace.noise_power * 0.1)
-    inr = trace.est_dbm(floor=floor_w) - noise_dbm
+    inr = _learning_dbm(spec, trace) - noise_dbm
     if variant == "genie":
         return trace.true_dbm()[:, cycles].T
     if variant == "moving-average":
@@ -339,20 +329,22 @@ def run_pipeline(spec, out):
 
 
 def _write_manifest(spec, out):
+    """Hash the run's artifacts; keep each variant's config, merged across
+    run_pipeline calls the way summary.json["runs"] is."""
     out = Path(out)
-    artifacts = {}
-    for name in ("trace.csv", "dataset.bin", "model.bin", "model_split.bin",
-                 "calibration.json", "calibration_split.json", "results.csv"):
-        p = out / name
-        if p.exists():
-            artifacts[name] = _file_hash(p)
-    manifest = {
+    path = out / "run_manifest.json"
+    manifest = json.loads(path.read_text()) if path.exists() else {}
+    manifest.setdefault("runs", {})[spec.variant] = {
         "config": spec_to_dict(spec),
         "config_hash": _hash(spec_to_dict(spec)),
-        "seed": spec.seed,
-        "artifacts": artifacts,
     }
-    (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2))
+    manifest["seed"] = spec.seed
+    manifest["artifacts"] = {
+        name: _file_hash(out / name)
+        for name in ("trace.npz", "dataset.bin", "model.bin", "model_split.bin",
+                     "calibration.json", "calibration_split.json", "results.csv")
+        if (out / name).exists()}
+    path.write_text(json.dumps(manifest, indent=2))
 
 
 # -------------------------------------------------------------------- sweep

@@ -15,27 +15,12 @@ so :func:`achieved_bler` applied to the un-ceiled blocklength recovers
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.special import erfc, ndtri
 
 LOG2E = float(np.log2(np.e))
-
-
-@dataclass(frozen=True)
-class RaConfig:
-    """Per-link allocation settings: payload in bits and target BLER."""
-
-    payload_bits: int = 200
-    eps_target: float = 1e-5
-
-    def __post_init__(self):
-        if self.payload_bits < 1:
-            raise ValueError("payload_bits must be >= 1")
-        if not 0.0 < self.eps_target <= 0.5:
-            raise ValueError("eps_target must lie in (0, 0.5]")
 
 
 def q_inverse(eps):
@@ -92,15 +77,6 @@ def blocklength(snr, payload_bits, eps_target):
     corr = q2 * v / (2.0 * c**2) * (1.0 + np.sqrt(1.0 + 4.0 * payload_bits * c / (q2 * v)))
     out = base + corr
     return out if out.shape else float(out)
-
-
-def channel_usage(snr, payload_bits, eps_target):
-    """Integer channel usage: blocklength rounded up, at least 1."""
-    r = np.ceil(blocklength(snr, payload_bits, eps_target))
-    r = np.maximum(r, 1.0)
-    if np.ndim(r) == 0:
-        return int(r)
-    return r.astype(np.int64)
 
 
 def achieved_bler(r, snr, payload_bits):

@@ -25,10 +25,6 @@ class MobilityState:
     layout: object = None
     bounds: tuple = field(default=(0.0, 0.0, 1.0, 1.0))
 
-    def sa_positions(self):
-        """Absolute SA positions, [N x M x 2]."""
-        return self.positions[:, None, :] + self.offsets
-
     def copy(self):
         return MobilityState(
             positions=self.positions.copy(), headings=self.headings.copy(),

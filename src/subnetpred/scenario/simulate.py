@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -210,17 +211,33 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles,
                              seed=deployment.rng_seed, meta=meta)
 
 
-def compute_sinr(trace, sa, t, predicted_w=None):
-    """Linear SINR of SA pair sa at cycle t; predicted_w substitutes the
-    interference estimate used in the denominator."""
-    interference = trace.true_power[sa, t] if predicted_w is None else predicted_w
-    return trace.signal_power[sa] / (interference + trace.noise_power)
+def save_trace(trace, stem):
+    """Write the arrays and scalars as one npz and `meta` as JSON, both
+    named after stem; load_trace reads them back bit for bit."""
+    stem = Path(stem)
+    with open(stem.with_suffix(".json"), "w", encoding="utf-8") as fh:
+        json.dump(trace.meta, fh, indent=2)
+    np.savez(stem.with_suffix(".npz"), true_power=trace.true_power,
+             est_power=trace.est_power, signal_power=trace.signal_power,
+             noise_power=trace.noise_power, est_noise_std=trace.est_noise_std,
+             seed=trace.seed)
+
+
+def load_trace(stem):
+    stem = Path(stem)
+    with open(stem.with_suffix(".json"), encoding="utf-8") as fh:
+        meta = json.load(fh)
+    with np.load(stem.with_suffix(".npz")) as arrays:
+        return InterferenceTrace(
+            true_power=arrays["true_power"], est_power=arrays["est_power"],
+            signal_power=arrays["signal_power"],
+            noise_power=float(arrays["noise_power"]),
+            est_noise_std=float(arrays["est_noise_std"]),
+            seed=int(arrays["seed"]), meta=meta)
 
 
 def write_trace_csv(trace, path):
-    """CSV dump: cycle,slot,sa_index,true_dBm,est_dBm,signal_dBm plus a JSON
-    sidecar (same stem) carrying the resolved config and seed."""
-    path = str(path)
+    """CSV export: cycle,slot,sa_index,true_dBm,est_dBm,signal_dBm."""
     true_dbm = trace.true_dbm()
     est_dbm = trace.est_dbm()
     sig_dbm = ch.watts_to_dbm(trace.signal_power)
@@ -232,7 +249,3 @@ def write_trace_csv(trace, path):
             for m in range(trace.n_series):
                 writer.writerow([t, m, m, f"{true_dbm[m, t]:.6f}",
                                  f"{est_dbm[m, t]:.6f}", f"{sig_dbm[m]:.6f}"])
-    sidecar = {"seed": trace.seed, "noise_power_w": trace.noise_power,
-               "est_noise_std_w": trace.est_noise_std, **trace.meta}
-    with open(path.rsplit(".", 1)[0] + ".json", "w", encoding="utf-8") as fh:
-        json.dump(sidecar, fh, indent=2)

@@ -12,9 +12,10 @@ Two models:
   rather than per-slot coin flips.  A Bern(eta) transmission draw gates
   every scheduled slot on top.
 
-Because sub-networks are not slot-synchronized, the victim's slot index is
-mapped to the interferer's local schedule through a rotating phase offset
-(`phase` below); the sub-network simulator advances that phase every cycle.
+This module samples each interferer's occupancy on its own slot grid
+(`TrafficProcess.sample_own_slots`).  Sub-networks are not slot-synchronized:
+the simulator maps that grid onto the victim's slots through a fractional
+clock offset that drifts every cycle (see scenario/simulate.py).
 """
 
 from __future__ import annotations
@@ -31,36 +32,6 @@ def push_stop_probability(model, dt):
     """Per-cycle probability that an ongoing burst ends (geometric length)."""
     mean_cycles = max(model.burst_duration_s / dt, 1.0)
     return 1.0 / mean_cycles
-
-
-def sample_traffic(model, slot, n_sa, rng, n_sn=1, activity=None, phase=0):
-    """Activity of n_sn sub-networks in one victim slot.
-
-    Returns (chi, sa_index): transmit indicators and the transmitting SA
-    pair per sub-network.  `phase` (scalar or per-sub-network vector)
-    shifts the victim slot into each interferer's local schedule -- the
-    non-synchronized TDD alignment.  For push-pull, `activity` is the
-    [n_sn x n_sa] burst-state matrix; omitted, push pairs are drawn at
-    their stationary duty cycle (stateless approximation).
-    """
-    local = np.broadcast_to((slot + np.asarray(phase)) % n_sa, (n_sn,))
-    sa_index = local.astype(int)
-    if model.variant == "bernoulli":
-        scheduled = np.full(n_sn, True)
-    else:
-        if model.n_reserved >= n_sa:
-            raise ValueError("push-pull needs at least one unreserved SA pair")
-        reserved = local < model.n_reserved
-        if activity is not None:
-            pushing = activity[np.arange(n_sn), local]
-        else:
-            start = push_start_probability(model, 1e-3)
-            stop = push_stop_probability(model, 1e-3)
-            duty = start / max(start + stop, 1e-12)
-            pushing = rng.random(n_sn) < duty
-        scheduled = reserved | pushing
-    chi = scheduled & (rng.random(n_sn) < model.eta)
-    return chi, sa_index
 
 
 class TrafficProcess:
@@ -86,20 +57,6 @@ class TrafficProcess:
         starts = rng.random(push.shape) < self.start
         stops = rng.random(push.shape) < self.stop
         self.activity[:, self.model.n_reserved:] = np.where(push, ~stops, starts)
-
-    def sample_cycle(self, n_slots, rng, phase=0):
-        """chi and transmitting SA index for every victim slot, [n_sn x n_slots].
-
-        `phase` is the current schedule offset of each interferer relative
-        to the victim (scalar or [n_sn]).
-        """
-        chi = np.empty((self.n_sn, n_slots), dtype=bool)
-        sa_index = np.empty((self.n_sn, n_slots), dtype=int)
-        for slot in range(n_slots):
-            chi[:, slot], sa_index[:, slot] = sample_traffic(
-                self.model, slot, self.n_sa, rng, self.n_sn,
-                activity=self.activity, phase=phase)
-        return chi, sa_index
 
     def sample_own_slots(self, rng, n_slots=None):
         """Occupancy and owner of each sub-network's own slot grid.

@@ -31,10 +31,6 @@ class InsufficientExceedancesError(ValueError):
     """Raised when too few samples exceed the predicted thresholds."""
 
 
-class InvalidRescaleError(ValueError):
-    """Raised when a threshold shift would produce a non-positive scale."""
-
-
 @dataclass(frozen=True)
 class GpdTail:
     """Fitted GPD for exceedances over a (moving) threshold."""
@@ -166,18 +162,6 @@ def collect_exceedances(labels, thresholds, min_samples=DEFAULT_MIN_EXCEEDANCES)
                 f"series {m}: {exc.size} exceedances < required {min_samples}")
         out.append(exc)
     return out
-
-
-def rescale_threshold(tail, old_u, new_u):
-    """Shift a fitted tail to a higher threshold: scale' = scale + shape*(u*-u)."""
-    if new_u < old_u:
-        raise ValueError("new threshold must be >= old threshold")
-    new_scale = tail.scale + tail.shape * (new_u - old_u)
-    if new_scale <= 0:
-        raise InvalidRescaleError(
-            f"rescale past the tail endpoint: scale would be {new_scale:.4g}")
-    return GpdTail(tail.shape, new_scale, tail.n_exceedances,
-                   tail.log_likelihood, tail.fallback)
 
 
 def finite_sample_quantile(residuals, beta):

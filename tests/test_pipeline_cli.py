@@ -23,7 +23,8 @@ def smoke_spec(seed=0, variant="moving-average"):
 
 def test_run_pipeline_writes_artifacts(tmp_path):
     detail = run_pipeline(smoke_spec(variant="genie"), tmp_path)
-    assert (tmp_path / "trace.csv").exists()
+    assert (tmp_path / "trace.npz").exists()
+    assert not (tmp_path / "trace.csv").exists()   # an explicit CLI export
     assert (tmp_path / "dataset.bin").exists()
     assert (tmp_path / "results.csv").exists()
     assert (tmp_path / "run_manifest.json").exists()
@@ -38,18 +39,47 @@ def test_pipeline_determinism_byte_identical(tmp_path):
     run_pipeline(smoke_spec(seed=5), a)
     run_pipeline(smoke_spec(seed=5), b)
     assert (a / "results.csv").read_bytes() == (b / "results.csv").read_bytes()
-    assert (a / "trace.csv").read_bytes() == (b / "trace.csv").read_bytes()
+    assert (a / "trace.npz").read_bytes() == (b / "trace.npz").read_bytes()
+    assert ((a / "run_manifest.json").read_bytes()
+            == (b / "run_manifest.json").read_bytes())
 
 
 def test_pipeline_caching_reuses_simulation(tmp_path):
     spec = smoke_spec(seed=6)
     run_pipeline(spec, tmp_path)
-    stamp = (tmp_path / "trace.csv").stat().st_mtime_ns
+    stamp = (tmp_path / "trace.npz").stat().st_mtime_ns
     run_pipeline(replace(spec, variant="genie"), tmp_path)
-    assert (tmp_path / "trace.csv").stat().st_mtime_ns == stamp
+    assert (tmp_path / "trace.npz").stat().st_mtime_ns == stamp
     rows = (tmp_path / "results.csv").read_text().splitlines()
     predictors = {line.split(",")[0] for line in rows[1:]}
     assert predictors == {"moving-average", "genie"}
+
+
+def test_cached_trace_equals_fresh(tmp_path):
+    spec = smoke_spec(seed=6)
+    fresh = pipeline.stage_simulate(spec, tmp_path)
+    cached = pipeline.stage_simulate(spec, tmp_path)
+    assert cached is not fresh
+    for name in ("true_power", "est_power", "signal_power"):
+        assert np.array_equal(getattr(cached, name), getattr(fresh, name))
+    assert cached.noise_power == fresh.noise_power
+    assert cached.est_noise_std == fresh.est_noise_std
+    assert cached.seed == fresh.seed
+    assert cached.meta == fresh.meta
+
+
+def test_manifest_keeps_every_variant(tmp_path):
+    specs = [smoke_spec(seed=6, variant=v) for v in ("moving-average", "genie")]
+    for spec in specs:
+        run_pipeline(spec, tmp_path)
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert manifest["seed"] == 6
+    assert set(manifest["runs"]) == {"moving-average", "genie"}
+    for spec in specs:
+        run = manifest["runs"][spec.variant]
+        assert run["config"] == spec_to_dict(spec)
+        assert run["config_hash"] == pipeline._hash(spec_to_dict(spec))
+    assert "trace.npz" in manifest["artifacts"]
 
 
 def test_trained_variant_shares_checkpoint(tmp_path):
@@ -171,6 +201,21 @@ def test_parse_config_rejects_unknown_keys():
         parse_config_text("nonsense = 3")
     with pytest.raises(ConfigError):
         parse_config_text("deployment.n_subnetworks") # no '='
+
+
+@pytest.mark.parametrize("line, hint", [
+    ("model.alpha = 0.2", "top-level alpha"),
+    ("model.window = 8", "window rule"),
+    ("model.n_series = 4", "deployment.sa_pairs_per_sn"),
+])
+def test_parse_config_rejects_pipeline_wired_keys(tmp_path, line, hint):
+    # valid values the pipeline would overwrite without a word
+    with pytest.raises(ConfigError, match=hint):
+        parse_config_text(line, preset="tiny")
+    cfg = tmp_path / "wired.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["prepare", "--config", str(cfg), "--preset", "tiny",
+                 "--out", str(tmp_path / "run")]) == EXIT_CONFIG
 
 
 def test_seed_flag_rewires_all_seeds():

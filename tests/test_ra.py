@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 from scipy.special import erfc
 
-from subnetpred.ra import (RaConfig, achieved_bler, blocklength, capacity,
-                           channel_usage, coverage_probability,
-                           coverage_width, dispersion, evaluate_ra,
-                           q_function, q_inverse)
+from subnetpred.ra import (achieved_bler, blocklength, capacity,
+                           coverage_probability, coverage_width, dispersion,
+                           evaluate_ra, q_function, q_inverse)
 
 
 def bisect_q_inverse(eps, lo=-10.0, hi=10.0):
@@ -40,7 +39,6 @@ def test_q_roundtrip_on_log_grid():
 
 def test_blocklength_at_half_target_is_shannon_limit():
     assert blocklength(3.0, 200, 0.5) == pytest.approx(100.0)
-    assert channel_usage(3.0, 200, 0.5) == 100
 
 
 def test_blocklength_asymptotics_in_payload():
@@ -92,12 +90,32 @@ def test_monotonicity_of_channel_usage():
 
 
 def test_overprediction_is_safe():
-    # resources sized for a worse SINR keep the BLER under target
-    d_bits, eps = 200, 1e-5
-    snr_true = 12.0
-    for snr_hat in (11.9, 8.0, 2.0):
-        r = channel_usage(snr_hat, d_bits, eps)
-        assert achieved_bler(r, snr_true, d_bits) <= eps
+    # resources sized for more interference than there is keep the BLER
+    # of every instance under target
+    rng = np.random.default_rng(4)
+    true_i = 10 ** rng.uniform(-9, -6, (200, 2))
+    sig = np.full(2, 1e-5)
+    for factor in (1.01, 4.0, 100.0):
+        rows = evaluate_ra(true_i * factor, true_i, sig, 1e-12, 200,
+                           [1e-5, 1e-7])
+        for row in rows:
+            assert row["frac_met"] == 1.0
+            assert row["mean_overhead"] > 1.0
+
+
+def test_evaluate_ra_sinr_is_signal_over_interference_plus_noise():
+    # at eps = 0.5 the blocklength is D / log2(1 + SINR), so the overhead
+    # is the ratio of log2(1 + S / (I + N)) at the true and predicted I
+    def overhead(pred_i, true_i, sig, noise):
+        rows = evaluate_ra([[pred_i]], [[true_i]], [sig], noise, 200, [0.5])
+        return rows[0]["mean_overhead"], rows[0]["frac_met"]
+
+    ovh, met = overhead(0.0, 3.0, 1.0, 1.0)       # SINR 1 predicted, 1/4 true
+    assert ovh == pytest.approx(np.log2(1.25) / np.log2(2.0), rel=1e-12)
+    assert met == 0.0                             # under-prediction fails
+    ovh, met = overhead(1.0, 0.0, 2.0, 2.0)       # SINR 2/3 predicted, 1 true
+    assert ovh == pytest.approx(np.log2(2.0) / np.log2(5.0 / 3.0), rel=1e-12)
+    assert met == 1.0
 
 
 def test_coverage_probability_trivials():
@@ -126,10 +144,6 @@ def test_evaluate_ra_genie_meets_every_target():
 
 
 def test_ra_config_validation():
-    with pytest.raises(ValueError):
-        RaConfig(payload_bits=0)
-    with pytest.raises(ValueError):
-        RaConfig(eps_target=0.7)
     with pytest.raises(ValueError):
         q_inverse(0.0)
     with pytest.raises(ValueError):

@@ -5,14 +5,12 @@ import numpy as np
 import pytest
 
 from subnetpred.config import ChannelParams, DeploymentConfig, TrafficModel
-from subnetpred.scenario import (InterferenceTrace, PlacementError,
-                                 TrafficProcess, build_alley_layout,
-                                 channel_gain, compute_sinr, deploy,
+from subnetpred.scenario import (PlacementError, TrafficProcess,
+                                 build_alley_layout, channel_gain, deploy,
                                  deploy_alley, fading_coefficient,
                                  interferer_set, noise_power_w,
-                                 pathloss_inf_db, sample_traffic,
-                                 simulate_trace, step_mobility,
-                                 write_trace_csv)
+                                 pathloss_inf_db, simulate_trace,
+                                 step_mobility, write_trace_csv)
 from subnetpred.scenario.channel import Ar1Field, ComplexAr1, db_to_linear
 
 CHEAP = ChannelParams()
@@ -111,17 +109,20 @@ def test_alley_mobility_follows_loops_and_wraps():
 def test_bernoulli_certain_transmission():
     model = TrafficModel(variant="bernoulli", eta=1.0)
     rng = np.random.default_rng(0)
-    chi, sa = sample_traffic(model, slot=2, n_sa=4, rng=rng, n_sn=8)
-    assert chi.all()
-    assert np.all(sa == 2)
+    proc = TrafficProcess(model, n_sn=8, n_sa=4, dt=1e-3, rng=rng)
+    chi, owner = proc.sample_own_slots(rng, n_slots=6)
+    assert chi.shape == (8, 6) and chi.all()
+    assert owner.tolist() == [0, 1, 2, 3, 0, 1]   # round-robin slot owners
 
 
 def test_bernoulli_empirical_rate():
     model = TrafficModel(variant="bernoulli", eta=0.9)
     rng = np.random.default_rng(1)
-    n = 100000
-    chi, _ = sample_traffic(model, slot=0, n_sa=4, rng=rng, n_sn=n)
+    proc = TrafficProcess(model, n_sn=25000, n_sa=4, dt=1e-3, rng=rng)
+    chi, _ = proc.sample_own_slots(rng)
+    n = chi.size
     sigma = np.sqrt(0.9 * 0.1 / n)
+    assert n == 100000
     assert abs(chi.mean() - 0.9) < 3 * sigma
 
 
@@ -130,10 +131,12 @@ def test_push_pull_reserved_slots_map_to_pull_pairs():
                          n_reserved=2)
     rng = np.random.default_rng(2)
     proc = TrafficProcess(model, n_sn=10, n_sa=6, dt=1e-3, rng=rng)
-    chi, sa = proc.sample_cycle(n_slots=6, rng=rng, phase=0)
-    assert np.all(sa[:, 0] == 0) and np.all(sa[:, 1] == 1)
+    chi, owner = proc.sample_own_slots(rng, n_slots=6)
+    assert owner[:2].tolist() == [0, 1]
     assert chi[:, :2].all()                      # eta=1, pull always on
-    assert np.all(sa[:, 2:] >= 2)                # push slots avoid pull pairs
+    assert np.all(owner[2:] >= 2)                # push slots avoid pull pairs
+    # eta=1: a push slot carries a transmission exactly during a burst
+    assert np.array_equal(chi[:, 2:], proc.activity[:, 2:])
 
 
 def test_push_burst_duty_cycle_matches_equilibrium():
@@ -151,16 +154,6 @@ def test_push_burst_duty_cycle_matches_equilibrium():
     stop = push_stop_probability(model, 1e-3)
     expect = start / (start + stop)
     assert abs(np.mean(duties) - expect) < 0.05
-
-
-def test_schedule_phase_rotates_transmitting_sa():
-    model = TrafficModel(variant="bernoulli", eta=1.0)
-    rng = np.random.default_rng(4)
-    _, sa0 = sample_traffic(model, slot=1, n_sa=4, rng=rng, n_sn=3, phase=0)
-    _, sa2 = sample_traffic(model, slot=1, n_sa=4, rng=rng, n_sn=3,
-                            phase=np.array([0, 1, 2]))
-    assert np.all(sa0 == 1)
-    assert sa2.tolist() == [1, 2, 3]
 
 
 # ------------------------------------------------------------------- channel
@@ -330,31 +323,8 @@ def test_heavy_tail_exceeds_gaussian_surrogate():
         assert kurtosis(db[m]) > kurtosis(surrogate)
 
 
-def test_compute_sinr_identities():
-    tr = InterferenceTrace(true_power=np.array([[3.0]]),
-                           est_power=np.array([[3.0]]),
-                           signal_power=np.array([1.0]), noise_power=1.0,
-                           est_noise_std=0.0, seed=0, meta={})
-    assert compute_sinr(tr, 0, 0) == pytest.approx(0.25)
-    zero_i = InterferenceTrace(true_power=np.array([[0.0]]),
-                               est_power=np.array([[0.0]]),
-                               signal_power=np.array([2.0]), noise_power=2.0,
-                               est_noise_std=0.0, seed=0, meta={})
-    assert compute_sinr(zero_i, 0, 0) == pytest.approx(1.0)
-
-
-def test_predicted_sinr_monotone_in_interference():
-    tr = small_trace(seed=10, n_cycles=50)
-    for t in (0, 10, 49):
-        g_true = compute_sinr(tr, 0, t)
-        g_over = compute_sinr(tr, 0, t,
-                              predicted_w=tr.true_power[0, t] * 2 + 1e-12)
-        assert g_over <= g_true
-
-
 def test_trace_csv_round_trip(tmp_path):
     import csv as csvmod
-    import json
     tr = small_trace(seed=11, n_cycles=20)
     path = tmp_path / "trace.csv"
     write_trace_csv(tr, path)
@@ -362,6 +332,4 @@ def test_trace_csv_round_trip(tmp_path):
         rows = list(csvmod.DictReader(fh))
     assert len(rows) == 20 * 4
     assert float(rows[0]["est_dBm"]) == pytest.approx(tr.est_dbm()[0, 0], abs=1e-5)
-    sidecar = json.loads((tmp_path / "trace.json").read_text())
-    assert sidecar["seed"] == 11
-    assert sidecar["deployment"]["n_subnetworks"] == 16
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.csv"]  # no sidecar

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 
 from subnetpred.tailcal import (CalibratedTail, ConformalRecord, GpdTail,
                                 InsufficientExceedancesError,
-                                InvalidRescaleError, calibrated_quantile,
-                                calibration_report, collect_exceedances,
-                                conformity_scores, finite_sample_quantile,
-                                gpd_fit, gpd_quantile, moments_estimate,
-                                read_calibration_report, rescale_threshold,
+                                calibrated_quantile, calibration_report,
+                                collect_exceedances, conformity_scores,
+                                finite_sample_quantile, gpd_fit, gpd_quantile,
+                                moments_estimate, read_calibration_report,
                                 write_calibration_report, _gpd_nll)
 
 
@@ -104,30 +103,6 @@ def test_quantile_inverts_cdf():
         y = gpd_quantile(tail, p)
         cdf = 1.0 - (1.0 + tail.shape * y / tail.scale) ** (-1.0 / tail.shape)
         assert cdf == pytest.approx(p, abs=1e-12)
-
-
-# ----------------------------------------------------------- threshold move
-
-def test_rescale_threshold_identity_and_shift():
-    tail = GpdTail(0.2, 1.0, 100, 0.0)
-    same = rescale_threshold(tail, 5.0, 5.0)
-    assert same.scale == tail.scale and same.shape == tail.shape
-    moved = rescale_threshold(tail, 5.0, 7.0)
-    assert moved.scale == pytest.approx(1.4)
-    with pytest.raises(InvalidRescaleError):
-        rescale_threshold(GpdTail(-0.5, 1.0, 100, 0.0), 0.0, 3.0)
-
-
-def test_rescale_agrees_with_refit_on_truncated_sample():
-    rng = np.random.default_rng(4)
-    shape, scale = 0.2, 1.0
-    samples = gpd_samples(shape, scale, 200000, rng)
-    tail = gpd_fit(samples)
-    shift = 1.0
-    rescaled = rescale_threshold(tail, 0.0, shift)
-    refit = gpd_fit(samples[samples > shift] - shift)
-    assert refit.shape == pytest.approx(rescaled.shape, abs=0.05)
-    assert refit.scale == pytest.approx(rescaled.scale, rel=0.05)
 
 
 # ---------------------------------------------------------------- exceedance

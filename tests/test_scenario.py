@@ -323,6 +323,20 @@ def test_heavy_tail_exceeds_gaussian_surrogate():
         assert kurtosis(db[m]) > kurtosis(surrogate)
 
 
+def test_predicted_sinr_monotone_in_interference():
+    # over-predicted interference lowers the predicted SINR S / (I + N); at
+    # eps = 0.5 the blocklength is D / log2(1 + SINR), so the predictor's
+    # allocation is no shorter than the genie's
+    from subnetpred.ra import evaluate_ra
+    tr = small_trace(seed=10, n_cycles=50)
+    for t in (0, 10, 49):
+        true_i = tr.true_power[0, t]
+        rows = evaluate_ra([[true_i * 2 + 1e-12]], [[true_i]],
+                           tr.signal_power[:1], tr.noise_power, 200, [0.5])
+        assert rows[0]["mean_overhead"] >= 1.0
+        assert rows[0]["frac_met"] == 1.0
+
+
 def test_trace_csv_round_trip(tmp_path):
     import csv as csvmod
     tr = small_trace(seed=11, n_cycles=20)

@@ -51,6 +51,8 @@ class DeploymentConfig:
             raise ConfigError("min_distance and speed must be non-negative")
         if self.area[0] <= 0 or self.area[1] <= 0:
             raise ConfigError("area sides must be positive")
+        if self.tx_cycle_duration <= 0:
+            raise ConfigError("tx_cycle_duration must be positive")
 
     @property
     def slots(self):
@@ -196,6 +198,12 @@ class ExperimentSpec:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1]")
+        if (self.traffic.variant == "push-pull"
+                and self.traffic.n_reserved >= self.deployment.sa_pairs_per_sn):
+            raise ConfigError(
+                f"push-pull traffic.n_reserved ({self.traffic.n_reserved}) must be "
+                f"below deployment.sa_pairs_per_sn "
+                f"({self.deployment.sa_pairs_per_sn}), so that push pairs remain")
 
 
 def desk_preset(seed=0):

@@ -25,15 +25,6 @@ class MobilityState:
     layout: object = None
     bounds: tuple = field(default=(0.0, 0.0, 1.0, 1.0))
 
-    def copy(self):
-        return MobilityState(
-            positions=self.positions.copy(), headings=self.headings.copy(),
-            offsets=self.offsets,
-            path_ids=None if self.path_ids is None else self.path_ids.copy(),
-            arc_positions=(None if self.arc_positions is None
-                           else self.arc_positions.copy()),
-            layout=self.layout, bounds=self.bounds)
-
 
 def disc_offsets(n_sn, n_sa, radius, rng):
     """Uniform draws on a disc of the given radius, [n_sn x n_sa x 2]."""

@@ -3,36 +3,34 @@ fixed alley circuits for the factory-floor layout."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .deploy import MobilityState, disc_offsets
 
 
-def _reflect(coord, heading_comp, lo, hi):
-    """Reflect a scalar coordinate into [lo, hi]; flips the matching
-    heading component sign."""
-    flipped = False
-    if coord < lo:
-        coord = 2.0 * lo - coord
-        flipped = True
-    elif coord > hi:
-        coord = 2.0 * hi - coord
-        flipped = True
-    return coord, -heading_comp if flipped else heading_comp
-
-
 def _propose(positions, headings, step, bounds):
-    lo_x, lo_y, hi_x, hi_y = bounds
-    cand = positions + step * np.stack([np.cos(headings), np.sin(headings)], axis=1)
-    new_head = headings.copy()
-    for i in range(cand.shape[0]):
-        cx, hx = _reflect(cand[i, 0], np.cos(new_head[i]), lo_x, hi_x)
-        cy, hy = _reflect(cand[i, 1], np.sin(new_head[i]), lo_y, hi_y)
-        cand[i] = (cx, cy)
-        new_head[i] = np.arctan2(hy, hx)
-    return cand, new_head
+    """Candidate positions one step along the headings, reflected into the
+    bounds; a reflection flips the matching heading component."""
+    lo, hi = np.array(bounds[:2]), np.array(bounds[2:])
+    unit = np.array([np.cos(headings), np.sin(headings)]).T
+    cand = positions + step * unit
+    below, above = cand < lo, cand > hi
+    flip = below | above
+    if flip.any():
+        cand = np.where(below, 2.0 * lo - cand, np.where(above, 2.0 * hi - cand, cand))
+        unit = np.where(flip, -unit, unit)
+    return cand, np.arctan2(unit[:, 1], unit[:, 0])
+
+
+def _crowded(cand, guard):
+    """Sub-networks closer than guard to any other candidate position."""
+    x, y = cand[:, 0], cand[:, 1]
+    dx, dy = x[:, None] - x, y[:, None] - y
+    dist = np.sqrt(dx * dx + dy * dy)          # planar_norm of the differences
+    np.fill_diagonal(dist, np.inf)
+    return (dist < guard).any(axis=1)
 
 
 def step_rdmm(state, speed, dt, min_distance, rng, max_retries=8):
@@ -49,29 +47,16 @@ def step_rdmm(state, speed, dt, min_distance, rng, max_retries=8):
     head = state.headings.copy()
     cand, cand_head = _propose(pos, head, step, state.bounds)
     guard = min_distance + 2.0 * step
-    n = pos.shape[0]
     for _ in range(max_retries):
-        diff = cand[:, None, :] - cand[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        np.fill_diagonal(dist, np.inf)
-        bad = (dist < guard).any(axis=1)
+        bad = _crowded(cand, guard)
         if not bad.any():
             break
         head[bad] = rng.uniform(0.0, 2.0 * np.pi, int(bad.sum()))
-        redo, redo_head = _propose(pos[bad], head[bad], step, state.bounds)
-        cand[bad] = redo
-        cand_head[bad] = redo_head
+        cand[bad], cand_head[bad] = _propose(pos[bad], head[bad], step, state.bounds)
     else:
-        diff = cand[:, None, :] - cand[None, :, :]
-        dist = np.linalg.norm(diff, axis=-1)
-        np.fill_diagonal(dist, np.inf)
-        bad = (dist < guard).any(axis=1)
+        bad = _crowded(cand, guard)
         cand[bad] = pos[bad]
-
-    out = state.copy()
-    out.positions = cand
-    out.headings = cand_head
-    return out
+    return replace(state, positions=cand, headings=cand_head)
 
 
 @dataclass(frozen=True)
@@ -88,19 +73,23 @@ class AlleyLayout:
     def total_length(self, k):
         return float(self.cum_lengths[k][-1])
 
-    def point_at(self, k, s):
-        """Position and tangent heading at arc length s along loop k."""
-        cum = self.cum_lengths[k]
-        verts = self.loops[k]
-        s = s % cum[-1]
-        seg = int(np.searchsorted(cum, s, side="right")) - 1
-        seg = min(seg, len(verts) - 2)
-        a, b = verts[seg], verts[seg + 1]
-        seg_len = cum[seg + 1] - cum[seg]
-        frac = (s - cum[seg]) / seg_len
-        pos = a + frac * (b - a)
-        heading = float(np.arctan2(b[1] - a[1], b[0] - a[0]))
-        return pos, heading
+    def locate(self, path_ids, arcs):
+        """Positions [... x 2] and tangent headings [...] at arc lengths arcs
+        along the loops path_ids (broadcast against arcs), wrapping at each
+        loop's end."""
+        arcs = np.asarray(arcs, dtype=float)
+        path_ids = np.broadcast_to(path_ids, arcs.shape)
+        positions = np.empty(arcs.shape + (2,))
+        headings = np.empty(arcs.shape)
+        for k, (verts, cum) in enumerate(zip(self.loops, self.cum_lengths)):
+            on_loop = path_ids == k
+            s = arcs[on_loop] % cum[-1]
+            seg = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(verts) - 2)
+            a, b = verts[seg], verts[seg + 1]
+            frac = (s - cum[seg]) / (cum[seg + 1] - cum[seg])
+            positions[on_loop] = a + frac[:, None] * (b - a)
+            headings[on_loop] = np.arctan2(b[:, 1] - a[:, 1], b[:, 0] - a[:, 0])
+        return positions, headings
 
 
 def build_alley_layout(area=(180.0, 90.0), margin=10.0, n_loops=3):
@@ -129,19 +118,11 @@ def deploy_alley(config, rng, layout=None):
         layout = build_alley_layout(config.area, margin=max(config.sn_radius * 2, 5.0))
     n = config.n_subnetworks
     path_ids = np.arange(n) % layout.n_loops
-    arc = np.empty(n)
-    positions = np.empty((n, 2))
-    headings = np.empty(n)
-    per_loop = np.bincount(path_ids, minlength=layout.n_loops)
-    rank_in_loop = np.zeros(n, dtype=int)
-    seen = np.zeros(layout.n_loops, dtype=int)
-    for i in range(n):
-        rank_in_loop[i] = seen[path_ids[i]]
-        seen[path_ids[i]] += 1
-    for i in range(n):
-        k = path_ids[i]
-        arc[i] = rank_in_loop[i] * layout.total_length(k) / max(per_loop[k], 1)
-        positions[i], headings[i] = layout.point_at(k, arc[i])
+    per_loop = np.maximum(np.bincount(path_ids, minlength=layout.n_loops), 1)
+    lengths = np.array([layout.total_length(k) for k in range(layout.n_loops)])
+    rank_in_loop = np.arange(n) // layout.n_loops
+    arc = rank_in_loop * lengths[path_ids] / per_loop[path_ids]
+    positions, headings = layout.locate(path_ids, arc)
     offsets = disc_offsets(n, config.sa_pairs_per_sn, config.sn_radius, rng)
     w, h = config.area
     return MobilityState(positions=positions, headings=headings, offsets=offsets,
@@ -151,12 +132,18 @@ def deploy_alley(config, rng, layout=None):
 
 def step_alley(state, speed, dt):
     """Advance every sub-network along its circuit, wrapping at the end."""
-    out = state.copy()
-    out.arc_positions = state.arc_positions + speed * dt
-    for i in range(out.positions.shape[0]):
-        out.positions[i], out.headings[i] = state.layout.point_at(
-            state.path_ids[i], out.arc_positions[i])
-    return out
+    arcs = state.arc_positions + speed * dt
+    positions, headings = state.layout.locate(state.path_ids, arcs)
+    return replace(state, positions=positions, headings=headings, arc_positions=arcs)
+
+
+def alley_positions(state, speed, dt, n_cycles):
+    """Positions [n_cycles x N x 2] of state and of the n_cycles - 1
+    step_alley calls that follow it, bit for bit; arc lengths accumulate
+    one step per cycle, as repeated calls add them."""
+    steps = np.full((n_cycles, state.arc_positions.size), speed * dt)
+    steps[0] = state.arc_positions
+    return state.layout.locate(state.path_ids, np.add.accumulate(steps, axis=0))[0]
 
 
 def step_mobility(state, model, speed, dt, min_distance, rng):

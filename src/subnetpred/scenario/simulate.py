@@ -4,7 +4,8 @@ Per TX cycle: mobility step, correlated channel updates, slot-level traffic
 of the co-channel interferers, and the resulting interference power at the
 victim controller for each of its SA-pair slots.  Estimation noise is added
 in the linear power domain afterwards and clamped at a positive floor so
-the dB conversion is total.
+the dB conversion is total.  simulate_trace computes the cycles in two
+passes: one that steps through them and one vectorized over all of them.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from ..config import spec_to_dict
 from . import channel as ch
 from .deploy import deploy
-from .mobility import deploy_alley, step_mobility
+from .mobility import alley_positions, deploy_alley, step_mobility
 from .traffic import TrafficProcess
 
 
@@ -71,6 +72,15 @@ def interferer_set(positions, victim, set_size, bands=None):
     return np.array(pool[:max(set_size - 1, 0)], dtype=int)
 
 
+def _link_motion(delta):
+    """Relative and mean displacement of each interferer-victim link, given
+    the displacements delta [... x (n_int + 1) x 2] of the interferers'
+    centers and, last, the victim's."""
+    own = delta[..., -1:, :]
+    return (ch.planar_norm(delta[..., :-1, :] - own),
+            ch.planar_norm((delta[..., :-1, :] + own) / 2.0))
+
+
 def simulate_trace(deployment, traffic, channel_params, n_cycles,
                    mobility="rdmm", victim=0, noise_ref_fraction=0.7,
                    est_noise_std=None):
@@ -79,6 +89,17 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles,
     Deterministic given deployment.rng_seed.  est_noise_std overrides the
     default noise level (a fraction of the mean power over the leading
     noise_ref_fraction of the trace, mirroring a train-prefix statistic).
+
+    The cycles run in two passes.  Pass 1 steps through them one at a time
+    and does only the work that draws from the trace's generator: rdmm
+    mobility, the shadowing, soft-LOS and fading advances and the traffic.
+    It also sums the fading looks' powers per link, so that the per-cycle
+    fading state need not be kept.  Every draw happens in pass 1, in the
+    order of a cycle-by-cycle simulation, so the stream and the trace do
+    not depend on the split.  Alley positions draw nothing and are computed
+    up front.  Pass 2 computes the rest for all cycles at once: path loss,
+    shadowing and soft-LOS transforms, link gains, the TDD misalignment and
+    the slot sums.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -109,10 +130,9 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles,
     # independent fading looks per link (frequency/pilot diversity of the
     # slot power estimate); the measured power averages their energies
     looks = channel_params.est_looks
-    fade_los = ch.ComplexAr1((n_int, deployment.sa_pairs_per_sn, looks), rho_f, rng)
-    fade_nlos = ch.ComplexAr1((n_int, deployment.sa_pairs_per_sn, looks), rho_f, rng)
-    los_phase = rng.uniform(0.0, 2.0 * np.pi,
-                            (n_int, deployment.sa_pairs_per_sn, looks))
+    fade_los = ch.ComplexAr1((n_int, n_sa, looks), rho_f, rng)
+    fade_nlos = ch.ComplexAr1((n_int, n_sa, looks), rho_f, rng)
+    los_phase = rng.uniform(0.0, 2.0 * np.pi, (n_int, n_sa, looks))
 
     traffic_proc = TrafficProcess(traffic, n_int, n_sa, dt, rng)
     # TDD misalignment of non-synchronized sub-networks: every interferer's
@@ -120,19 +140,31 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles,
     # drifts by schedule_drift slots per TX cycle
     clock_offset = rng.uniform(0.0, n_slots, n_int)
 
-    true_power = np.zeros((n_sa, n_cycles))
-    rows = np.arange(n_int)
-    slots_idx = np.arange(n_slots)
-    prev_positions = state.positions.copy()
+    # ---- pass 1: every draw, cycle by cycle
+    # centers of the interferers, then the victim, per cycle
+    members = np.append(intf, victim)
+    if mobility == "alley":
+        centers = alley_positions(state, deployment.speed, dt, n_cycles)[:, members]
+        rels, mids = _link_motion(np.diff(centers, axis=0))
+    else:
+        centers = np.empty((n_cycles, n_int + 1, 2))
+        centers[0] = state.positions[members]
+    sh_los_db = np.empty((n_cycles, n_int))
+    sh_nlos_db = np.empty((n_cycles, n_int))
+    latent = np.empty((n_cycles, n_int))
+    h_los_sum = np.empty((n_cycles, n_int, n_sa))
+    h_nlos_sum = np.empty((n_cycles, n_int, n_sa))
+    chi = np.empty((n_cycles, n_int, n_slots), dtype=bool)
 
     for t in range(n_cycles):
         if t > 0:
-            state = step_mobility(state, mobility, deployment.speed, dt,
-                                  deployment.min_distance, rng)
-            delta = state.positions - prev_positions
-            rel = np.linalg.norm(delta[intf] - delta[victim], axis=1)
-            mid = np.linalg.norm((delta[intf] + delta[victim]) / 2.0, axis=1)
-            prev_positions = state.positions.copy()
+            if mobility == "alley":
+                rel, mid = rels[t - 1], mids[t - 1]
+            else:
+                state = step_mobility(state, mobility, deployment.speed, dt,
+                                      deployment.min_distance, rng)
+                centers[t] = state.positions[members]
+                rel, mid = _link_motion(centers[t] - centers[t - 1])
             if channel_params.shadowing:
                 shadow_los.advance(rel, rng)
                 shadow_nlos.advance(rel, rng)
@@ -141,45 +173,51 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles,
                 fade_los.advance(rng)
                 fade_nlos.advance(rng)
             traffic_proc.step(rng)
-
-        chi, owner = traffic_proc.sample_own_slots(rng, n_slots)
-
-        # per-link gains toward every SA position of each interferer
-        tx_pos = state.positions[intf, None, :] + state.offsets[intf]
-        dist = np.linalg.norm(tx_pos - state.positions[victim], axis=-1)
-        pl_los = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=True))
-        pl_nlos = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=False))
-
+        chi[t], owner = traffic_proc.sample_own_slots(rng, n_slots)
+        sh_los_db[t] = shadow_los.values
+        sh_nlos_db[t] = shadow_nlos.values
+        latent[t] = psi_latent.values
         if channel_params.fading:
-            h_los_sq = (np.abs(ch.rician(fade_los.values, k_lin, los_phase)) ** 2
-                        ).mean(axis=2)
-            h_nlos_sq = (np.abs(fade_nlos.values) ** 2).mean(axis=2)
-            psi = ch.soft_los_weight(psi_latent.values
-                                     + channel_params.soft_los_bias)[:, None]
-        else:
-            h_los_sq = np.ones((n_int, n_sa))
-            h_nlos_sq = np.ones((n_int, n_sa))
-            psi = np.ones((n_int, 1))
-        if channel_params.shadowing:
-            sh_los = ch.db_to_linear(shadow_los.values)[:, None]
-            sh_nlos = ch.db_to_linear(shadow_nlos.values)[:, None]
-        else:
-            sh_los = sh_nlos = np.ones((n_int, 1))
+            h_los_sum[t] = np.add.reduce(
+                np.abs(ch.rician(fade_los.values, k_lin, los_phase)) ** 2, axis=2)
+            h_nlos_sum[t] = np.add.reduce(np.abs(fade_nlos.values) ** 2, axis=2)
 
-        gain = ch.channel_gain(psi, h_los_sq, h_nlos_sq, pl_los, pl_nlos,
-                               sh_los, sh_nlos)
-        emitted = deployment.tx_power * chi * gain[rows[:, None], owner]
+    # ---- pass 2: per-link gains toward every SA position of each
+    # interferer, for all cycles at once
+    dist = ch.planar_norm(centers[:, :-1, None, :] + state.offsets[intf]
+                          - centers[:, -1, None, None, :])
+    pl_los = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=True))
+    pl_nlos = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=False))
+    if channel_params.fading:
+        h_los_sum /= looks          # mean fading power over the looks
+        h_nlos_sum /= looks
+        psi = ch.soft_los_weight(latent + channel_params.soft_los_bias)[:, :, None]
+    else:
+        h_los_sum = h_nlos_sum = np.ones((n_int, n_sa))
+        psi = np.ones((n_int, 1))
+    if channel_params.shadowing:
+        sh_los = ch.db_to_linear(sh_los_db)[:, :, None]
+        sh_nlos = ch.db_to_linear(sh_nlos_db)[:, :, None]
+    else:
+        sh_los = sh_nlos = np.ones((n_int, 1))
+    gain = ch.channel_gain(psi, h_los_sum, h_nlos_sum, pl_los, pl_nlos,
+                           sh_los, sh_nlos)
+    del dist, pl_los, pl_nlos, h_los_sum, h_nlos_sum
+    emitted = deployment.tx_power * chi * gain[:, np.arange(n_int)[:, None], owner]
+    del gain
 
-        # victim slot m overlaps two adjacent interferer slots when the
-        # grids are fractionally misaligned; interference is the
-        # time-share-weighted sum of both occupants
-        phase = clock_offset + t * deployment.schedule_drift
-        u = (slots_idx[None, :] - phase[:, None]) % n_slots
-        k1 = np.floor(u).astype(int) % n_slots
-        k2 = (k1 + 1) % n_slots
-        w2 = u - np.floor(u)
-        contrib = (1.0 - w2) * emitted[rows[:, None], k1] + w2 * emitted[rows[:, None], k2]
-        true_power[:, t] = contrib.sum(axis=0)[:n_sa]
+    # victim slot m overlaps two adjacent interferer slots when the
+    # grids are fractionally misaligned; interference is the
+    # time-share-weighted sum of both occupants
+    phase = clock_offset + (np.arange(n_cycles) * deployment.schedule_drift)[:, None]
+    u = (np.arange(n_slots) - phase[:, :, None]) % n_slots
+    k1 = np.floor(u)
+    w2 = u - k1
+    k1 = k1.astype(int) % n_slots
+    k2 = (k1 + 1) % n_slots
+    contrib = ((1.0 - w2) * np.take_along_axis(emitted, k1, axis=2)
+               + w2 * np.take_along_axis(emitted, k2, axis=2))
+    true_power = np.ascontiguousarray(np.add.reduce(contrib, axis=1)[:, :n_sa].T)
 
     if est_noise_std is None:
         ref = max(int(noise_ref_fraction * n_cycles), 1)

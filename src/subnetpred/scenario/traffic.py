@@ -68,10 +68,9 @@ class TrafficProcess:
         """
         n_slots = n_slots if n_slots is not None else self.n_sa
         owner = np.arange(n_slots) % self.n_sa
+        passed = rng.random((self.n_sn, n_slots)) < self.model.eta
         if self.model.variant == "bernoulli":
-            scheduled = np.ones((self.n_sn, n_slots), dtype=bool)
-        else:
-            scheduled = self.activity[:, owner].copy()
-            scheduled[:, np.arange(n_slots) < self.model.n_reserved] = True
-        chi = scheduled & (rng.random((self.n_sn, n_slots)) < self.model.eta)
-        return chi, owner
+            return passed, owner
+        scheduled = self.activity[:, owner]
+        scheduled[:, :self.model.n_reserved] = True
+        return scheduled & passed, owner

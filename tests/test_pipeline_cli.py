@@ -292,6 +292,38 @@ def test_cli_config_error_exit_code(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("n_reserved", [4, 9])
+def test_push_pull_without_push_pairs_is_a_config_error(tmp_path, n_reserved):
+    # tiny has 4 SA pairs: 4 reserved pull slots leave no push pair, and
+    # more than 4 cannot be laid out at all
+    text = f"traffic.variant = push-pull\ntraffic.n_reserved = {n_reserved}\n"
+    with pytest.raises(ConfigError, match="traffic.n_reserved.*deployment.sa_pairs_per_sn"):
+        parse_config_text(text, preset="tiny")
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(text)
+    assert main(["simulate", "--config", str(bad), "--preset", "tiny",
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    assert not (tmp_path / "x" / "trace.npz").exists()
+
+
+def test_non_positive_tx_cycle_is_a_config_error():
+    # alley traces never call step_mobility, which rejects dt <= 0 itself
+    for dt in (0, -1e-3):
+        with pytest.raises(ConfigError, match="tx_cycle_duration"):
+            parse_config_text(f"deployment.tx_cycle_duration = {dt}\nmobility = alley\n",
+                              preset="tiny")
+
+
+def test_push_pull_with_one_push_pair_simulates(tmp_path):
+    cfg = tmp_path / "ok.cfg"
+    cfg.write_text("traffic.variant = push-pull\ntraffic.n_reserved = 3\n"
+                   "traffic.intensity = 5\nn_cycles = 50\n")
+    out = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--preset", "tiny",
+                 "--out", str(out)]) == EXIT_OK
+    assert (out / "trace.npz").exists()
+
+
 def test_cli_report_missing_dir_exit_code(tmp_path):
     code = main(["report", "--results", str(tmp_path / "none"),
                  "--out", str(tmp_path / "rep")])

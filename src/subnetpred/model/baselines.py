@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def moving_average_predict(series, t_indices, weights=(0.5, 0.5)):
@@ -25,6 +26,11 @@ def moving_average_predict(series, t_indices, weights=(0.5, 0.5)):
 def autocorrelation(x, max_lag, demean=True):
     """Unbiased sample (auto)correlation r_0..r_max_lag of a window.
 
+    x is one window [n] or a stack of windows [P x n] along a leading batch
+    axis; the result is [max_lag + 1] or [P x (max_lag + 1)], and each row
+    has the bits of the 1-D call on that row (each lag product is summed
+    over a contiguous last axis, the pairwise sum of the 1-D case).
+
     With demean=False this is the raw second-moment sequence -- the
     "sample interference correlation" convention, where the mean level
     stays inside the normal equations instead of being removed first.
@@ -33,11 +39,11 @@ def autocorrelation(x, max_lag, demean=True):
     """
     x = np.asarray(x, dtype=float)
     if demean:
-        x = x - x.mean()
-    n = x.size
-    r = np.empty(max_lag + 1)
+        x = x - x.mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    r = np.empty(x.shape[:-1] + (max_lag + 1,))
     for k in range(max_lag + 1):
-        r[k] = (x[:n - k] * x[k:]).sum() / n
+        r[..., k] = (x[..., :n - k] * x[..., k:]).sum(axis=-1) / n
     return r
 
 
@@ -47,28 +53,41 @@ def levinson_durbin(r, order, ridge=1e-8):
     Returns the forward prediction coefficients a (length order) with
     prediction x[t] ~= sum a_k x[t-k].  A relative ridge on r[0] keeps the
     recursion stable for (near-)degenerate autocorrelations.
+
+    r is one lag sequence [order + 1] or a stack [P x (order + 1)] along a
+    leading batch axis, solved together; a is then [P x order], and each
+    row has the bits of the 1-D call on that row.  A row whose recursion
+    stops early keeps its partial model while the others go on.
     """
-    r = np.asarray(r, dtype=float).copy()
-    if r.size < order + 1:
+    r = np.array(r, dtype=float)
+    if r.shape[-1] < order + 1:
         raise ValueError("need order+1 autocorrelation lags")
-    r[0] += ridge * max(r[0], 1.0)
-    a = np.zeros(order)
-    err = r[0]
-    for i in range(order):
-        acc = r[i + 1] - np.dot(a[:i], r[i:0:-1])
-        k = acc / err
-        # |k| >= 1 means the sequence is no longer a valid autocorrelation
-        # (possible for unbiased estimates); keep the stable partial model
-        if not np.isfinite(k) or abs(k) >= 1.0:
-            break
-        a_new = a.copy()
-        a_new[i] = k
-        a_new[:i] = a[:i] - k * a[:i][::-1]
-        a = a_new
-        err *= (1.0 - k * k)
-        if err <= 0:
-            break
-    return a
+    rows = r.reshape(-1, r.shape[-1])
+    rows[:, 0] += ridge * np.maximum(rows[:, 0], 1.0)
+    a = np.zeros((rows.shape[0], order))
+    err = rows[:, 0].copy()
+    live = np.ones(rows.shape[0], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(order):
+            # a stacked (1 x i) @ (i x 1) matmul on contiguous reversed lags
+            # gives np.dot's bits per row; broadcasting and einsum do not
+            lags = np.ascontiguousarray(rows[:, i:0:-1])
+            acc = rows[:, i + 1] - (a[:, None, :i] @ lags[:, :, None])[:, 0, 0]
+            k = acc / err
+            # |k| >= 1 means the sequence is no longer a valid
+            # autocorrelation (possible for unbiased estimates); keep the
+            # stable partial model
+            live &= np.isfinite(k) & (np.abs(k) < 1.0)
+            if not live.any():
+                break
+            a_new = a.copy()
+            a_new[:, i] = k
+            if i:
+                a_new[:, :i] = a[:, :i] - k[:, None] * a[:, i - 1::-1]
+            a[live] = a_new[live]
+            err[live] *= 1.0 - k[live] * k[live]
+            live &= ~(err <= 0)
+    return a.reshape(r.shape[:-1] + (order,))
 
 
 def wiener_predict(series, t_indices, order, history=None):
@@ -80,7 +99,12 @@ def wiener_predict(series, t_indices, order, history=None):
     is the plain linear combination of the last `order` samples.  The
     default history spans a few stationarity intervals (4*(order+1)
     samples): beyond the interval that sets the order, sample correlations
-    mix regimes and stop being trustworthy.
+    mix regimes and stop being trustworthy.  A window of zero sample
+    variance predicts its last value.
+
+    The refits run batched, one batch per window length (points with
+    t < history see the shorter window s[:t]); each point gets the bits of
+    a refit on its window alone.
 
     Because the mean is not removed, the solution is sensitive to the
     series' reference level (the coefficients sum to slightly less than
@@ -93,14 +117,14 @@ def wiener_predict(series, t_indices, order, history=None):
     if np.any(t_indices < order + 1):
         raise ValueError("need order+1 history samples before every prediction point")
     preds = np.empty(t_indices.size)
-    for j, t in enumerate(t_indices):
-        lo = max(t - hist, 0)
-        window = s[lo:t]
-        if window.var() == 0.0:
-            preds[j] = window[-1]      # degenerate history: hold the constant
-            continue
-        r = autocorrelation(window, order, demean=False)
-        a = levinson_durbin(r, order)
-        lags = s[t - 1:t - order - 1:-1]
-        preds[j] = float(np.dot(a, lags))
+    n_win = np.minimum(t_indices, hist)
+    for n in np.unique(n_win):
+        sel = np.flatnonzero(n_win == n)
+        t = t_indices[sel]
+        windows = sliding_window_view(s, n)[t - n]
+        lags = np.ascontiguousarray(sliding_window_view(s, order)[t - order][:, ::-1])
+        a = levinson_durbin(autocorrelation(windows, order, demean=False), order)
+        fit = (a[:, None, :] @ lags[:, :, None])[:, 0, 0]
+        # degenerate history: hold the constant
+        preds[sel] = np.where(windows.var(axis=-1) == 0.0, windows[:, -1], fit)
     return preds

@@ -25,7 +25,8 @@ def _sigmoid(z):
     e = np.abs(z)
     np.negative(e, out=e)
     np.exp(e, out=e)
-    num = np.where(z >= 0, 1.0, e)
+    # z >= 0 selects 1.0 over e <= 1, and z < 0 selects e over 0.0
+    num = np.maximum(z >= 0, e)
     e += 1.0
     num /= e
     return num
@@ -97,23 +98,26 @@ def attention_forward(tokens, wq, wk, wv, wo, bo, n_heads):
 
     The q/k/v projections are bias-free (a key bias is exactly invisible to
     the row-wise softmax, so its gradient is identically zero); the output
-    projection keeps its bias.  Returns (out, score_map, cache); score_map
-    is the head-averaged [M x M] attention matrix (averaged over the batch)
-    for diagnostics.
+    projection keeps its bias.  Returns (out, cache); cache[4] holds the
+    attention weights [b x heads x M x M].  The softmax row max is taken
+    key by key with np.maximum, which gives the bits of .max(axis=-1)
+    (a max does not depend on order) without its short-axis reduction.
     """
     q = _split_heads(tokens @ wq, n_heads)
     k = _split_heads(tokens @ wk, n_heads)
     v = _split_heads(tokens @ wv, n_heads)
     dh = q.shape[-1]
     scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)
-    scores -= scores.max(axis=-1, keepdims=True)
+    row_max = scores[..., 0].copy()
+    for j in range(1, scores.shape[-1]):
+        np.maximum(row_max, scores[..., j], out=row_max)
+    scores -= row_max[..., None]
     e = np.exp(scores)
     attn = e / e.sum(axis=-1, keepdims=True)
     ctx = _merge_heads(attn @ v)
     out = ctx @ wo + bo
-    score_map = attn.mean(axis=(0, 1))
     cache = (tokens, q, k, v, attn, ctx)
-    return out, score_map, cache
+    return out, cache
 
 
 def attention_backward(cache, wq, wk, wv, wo, n_heads, dout):
@@ -206,15 +210,17 @@ def lstm_backward(steps, wx, wh, dhs):
     dtokens = np.empty((b, m, wx.shape[0]))
     dh_next = np.zeros((b, hsz))
     dc_next = np.zeros((b, hsz))
+    dz = np.empty((b, 4 * hsz))      # the four gate blocks, i f g o
     for t in reversed(range(m)):
         x_t, h_prev, c_prev, i, f, g, o, tc = steps[t]
         dh = dhs[:, t] + dh_next
         do = dh * tc
         dc = dh * o * (1.0 - tc**2) + dc_next
         di, df, dg = dc * g, dc * c_prev, dc * i
-        dz = np.concatenate([
-            di * i * (1.0 - i), df * f * (1.0 - f),
-            dg * (1.0 - g**2), do * o * (1.0 - o)], axis=1)
+        np.multiply(di * i, 1.0 - i, out=dz[:, :hsz])
+        np.multiply(df * f, 1.0 - f, out=dz[:, hsz:2 * hsz])
+        np.multiply(dg, 1.0 - g**2, out=dz[:, 2 * hsz:3 * hsz])
+        np.multiply(do * o, 1.0 - o, out=dz[:, 3 * hsz:])
         dwx += x_t.T @ dz
         dwh += h_prev.T @ dz
         dbias += dz.sum(axis=0)

@@ -61,7 +61,7 @@ def body_forward(params, cfg, tokens, masks=None):
     """Encoder stack + LSTM: tokens [b x M x D] -> hidden states [b x M x H]."""
     cache = {"enc": []}
     for l in range(cfg.n_layers):
-        att, _, c_att = layers.attention_forward(
+        att, c_att = layers.attention_forward(
             tokens, params[f"enc{l}.wq"], params[f"enc{l}.wk"],
             params[f"enc{l}.wv"], params[f"enc{l}.wo"],
             params[f"enc{l}.bo"], cfg.n_heads)

@@ -55,6 +55,17 @@ def _hash(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
+# Output version of each cached stage, folded into its key.  A change that
+# alters what a stage writes for the same inputs bumps the stage's number;
+# each key holds the key of the stage before it, so the stages after it are
+# rebuilt too.
+STAGE_VERSIONS = {"simulate": 1, "prepare": 1, "train": 1, "calibrate": 1}
+
+
+def _stage_key(stage, inputs):
+    return _hash({"version": STAGE_VERSIONS[stage], **inputs})
+
+
 def _file_hash(path):
     h = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -80,10 +91,11 @@ def _mark(out, stage, key):
 
 def stage_simulate(spec, out):
     out = Path(out)
-    key = _hash({"dep": spec_to_dict(spec.deployment),
-                 "traffic": spec_to_dict(spec.traffic),
-                 "channel": spec_to_dict(spec.channel),
-                 "mobility": spec.mobility, "n_cycles": spec.n_cycles})
+    key = _stage_key("simulate", {
+        "dep": spec_to_dict(spec.deployment),
+        "traffic": spec_to_dict(spec.traffic),
+        "channel": spec_to_dict(spec.channel),
+        "mobility": spec.mobility, "n_cycles": spec.n_cycles})
     if _cached(out, "simulate", key) and (out / "trace.npz").exists():
         return simulate.load_trace(out / "trace")
     trace = simulate.simulate_trace(spec.deployment, spec.traffic, spec.channel,
@@ -106,9 +118,10 @@ def _learning_dbm(spec, trace):
 
 def stage_prepare(spec, out, trace):
     out = Path(out)
-    key = _hash({"sim": _key_path(out, "simulate").read_text(),
-                 "threshold": spec.corr_threshold, "max_lag": spec.max_lag,
-                 "n_cal": spec.n_cal, "n_test": spec.n_test})
+    key = _stage_key("prepare", {
+        "sim": _key_path(out, "simulate").read_text(),
+        "threshold": spec.corr_threshold, "max_lag": spec.max_lag,
+        "n_cal": spec.n_cal, "n_test": spec.n_test})
     if _cached(out, "prepare", key) and (out / "dataset.json").exists():
         return windowing.load_dataset(out / "dataset")
     series = _learning_dbm(spec, trace)
@@ -131,9 +144,10 @@ def stage_train(spec, out, ds, split_mode=False):
     out = Path(out)
     cfg = _model_cfg(spec, ds.window)
     stem = out / ("model_split" if split_mode else "model")
-    key = _hash({"prep": _key_path(out, "prepare").read_text(),
-                 "model": spec_to_dict(cfg), "train": spec_to_dict(spec.train),
-                 "split": split_mode})
+    key = _stage_key("train", {
+        "prep": _key_path(out, "prepare").read_text(),
+        "model": spec_to_dict(cfg), "train": spec_to_dict(spec.train),
+        "split": split_mode})
     stage = "train_split" if split_mode else "train"
     if _cached(out, stage, key) and stem.with_suffix(".json").exists():
         params, cfg_loaded, _ = network.load_checkpoint(stem)
@@ -170,8 +184,9 @@ def stage_calibrate(spec, out, ds, params, cfg, split_mode=False):
     """
     out = Path(out)
     suffix = "_split" if split_mode else ""
-    key = _hash({"train": _key_path(out, "train" + suffix).read_text(),
-                 "beta": spec.beta, "varsigma": spec.varsigma})
+    key = _stage_key("calibrate", {
+        "train": _key_path(out, "train" + suffix).read_text(),
+        "beta": spec.beta, "varsigma": spec.varsigma})
     stage = "calibrate" + suffix
     path = out / f"calibration{suffix}.json"
     if _cached(out, stage, key) and path.exists():

@@ -88,10 +88,15 @@ class ComplexAr1:
                        + np.sqrt(1.0 - self.rho**2) * _complex_normal(rng, self.values.shape))
 
 
-def rician(scatter, k_linear, los_phase):
-    """Rician fading sample: fixed specular term plus scattered component."""
-    spec = np.sqrt(k_linear / (k_linear + 1.0)) * np.exp(1j * los_phase)
-    return spec + np.sqrt(1.0 / (k_linear + 1.0)) * scatter
+def los_specular(k_linear, los_phase):
+    """Fixed specular term sqrt(K/(K+1)) exp(j los_phase) of Rician fading."""
+    return np.sqrt(k_linear / (k_linear + 1.0)) * np.exp(1j * los_phase)
+
+
+def rician(scatter, k_linear, specular):
+    """Rician fading sample: the fixed specular term (los_specular, computed
+    once per link) plus the scattered component."""
+    return specular + np.sqrt(1.0 / (k_linear + 1.0)) * scatter
 
 
 def soft_los_weight(latent):

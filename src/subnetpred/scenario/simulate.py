@@ -132,7 +132,8 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles,
     looks = channel_params.est_looks
     fade_los = ch.ComplexAr1((n_int, n_sa, looks), rho_f, rng)
     fade_nlos = ch.ComplexAr1((n_int, n_sa, looks), rho_f, rng)
-    los_phase = rng.uniform(0.0, 2.0 * np.pi, (n_int, n_sa, looks))
+    specular = ch.los_specular(k_lin, rng.uniform(0.0, 2.0 * np.pi,
+                                                  (n_int, n_sa, looks)))
 
     traffic_proc = TrafficProcess(traffic, n_int, n_sa, dt, rng)
     # TDD misalignment of non-synchronized sub-networks: every interferer's
@@ -179,7 +180,7 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles,
         latent[t] = psi_latent.values
         if channel_params.fading:
             h_los_sum[t] = np.add.reduce(
-                np.abs(ch.rician(fade_los.values, k_lin, los_phase)) ** 2, axis=2)
+                np.abs(ch.rician(fade_los.values, k_lin, specular)) ** 2, axis=2)
             h_nlos_sum[t] = np.add.reduce(np.abs(fade_nlos.values) ** 2, axis=2)
 
     # ---- pass 2: per-link gains toward every SA position of each

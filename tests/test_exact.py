@@ -1,9 +1,11 @@
 """Bit-exact contract of the per-cycle decision kernels and the simulator.
 
-The sigmoid, the layer norm, the LSTM, the blocklength and the calibrated
-read-out are written for low per-call overhead.  Each must give the same
-bits as the plain formula kept here as its reference, so that results,
-checkpoints and loss curves do not depend on the fast form.  The same holds
+The sigmoid, the layer norm, the LSTM, the blocklength, the calibrated
+read-out and the batched Wiener refit are written for low per-call
+overhead.  Each must give the same bits as the plain formula kept here as
+its reference, so that results, checkpoints and loss curves do not depend
+on the fast form.  The Adam step is pinned to its textbook form the same
+way, for any later rewrite of it.  The same holds
 for the interference simulator: its two-pass form must give the traces of
 the cycle-by-cycle loop with scalar mobility kernels kept here.
 """
@@ -15,7 +17,8 @@ import pytest
 
 from subnetpred import ra
 from subnetpred.config import ModelConfig, TrafficModel, desk_preset
-from subnetpred.model import layers
+from subnetpred.model import baselines, layers
+from subnetpred.model.optim import Adam
 from subnetpred.model.network import PREDICT_BATCH, forward, init_params, predict
 from subnetpred.scenario import channel as ch
 from subnetpred.scenario.deploy import MobilityState, deploy, disc_offsets
@@ -100,6 +103,117 @@ def ref_calibrated_quantile(thresholds, calibrated):
     return out.reshape(t.shape)
 
 
+class RefAdam:
+    """The textbook Adam step, one expression per moment and update."""
+
+    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+        self.t = 0
+        self.m = {k: np.zeros_like(v) for k, v in params.items()}
+        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+
+    def step(self, params, grads):
+        self.t += 1
+        b1c = 1.0 - self.beta1**self.t
+        b2c = 1.0 - self.beta2**self.t
+        for key, g in grads.items():
+            m = self.m[key]
+            v = self.v[key]
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            params[key] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+
+
+def ref_autocorrelation(x, max_lag, demean=True):
+    x = np.asarray(x, dtype=float)
+    if demean:
+        x = x - x.mean()
+    n = x.size
+    r = np.empty(max_lag + 1)
+    for k in range(max_lag + 1):
+        r[k] = (x[:n - k] * x[k:]).sum() / n
+    return r
+
+
+def ref_levinson_durbin(r, order, ridge=1e-8, exits=None):
+    """exits counts the recursions stopped by |k| >= 1 (or a non-finite k)
+    and by err <= 0."""
+    r = np.asarray(r, dtype=float).copy()
+    r[0] += ridge * max(r[0], 1.0)
+    a = np.zeros(order)
+    err = r[0]
+    for i in range(order):
+        acc = r[i + 1] - np.dot(a[:i], r[i:0:-1])
+        k = acc / err
+        if not np.isfinite(k) or abs(k) >= 1.0:
+            if exits is not None:
+                exits["k"] += 1
+            break
+        a_new = a.copy()
+        a_new[i] = k
+        a_new[:i] = a[:i] - k * a[:i][::-1]
+        a = a_new
+        err *= (1.0 - k * k)
+        if err <= 0:
+            if exits is not None:
+                exits["err"] += 1
+            break
+    return a
+
+
+def ref_wiener_predict(series, t_indices, order, history=None):
+    """The per-point refit: one window, one recursion, one dot per point."""
+    s = np.asarray(series, dtype=float).ravel()
+    hist = history if history is not None else 4 * (order + 1)
+    preds = np.empty(len(t_indices))
+    for j, t in enumerate(t_indices):
+        window = s[max(t - hist, 0):t]
+        if window.var() == 0.0:
+            preds[j] = window[-1]
+            continue
+        a = ref_levinson_durbin(ref_autocorrelation(window, order, demean=False), order)
+        preds[j] = float(np.dot(a, s[t - 1:t - order - 1:-1]))
+    return preds
+
+
+def ref_attention_forward(tokens, wq, wk, wv, wo, bo, n_heads):
+    """(out, attn) with the softmax row max as one .max(axis=-1)."""
+    q = layers._split_heads(tokens @ wq, n_heads)
+    k = layers._split_heads(tokens @ wk, n_heads)
+    v = layers._split_heads(tokens @ wv, n_heads)
+    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(q.shape[-1])
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    attn = e / e.sum(axis=-1, keepdims=True)
+    return layers._merge_heads(attn @ v) @ wo + bo, attn
+
+
+def ref_lstm_backward(steps, wx, wh, dhs):
+    """The LSTM backward with the gate blocks of dz concatenated per step."""
+    b, hsz, m = dhs.shape[0], wh.shape[0], dhs.shape[1]
+    dwx, dwh, dbias = np.zeros_like(wx), np.zeros_like(wh), np.zeros(4 * hsz)
+    dtokens = np.empty((b, m, wx.shape[0]))
+    dh_next, dc_next = np.zeros((b, hsz)), np.zeros((b, hsz))
+    for t in reversed(range(m)):
+        x_t, h_prev, c_prev, i, f, g, o, tc = steps[t]
+        dh = dhs[:, t] + dh_next
+        do = dh * tc
+        dc = dh * o * (1.0 - tc**2) + dc_next
+        di, df, dg = dc * g, dc * c_prev, dc * i
+        dz = np.concatenate([
+            di * i * (1.0 - i), df * f * (1.0 - f),
+            dg * (1.0 - g**2), do * o * (1.0 - o)], axis=1)
+        dwx += x_t.T @ dz
+        dwh += h_prev.T @ dz
+        dbias += dz.sum(axis=0)
+        dtokens[:, t] = dz @ wx.T
+        dh_next = dz @ wh.T
+        dc_next = dc * f
+    return dtokens, dwx, dwh, dbias
+
+
 def _pre_activations(rng, b, scale=6.0):
     """[b x 4H] gate pre-activations with extreme and signed-zero entries."""
     z = rng.normal(scale=scale, size=(b, 4 * H))
@@ -165,8 +279,28 @@ def test_lstm_one_sigmoid_per_step_matches_three(b):
     tokens = rng.normal(scale=2.0, size=(b, 4, d))
     wx, wh = rng.normal(size=(d, 4 * H)), rng.normal(size=(H, 4 * H))
     bias = rng.normal(size=4 * H)
-    hs, _ = layers.lstm_forward(tokens, wx, wh, bias)
+    hs, steps = layers.lstm_forward(tokens, wx, wh, bias)
     assert np.array_equal(hs, ref_lstm_hidden(tokens, wx, wh, bias))
+    dhs = rng.normal(size=hs.shape)
+    for got, want in zip(layers.lstm_backward(steps, wx, wh, dhs),
+                         ref_lstm_backward(steps, wx, wh, dhs)):
+        assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------- attention
+
+@pytest.mark.parametrize("b", BATCHES)
+@pytest.mark.parametrize("m", [1, 4, 7])
+def test_attention_row_max_matches_max_reduction(b, m):
+    rng = np.random.default_rng(60 + b + m)
+    d, n_heads = 16, 4
+    tokens = rng.normal(scale=3.0, size=(b, m, d))
+    wq, wk, wv, wo = (rng.normal(size=(d, d)) for _ in range(4))
+    bo = rng.normal(size=d)
+    out, cache = layers.attention_forward(tokens, wq, wk, wv, wo, bo, n_heads)
+    ref_out, ref_attn = ref_attention_forward(tokens, wq, wk, wv, wo, bo, n_heads)
+    assert np.array_equal(out, ref_out)
+    assert np.array_equal(cache[4], ref_attn)
 
 
 # ------------------------------------------------------------------ predict
@@ -180,6 +314,95 @@ def test_predict_equals_per_chunk_forwards():
                            for s in range(0, x.shape[0], PREDICT_BATCH)])
     assert np.array_equal(predict(params, cfg, x), want)
     assert np.array_equal(predict(params, cfg, x[:1]), forward(params, cfg, x[:1])[0])
+
+
+# --------------------------------------------------------------------- Adam
+
+def test_adam_matches_textbook_step_on_every_tensor_rank():
+    rng = np.random.default_rng(50)
+    # a split client's head bias is 0-d and its gradient a numpy scalar
+    shapes = {"b0": (), "b1": (7,), "w3": (3, 5, 4)}
+    params = {k: rng.normal(size=s) for k, s in shapes.items()}
+    params["b0"] = np.array(0.3)
+    ref_params = {k: v.copy() for k, v in params.items()}
+    opt, ref = Adam(params, lr=1e-2), RefAdam(ref_params, lr=1e-2)
+    for step, lr in enumerate((1e-2, 1e-2, 3e-3, 1e-3, 2.5e-4)):
+        grads = {k: rng.normal(scale=10.0 ** (step - 2), size=s)
+                 for k, s in shapes.items()}
+        grads["b0"] = grads["b0"].sum()
+        grads["w3"].flat[:2] = [0.0, -0.0]
+        opt.lr = ref.lr = lr
+        opt.step(params, grads)
+        ref.step(ref_params, grads)
+        for k in shapes:
+            assert np.array_equal(params[k], ref_params[k]), (step, k)
+            assert np.array_equal(opt.m[k], ref.m[k])
+            assert np.array_equal(opt.v[k], ref.v[k])
+    assert params["b0"].shape == ()
+
+
+# ------------------------------------------------------------------- Wiener
+
+@pytest.fixture(scope="module")
+def desk_series():
+    """A desk trace's interference-to-noise ratios in dB, as the pipeline
+    hands them to the baselines."""
+    trace = simulate_trace(DESK.deployment, DESK.traffic, DESK.channel, 900)
+    floor = max(DESK.channel.power_floor_w, trace.noise_power * 0.1)
+    return trace.est_dbm(floor=floor) - (10.0 * np.log10(trace.noise_power) + 30.0)
+
+
+@pytest.mark.parametrize("order", [1, 4, 16])
+def test_wiener_matches_per_point_refit(desk_series, order):
+    # from the first allowed point on, so the short windows (t < history)
+    # are covered.  A flat start at the dB floor gives windows of zero
+    # variance, which hold the constant; a flat stretch at another level
+    # need not (its mean can round off the level), and must match too.
+    t = np.arange(order + 1, desk_series.shape[1])
+    for m, series in enumerate(desk_series):
+        series = series.copy()
+        if m == 0:
+            series[:40] = -10.0
+            series[500:600] = series[500]
+        got = baselines.wiener_predict(series, t, order)
+        assert np.array_equal(got, ref_wiener_predict(series, t, order)), m
+        if m == 0:
+            assert np.all(got[t <= 40] == -10.0)
+
+
+def test_autocorrelation_rows_match_one_window_calls(desk_series):
+    windows = np.lib.stride_tricks.sliding_window_view(desk_series[1], 68)[::7]
+    for demean in (False, True):
+        got = baselines.autocorrelation(windows, 16, demean=demean)
+        assert got.shape == (windows.shape[0], 17)
+        for row, window in zip(got, windows):
+            assert np.array_equal(row, ref_autocorrelation(window, 16, demean))
+        assert np.array_equal(baselines.autocorrelation(windows[3], 16, demean),
+                              got[3])
+
+
+def test_levinson_durbin_rows_match_one_row_solves_through_early_exits(desk_series):
+    order = 16
+    windows = np.lib.stride_tricks.sliding_window_view(desk_series[2], 68)[::5]
+    lags = [ref_autocorrelation(w, order, demean=False) for w in windows]
+    lags += [
+        np.r_[1.0, 0.9, -0.9, np.zeros(order - 2)],    # |k| >= 1 at step 1
+        np.r_[1.0, np.nan, np.zeros(order - 1)],        # non-finite k at step 0
+        np.r_[-1.0, 0.5, np.zeros(order - 1)],          # err <= 0 after step 0
+        np.r_[-1.0, 0.5, 0.2, np.zeros(order - 2)],
+    ]
+    r = np.array(lags)
+    exits = {"k": 0, "err": 0}
+    want = np.array([ref_levinson_durbin(row, order, exits=exits) for row in r])
+    assert exits["k"] >= 2 and exits["err"] >= 2
+    got = baselines.levinson_durbin(r, order)
+    assert np.array_equal(got, want)
+    # each exit keeps the partial model built before it
+    assert got[-4, 0] != 0.0 and not got[-4, 1:].any()
+    assert not got[-3].any()
+    assert got[-2, 0] != 0.0 and not got[-2, 1:].any()
+    for row, a in zip(r, want):
+        assert np.array_equal(baselines.levinson_durbin(row, order), a)
 
 
 # -------------------------------------------------------------- blocklength
@@ -389,8 +612,9 @@ def ref_simulate_trace(deployment, traffic, channel_params, n_cycles, mobility,
         pl_los = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=True))
         pl_nlos = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=False))
         if channel_params.fading:
-            h_los_sq = (np.abs(ch.rician(fade_los.values, k_lin, los_phase)) ** 2
-                        ).mean(axis=2)
+            h_los = (np.sqrt(k_lin / (k_lin + 1.0)) * np.exp(1j * los_phase)
+                     + np.sqrt(1.0 / (k_lin + 1.0)) * fade_los.values)
+            h_los_sq = (np.abs(h_los) ** 2).mean(axis=2)
             h_nlos_sq = (np.abs(fade_nlos.values) ** 2).mean(axis=2)
             psi = ch.soft_los_weight(psi_latent.values
                                      + channel_params.soft_los_bias)[:, None]

@@ -160,6 +160,40 @@ def test_calibration_is_cached_per_train_stage(tmp_path, monkeypatch):
     assert {"calibration.json", "calibration_split.json"} <= set(manifest["artifacts"])
 
 
+def test_stage_version_bump_rebuilds_that_stage_and_every_later_one(
+        tmp_path, monkeypatch):
+    ran = []
+
+    def counted(stage, owner, name):
+        inner = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            ran.append(stage)
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted("simulate", pipeline.simulate, "simulate_trace")
+    counted("prepare", pipeline.windowing, "restructure")
+    counted("train", pipeline, "train")
+    counted("calibrate", pipeline.tailcal, "conformity_scores")
+    stages = list(pipeline.STAGE_VERSIONS)
+    assert stages == ["simulate", "prepare", "train", "calibrate"]
+    spec = calibrating_spec("cevt-iqpt")
+    run_pipeline(spec, tmp_path)
+    assert ran == stages
+    ran.clear()
+    run_pipeline(spec, tmp_path)
+    assert ran == []
+    results = (tmp_path / "results.csv").read_bytes()
+    for i in reversed(range(len(stages))):
+        monkeypatch.setitem(pipeline.STAGE_VERSIONS, stages[i],
+                            pipeline.STAGE_VERSIONS[stages[i]] + 1)
+        run_pipeline(spec, tmp_path)
+        assert ran == stages[i:], stages[i]
+        assert (tmp_path / "results.csv").read_bytes() == results
+        ran.clear()
+
+
 def test_split_training_failure_names_train_split_stage(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("client lost")

@@ -14,9 +14,9 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, PRESETS, load_config, spec_to_json
-from .pipeline import (StageError, _stage, run_pipeline, report,
-                       stage_calibrate, stage_prepare, stage_simulate,
-                       stage_train, sweep)
+from .pipeline import (SWEEP_AXES, StageError, _stage, check_tail_fit,
+                       run_pipeline, report, stage_calibrate, stage_prepare,
+                       stage_simulate, stage_train, sweep)
 from .scenario.simulate import write_trace_csv
 
 EXIT_OK = 0
@@ -52,8 +52,7 @@ def build_parser():
 
     sw = subs.add_parser("sweep", help="run the pipeline along one axis")
     _add_common(sw)
-    sw.add_argument("--axis", required=True,
-                    choices=("m", "eps_target", "traffic", "mobility"))
+    sw.add_argument("--axis", required=True, choices=SWEEP_AXES)
     sw.add_argument("--values", required=True,
                     help="comma-separated axis values")
 
@@ -122,6 +121,7 @@ def main(argv=None):
             print(f"checkpoint -> {out / (_stem(spec, 'model') + '.bin')}")
         elif args.command == "calibrate":
             ds = _dataset(spec, out)
+            check_tail_fit(spec, ds)
             params, cfg = _model(spec, out, ds)
             with _stage("calibrate"):
                 stage_calibrate(spec, out, ds, params, cfg, _split(spec))

@@ -38,7 +38,6 @@ class DeploymentConfig:
     tx_cycle_duration: float = 1e-3
     n_slots: int = 0            # 0 -> one slot per SA pair
     schedule_drift: int = -1    # interferer slot misalignment, slots per cycle
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.n_subbands < 1:
@@ -159,13 +158,13 @@ class TrainConfig:
     lr: float = 1e-3
     epochs: int = 60
     batch_size: int = 128
-    seed: int = 0
     lr_decay: float = 1.0
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything one pipeline run needs."""
+    """Everything one pipeline run needs; seed drives both the simulation
+    and the training."""
 
     deployment: DeploymentConfig = field(default_factory=DeploymentConfig)
     traffic: TrafficModel = field(default_factory=TrafficModel)
@@ -206,7 +205,7 @@ class ExperimentSpec:
                 f"({self.deployment.sa_pairs_per_sn}), so that push pairs remain")
 
 
-def desk_preset(seed=0):
+def desk_preset(seed):
     """Laptop-scale preset: full pipeline in minutes, >= 2000 test instances.
 
     The estimation-noise fraction and correlation threshold are tuned so the
@@ -215,8 +214,7 @@ def desk_preset(seed=0):
     correlation and the window degenerates to one cycle.
     """
     return ExperimentSpec(seed=seed,
-                          train=TrainConfig(seed=seed, epochs=200),
-                          deployment=DeploymentConfig(rng_seed=seed),
+                          train=TrainConfig(epochs=200),
                           traffic=TrafficModel(eta=0.85),
                           channel=ChannelParams(est_noise_fraction=0.002,
                                                 soft_los_bias=3.5,
@@ -224,7 +222,7 @@ def desk_preset(seed=0):
                           corr_threshold=0.4, max_lag=16)
 
 
-def paper_preset(seed=0):
+def paper_preset(seed):
     """Full-scale preset (slow): 300 epochs, 256-wide model, 10k+ cycles."""
     spec = desk_preset(seed)
     return replace(spec,
@@ -233,7 +231,7 @@ def paper_preset(seed=0):
                    n_cycles=10050)
 
 
-def tiny_preset(seed=0):
+def tiny_preset(seed):
     """Smoke-test preset for protocol and gradient checks."""
     spec = desk_preset(seed)
     return replace(spec,
@@ -247,13 +245,7 @@ def tiny_preset(seed=0):
 
 PRESETS = {"desk": desk_preset, "paper": paper_preset, "tiny": tiny_preset}
 
-_SECTIONS = {
-    "deployment": DeploymentConfig,
-    "traffic": TrafficModel,
-    "channel": ChannelParams,
-    "model": ModelConfig,
-    "train": TrainConfig,
-}
+_SECTIONS = ("deployment", "traffic", "channel", "model", "train")
 
 _SPEC_KEYS = {f.name for f in fields(ExperimentSpec)} - set(_SECTIONS)
 
@@ -284,7 +276,7 @@ def parse_config_text(text, preset="desk", seed=None):
     """Parse ``section.key = value`` lines on top of a preset."""
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}")
-    spec = PRESETS[preset](seed=seed if seed is not None else 0)
+    spec = PRESETS[preset](0)
     overrides = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
@@ -295,6 +287,7 @@ def parse_config_text(text, preset="desk", seed=None):
         key, raw = (tok.strip() for tok in line.split("=", 1))
         overrides[key] = raw
 
+    # every value is coerced to the type of the value it replaces
     section_updates = {name: {} for name in _SECTIONS}
     spec_updates = {}
     for key, raw in overrides.items():
@@ -304,34 +297,20 @@ def parse_config_text(text, preset="desk", seed=None):
             section, attr = key.split(".", 1)
             if section not in _SECTIONS:
                 raise ConfigError(f"unknown config section {section!r}")
-            cls = _SECTIONS[section]
-            try:
-                f = next(f for f in fields(cls) if f.name == attr)
-            except StopIteration:
-                raise ConfigError(f"unknown key {key!r}") from None
-            kind = {int: int, float: float, str: str, bool: bool,
-                    tuple: tuple}.get(f.type if isinstance(f.type, type) else None)
-            if kind is None:
-                kind = type(getattr(cls(), attr))
-            section_updates[section][attr] = _coerce(raw, kind)
+            current = getattr(spec, section)
+            if attr not in {f.name for f in fields(current)}:
+                raise ConfigError(f"unknown key {key!r}")
+            section_updates[section][attr] = _coerce(raw, type(getattr(current, attr)))
         else:
             if key not in _SPEC_KEYS:
                 raise ConfigError(f"unknown key {key!r}")
-            current = getattr(spec, key)
-            kind = type(current)
-            if key == "eps_targets":
-                spec_updates[key] = tuple(float(t) for t in raw.replace(",", " ").split())
-            else:
-                spec_updates[key] = _coerce(raw, kind)
-        # seed flags on the command line win over file values
+            spec_updates[key] = _coerce(raw, type(getattr(spec, key)))
     for name, updates in section_updates.items():
         if updates:
             spec_updates[name] = replace(getattr(spec, name), **updates)
     spec = replace(spec, **spec_updates)
-    if seed is not None:
-        spec = replace(spec, seed=seed,
-                       train=replace(spec.train, seed=seed),
-                       deployment=replace(spec.deployment, rng_seed=seed))
+    if seed is not None:        # the --seed flag wins over a file value
+        spec = replace(spec, seed=seed)
     return spec
 
 

@@ -7,39 +7,37 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 
-def moving_average_predict(series, t_indices, weights=(0.5, 0.5)):
-    """Weighted two-tap prediction of series[t] from t-1 and t-2.
+# relative ridge on r[0] in levinson_durbin
+RIDGE = 1e-8
 
-    series is 1-D; t_indices must all be >= 2.  Weights are normalized to
-    sum to one.
+
+def moving_average_predict(series, t_indices):
+    """Two-tap average prediction of series[t] from t-1 and t-2.
+
+    series is 1-D; t_indices must all be >= 2.
     """
     s = np.asarray(series, dtype=float).ravel()
     t = np.asarray(t_indices, dtype=int)
     if np.any(t < 2):
         raise ValueError("need two history samples before every prediction point")
-    w1, w2 = weights
-    total = w1 + w2
-    w1, w2 = w1 / total, w2 / total
-    return w1 * s[t - 1] + w2 * s[t - 2]
+    return 0.5 * s[t - 1] + 0.5 * s[t - 2]
 
 
-def autocorrelation(x, max_lag, demean=True):
-    """Unbiased sample (auto)correlation r_0..r_max_lag of a window.
+def autocorrelation(x, max_lag):
+    """Raw sample (auto)correlation r_0..r_max_lag of a window.
 
     x is one window [n] or a stack of windows [P x n] along a leading batch
     axis; the result is [max_lag + 1] or [P x (max_lag + 1)], and each row
     has the bits of the 1-D call on that row (each lag product is summed
     over a contiguous last axis, the pairwise sum of the 1-D case).
 
-    With demean=False this is the raw second-moment sequence -- the
+    This is the raw second-moment sequence, without mean removal -- the
     "sample interference correlation" convention, where the mean level
     stays inside the normal equations instead of being removed first.
     The biased (1/n) normalization tapers the sequence, keeping it a valid
     autocorrelation for the Levinson-Durbin recursion.
     """
     x = np.asarray(x, dtype=float)
-    if demean:
-        x = x - x.mean(axis=-1, keepdims=True)
     n = x.shape[-1]
     r = np.empty(x.shape[:-1] + (max_lag + 1,))
     for k in range(max_lag + 1):
@@ -47,11 +45,11 @@ def autocorrelation(x, max_lag, demean=True):
     return r
 
 
-def levinson_durbin(r, order, ridge=1e-8):
+def levinson_durbin(r, order):
     """Solve the Yule-Walker normal equations by Levinson-Durbin recursion.
 
     Returns the forward prediction coefficients a (length order) with
-    prediction x[t] ~= sum a_k x[t-k].  A relative ridge on r[0] keeps the
+    prediction x[t] ~= sum a_k x[t-k].  A relative RIDGE on r[0] keeps the
     recursion stable for (near-)degenerate autocorrelations.
 
     r is one lag sequence [order + 1] or a stack [P x (order + 1)] along a
@@ -63,7 +61,7 @@ def levinson_durbin(r, order, ridge=1e-8):
     if r.shape[-1] < order + 1:
         raise ValueError("need order+1 autocorrelation lags")
     rows = r.reshape(-1, r.shape[-1])
-    rows[:, 0] += ridge * np.maximum(rows[:, 0], 1.0)
+    rows[:, 0] += RIDGE * np.maximum(rows[:, 0], 1.0)
     a = np.zeros((rows.shape[0], order))
     err = rows[:, 0].copy()
     live = np.ones(rows.shape[0], dtype=bool)
@@ -99,8 +97,8 @@ def wiener_predict(series, t_indices, order, history=None):
     is the plain linear combination of the last `order` samples.  The
     default history spans a few stationarity intervals (4*(order+1)
     samples): beyond the interval that sets the order, sample correlations
-    mix regimes and stop being trustworthy.  A window of zero sample
-    variance predicts its last value.
+    mix regimes and stop being trustworthy.  A flat window, every sample
+    equal to the last, predicts that value.
 
     The refits run batched, one batch per window length (points with
     t < history see the shorter window s[:t]); each point gets the bits of
@@ -123,8 +121,10 @@ def wiener_predict(series, t_indices, order, history=None):
         t = t_indices[sel]
         windows = sliding_window_view(s, n)[t - n]
         lags = np.ascontiguousarray(sliding_window_view(s, order)[t - order][:, ::-1])
-        a = levinson_durbin(autocorrelation(windows, order, demean=False), order)
+        a = levinson_durbin(autocorrelation(windows, order), order)
         fit = (a[:, None, :] @ lags[:, :, None])[:, 0, 0]
-        # degenerate history: hold the constant
-        preds[sel] = np.where(windows.var(axis=-1) == 0.0, windows[:, -1], fit)
+        # degenerate history: hold the constant (a flat window's variance
+        # need not round to zero)
+        flat = (windows == windows[:, -1:]).all(axis=-1)
+        preds[sel] = np.where(flat, windows[:, -1], fit)
     return preds

@@ -35,7 +35,7 @@ def _xavier(rng, shape, fan_in, fan_out):
     return rng.uniform(-limit, limit, shape)
 
 
-def init_params(cfg, seed=0):
+def init_params(cfg, seed):
     """Xavier-uniform weights, zero biases, unit layer-norm gains."""
     rng = tagged_rng(seed, "init")
     m, s, d, h = cfg.n_series, cfg.window, cfg.d_embed, cfg.lstm_hidden
@@ -181,8 +181,9 @@ def count_params(params):
     return int(sum(v.size for v in params.values()))
 
 
-def save_checkpoint(stem, params, cfg, seed, alpha, extra=None):
-    """Binary parameter blob plus JSON manifest (shapes in canonical order)."""
+def save_checkpoint(stem, params, cfg, seed, extra):
+    """Binary parameter blob plus JSON manifest (shapes in canonical order);
+    the entries of extra are added to the manifest."""
     stem = Path(stem)
     names = param_names(cfg)
     blob = np.concatenate([params[k].ravel() for k in names])
@@ -196,10 +197,9 @@ def save_checkpoint(stem, params, cfg, seed, alpha, extra=None):
                   "dropout": cfg.dropout, "alpha": cfg.alpha,
                   "center_windows": cfg.center_windows},
         "seed": seed,
-        "quantile": 1.0 - alpha,
+        "quantile": 1.0 - cfg.alpha,
+        **extra,
     }
-    if extra:
-        manifest.update(extra)
     with open(stem.with_suffix(".json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
 

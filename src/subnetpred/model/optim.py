@@ -42,11 +42,12 @@ class DropoutMasks:
 class Adam:
     """Elementwise Adam over a dict of parameter arrays (updates in place)."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params, lr):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}

@@ -26,13 +26,10 @@ class TrainResult:
     loss_curve: list
 
 
-def batch_schedule(n_instances, batch_size, seed, epoch, shuffle=True):
-    """Deterministic batch index lists for one epoch (shared by the split
-    runtime so both execution modes visit identical batches)."""
-    if shuffle:
-        perm = tagged_rng(seed, "shuffle", epoch).permutation(n_instances)
-    else:
-        perm = np.arange(n_instances)
+def batch_schedule(n_instances, batch_size, seed, epoch):
+    """Deterministic shuffled batch index lists for one epoch (shared by the
+    split runtime so both execution modes visit identical batches)."""
+    perm = tagged_rng(seed, "shuffle", epoch).permutation(n_instances)
     return [perm[i:i + batch_size] for i in range(0, n_instances, batch_size)]
 
 
@@ -44,23 +41,24 @@ def lr_at(train_cfg, epoch):
     return train_cfg.lr * train_cfg.lr_decay ** (epoch / (train_cfg.epochs - 1))
 
 
-def train(cfg, x, y, train_cfg, params=None, log=None):
+def train(cfg, x, y, train_cfg, seed, params=None, log=None):
     """Minimize the mean pinball loss at quantile 1 - cfg.alpha.
 
-    x [L x S x M], y [L x M] must already be normalized.  Returns the
-    trained parameters and the per-epoch mean loss curve; epochs=0 returns
-    the untouched initialization.
+    x [L x S x M], y [L x M] must already be normalized.  seed drives the
+    initialization (when params is omitted), the batch order and the
+    dropout masks.  Returns the trained parameters and the per-epoch mean
+    loss curve; epochs=0 returns the untouched initialization.
     """
     if params is None:
-        params = init_params(cfg, train_cfg.seed)
+        params = init_params(cfg, seed)
     opt = Adam(params, lr=train_cfg.lr)
     curve = []
     for epoch in range(train_cfg.epochs):
         opt.lr = lr_at(train_cfg, epoch)
         losses = []
         for bi, idx in enumerate(batch_schedule(x.shape[0], train_cfg.batch_size,
-                                                train_cfg.seed, epoch)):
-            masks = DropoutMasks(cfg.dropout, train_cfg.seed, epoch, bi)
+                                                seed, epoch)):
+            masks = DropoutMasks(cfg.dropout, seed, epoch, bi)
             pred, cache = forward(params, cfg, x[idx], masks)
             loss = pinball_loss(pred, y[idx], cfg.alpha)
             if not np.isfinite(loss):

@@ -95,11 +95,11 @@ def stage_simulate(spec, out):
         "dep": spec_to_dict(spec.deployment),
         "traffic": spec_to_dict(spec.traffic),
         "channel": spec_to_dict(spec.channel),
-        "mobility": spec.mobility, "n_cycles": spec.n_cycles})
+        "mobility": spec.mobility, "n_cycles": spec.n_cycles, "seed": spec.seed})
     if _cached(out, "simulate", key) and (out / "trace.npz").exists():
         return simulate.load_trace(out / "trace")
     trace = simulate.simulate_trace(spec.deployment, spec.traffic, spec.channel,
-                                    spec.n_cycles, mobility=spec.mobility)
+                                    spec.n_cycles, spec.seed, mobility=spec.mobility)
     simulate.save_trace(trace, out / "trace")
     _mark(out, "simulate", key)
     return trace
@@ -135,6 +135,24 @@ def stage_prepare(spec, out, trace):
     return ds
 
 
+# variants whose read-out adds a GPD tail fitted to the training exceedances
+TAIL_VARIANTS = ("evt-iqpt", "cevt-iqpt", "cevt-iqpt-split")
+
+
+def check_tail_fit(spec, ds):
+    """Reject, before any training, a training partition too short for the
+    tail fit: a quantile head at level 1 - alpha leaves about
+    alpha * n_train exceedances per series, and the fit needs
+    tailcal.MIN_EXCEEDANCES of them."""
+    expected = spec.alpha * ds.n_train
+    if expected < tailcal.MIN_EXCEEDANCES:
+        raise ConfigError(
+            f"the {spec.variant} tail fit needs {tailcal.MIN_EXCEEDANCES} "
+            f"training exceedances per series, but alpha * n_train = "
+            f"{spec.alpha:g} * {ds.n_train} = {expected:g}; raise n_cycles "
+            f"or alpha")
+
+
 def _model_cfg(spec, window):
     return replace(spec.model, n_series=spec.deployment.sa_pairs_per_sn,
                    window=window, alpha=spec.alpha)
@@ -153,20 +171,19 @@ def stage_train(spec, out, ds, split_mode=False):
         params, cfg_loaded, _ = network.load_checkpoint(stem)
         return params, cfg_loaded
     tx, ty = ds.train()
-    init = network.init_params(cfg, spec.train.seed)
+    init = network.init_params(cfg, spec.seed)
     # warm-start each quantile head at its marginal target quantile; the
     # asymmetric pinball gradients otherwise overshoot and anneal slowly
     init["head.b"][:] = np.quantile(ty, 1.0 - cfg.alpha, axis=0)
     if split_mode:
         params, curve = split_train(partition(init, cfg), tx, ty, spec.train,
-                                    InProcessChannel())
+                                    InProcessChannel(), spec.seed)
     else:
-        result = train(cfg, tx, ty, spec.train, params=init)
+        result = train(cfg, tx, ty, spec.train, spec.seed, params=init)
         params, curve = result.params, result.loss_curve
-    network.save_checkpoint(stem, params, cfg, spec.train.seed, cfg.alpha,
-                            extra={"normalization": {
-                                "offset": ds.norm.offset.tolist(),
-                                "scale": ds.norm.scale.tolist()}})
+    network.save_checkpoint(stem, params, cfg, spec.seed,
+                            {"normalization": {"offset": ds.norm.offset.tolist(),
+                                               "scale": ds.norm.scale.tolist()}})
     with open(stem.parent / (stem.name + "_loss.csv"), "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch", "pinball_loss"])
@@ -243,7 +260,7 @@ def predictions_dbm(spec, out, trace, ds, variant):
         return ds.norm.invert(thresholds)
     with _stage("calibrate"):
         calibrated = stage_calibrate(spec, out, ds, params, cfg, split_mode)
-    if variant in ("evt-iqpt",):
+    if variant == "evt-iqpt":
         margins = np.array([tailcal.gpd_quantile(t, 1.0 - spec.varsigma)
                             for t in calibrated.tails])
         return ds.norm.invert(thresholds + margins)
@@ -252,10 +269,10 @@ def predictions_dbm(spec, out, trace, ds, variant):
     raise ConfigError(f"unknown predictor variant {variant!r}")
 
 
-def stage_evaluate(spec, out, trace, ds, variant=None):
-    """Coverage, width, and target-vs-achieved BLER rows for one variant."""
+def stage_evaluate(spec, out, trace, ds):
+    """Coverage, width, and target-vs-achieved BLER rows for spec.variant."""
     out = Path(out)
-    variant = variant or spec.variant
+    variant = spec.variant
     cycles = ds.test_label_cycles()
     _, test_labels = ds.test()
     labels_dbm = ds.norm.invert(test_labels)
@@ -318,6 +335,8 @@ def run_pipeline(spec, out):
     holds each stage's own wall time; evaluate includes the training and
     calibration it runs.  A failure raises StageError naming the stage that
     failed: simulate, prepare, train, train_split, calibrate or evaluate.
+    A tail variant whose training partition cannot feed the tail fit
+    raises ConfigError after prepare (check_tail_fit).
     """
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
@@ -326,6 +345,8 @@ def run_pipeline(spec, out):
         trace = stage_simulate(spec, out)
     with _stage("prepare", stages):
         ds = stage_prepare(spec, out, trace)
+    if spec.variant in TAIL_VARIANTS:
+        check_tail_fit(spec, ds)
     with _stage("evaluate", stages):
         rows, detail = stage_evaluate(spec, out, trace, ds)
 

@@ -33,15 +33,17 @@ def disc_offsets(n_sn, n_sa, radius, rng):
     return np.stack([rad * np.cos(ang), rad * np.sin(ang)], axis=-1)
 
 
-def deploy(config, rng=None, max_tries_per_sn=500):
+# candidate draws per sub-network before deploy gives up
+MAX_TRIES_PER_SN = 500
+
+
+def deploy(config, rng):
     """Place sub-network centers uniformly with pairwise spacing >= min_distance.
 
     Centers stay sn_radius away from the area border so SA pairs remain
-    inside.  Deterministic given config.rng_seed when rng is omitted.
-    Raises PlacementError after bounded retries.
+    inside.  Raises PlacementError after MAX_TRIES_PER_SN draws for one
+    sub-network.
     """
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
     n = config.n_subnetworks
     r = config.sn_radius
     width, height = config.area
@@ -52,7 +54,7 @@ def deploy(config, rng=None, max_tries_per_sn=500):
 
     centers = np.empty((n, 2))
     for i in range(n):
-        for _ in range(max_tries_per_sn):
+        for _ in range(MAX_TRIES_PER_SN):
             cand = rng.uniform([lo_x, lo_y], [hi_x, hi_y])
             if i == 0 or np.all(np.linalg.norm(centers[:i] - cand, axis=1)
                                 >= config.min_distance):

@@ -33,13 +33,20 @@ def _crowded(cand, guard):
     return (dist < guard).any(axis=1)
 
 
-def step_rdmm(state, speed, dt, min_distance, rng, max_retries=8):
-    """One random-direction step: constant speed, reflection at the border,
-    heading resampled on near-collision; stragglers stay put for the cycle.
+# near-collision resamples per step before the stragglers stay put
+MAX_RETRIES = 8
 
-    Collisions are detected with a 2-step hysteresis margin so accepted
-    positions always satisfy the min-distance invariant exactly.
+
+def step_mobility(state, speed, dt, min_distance, rng):
+    """One random-direction (rdmm) step; dt must be positive.
+
+    Constant speed, reflection at the border, heading resampled on
+    near-collision; stragglers stay put for the cycle.  Collisions are
+    detected with a 2-step hysteresis margin so accepted positions always
+    satisfy the min-distance invariant exactly.
     """
+    if dt <= 0:
+        raise ValueError("dt must be positive")
     step = speed * dt
     if step == 0.0:
         return state
@@ -47,7 +54,7 @@ def step_rdmm(state, speed, dt, min_distance, rng, max_retries=8):
     head = state.headings.copy()
     cand, cand_head = _propose(pos, head, step, state.bounds)
     guard = min_distance + 2.0 * step
-    for _ in range(max_retries):
+    for _ in range(MAX_RETRIES):
         bad = _crowded(cand, guard)
         if not bad.any():
             break
@@ -92,14 +99,18 @@ class AlleyLayout:
         return positions, headings
 
 
-def build_alley_layout(area=(180.0, 90.0), margin=10.0, n_loops=3):
-    """Axis-aligned alley circuits: n_loops horizontal racetracks."""
+# horizontal racetracks in the alley layout
+N_ALLEY_LOOPS = 3
+
+
+def build_alley_layout(area=(180.0, 90.0), margin=10.0):
+    """Axis-aligned alley circuits: N_ALLEY_LOOPS horizontal racetracks."""
     width, height = area
     usable_h = height - 2.0 * margin
-    band = usable_h / n_loops
+    band = usable_h / N_ALLEY_LOOPS
     loops = []
     cums = []
-    for k in range(n_loops):
+    for k in range(N_ALLEY_LOOPS):
         y0 = margin + k * band
         y1 = y0 + 0.6 * band
         verts = np.array([
@@ -112,10 +123,9 @@ def build_alley_layout(area=(180.0, 90.0), margin=10.0, n_loops=3):
     return AlleyLayout(loops=tuple(loops), cum_lengths=tuple(cums))
 
 
-def deploy_alley(config, rng, layout=None):
+def deploy_alley(config, rng):
     """Assign sub-networks round-robin to alley loops with staggered starts."""
-    if layout is None:
-        layout = build_alley_layout(config.area, margin=max(config.sn_radius * 2, 5.0))
+    layout = build_alley_layout(config.area, margin=max(config.sn_radius * 2, 5.0))
     n = config.n_subnetworks
     path_ids = np.arange(n) % layout.n_loops
     per_loop = np.maximum(np.bincount(path_ids, minlength=layout.n_loops), 1)
@@ -130,28 +140,10 @@ def deploy_alley(config, rng, layout=None):
                          bounds=(0.0, 0.0, w, h))
 
 
-def step_alley(state, speed, dt):
-    """Advance every sub-network along its circuit, wrapping at the end."""
-    arcs = state.arc_positions + speed * dt
-    positions, headings = state.layout.locate(state.path_ids, arcs)
-    return replace(state, positions=positions, headings=headings, arc_positions=arcs)
-
-
 def alley_positions(state, speed, dt, n_cycles):
-    """Positions [n_cycles x N x 2] of state and of the n_cycles - 1
-    step_alley calls that follow it, bit for bit; arc lengths accumulate
-    one step per cycle, as repeated calls add them."""
+    """Positions [n_cycles x N x 2] along the circuits at every cycle,
+    starting at state: each cycle adds speed * dt to every arc length, and
+    the positions wrap at each loop's end."""
     steps = np.full((n_cycles, state.arc_positions.size), speed * dt)
     steps[0] = state.arc_positions
     return state.layout.locate(state.path_ids, np.add.accumulate(steps, axis=0))[0]
-
-
-def step_mobility(state, model, speed, dt, min_distance, rng):
-    """Dispatch a single mobility step; dt must be positive."""
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    if model == "rdmm":
-        return step_rdmm(state, speed, dt, min_distance, rng)
-    if model == "alley":
-        return step_alley(state, speed, dt)
-    raise ValueError(f"unknown mobility model {model!r}")

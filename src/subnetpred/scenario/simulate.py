@@ -47,8 +47,8 @@ class InterferenceTrace:
     def est_dbm(self, floor=1e-20):
         return ch.watts_to_dbm(self.est_power, floor)
 
-    def true_dbm(self, floor=1e-20):
-        return ch.watts_to_dbm(self.true_power, floor)
+    def true_dbm(self):
+        return ch.watts_to_dbm(self.true_power)
 
 
 def subband_assignment(n_subnetworks, n_subbands):
@@ -56,19 +56,17 @@ def subband_assignment(n_subnetworks, n_subbands):
     return np.arange(n_subnetworks) % n_subbands
 
 
-def interferer_set(positions, victim, set_size, bands=None):
+def interferer_set(positions, victim, set_size, bands):
     """Interfering members of the victim's co-channel set.
 
     The set is the victim plus its nearest sub-networks on the same
-    sub-band, at most set_size members in total; with bands omitted every
-    sub-network is co-channel.  Returns the interferer indices (victim
-    excluded), possibly fewer than set_size - 1 when the co-channel pool is
-    small.
+    sub-band, at most set_size members in total.  Returns the interferer
+    indices (victim excluded), possibly fewer than set_size - 1 when the
+    co-channel pool is small.
     """
     dist = np.linalg.norm(positions - positions[victim], axis=1)
     order = np.argsort(dist)
-    pool = [i for i in order
-            if i != victim and (bands is None or bands[i] == bands[victim])]
+    pool = [i for i in order if i != victim and bands[i] == bands[victim]]
     return np.array(pool[:max(set_size - 1, 0)], dtype=int)
 
 
@@ -81,14 +79,20 @@ def _link_motion(delta):
             ch.planar_norm((delta[..., :-1, :] + own) / 2.0))
 
 
-def simulate_trace(deployment, traffic, channel_params, n_cycles,
-                   mobility="rdmm", victim=0, noise_ref_fraction=0.7,
-                   est_noise_std=None):
+# the sub-network whose interference is simulated
+VICTIM = 0
+# leading share of the trace whose mean true power sets the estimation
+# noise level (a train-prefix statistic)
+NOISE_REF_FRACTION = 0.7
+
+
+def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
+                   mobility="rdmm"):
     """Simulate the estimated-interference time series of one sub-network.
 
-    Deterministic given deployment.rng_seed.  est_noise_std overrides the
-    default noise level (a fraction of the mean power over the leading
-    noise_ref_fraction of the trace, mirroring a train-prefix statistic).
+    Deterministic given seed.  The estimation noise std is
+    channel_params.est_noise_fraction times the mean true power over the
+    leading NOISE_REF_FRACTION of the trace.
 
     The cycles run in two passes.  Pass 1 steps through them one at a time
     and does only the work that draws from the trace's generator: rdmm
@@ -103,7 +107,7 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles,
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
-    rng = np.random.default_rng(deployment.rng_seed)
+    rng = np.random.default_rng(seed)
     n_sa = deployment.sa_pairs_per_sn
     n_slots = deployment.slots
     dt = deployment.tx_cycle_duration
@@ -114,7 +118,7 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles,
         state = deploy(deployment, rng)
 
     bands = subband_assignment(deployment.n_subnetworks, deployment.n_subbands)
-    intf = interferer_set(state.positions, victim,
+    intf = interferer_set(state.positions, VICTIM,
                           deployment.interferer_set_size, bands)
     n_int = intf.size
     if n_int == 0:
@@ -143,7 +147,7 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles,
 
     # ---- pass 1: every draw, cycle by cycle
     # centers of the interferers, then the victim, per cycle
-    members = np.append(intf, victim)
+    members = np.append(intf, VICTIM)
     if mobility == "alley":
         centers = alley_positions(state, deployment.speed, dt, n_cycles)[:, members]
         rels, mids = _link_motion(np.diff(centers, axis=0))
@@ -162,7 +166,7 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles,
             if mobility == "alley":
                 rel, mid = rels[t - 1], mids[t - 1]
             else:
-                state = step_mobility(state, mobility, deployment.speed, dt,
+                state = step_mobility(state, deployment.speed, dt,
                                       deployment.min_distance, rng)
                 centers[t] = state.positions[members]
                 rel, mid = _link_motion(centers[t] - centers[t - 1])
@@ -220,14 +224,13 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles,
                + w2 * np.take_along_axis(emitted, k2, axis=2))
     true_power = np.ascontiguousarray(np.add.reduce(contrib, axis=1)[:, :n_sa].T)
 
-    if est_noise_std is None:
-        ref = max(int(noise_ref_fraction * n_cycles), 1)
-        est_noise_std = channel_params.est_noise_fraction * float(true_power[:, :ref].mean())
+    ref = max(int(NOISE_REF_FRACTION * n_cycles), 1)
+    est_noise_std = channel_params.est_noise_fraction * float(true_power[:, :ref].mean())
     est_power = true_power + rng.normal(0.0, est_noise_std, true_power.shape) \
         if est_noise_std > 0 else true_power.copy()
     est_power = np.maximum(est_power, channel_params.power_floor_w)
 
-    sa_dist = np.linalg.norm(state.offsets[victim], axis=1)
+    sa_dist = np.linalg.norm(state.offsets[VICTIM], axis=1)
     signal_power = deployment.tx_power * ch.db_to_linear(
         -ch.pathloss_inf_db(sa_dist, deployment.carrier_freq, los=True))
     noise_power = ch.noise_power_w(channel_params.bandwidth_hz,
@@ -239,7 +242,7 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles,
         "traffic": spec_to_dict(traffic),
         "channel": spec_to_dict(channel_params),
         "mobility": mobility,
-        "victim": victim,
+        "victim": VICTIM,
         "n_cycles": n_cycles,
         "interferer_set": intf.tolist(),
     }
@@ -247,7 +250,7 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles,
                              signal_power=signal_power,
                              noise_power=float(noise_power),
                              est_noise_std=float(est_noise_std),
-                             seed=deployment.rng_seed, meta=meta)
+                             seed=seed, meta=meta)
 
 
 def save_trace(trace, stem):

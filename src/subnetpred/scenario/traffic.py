@@ -58,7 +58,7 @@ class TrafficProcess:
         stops = rng.random(push.shape) < self.stop
         self.activity[:, self.model.n_reserved:] = np.where(push, ~stops, starts)
 
-    def sample_own_slots(self, rng, n_slots=None):
+    def sample_own_slots(self, rng, n_slots):
         """Occupancy and owner of each sub-network's own slot grid.
 
         Returns (chi [n_sn x n_slots], owner [n_slots]).  Slot k belongs to
@@ -66,7 +66,6 @@ class TrafficProcess:
         transmission when its owner is scheduled (always, for bernoulli and
         pull; during a task burst, for push) and the Bern(eta) draw passes.
         """
-        n_slots = n_slots if n_slots is not None else self.n_sa
         owner = np.arange(n_slots) % self.n_sa
         passed = rng.random((self.n_sn, n_slots)) < self.model.eta
         if self.model.variant == "bernoulli":

@@ -85,12 +85,12 @@ class InProcessChannel:
         self.counts[message.kind] += 1
         self._queues.setdefault(edge, deque()).append(message)
 
-    def recv(self, dest, source, kind=None):
+    def recv(self, dest, source, kind):
         queue = self._queues.get((source, dest))
         if not queue:
             raise ProtocolError(f"no message pending from {source} to {dest}")
         message = queue.popleft()
-        if kind is not None and message.kind != kind:
+        if message.kind != kind:
             raise ProtocolError(
                 f"expected {kind} from {source} to {dest}, got {message.kind}")
         return message

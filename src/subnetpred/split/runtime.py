@@ -177,16 +177,16 @@ def split_train_epoch(clients, server, channel, seed, epoch, batch_size):
     return float(np.mean(losses))
 
 
-def split_train(part, x, y, train_cfg, channel):
+def split_train(part, x, y, train_cfg, channel, seed):
     """Full split training run from the partition's weights, which it trains
-    in place; returns (merged parameters, per-epoch loss curve)."""
+    in place; seed drives the batch order and the dropout masks, as in
+    train.  Returns (merged parameters, per-epoch loss curve)."""
     clients, server = build_participants(part, x, y, train_cfg.lr)
     curve = []
     for epoch in range(train_cfg.epochs):
         lr = lr_at(train_cfg, epoch)
         for opt in [server.opt] + [cl.opt for cl in clients]:
             opt.lr = lr
-        curve.append(split_train_epoch(clients, server, channel,
-                                       train_cfg.seed, epoch,
+        curve.append(split_train_epoch(clients, server, channel, seed, epoch,
                                        train_cfg.batch_size))
     return merge(part), curve

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 SHAPE_CLAMP = 0.9
-DEFAULT_MIN_EXCEEDANCES = 30
+MIN_EXCEEDANCES = 30         # per series, for a tail fit
 
 
 class InsufficientExceedancesError(ValueError):
@@ -92,7 +92,7 @@ def moments_estimate(samples):
     return float(np.clip(shape, -SHAPE_CLAMP, SHAPE_CLAMP)), scale
 
 
-def gpd_fit(exceedances, min_samples=DEFAULT_MIN_EXCEEDANCES):
+def gpd_fit(exceedances):
     """Fit GPD (shape, scale) to positive exceedances by MLE.
 
     Nelder-Mead on (shape, log scale) from the moments initializer; on
@@ -100,9 +100,9 @@ def gpd_fit(exceedances, min_samples=DEFAULT_MIN_EXCEEDANCES):
     initializer, the moments estimate is returned with ``fallback=True``.
     """
     y = np.asarray(exceedances, dtype=float).ravel()
-    if y.size < min_samples:
+    if y.size < MIN_EXCEEDANCES:
         raise InsufficientExceedancesError(
-            f"need >= {min_samples} exceedances, got {y.size}")
+            f"need >= {MIN_EXCEEDANCES} exceedances, got {y.size}")
     if np.any(y <= 0):
         raise ValueError("exceedances must be strictly positive")
 
@@ -142,12 +142,12 @@ def gpd_quantile(tail, p):
     return tail.scale * math.expm1(-tail.shape * math.log1p(-p)) / tail.shape
 
 
-def collect_exceedances(labels, thresholds, min_samples=DEFAULT_MIN_EXCEEDANCES):
+def collect_exceedances(labels, thresholds):
     """Positive parts of (label - threshold), pooled per series column.
 
     labels/thresholds are [n_instances x n_series]; raises
     InsufficientExceedancesError when any column yields fewer than
-    min_samples exceedances.
+    MIN_EXCEEDANCES exceedances.
     """
     y = np.atleast_2d(np.asarray(labels, dtype=float).T).T
     t = np.atleast_2d(np.asarray(thresholds, dtype=float).T).T
@@ -157,9 +157,9 @@ def collect_exceedances(labels, thresholds, min_samples=DEFAULT_MIN_EXCEEDANCES)
     for m in range(y.shape[1]):
         diff = y[:, m] - t[:, m]
         exc = diff[diff > 0]
-        if exc.size < min_samples:
+        if exc.size < MIN_EXCEEDANCES:
             raise InsufficientExceedancesError(
-                f"series {m}: {exc.size} exceedances < required {min_samples}")
+                f"series {m}: {exc.size} exceedances < required {MIN_EXCEEDANCES}")
         out.append(exc)
     return out
 
@@ -194,23 +194,18 @@ def conformity_scores(predictions, labels, beta):
     return ConformalRecord(scores=scores, beta=beta, n_calibration=p.shape[0])
 
 
-def calibrated_quantile(thresholds, calibrated, series=None):
+def calibrated_quantile(thresholds, calibrated):
     """Upper calibrated tail quantile: threshold + GPD Q(1-varsigma) + score.
 
-    thresholds is [n_instances x n_series] (or a vector for one series via
-    ``series``); returns the same shape.  varsigma = 1 reduces to the
+    thresholds is [n_instances x n_series]; returns the same shape, each
+    element summed as (t + margin) + score.  varsigma = 1 reduces to the
     conformally calibrated threshold; varsigma -> 0 walks out to the tail
     endpoint for negative-shape fits.
     """
     t = np.asarray(thresholds, dtype=float)
     p = 1.0 - calibrated.varsigma
-    if series is not None:
-        margin = gpd_quantile(calibrated.tails[series], p)
-        return t + margin + calibrated.record.scores[series]
-    t2 = np.atleast_2d(t.T).T
     margins = np.array([gpd_quantile(tail, p) for tail in calibrated.tails])
-    # (t + margin) + score per element, the order of the single-series form
-    return (t2 + margins + calibrated.record.scores).reshape(t.shape)
+    return (np.atleast_2d(t.T).T + margins + calibrated.record.scores).reshape(t.shape)
 
 
 def calibration_report(calibrated, exceedance_fractions=None):

@@ -74,17 +74,11 @@ class NormalizationParams:
     offset: np.ndarray
     scale: np.ndarray
 
-    def apply(self, values, series=None):
-        v = np.asarray(values, dtype=float)
-        if series is not None:
-            return (v - self.offset[series]) / self.scale[series]
-        return (v - self.offset) / self.scale
+    def apply(self, values):
+        return (np.asarray(values, dtype=float) - self.offset) / self.scale
 
-    def invert(self, values, series=None):
-        v = np.asarray(values, dtype=float)
-        if series is not None:
-            return v * self.scale[series] + self.offset[series]
-        return v * self.scale + self.offset
+    def invert(self, values):
+        return np.asarray(values, dtype=float) * self.scale + self.offset
 
 
 @dataclass
@@ -128,11 +122,10 @@ class WindowedDataset:
     def test(self):
         return self._block(self.n_train + self.n_cal, self.n_test)
 
-    def test_label_cycles(self, first_label_cycle=None):
+    def test_label_cycles(self):
         """Source-trace cycle index of every test label (stride-1 windows)."""
         start = self.n_train + self.n_cal
-        base = self.window if first_label_cycle is None else first_label_cycle
-        return np.arange(start, start + self.n_test) + base
+        return np.arange(start, start + self.n_test) + self.window
 
 
 def restructure(series_matrix, window, n_cal, n_test):

@@ -126,10 +126,8 @@ class RefAdam:
             params[key] -= self.lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
 
 
-def ref_autocorrelation(x, max_lag, demean=True):
+def ref_autocorrelation(x, max_lag):
     x = np.asarray(x, dtype=float)
-    if demean:
-        x = x - x.mean()
     n = x.size
     r = np.empty(max_lag + 1)
     for k in range(max_lag + 1):
@@ -170,10 +168,10 @@ def ref_wiener_predict(series, t_indices, order, history=None):
     preds = np.empty(len(t_indices))
     for j, t in enumerate(t_indices):
         window = s[max(t - hist, 0):t]
-        if window.var() == 0.0:
+        if np.all(window == window[-1]):
             preds[j] = window[-1]
             continue
-        a = ref_levinson_durbin(ref_autocorrelation(window, order, demean=False), order)
+        a = ref_levinson_durbin(ref_autocorrelation(window, order), order)
         preds[j] = float(np.dot(a, s[t - 1:t - order - 1:-1]))
     return preds
 
@@ -347,7 +345,7 @@ def test_adam_matches_textbook_step_on_every_tensor_rank():
 def desk_series():
     """A desk trace's interference-to-noise ratios in dB, as the pipeline
     hands them to the baselines."""
-    trace = simulate_trace(DESK.deployment, DESK.traffic, DESK.channel, 900)
+    trace = simulate_trace(DESK.deployment, DESK.traffic, DESK.channel, 900, DESK.seed)
     floor = max(DESK.channel.power_floor_w, trace.noise_power * 0.1)
     return trace.est_dbm(floor=floor) - (10.0 * np.log10(trace.noise_power) + 30.0)
 
@@ -355,10 +353,11 @@ def desk_series():
 @pytest.mark.parametrize("order", [1, 4, 16])
 def test_wiener_matches_per_point_refit(desk_series, order):
     # from the first allowed point on, so the short windows (t < history)
-    # are covered.  A flat start at the dB floor gives windows of zero
-    # variance, which hold the constant; a flat stretch at another level
-    # need not (its mean can round off the level), and must match too.
+    # are covered.  Both flat stretches hold their level: the start at the
+    # dB floor, and a stretch at a level whose window variance does not
+    # round to zero (its mean can round off the level).
     t = np.arange(order + 1, desk_series.shape[1])
+    hist = 4 * (order + 1)
     for m, series in enumerate(desk_series):
         series = series.copy()
         if m == 0:
@@ -368,23 +367,23 @@ def test_wiener_matches_per_point_refit(desk_series, order):
         assert np.array_equal(got, ref_wiener_predict(series, t, order)), m
         if m == 0:
             assert np.all(got[t <= 40] == -10.0)
+            inside = (t - hist >= 500) & (t <= 600)
+            assert inside.any() and np.all(got[inside] == series[500])
 
 
 def test_autocorrelation_rows_match_one_window_calls(desk_series):
     windows = np.lib.stride_tricks.sliding_window_view(desk_series[1], 68)[::7]
-    for demean in (False, True):
-        got = baselines.autocorrelation(windows, 16, demean=demean)
-        assert got.shape == (windows.shape[0], 17)
-        for row, window in zip(got, windows):
-            assert np.array_equal(row, ref_autocorrelation(window, 16, demean))
-        assert np.array_equal(baselines.autocorrelation(windows[3], 16, demean),
-                              got[3])
+    got = baselines.autocorrelation(windows, 16)
+    assert got.shape == (windows.shape[0], 17)
+    for row, window in zip(got, windows):
+        assert np.array_equal(row, ref_autocorrelation(window, 16))
+    assert np.array_equal(baselines.autocorrelation(windows[3], 16), got[3])
 
 
 def test_levinson_durbin_rows_match_one_row_solves_through_early_exits(desk_series):
     order = 16
     windows = np.lib.stride_tricks.sliding_window_view(desk_series[2], 68)[::5]
-    lags = [ref_autocorrelation(w, order, demean=False) for w in windows]
+    lags = [ref_autocorrelation(w, order) for w in windows]
     lags += [
         np.r_[1.0, 0.9, -0.9, np.zeros(order - 2)],    # |k| >= 1 at step 1
         np.r_[1.0, np.nan, np.zeros(order - 1)],        # non-finite k at step 0
@@ -554,10 +553,10 @@ def ref_sample_own_slots(proc, rng, n_slots):
     return scheduled & (rng.random((proc.n_sn, n_slots)) < proc.model.eta), owner
 
 
-def ref_simulate_trace(deployment, traffic, channel_params, n_cycles, mobility,
-                       hits, victim=0, noise_ref_fraction=0.7):
+def ref_simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
+                       mobility, hits, victim=0, noise_ref_fraction=0.7):
     """The cycle-by-cycle simulator: (true_power, est_power, signal_power)."""
-    rng = np.random.default_rng(deployment.rng_seed)
+    rng = np.random.default_rng(seed)
     n_sa = deployment.sa_pairs_per_sn
     n_slots = deployment.slots
     dt = deployment.tx_cycle_duration
@@ -690,8 +689,10 @@ def _sim_inputs(case):
 def test_simulate_trace_matches_cycle_by_cycle_reference(name):
     deployment, traffic, channel, n_cycles, mobility = _sim_inputs(SIM_CASES[name])
     hits = {"retry": 0, "exhausted": 0}
-    want = ref_simulate_trace(deployment, traffic, channel, n_cycles, mobility, hits)
-    got = simulate_trace(deployment, traffic, channel, n_cycles, mobility=mobility)
+    want = ref_simulate_trace(deployment, traffic, channel, n_cycles, DESK.seed,
+                              mobility, hits)
+    got = simulate_trace(deployment, traffic, channel, n_cycles, DESK.seed,
+                         mobility=mobility)
     assert np.array_equal(got.true_power, want[0])
     assert np.array_equal(got.est_power, want[1])
     assert np.array_equal(got.signal_power, want[2])
@@ -706,7 +707,7 @@ def test_rdmm_step_matches_scalar_reference_through_collisions():
     rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
     hits = {"retry": 0, "exhausted": 0}
     for _ in range(300):
-        state = step_mobility(state, "rdmm", config.speed, config.tx_cycle_duration,
+        state = step_mobility(state, config.speed, config.tx_cycle_duration,
                               config.min_distance, rng)
         ref_state = ref_step_rdmm(ref_state, config.speed, config.tx_cycle_duration,
                                   config.min_distance, ref_rng, hits)
@@ -730,15 +731,14 @@ def test_alley_lookup_matches_scalar_point_at():
 
 
 def test_alley_steps_equal_precomputed_positions():
-    config = replace(DESK.deployment, n_subnetworks=7, rng_seed=4)
+    config = replace(DESK.deployment, n_subnetworks=7)
     state = deploy_alley(config, np.random.default_rng(4))
     ref_state = ref_deploy_alley(config, np.random.default_rng(4))
     assert np.array_equal(state.positions, ref_state.positions)
     assert np.array_equal(state.headings, ref_state.headings)
     assert np.array_equal(state.arc_positions, ref_state.arc_positions)
-    want = alley_positions(state, config.speed, config.tx_cycle_duration, 201)
-    assert np.array_equal(want[0], state.positions)
+    got = alley_positions(state, config.speed, config.tx_cycle_duration, 201)
+    assert np.array_equal(got[0], state.positions)
     for t in range(1, 201):
-        state = step_mobility(state, "alley", config.speed, config.tx_cycle_duration,
-                              config.min_distance, None)
-        assert np.array_equal(state.positions, want[t])
+        ref_state = ref_step_alley(ref_state, config.speed, config.tx_cycle_duration)
+        assert np.array_equal(got[t], ref_state.positions)

@@ -112,23 +112,51 @@ def test_stage_seconds_are_per_stage(tmp_path):
     assert sum(stages.values()) <= wall
 
 
+def calibrating_spec(variant):
+    """A tiny spec whose model leaves >= 30 training exceedances per series."""
+    spec = replace(smoke_spec(seed=0, variant=variant), n_cycles=2000)
+    return replace(spec, train=replace(spec.train, lr_decay=0.1))
+
+
+# the CLI form of calibrating_spec
+CALIBRATING_CFG = "n_cycles = 2000\ntrain.lr_decay = 0.1\n"
+
+
 def test_calibration_failure_names_calibrate_stage(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("tail fit failed")
 
     monkeypatch.setattr(tailcal, "gpd_fit", fail)
     with pytest.raises(StageError) as info:
-        run_pipeline(smoke_spec(seed=12, variant="cevt-iqpt"), tmp_path / "api")
+        run_pipeline(calibrating_spec("cevt-iqpt"), tmp_path / "api")
     assert info.value.stage == "calibrate"
-    assert main(["evaluate", "--preset", "tiny", "--seed", "12",
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CALIBRATING_CFG)
+    assert main(["evaluate", "--config", str(cfg), "--preset", "tiny", "--seed", "0",
                  "--variant", "cevt-iqpt", "--out", str(tmp_path / "cli")]) \
         == EXIT_STAGE
 
 
-def calibrating_spec(variant):
-    """A tiny spec whose model leaves >= 30 training exceedances per series."""
-    spec = replace(smoke_spec(seed=0, variant=variant), n_cycles=2000)
-    return replace(spec, train=replace(spec.train, lr_decay=0.1))
+@pytest.mark.parametrize("variant", pipeline.TAIL_VARIANTS)
+def test_too_few_training_exceedances_fail_before_training(tmp_path, monkeypatch,
+                                                           capsys, variant):
+    # tiny at its 700 cycles: alpha * n_train = 0.05 * 399 = 19.95 < 30
+    def fail(*args, **kwargs):
+        raise AssertionError("trained an infeasible spec")
+
+    monkeypatch.setattr(pipeline, "train", fail)
+    monkeypatch.setattr(pipeline, "split_train", fail)
+    with pytest.raises(ConfigError, match=r"needs 30 .* = 0\.05 \* 399 = 19\.95"):
+        run_pipeline(smoke_spec(seed=12, variant=variant), tmp_path / "api")
+    assert (tmp_path / "api" / "dataset.bin").exists()
+    for command in ("evaluate", "calibrate"):
+        assert main([command, "--preset", "tiny", "--seed", "12", "--variant",
+                     variant, "--out", str(tmp_path / command)]) == EXIT_CONFIG
+        assert "19.95" in capsys.readouterr().err
+        assert not (tmp_path / command / "model.bin").exists()
+    # the variants without a tail fit still run on tiny
+    monkeypatch.undo()
+    run_pipeline(smoke_spec(seed=12, variant="iqpt"), tmp_path / "api")
 
 
 def test_calibration_is_cached_per_train_stage(tmp_path, monkeypatch):
@@ -255,15 +283,42 @@ def test_parse_config_rejects_pipeline_wired_keys(tmp_path, line, hint):
 def test_seed_flag_rewires_all_seeds():
     spec = parse_config_text("", preset="tiny", seed=99)
     assert spec.seed == 99
-    assert spec.train.seed == 99
-    assert spec.deployment.rng_seed == 99
+    # the flag wins over the file's value
+    assert parse_config_text("seed = 3", preset="tiny", seed=99).seed == 99
+    assert parse_config_text("seed = 3", preset="tiny").seed == 3
+
+
+@pytest.mark.parametrize("line", ["train.seed = 1", "deployment.rng_seed = 1"])
+def test_removed_seed_keys_are_config_errors(tmp_path, line):
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config_text(line, preset="tiny")
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(line + "\n")
+    assert main(["simulate", "--config", str(cfg), "--preset", "tiny",
+                 "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+
+
+def test_config_file_seed_seeds_simulation_and_training(tmp_path):
+    cfg = tmp_path / "seed.cfg"
+    cfg.write_text("seed = 3\n")
+    runs = {"file": ["--config", str(cfg)], "flag": ["--seed", "3"]}
+    for name, args in runs.items():
+        assert main(["train", "--preset", "tiny", "--variant", "iqpt", *args,
+                     "--out", str(tmp_path / name)]) == EXIT_OK
+    for artifact in ("trace.npz", "model.bin"):
+        assert ((tmp_path / "file" / artifact).read_bytes()
+                == (tmp_path / "flag" / artifact).read_bytes()), artifact
+    assert main(["train", "--preset", "tiny", "--variant", "iqpt", "--seed", "0",
+                 "--out", str(tmp_path / "zero")]) == EXIT_OK
+    assert ((tmp_path / "zero" / "model.bin").read_bytes()
+            != (tmp_path / "flag" / "model.bin").read_bytes())
 
 
 def test_spec_validation_errors():
     with pytest.raises(ConfigError):
-        replace(desk_preset(), variant="nope")
+        replace(desk_preset(0), variant="nope")
     with pytest.raises(ConfigError):
-        replace(desk_preset(), beta=0.0)
+        replace(desk_preset(0), beta=0.0)
     with pytest.raises(ConfigError):
         parse_config_text("model.d_embed = 60")    # not divisible by heads
 
@@ -312,7 +367,7 @@ def test_cli_stage_failure_names_stage_and_exits_3(tmp_path, monkeypatch, capsys
 
     monkeypatch.setattr(*target, fail)
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text("n_cycles = 2000\ntrain.lr_decay = 0.1\n")
+    cfg.write_text(CALIBRATING_CFG)
     assert main([command, "--config", str(cfg), "--preset", "tiny", "--seed", "0",
                  "--variant", variant, "--out", str(tmp_path / "run")]) == EXIT_STAGE
     assert f"stage {stage!r} failed: injected" in capsys.readouterr().err
@@ -393,5 +448,6 @@ def test_report_single_run_passthrough(tmp_path):
 
 def test_spec_to_dict_round_trips_json():
     spec = desk_preset(seed=3)
-    blob = json.dumps(spec_to_dict(spec))
-    assert json.loads(blob)["deployment"]["rng_seed"] == 3
+    blob = json.loads(json.dumps(spec_to_dict(spec)))
+    assert blob["seed"] == 3
+    assert "rng_seed" not in blob["deployment"] and "seed" not in blob["train"]

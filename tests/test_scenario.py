@@ -12,6 +12,8 @@ from subnetpred.scenario import (PlacementError, TrafficProcess,
                                  pathloss_inf_db, simulate_trace,
                                  step_mobility, write_trace_csv)
 from subnetpred.scenario.channel import Ar1Field, ComplexAr1, db_to_linear
+from subnetpred.scenario.mobility import alley_positions
+from subnetpred.scenario.simulate import subband_assignment
 
 CHEAP = ChannelParams()
 
@@ -19,7 +21,7 @@ CHEAP = ChannelParams()
 def cfg(**kw):
     base = dict(n_subnetworks=16, sa_pairs_per_sn=4, area=(25.0, 25.0),
                 sn_radius=2.0, speed=2.0, min_distance=3.0, n_subbands=4,
-                interferer_set_size=5, rng_seed=0)
+                interferer_set_size=5)
     base.update(kw)
     return DeploymentConfig(**base)
 
@@ -28,13 +30,13 @@ def cfg(**kw):
 
 def test_single_sn_offsets_within_radius():
     c = cfg(n_subnetworks=1, interferer_set_size=0)
-    state = deploy(c)
+    state = deploy(c, np.random.default_rng(0))
     assert state.positions.shape == (1, 2)
     assert np.all(np.linalg.norm(state.offsets[0], axis=1) <= c.sn_radius)
 
 
 def test_dense_placement_respects_min_distance():
-    state = deploy(cfg(rng_seed=3))
+    state = deploy(cfg(), np.random.default_rng(3))
     d = np.linalg.norm(state.positions[:, None] - state.positions[None], axis=-1)
     np.fill_diagonal(d, np.inf)
     assert d.min() >= 3.0
@@ -43,12 +45,12 @@ def test_dense_placement_respects_min_distance():
 def test_overpacked_area_raises():
     with pytest.raises(PlacementError):
         deploy(cfg(n_subnetworks=50, area=(5.0, 5.0), interferer_set_size=4,
-                   sn_radius=1.5))
+                   sn_radius=1.5), np.random.default_rng(0))
 
 
 def test_deployment_determinism():
-    a = deploy(cfg(rng_seed=9))
-    b = deploy(cfg(rng_seed=9))
+    a = deploy(cfg(), np.random.default_rng(9))
+    b = deploy(cfg(), np.random.default_rng(9))
     assert np.array_equal(a.positions, b.positions)
     assert np.array_equal(a.offsets, b.offsets)
 
@@ -56,27 +58,27 @@ def test_deployment_determinism():
 # ------------------------------------------------------------------ mobility
 
 def test_zero_speed_leaves_state_unchanged():
-    state = deploy(cfg())
     rng = np.random.default_rng(0)
-    out = step_mobility(state, "rdmm", 0.0, 1e-3, 3.0, rng)
+    state = deploy(cfg(), rng)
+    out = step_mobility(state, 0.0, 1e-3, 3.0, rng)
     assert np.array_equal(out.positions, state.positions)
 
 
 def test_step_displacement_magnitude():
     c = cfg(n_subnetworks=2, interferer_set_size=1, min_distance=0.0)
-    state = deploy(c)
-    out = step_mobility(state, "rdmm", 2.0, 1e-3, 0.0, np.random.default_rng(1))
+    state = deploy(c, np.random.default_rng(0))
+    out = step_mobility(state, 2.0, 1e-3, 0.0, np.random.default_rng(1))
     moved = np.linalg.norm(out.positions - state.positions, axis=1)
     assert np.allclose(moved, 0.002, atol=1e-12)
 
 
 def test_long_rdmm_run_stays_in_bounds_and_spaced():
-    c = cfg(rng_seed=5)
-    state = deploy(c)
+    c = cfg()
+    state = deploy(c, np.random.default_rng(5))
     rng = np.random.default_rng(5)
     lo_x, lo_y, hi_x, hi_y = state.bounds
     for _ in range(10000):
-        state = step_mobility(state, "rdmm", c.speed, c.tx_cycle_duration,
+        state = step_mobility(state, c.speed, c.tx_cycle_duration,
                               c.min_distance, rng)
         p = state.positions
         assert p[:, 0].min() >= lo_x - 1e-9 and p[:, 0].max() <= hi_x + 1e-9
@@ -91,17 +93,16 @@ def test_alley_mobility_follows_loops_and_wraps():
             speed=2.0)
     rng = np.random.default_rng(6)
     state = deploy_alley(c, rng)
-    layout = state.layout
-    total = layout.total_length(0)
-    start = state.positions.copy()
-    steps = int(np.ceil(total / 0.002)) + 5
-    for _ in range(200):
-        state = step_mobility(state, "alley", c.speed, c.tx_cycle_duration,
-                              c.min_distance, rng)
-    assert np.all(state.positions[:, 0] >= 0)
-    assert np.all(state.positions[:, 0] <= 180.0)
-    moved = np.linalg.norm(state.positions - start, axis=1)
+    positions = alley_positions(state, c.speed, c.tx_cycle_duration, 201)
+    assert np.array_equal(positions[0], state.positions)
+    assert np.all(positions[..., 0] >= 0)
+    assert np.all(positions[..., 0] <= 180.0)
+    moved = np.linalg.norm(positions[-1] - positions[0], axis=1)
     assert moved.max() > 0.2     # 200 steps x 2 mm
+    # past a full circuit every sub-network is back on its loop's start
+    total = state.layout.total_length(0)
+    laps = alley_positions(state, total / c.tx_cycle_duration, c.tx_cycle_duration, 2)
+    assert np.allclose(laps[1], laps[0])
 
 
 # ------------------------------------------------------------------- traffic
@@ -119,7 +120,7 @@ def test_bernoulli_empirical_rate():
     model = TrafficModel(variant="bernoulli", eta=0.9)
     rng = np.random.default_rng(1)
     proc = TrafficProcess(model, n_sn=25000, n_sa=4, dt=1e-3, rng=rng)
-    chi, _ = proc.sample_own_slots(rng)
+    chi, _ = proc.sample_own_slots(rng, 4)
     n = chi.size
     sigma = np.sqrt(0.9 * 0.1 / n)
     assert n == 100000
@@ -232,8 +233,7 @@ def test_shadowing_small_step_continuity():
 # ---------------------------------------------------------------- full trace
 
 def small_trace(seed=0, traffic=None, n_cycles=400, **kw):
-    c = cfg(rng_seed=seed, **kw)
-    return simulate_trace(c, traffic or TrafficModel(), CHEAP, n_cycles)
+    return simulate_trace(cfg(**kw), traffic or TrafficModel(), CHEAP, n_cycles, seed)
 
 
 def test_trace_determinism_bit_identical():
@@ -252,20 +252,19 @@ def test_trace_non_negative_and_est_floor():
 def test_no_active_interferers_means_zero_interference():
     quiet = TrafficModel(variant="push-pull", eta=1.0, intensity=0.0,
                          n_reserved=0)
-    c = cfg(sa_pairs_per_sn=4, rng_seed=6)
-    tr = simulate_trace(c, quiet, ChannelParams(est_noise_fraction=0.0), 100)
+    c = cfg(sa_pairs_per_sn=4)
+    tr = simulate_trace(c, quiet, ChannelParams(est_noise_fraction=0.0), 100, 6)
     assert np.all(tr.true_power == 0.0)
 
 
 def test_single_interferer_contribution_is_gain():
-    c = cfg(n_subnetworks=3, interferer_set_size=2, n_subbands=1, rng_seed=7,
-            speed=0.0)
+    c = cfg(n_subnetworks=3, interferer_set_size=2, n_subbands=1, speed=0.0)
     params = ChannelParams(fading=False, shadowing=False, est_noise_fraction=0.0)
-    tr = simulate_trace(c, TrafficModel(eta=1.0), params, 12)
+    tr = simulate_trace(c, TrafficModel(eta=1.0), params, 12, 7)
     # deterministic channel, static geometry: reconstruct the one-term
-    # per-SA gains of the single interferer
-    state = deploy(c)
-    intf = interferer_set(state.positions, 0, 2)
+    # per-SA gains of the single interferer (placement is the first draw)
+    state = deploy(c, np.random.default_rng(7))
+    intf = interferer_set(state.positions, 0, 2, subband_assignment(3, 1))
     tx = state.positions[intf[0]] + state.offsets[intf[0]]
     dist = np.linalg.norm(tx - state.positions[0], axis=1)
     expected = c.tx_power * db_to_linear(-pathloss_inf_db(dist, c.carrier_freq))
@@ -282,10 +281,10 @@ def test_single_interferer_contribution_is_gain():
 
 
 def test_zero_drift_keeps_slot_gains_constant():
-    c = cfg(n_subnetworks=3, interferer_set_size=2, n_subbands=1, rng_seed=7,
-            speed=0.0, schedule_drift=0)
+    c = cfg(n_subnetworks=3, interferer_set_size=2, n_subbands=1, speed=0.0,
+            schedule_drift=0)
     params = ChannelParams(fading=False, shadowing=False, est_noise_fraction=0.0)
-    tr = simulate_trace(c, TrafficModel(eta=1.0), params, 8)
+    tr = simulate_trace(c, TrafficModel(eta=1.0), params, 8, 7)
     assert np.allclose(tr.true_power, tr.true_power[:, :1])
 
 
@@ -297,14 +296,13 @@ def test_interfering_link_count_matches_set_size():
     reuse = small_trace(seed=8, n_cycles=10)
     assert len(reuse.meta["interferer_set"]) == 3
     capped = simulate_trace(cfg(n_subnetworks=3, interferer_set_size=2,
-                                n_subbands=1, rng_seed=8),
-                            TrafficModel(), CHEAP, 10)
+                                n_subbands=1),
+                            TrafficModel(), CHEAP, 10, 8)
     assert len(capped.meta["interferer_set"]) == 1
 
 
 def test_interferer_set_prefers_nearest_co_channel():
-    from subnetpred.scenario.simulate import subband_assignment
-    state = deploy(cfg(rng_seed=12))
+    state = deploy(cfg(), np.random.default_rng(12))
     bands = subband_assignment(16, 4)
     chosen = interferer_set(state.positions, 0, 5, bands)
     assert all(bands[j] == bands[0] for j in chosen)

@@ -62,14 +62,14 @@ def test_channel_orders_and_detects_loss():
     b = SplitMessage(KIND_ACTIVATION, "sa0", "server", 0, 1, np.ones(1))
     ch.send(a)
     ch.send(b)
-    assert ch.recv("server", "sa0").batch == 0
-    assert ch.recv("server", "sa0").batch == 1
+    assert ch.recv("server", "sa0", KIND_ACTIVATION).batch == 0
+    assert ch.recv("server", "sa0", KIND_ACTIVATION).batch == 1
     with pytest.raises(ProtocolError):
-        ch.recv("server", "sa0")
+        ch.recv("server", "sa0", KIND_ACTIVATION)
     ch.drop_next("sa0", "server")
     ch.send(a)
     with pytest.raises(ProtocolError):
-        ch.recv("server", "sa0")
+        ch.recv("server", "sa0", KIND_ACTIVATION)
 
 
 @pytest.mark.parametrize("n_series", [4, 1])
@@ -81,11 +81,11 @@ def test_one_split_epoch_matches_centralized_training(window, n_series):
     cfg = replace(CFG, window=window, n_series=n_series, center_windows=True)
     seed = 11
     x, y = make_data(96, 5, cfg)
-    train_cfg = TrainConfig(lr=1e-3, epochs=1, batch_size=32, seed=seed)
+    train_cfg = TrainConfig(lr=1e-3, epochs=1, batch_size=32)
 
-    central = train(cfg, x, y, train_cfg)
+    central = train(cfg, x, y, train_cfg, seed)
     split, _ = split_train(partition(init_params(cfg, seed=seed), cfg), x, y,
-                           train_cfg, InProcessChannel())
+                           train_cfg, InProcessChannel(), seed)
     for key, tensor in central.params.items():
         assert np.array_equal(split[key], tensor), key
 

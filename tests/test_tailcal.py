@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnetpred.tailcal import (CalibratedTail, ConformalRecord, GpdTail,
+from subnetpred.tailcal import (MIN_EXCEEDANCES, CalibratedTail,
+                                ConformalRecord, GpdTail,
                                 InsufficientExceedancesError,
                                 calibrated_quantile, calibration_report,
                                 collect_exceedances, conformity_scores,
@@ -111,8 +112,15 @@ def test_collect_exceedances_rules():
     labels = np.arange(40, dtype=float).reshape(-1, 1)
     with pytest.raises(InsufficientExceedancesError):
         collect_exceedances(labels, labels + 1.0)      # none exceed
-    exc = collect_exceedances(labels, labels - 1.0, min_samples=30)
+    exc = collect_exceedances(labels, labels - 1.0)
     assert np.allclose(exc[0], 1.0)
+    # the floor is MIN_EXCEEDANCES per series: 30 pass, 29 do not
+    thresholds = labels + 1.0
+    thresholds[:MIN_EXCEEDANCES] -= 2.0
+    assert collect_exceedances(labels, thresholds)[0].size == MIN_EXCEEDANCES
+    thresholds[0] += 2.0
+    with pytest.raises(InsufficientExceedancesError, match="29 exceedances"):
+        collect_exceedances(labels, thresholds)
 
 
 # ----------------------------------------------------------------- conformal

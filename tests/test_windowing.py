@@ -106,7 +106,7 @@ def test_normalize_train_stats_only_and_midpoint():
     ds = restructure(mat, window=1, n_cal=5, n_test=5)
     normed = normalize(ds)
     # train covers only the first ramp; -80 maps to the midpoint
-    assert normed.norm.apply(-80.0, series=0) == pytest.approx(0.5, abs=0.02)
+    assert normed.norm.apply(-80.0)[0] == pytest.approx(0.5, abs=0.02)
     tx, ty = normed.train()
     assert ty.min() >= 0.0 and ty.max() <= 1.0
 

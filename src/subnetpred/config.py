@@ -40,6 +40,8 @@ class DeploymentConfig:
     schedule_drift: int = -1    # interferer slot misalignment, slots per cycle
 
     def __post_init__(self):
+        if self.sa_pairs_per_sn < 1:
+            raise ConfigError("sa_pairs_per_sn must be >= 1")
         if self.n_subbands < 1:
             raise ConfigError("n_subbands must be >= 1")
         if self.interferer_set_size > self.n_subnetworks - 1:
@@ -197,6 +199,8 @@ class ExperimentSpec:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1]")
+        if not all(0.0 < eps <= 0.5 for eps in self.eps_targets):
+            raise ConfigError(f"eps_targets {self.eps_targets} must lie in (0, 0.5]")
         if (self.traffic.variant == "push-pull"
                 and self.traffic.n_reserved >= self.deployment.sa_pairs_per_sn):
             raise ConfigError(

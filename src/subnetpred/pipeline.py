@@ -59,7 +59,7 @@ def _hash(obj):
 # alters what a stage writes for the same inputs bumps the stage's number;
 # each key holds the key of the stage before it, so the stages after it are
 # rebuilt too.
-STAGE_VERSIONS = {"simulate": 1, "prepare": 1, "train": 1, "calibrate": 1}
+STAGE_VERSIONS = {"simulate": 1, "prepare": 2, "train": 1, "calibrate": 1}
 
 
 def _stage_key(stage, inputs):
@@ -388,29 +388,41 @@ def _write_manifest(spec, out):
 SWEEP_AXES = ("m", "eps_target", "traffic", "mobility")
 
 
+def _sweep_point(spec, axis, value):
+    """The spec at one value of a sweep axis."""
+    if axis == "m":
+        return replace(spec, deployment=replace(spec.deployment,
+                                                sa_pairs_per_sn=int(value)))
+    if axis == "eps_target":
+        return replace(spec, eps_targets=(float(value),))
+    if axis == "traffic":
+        return replace(spec, traffic=replace(spec.traffic, variant=str(value)))
+    return replace(spec, mobility=str(value))
+
+
 def sweep(spec, axis, values, out):
     """Run the pipeline per axis value; emit an aggregated report.
 
     Axes: m (SA pairs per sub-network), eps_target, traffic variant,
-    mobility model.  Each point runs in its own subdirectory.
+    mobility model.  Each point runs in its own subdirectory.  Every value
+    is checked before the first point runs; a value the axis cannot take
+    is a ConfigError naming both.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; pick from {SWEEP_AXES}")
+    if not values:
+        raise ConfigError(f"sweep axis {axis!r} got no values")
+    points = []
+    for value in values:
+        try:
+            points.append((value, _sweep_point(spec, axis, value)))
+        except (ConfigError, ValueError) as err:
+            raise ConfigError(f"sweep axis {axis!r} cannot take {value!r}: "
+                              f"{err}") from err
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     report_rows = []
-    for value in values:
-        point = spec
-        if axis == "m":
-            m = int(value)
-            point = replace(spec, deployment=replace(spec.deployment,
-                                                     sa_pairs_per_sn=m))
-        elif axis == "eps_target":
-            point = replace(spec, eps_targets=(float(value),))
-        elif axis == "traffic":
-            point = replace(spec, traffic=replace(spec.traffic, variant=str(value)))
-        elif axis == "mobility":
-            point = replace(spec, mobility=str(value))
+    for value, point in points:
         sub = out / f"{axis}_{value}"
         detail = run_pipeline(point, sub)
         cov = detail["coverage_per_sa"]

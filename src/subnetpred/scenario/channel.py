@@ -53,8 +53,20 @@ def fading_coefficient(doppler_hz, dt):
     return float(j0(2.0 * np.pi * doppler_hz * dt))
 
 
-def _complex_normal(rng, shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+def _complex_normal(re, im):
+    """Unit-power complex normals from standard normal real and imaginary
+    parts."""
+    return (re + 1j * im) / np.sqrt(2.0)
+
+
+def _recur(coef, drive, values):
+    """Rows values_t = coef_t * values_(t-1) + drive_t of a block of cycles,
+    from the values before it; coef holds one coefficient (row) per cycle."""
+    out = np.empty_like(drive)
+    for c, row, d in zip(coef, out, drive):
+        values = np.multiply(c, values, out=row)
+        row += d
+    return out
 
 
 class Ar1Field:
@@ -70,10 +82,13 @@ class Ar1Field:
         self.decorrelation = decorrelation
         self.values = std * rng.standard_normal(n)
 
-    def advance(self, displacement, rng):
+    def advance(self, displacement, noise):
+        """Values after each cycle of a block, given the distance each link
+        moved [b x n] and one standard normal per link [b x n] per cycle."""
         a = np.exp(-np.asarray(displacement, dtype=float) / self.decorrelation)
-        noise = rng.standard_normal(self.values.shape)
-        self.values = a * self.values + np.sqrt(1.0 - a**2) * self.std * noise
+        out = _recur(a, np.sqrt(1.0 - a**2) * self.std * noise, self.values)
+        self.values = out[-1].copy()
+        return out
 
 
 class ComplexAr1:
@@ -81,11 +96,15 @@ class ComplexAr1:
 
     def __init__(self, shape, rho, rng):
         self.rho = rho
-        self.values = _complex_normal(rng, shape)
+        self.values = _complex_normal(*rng.standard_normal((2,) + shape))
 
-    def advance(self, rng):
-        self.values = (self.rho * self.values
-                       + np.sqrt(1.0 - self.rho**2) * _complex_normal(rng, self.values.shape))
+    def advance(self, noise):
+        """Values after each cycle of a block, given per cycle the standard
+        normals of the real and then the imaginary parts [b x 2 x shape]."""
+        out = _recur([self.rho] * len(noise), np.sqrt(1.0 - self.rho**2)
+                     * _complex_normal(noise[:, 0], noise[:, 1]), self.values)
+        self.values = out[-1].copy()
+        return out
 
 
 def los_specular(k_linear, los_phase):

@@ -84,6 +84,15 @@ VICTIM = 0
 # leading share of the trace whose mean true power sets the estimation
 # noise level (a train-prefix statistic)
 NOISE_REF_FRACTION = 0.7
+# cycles per pass-1 block: the block's draws become states at once, and its
+# buffers stay small next to the trace's own arrays (at 250 the peak
+# allocation of a desk trace is that of pass 2)
+BLOCK = 250
+
+
+def _look_power(fading):
+    """Summed power of the fading looks [... x looks] of each link."""
+    return np.add.reduce(np.abs(fading) ** 2, axis=-1)
 
 
 def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
@@ -94,16 +103,22 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     channel_params.est_noise_fraction times the mean true power over the
     leading NOISE_REF_FRACTION of the trace.
 
-    The cycles run in two passes.  Pass 1 steps through them one at a time
-    and does only the work that draws from the trace's generator: rdmm
-    mobility, the shadowing, soft-LOS and fading advances and the traffic.
-    It also sums the fading looks' powers per link, so that the per-cycle
-    fading state need not be kept.  Every draw happens in pass 1, in the
-    order of a cycle-by-cycle simulation, so the stream and the trace do
-    not depend on the split.  Alley positions draw nothing and are computed
-    up front.  Pass 2 computes the rest for all cycles at once: path loss,
-    shadowing and soft-LOS transforms, link gains, the TDD misalignment and
-    the slot sums.
+    The cycles run in two passes.  Pass 1 makes every draw from the trace's
+    generator, in the order of a cycle-by-cycle simulation, so the stream
+    and the trace do not depend on how the cycles are grouped.  It runs in
+    blocks of BLOCK cycles.  Per cycle it makes only the draws: the rdmm
+    mobility step, then one standard-normal fill of a row holding all of
+    the cycle's normals (shadowing LOS, shadowing NLOS, soft-LOS latent,
+    then the LOS and NLOS fading, real parts before imaginary), then one
+    uniform fill of a row holding its traffic uniforms (push starts, push
+    stops, then the Bern(eta) draws).  A fill equals the consecutive
+    smaller draws it replaces.  Cycle 0 keeps the initial states and draws
+    only its Bern(eta) uniforms.  Per block, the rows become states at once:
+    the shadowing, latent and fading recursions, the fading looks' power
+    sums per link and the push bursts.  Alley positions draw nothing and
+    are computed up front.  Pass 2 computes the rest for all cycles at
+    once: path loss, shadowing and soft-LOS transforms, link gains, the TDD
+    misalignment and the slot sums.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -145,15 +160,24 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     # drifts by schedule_drift slots per TX cycle
     clock_offset = rng.uniform(0.0, n_slots, n_int)
 
-    # ---- pass 1: every draw, cycle by cycle
+    # ---- pass 1: every draw, cycle by cycle; the states, block by block
     # centers of the interferers, then the victim, per cycle
     members = np.append(intf, VICTIM)
-    if mobility == "alley":
-        centers = alley_positions(state, deployment.speed, dt, n_cycles)[:, members]
-        rels, mids = _link_motion(np.diff(centers, axis=0))
-    else:
+    rdmm = mobility != "alley"
+    if rdmm:
         centers = np.empty((n_cycles, n_int + 1, 2))
         centers[0] = state.positions[members]
+    else:
+        centers = alley_positions(state, deployment.speed, dt, n_cycles)[:, members]
+    # per-block buffers: one row of normals and one of uniforms per cycle,
+    # laid out as the docstring states
+    n_shadow = n_int if channel_params.shadowing else 0
+    fade_shape = (2, n_int, n_sa, looks)
+    n_fade = 2 * n_int * n_sa * looks if channel_params.fading else 0
+    normal_cuts = np.cumsum([n_shadow, n_shadow, n_int, n_fade])
+    normals = np.empty((BLOCK, normal_cuts[-1] + n_fade))
+    n_push = 2 * n_int * traffic_proc.n_push
+    uniforms = np.empty((BLOCK, n_push + n_int * n_slots))
     sh_los_db = np.empty((n_cycles, n_int))
     sh_nlos_db = np.empty((n_cycles, n_int))
     latent = np.empty((n_cycles, n_int))
@@ -161,31 +185,46 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     h_nlos_sum = np.empty((n_cycles, n_int, n_sa))
     chi = np.empty((n_cycles, n_int, n_slots), dtype=bool)
 
-    for t in range(n_cycles):
-        if t > 0:
-            if mobility == "alley":
-                rel, mid = rels[t - 1], mids[t - 1]
-            else:
+    def block_states(start, stop):
+        """Turn the rows of draws of cycles [start, stop) into their states."""
+        b = stop - start
+        rel, mid = _link_motion(centers[start:stop] - centers[start - 1:stop - 1])
+        sh_los, sh_nlos, lat, f_los, f_nlos = np.split(normals[:b], normal_cuts,
+                                                       axis=1)
+        if channel_params.shadowing:
+            sh_los_db[start:stop] = shadow_los.advance(rel, sh_los)
+            sh_nlos_db[start:stop] = shadow_nlos.advance(rel, sh_nlos)
+        latent[start:stop] = psi_latent.advance(mid, lat)
+        if channel_params.fading:
+            h_los_sum[start:stop] = _look_power(ch.rician(
+                fade_los.advance(f_los.reshape((b,) + fade_shape)), k_lin, specular))
+            h_nlos_sum[start:stop] = _look_power(
+                fade_nlos.advance(f_nlos.reshape((b,) + fade_shape)))
+        activity = traffic_proc.step(
+            uniforms[:b, :n_push].reshape(b, 2, n_int, traffic_proc.n_push))
+        chi[start:stop] = traffic_proc.sample_own_slots(
+            activity, uniforms[:b, n_push:].reshape(b, n_int, n_slots))[0]
+
+    chi[0], owner = traffic_proc.sample_own_slots(
+        traffic_proc.activity,
+        rng.random(out=uniforms[0, n_push:]).reshape(n_int, n_slots))
+    sh_los_db[0] = shadow_los.values
+    sh_nlos_db[0] = shadow_nlos.values
+    latent[0] = psi_latent.values
+    if channel_params.fading:
+        h_los_sum[0] = _look_power(ch.rician(fade_los.values, k_lin, specular))
+        h_nlos_sum[0] = _look_power(fade_nlos.values)
+    for start in range(1, n_cycles, BLOCK):
+        stop = min(start + BLOCK, n_cycles)
+        for i in range(stop - start):
+            if rdmm:
                 state = step_mobility(state, deployment.speed, dt,
                                       deployment.min_distance, rng)
-                centers[t] = state.positions[members]
-                rel, mid = _link_motion(centers[t] - centers[t - 1])
-            if channel_params.shadowing:
-                shadow_los.advance(rel, rng)
-                shadow_nlos.advance(rel, rng)
-            psi_latent.advance(mid, rng)
-            if channel_params.fading:
-                fade_los.advance(rng)
-                fade_nlos.advance(rng)
-            traffic_proc.step(rng)
-        chi[t], owner = traffic_proc.sample_own_slots(rng, n_slots)
-        sh_los_db[t] = shadow_los.values
-        sh_nlos_db[t] = shadow_nlos.values
-        latent[t] = psi_latent.values
-        if channel_params.fading:
-            h_los_sum[t] = np.add.reduce(
-                np.abs(ch.rician(fade_los.values, k_lin, specular)) ** 2, axis=2)
-            h_nlos_sum[t] = np.add.reduce(np.abs(fade_nlos.values) ** 2, axis=2)
+                centers[start + i] = state.positions[members]
+            rng.standard_normal(out=normals[i])
+            rng.random(out=uniforms[i])
+        block_states(start, stop)
+    del normals, uniforms
 
     # ---- pass 2: per-link gains toward every SA position of each
     # interferer, for all cycles at once

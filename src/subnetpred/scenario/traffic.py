@@ -35,41 +35,57 @@ def push_stop_probability(model, dt):
 
 
 class TrafficProcess:
-    """Stateful per-sub-network traffic with persistent push bursts."""
+    """Stateful per-sub-network traffic with persistent push bursts.
+
+    step and sample_own_slots work on a block of TX cycles at once, from
+    uniforms drawn beforehand: per cycle, n_sn x n_push push-start and as
+    many push-stop uniforms (n_push is 0 for bernoulli), then n_sn x n_slots
+    Bern(eta) uniforms.
+    """
 
     def __init__(self, model, n_sn, n_sa, dt, rng):
         self.model = model
-        self.n_sn = n_sn
         self.n_sa = n_sa
+        self.n_push = n_sa - model.n_reserved if model.variant == "push-pull" else 0
         self.start = push_start_probability(model, dt)
         self.stop = push_stop_probability(model, dt)
         self.activity = np.zeros((n_sn, n_sa), dtype=bool)
-        if model.variant == "push-pull":
+        if self.n_push:
             duty = self.start / max(self.start + self.stop, 1e-12)
             self.activity[:, model.n_reserved:] = (
-                rng.random((n_sn, n_sa - model.n_reserved)) < duty)
+                rng.random((n_sn, self.n_push)) < duty)
 
-    def step(self, rng):
-        """Advance burst states by one TX cycle."""
-        if self.model.variant != "push-pull":
-            return
+    def step(self, uniforms):
+        """Burst states [b x n_sn x n_sa] after each cycle of a block, given
+        the cycles' push-start and push-stop uniforms [b x 2 x n_sn x n_push].
+        """
+        shape = (len(uniforms),) + self.activity.shape
+        if not self.n_push:
+            return np.broadcast_to(self.activity, shape)
+        starts = uniforms[:, 0] < self.start
+        stays = ~(uniforms[:, 1] < self.stop)
+        out = np.zeros(shape, dtype=bool)
         push = self.activity[:, self.model.n_reserved:]
-        starts = rng.random(push.shape) < self.start
-        stops = rng.random(push.shape) < self.stop
-        self.activity[:, self.model.n_reserved:] = np.where(push, ~stops, starts)
+        for t in range(len(uniforms)):
+            push = out[t, :, self.model.n_reserved:] = np.where(push, stays[t],
+                                                                starts[t])
+        self.activity = out[-1]
+        return out
 
-    def sample_own_slots(self, rng, n_slots):
+    def sample_own_slots(self, activity, uniforms):
         """Occupancy and owner of each sub-network's own slot grid.
 
-        Returns (chi [n_sn x n_slots], owner [n_slots]).  Slot k belongs to
-        SA pair k mod n_sa (pull pairs first); a slot carries a
-        transmission when its owner is scheduled (always, for bernoulli and
-        pull; during a task burst, for push) and the Bern(eta) draw passes.
+        Given the burst states [b x n_sn x n_sa] of a block of cycles (step)
+        and their Bern(eta) uniforms [b x n_sn x n_slots], returns
+        (chi [b x n_sn x n_slots], owner [n_slots]).  Slot k belongs to SA
+        pair k mod n_sa (pull pairs first); a slot carries a transmission
+        when its owner is scheduled (always, for bernoulli and pull; during
+        a task burst, for push) and the Bern(eta) draw passes.
         """
-        owner = np.arange(n_slots) % self.n_sa
-        passed = rng.random((self.n_sn, n_slots)) < self.model.eta
+        owner = np.arange(uniforms.shape[-1]) % self.n_sa
+        passed = uniforms < self.model.eta
         if self.model.variant == "bernoulli":
             return passed, owner
-        scheduled = self.activity[:, owner]
-        scheduled[:, :self.model.n_reserved] = True
+        scheduled = activity[..., owner]
+        scheduled[..., :self.model.n_reserved] = True
         return scheduled & passed, owner

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class DegenerateSeriesError(ValueError):
@@ -85,12 +86,13 @@ class NormalizationParams:
 class WindowedDataset:
     """Sliding-window instances with contiguous train/cal/test partitions.
 
-    inputs:  [L x window x n_series]
+    series:  [T x n_series], held once and read-only
+    inputs:  [L x window x n_series], L = T - window
     labels:  [L x n_series], label j is the sample right after window j
+    inputs and labels are read-only views into series.
     """
 
-    inputs: np.ndarray
-    labels: np.ndarray
+    series: np.ndarray
     window: int
     n_train: int
     n_cal: int
@@ -99,15 +101,25 @@ class WindowedDataset:
     norm: NormalizationParams | None = None
 
     def __post_init__(self):
+        self.series.flags.writeable = False
         total = self.n_train + self.n_cal + self.n_test
-        if total != self.inputs.shape[0]:
+        if total != self.series.shape[0] - self.window:
             raise ValueError("partition sizes must cover all instances")
         if self.n_train <= 0:
             raise ValueError("train partition must be non-empty")
 
     @property
+    def inputs(self):
+        return sliding_window_view(self.series[:-1], self.window,
+                                   axis=0).transpose(0, 2, 1)
+
+    @property
+    def labels(self):
+        return self.series[self.window:]
+
+    @property
     def n_series(self):
-        return self.inputs.shape[2]
+        return self.series.shape[1]
 
     def _block(self, start, size):
         sl = slice(start, start + size)
@@ -144,10 +156,7 @@ def restructure(series_matrix, window, n_cal, n_test):
     n_inst = total - window
     if n_inst < n_cal + n_test + 1:
         raise ValueError("trace too short for the requested partition sizes")
-    idx = np.arange(window)[None, :] + np.arange(n_inst)[:, None]
-    inputs = mat.T[idx]                       # [L x window x n_series]
-    labels = mat[:, window:].T.copy()         # [L x n_series]
-    return WindowedDataset(inputs=inputs, labels=labels, window=window,
+    return WindowedDataset(series=mat.T.copy(), window=window,
                            n_train=n_inst - n_cal - n_test, n_cal=n_cal,
                            n_test=n_test)
 
@@ -155,30 +164,28 @@ def restructure(series_matrix, window, n_cal, n_test):
 def normalize(dataset):
     """Min-max normalize per series using train-partition statistics only.
 
+    The train windows and labels cover the first n_train + window samples.
     Returns a new dataset plus the affine parameters; degenerate series
     (min == max) fall back to unit scale so the map stays invertible.
     """
-    tx, ty = dataset.train()
-    lo = np.minimum(tx.min(axis=(0, 1)), ty.min(axis=0))
-    hi = np.maximum(tx.max(axis=(0, 1)), ty.max(axis=0))
-    scale = hi - lo
+    train = dataset.series[:dataset.n_train + dataset.window]
+    lo = train.min(axis=0)
+    scale = train.max(axis=0) - lo
     scale = np.where(scale > 0, scale, 1.0)
     norm = NormalizationParams(offset=lo, scale=scale)
-    out = WindowedDataset(
-        inputs=norm.apply(dataset.inputs), labels=norm.apply(dataset.labels),
-        window=dataset.window, n_train=dataset.n_train, n_cal=dataset.n_cal,
-        n_test=dataset.n_test, threshold=dataset.threshold, norm=norm)
-    return out
+    return WindowedDataset(
+        series=norm.apply(dataset.series), window=dataset.window,
+        n_train=dataset.n_train, n_cal=dataset.n_cal, n_test=dataset.n_test,
+        threshold=dataset.threshold, norm=norm)
 
 
 def save_dataset(dataset, stem):
-    """Write inputs+labels as one flat float64 blob with a JSON manifest."""
+    """Write the [T x n_series] series as a flat float64 blob with a JSON
+    manifest; the instances are rebuilt from it on load."""
     stem = Path(stem)
-    blob = np.concatenate([dataset.inputs.ravel(), dataset.labels.ravel()])
-    blob.astype("<f8").tofile(stem.with_suffix(".bin"))
+    dataset.series.astype("<f8").tofile(stem.with_suffix(".bin"))
     manifest = {
-        "inputs_shape": list(dataset.inputs.shape),
-        "labels_shape": list(dataset.labels.shape),
+        "series_shape": list(dataset.series.shape),
         "window": dataset.window,
         "threshold": dataset.threshold,
         "partitions": {"train": dataset.n_train, "cal": dataset.n_cal,
@@ -198,19 +205,14 @@ def load_dataset(stem):
     stem = Path(stem)
     with open(stem.with_suffix(".json"), encoding="utf-8") as fh:
         manifest = json.load(fh)
-    blob = np.fromfile(stem.with_suffix(".bin"), dtype=manifest["dtype"])
-    xs = manifest["inputs_shape"]
-    ys = manifest["labels_shape"]
-    nx = int(np.prod(xs))
-    inputs = blob[:nx].reshape(xs)
-    labels = blob[nx:].reshape(ys)
+    series = np.fromfile(stem.with_suffix(".bin"), dtype=manifest["dtype"])
     norm = None
     if "normalization" in manifest:
         norm = NormalizationParams(
             offset=np.array(manifest["normalization"]["offset"]),
             scale=np.array(manifest["normalization"]["scale"]))
     parts = manifest["partitions"]
-    return WindowedDataset(inputs=inputs, labels=labels,
+    return WindowedDataset(series=series.reshape(manifest["series_shape"]),
                            window=manifest["window"],
                            n_train=parts["train"], n_cal=parts["cal"],
                            n_test=parts["test"],

@@ -6,8 +6,10 @@ overhead.  Each must give the same bits as the plain formula kept here as
 its reference, so that results, checkpoints and loss curves do not depend
 on the fast form.  The Adam step is pinned to its textbook form the same
 way, for any later rewrite of it.  The same holds
-for the interference simulator: its two-pass form must give the traces of
-the cycle-by-cycle loop with scalar mobility kernels kept here.
+for the interference simulator: its two-pass form, with pass 1 in blocks,
+must give the traces of the cycle-by-cycle loop with the scalar mobility
+kernels and per-cycle channel and traffic updates kept here, and one
+generator fill must give the draws of the smaller calls it replaces.
 """
 
 from dataclasses import replace
@@ -24,9 +26,10 @@ from subnetpred.scenario import channel as ch
 from subnetpred.scenario.deploy import MobilityState, deploy, disc_offsets
 from subnetpred.scenario.mobility import (alley_positions, build_alley_layout,
                                           deploy_alley, step_mobility)
-from subnetpred.scenario.simulate import (interferer_set, simulate_trace,
+from subnetpred.scenario.simulate import (BLOCK, interferer_set, simulate_trace,
                                           subband_assignment)
-from subnetpred.scenario.traffic import TrafficProcess
+from subnetpred.scenario.traffic import (push_start_probability,
+                                         push_stop_probability)
 from subnetpred.tailcal import (CalibratedTail, ConformalRecord, GpdTail,
                                 calibrated_quantile, gpd_quantile)
 
@@ -543,14 +546,38 @@ def ref_step_alley(state, speed, dt):
     return replace(state, positions=positions, headings=headings, arc_positions=arc)
 
 
-def ref_sample_own_slots(proc, rng, n_slots):
-    owner = np.arange(n_slots) % proc.n_sa
-    if proc.model.variant == "bernoulli":
-        scheduled = np.ones((proc.n_sn, n_slots), dtype=bool)
+def ref_ar1_advance(values, std, decorrelation, displacement, rng):
+    a = np.exp(-np.asarray(displacement, dtype=float) / decorrelation)
+    noise = rng.standard_normal(values.shape)
+    return a * values + np.sqrt(1.0 - a**2) * std * noise
+
+
+def ref_complex_normal(rng, shape):
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
+
+
+def ref_complex_advance(values, rho, rng):
+    return rho * values + np.sqrt(1.0 - rho**2) * ref_complex_normal(rng, values.shape)
+
+
+def ref_traffic_step(traffic, activity, start, stop, rng):
+    if traffic.variant != "push-pull":
+        return
+    push = activity[:, traffic.n_reserved:]
+    starts = rng.random(push.shape) < start
+    stops = rng.random(push.shape) < stop
+    activity[:, traffic.n_reserved:] = np.where(push, ~stops, starts)
+
+
+def ref_sample_own_slots(traffic, activity, rng, n_slots):
+    n_sn, n_sa = activity.shape
+    owner = np.arange(n_slots) % n_sa
+    if traffic.variant == "bernoulli":
+        scheduled = np.ones((n_sn, n_slots), dtype=bool)
     else:
-        scheduled = proc.activity[:, owner].copy()
-        scheduled[:, np.arange(n_slots) < proc.model.n_reserved] = True
-    return scheduled & (rng.random((proc.n_sn, n_slots)) < proc.model.eta), owner
+        scheduled = activity[:, owner].copy()
+        scheduled[:, np.arange(n_slots) < traffic.n_reserved] = True
+    return scheduled & (rng.random((n_sn, n_slots)) < traffic.eta), owner
 
 
 def ref_simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
@@ -569,16 +596,22 @@ def ref_simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     n_int = intf.size
     k_lin = ch.db_to_linear(channel_params.rician_k_db)
     rho_f = ch.fading_coefficient(channel_params.doppler_hz, dt)
-    shadow_los = ch.Ar1Field(n_int, channel_params.shadow_std_los_db,
-                             channel_params.decorrelation_distance, rng)
-    shadow_nlos = ch.Ar1Field(n_int, channel_params.shadow_std_nlos_db,
-                              channel_params.decorrelation_distance, rng)
-    psi_latent = ch.Ar1Field(n_int, 1.0, channel_params.decorrelation_distance, rng)
+    dcorr = channel_params.decorrelation_distance
+    std_los, std_nlos = channel_params.shadow_std_los_db, channel_params.shadow_std_nlos_db
+    shadow_los = std_los * rng.standard_normal(n_int)
+    shadow_nlos = std_nlos * rng.standard_normal(n_int)
+    psi_latent = 1.0 * rng.standard_normal(n_int)
     looks = channel_params.est_looks
-    fade_los = ch.ComplexAr1((n_int, n_sa, looks), rho_f, rng)
-    fade_nlos = ch.ComplexAr1((n_int, n_sa, looks), rho_f, rng)
+    fade_los = ref_complex_normal(rng, (n_int, n_sa, looks))
+    fade_nlos = ref_complex_normal(rng, (n_int, n_sa, looks))
     los_phase = rng.uniform(0.0, 2.0 * np.pi, (n_int, n_sa, looks))
-    traffic_proc = TrafficProcess(traffic, n_int, n_sa, dt, rng)
+    start = push_start_probability(traffic, dt)
+    stop = push_stop_probability(traffic, dt)
+    activity = np.zeros((n_int, n_sa), dtype=bool)
+    if traffic.variant == "push-pull":
+        duty = start / max(start + stop, 1e-12)
+        activity[:, traffic.n_reserved:] = (
+            rng.random((n_int, n_sa - traffic.n_reserved)) < duty)
     clock_offset = rng.uniform(0.0, n_slots, n_int)
 
     true_power = np.zeros((n_sa, n_cycles))
@@ -597,14 +630,14 @@ def ref_simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
             mid = np.linalg.norm((delta[intf] + delta[victim]) / 2.0, axis=1)
             prev_positions = state.positions.copy()
             if channel_params.shadowing:
-                shadow_los.advance(rel, rng)
-                shadow_nlos.advance(rel, rng)
-            psi_latent.advance(mid, rng)
+                shadow_los = ref_ar1_advance(shadow_los, std_los, dcorr, rel, rng)
+                shadow_nlos = ref_ar1_advance(shadow_nlos, std_nlos, dcorr, rel, rng)
+            psi_latent = ref_ar1_advance(psi_latent, 1.0, dcorr, mid, rng)
             if channel_params.fading:
-                fade_los.advance(rng)
-                fade_nlos.advance(rng)
-            traffic_proc.step(rng)
-        chi, owner = ref_sample_own_slots(traffic_proc, rng, n_slots)
+                fade_los = ref_complex_advance(fade_los, rho_f, rng)
+                fade_nlos = ref_complex_advance(fade_nlos, rho_f, rng)
+            ref_traffic_step(traffic, activity, start, stop, rng)
+        chi, owner = ref_sample_own_slots(traffic, activity, rng, n_slots)
 
         tx_pos = state.positions[intf, None, :] + state.offsets[intf]
         dist = np.linalg.norm(tx_pos - state.positions[victim], axis=-1)
@@ -612,18 +645,18 @@ def ref_simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
         pl_nlos = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=False))
         if channel_params.fading:
             h_los = (np.sqrt(k_lin / (k_lin + 1.0)) * np.exp(1j * los_phase)
-                     + np.sqrt(1.0 / (k_lin + 1.0)) * fade_los.values)
+                     + np.sqrt(1.0 / (k_lin + 1.0)) * fade_los)
             h_los_sq = (np.abs(h_los) ** 2).mean(axis=2)
-            h_nlos_sq = (np.abs(fade_nlos.values) ** 2).mean(axis=2)
-            psi = ch.soft_los_weight(psi_latent.values
+            h_nlos_sq = (np.abs(fade_nlos) ** 2).mean(axis=2)
+            psi = ch.soft_los_weight(psi_latent
                                      + channel_params.soft_los_bias)[:, None]
         else:
             h_los_sq = np.ones((n_int, n_sa))
             h_nlos_sq = np.ones((n_int, n_sa))
             psi = np.ones((n_int, 1))
         if channel_params.shadowing:
-            sh_los = ch.db_to_linear(shadow_los.values)[:, None]
-            sh_nlos = ch.db_to_linear(shadow_nlos.values)[:, None]
+            sh_los = ch.db_to_linear(shadow_los)[:, None]
+            sh_nlos = ch.db_to_linear(shadow_nlos)[:, None]
         else:
             sh_los = sh_nlos = np.ones((n_int, 1))
         gain = ch.channel_gain(psi, h_los_sq, h_nlos_sq, pl_los, pl_nlos,
@@ -675,6 +708,11 @@ SIM_CASES = {
     "one-slot-nine-interferers": {"deployment": {"sa_pairs_per_sn": 1, "n_subbands": 1,
                                                  "interferer_set_size": 10}},
     "crowded": {"deployment": CROWDED, "traffic": PUSH_PULL},
+    # pass 1 runs in blocks of BLOCK cycles after cycle 0
+    **{f"{name}-{n}-cycles": {"n_cycles": n, **case}
+       for n in (BLOCK, BLOCK + 1, 2 * BLOCK + 3)
+       for name, case in (("rdmm-push-pull", {"traffic": PUSH_PULL}),
+                          ("alley-bernoulli", {"mobility": "alley"}))},
 }
 
 
@@ -699,6 +737,20 @@ def test_simulate_trace_matches_cycle_by_cycle_reference(name):
     assert got.true_power.flags.c_contiguous and got.est_power.flags.c_contiguous
     if name == "crowded":
         assert hits["retry"] > 0 and hits["exhausted"] > 0
+
+
+@pytest.mark.parametrize("sizes", [(1,), (3, 1, 7), (40_000, 1, 60_001, 17)])
+def test_one_fill_equals_the_consecutive_draws_it_replaces(sizes):
+    """simulate_trace draws each cycle's normals, and then its uniforms,
+    with one fill each; the stream must equal the smaller draws in a row.
+    The 10^5 normals take the ziggurat's rejection path many times."""
+    for fill in ("standard_normal", "random"):
+        rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+        row = np.empty(sum(sizes))
+        getattr(rng, fill)(out=row)
+        want = np.concatenate([getattr(ref_rng, fill)(n) for n in sizes])
+        assert np.array_equal(row, want)
+        assert rng.random() == ref_rng.random()     # the states stay in step
 
 
 def test_rdmm_step_matches_scalar_reference_through_collisions():

@@ -434,6 +434,21 @@ def test_sweep_and_report_round_trip(tmp_path):
     assert all(row["n_runs"] == 2 for row in merged)
 
 
+@pytest.mark.parametrize("axis,values,named", [
+    ("m", ",", "got no values"),
+    ("m", "four", "cannot take 'four'"),
+    ("m", "2,0", "cannot take '0'"),
+    ("eps_target", "1e-5,abc", "cannot take 'abc'"),
+    ("eps_target", "0.7", "cannot take '0.7'"),
+])
+def test_sweep_rejects_bad_values_before_any_point_runs(tmp_path, capsys, axis,
+                                                        values, named):
+    assert main(["sweep", "--preset", "tiny", "--seed", "0", "--axis", axis,
+                 "--values", values, "--out", str(tmp_path / "sweep")]) == EXIT_CONFIG
+    assert f"config error: sweep axis {axis!r} {named}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/results.csv"))
+
+
 def test_report_single_run_passthrough(tmp_path):
     run_pipeline(smoke_spec(seed=10), tmp_path / "solo")
     merged, _ = report(tmp_path)

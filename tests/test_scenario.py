@@ -111,7 +111,7 @@ def test_bernoulli_certain_transmission():
     model = TrafficModel(variant="bernoulli", eta=1.0)
     rng = np.random.default_rng(0)
     proc = TrafficProcess(model, n_sn=8, n_sa=4, dt=1e-3, rng=rng)
-    chi, owner = proc.sample_own_slots(rng, n_slots=6)
+    chi, owner = proc.sample_own_slots(proc.activity, rng.random((8, 6)))
     assert chi.shape == (8, 6) and chi.all()
     assert owner.tolist() == [0, 1, 2, 3, 0, 1]   # round-robin slot owners
 
@@ -120,7 +120,7 @@ def test_bernoulli_empirical_rate():
     model = TrafficModel(variant="bernoulli", eta=0.9)
     rng = np.random.default_rng(1)
     proc = TrafficProcess(model, n_sn=25000, n_sa=4, dt=1e-3, rng=rng)
-    chi, _ = proc.sample_own_slots(rng, 4)
+    chi, _ = proc.sample_own_slots(proc.activity, rng.random((25000, 4)))
     n = chi.size
     sigma = np.sqrt(0.9 * 0.1 / n)
     assert n == 100000
@@ -132,7 +132,7 @@ def test_push_pull_reserved_slots_map_to_pull_pairs():
                          n_reserved=2)
     rng = np.random.default_rng(2)
     proc = TrafficProcess(model, n_sn=10, n_sa=6, dt=1e-3, rng=rng)
-    chi, owner = proc.sample_own_slots(rng, n_slots=6)
+    chi, owner = proc.sample_own_slots(proc.activity, rng.random((10, 6)))
     assert owner[:2].tolist() == [0, 1]
     assert chi[:, :2].all()                      # eta=1, pull always on
     assert np.all(owner[2:] >= 2)                # push slots avoid pull pairs
@@ -147,10 +147,9 @@ def test_push_burst_duty_cycle_matches_equilibrium():
                          n_reserved=2, burst_duration_s=0.2)
     rng = np.random.default_rng(3)
     proc = TrafficProcess(model, n_sn=200, n_sa=6, dt=1e-3, rng=rng)
-    duties = []
-    for _ in range(3000):
-        proc.step(rng)
-        duties.append(proc.activity[:, 2:].mean())
+    activity = proc.step(rng.random((3000, 2, 200, 4)))
+    assert np.array_equal(proc.activity, activity[-1])
+    duties = activity[:, :, 2:].mean(axis=(1, 2))
     start = push_start_probability(model, 1e-3)
     stop = push_stop_probability(model, 1e-3)
     expect = start / (start + stop)
@@ -195,10 +194,7 @@ def test_fading_power_autocorrelation_matches_coefficient():
     rng = np.random.default_rng(7)
     proc = ComplexAr1((1,), rho, rng)
     n = 100000
-    vals = np.empty(n)
-    for i in range(n):
-        proc.advance(rng)
-        vals[i] = np.abs(proc.values[0]) ** 2
+    vals = np.abs(proc.advance(rng.standard_normal((n, 2, 1)))[:, 0]) ** 2
     a, b = vals[:-1], vals[1:]
     corr = np.corrcoef(a, b)[0, 1]
     assert corr == pytest.approx(rho**2, abs=0.05)
@@ -211,7 +207,7 @@ def test_shadowing_increment_matches_gudmundson_structure():
     field = Ar1Field(20000, sigma, dcorr, rng)
     before = field.values.copy()
     delta = 0.1 * dcorr
-    field.advance(np.full(20000, delta), rng)
+    field.advance(np.full((1, 20000), delta), rng.standard_normal((1, 20000)))
     rms = np.sqrt(np.mean((field.values - before) ** 2))
     expect = np.sqrt(2 * sigma**2 * (1 - np.exp(-delta / dcorr)))
     assert rms == pytest.approx(expect, rel=0.03)
@@ -223,7 +219,7 @@ def test_shadowing_small_step_continuity():
     sigma, dcorr = 4.0, 10.0
     field = Ar1Field(20000, sigma, dcorr, rng)
     before = field.values.copy()
-    field.advance(np.full(20000, 0.002), rng)
+    field.advance(np.full((1, 20000), 0.002), rng.standard_normal((1, 20000)))
     rms = np.sqrt(np.mean((field.values - before) ** 2))
     assert rms < 0.12       # analytic value 0.080 dB at 2 mm
     assert rms == pytest.approx(np.sqrt(2 * sigma**2 * (1 - np.exp(-0.0002))),

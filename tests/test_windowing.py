@@ -129,12 +129,28 @@ def test_normalize_round_trip_identity():
     assert np.abs(back - ds.labels).max() < 1e-12
 
 
+def test_instances_are_read_only_views_of_the_series():
+    mat = np.random.default_rng(12).standard_normal((3, 40))
+    ds = restructure(mat, window=6, n_cal=5, n_test=5)
+    idx = np.arange(6)[None, :] + np.arange(34)[:, None]
+    normed = normalize(ds)
+    for got, source in ((ds, mat), (normed, normed.norm.apply(mat.T).T)):
+        assert np.array_equal(got.inputs, source.T[idx])       # [L x window x M]
+        assert np.array_equal(got.labels, source[:, 6:].T)
+        for arr in (got.inputs, got.labels, *got.train(), *got.test()):
+            assert np.shares_memory(arr, got.series)
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+
 def test_dataset_serialization_round_trip(tmp_path):
     mat = np.random.default_rng(11).standard_normal((2, 50))
     ds = normalize(restructure(mat, window=3, n_cal=6, n_test=6))
     ds.threshold = 0.75
     save_dataset(ds, tmp_path / "ds")
+    assert (tmp_path / "ds.bin").stat().st_size == 8 * 50 * 2    # T x M floats
     back = load_dataset(tmp_path / "ds")
+    assert np.array_equal(back.series, ds.series)
     assert np.array_equal(back.inputs, ds.inputs)
     assert np.array_equal(back.labels, ds.labels)
     assert back.window == ds.window and back.threshold == 0.75

@@ -50,6 +50,8 @@ class DeploymentConfig:
             raise ConfigError("sn_radius must be positive")
         if self.min_distance < 0 or self.speed < 0:
             raise ConfigError("min_distance and speed must be non-negative")
+        if len(self.area) != 2:
+            raise ConfigError(f"area takes exactly two sides, got {self.area}")
         if self.area[0] <= 0 or self.area[1] <= 0:
             raise ConfigError("area sides must be positive")
         if self.tx_cycle_duration <= 0:
@@ -199,6 +201,8 @@ class ExperimentSpec:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1]")
+        if not self.eps_targets:
+            raise ConfigError("eps_targets must not be empty")
         if not all(0.0 < eps <= 0.5 for eps in self.eps_targets):
             raise ConfigError(f"eps_targets {self.eps_targets} must lie in (0, 0.5]")
         if (self.traffic.variant == "push-pull"
@@ -262,18 +266,22 @@ _WIRED_KEYS = {
 }
 
 
-def _coerce(raw, kind):
-    if kind is bool:
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"expected boolean, got {raw!r}")
-    if kind is tuple:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
-    if kind is str:
-        return raw
-    return kind(raw)
+_BOOLS = {"true": True, "1": True, "yes": True,
+          "false": False, "0": False, "no": False}
+
+
+def _coerce(key, raw, kind):
+    try:
+        if kind is bool:
+            return _BOOLS[raw.lower()]
+        if kind is tuple:
+            return tuple(float(tok) for tok in raw.replace(",", " ").split())
+        if kind is str:
+            return raw
+        return kind(raw)
+    except (KeyError, ValueError) as err:
+        raise ConfigError(f"{key} = {raw!r} is not a valid "
+                          f"{kind.__name__}") from err
 
 
 def parse_config_text(text, preset="desk", seed=None):
@@ -304,11 +312,12 @@ def parse_config_text(text, preset="desk", seed=None):
             current = getattr(spec, section)
             if attr not in {f.name for f in fields(current)}:
                 raise ConfigError(f"unknown key {key!r}")
-            section_updates[section][attr] = _coerce(raw, type(getattr(current, attr)))
+            section_updates[section][attr] = _coerce(
+                key, raw, type(getattr(current, attr)))
         else:
             if key not in _SPEC_KEYS:
                 raise ConfigError(f"unknown key {key!r}")
-            spec_updates[key] = _coerce(raw, type(getattr(spec, key)))
+            spec_updates[key] = _coerce(key, raw, type(getattr(spec, key)))
     for name, updates in section_updates.items():
         if updates:
             spec_updates[name] = replace(getattr(spec, name), **updates)
@@ -319,8 +328,13 @@ def parse_config_text(text, preset="desk", seed=None):
 
 
 def load_config(path, preset="desk", seed=None):
-    return parse_config_text(Path(path).read_text(encoding="utf-8"),
-                             preset=preset, seed=seed)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as err:                  # the message names the path
+        raise ConfigError(f"cannot read config file: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"cannot read config file {path}: {err}") from err
+    return parse_config_text(text, preset=preset, seed=seed)
 
 
 def spec_to_dict(spec):

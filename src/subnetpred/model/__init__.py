@@ -1,18 +1,16 @@
 from .baselines import levinson_durbin, moving_average_predict, wiener_predict
 from .losses import pinball_grad, pinball_loss
-from .network import (backward, count_params, forward, forward_flops,
-                      init_params, load_checkpoint, param_names, predict,
-                      save_checkpoint)
+from .network import (backward, forward, forward_flops, init_params,
+                      load_checkpoint, param_names, predict, save_checkpoint)
 from .optim import Adam, DropoutMasks, tagged_rng
-from .train import (TrainingDivergedError, TrainResult, batch_schedule, lr_at,
-                    train)
+from .train import TrainingDivergedError, batch_schedule, lr_at, train
 
 __all__ = [
     "forward", "backward", "predict", "init_params", "param_names",
-    "forward_flops", "count_params",
+    "forward_flops",
     "save_checkpoint", "load_checkpoint",
     "pinball_loss", "pinball_grad",
     "Adam", "DropoutMasks", "tagged_rng",
-    "train", "TrainResult", "TrainingDivergedError", "batch_schedule", "lr_at",
+    "train", "TrainingDivergedError", "batch_schedule", "lr_at",
     "moving_average_predict", "wiener_predict", "levinson_durbin",
 ]

@@ -12,6 +12,7 @@ assigns them to clients without weight sharing across clients.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -177,10 +178,6 @@ def forward_flops(cfg):
     return flops
 
 
-def count_params(params):
-    return int(sum(v.size for v in params.values()))
-
-
 def save_checkpoint(stem, params, cfg, seed, extra):
     """Binary parameter blob plus JSON manifest (shapes in canonical order);
     the entries of extra are added to the manifest."""
@@ -191,11 +188,7 @@ def save_checkpoint(stem, params, cfg, seed, extra):
     manifest = {
         "format": "subnetpred-checkpoint-v1",
         "tensors": [{"name": k, "shape": list(params[k].shape)} for k in names],
-        "hyper": {"n_series": cfg.n_series, "window": cfg.window,
-                  "d_embed": cfg.d_embed, "n_heads": cfg.n_heads,
-                  "n_layers": cfg.n_layers, "lstm_hidden": cfg.lstm_hidden,
-                  "dropout": cfg.dropout, "alpha": cfg.alpha,
-                  "center_windows": cfg.center_windows},
+        "hyper": asdict(cfg),
         "seed": seed,
         "quantile": 1.0 - cfg.alpha,
         **extra,

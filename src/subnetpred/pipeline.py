@@ -179,8 +179,7 @@ def stage_train(spec, out, ds, split_mode=False):
         params, curve = split_train(partition(init, cfg), tx, ty, spec.train,
                                     InProcessChannel(), spec.seed)
     else:
-        result = train(cfg, tx, ty, spec.train, spec.seed, params=init)
-        params, curve = result.params, result.loss_curve
+        params, curve = train(cfg, tx, ty, spec.train, spec.seed, params=init)
     network.save_checkpoint(stem, params, cfg, spec.seed,
                             {"normalization": {"offset": ds.norm.offset.tolist(),
                                                "scale": ds.norm.scale.tolist()}})

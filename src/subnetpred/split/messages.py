@@ -3,8 +3,8 @@
 Wire format of one message: a UTF-8 JSON header line
 {kind, source, dest, epoch, batch, shape, dtype} terminated by a newline,
 followed by the little-endian float payload bytes.  The in-process channel
-delivers exactly once and in per-(source, dest) order, counts messages and
-bits, and can drop one message for protocol tests.
+delivers exactly once and in per-(source, dest) order and counts messages
+and bits; a message never sent makes the receiver's recv raise.
 """
 
 from __future__ import annotations
@@ -66,20 +66,12 @@ class InProcessChannel:
 
     def __init__(self):
         self._queues = {}
-        self._drop = set()
         self.sent_messages = 0
         self.sent_bits = 0
         self.counts = {KIND_ACTIVATION: 0, KIND_GRADIENT: 0}
 
-    def drop_next(self, source, dest):
-        """Inject a single message loss on the given edge (test hook)."""
-        self._drop.add((source, dest))
-
     def send(self, message):
         edge = (message.source, message.dest)
-        if edge in self._drop:
-            self._drop.discard(edge)
-            return
         self.sent_messages += 1
         self.sent_bits += message.payload_bits
         self.counts[message.kind] += 1

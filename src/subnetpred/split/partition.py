@@ -9,51 +9,31 @@ import numpy as np
 
 from ..model.network import param_names
 
-BODY_PREFIXES = ("enc", "lstm")
+# per-series tensors; client m owns row m of each
+CLIENT_KEYS = ("embed.w", "embed.b", "head.w", "head.b")
 
 
 @dataclass
 class SplitPartition:
     """Disjoint parameter ownership across the split participants."""
 
-    heads: list          # per client: {"w": [S x D], "b": [D]}
-    body: dict           # encoder layers + LSTM tensors, centralized names
-    tails: list          # per client: {"w": [H], "b": scalar array}
+    clients: list        # per client: its row of each CLIENT_KEYS tensor
+    body: dict           # encoder layers + LSTM tensors
     cfg: object
-
-    @property
-    def n_clients(self):
-        return len(self.heads)
 
 
 def partition(params, cfg):
-    """Split a centralized parameter dict; arrays are copied, not aliased."""
-    heads = [{"w": params["embed.w"][m].copy(), "b": params["embed.b"][m].copy()}
-             for m in range(cfg.n_series)]
-    tails = [{"w": params["head.w"][m].copy(),
-              "b": np.array(params["head.b"][m])}
-             for m in range(cfg.n_series)]
-    body = {k: v.copy() for k, v in params.items()
-            if k.startswith(BODY_PREFIXES)}
-    return SplitPartition(heads=heads, body=body, tails=tails, cfg=cfg)
+    """Split a centralized parameter dict; arrays are copied, not aliased.
+    Every part keeps the centralized names; head.b rows become 0-d arrays,
+    which the clients' Adam updates in place."""
+    clients = [{k: np.array(params[k][m]) for k in CLIENT_KEYS}
+               for m in range(cfg.n_series)]
+    body = {k: v.copy() for k, v in params.items() if k not in CLIENT_KEYS}
+    return SplitPartition(clients=clients, body=body, cfg=cfg)
 
 
 def merge(part):
     """Reassemble the centralized parameter dict from a partition."""
-    cfg = part.cfg
-    params = {
-        "embed.w": np.stack([h["w"] for h in part.heads]),
-        "embed.b": np.stack([h["b"] for h in part.heads]),
-        "head.w": np.stack([t["w"] for t in part.tails]),
-        "head.b": np.array([float(t["b"]) for t in part.tails]),
-    }
+    params = {k: np.stack([c[k] for c in part.clients]) for k in CLIENT_KEYS}
     params.update({k: v.copy() for k, v in part.body.items()})
-    return {k: params[k] for k in param_names(cfg)}
-
-
-def partition_param_counts(part):
-    """(head, body, tail) parameter counts summed over clients."""
-    head = sum(v.size for h in part.heads for v in h.values())
-    body = sum(v.size for v in part.body.values())
-    tail = sum(v.size for t in part.tails for v in t.values())
-    return head, body, tail
+    return {k: params[k] for k in param_names(part.cfg)}

@@ -10,13 +10,15 @@ activations and cut gradients cross the channel.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from ..model import layers
 from ..model.losses import pinball_grad, pinball_loss
 from ..model.network import body_backward, body_forward, embed_dropout
-from ..model.optim import Adam, DropoutMasks
-from ..model.train import batch_schedule, lr_at
+from ..model.optim import Adam
+from ..model.train import run_epochs
 from .messages import KIND_ACTIVATION, KIND_GRADIENT, SplitMessage
 from .partition import merge
 
@@ -28,14 +30,14 @@ def client_name(index):
 
 
 class SplitClient:
-    """One SA pair: embedding head, quantile tail, and the private data."""
+    """One SA pair: its rows of the embedding and quantile-head tensors,
+    under the centralized names, and the private data."""
 
-    def __init__(self, index, head, tail, x_col, y_col, cfg, lr):
+    def __init__(self, index, params, x_col, y_col, cfg, lr):
         self.index = index
         self.name = client_name(index)
         self.cfg = cfg
-        self.params = {"embed.w": head["w"], "embed.b": head["b"],
-                       "head.w": tail["w"], "head.b": tail["b"]}
+        self.params = params
         self.x = x_col
         self.y = y_col
         self.opt = Adam(self.params, lr=lr)
@@ -113,10 +115,9 @@ def build_participants(part, x, y, lr):
     server from a SplitPartition plus the training tensors.  The participants
     hold the partition's arrays and update them in place."""
     cfg = part.cfg
-    clients = [SplitClient(m, part.heads[m], part.tails[m],
-                           np.ascontiguousarray(x[:, :, m]), y[:, m].copy(),
-                           cfg, lr)
-               for m in range(cfg.n_series)]
+    clients = [SplitClient(m, params, np.ascontiguousarray(x[:, :, m]),
+                           y[:, m].copy(), cfg, lr)
+               for m, params in enumerate(part.clients)]
     server = SplitServer(part.body, cfg, lr)
     return clients, server
 
@@ -143,50 +144,42 @@ def split_forward_batch(clients, server, channel, idx, masks, epoch, batch):
             for cl in clients]
 
 
-def split_train_epoch(clients, server, channel, seed, epoch, batch_size):
-    """One synchronous epoch of U-shaped split training.
+def split_step(clients, server, channel, epoch, batch, idx, masks):
+    """One synchronous batch of U-shaped split training.
 
-    Per batch: M head activations up, one body pass, M hidden states down,
-    M cut gradients up, one body backward, M cut gradients down, then every
-    participant applies its local Adam step.  Returns the mean batch loss.
+    M head activations up, one body pass, M hidden states down, M cut
+    gradients up, one body backward, M cut gradients down, then every
+    participant applies its local Adam step.  Returns the batch loss.
     """
-    n = clients[0].x.shape[0]
-    losses = []
-    for bi, idx in enumerate(batch_schedule(n, batch_size, seed, epoch)):
-        masks = DropoutMasks(server.cfg.dropout, seed, epoch, bi)
-        hidden = split_forward_batch(clients, server, channel, idx, masks,
-                                     epoch, bi)
-        batch_loss = 0.0
-        for cl, h_m in zip(clients, hidden):
-            loss_m, dh = cl.tail_step(h_m)
-            batch_loss += loss_m
-            channel.send(SplitMessage(KIND_GRADIENT, cl.name, SERVER,
-                                      epoch, bi, dh))
-        dhs = np.stack(_gather(channel, SERVER, [c.name for c in clients],
-                               KIND_GRADIENT), axis=1)
-        dtokens = server.body_backward(dhs)
-        for m, cl in enumerate(clients):
-            channel.send(SplitMessage(KIND_GRADIENT, SERVER, cl.name,
-                                      epoch, bi, dtokens[:, m]))
-        for cl in clients:
-            cl.head_backward(channel.recv(cl.name, SERVER, KIND_GRADIENT).payload)
-        server.apply_update()
-        for cl in clients:
-            cl.apply_update()
-        losses.append(batch_loss)
-    return float(np.mean(losses))
+    hidden = split_forward_batch(clients, server, channel, idx, masks,
+                                 epoch, batch)
+    batch_loss = 0.0
+    for cl, h_m in zip(clients, hidden):
+        loss_m, dh = cl.tail_step(h_m)
+        batch_loss += loss_m
+        channel.send(SplitMessage(KIND_GRADIENT, cl.name, SERVER,
+                                  epoch, batch, dh))
+    dhs = np.stack(_gather(channel, SERVER, [c.name for c in clients],
+                           KIND_GRADIENT), axis=1)
+    dtokens = server.body_backward(dhs)
+    for m, cl in enumerate(clients):
+        channel.send(SplitMessage(KIND_GRADIENT, SERVER, cl.name,
+                                  epoch, batch, dtokens[:, m]))
+    for cl in clients:
+        cl.head_backward(channel.recv(cl.name, SERVER, KIND_GRADIENT).payload)
+    server.apply_update()
+    for cl in clients:
+        cl.apply_update()
+    return batch_loss
 
 
 def split_train(part, x, y, train_cfg, channel, seed):
     """Full split training run from the partition's weights, which it trains
-    in place; seed drives the batch order and the dropout masks, as in
-    train.  Returns (merged parameters, per-epoch loss curve)."""
+    in place; the epoch loop is train's (run_epochs), so seed drives the
+    batch order and the dropout masks as there.  Returns (merged
+    parameters, per-epoch loss curve)."""
     clients, server = build_participants(part, x, y, train_cfg.lr)
-    curve = []
-    for epoch in range(train_cfg.epochs):
-        lr = lr_at(train_cfg, epoch)
-        for opt in [server.opt] + [cl.opt for cl in clients]:
-            opt.lr = lr
-        curve.append(split_train_epoch(clients, server, channel, seed, epoch,
-                                       train_cfg.batch_size))
+    curve = run_epochs(x.shape[0], train_cfg, seed, part.cfg.dropout,
+                       [server.opt] + [cl.opt for cl in clients],
+                       partial(split_step, clients, server, channel), None)
     return merge(part), curve

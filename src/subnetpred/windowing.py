@@ -117,10 +117,6 @@ class WindowedDataset:
     def labels(self):
         return self.series[self.window:]
 
-    @property
-    def n_series(self):
-        return self.series.shape[1]
-
     def _block(self, start, size):
         sl = slice(start, start + size)
         return self.inputs[sl], self.labels[sl]

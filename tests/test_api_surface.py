@@ -24,10 +24,6 @@ ALLOWED = {
                              "latency model (ROADMAP item 7)",
     "SplitMessage.from_bytes": "the split wire format, to be checked against "
                                "the latency model (ROADMAP item 7)",
-    "InProcessChannel.drop_next": "test hook: injects one lost split message",
-    "count_params": "test hook: parameter count of a model",
-    "partition_param_counts": "test hook: a split partition keeps every "
-                              "parameter",
 }
 
 

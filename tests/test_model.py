@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from subnetpred.config import ModelConfig, TrainConfig
-from subnetpred.model import (count_params, forward_flops, init_params,
-                              levinson_durbin, load_checkpoint,
-                              moving_average_predict, param_names, predict,
-                              save_checkpoint, train, wiener_predict)
+from subnetpred.model import (forward_flops, init_params, levinson_durbin,
+                              load_checkpoint, moving_average_predict,
+                              param_names, predict, save_checkpoint, train,
+                              wiener_predict)
 from subnetpred.model.baselines import autocorrelation
 from subnetpred.model.train import TrainingDivergedError
+from subnetpred.split import InProcessChannel, partition, split_train
 
 SMALL = ModelConfig(n_series=2, window=4, d_embed=16, n_heads=4, n_layers=1,
                     lstm_hidden=16, dropout=0.0, alpha=0.05,
@@ -19,20 +20,21 @@ SMALL = ModelConfig(n_series=2, window=4, d_embed=16, n_heads=4, n_layers=1,
 def test_zero_epochs_returns_initialization():
     x = np.zeros((10, SMALL.window, SMALL.n_series))
     y = np.zeros((10, SMALL.n_series))
-    res = train(SMALL, x, y, TrainConfig(epochs=0), 3)
+    params, curve = train(SMALL, x, y, TrainConfig(epochs=0), 3)
     ref = init_params(SMALL, seed=3)
     for k in param_names(SMALL):
-        assert np.array_equal(res.params[k], ref[k])
-    assert res.loss_curve == []
+        assert np.array_equal(params[k], ref[k])
+    assert curve == []
 
 
 def test_constant_labels_drive_loss_to_zero():
     rng = np.random.default_rng(0)
     x = rng.standard_normal((256, SMALL.window, SMALL.n_series))
     y = np.full((256, SMALL.n_series), 0.5)
-    res = train(SMALL, x, y, TrainConfig(lr=5e-3, epochs=120, batch_size=64), 0)
-    assert res.loss_curve[-1] < 1e-3
-    preds = predict(res.params, SMALL, x[:32])
+    params, curve = train(SMALL, x, y, TrainConfig(lr=5e-3, epochs=120,
+                                                   batch_size=64), 0)
+    assert curve[-1] < 1e-3
+    preds = predict(params, SMALL, x[:32])
     assert np.abs(preds - 0.5).max() < 0.05
 
 
@@ -47,10 +49,10 @@ def test_iid_gaussian_labels_converge_to_upper_quantile():
     n = 16384
     x = rng.standard_normal((n, cfg.window, cfg.n_series))
     y = rng.standard_normal((n, cfg.n_series))
-    res = train(cfg, x, y, TrainConfig(lr=2e-2, epochs=20, batch_size=256), 1)
+    params, _ = train(cfg, x, y, TrainConfig(lr=2e-2, epochs=20, batch_size=256), 1)
     x_test = rng.standard_normal((10000, cfg.window, cfg.n_series))
     y_test = rng.standard_normal((10000, cfg.n_series))
-    preds = predict(res.params, cfg, x_test)
+    preds = predict(params, cfg, x_test)
     assert np.abs(preds.mean() - 1.645) < 0.1
     exceed = (y_test > preds).mean()
     assert abs(exceed - cfg.alpha) < 0.02
@@ -64,21 +66,32 @@ def test_training_determinism_bitwise():
                       n_layers=1, lstm_hidden=16, dropout=0.2, alpha=0.05)
     # (window centering active: determinism must hold through that path too)
     tc = TrainConfig(lr=1e-3, epochs=3, batch_size=64)
-    a = train(cfg, x, y, tc, 42)
-    b = train(cfg, x, y, tc, 42)
+    a, curve_a = train(cfg, x, y, tc, 42)
+    b, curve_b = train(cfg, x, y, tc, 42)
     for k in param_names(cfg):
-        assert np.array_equal(a.params[k], b.params[k]), k
-    assert a.loss_curve == b.loss_curve
+        assert np.array_equal(a[k], b[k]), k
+    assert curve_a == curve_b
 
 
-def test_non_finite_loss_aborts_with_diagnostics():
+def _train_central(x, y, train_cfg):
+    return train(SMALL, x, y, train_cfg, 0)
+
+
+def _train_split(x, y, train_cfg):
+    return split_train(partition(init_params(SMALL, 0), SMALL), x, y,
+                       train_cfg, InProcessChannel(), 0)
+
+
+@pytest.mark.parametrize("run", [_train_central, _train_split],
+                         ids=["train", "split_train"])
+def test_non_finite_loss_aborts_with_diagnostics(run):
     x = np.full((64, SMALL.window, SMALL.n_series), np.inf)
     y = np.zeros((64, SMALL.n_series))
     # the inf windows make NaN activations on purpose
     with pytest.raises(TrainingDivergedError) as err, \
             pytest.warns(RuntimeWarning, match="invalid value"):
-        train(SMALL, x, y, TrainConfig(epochs=1, batch_size=32), 0)
-    assert err.value.epoch == 0
+        run(x, y, TrainConfig(epochs=1, batch_size=32))
+    assert (err.value.epoch, err.value.batch) == (0, 0)
 
 
 def test_forward_flops_scale_quadratically_in_series():
@@ -99,7 +112,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert cfg == SMALL
     for k in param_names(SMALL):
         assert np.array_equal(back[k], params[k])
-    assert count_params(back) == count_params(params)
+    assert sum(v.size for v in back.values()) == sum(v.size for v in params.values())
 
 
 # ------------------------------------------------------------------ baselines

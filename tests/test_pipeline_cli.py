@@ -1,6 +1,7 @@
 """Pipeline orchestration and CLI: determinism, caching, config parsing,
 exit codes, sweep and report plumbing (all at smoke scale)."""
 
+import importlib
 import json
 import time
 from dataclasses import replace
@@ -13,6 +14,7 @@ from subnetpred import pipeline, tailcal
 from subnetpred.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from subnetpred.config import (ConfigError, desk_preset, parse_config_text,
                                spec_to_dict, tiny_preset)
+from subnetpred.model.train import TrainingDivergedError
 from subnetpred.pipeline import StageError, report, run_pipeline, sweep
 
 
@@ -232,6 +234,24 @@ def test_split_training_failure_names_train_split_stage(tmp_path, monkeypatch):
     assert info.value.stage == "train_split"
 
 
+@pytest.mark.parametrize("variant, module, stage, stem", [
+    ("iqpt", "subnetpred.model.train", "train", "model"),
+    ("iqpt-split", "subnetpred.split.runtime", "train_split", "model_split"),
+])
+def test_diverged_training_names_its_stage_and_caches_nothing(
+        tmp_path, monkeypatch, variant, module, stage, stem):
+    # a NaN batch loss, in the module each mode computes it through (by
+    # import_module: the attribute subnetpred.model.train is the function)
+    monkeypatch.setattr(importlib.import_module(module), "pinball_loss",
+                        lambda *a, **k: float("nan"))
+    with pytest.raises(StageError) as info:
+        run_pipeline(smoke_spec(seed=13, variant=variant), tmp_path)
+    assert info.value.stage == stage
+    assert isinstance(info.value.__cause__, TrainingDivergedError)
+    assert not list(tmp_path.glob(stem + "*"))
+    assert not (tmp_path / f".{stage}.key").exists()
+
+
 # ------------------------------------------------------------------- config
 
 def test_parse_config_overrides():
@@ -379,6 +399,32 @@ def test_cli_config_error_exit_code(tmp_path):
     code = main(["simulate", "--config", str(bad), "--preset", "tiny",
                  "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("config, named", [
+    ("n_cycles = abc\n", "n_cycles = 'abc'"),
+    ("channel.fading = maybe\n", "channel.fading = 'maybe'"),
+    ("deployment.area = 5\n", "area takes exactly two sides"),
+    ("deployment.area = 5 5 5\n", "area takes exactly two sides"),
+    ("eps_targets =\n", "eps_targets must not be empty"),
+    (None, "cannot read config file"),           # missing file
+    ("", "cannot read config file"),             # a directory
+    (b"\xff\xfe\n", "cannot read config file"),  # not UTF-8
+], ids=["int", "bool", "area-1", "area-3", "eps-empty", "missing", "directory",
+        "binary"])
+def test_unreadable_config_values_exit_2(tmp_path, capsys, config, named):
+    path = tmp_path / "run.cfg"
+    if config == "":
+        path.mkdir()
+    elif isinstance(config, bytes):
+        path.write_bytes(config)
+    elif config is not None:
+        path.write_text(config)
+    assert main(["simulate", "--config", str(path), "--preset", "tiny",
+                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+    assert not (tmp_path / "x" / "trace.npz").exists()
 
 
 @pytest.mark.parametrize("n_reserved", [4, 9])

@@ -7,14 +7,12 @@ import numpy as np
 import pytest
 
 from subnetpred.config import ModelConfig, TrainConfig
-from subnetpred.model import count_params, forward, init_params, train
+from subnetpred.model import forward, init_params, train
 from subnetpred.split import (InProcessChannel, KIND_ACTIVATION,
                               KIND_GRADIENT, LatencyModel, ProtocolError,
                               SplitMessage, build_participants,
                               estimate_latency, latency_model_for, merge,
-                              partition, partition_param_counts,
-                              partition_workloads, split_train,
-                              split_train_epoch)
+                              partition, partition_workloads, split_train)
 
 CFG = ModelConfig(n_series=4, window=6, d_embed=16, n_heads=4, n_layers=2,
                   lstm_hidden=12, dropout=0.1, alpha=0.05)
@@ -30,8 +28,9 @@ def make_data(n=96, seed=0, cfg=CFG):
 def test_partition_counts_and_roundtrip():
     params = init_params(CFG, seed=0)
     part = partition(params, CFG)
-    head, body, tail = partition_param_counts(part)
-    assert head + body + tail == count_params(params)
+    owned = (sum(v.size for c in part.clients for v in c.values())
+             + sum(v.size for v in part.body.values()))
+    assert owned == sum(v.size for v in params.values())
     merged = merge(part)
     for key, tensor in params.items():
         assert np.array_equal(merged[key], tensor), key
@@ -66,8 +65,8 @@ def test_channel_orders_and_detects_loss():
     assert ch.recv("server", "sa0", KIND_ACTIVATION).batch == 1
     with pytest.raises(ProtocolError):
         ch.recv("server", "sa0", KIND_ACTIVATION)
-    ch.drop_next("sa0", "server")
-    ch.send(a)
+    # a lost message is one never sent: sa1's arrives, sa0's does not
+    ch.send(SplitMessage(KIND_ACTIVATION, "sa1", "server", 0, 2, np.zeros(1)))
     with pytest.raises(ProtocolError):
         ch.recv("server", "sa0", KIND_ACTIVATION)
 
@@ -83,10 +82,10 @@ def test_one_split_epoch_matches_centralized_training(window, n_series):
     x, y = make_data(96, 5, cfg)
     train_cfg = TrainConfig(lr=1e-3, epochs=1, batch_size=32)
 
-    central = train(cfg, x, y, train_cfg, seed)
+    central, _ = train(cfg, x, y, train_cfg, seed)
     split, _ = split_train(partition(init_params(cfg, seed=seed), cfg), x, y,
                            train_cfg, InProcessChannel(), seed)
-    for key, tensor in central.params.items():
+    for key, tensor in central.items():
         assert np.array_equal(split[key], tensor), key
 
 
@@ -94,9 +93,8 @@ def test_message_counts_per_batch():
     params = init_params(CFG, seed=6)
     part = partition(params, CFG)
     x, y = make_data(32, 6)
-    clients, server = build_participants(part, x, y, lr=1e-3)
     ch = InProcessChannel()
-    split_train_epoch(clients, server, ch, 0, epoch=0, batch_size=32)  # 1 batch
+    split_train(part, x, y, TrainConfig(epochs=1, batch_size=32), ch, 0)  # 1 batch
     m = CFG.n_series
     # heads up + body fan-out down = 2M activations; tail grads up + cut
     # grads down = 2M gradients
@@ -109,7 +107,6 @@ def test_labels_never_leave_clients():
     part = partition(params, CFG)
     x, y = make_data(32, 7)
     y = y + 1000.0   # make label values conspicuous
-    clients, server = build_participants(part, x, y, lr=1e-3)
     seen = []
     ch = InProcessChannel()
     orig_send = ch.send
@@ -119,9 +116,29 @@ def test_labels_never_leave_clients():
         orig_send(msg)
 
     ch.send = spy
-    split_train_epoch(clients, server, ch, 0, epoch=0, batch_size=32)
+    split_train(part, x, y, TrainConfig(epochs=1, batch_size=32), ch, 0)
     for payload in seen:
         assert np.abs(payload).max() < 900.0
+
+
+def test_message_headers_follow_the_epoch_loop(monkeypatch):
+    # 2 epochs x 2 batches: every message carries the (epoch, batch) of the
+    # shared loop, 4M per batch, in the loop's order
+    part = partition(init_params(CFG, seed=9), CFG)
+    x, y = make_data(64, 9)
+    headers = []
+    orig_send = InProcessChannel.send
+
+    def spy(self, msg):
+        headers.append((msg.epoch, msg.batch))
+        orig_send(self, msg)
+
+    monkeypatch.setattr(InProcessChannel, "send", spy)
+    split_train(part, x, y, TrainConfig(epochs=2, batch_size=32),
+                InProcessChannel(), 0)
+    per_batch = 4 * CFG.n_series
+    assert headers == [(e, b) for e in range(2) for b in range(2)
+                       for _ in range(per_batch)]
 
 
 def test_shuffled_arrival_order_is_reordered_by_id():

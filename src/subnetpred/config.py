@@ -8,6 +8,7 @@ unset falls back to the selected preset.  See docs/config.md.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -201,6 +202,13 @@ class ExperimentSpec:
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1]")
+        # split conformal certifies 1 - beta only if the calibration block
+        # has the order statistic tailcal.finite_sample_quantile reads
+        if (self.beta == 1.0
+                or math.ceil((self.n_cal + 1) * (1.0 - self.beta)) > self.n_cal):
+            raise ConfigError(
+                f"beta = {self.beta:g} must lie in [1/(n_cal + 1), 1) = "
+                f"[{1.0 / (self.n_cal + 1):.3g}, 1) for n_cal = {self.n_cal}")
         if not self.eps_targets:
             raise ConfigError("eps_targets must not be empty")
         if not all(0.0 < eps <= 0.5 for eps in self.eps_targets):

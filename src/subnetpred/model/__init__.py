@@ -3,7 +3,7 @@ from .losses import pinball_grad, pinball_loss
 from .network import (backward, forward, forward_flops, init_params,
                       load_checkpoint, param_names, predict, save_checkpoint)
 from .optim import Adam, DropoutMasks, tagged_rng
-from .train import TrainingDivergedError, batch_schedule, lr_at, train
+from .train import TrainingDivergedError, batch_schedule, lr_at
 
 __all__ = [
     "forward", "backward", "predict", "init_params", "param_names",
@@ -11,6 +11,6 @@ __all__ = [
     "save_checkpoint", "load_checkpoint",
     "pinball_loss", "pinball_grad",
     "Adam", "DropoutMasks", "tagged_rng",
-    "train", "TrainingDivergedError", "batch_schedule", "lr_at",
+    "TrainingDivergedError", "batch_schedule", "lr_at",
     "moving_average_predict", "wiener_predict", "levinson_durbin",
 ]

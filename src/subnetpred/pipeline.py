@@ -36,19 +36,18 @@ class StageError(RuntimeError):
 
 
 @contextmanager
-def _stage(name, seconds=None):
-    """Report any failure inside the block as StageError(name), unless an
-    inner stage already named it; store the block's wall time in seconds."""
+def _stage(name, seconds):
+    """Report any failure inside the block but a ConfigError as
+    StageError(name); store the block's wall time in seconds[name]."""
     t0 = time.perf_counter()
     try:
         yield
-    except (ConfigError, StageError):
+    except ConfigError:
         raise
     except Exception as err:                       # noqa: BLE001
         raise StageError(name, err) from err
     finally:
-        if seconds is not None:
-            seconds[name] = time.perf_counter() - t0
+        seconds[name] = time.perf_counter() - t0
 
 
 def _hash(obj):
@@ -137,6 +136,8 @@ def stage_prepare(spec, out, trace):
 
 # variants whose read-out adds a GPD tail fitted to the training exceedances
 TAIL_VARIANTS = ("evt-iqpt", "cevt-iqpt", "cevt-iqpt-split")
+# variants that train no model
+BASELINES = ("genie", "moving-average", "wiener")
 
 
 def check_tail_fit(spec, ds):
@@ -228,13 +229,17 @@ def _dbm_to_w(dbm):
     return 10.0 ** (np.asarray(dbm) / 10.0) * 1e-3
 
 
-def predictions_dbm(spec, out, trace, ds, variant):
+def predictions_dbm(spec, out, trace, ds, variant, thresholds=None,
+                    calibrated=None):
     """Test-partition interference predictions in dBm for one variant.
 
     Baselines run on the interference-to-noise ratio in dB (power over the
     receiver noise floor, the link-adaptation convention); the two-tap
     average is invariant to that reference, the raw-correlation Wiener is
-    not, which is its documented failure mode.
+    not, which is its documented failure mode.  The model variants read
+    `thresholds`, their model's normalized test-partition thresholds, and
+    the tail variants also `calibrated`; run_plan computes both once per
+    model.  `out` is the run directory; nothing is read from it.
     """
     cycles = ds.test_label_cycles()
     noise_dbm = 10.0 * np.log10(trace.noise_power) + 30.0
@@ -249,16 +254,8 @@ def predictions_dbm(spec, out, trace, ds, variant):
         return noise_dbm + np.stack(
             [bl.wiener_predict(inr[m], cycles, order=ds.window)
              for m in range(inr.shape[0])], axis=1)
-
-    split_mode = variant.endswith("-split")
-    with _stage("train_split" if split_mode else "train"):
-        params, cfg = stage_train(spec, out, ds, split_mode=split_mode)
-    sx, _ = ds.test()
-    thresholds = network.predict(params, cfg, sx)
     if variant in ("iqpt", "iqpt-split"):
         return ds.norm.invert(thresholds)
-    with _stage("calibrate"):
-        calibrated = stage_calibrate(spec, out, ds, params, cfg, split_mode)
     if variant == "evt-iqpt":
         margins = np.array([tailcal.gpd_quantile(t, 1.0 - spec.varsigma)
                             for t in calibrated.tails])
@@ -268,15 +265,13 @@ def predictions_dbm(spec, out, trace, ds, variant):
     raise ConfigError(f"unknown predictor variant {variant!r}")
 
 
-def stage_evaluate(spec, out, trace, ds):
+def stage_evaluate(spec, out, trace, ds, thresholds, calibrated):
     """Coverage, width, and target-vs-achieved BLER rows for spec.variant."""
-    out = Path(out)
     variant = spec.variant
     cycles = ds.test_label_cycles()
-    _, test_labels = ds.test()
-    labels_dbm = ds.norm.invert(test_labels)
-
-    pred_dbm = predictions_dbm(spec, out, trace, ds, variant)
+    labels_dbm = ds.norm.invert(ds.test()[1])
+    pred_dbm = predictions_dbm(spec, out, trace, ds, variant, thresholds,
+                               calibrated)
     cov = ra.coverage_probability(pred_dbm, labels_dbm)
     width_db = ra.coverage_width(pred_dbm, labels_dbm)
     width_norm = ra.coverage_width(pred_dbm, labels_dbm, normalize=True)
@@ -285,16 +280,11 @@ def stage_evaluate(spec, out, trace, ds):
     rows = ra.evaluate_ra(_dbm_to_w(pred_dbm), true_w, trace.signal_power,
                           trace.noise_power, spec.payload_bits,
                           spec.eps_targets)
-    out_rows = []
-    for row in rows:
-        out_rows.append({
-            "predictor": variant,
-            "eps_target": row["eps_target"],
-            "percentile_met": row["frac_met"],
-            "mean_overhead": row["mean_overhead"],
-            "cov_prob": float(cov.mean()),
-            "cov_width": float(width_norm.mean()),
-        })
+    out_rows = [{"predictor": variant, "eps_target": row["eps_target"],
+                 "percentile_met": row["frac_met"],
+                 "mean_overhead": row["mean_overhead"],
+                 "cov_prob": float(cov.mean()),
+                 "cov_width": float(width_norm.mean())} for row in rows]
     detail = {
         "variant": variant,
         "coverage_per_sa": cov.tolist(),
@@ -322,64 +312,94 @@ def _write_results(out, new_rows):
         writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
-    return path
 
 
-def run_pipeline(spec, out):
-    """Execute the full pipeline for spec.variant; returns the summary dict.
+# ----------------------------------------------------------------- run plan
 
-    Artifacts land in `out`; stages already cached for this (spec, seed) are
-    reused, so evaluating several variants against one scenario shares the
-    simulation, dataset, and checkpoints.  summary.json["stage_seconds"]
-    holds each stage's own wall time; evaluate includes the training and
-    calibration it runs.  A failure raises StageError naming the stage that
-    failed: simulate, prepare, train, train_split, calibrate or evaluate.
-    A tail variant whose training partition cannot feed the tail fit
-    raises ConfigError after prepare (check_tail_fit).
+def run_plan(spec, out, variants, until="evaluate"):
+    """Run the stage chain once for a set of variants of spec, up to and
+    including the stage `until`; returns (trace, dataset, {variant: detail}).
+
+    Simulate and prepare; check_tail_fit for every tail variant, before any
+    training; train and train_split, once per mode the variants need;
+    calibrate, once per mode; evaluate, one test prediction per model and
+    one scoring per variant.  Stages cached in `out` are reused.  A full
+    run writes results.csv, summary.json (its "stage_seconds" times every
+    stage that ran) and run_manifest.json once, merged with the variants
+    of earlier runs in `out`.  A failure raises StageError naming its stage.
     """
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
+    specs = {v: replace(spec, variant=v) for v in variants}
     stages = {}
     with _stage("simulate", stages):
         trace = stage_simulate(spec, out)
+    if until == "simulate":
+        return trace, None, {}
     with _stage("prepare", stages):
         ds = stage_prepare(spec, out, trace)
-    if spec.variant in TAIL_VARIANTS:
-        check_tail_fit(spec, ds)
+    if until == "prepare":
+        return trace, ds, {}
+
+    for v, spec_v in specs.items():
+        if v in TAIL_VARIANTS:
+            check_tail_fit(spec_v, ds)
+    # training mode per model variant: True trains through the split protocol
+    modes = {v: v.endswith("-split") for v in specs if v not in BASELINES}
+    models = {}
+    for split in dict.fromkeys(modes.values()):
+        with _stage("train_split" if split else "train", stages):
+            models[split] = stage_train(spec, out, ds, split)
+    if until == "train":
+        return trace, ds, {}
+    calibrated = {}
+    tail_modes = dict.fromkeys(modes[v] for v in modes if v in TAIL_VARIANTS)
+    if tail_modes:
+        with _stage("calibrate", stages):
+            for split in tail_modes:
+                calibrated[split] = stage_calibrate(spec, out, ds, *models[split],
+                                                    split)
+    if until == "calibrate":
+        return trace, ds, {}
+
+    rows, details = [], {}
     with _stage("evaluate", stages):
-        rows, detail = stage_evaluate(spec, out, trace, ds)
+        sx, _ = ds.test()
+        thresholds = {split: network.predict(*model, sx)
+                      for split, model in models.items()}
+        for v, spec_v in specs.items():
+            split = modes.get(v)                  # None for a baseline
+            new_rows, details[v] = stage_evaluate(
+                spec_v, out, trace, ds, thresholds.get(split), calibrated.get(split))
+            rows += new_rows
 
     _write_results(out, rows)
-    summary_path = out / "summary.json"
-    summary = {}
-    if summary_path.exists():
-        summary = json.loads(summary_path.read_text())
-    summary.setdefault("runs", {})[spec.variant] = detail
-    summary["window"] = ds.window
-    summary["seed"] = spec.seed
-    summary["stage_seconds"] = stages
-    summary_path.write_text(json.dumps(summary, indent=2))
-    _write_manifest(spec, out)
-    return detail
-
-
-def _write_manifest(spec, out):
-    """Hash the run's artifacts; keep each variant's config, merged across
-    run_pipeline calls the way summary.json["runs"] is."""
-    out = Path(out)
-    path = out / "run_manifest.json"
-    manifest = json.loads(path.read_text()) if path.exists() else {}
-    manifest.setdefault("runs", {})[spec.variant] = {
-        "config": spec_to_dict(spec),
-        "config_hash": _hash(spec_to_dict(spec)),
-    }
+    summary = _read_json(out / "summary.json")
+    summary.setdefault("runs", {}).update(details)
+    summary.update(window=ds.window, seed=spec.seed, stage_seconds=stages)
+    (out / "summary.json").write_text(json.dumps(summary, indent=2))
+    # the artifacts' hashes and each variant's config
+    manifest = _read_json(out / "run_manifest.json")
+    manifest.setdefault("runs", {}).update(
+        {v: {"config": spec_to_dict(s), "config_hash": _hash(spec_to_dict(s))}
+         for v, s in specs.items()})
     manifest["seed"] = spec.seed
     manifest["artifacts"] = {
         name: _file_hash(out / name)
         for name in ("trace.npz", "dataset.bin", "model.bin", "model_split.bin",
                      "calibration.json", "calibration_split.json", "results.csv")
         if (out / name).exists()}
-    path.write_text(json.dumps(manifest, indent=2))
+    (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2))
+    return trace, ds, details
+
+
+def _read_json(path):
+    return json.loads(path.read_text()) if path.exists() else {}
+
+
+def run_pipeline(spec, out):
+    """run_plan for spec.variant alone; returns its detail dict."""
+    return run_plan(spec, out, [spec.variant])[2][spec.variant]
 
 
 # -------------------------------------------------------------------- sweep

@@ -6,10 +6,10 @@ import pytest
 from subnetpred.config import ModelConfig, TrainConfig
 from subnetpred.model import (forward_flops, init_params, levinson_durbin,
                               load_checkpoint, moving_average_predict,
-                              param_names, predict, save_checkpoint, train,
+                              param_names, predict, save_checkpoint,
                               wiener_predict)
 from subnetpred.model.baselines import autocorrelation
-from subnetpred.model.train import TrainingDivergedError
+from subnetpred.model.train import TrainingDivergedError, train
 from subnetpred.split import InProcessChannel, partition, split_train
 
 SMALL = ModelConfig(n_series=2, window=4, d_embed=16, n_heads=4, n_layers=1,

@@ -1,7 +1,6 @@
 """Pipeline orchestration and CLI: determinism, caching, config parsing,
 exit codes, sweep and report plumbing (all at smoke scale)."""
 
-import importlib
 import json
 import time
 from dataclasses import replace
@@ -15,7 +14,7 @@ from subnetpred.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from subnetpred.config import (ConfigError, desk_preset, parse_config_text,
                                spec_to_dict, tiny_preset)
 from subnetpred.model.train import TrainingDivergedError
-from subnetpred.pipeline import StageError, report, run_pipeline, sweep
+from subnetpred.pipeline import StageError, report, run_pipeline, run_plan, sweep
 
 
 def smoke_spec(seed=0, variant="moving-average"):
@@ -114,6 +113,26 @@ def test_stage_seconds_are_per_stage(tmp_path):
     assert sum(stages.values()) <= wall
 
 
+def test_plan_times_every_stage_it_runs(tmp_path):
+    t0 = time.perf_counter()
+    run_plan(smoke_spec(seed=11), tmp_path, ["iqpt", "iqpt-split"])
+    wall = time.perf_counter() - t0
+    stages = json.loads((tmp_path / "summary.json").read_text())["stage_seconds"]
+    assert set(stages) == {"simulate", "prepare", "train", "train_split", "evaluate"}
+    assert sum(stages.values()) <= wall
+
+
+def test_cli_variant_set_equals_one_run_pipeline_per_variant(tmp_path):
+    variants = ["genie", "moving-average"]
+    for variant in variants:
+        run_pipeline(smoke_spec(seed=0, variant=variant), tmp_path / "api")
+    assert main(["evaluate", "--preset", "tiny", "--seed", "0", "--variant", variants[0],
+                 "--variant", variants[1], "--out", str(tmp_path / "cli")]) == EXIT_OK
+    for name in ("results.csv", "run_manifest.json"):
+        assert ((tmp_path / "api" / name).read_bytes()
+                == (tmp_path / "cli" / name).read_bytes()), name
+
+
 def calibrating_spec(variant):
     """A tiny spec whose model leaves >= 30 training exceedances per series."""
     spec = replace(smoke_spec(seed=0, variant=variant), n_cycles=2000)
@@ -159,6 +178,16 @@ def test_too_few_training_exceedances_fail_before_training(tmp_path, monkeypatch
     # the variants without a tail fit still run on tiny
     monkeypatch.undo()
     run_pipeline(smoke_spec(seed=12, variant="iqpt"), tmp_path / "api")
+
+
+def test_plan_checks_every_tail_fit_before_any_training(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("trained before checking every tail fit")
+
+    monkeypatch.setattr(pipeline, "train", fail)
+    with pytest.raises(ConfigError, match="the cevt-iqpt tail fit needs 30"):
+        run_plan(smoke_spec(seed=12), tmp_path, ["genie", "iqpt", "cevt-iqpt"])
+    assert not (tmp_path / "results.csv").exists()
 
 
 def test_calibration_is_cached_per_train_stage(tmp_path, monkeypatch):
@@ -240,10 +269,8 @@ def test_split_training_failure_names_train_split_stage(tmp_path, monkeypatch):
 ])
 def test_diverged_training_names_its_stage_and_caches_nothing(
         tmp_path, monkeypatch, variant, module, stage, stem):
-    # a NaN batch loss, in the module each mode computes it through (by
-    # import_module: the attribute subnetpred.model.train is the function)
-    monkeypatch.setattr(importlib.import_module(module), "pinball_loss",
-                        lambda *a, **k: float("nan"))
+    # a NaN batch loss, in the module each mode computes it through
+    monkeypatch.setattr(f"{module}.pinball_loss", lambda *a, **k: float("nan"))
     with pytest.raises(StageError) as info:
         run_pipeline(smoke_spec(seed=13, variant=variant), tmp_path)
     assert info.value.stage == stage
@@ -341,6 +368,19 @@ def test_spec_validation_errors():
         replace(desk_preset(0), beta=0.0)
     with pytest.raises(ConfigError):
         parse_config_text("model.d_embed = 60")    # not divisible by heads
+
+
+@pytest.mark.parametrize("beta", ["1", "0.001"])
+def test_beta_the_calibration_block_cannot_support_exits_2(tmp_path, capsys, beta):
+    # n_cal = 100 supports 1/101 <= beta < 1; below that the conformal
+    # quantile would saturate at the largest score
+    cfg = tmp_path / "beta.cfg"
+    cfg.write_text(CALIBRATING_CFG + f"beta = {beta}\n")
+    out = tmp_path / "run"
+    assert main(["calibrate", "--config", str(cfg), "--preset", "tiny",
+                 "--variant", "cevt-iqpt", "--out", str(out)]) == EXIT_CONFIG
+    assert "n_cal = 100" in capsys.readouterr().err
+    assert not (out / "model.bin").exists()
 
 
 # ---------------------------------------------------------------------- CLI

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from subnetpred.config import ModelConfig, TrainConfig
-from subnetpred.model import forward, init_params, train
+from subnetpred.model import forward, init_params
+from subnetpred.model.train import train
 from subnetpred.split import (InProcessChannel, KIND_ACTIVATION,
                               KIND_GRADIENT, LatencyModel, ProtocolError,
                               SplitMessage, build_participants,

@@ -8,6 +8,7 @@ byte-for-byte (stage idempotency), and variants that share a trained model
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import hashlib
 import json
@@ -35,10 +36,18 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
+# the answers of the _cached calls inside the running _stage block
+_checks = contextvars.ContextVar("stage_cache_checks")
+
+
 @contextmanager
-def _stage(name, seconds):
+def _stage(name, seconds, cache):
     """Report any failure inside the block but a ConfigError as
-    StageError(name); store the block's wall time in seconds[name]."""
+    StageError(name); store the block's wall time in seconds[name] and in
+    cache[name] "hit" when every stage call in it reused its cached
+    artifact, else "miss"."""
+    checks = []
+    token = _checks.set(checks)
     t0 = time.perf_counter()
     try:
         yield
@@ -47,7 +56,9 @@ def _stage(name, seconds):
     except Exception as err:                       # noqa: BLE001
         raise StageError(name, err) from err
     finally:
+        _checks.reset(token)
         seconds[name] = time.perf_counter() - t0
+        cache[name] = "hit" if checks and all(checks) else "miss"
 
 
 def _hash(obj):
@@ -77,9 +88,13 @@ def _key_path(out, stage):
     return Path(out) / f".{stage}.key"
 
 
-def _cached(out, stage, key):
+def _cached(out, stage, key, artifact):
+    """Whether the stage's artifact exists under its current key; the
+    answer is recorded for _stage."""
     p = _key_path(out, stage)
-    return p.exists() and p.read_text() == key
+    hit = p.exists() and p.read_text() == key and artifact.exists()
+    _checks.get([]).append(hit)
+    return hit
 
 
 def _mark(out, stage, key):
@@ -95,7 +110,7 @@ def stage_simulate(spec, out):
         "traffic": spec_to_dict(spec.traffic),
         "channel": spec_to_dict(spec.channel),
         "mobility": spec.mobility, "n_cycles": spec.n_cycles, "seed": spec.seed})
-    if _cached(out, "simulate", key) and (out / "trace.npz").exists():
+    if _cached(out, "simulate", key, out / "trace.npz"):
         return simulate.load_trace(out / "trace")
     trace = simulate.simulate_trace(spec.deployment, spec.traffic, spec.channel,
                                     spec.n_cycles, spec.seed, mobility=spec.mobility)
@@ -121,7 +136,7 @@ def stage_prepare(spec, out, trace):
         "sim": _key_path(out, "simulate").read_text(),
         "threshold": spec.corr_threshold, "max_lag": spec.max_lag,
         "n_cal": spec.n_cal, "n_test": spec.n_test})
-    if _cached(out, "prepare", key) and (out / "dataset.json").exists():
+    if _cached(out, "prepare", key, out / "dataset.json"):
         return windowing.load_dataset(out / "dataset")
     series = _learning_dbm(spec, trace)
     window = windowing.stationary_interval(series, spec.corr_threshold,
@@ -168,7 +183,7 @@ def stage_train(spec, out, ds, split_mode=False):
         "model": spec_to_dict(cfg), "train": spec_to_dict(spec.train),
         "split": split_mode})
     stage = "train_split" if split_mode else "train"
-    if _cached(out, stage, key) and stem.with_suffix(".json").exists():
+    if _cached(out, stage, key, stem.with_suffix(".json")):
         params, cfg_loaded, _ = network.load_checkpoint(stem)
         return params, cfg_loaded
     tx, ty = ds.train()
@@ -206,7 +221,7 @@ def stage_calibrate(spec, out, ds, params, cfg, split_mode=False):
         "beta": spec.beta, "varsigma": spec.varsigma})
     stage = "calibrate" + suffix
     path = out / f"calibration{suffix}.json"
-    if _cached(out, stage, key) and path.exists():
+    if _cached(out, stage, key, path):
         return tailcal.read_calibration_report(path)
     tx, ty = ds.train()
     cx, cy = ds.calibration()
@@ -324,19 +339,22 @@ def run_plan(spec, out, variants, until="evaluate"):
     training; train and train_split, once per mode the variants need;
     calibrate, once per mode; evaluate, one test prediction per model and
     one scoring per variant.  Stages cached in `out` are reused.  A full
-    run writes results.csv, summary.json (its "stage_seconds" times every
-    stage that ran) and run_manifest.json once, merged with the variants
-    of earlier runs in `out`.  A failure raises StageError naming its stage.
+    run writes results.csv, summary.json and run_manifest.json once,
+    merged with the variants of earlier runs in `out`.  summary.json's
+    "stage_seconds" times every stage run in `out`, and "stage_cache" says
+    whether that time was a cache "hit" or a "miss" (the stage did its
+    work); a later hit does not replace a miss.  A failure raises
+    StageError naming its stage.
     """
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     specs = {v: replace(spec, variant=v) for v in variants}
-    stages = {}
-    with _stage("simulate", stages):
+    stages, cache = {}, {}
+    with _stage("simulate", stages, cache):
         trace = stage_simulate(spec, out)
     if until == "simulate":
         return trace, None, {}
-    with _stage("prepare", stages):
+    with _stage("prepare", stages, cache):
         ds = stage_prepare(spec, out, trace)
     if until == "prepare":
         return trace, ds, {}
@@ -348,14 +366,14 @@ def run_plan(spec, out, variants, until="evaluate"):
     modes = {v: v.endswith("-split") for v in specs if v not in BASELINES}
     models = {}
     for split in dict.fromkeys(modes.values()):
-        with _stage("train_split" if split else "train", stages):
+        with _stage("train_split" if split else "train", stages, cache):
             models[split] = stage_train(spec, out, ds, split)
     if until == "train":
         return trace, ds, {}
     calibrated = {}
     tail_modes = dict.fromkeys(modes[v] for v in modes if v in TAIL_VARIANTS)
     if tail_modes:
-        with _stage("calibrate", stages):
+        with _stage("calibrate", stages, cache):
             for split in tail_modes:
                 calibrated[split] = stage_calibrate(spec, out, ds, *models[split],
                                                     split)
@@ -363,7 +381,7 @@ def run_plan(spec, out, variants, until="evaluate"):
         return trace, ds, {}
 
     rows, details = [], {}
-    with _stage("evaluate", stages):
+    with _stage("evaluate", stages, cache):
         sx, _ = ds.test()
         thresholds = {split: network.predict(*model, sx)
                       for split, model in models.items()}
@@ -376,7 +394,13 @@ def run_plan(spec, out, variants, until="evaluate"):
     _write_results(out, rows)
     summary = _read_json(out / "summary.json")
     summary.setdefault("runs", {}).update(details)
-    summary.update(window=ds.window, seed=spec.seed, stage_seconds=stages)
+    summary.update(window=ds.window, seed=spec.seed)
+    # a hit keeps the time of the miss that built the stage's artifact
+    seconds = summary.setdefault("stage_seconds", {})
+    hits = summary.setdefault("stage_cache", {})
+    for name, state in cache.items():
+        if state == "miss" or hits.get(name) != "miss":
+            seconds[name], hits[name] = stages[name], state
     (out / "summary.json").write_text(json.dumps(summary, indent=2))
     # the artifacts' hashes and each variant's config
     manifest = _read_json(out / "run_manifest.json")

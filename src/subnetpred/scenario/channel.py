@@ -74,13 +74,14 @@ class Ar1Field:
 
     Each advance uses coefficient exp(-displacement / decorrelation), the
     exponential (Gudmundson-style) correlation evaluated at the distance the
-    link endpoints moved since the previous cycle.
+    link endpoints moved since the previous cycle.  std holds one standard
+    deviation per link, so fields of different spread advance as one.
     """
 
-    def __init__(self, n, std, decorrelation, rng):
+    def __init__(self, std, decorrelation, rng):
         self.std = std
         self.decorrelation = decorrelation
-        self.values = std * rng.standard_normal(n)
+        self.values = std * rng.standard_normal(std.shape)
 
     def advance(self, displacement, noise):
         """Values after each cycle of a block, given the distance each link
@@ -92,17 +93,22 @@ class Ar1Field:
 
 
 class ComplexAr1:
-    """Unit-power complex Gaussian AR(1) process (Rayleigh envelope)."""
+    """Unit-power complex Gaussian AR(1) processes (Rayleigh envelope) of one
+    coefficient; values [shape].  The normals of each index of the leading
+    axis are its real parts and then its imaginary parts, laid out
+    [shape[0] x 2 x shape[1:]], so processes drawn one after another
+    advance as one."""
 
     def __init__(self, shape, rho, rng):
         self.rho = rho
-        self.values = _complex_normal(*rng.standard_normal((2,) + shape))
+        z = rng.standard_normal((shape[0], 2) + shape[1:])
+        self.values = _complex_normal(z[:, 0], z[:, 1])
 
     def advance(self, noise):
         """Values after each cycle of a block, given per cycle the standard
-        normals of the real and then the imaginary parts [b x 2 x shape]."""
+        normals in the draw layout [b x shape[0] x 2 x shape[1:]]."""
         out = _recur([self.rho] * len(noise), np.sqrt(1.0 - self.rho**2)
-                     * _complex_normal(noise[:, 0], noise[:, 1]), self.values)
+                     * _complex_normal(noise[:, :, 0], noise[:, :, 1]), self.values)
         self.values = out[-1].copy()
         return out
 

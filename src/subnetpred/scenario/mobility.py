@@ -1,5 +1,12 @@
 """Mobility models: random-direction movement with collision avoidance, and
-fixed alley circuits for the factory-floor layout."""
+fixed alley circuits for the factory-floor layout.
+
+An rdmm step draws only when it reflects at the border or crowds another
+sub-network; every other step just moves each center along its heading.
+free_run computes a stretch of such event-free steps at once, bit for bit
+equal to step_mobility's, so a simulator calls step_mobility only at the
+event steps and the generator's stream keeps its order.
+"""
 
 from __future__ import annotations
 
@@ -64,6 +71,50 @@ def step_mobility(state, speed, dt, min_distance, rng):
         bad = _crowded(cand, guard)
         cand[bad] = pos[bad]
     return replace(state, positions=cand, headings=cand_head)
+
+
+def free_run(state, step, guard, horizon):
+    """Centers [k x N x 2] and headings [k x N] after each of the next
+    k <= horizon rdmm steps of length step from state that neither reflect
+    nor crowd (no center closer than guard to another); when k < horizon,
+    step k + 1 does one of the two.  These are the steps step_mobility
+    takes without a draw, with the same bits: the heading recurrence runs
+    step by step on [N] rows as in _propose until it reaches a fixed point,
+    and the positions are summed in step order.  At step 0 every step
+    leaves the state as it is.
+    """
+    n = state.headings.size
+    if step == 0.0:
+        return (np.broadcast_to(state.positions, (horizon, n, 2)),
+                np.broadcast_to(state.headings, (horizon, n)))
+    heads = np.empty((horizon + 1, n))
+    heads[0] = state.headings
+    # the start positions, then per step the x and y rows of the unit
+    # vector as _propose lays them out, scaled by step after the loop
+    moves = np.empty((horizon + 1, 2, n))
+    moves[0] = state.positions.T
+    for k in range(horizon):
+        unit = moves[k + 1]
+        np.cos(heads[k], out=unit[0])
+        np.sin(heads[k], out=unit[1])
+        np.arctan2(unit[1], unit[0], out=heads[k + 1])
+        if heads[k + 1].tobytes() == heads[k].tobytes():
+            # a fixed point: every later step repeats this one
+            moves[k + 2:] = unit
+            heads[k + 2:] = heads[k + 1]
+            break
+    moves[1:] *= step
+    cand = np.add.accumulate(moves, axis=0)[1:]         # [horizon x 2 x N]
+    lo = np.array(state.bounds[:2])[:, None]
+    hi = np.array(state.bounds[2:])[:, None]
+    event = ((cand < lo) | (cand > hi)).any(axis=(1, 2))
+    x, y = cand[:, 0], cand[:, 1]
+    dx, dy = x[:, :, None] - x[:, None], y[:, :, None] - y[:, None]
+    close = np.sqrt(dx * dx + dy * dy) < guard
+    close[:, np.arange(n), np.arange(n)] = False
+    event |= close.any(axis=(1, 2))
+    k = int(event.argmax()) if event.any() else horizon
+    return cand[:k].transpose(0, 2, 1), heads[1:k + 1]
 
 
 @dataclass(frozen=True)

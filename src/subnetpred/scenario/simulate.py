@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,7 @@ import numpy as np
 from ..config import spec_to_dict
 from . import channel as ch
 from .deploy import deploy
-from .mobility import alley_positions, deploy_alley, step_mobility
+from .mobility import alley_positions, deploy_alley, free_run, step_mobility
 from .traffic import TrafficProcess
 
 
@@ -88,6 +88,15 @@ NOISE_REF_FRACTION = 0.7
 # buffers stay small next to the trace's own arrays (at 250 the peak
 # allocation of a desk trace is that of pass 2)
 BLOCK = 250
+# rdmm steps per free run (mobility.free_run): FIRST after an event, twice
+# as many after each run that met none, at most HORIZON.  A run costs about
+# 45 us plus 2 us a step, and the steps past its event are dropped.  On desk
+# rdmm traces (seeds 0, 7, 811, both traffic patterns) any cap from 16 to
+# 128 gives the same 0.34-0.35 s a trace (8: 0.41 s, 256: 0.36 s); starting
+# at 4 keeps a crowded floor, with an event about every other step, at the
+# speed of stepping every cycle (1.34 s for 10k cycles against 1.42 s).
+HORIZON = 64
+FIRST = 4
 
 
 def _look_power(fading):
@@ -106,18 +115,25 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     The cycles run in two passes.  Pass 1 makes every draw from the trace's
     generator, in the order of a cycle-by-cycle simulation, so the stream
     and the trace do not depend on how the cycles are grouped.  It runs in
-    blocks of BLOCK cycles.  Per cycle it makes only the draws: the rdmm
-    mobility step, then one standard-normal fill of a row holding all of
-    the cycle's normals (shadowing LOS, shadowing NLOS, soft-LOS latent,
+    blocks of BLOCK cycles.  Per cycle it makes only the draws: those of an
+    rdmm mobility step, then one standard-normal fill of a row holding all
+    of the cycle's normals (shadowing LOS, shadowing NLOS, soft-LOS latent,
     then the LOS and NLOS fading, real parts before imaginary), then one
     uniform fill of a row holding its traffic uniforms (push starts, push
     stops, then the Bern(eta) draws).  A fill equals the consecutive
     smaller draws it replaces.  Cycle 0 keeps the initial states and draws
-    only its Bern(eta) uniforms.  Per block, the rows become states at once:
-    the shadowing, latent and fading recursions, the fading looks' power
-    sums per link and the push bursts.  Alley positions draw nothing and
-    are computed up front.  Pass 2 computes the rest for all cycles at
-    once: path loss, shadowing and soft-LOS transforms, link gains, the TDD
+    only its Bern(eta) uniforms.  An rdmm step draws only when it reflects
+    at the border or crowds another sub-network (an event), so pass 1 takes
+    the positions of the steps between events from free runs
+    (mobility.free_run, at most HORIZON steps each) and calls step_mobility
+    only at the event cycles; the draw order is that of stepping every
+    cycle.  Alley positions draw nothing and are computed up front.  Per
+    block, the rows become states at once, with two AR(1) recursions: one
+    over the three real fields of every link (shadowing LOS and NLOS and
+    the soft-LOS latent), one over the LOS and NLOS fading, which share
+    their coefficient; then the fading looks' power sums per link and the
+    push bursts.  Pass 2 computes the rest for all cycles at once: path
+    loss, shadowing and soft-LOS transforms, link gains, the TDD
     misalignment and the slot sums.
     """
     if n_cycles < 1:
@@ -141,16 +157,22 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
 
     k_lin = ch.db_to_linear(channel_params.rician_k_db)
     rho_f = ch.fading_coefficient(channel_params.doppler_hz, dt)
-    shadow_los = ch.Ar1Field(n_int, channel_params.shadow_std_los_db,
-                             channel_params.decorrelation_distance, rng)
-    shadow_nlos = ch.Ar1Field(n_int, channel_params.shadow_std_nlos_db,
-                              channel_params.decorrelation_distance, rng)
-    psi_latent = ch.Ar1Field(n_int, 1.0, channel_params.decorrelation_distance, rng)
+    # one real field over the shadowing LOS, the shadowing NLOS and the
+    # soft-LOS latent of every link, in the order of their draws; without
+    # shadowing only the latent moves
+    stds = np.repeat([channel_params.shadow_std_los_db,
+                      channel_params.shadow_std_nlos_db, 1.0], n_int)
+    if not channel_params.shadowing:
+        rng.standard_normal(2 * n_int)          # the shadowing's, never read
+        stds = stds[2 * n_int:]
+    real_field = ch.Ar1Field(stds, channel_params.decorrelation_distance, rng)
+    n_real = stds.size
     # independent fading looks per link (frequency/pilot diversity of the
-    # slot power estimate); the measured power averages their energies
+    # slot power estimate); the measured power averages their energies.
+    # One process holds the LOS and then the NLOS fading.
     looks = channel_params.est_looks
-    fade_los = ch.ComplexAr1((n_int, n_sa, looks), rho_f, rng)
-    fade_nlos = ch.ComplexAr1((n_int, n_sa, looks), rho_f, rng)
+    fade_shape = (2, n_int, n_sa, looks)
+    fades = ch.ComplexAr1(fade_shape, rho_f, rng)
     specular = ch.los_specular(k_lin, rng.uniform(0.0, 2.0 * np.pi,
                                                   (n_int, n_sa, looks)))
 
@@ -163,43 +185,60 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     # ---- pass 1: every draw, cycle by cycle; the states, block by block
     # centers of the interferers, then the victim, per cycle
     members = np.append(intf, VICTIM)
-    rdmm = mobility != "alley"
-    if rdmm:
+    if mobility == "alley":
+        centers = alley_positions(state, deployment.speed, dt, n_cycles)[:, members]
+    else:
         centers = np.empty((n_cycles, n_int + 1, 2))
         centers[0] = state.positions[members]
-    else:
-        centers = alley_positions(state, deployment.speed, dt, n_cycles)[:, members]
+    step = deployment.speed * dt
+    guard = deployment.min_distance + 2.0 * step
+
+    def free_cycles(t):
+        """Fill the centers from cycle t on with free-run positions, up to
+        the next rdmm event; returns the event's cycle (n_cycles if none)."""
+        nonlocal state
+        longest = FIRST
+        while t < n_cycles:
+            horizon = min(longest, n_cycles - t)
+            positions, headings = free_run(state, step, guard, horizon)
+            k = len(positions)
+            if k:
+                centers[t:t + k] = positions[:, members]
+                state = replace(state, positions=positions[-1],
+                                headings=headings[-1])
+            t += k
+            if k < horizon:
+                break
+            longest = min(2 * longest, HORIZON)
+        return t
+
     # per-block buffers: one row of normals and one of uniforms per cycle,
     # laid out as the docstring states
-    n_shadow = n_int if channel_params.shadowing else 0
-    fade_shape = (2, n_int, n_sa, looks)
-    n_fade = 2 * n_int * n_sa * looks if channel_params.fading else 0
-    normal_cuts = np.cumsum([n_shadow, n_shadow, n_int, n_fade])
-    normals = np.empty((BLOCK, normal_cuts[-1] + n_fade))
+    n_fade = 2 * fades.values.size if channel_params.fading else 0
+    normals = np.empty((BLOCK, n_real + n_fade))
     n_push = 2 * n_int * traffic_proc.n_push
     uniforms = np.empty((BLOCK, n_push + n_int * n_slots))
-    sh_los_db = np.empty((n_cycles, n_int))
-    sh_nlos_db = np.empty((n_cycles, n_int))
-    latent = np.empty((n_cycles, n_int))
+    reals = np.empty((n_cycles, n_real))
     h_los_sum = np.empty((n_cycles, n_int, n_sa))
     h_nlos_sum = np.empty((n_cycles, n_int, n_sa))
     chi = np.empty((n_cycles, n_int, n_slots), dtype=bool)
+
+    def fading_power(values, start, stop):
+        """Look-power sums of the LOS and NLOS fading [b x 2 x ...] of
+        cycles [start, stop)."""
+        h_los_sum[start:stop] = _look_power(ch.rician(values[:, 0], k_lin, specular))
+        h_nlos_sum[start:stop] = _look_power(values[:, 1])
 
     def block_states(start, stop):
         """Turn the rows of draws of cycles [start, stop) into their states."""
         b = stop - start
         rel, mid = _link_motion(centers[start:stop] - centers[start - 1:stop - 1])
-        sh_los, sh_nlos, lat, f_los, f_nlos = np.split(normals[:b], normal_cuts,
-                                                       axis=1)
-        if channel_params.shadowing:
-            sh_los_db[start:stop] = shadow_los.advance(rel, sh_los)
-            sh_nlos_db[start:stop] = shadow_nlos.advance(rel, sh_nlos)
-        latent[start:stop] = psi_latent.advance(mid, lat)
+        moved = np.concatenate([rel, rel, mid], axis=1) if channel_params.shadowing \
+            else mid
+        reals[start:stop] = real_field.advance(moved, normals[:b, :n_real])
         if channel_params.fading:
-            h_los_sum[start:stop] = _look_power(ch.rician(
-                fade_los.advance(f_los.reshape((b,) + fade_shape)), k_lin, specular))
-            h_nlos_sum[start:stop] = _look_power(
-                fade_nlos.advance(f_nlos.reshape((b,) + fade_shape)))
+            fading_power(fades.advance(normals[:b, n_real:].reshape(
+                (b, 2, 2) + fade_shape[1:])), start, stop)
         activity = traffic_proc.step(
             uniforms[:b, :n_push].reshape(b, 2, n_int, traffic_proc.n_push))
         chi[start:stop] = traffic_proc.sample_own_slots(
@@ -208,19 +247,18 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     chi[0], owner = traffic_proc.sample_own_slots(
         traffic_proc.activity,
         rng.random(out=uniforms[0, n_push:]).reshape(n_int, n_slots))
-    sh_los_db[0] = shadow_los.values
-    sh_nlos_db[0] = shadow_nlos.values
-    latent[0] = psi_latent.values
+    reals[0] = real_field.values
     if channel_params.fading:
-        h_los_sum[0] = _look_power(ch.rician(fade_los.values, k_lin, specular))
-        h_nlos_sum[0] = _look_power(fade_nlos.values)
+        fading_power(fades.values[None], 0, 1)
+    event = n_cycles if mobility == "alley" else free_cycles(1)
     for start in range(1, n_cycles, BLOCK):
         stop = min(start + BLOCK, n_cycles)
         for i in range(stop - start):
-            if rdmm:
+            if start + i == event:
                 state = step_mobility(state, deployment.speed, dt,
                                       deployment.min_distance, rng)
-                centers[start + i] = state.positions[members]
+                centers[event] = state.positions[members]
+                event = free_cycles(event + 1)
             rng.standard_normal(out=normals[i])
             rng.random(out=uniforms[i])
         block_states(start, stop)
@@ -235,13 +273,14 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     if channel_params.fading:
         h_los_sum /= looks          # mean fading power over the looks
         h_nlos_sum /= looks
+        latent = reals[:, -n_int:]
         psi = ch.soft_los_weight(latent + channel_params.soft_los_bias)[:, :, None]
     else:
         h_los_sum = h_nlos_sum = np.ones((n_int, n_sa))
         psi = np.ones((n_int, 1))
     if channel_params.shadowing:
-        sh_los = ch.db_to_linear(sh_los_db)[:, :, None]
-        sh_nlos = ch.db_to_linear(sh_nlos_db)[:, :, None]
+        sh_los = ch.db_to_linear(reals[:, :n_int])[:, :, None]
+        sh_nlos = ch.db_to_linear(reals[:, n_int:2 * n_int])[:, :, None]
     else:
         sh_los = sh_nlos = np.ones((n_int, 1))
     gain = ch.channel_gain(psi, h_los_sum, h_nlos_sum, pl_los, pl_nlos,

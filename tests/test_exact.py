@@ -8,8 +8,10 @@ on the fast form.  The Adam step is pinned to its textbook form the same
 way, for any later rewrite of it.  The same holds
 for the interference simulator: its two-pass form, with pass 1 in blocks,
 must give the traces of the cycle-by-cycle loop with the scalar mobility
-kernels and per-cycle channel and traffic updates kept here, and one
-generator fill must give the draws of the smaller calls it replaces.
+kernels and per-cycle channel and traffic updates kept here, one
+generator fill must give the draws of the smaller calls it replaces, and
+free runs of rdmm steps must give the positions, headings and draws of
+stepping every cycle.
 """
 
 from dataclasses import replace
@@ -25,9 +27,9 @@ from subnetpred.model.network import PREDICT_BATCH, forward, init_params, predic
 from subnetpred.scenario import channel as ch
 from subnetpred.scenario.deploy import MobilityState, deploy, disc_offsets
 from subnetpred.scenario.mobility import (alley_positions, build_alley_layout,
-                                          deploy_alley, step_mobility)
-from subnetpred.scenario.simulate import (BLOCK, interferer_set, simulate_trace,
-                                          subband_assignment)
+                                          deploy_alley, free_run, step_mobility)
+from subnetpred.scenario.simulate import (BLOCK, FIRST, HORIZON, interferer_set,
+                                          simulate_trace, subband_assignment)
 from subnetpred.scenario.traffic import (push_start_probability,
                                          push_stop_probability)
 from subnetpred.tailcal import (CalibratedTail, ConformalRecord, GpdTail,
@@ -465,26 +467,29 @@ def ref_reflect(coord, heading_comp, lo, hi):
     return coord, -heading_comp if flipped else heading_comp
 
 
-def ref_propose(positions, headings, step, bounds):
+def ref_propose(positions, headings, step, bounds, hits):
+    """hits["reflect"] counts the coordinates reflected at the border."""
     lo_x, lo_y, hi_x, hi_y = bounds
     cand = positions + step * np.stack([np.cos(headings), np.sin(headings)], axis=1)
     new_head = headings.copy()
     for i in range(cand.shape[0]):
         cx, hx = ref_reflect(cand[i, 0], np.cos(new_head[i]), lo_x, hi_x)
         cy, hy = ref_reflect(cand[i, 1], np.sin(new_head[i]), lo_y, hi_y)
+        hits["reflect"] += (cx != cand[i, 0]) + (cy != cand[i, 1])
         cand[i] = (cx, cy)
         new_head[i] = np.arctan2(hy, hx)
     return cand, new_head
 
 
 def ref_step_rdmm(state, speed, dt, min_distance, rng, hits, max_retries=8):
-    """hits counts the collision retries and the exhausted retry budgets."""
+    """hits counts the border reflections, the collision retries and the
+    exhausted retry budgets."""
     step = speed * dt
     if step == 0.0:
         return state
     pos = state.positions
     head = state.headings.copy()
-    cand, cand_head = ref_propose(pos, head, step, state.bounds)
+    cand, cand_head = ref_propose(pos, head, step, state.bounds, hits)
     guard = min_distance + 2.0 * step
     for _ in range(max_retries):
         dist = np.linalg.norm(cand[:, None, :] - cand[None, :, :], axis=-1)
@@ -494,7 +499,7 @@ def ref_step_rdmm(state, speed, dt, min_distance, rng, hits, max_retries=8):
             break
         hits["retry"] += 1
         head[bad] = rng.uniform(0.0, 2.0 * np.pi, int(bad.sum()))
-        redo, redo_head = ref_propose(pos[bad], head[bad], step, state.bounds)
+        redo, redo_head = ref_propose(pos[bad], head[bad], step, state.bounds, hits)
         cand[bad] = redo
         cand_head[bad] = redo_head
     else:
@@ -726,7 +731,7 @@ def _sim_inputs(case):
 @pytest.mark.parametrize("name", SIM_CASES)
 def test_simulate_trace_matches_cycle_by_cycle_reference(name):
     deployment, traffic, channel, n_cycles, mobility = _sim_inputs(SIM_CASES[name])
-    hits = {"retry": 0, "exhausted": 0}
+    hits = {"reflect": 0, "retry": 0, "exhausted": 0}
     want = ref_simulate_trace(deployment, traffic, channel, n_cycles, DESK.seed,
                               mobility, hits)
     got = simulate_trace(deployment, traffic, channel, n_cycles, DESK.seed,
@@ -737,6 +742,7 @@ def test_simulate_trace_matches_cycle_by_cycle_reference(name):
     assert got.true_power.flags.c_contiguous and got.est_power.flags.c_contiguous
     if name == "crowded":
         assert hits["retry"] > 0 and hits["exhausted"] > 0
+        assert hits["reflect"] > 0
 
 
 @pytest.mark.parametrize("sizes", [(1,), (3, 1, 7), (40_000, 1, 60_001, 17)])
@@ -757,7 +763,7 @@ def test_rdmm_step_matches_scalar_reference_through_collisions():
     config = replace(DESK.deployment, **CROWDED)
     state = ref_state = deploy(config, np.random.default_rng(3))
     rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
-    hits = {"retry": 0, "exhausted": 0}
+    hits = {"reflect": 0, "retry": 0, "exhausted": 0}
     for _ in range(300):
         state = step_mobility(state, config.speed, config.tx_cycle_duration,
                               config.min_distance, rng)
@@ -766,6 +772,66 @@ def test_rdmm_step_matches_scalar_reference_through_collisions():
         assert np.array_equal(state.positions, ref_state.positions)
         assert np.array_equal(state.headings, ref_state.headings)
     assert hits["retry"] > 0 and hits["exhausted"] > 0
+
+
+# desk deployments at three seeds, a crowded floor and a standing one
+FREE_RUN_CASES = {**{f"desk-{seed}": ({}, seed) for seed in (0, 7, 811)},
+                  "crowded": (CROWDED, 3), "zero-speed": ({"speed": 0.0}, 0)}
+
+
+@pytest.mark.parametrize("name", FREE_RUN_CASES)
+def test_free_runs_and_event_steps_equal_per_step_mobility(name):
+    """simulate_trace takes the rdmm steps that draw nothing from free runs,
+    of FIRST steps after an event and twice as many after each full one up
+    to HORIZON, and calls step_mobility only at the other steps (the
+    events); positions, headings and the generator's stream must equal
+    10,000 plain steps."""
+    changes, seed = FREE_RUN_CASES[name]
+    config = replace(DESK.deployment, **changes)
+    n_steps = 10_000
+    state = ref_state = deploy(config, np.random.default_rng(seed))
+    rng, ref_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    want_pos = np.empty((n_steps, config.n_subnetworks, 2))
+    want_head = np.empty((n_steps, config.n_subnetworks))
+    for t in range(n_steps):
+        ref_state = step_mobility(ref_state, config.speed, config.tx_cycle_duration,
+                                  config.min_distance, ref_rng)
+        want_pos[t], want_head[t] = ref_state.positions, ref_state.headings
+
+    step = config.speed * config.tx_cycle_duration
+    guard = config.min_distance + 2.0 * step
+    lo, hi = np.array(state.bounds[:2]), np.array(state.bounds[2:])
+    # reflections and retries at the events; free steps whose heading moved
+    hits = {"reflect": 0, "retry": 0, "drift": 0}
+    t, longest = 0, FIRST
+    while t < n_steps:
+        horizon = min(longest, n_steps - t)
+        positions, headings = free_run(state, step, guard, horizon)
+        k = len(positions)
+        if k:
+            assert np.array_equal(positions, want_pos[t:t + k])
+            assert np.array_equal(headings, want_head[t:t + k])
+            previous = np.concatenate([state.headings[None], headings[:-1]])
+            hits["drift"] += int((headings != previous).any(axis=1).sum())
+            state = replace(state, positions=positions[-1], headings=headings[-1])
+        t += k
+        longest = min(2 * longest, HORIZON)
+        if k < horizon:
+            unit = np.stack([np.cos(state.headings), np.sin(state.headings)], axis=1)
+            cand = state.positions + step * unit
+            hits["reflect"] += bool(((cand < lo) | (cand > hi)).any())
+            before = rng.bit_generator.state
+            state = step_mobility(state, config.speed, config.tx_cycle_duration,
+                                  config.min_distance, rng)
+            hits["retry"] += rng.bit_generator.state != before
+            assert np.array_equal(state.positions, want_pos[t])
+            assert np.array_equal(state.headings, want_head[t])
+            t, longest = t + 1, FIRST
+    assert rng.random() == ref_rng.random()
+    if name == "zero-speed":
+        assert hits == {"reflect": 0, "retry": 0, "drift": 0}
+    else:
+        assert hits["reflect"] > 0 and hits["retry"] > 0 and hits["drift"] > 0
 
 
 def test_alley_lookup_matches_scalar_point_at():

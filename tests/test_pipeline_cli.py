@@ -11,7 +11,7 @@ import pytest
 
 from subnetpred import pipeline, tailcal
 from subnetpred.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
-from subnetpred.config import (ConfigError, desk_preset, parse_config_text,
+from subnetpred.config import (ConfigError, ExperimentSpec, desk_preset, parse_config_text,
                                spec_to_dict, tiny_preset)
 from subnetpred.model.train import TrainingDivergedError
 from subnetpred.pipeline import StageError, report, run_pipeline, run_plan, sweep
@@ -122,6 +122,14 @@ def test_plan_times_every_stage_it_runs(tmp_path):
     assert sum(stages.values()) <= wall
 
 
+def test_stage_cache_records_hits_of_a_fresh_summary(tmp_path):
+    run_pipeline(smoke_spec(seed=11), tmp_path)
+    (tmp_path / "summary.json").unlink()
+    run_pipeline(smoke_spec(seed=11), tmp_path)
+    cache = json.loads((tmp_path / "summary.json").read_text())["stage_cache"]
+    assert cache == {"simulate": "hit", "prepare": "hit", "evaluate": "miss"}
+
+
 def test_cli_variant_set_equals_one_run_pipeline_per_variant(tmp_path):
     variants = ["genie", "moving-average"]
     for variant in variants:
@@ -141,6 +149,34 @@ def calibrating_spec(variant):
 
 # the CLI form of calibrating_spec
 CALIBRATING_CFG = "n_cycles = 2000\ntrain.lr_decay = 0.1\n"
+
+
+def test_stage_times_merge_over_calls_and_keep_the_misses(tmp_path):
+    """The fixed check's shape, one run_pipeline call per variant: the
+    summary names every stage any call ran, and a stage that a later call
+    found in the cache keeps the time of the call that built it."""
+    variants = ["cevt-iqpt"] + [v for v in ExperimentSpec.VARIANTS if v != "cevt-iqpt"]
+    t0 = time.perf_counter()
+    for variant in variants:
+        run_pipeline(calibrating_spec(variant), tmp_path)
+        if variant == variants[0]:
+            first = json.loads((tmp_path / "summary.json").read_text())
+    wall = time.perf_counter() - t0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    stages, cache = summary["stage_seconds"], summary["stage_cache"]
+    assert set(stages) == set(cache) == {"simulate", "prepare", "train", "train_split",
+                                         "calibrate", "evaluate"}
+    assert set(cache.values()) == {"miss"}
+    assert sum(stages.values()) <= wall
+    for name in ("simulate", "prepare", "train"):
+        assert stages[name] == first["stage_seconds"][name]
+
+    # a second pass over all variants finds every stage but evaluate cached
+    run_plan(calibrating_spec(variants[0]), tmp_path, variants)
+    again = json.loads((tmp_path / "summary.json").read_text())
+    assert again["stage_cache"] == cache
+    assert {k: v for k, v in again["stage_seconds"].items() if k != "evaluate"} \
+        == {k: v for k, v in stages.items() if k != "evaluate"}
 
 
 def test_calibration_failure_names_calibrate_stage(tmp_path, monkeypatch):

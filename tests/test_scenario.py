@@ -194,7 +194,7 @@ def test_fading_power_autocorrelation_matches_coefficient():
     rng = np.random.default_rng(7)
     proc = ComplexAr1((1,), rho, rng)
     n = 100000
-    vals = np.abs(proc.advance(rng.standard_normal((n, 2, 1)))[:, 0]) ** 2
+    vals = np.abs(proc.advance(rng.standard_normal((n, 1, 2)))[:, 0]) ** 2
     a, b = vals[:-1], vals[1:]
     corr = np.corrcoef(a, b)[0, 1]
     assert corr == pytest.approx(rho**2, abs=0.05)
@@ -204,7 +204,7 @@ def test_shadowing_increment_matches_gudmundson_structure():
     # RMS difference over displacement delta follows sqrt(2 sigma^2 (1-exp(-delta/d)))
     rng = np.random.default_rng(8)
     sigma, dcorr = 4.0, 10.0
-    field = Ar1Field(20000, sigma, dcorr, rng)
+    field = Ar1Field(np.full(20000, sigma), dcorr, rng)
     before = field.values.copy()
     delta = 0.1 * dcorr
     field.advance(np.full((1, 20000), delta), rng.standard_normal((1, 20000)))
@@ -217,7 +217,7 @@ def test_shadowing_small_step_continuity():
     # sub-centimeter motion moves the field by far less than its std
     rng = np.random.default_rng(9)
     sigma, dcorr = 4.0, 10.0
-    field = Ar1Field(20000, sigma, dcorr, rng)
+    field = Ar1Field(np.full(20000, sigma), dcorr, rng)
     before = field.values.copy()
     field.advance(np.full((1, 20000), 0.002), rng.standard_normal((1, 20000)))
     rms = np.sqrt(np.mean((field.values - before) ** 2))

@@ -18,7 +18,7 @@ def moving_average_predict(series, t_indices):
     """
     s = np.asarray(series, dtype=float).ravel()
     t = np.asarray(t_indices, dtype=int)
-    if np.any(t < 2):
+    if (t < 2).any():
         raise ValueError("need two history samples before every prediction point")
     return 0.5 * s[t - 1] + 0.5 * s[t - 2]
 

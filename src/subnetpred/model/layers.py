@@ -1,16 +1,20 @@
 """Forward/backward passes of every layer, written against numpy only.
 
-Everything that touches one series alone -- the embedding and the quantile
-head, forward and backward -- is a per-series kernel (`*_series`) on that
-series' [b x ...] column.  The batched functions only loop those kernels
-over the series axis, and a split client calls the same kernels on its own
-column; the window centering is one function whose summation order does
-not depend on the layout.  Split and centralized execution therefore evaluate
-the same floating-point operations in the same order and stay
-bit-identical at every window.
+The embedding and the quantile head give each series its own weights.  Each
+of their four functions is one matmul stacked over the series axis, and it
+hands BLAS every series' operands as a contiguous block: the windows
+[b x S] of series m, the head's dpred column [b].  A split client calls the
+same four functions on its one-series slice (windows [b x S x 1], weights
+[1 x ...]), so each series meets the same BLAS call in the same layout
+whether one series or all M are stacked.  The window centering is one
+function whose summation order does not depend on the layout.  Split and
+centralized execution therefore evaluate the same floating-point operations
+in the same order and stay bit-identical at every window and batch size.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -39,8 +43,8 @@ def center_windows(x):
     x [b x S (x M)] -> (centered x, level [b (x M)]).
 
     The sum runs in sample order (an accumulate fixes it), so a series gets
-    the same bits whether a client holds it as a contiguous [b x S] column or
-    the centralized batch holds it strided inside [b x S x M]; a plain
+    the same bits whether a client holds it alone as [b x S x 1] or the
+    centralized batch holds it strided inside [b x S x M]; a plain
     mean's pairwise summation would differ between the two from S = 8 up.
     """
     level = np.add.accumulate(x, axis=1)[:, -1] / x.shape[1]
@@ -49,36 +53,24 @@ def center_windows(x):
 
 # ---------------------------------------------------------------- embedding
 
-def embed_series(x_m, w_m, b_m):
-    """One series window batch [b x S] -> token batch [b x D], tanh MLP."""
-    return np.tanh(x_m @ w_m + b_m)
-
-
-def embed_series_backward(x_m, w_m, token_m, dtoken_m):
-    """Backward of embed_series: (dx_m [b x S], dw_m [S x D], db_m [D])."""
-    dpre = dtoken_m * (1.0 - token_m**2)
-    return dpre @ w_m.T, x_m.T @ dpre, dpre.sum(axis=0)
-
-
 def embed_forward(x, w, b):
-    """x [b x S x M] -> tokens [b x M x D] with per-series weights."""
-    bsz, _, m = x.shape
-    tokens = np.empty((bsz, m, w.shape[2]))
-    for i in range(m):
-        tokens[:, i] = embed_series(x[:, :, i], w[i], b[i])
-    return tokens, (x, tokens)
+    """x [b x S x M] -> tokens [b x M x D], series m through its own tanh
+    MLP w[m] [S x D], b[m] [D]: one matmul stacked over the series axis."""
+    xs = np.ascontiguousarray(x.transpose(2, 0, 1))
+    pre = np.matmul(xs, w)
+    pre += b[:, None]
+    np.tanh(pre, out=pre)
+    tokens = np.ascontiguousarray(pre.transpose(1, 0, 2))
+    return tokens, (xs, tokens)
 
 
 def embed_backward(cache, w, dtokens):
-    x, tokens = cache
-    m = x.shape[2]
-    dw = np.empty_like(w)
-    db = np.empty((m, w.shape[2]))
-    dx = np.empty_like(x)
-    for i in range(m):
-        dx[:, :, i], dw[i], db[i] = embed_series_backward(
-            x[:, :, i], w[i], tokens[:, i], dtokens[:, i])
-    return dx, dw, db
+    """(dx [b x S x M], dw [M x S x D], db [M x D])."""
+    xs, tokens = cache
+    dpre = np.ascontiguousarray((dtokens * (1.0 - tokens**2)).transpose(1, 0, 2))
+    dx = np.matmul(dpre, w.transpose(0, 2, 1))
+    dw = np.matmul(xs.transpose(0, 2, 1), dpre)
+    return np.ascontiguousarray(dx.transpose(1, 2, 0)), dw, dpre.sum(axis=1)
 
 
 # ---------------------------------------------------------------- attention
@@ -107,13 +99,15 @@ def attention_forward(tokens, wq, wk, wv, wo, bo, n_heads):
     k = _split_heads(tokens @ wk, n_heads)
     v = _split_heads(tokens @ wv, n_heads)
     dh = q.shape[-1]
-    scores = q @ k.transpose(0, 1, 3, 2) / np.sqrt(dh)
-    row_max = scores[..., 0].copy()
+    scores = q @ k.transpose(0, 1, 3, 2) / math.sqrt(dh)
+    row_max = scores[..., 0]
     for j in range(1, scores.shape[-1]):
-        np.maximum(row_max, scores[..., j], out=row_max)
+        row_max = np.maximum(row_max, scores[..., j])
+    # at M = 1 row_max is a view of scores; an in-place ufunc reads an
+    # overlapping operand as if it were copied first
     scores -= row_max[..., None]
     e = np.exp(scores)
-    attn = e / e.sum(axis=-1, keepdims=True)
+    attn = e / np.add.reduce(e, axis=-1, keepdims=True)
     ctx = _merge_heads(attn @ v)
     out = ctx @ wo + bo
     cache = (tokens, q, k, v, attn, ctx)
@@ -132,7 +126,7 @@ def attention_backward(cache, wq, wk, wv, wo, n_heads, dout):
     dattn = dctx @ v.transpose(0, 1, 3, 2)
     dv = attn.transpose(0, 1, 3, 2) @ dctx
     dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
-    dscores /= np.sqrt(dh)
+    dscores /= math.sqrt(dh)
     dq = dscores @ k
     dk = dscores.transpose(0, 1, 3, 2) @ q
 
@@ -232,30 +226,17 @@ def lstm_backward(steps, wx, wh, dhs):
 
 # ----------------------------------------------------------- quantile head
 
-def head_series(h_m, w_m, b_m):
-    """One series hidden batch [b x H] -> scalar threshold batch [b]."""
-    return h_m @ w_m + b_m
-
-
-def head_series_backward(h_m, w_m, dpred_m):
-    """Backward of head_series: (dh_m [b x H], dw_m [H], db_m scalar)."""
-    return np.outer(dpred_m, w_m), h_m.T @ dpred_m, dpred_m.sum()
-
-
 def head_forward(hs, w, b):
-    """hs [b x M x H] -> thresholds [b x M] with per-series weights."""
-    bsz, m, _ = hs.shape
-    pred = np.empty((bsz, m))
-    for i in range(m):
-        pred[:, i] = head_series(hs[:, i], w[i], b[i])
-    return pred, hs
+    """hs [b x M x H] -> thresholds [b x M], series m through its own
+    linear head w[m] [H], b[m]: one matmul stacked over the series axis."""
+    pred = np.matmul(hs.transpose(1, 0, 2), w[:, :, None])[:, :, 0]
+    pred += b[:, None]
+    return np.ascontiguousarray(pred.T), hs
 
 
 def head_backward(hs, w, dpred):
-    m = hs.shape[1]
-    dw = np.empty_like(w)
-    db = np.empty(m)
-    dhs = np.empty_like(hs)
-    for i in range(m):
-        dhs[:, i], dw[i], db[i] = head_series_backward(hs[:, i], w[i], dpred[:, i])
-    return dhs, dw, db
+    """(dhs [b x M x H], dw [M x H], db [M]); each bias gradient is the
+    pairwise sum of its contiguous column, as a 1-D .sum() would give."""
+    dcol = np.ascontiguousarray(dpred.T)
+    dw = np.matmul(hs.transpose(1, 2, 0), dcol[:, :, None])[:, :, 0]
+    return dpred[:, :, None] * w, dw, dcol.sum(axis=1)

@@ -272,9 +272,7 @@ def predictions_dbm(spec, out, trace, ds, variant, thresholds=None,
     if variant in ("iqpt", "iqpt-split"):
         return ds.norm.invert(thresholds)
     if variant == "evt-iqpt":
-        margins = np.array([tailcal.gpd_quantile(t, 1.0 - spec.varsigma)
-                            for t in calibrated.tails])
-        return ds.norm.invert(thresholds + margins)
+        return ds.norm.invert(thresholds + calibrated.margins)
     if variant in ("cevt-iqpt", "cevt-iqpt-split"):
         return ds.norm.invert(tailcal.calibrated_quantile(thresholds, calibrated))
     raise ConfigError(f"unknown predictor variant {variant!r}")

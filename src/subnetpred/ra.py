@@ -68,13 +68,14 @@ def blocklength(snr, payload_bits, eps_target):
         raise ValueError("snr must be positive")
     if not 0.0 < eps_target <= 0.5:
         raise ValueError("eps_target must lie in (0, 0.5]")
-    c = capacity(snr)
+    # capacity and dispersion inline, sharing 1 + snr
+    g1 = 1.0 + snr
+    c = np.log2(g1)
     base = payload_bits / c
     if eps_target == 0.5:
         return base if base.shape else float(base)
-    q2 = _q_inverse_sq(float(eps_target))
-    v = dispersion(snr)
-    corr = q2 * v / (2.0 * c**2) * (1.0 + np.sqrt(1.0 + 4.0 * payload_bits * c / (q2 * v)))
+    q2v = _q_inverse_sq(float(eps_target)) * ((1.0 - g1 ** -2) * LOG2E**2)
+    corr = q2v / (2.0 * c**2) * (1.0 + np.sqrt(1.0 + 4.0 * payload_bits * c / q2v))
     out = base + corr
     return out if out.shape else float(out)
 

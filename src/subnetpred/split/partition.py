@@ -17,16 +17,16 @@ CLIENT_KEYS = ("embed.w", "embed.b", "head.w", "head.b")
 class SplitPartition:
     """Disjoint parameter ownership across the split participants."""
 
-    clients: list        # per client: its row of each CLIENT_KEYS tensor
+    clients: list        # per client: its [1 x ...] slice of each CLIENT_KEYS tensor
     body: dict           # encoder layers + LSTM tensors
     cfg: object
 
 
 def partition(params, cfg):
     """Split a centralized parameter dict; arrays are copied, not aliased.
-    Every part keeps the centralized names; head.b rows become 0-d arrays,
-    which the clients' Adam updates in place."""
-    clients = [{k: np.array(params[k][m]) for k in CLIENT_KEYS}
+    Every part keeps the centralized names, and client m holds the one-series
+    slices [m:m + 1], which the layer functions take as they are."""
+    clients = [{k: params[k][m:m + 1].copy() for k in CLIENT_KEYS}
                for m in range(cfg.n_series)]
     body = {k: v.copy() for k, v in params.items() if k not in CLIENT_KEYS}
     return SplitPartition(clients=clients, body=body, cfg=cfg)
@@ -34,6 +34,6 @@ def partition(params, cfg):
 
 def merge(part):
     """Reassemble the centralized parameter dict from a partition."""
-    params = {k: np.stack([c[k] for c in part.clients]) for k in CLIENT_KEYS}
+    params = {k: np.concatenate([c[k] for c in part.clients]) for k in CLIENT_KEYS}
     params.update({k: v.copy() for k, v in part.body.items()})
     return {k: params[k] for k in param_names(part.cfg)}

@@ -1,9 +1,12 @@
 """Bulk-synchronous U-shaped split execution.
 
 Every forward/backward step evaluates exactly the operations of the
-centralized network (the clients call the same per-series kernels, the
-server the same body kernels), so split training from a partitioned
-checkpoint reproduces centralized training bit-for-bit given the same seed
+centralized network: a client calls the same embedding and quantile-head
+functions on its one-series slice (windows [b x S x 1], weights [1 x ...]),
+which stack their matmuls over the series axis and hand BLAS each series'
+operands in the same contiguous layout at any series count, and the server
+calls the same body kernels.  Split training from a partitioned checkpoint
+therefore reproduces centralized training bit-for-bit given the same seed
 and data order.  Labels and raw windows never leave their client; only cut
 activations and cut gradients cross the channel.
 """
@@ -30,8 +33,9 @@ def client_name(index):
 
 
 class SplitClient:
-    """One SA pair: its rows of the embedding and quantile-head tensors,
-    under the centralized names, and the private data."""
+    """One SA pair: its one-series slices of the embedding and quantile-head
+    tensors, under the centralized names, and the private data (windows
+    [n x S x 1], labels [n x 1])."""
 
     def __init__(self, index, params, x_col, y_col, cfg, lr):
         self.index = index
@@ -50,35 +54,35 @@ class SplitClient:
         level = None
         if self.cfg.center_windows:
             x_b, level = layers.center_windows(x_b)
-        token = layers.embed_series(x_b, self.params["embed.w"],
-                                    self.params["embed.b"])
+        tokens, embed = layers.embed_forward(x_b, self.params["embed.w"],
+                                             self.params["embed.b"])
+        token = tokens[:, 0]
         mask = embed_dropout(masks, self.index, token.shape)
-        self._cache = {"x": x_b, "token": token, "mask": mask, "idx": idx,
-                       "level": level}
+        self._cache = {"embed": embed, "mask": mask, "idx": idx, "level": level}
         return token if mask is None else token * mask
 
     def tail_step(self, h_m):
         """Forward the tail, evaluate the local pinball loss contribution,
         and return the gradient w.r.t. the received hidden state."""
         y_b = self.y[self._cache["idx"]]
-        pred = layers.head_series(h_m, self.params["head.w"],
-                                  self.params["head.b"])
+        hs = h_m[:, None]
+        pred, _ = layers.head_forward(hs, self.params["head.w"],
+                                      self.params["head.b"])
         if self._cache["level"] is not None:
             pred = pred + self._cache["level"]
         alpha, m = self.cfg.alpha, self.cfg.n_series
         dpred = pinball_grad(pred, y_b, alpha, count=pred.size * m)
-        dh, dw, db = layers.head_series_backward(h_m, self.params["head.w"], dpred)
+        dhs, dw, db = layers.head_backward(hs, self.params["head.w"], dpred)
         self._grads = {"head.w": dw, "head.b": db}
-        return pinball_loss(pred, y_b, alpha) / m, dh
+        return pinball_loss(pred, y_b, alpha) / m, dhs[:, 0]
 
     def head_backward(self, dtoken):
         mask = self._cache["mask"]
         if mask is not None:
             dtoken = dtoken * mask
         # the raw windows have no upstream, so their gradient is dropped
-        _, self._grads["embed.w"], self._grads["embed.b"] = \
-            layers.embed_series_backward(self._cache["x"], self.params["embed.w"],
-                                         self._cache["token"], dtoken)
+        _, self._grads["embed.w"], self._grads["embed.b"] = layers.embed_backward(
+            self._cache["embed"], self.params["embed.w"], dtoken[:, None])
 
     def apply_update(self):
         self.opt.step(self.params, self._grads)
@@ -115,8 +119,8 @@ def build_participants(part, x, y, lr):
     server from a SplitPartition plus the training tensors.  The participants
     hold the partition's arrays and update them in place."""
     cfg = part.cfg
-    clients = [SplitClient(m, params, np.ascontiguousarray(x[:, :, m]),
-                           y[:, m].copy(), cfg, lr)
+    clients = [SplitClient(m, params, x[:, :, m:m + 1].copy(),
+                           y[:, m:m + 1].copy(), cfg, lr)
                for m, params in enumerate(part.clients)]
     server = SplitServer(part.body, cfg, lr)
     return clients, server

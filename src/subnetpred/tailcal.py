@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import minimize
@@ -62,6 +63,12 @@ class CalibratedTail:
     tails: tuple
     record: ConformalRecord
     varsigma: float = field(default=0.5)
+
+    @cached_property
+    def margins(self):
+        """Per-series GPD read-out margins Q(1 - varsigma), computed once."""
+        return np.array([gpd_quantile(tail, 1.0 - self.varsigma)
+                         for tail in self.tails])
 
 
 def _gpd_nll(shape, scale, samples):
@@ -202,10 +209,8 @@ def calibrated_quantile(thresholds, calibrated):
     conformally calibrated threshold; varsigma -> 0 walks out to the tail
     endpoint for negative-shape fits.
     """
-    t = np.asarray(thresholds, dtype=float)
-    p = 1.0 - calibrated.varsigma
-    margins = np.array([gpd_quantile(tail, p) for tail in calibrated.tails])
-    return (np.atleast_2d(t.T).T + margins + calibrated.record.scores).reshape(t.shape)
+    return (np.asarray(thresholds, dtype=float) + calibrated.margins
+            + calibrated.record.scores)
 
 
 def calibration_report(calibrated, exceedance_fractions=None):

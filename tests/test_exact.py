@@ -1,17 +1,17 @@
 """Bit-exact contract of the per-cycle decision kernels and the simulator.
 
-The sigmoid, the layer norm, the LSTM, the blocklength, the calibrated
-read-out and the batched Wiener refit are written for low per-call
-overhead.  Each must give the same bits as the plain formula kept here as
-its reference, so that results, checkpoints and loss curves do not depend
-on the fast form.  The Adam step is pinned to its textbook form the same
-way, for any later rewrite of it.  The same holds
-for the interference simulator: its two-pass form, with pass 1 in blocks,
-must give the traces of the cycle-by-cycle loop with the scalar mobility
-kernels and per-cycle channel and traffic updates kept here, one
-generator fill must give the draws of the smaller calls it replaces, and
-free runs of rdmm steps must give the positions, headings and draws of
-stepping every cycle.
+The sigmoid, the layer norm, the LSTM, the series-stacked embedding and
+quantile head, the blocklength, the calibrated read-out and the batched
+Wiener refit are written for low per-call overhead.  Each must give the
+same bits as the plain formula kept here as its reference, so that
+results, checkpoints and loss curves do not depend on the fast form.  The
+Adam step is pinned to its textbook form the same way, for any later
+rewrite of it.  The same holds for the interference simulator: its
+two-pass form, with pass 1 in blocks, must give the traces of the
+cycle-by-cycle loop with the scalar mobility kernels and per-cycle channel
+and traffic updates kept here, one generator fill must give the draws of
+the smaller calls it replaces, and free runs of rdmm steps must give the
+positions, headings and draws of stepping every cycle.
 """
 
 from dataclasses import replace
@@ -217,6 +217,47 @@ def ref_lstm_backward(steps, wx, wh, dhs):
     return dtokens, dwx, dwh, dbias
 
 
+# The per-series loops the stacked embedding and head replace.  Each hands
+# BLAS the series' column contiguous, as a split client holds it: at batch 1
+# (the embedding) and for the head's dpred column, OpenBLAS's gemv gives
+# other bits for a strided vector than a contiguous one at lengths 2 and 3
+# mod 4 (the SkylakeX and Haswell kernels), so a loop over strided columns
+# of the centralized batch did not match its own split clients there.
+
+def ref_embed_forward(x, w, b):
+    tokens = np.empty((x.shape[0], x.shape[2], w.shape[2]))
+    for i in range(x.shape[2]):
+        tokens[:, i] = np.tanh(np.ascontiguousarray(x[:, :, i]) @ w[i] + b[i])
+    return tokens
+
+
+def ref_embed_backward(x, tokens, w, dtokens):
+    dx, dw, db = np.empty_like(x), np.empty_like(w), np.empty((x.shape[2], w.shape[2]))
+    for i in range(x.shape[2]):
+        dpre = dtokens[:, i] * (1.0 - tokens[:, i]**2)
+        dx[:, :, i] = dpre @ w[i].T
+        dw[i] = np.ascontiguousarray(x[:, :, i]).T @ dpre
+        db[i] = dpre.sum(axis=0)
+    return dx, dw, db
+
+
+def ref_head_forward(hs, w, b):
+    pred = np.empty(hs.shape[:2])
+    for i in range(hs.shape[1]):
+        pred[:, i] = hs[:, i] @ w[i] + b[i]
+    return pred
+
+
+def ref_head_backward(hs, w, dpred):
+    dhs, dw, db = np.empty_like(hs), np.empty_like(w), np.empty(hs.shape[1])
+    for i in range(hs.shape[1]):
+        col = np.ascontiguousarray(dpred[:, i])
+        dhs[:, i] = np.outer(col, w[i])
+        dw[i] = hs[:, i].T @ col
+        db[i] = col.sum()
+    return dhs, dw, db
+
+
 def _pre_activations(rng, b, scale=6.0):
     """[b x 4H] gate pre-activations with extreme and signed-zero entries."""
     z = rng.normal(scale=scale, size=(b, 4 * H))
@@ -290,6 +331,73 @@ def test_lstm_one_sigmoid_per_step_matches_three(b):
         assert np.array_equal(got, want)
 
 
+# ------------------------------------------------ embedding and quantile head
+
+SERIES_BATCHES = (1, 2, 3, 6, 32, 1000)
+
+
+def _series_inputs(rng, b, m, s, layout, d=16):
+    """Windows, hidden states and upstream gradients in the given layout:
+    contiguous, or reversed along the batch and strided along the other axes."""
+    if layout == "contiguous":
+        x = rng.normal(size=(b, s, m))
+        hs = rng.normal(size=(b, m, H))
+        dtokens, dpred = rng.normal(size=(b, m, d)), rng.normal(size=(b, m))
+    else:
+        x = rng.normal(size=(b, 2 * s, m + 2))[::-1, ::2, 1:m + 1]
+        hs = rng.normal(size=(b, 2 * m, H))[::-1, ::2]
+        dtokens = rng.normal(size=(b, m, 2 * d))[::-1, :, ::2]
+        dpred = rng.normal(size=(b, 2 * m))[::-1, ::2]
+    w, bias = rng.normal(scale=0.3, size=(m, s, d)), rng.normal(size=(m, d))
+    return x, w, bias, dtokens, hs, rng.normal(size=(m, H)), rng.normal(size=m), dpred
+
+
+@pytest.mark.parametrize("b", SERIES_BATCHES)
+@pytest.mark.parametrize("m", [1, 4, 7])
+@pytest.mark.parametrize("s", [6, 16])
+@pytest.mark.parametrize("layout", ["contiguous", "strided"])
+def test_stacked_embed_and_head_match_per_series_loops(b, m, s, layout):
+    rng = np.random.default_rng(70 + b + 10 * m + s)
+    x, w, bias, dtokens, hs, hw, hb, dpred = _series_inputs(rng, b, m, s, layout)
+    tokens, cache = layers.embed_forward(x, w, bias)
+    ref_tokens = ref_embed_forward(x, w, bias)
+    assert np.array_equal(tokens, ref_tokens) and tokens.flags.c_contiguous
+    for got, want in zip(layers.embed_backward(cache, w, dtokens),
+                         ref_embed_backward(x, ref_tokens, w, dtokens)):
+        assert np.array_equal(got, want)
+    pred, _ = layers.head_forward(hs, hw, hb)
+    assert np.array_equal(pred, ref_head_forward(hs, hw, hb)) and pred.flags.c_contiguous
+    for got, want in zip(layers.head_backward(hs, hw, dpred),
+                         ref_head_backward(hs, hw, dpred)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("b", (1, 2, 3, 6, 7, 32))
+@pytest.mark.parametrize("s", [6, 7, 16])
+def test_one_series_call_equals_its_column_of_the_stacked_call(b, s):
+    # a split client's call: its windows [b x S x 1], weights [1 x ...], the
+    # token gradient and hidden state it receives, its own dpred column
+    m = 4
+    rng = np.random.default_rng(90 + b + s)
+    x, w, bias, dtokens, hs, hw, hb, dpred = _series_inputs(rng, b, m, s, "contiguous")
+    tokens, cache = layers.embed_forward(x, w, bias)
+    dx, dw, db = layers.embed_backward(cache, w, dtokens)
+    pred, _ = layers.head_forward(hs, hw, hb)
+    dhs, dhw, dhb = layers.head_backward(hs, hw, dpred)
+    for i in range(m):
+        one = slice(i, i + 1)
+        t_i, cache_i = layers.embed_forward(x[:, :, one].copy(), w[one], bias[one])
+        assert np.array_equal(t_i[:, 0], tokens[:, i])
+        dx_i, dw_i, db_i = layers.embed_backward(cache_i, w[one], dtokens[:, i][:, None])
+        assert np.array_equal(dx_i[:, :, 0], dx[:, :, i])
+        assert np.array_equal(dw_i[0], dw[i]) and np.array_equal(db_i[0], db[i])
+        h_i = hs[:, i][:, None]
+        assert np.array_equal(layers.head_forward(h_i, hw[one], hb[one])[0][:, 0], pred[:, i])
+        dh_i, dhw_i, dhb_i = layers.head_backward(h_i, hw[one], dpred[:, one].copy())
+        assert np.array_equal(dh_i[:, 0], dhs[:, i])
+        assert np.array_equal(dhw_i[0], dhw[i]) and dhb_i[0] == dhb[i]
+
+
 # ---------------------------------------------------------------- attention
 
 @pytest.mark.parametrize("b", BATCHES)
@@ -323,7 +431,7 @@ def test_predict_equals_per_chunk_forwards():
 
 def test_adam_matches_textbook_step_on_every_tensor_rank():
     rng = np.random.default_rng(50)
-    # a split client's head bias is 0-d and its gradient a numpy scalar
+    # a 0-d tensor whose gradient is a numpy scalar
     shapes = {"b0": (), "b1": (7,), "w3": (3, 5, 4)}
     params = {k: rng.normal(size=s) for k, s in shapes.items()}
     params["b0"] = np.array(0.3)

@@ -117,6 +117,12 @@ def test_checkpoint_round_trip(tmp_path):
 
 # ------------------------------------------------------------------ baselines
 
+@pytest.mark.parametrize("t", [[1], [5, 0], np.array([2, 1, 9])])
+def test_moving_average_needs_two_history_samples(t):
+    with pytest.raises(ValueError, match="two history samples"):
+        moving_average_predict(np.arange(10.0), t)
+
+
 def test_moving_average_constant_and_arithmetic():
     series = np.full(10, 3.3)
     assert moving_average_predict(series, [5])[0] == pytest.approx(3.3)

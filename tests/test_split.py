@@ -90,6 +90,39 @@ def test_one_split_epoch_matches_centralized_training(window, n_series):
         assert np.array_equal(split[key], tensor), key
 
 
+@pytest.mark.parametrize("b", [1, 2, 3, 6, 7])
+@pytest.mark.parametrize("window", [6, 7, 16])
+def test_split_gradients_equal_centralized_at_every_batch_size(b, window):
+    # an epoch's last batch can have any size (the tiny preset's is 15);
+    # every participant's gradient equals the centralized one bit for bit
+    from subnetpred.model import backward
+    from subnetpred.model.losses import pinball_grad
+    from subnetpred.model.optim import DropoutMasks
+    from subnetpred.split.partition import CLIENT_KEYS
+    from subnetpred.split.runtime import split_forward_batch
+
+    cfg = replace(CFG, window=window, center_windows=True)
+    x, y = make_data(b, 17, cfg)
+    params = init_params(cfg, seed=17)
+    masks = DropoutMasks(cfg.dropout, 17, 0, 0)
+    pred, cache = forward(params, cfg, x, masks)
+    central = backward(params, cfg, cache, pinball_grad(pred, y, cfg.alpha))
+
+    clients, server = build_participants(partition(params, cfg), x, y, lr=1e-3)
+    hidden = split_forward_batch(clients, server, InProcessChannel(),
+                                 np.arange(b), masks, 0, 0)
+    dhs = np.stack([cl.tail_step(h_m)[1] for cl, h_m in zip(clients, hidden)],
+                   axis=1)
+    dtokens = server.body_backward(dhs)
+    for m, cl in enumerate(clients):
+        cl.head_backward(dtokens[:, m])
+    split = {k: np.concatenate([cl._grads[k] for cl in clients]) for k in CLIENT_KEYS}
+    split.update(server._grads)
+    assert split.keys() == central.keys()
+    for key, grad in central.items():
+        assert np.array_equal(split[key], grad), key
+
+
 def test_message_counts_per_batch():
     params = init_params(CFG, seed=6)
     part = partition(params, CFG)

@@ -203,6 +203,25 @@ def test_calibrated_quantile_monotonicity(varsigma, cs, threshold):
     assert smaller_vs >= lo - 1e-9    # smaller varsigma = deeper tail quantile
 
 
+def test_margins_equal_from_fresh_and_reloaded_calibration(tmp_path):
+    # the read-out margin has one definition, CalibratedTail.margins, and a
+    # calibration served from its report gives the same bits
+    rng = np.random.default_rng(12)
+    labels = rng.standard_normal((400, 3)) * [1.0, 2.0, 0.5]
+    thresholds = np.quantile(labels, 0.9, axis=0) + 0.01 * rng.standard_normal((400, 3))
+    tails = tuple(gpd_fit(e) for e in collect_exceedances(labels, thresholds))
+    record = conformity_scores(thresholds[:100], labels[:100], 0.05)
+    fresh = CalibratedTail(tails=tails, record=record, varsigma=0.37)
+    write_calibration_report(tmp_path / "cal.json", fresh)
+    back = read_calibration_report(tmp_path / "cal.json")
+    assert np.array_equal(back.margins, fresh.margins)
+    assert np.array_equal(fresh.margins,
+                          [gpd_quantile(t, 1.0 - 0.37) for t in tails])
+    t = rng.standard_normal((5, 3))
+    assert np.array_equal(calibrated_quantile(t, back),
+                          (t + fresh.margins) + fresh.record.scores)
+
+
 def test_calibration_report_shape():
     cal = make_calibrated(0.1, 1.0, 0.5, 0.5)
     rep = calibration_report(cal, exceedance_fractions=[0.05])

@@ -102,6 +102,10 @@ class ChannelParams:
     soft_los_bias shifts the logistic soft-LOS latent so short-range
     factory links are LOS-dominant on average (bias 2 gives a mean weight
     around 0.88); set it to 0 for a balanced LOS/NLOS mix.
+
+    est_looks is the number of independent fading looks -- frequency bins /
+    pilot repetitions within the measurement slot -- averaged into each
+    power sample; 1 keeps single-shot fading.
     """
 
     shadow_std_los_db: float = 4.0
@@ -130,10 +134,6 @@ class ModelConfig:
     center_windows subtracts each instance's per-series window mean before
     embedding and adds it back to the prediction (standard non-stationary
     conditioning: the head predicts the offset from the recent level).
-
-    (ChannelParams.est_looks above is the number of independent fading
-    looks -- frequency bins / pilot repetitions within the measurement
-    slot -- averaged into each power sample; 1 keeps single-shot fading.)
     """
 
     n_series: int = 4

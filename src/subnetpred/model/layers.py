@@ -64,13 +64,13 @@ def embed_forward(x, w, b):
     return tokens, (xs, tokens)
 
 
-def embed_backward(cache, w, dtokens):
-    """(dx [b x S x M], dw [M x S x D], db [M x D])."""
+def embed_backward(cache, dtokens):
+    """(dw [M x S x D], db [M x D]); the raw windows have no upstream, so
+    their gradient is not formed."""
     xs, tokens = cache
     dpre = np.ascontiguousarray((dtokens * (1.0 - tokens**2)).transpose(1, 0, 2))
-    dx = np.matmul(dpre, w.transpose(0, 2, 1))
     dw = np.matmul(xs.transpose(0, 2, 1), dpre)
-    return np.ascontiguousarray(dx.transpose(1, 2, 0)), dw, dpre.sum(axis=1)
+    return dw, dpre.sum(axis=1)
 
 
 # ---------------------------------------------------------------- attention

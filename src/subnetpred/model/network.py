@@ -144,8 +144,8 @@ def backward(params, cfg, cache, dpred):
     grads.update(body_grads)
     if cache["embed_mask"] is not None:
         dtokens = dtokens * cache["embed_mask"]
-    _, grads["embed.w"], grads["embed.b"] = layers.embed_backward(
-        cache["embed"], params["embed.w"], dtokens)
+    grads["embed.w"], grads["embed.b"] = layers.embed_backward(
+        cache["embed"], dtokens)
     return grads
 
 

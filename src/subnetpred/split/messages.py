@@ -1,15 +1,13 @@
 """Message schema and the in-process transport for split execution.
 
-Wire format of one message: a UTF-8 JSON header line
-{kind, source, dest, epoch, batch, shape, dtype} terminated by a newline,
-followed by the little-endian float payload bytes.  The in-process channel
-delivers exactly once and in per-(source, dest) order and counts messages
-and bits; a message never sent makes the receiver's recv raise.
+A message carries its kind, its endpoints, the (epoch, batch) of the shared
+epoch loop and a float payload.  The in-process channel delivers exactly
+once and in per-(source, dest) order; a message never sent makes the
+receiver's recv raise.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 
@@ -41,40 +39,15 @@ class SplitMessage:
         """Size on the wire in bits: element count times element width."""
         return int(self.payload.size * self.payload.itemsize * 8)
 
-    def to_bytes(self):
-        header = {
-            "kind": self.kind, "source": self.source, "dest": self.dest,
-            "epoch": self.epoch, "batch": self.batch,
-            "shape": list(self.payload.shape), "dtype": "<f8",
-        }
-        return json.dumps(header).encode("utf-8") + b"\n" + \
-            np.ascontiguousarray(self.payload, dtype="<f8").tobytes()
-
-    @classmethod
-    def from_bytes(cls, blob):
-        nl = blob.index(b"\n")
-        header = json.loads(blob[:nl].decode("utf-8"))
-        payload = np.frombuffer(blob[nl + 1:], dtype=header["dtype"]).reshape(
-            header["shape"]).copy()
-        return cls(kind=header["kind"], source=header["source"],
-                   dest=header["dest"], epoch=header["epoch"],
-                   batch=header["batch"], payload=payload)
-
 
 class InProcessChannel:
     """FIFO queues per (source, dest) pair with exactly-once delivery."""
 
     def __init__(self):
         self._queues = {}
-        self.sent_messages = 0
-        self.sent_bits = 0
-        self.counts = {KIND_ACTIVATION: 0, KIND_GRADIENT: 0}
 
     def send(self, message):
         edge = (message.source, message.dest)
-        self.sent_messages += 1
-        self.sent_bits += message.payload_bits
-        self.counts[message.kind] += 1
         self._queues.setdefault(edge, deque()).append(message)
 
     def recv(self, dest, source, kind):

@@ -1,5 +1,6 @@
 """Parameter partitioning for the U-shaped split: per-client head (embedding
-block) and tail (quantile-head block), shared body (encoders + LSTM)."""
+block) and tail (quantile-head block), shared body (encoders + LSTM), and
+the per-sample workload and cut size of each part."""
 
 from __future__ import annotations
 
@@ -7,10 +8,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..model.network import param_names
+from ..model.network import forward_flops, param_names
 
 # per-series tensors; client m owns row m of each
 CLIENT_KEYS = ("embed.w", "embed.b", "head.w", "head.b")
+
+FLOAT_BITS = 64
 
 
 @dataclass
@@ -37,3 +40,21 @@ def merge(part):
     params = {k: np.concatenate([c[k] for c in part.clients]) for k in CLIENT_KEYS}
     params.update({k: v.copy() for k, v in part.body.items()})
     return {k: params[k] for k in param_names(part.cfg)}
+
+
+def partition_workloads(cfg):
+    """Per-sample FLOPs of head/body/tail and the cut sizes in bits.
+
+    The body share is expressed per client sample, so n_series * body_flops
+    is the full stacked-batch body workload.  Each training instance
+    crosses every client's cut twice: forward with up_bits up and down_bits
+    down, backward with the same sizes the other way.
+    """
+    m, s, d, h = cfg.n_series, cfg.window, cfg.d_embed, cfg.lstm_hidden
+    head = 2 * s * d + d
+    tail = 2 * h
+    total = forward_flops(cfg)
+    body = (total - m * (head + tail)) / m
+    return {"head_flops": float(head), "body_flops": float(body),
+            "tail_flops": float(tail), "up_bits": float(d * FLOAT_BITS),
+            "down_bits": float(h * FLOAT_BITS)}

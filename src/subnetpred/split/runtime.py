@@ -80,9 +80,8 @@ class SplitClient:
         mask = self._cache["mask"]
         if mask is not None:
             dtoken = dtoken * mask
-        # the raw windows have no upstream, so their gradient is dropped
-        _, self._grads["embed.w"], self._grads["embed.b"] = layers.embed_backward(
-            self._cache["embed"], self.params["embed.w"], dtoken[:, None])
+        self._grads["embed.w"], self._grads["embed.b"] = layers.embed_backward(
+            self._cache["embed"], dtoken[:, None])
 
     def apply_update(self):
         self.opt.step(self.params, self._grads)

@@ -213,11 +213,11 @@ def calibrated_quantile(thresholds, calibrated):
             + calibrated.record.scores)
 
 
-def calibration_report(calibrated, exceedance_fractions=None):
+def calibration_report(calibrated, exceedance_fractions):
     """JSON-ready calibration summary: per-series fit, score, diagnostics."""
     rows = []
     for m, tail in enumerate(calibrated.tails):
-        row = {
+        rows.append({
             "series": m,
             "shape": tail.shape,
             "scale": tail.scale,
@@ -225,10 +225,8 @@ def calibration_report(calibrated, exceedance_fractions=None):
             "log_likelihood": tail.log_likelihood,
             "fallback": tail.fallback,
             "conformity_score": float(calibrated.record.scores[m]),
-        }
-        if exceedance_fractions is not None:
-            row["exceedance_fraction"] = float(exceedance_fractions[m])
-        rows.append(row)
+            "exceedance_fraction": float(exceedance_fractions[m]),
+        })
     return {
         "beta": calibrated.record.beta,
         "n_calibration": calibrated.record.n_calibration,
@@ -237,7 +235,7 @@ def calibration_report(calibrated, exceedance_fractions=None):
     }
 
 
-def write_calibration_report(path, calibrated, exceedance_fractions=None):
+def write_calibration_report(path, calibrated, exceedance_fractions):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(calibration_report(calibrated, exceedance_fractions), fh, indent=2)
 

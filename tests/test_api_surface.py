@@ -15,16 +15,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "subnetpred"
 
 # public names kept without a program caller, one reason each
-ALLOWED = {
-    "latency_model_for": "the paper's split latency model, to be wired into "
-                         "run telemetry (ROADMAP item 7)",
-    "estimate_latency": "the paper's split latency model, to be wired into "
-                        "run telemetry (ROADMAP item 7)",
-    "SplitMessage.to_bytes": "the split wire format, to be checked against the "
-                             "latency model (ROADMAP item 7)",
-    "SplitMessage.from_bytes": "the split wire format, to be checked against "
-                               "the latency model (ROADMAP item 7)",
-}
+ALLOWED = {}
 
 
 def _definitions():

@@ -231,14 +231,14 @@ def ref_embed_forward(x, w, b):
     return tokens
 
 
-def ref_embed_backward(x, tokens, w, dtokens):
-    dx, dw, db = np.empty_like(x), np.empty_like(w), np.empty((x.shape[2], w.shape[2]))
-    for i in range(x.shape[2]):
+def ref_embed_backward(x, tokens, dtokens):
+    m, d = x.shape[2], tokens.shape[2]
+    dw, db = np.empty((m, x.shape[1], d)), np.empty((m, d))
+    for i in range(m):
         dpre = dtokens[:, i] * (1.0 - tokens[:, i]**2)
-        dx[:, :, i] = dpre @ w[i].T
         dw[i] = np.ascontiguousarray(x[:, :, i]).T @ dpre
         db[i] = dpre.sum(axis=0)
-    return dx, dw, db
+    return dw, db
 
 
 def ref_head_forward(hs, w, b):
@@ -362,8 +362,8 @@ def test_stacked_embed_and_head_match_per_series_loops(b, m, s, layout):
     tokens, cache = layers.embed_forward(x, w, bias)
     ref_tokens = ref_embed_forward(x, w, bias)
     assert np.array_equal(tokens, ref_tokens) and tokens.flags.c_contiguous
-    for got, want in zip(layers.embed_backward(cache, w, dtokens),
-                         ref_embed_backward(x, ref_tokens, w, dtokens)):
+    for got, want in zip(layers.embed_backward(cache, dtokens),
+                         ref_embed_backward(x, ref_tokens, dtokens)):
         assert np.array_equal(got, want)
     pred, _ = layers.head_forward(hs, hw, hb)
     assert np.array_equal(pred, ref_head_forward(hs, hw, hb)) and pred.flags.c_contiguous
@@ -381,15 +381,14 @@ def test_one_series_call_equals_its_column_of_the_stacked_call(b, s):
     rng = np.random.default_rng(90 + b + s)
     x, w, bias, dtokens, hs, hw, hb, dpred = _series_inputs(rng, b, m, s, "contiguous")
     tokens, cache = layers.embed_forward(x, w, bias)
-    dx, dw, db = layers.embed_backward(cache, w, dtokens)
+    dw, db = layers.embed_backward(cache, dtokens)
     pred, _ = layers.head_forward(hs, hw, hb)
     dhs, dhw, dhb = layers.head_backward(hs, hw, dpred)
     for i in range(m):
         one = slice(i, i + 1)
         t_i, cache_i = layers.embed_forward(x[:, :, one].copy(), w[one], bias[one])
         assert np.array_equal(t_i[:, 0], tokens[:, i])
-        dx_i, dw_i, db_i = layers.embed_backward(cache_i, w[one], dtokens[:, i][:, None])
-        assert np.array_equal(dx_i[:, :, 0], dx[:, :, i])
+        dw_i, db_i = layers.embed_backward(cache_i, dtokens[:, i][:, None])
         assert np.array_equal(dw_i[0], dw[i]) and np.array_equal(db_i[0], db[i])
         h_i = hs[:, i][:, None]
         assert np.array_equal(layers.head_forward(h_i, hw[one], hb[one])[0][:, 0], pred[:, i])

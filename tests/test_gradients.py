@@ -57,21 +57,6 @@ def test_every_parameter_gradient_matches_finite_differences():
         assert rel_err(grads[name], numeric) < RTOL, name
 
 
-def test_input_gradient_via_embedding():
-    # dloss/dx through the tanh embedding checked against FD on the input
-    rng = np.random.default_rng(1)
-    params, x, y = scalar_loss_setup(1)
-    numeric = central_diff(lambda: loss_of(params, x, y), x)
-
-    pred, cache = forward(params, TINY, x)
-    dpred = pinball_grad(pred, y, TINY.alpha)
-    dhs, _, _ = layers.head_backward(cache["head"], params["head.w"], dpred)
-    from subnetpred.model.network import body_backward
-    dtokens, _ = body_backward(params, TINY, cache["body"], dhs)
-    dx, _, _ = layers.embed_backward(cache["embed"], params["embed.w"], dtokens)
-    assert rel_err(dx, numeric) < RTOL
-
-
 def test_attention_rows_are_stochastic():
     rng = np.random.default_rng(2)
     params = init_params(TINY, seed=2)

@@ -1,5 +1,6 @@
 """Split-execution contracts: partition identities, message schema and
-transport, functional equivalence against the centralized oracle, latency."""
+transport, functional equivalence against the centralized oracle, and the
+message and bit counts against partition_workloads."""
 
 from dataclasses import replace
 
@@ -10,10 +11,9 @@ from subnetpred.config import ModelConfig, TrainConfig
 from subnetpred.model import forward, init_params
 from subnetpred.model.train import train
 from subnetpred.split import (InProcessChannel, KIND_ACTIVATION,
-                              KIND_GRADIENT, LatencyModel, ProtocolError,
-                              SplitMessage, build_participants,
-                              estimate_latency, latency_model_for, merge,
-                              partition, partition_workloads, split_train)
+                              KIND_GRADIENT, ProtocolError, SplitMessage,
+                              build_participants, merge, partition,
+                              partition_workloads, split_train)
 
 CFG = ModelConfig(n_series=4, window=6, d_embed=16, n_heads=4, n_layers=2,
                   lstm_hidden=12, dropout=0.1, alpha=0.05)
@@ -46,14 +46,14 @@ def test_head_output_shape_matches_body_input():
     assert token.shape == (4, CFG.d_embed)
 
 
-def test_message_roundtrip_bytes():
+def test_message_payload_bits():
     payload = np.random.default_rng(2).standard_normal((3, 5))
     msg = SplitMessage(KIND_ACTIVATION, "sa0", "server", 2, 7, payload)
-    clone = SplitMessage.from_bytes(msg.to_bytes())
-    assert clone.kind == msg.kind and clone.source == "sa0"
-    assert clone.epoch == 2 and clone.batch == 7
-    assert np.array_equal(clone.payload, payload)
-    assert msg.payload_bits == payload.size * 64
+    assert msg.payload_bits == 3 * 5 * 64
+    assert SplitMessage(KIND_GRADIENT, "server", "sa0", 0, 0,
+                        payload[:, 0]).payload_bits == 3 * 64
+    with pytest.raises(ValueError):
+        SplitMessage("label", "sa0", "server", 0, 0, payload)
 
 
 def test_channel_orders_and_detects_loss():
@@ -123,17 +123,47 @@ def test_split_gradients_equal_centralized_at_every_batch_size(b, window):
         assert np.array_equal(split[key], grad), key
 
 
+def _spied_channel(record):
+    """A channel whose send hands every message to record first."""
+    ch = InProcessChannel()
+    orig_send = ch.send
+
+    def spy(msg):
+        record(msg)
+        orig_send(msg)
+
+    ch.send = spy
+    return ch
+
+
 def test_message_counts_per_batch():
     params = init_params(CFG, seed=6)
     part = partition(params, CFG)
     x, y = make_data(32, 6)
-    ch = InProcessChannel()
+    kinds = []
+    ch = _spied_channel(lambda msg: kinds.append(msg.kind))
     split_train(part, x, y, TrainConfig(epochs=1, batch_size=32), ch, 0)  # 1 batch
     m = CFG.n_series
     # heads up + body fan-out down = 2M activations; tail grads up + cut
     # grads down = 2M gradients
-    assert ch.counts[KIND_ACTIVATION] == 2 * m
-    assert ch.counts[KIND_GRADIENT] == 2 * m
+    assert kinds.count(KIND_ACTIVATION) == 2 * m
+    assert kinds.count(KIND_GRADIENT) == 2 * m
+    assert len(kinds) == 4 * m
+
+
+def test_split_bits_equal_partition_workloads():
+    # every instance sends each client's cut once forward and once backward:
+    # a [D] token up and a [H] hidden state down, then a [H] gradient up and
+    # a [D] token gradient down, whatever the batch split (40 = 16 + 16 + 8)
+    n = 40
+    part = partition(init_params(CFG, seed=10), CFG)
+    x, y = make_data(n, 10)
+    bits = []
+    ch = _spied_channel(lambda msg: bits.append(msg.payload_bits))
+    split_train(part, x, y, TrainConfig(epochs=1, batch_size=16), ch, 0)
+    w = partition_workloads(CFG)
+    assert sum(bits) == 2 * n * CFG.n_series * (w["up_bits"] + w["down_bits"])
+    assert len(bits) == 3 * 4 * CFG.n_series
 
 
 def test_labels_never_leave_clients():
@@ -142,34 +172,20 @@ def test_labels_never_leave_clients():
     x, y = make_data(32, 7)
     y = y + 1000.0   # make label values conspicuous
     seen = []
-    ch = InProcessChannel()
-    orig_send = ch.send
-
-    def spy(msg):
-        seen.append(msg.payload.copy())
-        orig_send(msg)
-
-    ch.send = spy
+    ch = _spied_channel(lambda msg: seen.append(msg.payload.copy()))
     split_train(part, x, y, TrainConfig(epochs=1, batch_size=32), ch, 0)
     for payload in seen:
         assert np.abs(payload).max() < 900.0
 
 
-def test_message_headers_follow_the_epoch_loop(monkeypatch):
+def test_message_headers_follow_the_epoch_loop():
     # 2 epochs x 2 batches: every message carries the (epoch, batch) of the
     # shared loop, 4M per batch, in the loop's order
     part = partition(init_params(CFG, seed=9), CFG)
     x, y = make_data(64, 9)
     headers = []
-    orig_send = InProcessChannel.send
-
-    def spy(self, msg):
-        headers.append((msg.epoch, msg.batch))
-        orig_send(self, msg)
-
-    monkeypatch.setattr(InProcessChannel, "send", spy)
-    split_train(part, x, y, TrainConfig(epochs=2, batch_size=32),
-                InProcessChannel(), 0)
+    ch = _spied_channel(lambda msg: headers.append((msg.epoch, msg.batch)))
+    split_train(part, x, y, TrainConfig(epochs=2, batch_size=32), ch, 0)
     per_batch = 4 * CFG.n_series
     assert headers == [(e, b) for e in range(2) for b in range(2)
                        for _ in range(per_batch)]
@@ -225,34 +241,9 @@ def test_total_gradient_conserved_across_boundary():
     assert np.isclose(np.sqrt(sq), central_norm, rtol=1e-10)
 
 
-def test_latency_closed_forms():
-    lm = LatencyModel(client_flops=1e9, server_flops=1e9,
-                      computing_intensity=1.0, uplink_bps=1e8, n_clients=1,
-                      head_flops=0.0, body_flops=1e6, tail_flops=0.0,
-                      up_bits=1024, down_bits=1024)
-    rep = estimate_latency(lm, window=16)
-    assert rep["server_compute_s"] == pytest.approx(1.6e-2)
-
-    zero = LatencyModel(client_flops=1e9, server_flops=1e9,
-                        computing_intensity=1.0, uplink_bps=1e8, n_clients=2,
-                        head_flops=0.0, body_flops=0.0, tail_flops=0.0,
-                        up_bits=1000, down_bits=500)
-    rep0 = estimate_latency(zero, window=8)
-    assert rep0["computation_s"] == 0.0
-    assert rep0["total_s"] == rep0["communication_s"]
-
-    base = estimate_latency(LatencyModel(n_clients=2), 16)
-    double = estimate_latency(LatencyModel(n_clients=4), 16)
-    assert double["server_compute_s"] == pytest.approx(2 * base["server_compute_s"])
-    assert double["uplink_s"] == pytest.approx(2 * base["uplink_s"])
-    assert double["head_compute_s"] == pytest.approx(base["head_compute_s"])
-
-
 def test_partition_workloads_cover_total():
     from subnetpred.model.network import forward_flops
     w = partition_workloads(CFG)
     m = CFG.n_series
     total = m * (w["head_flops"] + w["tail_flops"]) + m * w["body_flops"]
     assert total == pytest.approx(forward_flops(CFG))
-    lm = latency_model_for(CFG)
-    assert lm.n_clients == CFG.n_series

@@ -212,7 +212,7 @@ def test_margins_equal_from_fresh_and_reloaded_calibration(tmp_path):
     tails = tuple(gpd_fit(e) for e in collect_exceedances(labels, thresholds))
     record = conformity_scores(thresholds[:100], labels[:100], 0.05)
     fresh = CalibratedTail(tails=tails, record=record, varsigma=0.37)
-    write_calibration_report(tmp_path / "cal.json", fresh)
+    write_calibration_report(tmp_path / "cal.json", fresh, [0.1, 0.1, 0.1])
     back = read_calibration_report(tmp_path / "cal.json")
     assert np.array_equal(back.margins, fresh.margins)
     assert np.array_equal(fresh.margins,

@@ -85,6 +85,19 @@ def _merge_heads(t):
     return t.transpose(0, 2, 1, 3).reshape(b, m, nh * dh)
 
 
+def _key_sum(x):
+    """Sum over the last (key) axis, added key by key in key order.
+
+    Up to 7 keys np.add.reduce adds in this order too, so the bits are the
+    same without its short-axis reduction; from 8 keys on it sums pairwise
+    and the last bits differ (every preset has 4 series).
+    """
+    total = x[..., 0]
+    for j in range(1, x.shape[-1]):
+        total = total + x[..., j]
+    return total
+
+
 def attention_forward(tokens, wq, wk, wv, wo, bo, n_heads):
     """Multi-head self-attention over the series tokens.
 
@@ -93,7 +106,8 @@ def attention_forward(tokens, wq, wk, wv, wo, bo, n_heads):
     projection keeps its bias.  Returns (out, cache); cache[4] holds the
     attention weights [b x heads x M x M].  The softmax row max is taken
     key by key with np.maximum, which gives the bits of .max(axis=-1)
-    (a max does not depend on order) without its short-axis reduction.
+    (a max does not depend on order) without its short-axis reduction; the
+    denominator is a key-by-key sum (see _key_sum).
     """
     q = _split_heads(tokens @ wq, n_heads)
     k = _split_heads(tokens @ wk, n_heads)
@@ -107,7 +121,7 @@ def attention_forward(tokens, wq, wk, wv, wo, bo, n_heads):
     # overlapping operand as if it were copied first
     scores -= row_max[..., None]
     e = np.exp(scores)
-    attn = e / np.add.reduce(e, axis=-1, keepdims=True)
+    attn = e / _key_sum(e)[..., None]
     ctx = _merge_heads(attn @ v)
     out = ctx @ wo + bo
     cache = (tokens, q, k, v, attn, ctx)
@@ -125,7 +139,7 @@ def attention_backward(cache, wq, wk, wv, wo, n_heads, dout):
 
     dattn = dctx @ v.transpose(0, 1, 3, 2)
     dv = attn.transpose(0, 1, 3, 2) @ dctx
-    dscores = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
+    dscores = attn * (dattn - _key_sum(dattn * attn)[..., None])
     dscores /= math.sqrt(dh)
     dq = dscores @ k
     dk = dscores.transpose(0, 1, 3, 2) @ q
@@ -173,20 +187,26 @@ def lstm_forward(tokens, wx, wh, bias):
     """Gated recurrence over the series-token sequence.
 
     tokens [b x M x D] -> hidden states [b x M x H]; gate order i, f, g, o.
+    The state starts at zero, so step 0 forms neither h @ wh nor f * c and
+    caches no previous state.
     """
     b, m, _ = tokens.shape
     hsz = wh.shape[0]
-    h = np.zeros((b, hsz))
-    c = np.zeros((b, hsz))
+    h = c = None
     hs = np.empty((b, m, hsz))
     steps = []
     for t in range(m):
-        z = tokens[:, t] @ wx + h @ wh + bias
+        z = tokens[:, t] @ wx
+        if t:
+            z += h @ wh
+        z += bias
         # one sigmoid over all four gates; the g columns are left unused
         gates = _sigmoid(z)
         i, f, o = gates[:, :hsz], gates[:, hsz:2 * hsz], gates[:, 3 * hsz:]
         g = np.tanh(z[:, 2 * hsz:3 * hsz])
-        c_new = f * c + i * g
+        c_new = i * g
+        if t:
+            c_new += f * c
         tc = np.tanh(c_new)
         h_new = o * tc
         steps.append((tokens[:, t], h, c, i, f, g, o, tc))
@@ -196,31 +216,39 @@ def lstm_forward(tokens, wx, wh, bias):
 
 
 def lstm_backward(steps, wx, wh, dhs):
+    """(dtokens, dwx, dwh, dbias).  No gradient reaches the last step from
+    later ones, and step 0 read the zero state: its forget gate and wh get
+    no gradient from it, and it passes none further back."""
     b, hsz = dhs.shape[0], wh.shape[0]
     m = dhs.shape[1]
     dwx = np.zeros_like(wx)
     dwh = np.zeros_like(wh)
     dbias = np.zeros(4 * hsz)
     dtokens = np.empty((b, m, wx.shape[0]))
-    dh_next = np.zeros((b, hsz))
-    dc_next = np.zeros((b, hsz))
     dz = np.empty((b, 4 * hsz))      # the four gate blocks, i f g o
     for t in reversed(range(m)):
         x_t, h_prev, c_prev, i, f, g, o, tc = steps[t]
-        dh = dhs[:, t] + dh_next
+        dh = dhs[:, t] if t == m - 1 else dhs[:, t] + dh_next
         do = dh * tc
-        dc = dh * o * (1.0 - tc**2) + dc_next
-        di, df, dg = dc * g, dc * c_prev, dc * i
+        dc = dh * o * (1.0 - tc**2)
+        if t < m - 1:
+            dc += dc_next
+        di, dg = dc * g, dc * i
         np.multiply(di * i, 1.0 - i, out=dz[:, :hsz])
-        np.multiply(df * f, 1.0 - f, out=dz[:, hsz:2 * hsz])
+        if t:
+            df = dc * c_prev
+            np.multiply(df * f, 1.0 - f, out=dz[:, hsz:2 * hsz])
+        else:
+            dz[:, hsz:2 * hsz] = 0.0
         np.multiply(dg, 1.0 - g**2, out=dz[:, 2 * hsz:3 * hsz])
         np.multiply(do * o, 1.0 - o, out=dz[:, 3 * hsz:])
         dwx += x_t.T @ dz
-        dwh += h_prev.T @ dz
         dbias += dz.sum(axis=0)
         dtokens[:, t] = dz @ wx.T
-        dh_next = dz @ wh.T
-        dc_next = dc * f
+        if t:
+            dwh += h_prev.T @ dz
+            dh_next = dz @ wh.T
+            dc_next = dc * f
     return dtokens, dwx, dwh, dbias
 
 

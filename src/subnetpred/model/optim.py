@@ -32,11 +32,16 @@ class DropoutMasks:
         self.key = (seed, epoch, batch)
 
     def mask(self, tag, shape):
+        """Inverted-dropout mask: 1 / (1 - rate) where a uniform draw is at
+        least rate, else 0.  Built in the draw's own buffer; a kept entry is
+        1.0 times the rounded reciprocal, the bits of 1.0 / (1 - rate)."""
         if self.rate <= 0.0:
             return None
         rng = tagged_rng(self.key[0], "dropout", self.key[1], self.key[2], tag)
-        keep = rng.random(shape) >= self.rate
-        return keep / (1.0 - self.rate)
+        mask = rng.random(shape)
+        np.greater_equal(mask, self.rate, out=mask)
+        mask *= 1.0 / (1.0 - self.rate)
+        return mask
 
 
 class Adam:

@@ -207,6 +207,22 @@ def stage_train(spec, out, ds, split_mode=False):
     return params, cfg
 
 
+def _thresholds(out, ds, params, cfg, split_mode):
+    """The model's normalized thresholds for every window of ds, [L x M]:
+    one network.predict pass per model, cached under the key of the train
+    stage that built the model (stage_train must have run in `out`), so a
+    retrained model never reads another model's thresholds."""
+    suffix = "_split" if split_mode else ""
+    key = _key_path(out, "train" + suffix).read_text()
+    path = out / f"thresholds{suffix}.npy"
+    if _cached(out, "thresholds" + suffix, key, path):
+        return np.load(path)
+    thresholds = network.predict(params, cfg, ds.inputs)
+    np.save(path, thresholds)
+    _mark(out, "thresholds" + suffix, key)
+    return thresholds
+
+
 def stage_calibrate(spec, out, ds, params, cfg, split_mode=False):
     """EVT tail fits on training exceedances plus conformal scores.
 
@@ -223,13 +239,12 @@ def stage_calibrate(spec, out, ds, params, cfg, split_mode=False):
     path = out / f"calibration{suffix}.json"
     if _cached(out, stage, key, path):
         return tailcal.read_calibration_report(path)
-    tx, ty = ds.train()
-    cx, cy = ds.calibration()
-    thresholds_train = network.predict(params, cfg, tx)
-    exceed = tailcal.collect_exceedances(ty, thresholds_train)
+    thr_train, thr_cal, _ = ds.partition(_thresholds(out, ds, params, cfg,
+                                                     split_mode))
+    ty, cy, _ = ds.partition(ds.labels)
+    exceed = tailcal.collect_exceedances(ty, thr_train)
     tails = tuple(tailcal.gpd_fit(e) for e in exceed)
-    record = tailcal.conformity_scores(network.predict(params, cfg, cx), cy,
-                                       spec.beta)
+    record = tailcal.conformity_scores(thr_cal, cy, spec.beta)
     calibrated = tailcal.CalibratedTail(tails=tails, record=record,
                                         varsigma=spec.varsigma)
     fractions = [e.size / ty.shape[0] for e in exceed]
@@ -334,9 +349,10 @@ def run_plan(spec, out, variants, until="evaluate"):
     including the stage `until`; returns (trace, dataset, {variant: detail}).
 
     Simulate and prepare; check_tail_fit for every tail variant, before any
-    training; train and train_split, once per mode the variants need;
-    calibrate, once per mode; evaluate, one test prediction per model and
-    one scoring per variant.  Stages cached in `out` are reused.  A full
+    training; train and train_split, once per mode the variants need, each
+    with its model's thresholds over every window (_thresholds); calibrate,
+    once per mode; evaluate, one scoring per variant.  Stages cached in
+    `out` are reused.  A full
     run writes results.csv, summary.json and run_manifest.json once,
     merged with the variants of earlier runs in `out`.  summary.json's
     "stage_seconds" times every stage run in `out`, and "stage_cache" says
@@ -362,10 +378,11 @@ def run_plan(spec, out, variants, until="evaluate"):
             check_tail_fit(spec_v, ds)
     # training mode per model variant: True trains through the split protocol
     modes = {v: v.endswith("-split") for v in specs if v not in BASELINES}
-    models = {}
+    models, thresholds = {}, {}
     for split in dict.fromkeys(modes.values()):
         with _stage("train_split" if split else "train", stages, cache):
             models[split] = stage_train(spec, out, ds, split)
+            thresholds[split] = _thresholds(out, ds, *models[split], split)
     if until == "train":
         return trace, ds, {}
     calibrated = {}
@@ -380,13 +397,11 @@ def run_plan(spec, out, variants, until="evaluate"):
 
     rows, details = [], {}
     with _stage("evaluate", stages, cache):
-        sx, _ = ds.test()
-        thresholds = {split: network.predict(*model, sx)
-                      for split, model in models.items()}
+        test = {split: ds.partition(thr)[2] for split, thr in thresholds.items()}
         for v, spec_v in specs.items():
             split = modes.get(v)                  # None for a baseline
             new_rows, details[v] = stage_evaluate(
-                spec_v, out, trace, ds, thresholds.get(split), calibrated.get(split))
+                spec_v, out, trace, ds, test.get(split), calibrated.get(split))
             rows += new_rows
 
     _write_results(out, rows)
@@ -409,7 +424,8 @@ def run_plan(spec, out, variants, until="evaluate"):
     manifest["artifacts"] = {
         name: _file_hash(out / name)
         for name in ("trace.npz", "dataset.bin", "model.bin", "model_split.bin",
-                     "calibration.json", "calibration_split.json", "results.csv")
+                     "thresholds.npy", "thresholds_split.npy", "calibration.json",
+                     "calibration_split.json", "results.csv")
         if (out / name).exists()}
     (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2))
     return trace, ds, details

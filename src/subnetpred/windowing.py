@@ -130,6 +130,12 @@ class WindowedDataset:
     def test(self):
         return self._block(self.n_train + self.n_cal, self.n_test)
 
+    def partition(self, rows):
+        """(train, calibration, test) blocks of rows [L x ...] that hold
+        one row per instance."""
+        cal, test = self.n_train, self.n_train + self.n_cal
+        return rows[:cal], rows[cal:test], rows[test:]
+
     def test_label_cycles(self):
         """Source-trace cycle index of every test label (stride-1 windows)."""
         start = self.n_train + self.n_cal

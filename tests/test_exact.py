@@ -1,11 +1,12 @@
 """Bit-exact contract of the per-cycle decision kernels and the simulator.
 
-The sigmoid, the layer norm, the LSTM, the series-stacked embedding and
-quantile head, the blocklength, the calibrated read-out and the batched
-Wiener refit are written for low per-call overhead.  Each must give the
-same bits as the plain formula kept here as its reference, so that
-results, checkpoints and loss curves do not depend on the fast form.  The
-Adam step is pinned to its textbook form the same way, for any later
+The sigmoid, the layer norm, the LSTM with its zero-state steps, the
+attention softmax sums, the series-stacked embedding and quantile head,
+the dropout masks, the blocklength, the calibrated read-out and the
+batched Wiener refit are written for low per-call overhead.  Each must
+give the same bits as the plain formula kept here as its reference, so
+that results, checkpoints and loss curves do not depend on the fast form.
+The Adam step is pinned to its textbook form the same way, for any later
 rewrite of it.  The same holds for the interference simulator: its
 two-pass form, with pass 1 in blocks, must give the traces of the
 cycle-by-cycle loop with the scalar mobility kernels and per-cycle channel
@@ -22,7 +23,7 @@ import pytest
 from subnetpred import ra
 from subnetpred.config import ModelConfig, TrafficModel, desk_preset
 from subnetpred.model import baselines, layers
-from subnetpred.model.optim import Adam
+from subnetpred.model.optim import Adam, DropoutMasks, tagged_rng
 from subnetpred.model.network import PREDICT_BATCH, forward, init_params, predict
 from subnetpred.scenario import channel as ch
 from subnetpred.scenario.deploy import MobilityState, deploy, disc_offsets
@@ -68,21 +69,26 @@ def ref_layer_norm_backward(cache, gain, dout):
     return dx, dgain, dbias
 
 
-def ref_lstm_hidden(tokens, wx, wh, bias):
+def ref_lstm_forward(tokens, wx, wh, bias):
+    """Hidden states and per-step caches of the textbook recurrence: three
+    sigmoids per step, and h @ wh and f * c at every step, the first too."""
     b, m, _ = tokens.shape
     hsz = wh.shape[0]
     h, c = np.zeros((b, hsz)), np.zeros((b, hsz))
     hs = np.empty((b, m, hsz))
+    steps = []
     for t in range(m):
         z = tokens[:, t] @ wx + h @ wh + bias
         i = ref_sigmoid(z[:, :hsz])
         f = ref_sigmoid(z[:, hsz:2 * hsz])
         g = np.tanh(z[:, 2 * hsz:3 * hsz])
         o = ref_sigmoid(z[:, 3 * hsz:])
-        c = f * c + i * g
-        h = o * np.tanh(c)
+        c_new = f * c + i * g
+        tc = np.tanh(c_new)
+        steps.append((tokens[:, t], h, c, i, f, g, o, tc))
+        h, c = o * tc, c_new
         hs[:, t] = h
-    return hs
+    return hs, steps
 
 
 def ref_blocklength(snr, payload_bits, eps_target):
@@ -194,7 +200,8 @@ def ref_attention_forward(tokens, wq, wk, wv, wo, bo, n_heads):
 
 
 def ref_lstm_backward(steps, wx, wh, dhs):
-    """The LSTM backward with the gate blocks of dz concatenated per step."""
+    """The LSTM backward over ref_lstm_forward's steps, with the gate blocks
+    of dz concatenated per step and every zero-state term formed."""
     b, hsz, m = dhs.shape[0], wh.shape[0], dhs.shape[1]
     dwx, dwh, dbias = np.zeros_like(wx), np.zeros_like(wh), np.zeros(4 * hsz)
     dtokens = np.empty((b, m, wx.shape[0]))
@@ -316,19 +323,32 @@ def test_layer_norm_matches_mean_var_reference(b):
 
 # --------------------------------------------------------------------- LSTM
 
-@pytest.mark.parametrize("b", BATCHES)
-def test_lstm_one_sigmoid_per_step_matches_three(b):
-    rng = np.random.default_rng(30 + b)
+def _check_lstm_against_reference(b, m, seed):
+    rng = np.random.default_rng(seed)
     d = 8
-    tokens = rng.normal(scale=2.0, size=(b, 4, d))
+    tokens = rng.normal(scale=2.0, size=(b, m, d))
     wx, wh = rng.normal(size=(d, 4 * H)), rng.normal(size=(H, 4 * H))
     bias = rng.normal(size=4 * H)
     hs, steps = layers.lstm_forward(tokens, wx, wh, bias)
-    assert np.array_equal(hs, ref_lstm_hidden(tokens, wx, wh, bias))
+    ref_hs, ref_steps = ref_lstm_forward(tokens, wx, wh, bias)
+    assert np.array_equal(hs, ref_hs)
     dhs = rng.normal(size=hs.shape)
     for got, want in zip(layers.lstm_backward(steps, wx, wh, dhs),
-                         ref_lstm_backward(steps, wx, wh, dhs)):
+                         ref_lstm_backward(ref_steps, wx, wh, dhs)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("b", BATCHES)
+def test_lstm_one_sigmoid_per_step_matches_three(b):
+    _check_lstm_against_reference(b, 4, 30 + b)
+
+
+@pytest.mark.parametrize("b", (1, 2, 3, 128))
+@pytest.mark.parametrize("m", [1, 4, 7])
+def test_lstm_zero_state_steps_match_full_recurrence(b, m):
+    # step 0 forms neither h @ wh nor f * c, and its backward neither dwh
+    # nor the gradient it would pass back; the last step adds no zeros
+    _check_lstm_against_reference(b, m, 40 + b + m)
 
 
 # ------------------------------------------------ embedding and quantile head
@@ -413,6 +433,15 @@ def test_attention_row_max_matches_max_reduction(b, m):
     assert np.array_equal(cache[4], ref_attn)
 
 
+@pytest.mark.parametrize("b", (1, 2, 3, 128))
+@pytest.mark.parametrize("m", range(1, 8))
+def test_key_by_key_sum_matches_add_reduce(b, m):
+    # the softmax denominator and the dscores row sum, [b x heads x M x M]
+    x = np.exp(np.random.default_rng(80 + b + m).normal(scale=3.0, size=(b, 4, m, m)))
+    assert np.array_equal(layers._key_sum(x)[..., None],
+                          np.add.reduce(x, axis=-1, keepdims=True))
+
+
 # ------------------------------------------------------------------ predict
 
 def test_predict_equals_per_chunk_forwards():
@@ -424,6 +453,16 @@ def test_predict_equals_per_chunk_forwards():
                            for s in range(0, x.shape[0], PREDICT_BATCH)])
     assert np.array_equal(predict(params, cfg, x), want)
     assert np.array_equal(predict(params, cfg, x[:1]), forward(params, cfg, x[:1])[0])
+
+
+# ---------------------------------------------------------- dropout masks
+
+@pytest.mark.parametrize("rate", [0.05, 0.1, 1 / 3, 0.5, 0.9])
+def test_dropout_mask_equals_keep_over_one_minus_rate(rate):
+    shape = (128, 4, 64)
+    got = DropoutMasks(rate, 5, 2, 9).mask("enc0", shape)
+    want = (tagged_rng(5, "dropout", 2, 9, "enc0").random(shape) >= rate) / (1 - rate)
+    assert got.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------- Adam

@@ -255,6 +255,51 @@ def test_calibration_is_cached_per_train_stage(tmp_path, monkeypatch):
     assert {"calibration.json", "calibration_split.json"} <= set(manifest["artifacts"])
 
 
+def _count_predicts(monkeypatch):
+    calls = []
+    predict = pipeline.network.predict
+
+    def counted(params, cfg, x):
+        calls.append(x.shape[0])
+        return predict(params, cfg, x)
+
+    monkeypatch.setattr(pipeline.network, "predict", counted)
+    return calls
+
+
+def test_one_threshold_pass_per_model_serves_calibrate_and_evaluate(
+        tmp_path, monkeypatch):
+    calls = _count_predicts(monkeypatch)
+    run_pipeline(calibrating_spec("iqpt"), tmp_path)
+    ds = pipeline.windowing.load_dataset(tmp_path / "dataset")
+    assert calls == [ds.inputs.shape[0]]
+
+    calls.clear()
+    (tmp_path / "summary.json").unlink()
+    run_pipeline(calibrating_spec("evt-iqpt"), tmp_path)
+    assert calls == []
+    cache = json.loads((tmp_path / "summary.json").read_text())["stage_cache"]
+    assert cache == {"simulate": "hit", "prepare": "hit", "train": "hit",
+                     "calibrate": "miss", "evaluate": "miss"}
+
+
+def test_retrained_model_recomputes_its_thresholds(tmp_path, monkeypatch):
+    spec = calibrating_spec("iqpt")
+    run_pipeline(spec, tmp_path)
+    old = np.load(tmp_path / "thresholds.npy")
+
+    calls = _count_predicts(monkeypatch)
+    longer = replace(spec, train=replace(spec.train, epochs=spec.train.epochs + 1))
+    run_pipeline(replace(longer, variant="evt-iqpt"), tmp_path)
+    ds = pipeline.windowing.load_dataset(tmp_path / "dataset")
+    assert calls == [ds.inputs.shape[0]]
+    monkeypatch.undo()
+    params, cfg, _ = pipeline.network.load_checkpoint(tmp_path / "model")
+    new = np.load(tmp_path / "thresholds.npy")
+    assert np.array_equal(new, pipeline.network.predict(params, cfg, ds.inputs))
+    assert not np.array_equal(new, old)
+
+
 def test_stage_version_bump_rebuilds_that_stage_and_every_later_one(
         tmp_path, monkeypatch):
     ran = []

@@ -3,7 +3,8 @@
 Every stage writes its artifact plus a cache key derived from the relevant
 configuration slice; re-running with the same spec and seed reuses artifacts
 byte-for-byte (stage idempotency), and variants that share a trained model
-(iqpt / evt-iqpt / cevt-iqpt) reuse the same checkpoint and calibration.
+(iqpt / evt-iqpt / cevt-iqpt) reuse the same checkpoint, thresholds and
+calibration.
 """
 
 from __future__ import annotations

@@ -117,24 +117,18 @@ class WindowedDataset:
     def labels(self):
         return self.series[self.window:]
 
-    def _block(self, start, size):
-        sl = slice(start, start + size)
-        return self.inputs[sl], self.labels[sl]
-
-    def train(self):
-        return self._block(0, self.n_train)
-
-    def calibration(self):
-        return self._block(self.n_train, self.n_cal)
-
-    def test(self):
-        return self._block(self.n_train + self.n_cal, self.n_test)
-
     def partition(self, rows):
         """(train, calibration, test) blocks of rows [L x ...] that hold
-        one row per instance."""
+        one row per instance: the inputs, the labels or a model's
+        thresholds."""
         cal, test = self.n_train, self.n_train + self.n_cal
         return rows[:cal], rows[cal:test], rows[test:]
+
+    def train(self):
+        return self.partition(self.inputs)[0], self.partition(self.labels)[0]
+
+    def test(self):
+        return self.partition(self.inputs)[2], self.partition(self.labels)[2]
 
     def test_label_cycles(self):
         """Source-trace cycle index of every test label (stride-1 windows)."""

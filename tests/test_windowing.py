@@ -74,10 +74,9 @@ def test_restructure_paper_scale_partition_sizes():
     mat = np.random.default_rng(7).standard_normal((4, total))
     ds = restructure(mat, window=window, n_cal=1000, n_test=2000)
     assert (ds.n_train, ds.n_cal, ds.n_test) == (6000, 1000, 2000)
-    tx, _ = ds.train()
-    cx, _ = ds.calibration()
-    sx, _ = ds.test()
-    assert tx.shape[0] + cx.shape[0] + sx.shape[0] == total - window
+    tx, cx, sx = ds.partition(ds.inputs)
+    assert (tx.shape[0], cx.shape[0], sx.shape[0]) == (6000, 1000, 2000)
+    assert np.array_equal(tx, ds.train()[0]) and np.array_equal(sx, ds.test()[0])
 
 
 def test_restructure_round_trip_reconstruction():

@@ -10,7 +10,8 @@ with Shannon capacity ``C(g) = log2(1+g)`` and channel dispersion
 ``V(g) = (1 - (1+g)^-2) * log2(e)^2``.  The closed form returned by
 :func:`blocklength` is the exact positive root of that quadratic in sqrt(R),
 so :func:`achieved_bler` applied to the un-ceiled blocklength recovers
-``eps_target`` to machine precision.
+``eps_target`` to a relative 1e-12 (tests/test_ra.py; 4.4e-14 at most on
+its grid of SINRs, payloads and targets down to 1e-7).
 """
 
 from __future__ import annotations
@@ -26,12 +27,14 @@ LOG2E = float(np.log2(np.e))
 def q_inverse(eps):
     """Inverse Gaussian Q-function: returns x with Q(x) = eps.
 
-    Vectorized; eps must lie in (0, 1).
+    Vectorized; eps must lie in (0, 1).  Taken as -ndtri(eps): ndtri(1 - eps)
+    would round 1 - eps first, a relative error of 7.7e-10 in x at
+    eps = 1e-9.
     """
     eps = np.asarray(eps, dtype=float)
     if np.any((eps <= 0.0) | (eps >= 1.0)):
         raise ValueError("eps must lie in (0, 1)")
-    return ndtri(1.0 - eps)
+    return -ndtri(eps)
 
 
 def q_function(x):

@@ -1,5 +1,7 @@
 """Finite-blocklength closed forms checked against independent evaluations."""
 
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 from scipy.special import erfc
@@ -34,7 +36,12 @@ def test_q_inverse_high_reliability_point():
 def test_q_roundtrip_on_log_grid():
     eps = np.logspace(-9, -0.5, 40)
     back = q_function(q_inverse(eps))
-    assert np.allclose(back, eps, rtol=1e-10)
+    assert np.allclose(back, eps, rtol=1e-10, atol=0)
+
+
+@pytest.mark.parametrize("eps", [1e-5, 1e-7, 1e-9, 1e-12])
+def test_q_inverse_matches_stdlib_at_hrllc_targets(eps):
+    assert q_inverse(eps) == pytest.approx(-NormalDist().inv_cdf(eps), rel=1e-14, abs=0)
 
 
 def test_blocklength_at_half_target_is_shannon_limit():
@@ -78,7 +85,7 @@ def test_self_consistency_on_grid():
     epss = 10 ** rng.uniform(-7, -1, 100)
     for snr, d, eps in zip(snrs, payloads, epss):
         r_real = blocklength(snr, int(d), eps)
-        assert achieved_bler(r_real, snr, int(d)) == pytest.approx(eps, rel=1e-6)
+        assert achieved_bler(r_real, snr, int(d)) == pytest.approx(eps, rel=1e-12, abs=0)
         assert achieved_bler(np.ceil(r_real), snr, int(d)) <= eps * (1 + 1e-12)
 
 

@@ -1,10 +1,10 @@
 """Experiment pipeline: simulate -> window -> train -> calibrate -> evaluate.
 
-Every stage writes its artifact plus a cache key derived from the relevant
-configuration slice; re-running with the same spec and seed reuses artifacts
-byte-for-byte (stage idempotency), and variants that share a trained model
-(iqpt / evt-iqpt / cevt-iqpt) reuse the same checkpoint, thresholds and
-calibration.
+Simulate, prepare and train write their artifacts plus a cache key derived
+from the relevant configuration slice; re-running with the same spec and
+seed reuses artifacts byte-for-byte (stage idempotency), and variants that
+share a trained model (iqpt / evt-iqpt / cevt-iqpt) reuse the same
+checkpoint and thresholds.  Calibration is recomputed on every call.
 """
 
 from __future__ import annotations
@@ -37,16 +37,17 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
-# the answers of the _cached calls inside the running _stage block
+# the answers of the _cached calls inside the running _stage block; a
+# stage call that caches nothing answers False
 _checks = contextvars.ContextVar("stage_cache_checks")
 
 
 @contextmanager
 def _stage(name, seconds, cache):
     """Report any failure inside the block but a ConfigError as
-    StageError(name); store the block's wall time in seconds[name] and in
-    cache[name] "hit" when every stage call in it reused its cached
-    artifact, else "miss"."""
+    StageError(name); once the block completes, store its wall time in
+    seconds[name] and in cache[name] "hit" when every stage call in it
+    reused its cached artifact, else "miss"."""
     checks = []
     token = _checks.set(checks)
     t0 = time.perf_counter()
@@ -58,8 +59,8 @@ def _stage(name, seconds, cache):
         raise StageError(name, err) from err
     finally:
         _checks.reset(token)
-        seconds[name] = time.perf_counter() - t0
-        cache[name] = "hit" if checks and all(checks) else "miss"
+    seconds[name] = time.perf_counter() - t0
+    cache[name] = "hit" if checks and all(checks) else "miss"
 
 
 def _hash(obj):
@@ -70,7 +71,7 @@ def _hash(obj):
 # alters what a stage writes for the same inputs bumps the stage's number;
 # each key holds the key of the stage before it, so the stages after it are
 # rebuilt too.
-STAGE_VERSIONS = {"simulate": 1, "prepare": 2, "train": 1, "calibrate": 1}
+STAGE_VERSIONS = {"simulate": 1, "prepare": 2, "train": 1}
 
 
 def _stage_key(stage, inputs):
@@ -225,32 +226,19 @@ def _thresholds(out, ds, params, cfg, split_mode):
 
 
 def stage_calibrate(spec, out, ds, params, cfg, split_mode=False):
-    """EVT tail fits on training exceedances plus conformal scores.
-
-    Keyed on the train stage that built the model (stage_train must have
-    run in `out`), so variants sharing a checkpoint share one calibration;
-    the split model's goes to its own file.
+    """EVT tail fits on training exceedances plus conformal scores
+    (tailcal.calibrate), computed on every call from the model's thresholds
+    (stage_train must have run in `out`) and recorded in calibration.json,
+    the split model's in calibration_split.json; the record is not read
+    back, so the stage is never a cache hit.
     """
     out = Path(out)
     suffix = "_split" if split_mode else ""
-    key = _stage_key("calibrate", {
-        "train": _key_path(out, "train" + suffix).read_text(),
-        "beta": spec.beta, "varsigma": spec.varsigma})
-    stage = "calibrate" + suffix
-    path = out / f"calibration{suffix}.json"
-    if _cached(out, stage, key, path):
-        return tailcal.read_calibration_report(path)
-    thr_train, thr_cal, _ = ds.partition(_thresholds(out, ds, params, cfg,
-                                                     split_mode))
-    ty, cy, _ = ds.partition(ds.labels)
-    exceed = tailcal.collect_exceedances(ty, thr_train)
-    tails = tuple(tailcal.gpd_fit(e) for e in exceed)
-    record = tailcal.conformity_scores(thr_cal, cy, spec.beta)
-    calibrated = tailcal.CalibratedTail(tails=tails, record=record,
-                                        varsigma=spec.varsigma)
-    fractions = [e.size / ty.shape[0] for e in exceed]
-    tailcal.write_calibration_report(path, calibrated, fractions)
-    _mark(out, stage, key)
+    calibrated = tailcal.calibrate(
+        ds.partition(_thresholds(out, ds, params, cfg, split_mode)),
+        ds.partition(ds.labels), spec.beta, spec.varsigma)
+    _checks.get([]).append(False)
+    tailcal.write_calibration_report(out / f"calibration{suffix}.json", calibrated)
     return calibrated
 
 
@@ -328,14 +316,14 @@ RESULT_FIELDS = ["predictor", "eps_target", "percentile_met", "mean_overhead",
                  "cov_prob", "cov_width"]
 
 
-def _write_results(out, new_rows):
-    """Merge rows into results.csv, replacing rows of the same predictor."""
+def _write_results(out, new_rows, keep):
+    """Write results.csv: its earlier rows of the predictors in `keep`,
+    then new_rows."""
     path = Path(out) / "results.csv"
     rows = []
     if path.exists():
         with open(path, newline="") as fh:
-            rows = [r for r in csv.DictReader(fh)
-                    if r["predictor"] not in {n["predictor"] for n in new_rows}]
+            rows = [r for r in csv.DictReader(fh) if r["predictor"] in keep]
     rows += [{k: str(v) for k, v in r.items()} for r in new_rows]
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS)
@@ -353,83 +341,90 @@ def run_plan(spec, out, variants, until="evaluate"):
     training; train and train_split, once per mode the variants need, each
     with its model's thresholds over every window (_thresholds); calibrate,
     once per mode; evaluate, one scoring per variant.  Stages cached in
-    `out` are reused.  A full
-    run writes results.csv, summary.json and run_manifest.json once,
-    merged with the variants of earlier runs in `out`.  summary.json's
-    "stage_seconds" times every stage run in `out`, and "stage_cache" says
-    whether that time was a cache "hit" or a "miss" (the stage did its
-    work); a later hit does not replace a miss.  A failure raises
-    StageError naming its stage.
+    `out` are reused.  A full run writes results.csv, summary.json and
+    run_manifest.json once, merged with the variants of earlier runs in
+    `out` that were scored on the same dataset; the runs of another dataset
+    are dropped.  Every call, whatever its exit, merges its stage times
+    into summary.json: "stage_seconds" times every stage run in `out`, and
+    "stage_cache" says whether that time was a cache "hit" or a "miss" (the
+    stage did its work); a later hit does not replace a miss.  A failure
+    raises StageError naming its stage.
     """
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     specs = {v: replace(spec, variant=v) for v in variants}
     stages, cache = {}, {}
-    with _stage("simulate", stages, cache):
-        trace = stage_simulate(spec, out)
-    if until == "simulate":
-        return trace, None, {}
-    with _stage("prepare", stages, cache):
-        ds = stage_prepare(spec, out, trace)
-    if until == "prepare":
-        return trace, ds, {}
-
-    for v, spec_v in specs.items():
-        if v in TAIL_VARIANTS:
-            check_tail_fit(spec_v, ds)
-    # training mode per model variant: True trains through the split protocol
-    modes = {v: v.endswith("-split") for v in specs if v not in BASELINES}
-    models, thresholds = {}, {}
-    for split in dict.fromkeys(modes.values()):
-        with _stage("train_split" if split else "train", stages, cache):
-            models[split] = stage_train(spec, out, ds, split)
-            thresholds[split] = _thresholds(out, ds, *models[split], split)
-    if until == "train":
-        return trace, ds, {}
-    calibrated = {}
-    tail_modes = dict.fromkeys(modes[v] for v in modes if v in TAIL_VARIANTS)
-    if tail_modes:
-        with _stage("calibrate", stages, cache):
-            for split in tail_modes:
-                calibrated[split] = stage_calibrate(spec, out, ds, *models[split],
-                                                    split)
-    if until == "calibrate":
-        return trace, ds, {}
-
-    rows, details = [], {}
-    with _stage("evaluate", stages, cache):
-        test = {split: ds.partition(thr)[2] for split, thr in thresholds.items()}
-        for v, spec_v in specs.items():
-            split = modes.get(v)                  # None for a baseline
-            new_rows, details[v] = stage_evaluate(
-                spec_v, out, trace, ds, test.get(split), calibrated.get(split))
-            rows += new_rows
-
-    _write_results(out, rows)
     summary = _read_json(out / "summary.json")
-    summary.setdefault("runs", {}).update(details)
-    summary.update(window=ds.window, seed=spec.seed)
-    # a hit keeps the time of the miss that built the stage's artifact
-    seconds = summary.setdefault("stage_seconds", {})
-    hits = summary.setdefault("stage_cache", {})
-    for name, state in cache.items():
-        if state == "miss" or hits.get(name) != "miss":
-            seconds[name], hits[name] = stages[name], state
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
-    # the artifacts' hashes and each variant's config
-    manifest = _read_json(out / "run_manifest.json")
-    manifest.setdefault("runs", {}).update(
-        {v: {"config": spec_to_dict(s), "config_hash": _hash(spec_to_dict(s))}
-         for v, s in specs.items()})
-    manifest["seed"] = spec.seed
-    manifest["artifacts"] = {
-        name: _file_hash(out / name)
-        for name in ("trace.npz", "dataset.bin", "model.bin", "model_split.bin",
-                     "thresholds.npy", "thresholds_split.npy", "calibration.json",
-                     "calibration_split.json", "results.csv")
-        if (out / name).exists()}
-    (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2))
-    return trace, ds, details
+    try:
+        with _stage("simulate", stages, cache):
+            trace = stage_simulate(spec, out)
+        if until == "simulate":
+            return trace, None, {}
+        with _stage("prepare", stages, cache):
+            ds = stage_prepare(spec, out, trace)
+        if until == "prepare":
+            return trace, ds, {}
+
+        for v, spec_v in specs.items():
+            if v in TAIL_VARIANTS:
+                check_tail_fit(spec_v, ds)
+        # training mode per model variant: True trains through the split protocol
+        modes = {v: v.endswith("-split") for v in specs if v not in BASELINES}
+        models, thresholds = {}, {}
+        for split in dict.fromkeys(modes.values()):
+            with _stage("train_split" if split else "train", stages, cache):
+                models[split] = stage_train(spec, out, ds, split)
+                thresholds[split] = _thresholds(out, ds, *models[split], split)
+        if until == "train":
+            return trace, ds, {}
+        calibrated = {}
+        tail_modes = dict.fromkeys(modes[v] for v in modes if v in TAIL_VARIANTS)
+        if tail_modes:
+            with _stage("calibrate", stages, cache):
+                for split in tail_modes:
+                    calibrated[split] = stage_calibrate(spec, out, ds,
+                                                        *models[split], split)
+        if until == "calibrate":
+            return trace, ds, {}
+
+        rows, details = [], {}
+        with _stage("evaluate", stages, cache):
+            test = {split: ds.partition(thr)[2] for split, thr in thresholds.items()}
+            for v, spec_v in specs.items():
+                split = modes.get(v)                  # None for a baseline
+                new_rows, details[v] = stage_evaluate(
+                    spec_v, out, trace, ds, test.get(split), calibrated.get(split))
+                rows += new_rows
+
+        # the manifest names the dataset its runs were scored on
+        manifest = _read_json(out / "run_manifest.json")
+        dataset = _key_path(out, "prepare").read_text()
+        if manifest.get("dataset_key") != dataset:
+            manifest["runs"] = summary["runs"] = {}
+        _write_results(out, rows, set(manifest["runs"]) - set(specs))
+        summary.setdefault("runs", {}).update(details)
+        summary.update(window=ds.window, seed=spec.seed)
+        # the artifacts' hashes and each variant's config
+        manifest["runs"].update(
+            {v: {"config": spec_to_dict(s), "config_hash": _hash(spec_to_dict(s))}
+             for v, s in specs.items()})
+        manifest.update(seed=spec.seed, dataset_key=dataset)
+        manifest["artifacts"] = {
+            name: _file_hash(out / name)
+            for name in ("trace.npz", "dataset.bin", "model.bin", "model_split.bin",
+                         "thresholds.npy", "thresholds_split.npy", "calibration.json",
+                         "calibration_split.json", "results.csv")
+            if (out / name).exists()}
+        (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2))
+        return trace, ds, details
+    finally:
+        # a hit keeps the time of the miss that built the stage's artifact
+        seconds = summary.setdefault("stage_seconds", {})
+        hits = summary.setdefault("stage_cache", {})
+        for name, state in cache.items():
+            if state == "miss" or hits.get(name) != "miss":
+                seconds[name], hits[name] = stages[name], state
+        (out / "summary.json").write_text(json.dumps(summary, indent=2))
 
 
 def _read_json(path):

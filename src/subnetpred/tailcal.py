@@ -1,15 +1,17 @@
 """Calibrated interference tail estimation.
 
-Combines three ingredients, all operating in the (normalized) label domain:
+Three ingredients, all operating in the (normalized) label domain:
 
-* exceedances of observed labels over the quantile predictor's thresholds,
-  modeled per series with a Generalized Pareto distribution fitted by
-  maximum likelihood,
-* an inductive-conformal margin: the finite-sample (1-beta) quantile of
+* exceedances of the training labels over the quantile predictor's
+  thresholds, modeled per series with a Generalized Pareto distribution
+  fitted by maximum likelihood,
+* an inductive-conformal score: the finite-sample (1-beta) quantile of
   absolute calibration residuals,
-* a read-out that adds the GPD tail quantile and the conformal margin on
+* a read-out that adds the GPD tail quantile and the conformal score on
   top of the predicted threshold.
 
+``calibrate`` computes the first two in one uncached step (milliseconds);
+``write_calibration_report`` records them, and nothing reads them back.
 The upper band edge is used throughout: underprediction is the reliability
 risk when the output feeds resource allocation.
 """
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -48,21 +50,16 @@ class GpdTail:
 
 
 @dataclass(frozen=True)
-class ConformalRecord:
-    """Per-series conformity scores z_{1-beta} of calibration residuals."""
-
-    scores: np.ndarray
-    beta: float
-    n_calibration: int
-
-
-@dataclass(frozen=True)
 class CalibratedTail:
-    """GPD tails plus conformal margins for every series of one scenario."""
+    """GPD tails plus conformity scores z_{1-beta} for every series of one
+    scenario, with the block sizes and levels they were computed at."""
 
     tails: tuple
-    record: ConformalRecord
-    varsigma: float = field(default=0.5)
+    scores: np.ndarray
+    beta: float
+    n_train: int
+    n_calibration: int
+    varsigma: float
 
     @cached_property
     def margins(self):
@@ -196,9 +193,8 @@ def conformity_scores(predictions, labels, beta):
     if p.shape[0] == 0:
         raise ValueError("empty calibration set")
     resid = np.abs(y - p)
-    scores = np.array([finite_sample_quantile(resid[:, m], beta)
-                       for m in range(resid.shape[1])])
-    return ConformalRecord(scores=scores, beta=beta, n_calibration=p.shape[0])
+    return np.array([finite_sample_quantile(resid[:, m], beta)
+                     for m in range(resid.shape[1])])
 
 
 def calibrated_quantile(thresholds, calibrated):
@@ -210,10 +206,21 @@ def calibrated_quantile(thresholds, calibrated):
     endpoint for negative-shape fits.
     """
     return (np.asarray(thresholds, dtype=float) + calibrated.margins
-            + calibrated.record.scores)
+            + calibrated.scores)
 
 
-def calibration_report(calibrated, exceedance_fractions):
+def calibrate(thresholds, labels, beta, varsigma):
+    """GPD fits to the training exceedances plus the conformity scores of
+    the calibration block; thresholds and labels are (train, calibration,
+    test) blocks of WindowedDataset.partition, [n_instances x n_series]."""
+    (t_train, t_cal, _), (y_train, y_cal, _) = thresholds, labels
+    tails = tuple(gpd_fit(e) for e in collect_exceedances(y_train, t_train))
+    return CalibratedTail(tails=tails, scores=conformity_scores(t_cal, y_cal, beta),
+                          beta=beta, n_train=len(y_train),
+                          n_calibration=len(y_cal), varsigma=varsigma)
+
+
+def calibration_report(calibrated):
     """JSON-ready calibration summary: per-series fit, score, diagnostics."""
     rows = []
     for m, tail in enumerate(calibrated.tails):
@@ -224,31 +231,18 @@ def calibration_report(calibrated, exceedance_fractions):
             "n_exceedances": tail.n_exceedances,
             "log_likelihood": tail.log_likelihood,
             "fallback": tail.fallback,
-            "conformity_score": float(calibrated.record.scores[m]),
-            "exceedance_fraction": float(exceedance_fractions[m]),
+            "conformity_score": float(calibrated.scores[m]),
+            "exceedance_fraction": tail.n_exceedances / calibrated.n_train,
         })
     return {
-        "beta": calibrated.record.beta,
-        "n_calibration": calibrated.record.n_calibration,
+        "beta": calibrated.beta,
+        "n_calibration": calibrated.n_calibration,
         "varsigma": calibrated.varsigma,
         "series": rows,
     }
 
 
-def write_calibration_report(path, calibrated, exceedance_fractions):
+def write_calibration_report(path, calibrated):
+    """Record a CalibratedTail as JSON; the pipeline does not read it back."""
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(calibration_report(calibrated, exceedance_fractions), fh, indent=2)
-
-
-def read_calibration_report(path):
-    """The CalibratedTail a calibration report was written from; JSON floats
-    round-trip exactly, so it equals the original value for value."""
-    with open(path, encoding="utf-8") as fh:
-        report = json.load(fh)
-    rows = report["series"]
-    tails = tuple(GpdTail(r["shape"], r["scale"], r["n_exceedances"],
-                          r["log_likelihood"], r["fallback"]) for r in rows)
-    record = ConformalRecord(
-        scores=np.array([r["conformity_score"] for r in rows]),
-        beta=report["beta"], n_calibration=report["n_calibration"])
-    return CalibratedTail(tails=tails, record=record, varsigma=report["varsigma"])
+        json.dump(calibration_report(calibrated), fh, indent=2)

@@ -33,8 +33,8 @@ from subnetpred.scenario.simulate import (BLOCK, FIRST, HORIZON, interferer_set,
                                           simulate_trace, subband_assignment)
 from subnetpred.scenario.traffic import (push_start_probability,
                                          push_stop_probability)
-from subnetpred.tailcal import (CalibratedTail, ConformalRecord, GpdTail,
-                                calibrated_quantile, gpd_quantile)
+from subnetpred.tailcal import (CalibratedTail, GpdTail, calibrated_quantile,
+                                gpd_quantile)
 
 BATCHES = (1, 2, 1000)
 H = 16
@@ -110,7 +110,7 @@ def ref_calibrated_quantile(thresholds, calibrated):
     out = np.empty_like(t2)
     for m in range(t2.shape[1]):
         margin = gpd_quantile(calibrated.tails[m], 1.0 - calibrated.varsigma)
-        out[:, m] = t2[:, m] + margin + calibrated.record.scores[m]
+        out[:, m] = t2[:, m] + margin + calibrated.scores[m]
     return out.reshape(t.shape)
 
 
@@ -588,10 +588,8 @@ def test_calibrated_quantile_matches_per_column_loop(b):
     rng = np.random.default_rng(40 + b)
     tails = (GpdTail(0.3, 0.7, 40, -1.0), GpdTail(-0.4, 1.3, 55, -2.0),
              GpdTail(0.0, 0.2, 31, -3.0, fallback=True))
-    cal = CalibratedTail(tails=tails,
-                         record=ConformalRecord(np.array([0.11, 0.0, 1e-17]),
-                                                beta=0.05, n_calibration=100),
-                         varsigma=0.37)
+    cal = CalibratedTail(tails=tails, scores=np.array([0.11, 0.0, 1e-17]),
+                         beta=0.05, n_train=2000, n_calibration=100, varsigma=0.37)
     t = rng.normal(size=(b, 3)) * 10.0 ** rng.integers(-8, 8, size=(b, 3))
     t[0] = [-0.0, 800.0, -800.0]
     assert np.array_equal(calibrated_quantile(t, cal), ref_calibrated_quantile(t, cal))

@@ -171,12 +171,66 @@ def test_stage_times_merge_over_calls_and_keep_the_misses(tmp_path):
     for name in ("simulate", "prepare", "train"):
         assert stages[name] == first["stage_seconds"][name]
 
-    # a second pass over all variants finds every stage but evaluate cached
+    # a second pass over all variants finds every stage cached but calibrate
+    # and evaluate, which run on every call
     run_plan(calibrating_spec(variants[0]), tmp_path, variants)
     again = json.loads((tmp_path / "summary.json").read_text())
     assert again["stage_cache"] == cache
-    assert {k: v for k, v in again["stage_seconds"].items() if k != "evaluate"} \
-        == {k: v for k, v in stages.items() if k != "evaluate"}
+    rerun = ("calibrate", "evaluate")
+    assert {k: v for k, v in again["stage_seconds"].items() if k not in rerun} \
+        == {k: v for k, v in stages.items() if k not in rerun}
+
+
+def test_stage_commands_record_their_stage_times(tmp_path):
+    # a stage command's times survive the evaluate that finds its stages cached
+    args = ["--preset", "tiny", "--seed", "0", "--variant", "iqpt",
+            "--out", str(tmp_path)]
+    assert main(["train"] + args) == EXIT_OK
+    trained = json.loads((tmp_path / "summary.json").read_text())
+    assert trained["stage_cache"] == {"simulate": "miss", "prepare": "miss",
+                                      "train": "miss"}
+    assert main(["evaluate"] + args) == EXIT_OK
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["stage_cache"] == {**trained["stage_cache"], "evaluate": "miss"}
+    for name in ("simulate", "prepare", "train"):
+        assert summary["stage_seconds"][name] == trained["stage_seconds"][name]
+
+
+def test_failed_call_records_the_stages_it_completed(tmp_path, monkeypatch):
+    def fail(*args, **kwargs):
+        raise RuntimeError("tail fit failed")
+
+    monkeypatch.setattr(tailcal, "gpd_fit", fail)
+    with pytest.raises(StageError):
+        run_pipeline(calibrating_spec("evt-iqpt"), tmp_path)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["stage_cache"] == {"simulate": "miss", "prepare": "miss",
+                                      "train": "miss"}
+    assert set(summary["stage_seconds"]) == set(summary["stage_cache"])
+
+
+@pytest.mark.parametrize("between", [[], ["prepare"]])
+def test_runs_scored_on_another_dataset_leave_the_directory(tmp_path, between):
+    """A directory keeps only the results scored on the dataset it holds:
+    evaluate on another scenario drops the runs of the old one, whether it
+    or an earlier stage command rebuilt the dataset."""
+    def cli(command, seed, variants, out):
+        argv = [command, "--preset", "tiny", "--seed", str(seed), "--out", str(out)]
+        for variant in variants:
+            argv += ["--variant", variant]
+        assert main(argv) == EXIT_OK
+
+    cli("evaluate", 0, ["genie", "moving-average"], tmp_path / "run")
+    for command in between:
+        cli(command, 1, [], tmp_path / "run")
+    cli("evaluate", 1, ["genie"], tmp_path / "run")
+    cli("evaluate", 1, ["genie"], tmp_path / "fresh")
+    for name in ("results.csv", "run_manifest.json"):
+        assert ((tmp_path / "run" / name).read_bytes()
+                == (tmp_path / "fresh" / name).read_bytes()), name
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert set(summary["runs"]) == {"genie"}
+    assert summary["seed"] == 1
 
 
 def test_calibration_failure_names_calibrate_stage(tmp_path, monkeypatch):
@@ -226,7 +280,8 @@ def test_plan_checks_every_tail_fit_before_any_training(tmp_path, monkeypatch):
     assert not (tmp_path / "results.csv").exists()
 
 
-def test_calibration_is_cached_per_train_stage(tmp_path, monkeypatch):
+def test_calibration_is_refit_on_every_call_into_an_identical_record(tmp_path,
+                                                                     monkeypatch):
     fits = []
     fit = tailcal.gpd_fit
 
@@ -243,14 +298,15 @@ def test_calibration_is_cached_per_train_stage(tmp_path, monkeypatch):
     fits.clear()
     run_pipeline(calibrating_spec("evt-iqpt"), tmp_path)
     again = run_pipeline(calibrating_spec("cevt-iqpt"), tmp_path)
-    assert fits == []
-    assert again == first     # the tail rebuilt from the report, bit for bit
+    assert len(fits) == 2 * n_series  # fitted by each call: nothing is read back
+    assert again == first
     assert (tmp_path / "calibration.json").read_bytes() == report
 
+    fits.clear()
     run_pipeline(calibrating_spec("cevt-iqpt-split"), tmp_path)
     assert len(fits) == n_series
     assert (tmp_path / "calibration.json").read_bytes() == report
-    assert (tmp_path / "calibration_split.json").exists()
+    assert (tmp_path / "calibration_split.json").read_bytes() == report
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert {"calibration.json", "calibration_split.json"} <= set(manifest["artifacts"])
 
@@ -315,9 +371,8 @@ def test_stage_version_bump_rebuilds_that_stage_and_every_later_one(
     counted("simulate", pipeline.simulate, "simulate_trace")
     counted("prepare", pipeline.windowing, "restructure")
     counted("train", pipeline, "train")
-    counted("calibrate", pipeline.tailcal, "conformity_scores")
     stages = list(pipeline.STAGE_VERSIONS)
-    assert stages == ["simulate", "prepare", "train", "calibrate"]
+    assert stages == ["simulate", "prepare", "train"]
     spec = calibrating_spec("cevt-iqpt")
     run_pipeline(spec, tmp_path)
     assert ran == stages

@@ -8,14 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subnetpred.tailcal import (MIN_EXCEEDANCES, CalibratedTail,
-                                ConformalRecord, GpdTail,
-                                InsufficientExceedancesError,
+from subnetpred.tailcal import (MIN_EXCEEDANCES, CalibratedTail, GpdTail,
+                                InsufficientExceedancesError, calibrate,
                                 calibrated_quantile, calibration_report,
                                 collect_exceedances, conformity_scores,
                                 finite_sample_quantile, gpd_fit, gpd_quantile,
-                                moments_estimate, read_calibration_report,
-                                write_calibration_report, _gpd_nll)
+                                moments_estimate, _gpd_nll)
 
 
 def gpd_samples(shape, scale, n, rng):
@@ -127,7 +125,7 @@ def test_collect_exceedances_rules():
 
 def test_conformity_scores_examples():
     zeros = conformity_scores(np.zeros((10, 1)), np.zeros((10, 1)), beta=0.1)
-    assert zeros.scores[0] == 0.0
+    assert zeros[0] == 0.0
 
     resid = np.arange(1, 100, dtype=float)
     assert finite_sample_quantile(resid, beta=0.05) == 95.0
@@ -140,8 +138,8 @@ def test_conformity_scores_per_series_differ():
     rng = np.random.default_rng(5)
     preds = np.zeros((500, 2))
     labels = np.stack([rng.normal(0, 1, 500), rng.normal(0, 5, 500)], axis=1)
-    rec = conformity_scores(preds, labels, beta=0.1)
-    assert rec.scores[1] > rec.scores[0]
+    scores = conformity_scores(preds, labels, beta=0.1)
+    assert scores[1] > scores[0]
     with pytest.raises(ValueError):
         conformity_scores(np.zeros((0, 2)), np.zeros((0, 2)), beta=0.1)
 
@@ -164,8 +162,8 @@ def test_marginal_coverage_guarantee_on_exchangeable_data():
 
 def make_calibrated(shape, scale, cs, varsigma):
     tails = (GpdTail(shape, scale, 100, 0.0),)
-    record = ConformalRecord(scores=np.array([cs]), beta=0.05, n_calibration=100)
-    return CalibratedTail(tails=tails, record=record, varsigma=varsigma)
+    return CalibratedTail(tails=tails, scores=np.array([cs]), beta=0.05,
+                          n_train=2000, n_calibration=100, varsigma=varsigma)
 
 
 def test_calibrated_quantile_reduces_to_threshold_plus_score_at_one():
@@ -203,42 +201,35 @@ def test_calibrated_quantile_monotonicity(varsigma, cs, threshold):
     assert smaller_vs >= lo - 1e-9    # smaller varsigma = deeper tail quantile
 
 
-def test_margins_equal_from_fresh_and_reloaded_calibration(tmp_path):
-    # the read-out margin has one definition, CalibratedTail.margins, and a
-    # calibration served from its report gives the same bits
+def test_calibrate_fits_train_block_and_scores_calibration_block():
+    # calibrate is gpd_fit over the training exceedances plus the conformity
+    # scores of the calibration block; the test block is never read, and the
+    # read-out margin has one definition, CalibratedTail.margins
     rng = np.random.default_rng(12)
-    labels = rng.standard_normal((400, 3)) * [1.0, 2.0, 0.5]
-    thresholds = np.quantile(labels, 0.9, axis=0) + 0.01 * rng.standard_normal((400, 3))
-    tails = tuple(gpd_fit(e) for e in collect_exceedances(labels, thresholds))
-    record = conformity_scores(thresholds[:100], labels[:100], 0.05)
-    fresh = CalibratedTail(tails=tails, record=record, varsigma=0.37)
-    write_calibration_report(tmp_path / "cal.json", fresh, [0.1, 0.1, 0.1])
-    back = read_calibration_report(tmp_path / "cal.json")
-    assert np.array_equal(back.margins, fresh.margins)
-    assert np.array_equal(fresh.margins,
-                          [gpd_quantile(t, 1.0 - 0.37) for t in tails])
+    labels = rng.standard_normal((1000, 3)) * [1.0, 2.0, 0.5]
+    thresholds = np.quantile(labels, 0.9, axis=0) + 0.01 * rng.standard_normal((1000, 3))
+    unread = labels.copy()
+    unread[900:] = np.nan
+    cal = calibrate((thresholds[:700], thresholds[700:900], thresholds[900:]),
+                    (unread[:700], unread[700:900], unread[900:]), 0.05, 0.37)
+    tails = tuple(gpd_fit(e) for e in collect_exceedances(labels[:700],
+                                                            thresholds[:700]))
+    assert cal.tails == tails
+    assert np.array_equal(cal.scores, conformity_scores(thresholds[700:900],
+                                                        labels[700:900], 0.05))
+    assert (cal.beta, cal.n_train, cal.n_calibration, cal.varsigma) \
+        == (0.05, 700, 200, 0.37)
+    assert np.array_equal(cal.margins, [gpd_quantile(t, 1.0 - 0.37) for t in tails])
     t = rng.standard_normal((5, 3))
-    assert np.array_equal(calibrated_quantile(t, back),
-                          (t + fresh.margins) + fresh.record.scores)
+    assert np.array_equal(calibrated_quantile(t, cal), (t + cal.margins) + cal.scores)
+    rep = calibration_report(cal)
+    assert [r["exceedance_fraction"] for r in rep["series"]] \
+        == [t.n_exceedances / 700 for t in tails]
 
 
 def test_calibration_report_shape():
     cal = make_calibrated(0.1, 1.0, 0.5, 0.5)
-    rep = calibration_report(cal, exceedance_fractions=[0.05])
+    rep = calibration_report(cal)
     assert rep["beta"] == 0.05
     assert rep["series"][0]["conformity_score"] == 0.5
     assert rep["series"][0]["exceedance_fraction"] == 0.05
-
-
-def test_calibration_report_round_trips_exactly(tmp_path):
-    tails = (GpdTail(0.1 / 3, math.pi, 41, -math.e), GpdTail(-0.7, 1e-9, 30, -1e300,
-                                                                 fallback=True))
-    cal = CalibratedTail(tails=tails,
-                         record=ConformalRecord(np.array([1 / 7, 2.0 ** -60]),
-                                                beta=0.05, n_calibration=123),
-                         varsigma=0.3)
-    write_calibration_report(tmp_path / "cal.json", cal, [0.05, 0.1])
-    back = read_calibration_report(tmp_path / "cal.json")
-    assert back.tails == cal.tails and back.varsigma == cal.varsigma
-    assert (back.record.beta, back.record.n_calibration) == (0.05, 123)
-    assert np.array_equal(back.record.scores, cal.record.scores)

@@ -23,7 +23,8 @@ class DeploymentConfig:
 
     interferer_set_size is the size of the co-channel set including the
     victim sub-network, so every SA pair sees interferer_set_size - 1
-    interfering links per slot (capped by availability).
+    interfering links per slot (capped by availability).  A TX cycle has
+    one TDD slot per SA pair.
     """
 
     n_subnetworks: int = 16
@@ -37,7 +38,6 @@ class DeploymentConfig:
     carrier_freq: float = 6e9
     tx_power: float = 1.0
     tx_cycle_duration: float = 1e-3
-    n_slots: int = 0            # 0 -> one slot per SA pair
     schedule_drift: int = -1    # interferer slot misalignment, slots per cycle
 
     def __post_init__(self):
@@ -57,10 +57,6 @@ class DeploymentConfig:
             raise ConfigError("area sides must be positive")
         if self.tx_cycle_duration <= 0:
             raise ConfigError("tx_cycle_duration must be positive")
-
-    @property
-    def slots(self):
-        return self.n_slots if self.n_slots > 0 else self.sa_pairs_per_sn
 
 
 @dataclass(frozen=True)
@@ -119,8 +115,6 @@ class ChannelParams:
     noise_figure_db: float = 5.0
     est_noise_fraction: float = 0.1
     power_floor_w: float = 1e-20
-    fading: bool = True
-    shadowing: bool = True
 
     def __post_init__(self):
         if self.est_looks < 1:

@@ -143,9 +143,8 @@ def stage_prepare(spec, out, trace):
     series = _learning_dbm(spec, trace)
     window = windowing.stationary_interval(series, spec.corr_threshold,
                                            spec.max_lag)
-    ds = windowing.restructure(series, window, spec.n_cal, spec.n_test)
-    ds.threshold = spec.corr_threshold
-    ds = windowing.normalize(ds)
+    ds = windowing.normalize(windowing.restructure(series, window, spec.n_cal,
+                                                   spec.n_test))
     windowing.save_dataset(ds, out / "dataset")
     _mark(out, "prepare", key)
     return ds
@@ -343,9 +342,11 @@ def run_plan(spec, out, variants, until="evaluate"):
     once per mode; evaluate, one scoring per variant.  Stages cached in
     `out` are reused.  A full run writes results.csv, summary.json and
     run_manifest.json once, merged with the variants of earlier runs in
-    `out` that were scored on the same dataset; the runs of another dataset
-    are dropped.  Every call, whatever its exit, merges its stage times
-    into summary.json: "stage_seconds" times every stage run in `out`, and
+    `out` that were scored on the same files.  Every call, whatever its
+    exit, drops the recorded runs once a file the manifest hashes has
+    changed (_recorded_runs): a stage command on another scenario, say,
+    or a retrained model.  It also merges its stage times into
+    summary.json: "stage_seconds" times every stage run in `out`, and
     "stage_cache" says whether that time was a cache "hit" or a "miss" (the
     stage did its work); a later hit does not replace a miss.  A failure
     raises StageError naming its stage.
@@ -396,28 +397,20 @@ def run_plan(spec, out, variants, until="evaluate"):
                     spec_v, out, trace, ds, test.get(split), calibrated.get(split))
                 rows += new_rows
 
-        # the manifest names the dataset its runs were scored on
-        manifest = _read_json(out / "run_manifest.json")
-        dataset = _key_path(out, "prepare").read_text()
-        if manifest.get("dataset_key") != dataset:
-            manifest["runs"] = summary["runs"] = {}
-        _write_results(out, rows, set(manifest["runs"]) - set(specs))
+        runs = _recorded_runs(out, summary)
+        _write_results(out, rows, set(runs) - set(specs))
         summary.setdefault("runs", {}).update(details)
         summary.update(window=ds.window, seed=spec.seed)
-        # the artifacts' hashes and each variant's config
-        manifest["runs"].update(
+        # each variant's config and the hashes of the files it was scored on
+        runs.update(
             {v: {"config": spec_to_dict(s), "config_hash": _hash(spec_to_dict(s))}
              for v, s in specs.items()})
-        manifest.update(seed=spec.seed, dataset_key=dataset)
-        manifest["artifacts"] = {
-            name: _file_hash(out / name)
-            for name in ("trace.npz", "dataset.bin", "model.bin", "model_split.bin",
-                         "thresholds.npy", "thresholds_split.npy", "calibration.json",
-                         "calibration_split.json", "results.csv")
-            if (out / name).exists()}
+        manifest = {"runs": runs, "seed": spec.seed, "artifacts": {
+            name: _file_hash(out / name) for name in ARTIFACTS if (out / name).exists()}}
         (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2))
         return trace, ds, details
     finally:
+        _recorded_runs(out, summary)
         # a hit keeps the time of the miss that built the stage's artifact
         seconds = summary.setdefault("stage_seconds", {})
         hits = summary.setdefault("stage_cache", {})
@@ -431,6 +424,28 @@ def _read_json(path):
     return json.loads(path.read_text()) if path.exists() else {}
 
 
+# the files whose hashes run_manifest.json records
+ARTIFACTS = ("trace.npz", "dataset.bin", "dataset.json", "model.bin", "model_split.bin",
+             "thresholds.npy", "thresholds_split.npy", "calibration.json",
+             "calibration_split.json", "results.csv")
+
+
+def _recorded_runs(out, summary):
+    """The runs of run_manifest.json, kept only while every file it hashes
+    is unchanged: they were scored on those files.  Otherwise results.csv
+    and the manifest are deleted, summary loses its runs, seed and window,
+    and no run is kept."""
+    manifest = _read_json(out / "run_manifest.json")
+    if all((out / name).exists() and _file_hash(out / name) == digest
+           for name, digest in manifest.get("artifacts", {}).items()):
+        return manifest.get("runs", {})
+    for name in ("results.csv", "run_manifest.json"):
+        (out / name).unlink(missing_ok=True)
+    for key in ("runs", "seed", "window"):
+        summary.pop(key, None)
+    return {}
+
+
 def run_pipeline(spec, out):
     """run_plan for spec.variant alone; returns its detail dict."""
     return run_plan(spec, out, [spec.variant])[2][spec.variant]
@@ -438,7 +453,7 @@ def run_pipeline(spec, out):
 
 # -------------------------------------------------------------------- sweep
 
-SWEEP_AXES = ("m", "eps_target", "traffic", "mobility")
+SWEEP_AXES = ("m", "traffic", "mobility")
 
 
 def _sweep_point(spec, axis, value):
@@ -446,8 +461,6 @@ def _sweep_point(spec, axis, value):
     if axis == "m":
         return replace(spec, deployment=replace(spec.deployment,
                                                 sa_pairs_per_sn=int(value)))
-    if axis == "eps_target":
-        return replace(spec, eps_targets=(float(value),))
     if axis == "traffic":
         return replace(spec, traffic=replace(spec.traffic, variant=str(value)))
     return replace(spec, mobility=str(value))
@@ -456,10 +469,11 @@ def _sweep_point(spec, axis, value):
 def sweep(spec, axis, values, out):
     """Run the pipeline per axis value; emit an aggregated report.
 
-    Axes: m (SA pairs per sub-network), eps_target, traffic variant,
-    mobility model.  Each point runs in its own subdirectory.  Every value
-    is checked before the first point runs; a value the axis cannot take
-    is a ConfigError naming both.
+    Axes: m (SA pairs per sub-network), traffic variant, mobility model;
+    the eps_targets of one evaluate give a row per reliability target.
+    Each point runs in its own subdirectory.  Every value is checked before
+    the first point runs; a value the axis cannot take is a ConfigError
+    naming both.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; pick from {SWEEP_AXES}")

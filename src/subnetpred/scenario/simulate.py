@@ -108,7 +108,9 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
                    mobility="rdmm"):
     """Simulate the estimated-interference time series of one sub-network.
 
-    Deterministic given seed.  The estimation noise std is
+    Deterministic given seed.  Every sub-network has one TDD slot per SA
+    pair, and every link has shadowing, a soft-LOS weight and Rician LOS
+    and Rayleigh NLOS fading.  The estimation noise std is
     channel_params.est_noise_fraction times the mean true power over the
     leading NOISE_REF_FRACTION of the trace.
 
@@ -140,7 +142,6 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
         raise ValueError("n_cycles must be >= 1")
     rng = np.random.default_rng(seed)
     n_sa = deployment.sa_pairs_per_sn
-    n_slots = deployment.slots
     dt = deployment.tx_cycle_duration
 
     if mobility == "alley":
@@ -158,13 +159,9 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     k_lin = ch.db_to_linear(channel_params.rician_k_db)
     rho_f = ch.fading_coefficient(channel_params.doppler_hz, dt)
     # one real field over the shadowing LOS, the shadowing NLOS and the
-    # soft-LOS latent of every link, in the order of their draws; without
-    # shadowing only the latent moves
+    # soft-LOS latent of every link, in the order of their draws
     stds = np.repeat([channel_params.shadow_std_los_db,
                       channel_params.shadow_std_nlos_db, 1.0], n_int)
-    if not channel_params.shadowing:
-        rng.standard_normal(2 * n_int)          # the shadowing's, never read
-        stds = stds[2 * n_int:]
     real_field = ch.Ar1Field(stds, channel_params.decorrelation_distance, rng)
     n_real = stds.size
     # independent fading looks per link (frequency/pilot diversity of the
@@ -180,7 +177,7 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     # TDD misalignment of non-synchronized sub-networks: every interferer's
     # slot grid sits at a fractional offset (partial slot collisions) and
     # drifts by schedule_drift slots per TX cycle
-    clock_offset = rng.uniform(0.0, n_slots, n_int)
+    clock_offset = rng.uniform(0.0, n_sa, n_int)
 
     # ---- pass 1: every draw, cycle by cycle; the states, block by block
     # centers of the interferers, then the victim, per cycle
@@ -214,14 +211,13 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
 
     # per-block buffers: one row of normals and one of uniforms per cycle,
     # laid out as the docstring states
-    n_fade = 2 * fades.values.size if channel_params.fading else 0
-    normals = np.empty((BLOCK, n_real + n_fade))
+    normals = np.empty((BLOCK, n_real + 2 * fades.values.size))
     n_push = 2 * n_int * traffic_proc.n_push
-    uniforms = np.empty((BLOCK, n_push + n_int * n_slots))
+    uniforms = np.empty((BLOCK, n_push + n_int * n_sa))
     reals = np.empty((n_cycles, n_real))
     h_los_sum = np.empty((n_cycles, n_int, n_sa))
     h_nlos_sum = np.empty((n_cycles, n_int, n_sa))
-    chi = np.empty((n_cycles, n_int, n_slots), dtype=bool)
+    chi = np.empty((n_cycles, n_int, n_sa), dtype=bool)
 
     def fading_power(values, start, stop):
         """Look-power sums of the LOS and NLOS fading [b x 2 x ...] of
@@ -233,23 +229,20 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
         """Turn the rows of draws of cycles [start, stop) into their states."""
         b = stop - start
         rel, mid = _link_motion(centers[start:stop] - centers[start - 1:stop - 1])
-        moved = np.concatenate([rel, rel, mid], axis=1) if channel_params.shadowing \
-            else mid
-        reals[start:stop] = real_field.advance(moved, normals[:b, :n_real])
-        if channel_params.fading:
-            fading_power(fades.advance(normals[:b, n_real:].reshape(
-                (b, 2, 2) + fade_shape[1:])), start, stop)
+        reals[start:stop] = real_field.advance(np.concatenate([rel, rel, mid], axis=1),
+                                               normals[:b, :n_real])
+        fading_power(fades.advance(normals[:b, n_real:].reshape(
+            (b, 2, 2) + fade_shape[1:])), start, stop)
         activity = traffic_proc.step(
             uniforms[:b, :n_push].reshape(b, 2, n_int, traffic_proc.n_push))
         chi[start:stop] = traffic_proc.sample_own_slots(
-            activity, uniforms[:b, n_push:].reshape(b, n_int, n_slots))[0]
+            activity, uniforms[:b, n_push:].reshape(b, n_int, n_sa))[0]
 
-    chi[0], owner = traffic_proc.sample_own_slots(
+    chi[0] = traffic_proc.sample_own_slots(
         traffic_proc.activity,
-        rng.random(out=uniforms[0, n_push:]).reshape(n_int, n_slots))
+        rng.random(out=uniforms[0, n_push:]).reshape(n_int, n_sa))[0]
     reals[0] = real_field.values
-    if channel_params.fading:
-        fading_power(fades.values[None], 0, 1)
+    fading_power(fades.values[None], 0, 1)
     event = n_cycles if mobility == "alley" else free_cycles(1)
     for start in range(1, n_cycles, BLOCK):
         stop = min(start + BLOCK, n_cycles)
@@ -270,37 +263,30 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
                           - centers[:, -1, None, None, :])
     pl_los = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=True))
     pl_nlos = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=False))
-    if channel_params.fading:
-        h_los_sum /= looks          # mean fading power over the looks
-        h_nlos_sum /= looks
-        latent = reals[:, -n_int:]
-        psi = ch.soft_los_weight(latent + channel_params.soft_los_bias)[:, :, None]
-    else:
-        h_los_sum = h_nlos_sum = np.ones((n_int, n_sa))
-        psi = np.ones((n_int, 1))
-    if channel_params.shadowing:
-        sh_los = ch.db_to_linear(reals[:, :n_int])[:, :, None]
-        sh_nlos = ch.db_to_linear(reals[:, n_int:2 * n_int])[:, :, None]
-    else:
-        sh_los = sh_nlos = np.ones((n_int, 1))
+    h_los_sum /= looks          # mean fading power over the looks
+    h_nlos_sum /= looks
+    psi = ch.soft_los_weight(reals[:, -n_int:] + channel_params.soft_los_bias)[:, :, None]
+    sh_los = ch.db_to_linear(reals[:, :n_int])[:, :, None]
+    sh_nlos = ch.db_to_linear(reals[:, n_int:2 * n_int])[:, :, None]
     gain = ch.channel_gain(psi, h_los_sum, h_nlos_sum, pl_los, pl_nlos,
                            sh_los, sh_nlos)
     del dist, pl_los, pl_nlos, h_los_sum, h_nlos_sum
-    emitted = deployment.tx_power * chi * gain[:, np.arange(n_int)[:, None], owner]
+    # slot k of every interferer belongs to its SA pair k
+    emitted = deployment.tx_power * chi * gain
     del gain
 
     # victim slot m overlaps two adjacent interferer slots when the
     # grids are fractionally misaligned; interference is the
     # time-share-weighted sum of both occupants
     phase = clock_offset + (np.arange(n_cycles) * deployment.schedule_drift)[:, None]
-    u = (np.arange(n_slots) - phase[:, :, None]) % n_slots
+    u = (np.arange(n_sa) - phase[:, :, None]) % n_sa
     k1 = np.floor(u)
     w2 = u - k1
-    k1 = k1.astype(int) % n_slots
-    k2 = (k1 + 1) % n_slots
+    k1 = k1.astype(int) % n_sa
+    k2 = (k1 + 1) % n_sa
     contrib = ((1.0 - w2) * np.take_along_axis(emitted, k1, axis=2)
                + w2 * np.take_along_axis(emitted, k2, axis=2))
-    true_power = np.ascontiguousarray(np.add.reduce(contrib, axis=1)[:, :n_sa].T)
+    true_power = np.ascontiguousarray(np.add.reduce(contrib, axis=1).T)
 
     ref = max(int(NOISE_REF_FRACTION * n_cycles), 1)
     est_noise_std = channel_params.est_noise_fraction * float(true_power[:, :ref].mean())

@@ -97,7 +97,6 @@ class WindowedDataset:
     n_train: int
     n_cal: int
     n_test: int
-    threshold: float = 0.9
     norm: NormalizationParams | None = None
 
     def __post_init__(self):
@@ -172,7 +171,7 @@ def normalize(dataset):
     return WindowedDataset(
         series=norm.apply(dataset.series), window=dataset.window,
         n_train=dataset.n_train, n_cal=dataset.n_cal, n_test=dataset.n_test,
-        threshold=dataset.threshold, norm=norm)
+        norm=norm)
 
 
 def save_dataset(dataset, stem):
@@ -183,7 +182,6 @@ def save_dataset(dataset, stem):
     manifest = {
         "series_shape": list(dataset.series.shape),
         "window": dataset.window,
-        "threshold": dataset.threshold,
         "partitions": {"train": dataset.n_train, "cal": dataset.n_cal,
                        "test": dataset.n_test},
         "dtype": "<f8",
@@ -211,5 +209,4 @@ def load_dataset(stem):
     return WindowedDataset(series=series.reshape(manifest["series_shape"]),
                            window=manifest["window"],
                            n_train=parts["train"], n_cal=parts["cal"],
-                           n_test=parts["test"],
-                           threshold=manifest["threshold"], norm=norm)
+                           n_test=parts["test"], norm=norm)

@@ -718,15 +718,14 @@ def ref_traffic_step(traffic, activity, start, stop, rng):
     activity[:, traffic.n_reserved:] = np.where(push, ~stops, starts)
 
 
-def ref_sample_own_slots(traffic, activity, rng, n_slots):
-    n_sn, n_sa = activity.shape
-    owner = np.arange(n_slots) % n_sa
+def ref_sample_own_slots(traffic, activity, rng):
+    """Occupancy of each sub-network's slots; slot k belongs to SA pair k."""
     if traffic.variant == "bernoulli":
-        scheduled = np.ones((n_sn, n_slots), dtype=bool)
+        scheduled = np.ones(activity.shape, dtype=bool)
     else:
-        scheduled = activity[:, owner].copy()
-        scheduled[:, np.arange(n_slots) < traffic.n_reserved] = True
-    return scheduled & (rng.random((n_sn, n_slots)) < traffic.eta), owner
+        scheduled = activity.copy()
+        scheduled[:, :traffic.n_reserved] = True
+    return scheduled & (rng.random(activity.shape) < traffic.eta)
 
 
 def ref_simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
@@ -734,7 +733,6 @@ def ref_simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     """The cycle-by-cycle simulator: (true_power, est_power, signal_power)."""
     rng = np.random.default_rng(seed)
     n_sa = deployment.sa_pairs_per_sn
-    n_slots = deployment.slots
     dt = deployment.tx_cycle_duration
     if mobility == "alley":
         state = ref_deploy_alley(deployment, rng)
@@ -761,11 +759,11 @@ def ref_simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
         duty = start / max(start + stop, 1e-12)
         activity[:, traffic.n_reserved:] = (
             rng.random((n_int, n_sa - traffic.n_reserved)) < duty)
-    clock_offset = rng.uniform(0.0, n_slots, n_int)
+    clock_offset = rng.uniform(0.0, n_sa, n_int)
 
     true_power = np.zeros((n_sa, n_cycles))
     rows = np.arange(n_int)
-    slots_idx = np.arange(n_slots)
+    slots_idx = np.arange(n_sa)
     prev_positions = state.positions.copy()
     for t in range(n_cycles):
         if t > 0:
@@ -778,47 +776,36 @@ def ref_simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
             rel = np.linalg.norm(delta[intf] - delta[victim], axis=1)
             mid = np.linalg.norm((delta[intf] + delta[victim]) / 2.0, axis=1)
             prev_positions = state.positions.copy()
-            if channel_params.shadowing:
-                shadow_los = ref_ar1_advance(shadow_los, std_los, dcorr, rel, rng)
-                shadow_nlos = ref_ar1_advance(shadow_nlos, std_nlos, dcorr, rel, rng)
+            shadow_los = ref_ar1_advance(shadow_los, std_los, dcorr, rel, rng)
+            shadow_nlos = ref_ar1_advance(shadow_nlos, std_nlos, dcorr, rel, rng)
             psi_latent = ref_ar1_advance(psi_latent, 1.0, dcorr, mid, rng)
-            if channel_params.fading:
-                fade_los = ref_complex_advance(fade_los, rho_f, rng)
-                fade_nlos = ref_complex_advance(fade_nlos, rho_f, rng)
+            fade_los = ref_complex_advance(fade_los, rho_f, rng)
+            fade_nlos = ref_complex_advance(fade_nlos, rho_f, rng)
             ref_traffic_step(traffic, activity, start, stop, rng)
-        chi, owner = ref_sample_own_slots(traffic, activity, rng, n_slots)
+        chi = ref_sample_own_slots(traffic, activity, rng)
 
         tx_pos = state.positions[intf, None, :] + state.offsets[intf]
         dist = np.linalg.norm(tx_pos - state.positions[victim], axis=-1)
         pl_los = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=True))
         pl_nlos = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=False))
-        if channel_params.fading:
-            h_los = (np.sqrt(k_lin / (k_lin + 1.0)) * np.exp(1j * los_phase)
-                     + np.sqrt(1.0 / (k_lin + 1.0)) * fade_los)
-            h_los_sq = (np.abs(h_los) ** 2).mean(axis=2)
-            h_nlos_sq = (np.abs(fade_nlos) ** 2).mean(axis=2)
-            psi = ch.soft_los_weight(psi_latent
-                                     + channel_params.soft_los_bias)[:, None]
-        else:
-            h_los_sq = np.ones((n_int, n_sa))
-            h_nlos_sq = np.ones((n_int, n_sa))
-            psi = np.ones((n_int, 1))
-        if channel_params.shadowing:
-            sh_los = ch.db_to_linear(shadow_los)[:, None]
-            sh_nlos = ch.db_to_linear(shadow_nlos)[:, None]
-        else:
-            sh_los = sh_nlos = np.ones((n_int, 1))
+        h_los = (np.sqrt(k_lin / (k_lin + 1.0)) * np.exp(1j * los_phase)
+                 + np.sqrt(1.0 / (k_lin + 1.0)) * fade_los)
+        h_los_sq = (np.abs(h_los) ** 2).mean(axis=2)
+        h_nlos_sq = (np.abs(fade_nlos) ** 2).mean(axis=2)
+        psi = ch.soft_los_weight(psi_latent + channel_params.soft_los_bias)[:, None]
+        sh_los = ch.db_to_linear(shadow_los)[:, None]
+        sh_nlos = ch.db_to_linear(shadow_nlos)[:, None]
         gain = ch.channel_gain(psi, h_los_sq, h_nlos_sq, pl_los, pl_nlos,
                                sh_los, sh_nlos)
-        emitted = deployment.tx_power * chi * gain[rows[:, None], owner]
+        emitted = deployment.tx_power * chi * gain
         phase = clock_offset + t * deployment.schedule_drift
-        u = (slots_idx[None, :] - phase[:, None]) % n_slots
-        k1 = np.floor(u).astype(int) % n_slots
-        k2 = (k1 + 1) % n_slots
+        u = (slots_idx[None, :] - phase[:, None]) % n_sa
+        k1 = np.floor(u).astype(int) % n_sa
+        k2 = (k1 + 1) % n_sa
         w2 = u - np.floor(u)
         contrib = ((1.0 - w2) * emitted[rows[:, None], k1]
                    + w2 * emitted[rows[:, None], k2])
-        true_power[:, t] = contrib.sum(axis=0)[:n_sa]
+        true_power[:, t] = contrib.sum(axis=0)
 
     ref = max(int(noise_ref_fraction * n_cycles), 1)
     est_noise_std = channel_params.est_noise_fraction * float(true_power[:, :ref].mean())
@@ -843,13 +830,8 @@ SIM_CASES = {
     "rdmm-push-pull": {"traffic": PUSH_PULL},
     "alley-bernoulli": {"mobility": "alley"},
     "alley-push-pull": {"mobility": "alley", "traffic": PUSH_PULL},
-    "no-fading": {"channel": {"fading": False}},
-    "no-shadowing": {"channel": {"shadowing": False}},
     "one-look": {"channel": {"est_looks": 1}},
     "twelve-looks": {"channel": {"est_looks": 12}},
-    "alley-no-fading-no-shadowing": {"mobility": "alley",
-                                     "channel": {"fading": False, "shadowing": False}},
-    "six-slots": {"deployment": {"n_slots": 6}, "traffic": PUSH_PULL},
     "no-drift": {"deployment": {"schedule_drift": 0}},
     "one-cycle": {"n_cycles": 1},
     "one-cycle-alley": {"n_cycles": 1, "mobility": "alley"},

@@ -233,6 +233,35 @@ def test_runs_scored_on_another_dataset_leave_the_directory(tmp_path, between):
     assert summary["seed"] == 1
 
 
+@pytest.mark.parametrize("command, config", [
+    ("simulate --seed 1", ""),
+    ("prepare --seed 1", ""),
+    ("train --seed 0 --variant iqpt", "train.epochs = 3\n"),
+], ids=["simulate", "prepare", "retrain"])
+def test_stage_command_that_replaces_a_scored_file_drops_the_runs(tmp_path, command,
+                                                                  config):
+    """Runs stay recorded while the files they were scored on stay: a
+    stage command that rebuilds them in place, on the same scenario, keeps
+    every record; one that replaces the trace, the dataset or the model
+    leaves no run, seed or window behind, and no stale hash."""
+    (tmp_path / "run.cfg").write_text(config)
+    command = command.split() + ["--config", str(tmp_path / "run.cfg")]
+    base = ["--preset", "tiny", "--out", str(tmp_path / "run")]
+    assert main(["evaluate", "--seed", "0", "--variant", "genie", "--variant", "iqpt"]
+                + base) == EXIT_OK
+    scored = {name: (tmp_path / "run" / name).read_bytes()
+              for name in ("results.csv", "run_manifest.json")}
+    assert main(["train", "--seed", "0", "--variant", "iqpt"] + base) == EXIT_OK
+    for name, blob in scored.items():
+        assert (tmp_path / "run" / name).read_bytes() == blob, name
+
+    assert main(command + base) == EXIT_OK
+    assert not (tmp_path / "run" / "results.csv").exists()
+    assert not (tmp_path / "run" / "run_manifest.json").exists()
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert not {"runs", "seed", "window"} & set(summary)
+
+
 def test_calibration_failure_names_calibrate_stage(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("tail fit failed")
@@ -471,7 +500,9 @@ def test_seed_flag_rewires_all_seeds():
     assert parse_config_text("seed = 3", preset="tiny").seed == 3
 
 
-@pytest.mark.parametrize("line", ["train.seed = 1", "deployment.rng_seed = 1"])
+@pytest.mark.parametrize("line", ["train.seed = 1", "deployment.rng_seed = 1",
+                                  "channel.fading = false", "channel.shadowing = false",
+                                  "deployment.n_slots = 6"])
 def test_removed_seed_keys_are_config_errors(tmp_path, line):
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text(line, preset="tiny")
@@ -579,7 +610,7 @@ def test_cli_config_error_exit_code(tmp_path):
 
 @pytest.mark.parametrize("config, named", [
     ("n_cycles = abc\n", "n_cycles = 'abc'"),
-    ("channel.fading = maybe\n", "channel.fading = 'maybe'"),
+    ("model.center_windows = maybe\n", "model.center_windows = 'maybe'"),
     ("deployment.area = 5\n", "area takes exactly two sides"),
     ("deployment.area = 5 5 5\n", "area takes exactly two sides"),
     ("eps_targets =\n", "eps_targets must not be empty"),
@@ -660,14 +691,24 @@ def test_sweep_and_report_round_trip(tmp_path):
     ("m", ",", "got no values"),
     ("m", "four", "cannot take 'four'"),
     ("m", "2,0", "cannot take '0'"),
-    ("eps_target", "1e-5,abc", "cannot take 'abc'"),
-    ("eps_target", "0.7", "cannot take '0.7'"),
 ])
 def test_sweep_rejects_bad_values_before_any_point_runs(tmp_path, capsys, axis,
                                                         values, named):
     assert main(["sweep", "--preset", "tiny", "--seed", "0", "--axis", axis,
                  "--values", values, "--out", str(tmp_path / "sweep")]) == EXIT_CONFIG
     assert f"config error: sweep axis {axis!r} {named}" in capsys.readouterr().err
+    assert not list(tmp_path.glob("**/results.csv"))
+
+
+def test_sweep_has_no_eps_target_axis(tmp_path):
+    # one evaluate scores every target in eps_targets; a sweep point per
+    # target would retrain the same model into the same row
+    with pytest.raises(SystemExit) as info:
+        main(["sweep", "--preset", "tiny", "--seed", "0", "--axis", "eps_target",
+              "--values", "1e-5,1e-6", "--out", str(tmp_path / "sweep")])
+    assert info.value.code == EXIT_CONFIG
+    with pytest.raises(ConfigError, match="unknown sweep axis 'eps_target'"):
+        sweep(smoke_spec(), "eps_target", ["1e-5"], tmp_path / "api")
     assert not list(tmp_path.glob("**/results.csv"))
 
 

@@ -16,6 +16,11 @@ from subnetpred.scenario.mobility import alley_positions
 from subnetpred.scenario.simulate import subband_assignment
 
 CHEAP = ChannelParams()
+# no shadowing, no NLOS weight and no scattered fading: every link gain is
+# its LOS path gain to within 3e-15 relative
+DETERMINISTIC = ChannelParams(shadow_std_los_db=0.0, shadow_std_nlos_db=0.0,
+                              rician_k_db=300.0, soft_los_bias=50.0,
+                              est_noise_fraction=0.0)
 
 
 def cfg(**kw):
@@ -255,8 +260,7 @@ def test_no_active_interferers_means_zero_interference():
 
 def test_single_interferer_contribution_is_gain():
     c = cfg(n_subnetworks=3, interferer_set_size=2, n_subbands=1, speed=0.0)
-    params = ChannelParams(fading=False, shadowing=False, est_noise_fraction=0.0)
-    tr = simulate_trace(c, TrafficModel(eta=1.0), params, 12, 7)
+    tr = simulate_trace(c, TrafficModel(eta=1.0), DETERMINISTIC, 12, 7)
     # deterministic channel, static geometry: reconstruct the one-term
     # per-SA gains of the single interferer (placement is the first draw)
     state = deploy(c, np.random.default_rng(7))
@@ -279,8 +283,7 @@ def test_single_interferer_contribution_is_gain():
 def test_zero_drift_keeps_slot_gains_constant():
     c = cfg(n_subnetworks=3, interferer_set_size=2, n_subbands=1, speed=0.0,
             schedule_drift=0)
-    params = ChannelParams(fading=False, shadowing=False, est_noise_fraction=0.0)
-    tr = simulate_trace(c, TrafficModel(eta=1.0), params, 8, 7)
+    tr = simulate_trace(c, TrafficModel(eta=1.0), DETERMINISTIC, 8, 7)
     assert np.allclose(tr.true_power, tr.true_power[:, :1])
 
 

@@ -1,5 +1,7 @@
 """Window restructuring: correlation rule, splits, normalization, round trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -145,16 +147,20 @@ def test_instances_are_read_only_views_of_the_series():
 def test_dataset_serialization_round_trip(tmp_path):
     mat = np.random.default_rng(11).standard_normal((2, 50))
     ds = normalize(restructure(mat, window=3, n_cal=6, n_test=6))
-    ds.threshold = 0.75
     save_dataset(ds, tmp_path / "ds")
     assert (tmp_path / "ds.bin").stat().st_size == 8 * 50 * 2    # T x M floats
-    back = load_dataset(tmp_path / "ds")
-    assert np.array_equal(back.series, ds.series)
-    assert np.array_equal(back.inputs, ds.inputs)
-    assert np.array_equal(back.labels, ds.labels)
-    assert back.window == ds.window and back.threshold == 0.75
-    assert (back.n_train, back.n_cal, back.n_test) == (ds.n_train, ds.n_cal, ds.n_test)
-    assert np.array_equal(back.norm.offset, ds.norm.offset)
+    # a manifest written by older code also holds the correlation threshold
+    manifest = json.loads((tmp_path / "ds.json").read_text())
+    (tmp_path / "old.json").write_text(json.dumps({**manifest, "threshold": 0.75}))
+    (tmp_path / "old.bin").write_bytes((tmp_path / "ds.bin").read_bytes())
+    for stem in ("ds", "old"):
+        back = load_dataset(tmp_path / stem)
+        assert np.array_equal(back.series, ds.series)
+        assert np.array_equal(back.inputs, ds.inputs)
+        assert np.array_equal(back.labels, ds.labels)
+        assert back.window == ds.window
+        assert (back.n_train, back.n_cal, back.n_test) == (ds.n_train, ds.n_cal, ds.n_test)
+        assert np.array_equal(back.norm.offset, ds.norm.offset)
 
 
 def test_test_label_cycles_align_with_source_trace():

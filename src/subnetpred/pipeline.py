@@ -4,7 +4,9 @@ Simulate, prepare and train write their artifacts plus a cache key derived
 from the relevant configuration slice; re-running with the same spec and
 seed reuses artifacts byte-for-byte (stage idempotency), and variants that
 share a trained model (iqpt / evt-iqpt / cevt-iqpt) reuse the same
-checkpoint and thresholds.  Calibration is recomputed on every call.
+checkpoint and thresholds.  Thresholds are keyed by the checkpoint's bytes,
+so a split checkpoint equal to the centralized one shares its predict pass.
+Calibration is recomputed on every call.
 """
 
 from __future__ import annotations
@@ -90,11 +92,16 @@ def _key_path(out, stage):
     return Path(out) / f".{stage}.key"
 
 
+def _holds(out, stage, key, artifact):
+    """Whether the stage's artifact exists under the key."""
+    p = _key_path(out, stage)
+    return p.exists() and p.read_text() == key and artifact.exists()
+
+
 def _cached(out, stage, key, artifact):
     """Whether the stage's artifact exists under its current key; the
     answer is recorded for _stage."""
-    p = _key_path(out, stage)
-    hit = p.exists() and p.read_text() == key and artifact.exists()
+    hit = _holds(out, stage, key, artifact)
     _checks.get([]).append(hit)
     return hit
 
@@ -210,15 +217,24 @@ def stage_train(spec, out, ds, split_mode=False):
 
 def _thresholds(out, ds, params, cfg, split_mode):
     """The model's normalized thresholds for every window of ds, [L x M]:
-    one network.predict pass per model, cached under the key of the train
-    stage that built the model (stage_train must have run in `out`), so a
-    retrained model never reads another model's thresholds."""
+    one network.predict pass per distinct model, cached under a key of the
+    dataset, the model config and the checkpoint's bytes.  A model whose
+    checkpoint equals the other mode's (split = centralized) copies that
+    mode's thresholds instead of predicting; a retrained model never reads
+    another model's thresholds."""
     suffix = "_split" if split_mode else ""
-    key = _key_path(out, "train" + suffix).read_text()
+    key = _stage_key("train", {
+        "prep": _key_path(out, "prepare").read_text(), "model": spec_to_dict(cfg),
+        "checkpoint": _file_hash(out / f"model{suffix}.bin")})
     path = out / f"thresholds{suffix}.npy"
     if _cached(out, "thresholds" + suffix, key, path):
         return np.load(path)
-    thresholds = network.predict(params, cfg, ds.inputs)
+    other = "" if split_mode else "_split"
+    twin = out / f"thresholds{other}.npy"
+    if _holds(out, "thresholds" + other, key, twin):
+        thresholds = np.load(twin)
+    else:
+        thresholds = network.predict(params, cfg, ds.inputs)
     np.save(path, thresholds)
     _mark(out, "thresholds" + suffix, key)
     return thresholds
@@ -226,8 +242,8 @@ def _thresholds(out, ds, params, cfg, split_mode):
 
 def stage_calibrate(spec, out, ds, params, cfg, split_mode=False):
     """EVT tail fits on training exceedances plus conformal scores
-    (tailcal.calibrate), computed on every call from the model's thresholds
-    (stage_train must have run in `out`) and recorded in calibration.json,
+    (tailcal.calibrate), computed on every call from the thresholds of the
+    model whose checkpoint `out` holds and recorded in calibration.json,
     the split model's in calibration_split.json; the record is not read
     back, so the stage is never a cache hit.
     """
@@ -338,18 +354,20 @@ def run_plan(spec, out, variants, until="evaluate"):
 
     Simulate and prepare; check_tail_fit for every tail variant, before any
     training; train and train_split, once per mode the variants need, each
-    with its model's thresholds over every window (_thresholds); calibrate,
-    once per mode; evaluate, one scoring per variant.  Stages cached in
-    `out` are reused.  A full run writes results.csv, summary.json and
-    run_manifest.json once, merged with the variants of earlier runs in
-    `out` that were scored on the same files.  Every call, whatever its
-    exit, drops the recorded runs once a file the manifest hashes has
-    changed (_recorded_runs): a stage command on another scenario, say,
-    or a retrained model.  It also merges its stage times into
-    summary.json: "stage_seconds" times every stage run in `out`, and
-    "stage_cache" says whether that time was a cache "hit" or a "miss" (the
-    stage did its work); a later hit does not replace a miss.  A failure
-    raises StageError naming its stage.
+    with its model's thresholds over every window (_thresholds: one predict
+    pass per distinct checkpoint, so a split model equal to the centralized
+    one copies its thresholds); calibrate, once per mode; evaluate, one
+    scoring per variant.  Stages cached in `out` are reused.  A full run
+    writes results.csv, summary.json and run_manifest.json once, merged
+    with the variants of earlier runs in `out` that were scored on the same
+    files.  Every call, whatever its exit, drops the recorded runs once a
+    file the manifest hashes has changed (_recorded_runs): a stage command
+    on another scenario, say, or a retrained model.  It also merges its
+    stage times into summary.json: "stage_seconds" times every stage run in
+    `out`, and "stage_cache" says whether that time was a cache "hit" or a
+    "miss" (the stage did its work); a later hit does not replace a miss.
+    A call that drops the runs also drops the times of the stages it did
+    not run.  A failure raises StageError naming its stage.
     """
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
@@ -397,7 +415,7 @@ def run_plan(spec, out, variants, until="evaluate"):
                     spec_v, out, trace, ds, test.get(split), calibrated.get(split))
                 rows += new_rows
 
-        runs = _recorded_runs(out, summary)
+        runs = _recorded_runs(out, summary, stages)
         _write_results(out, rows, set(runs) - set(specs))
         summary.setdefault("runs", {}).update(details)
         summary.update(window=ds.window, seed=spec.seed)
@@ -410,7 +428,7 @@ def run_plan(spec, out, variants, until="evaluate"):
         (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2))
         return trace, ds, details
     finally:
-        _recorded_runs(out, summary)
+        _recorded_runs(out, summary, stages)
         # a hit keeps the time of the miss that built the stage's artifact
         seconds = summary.setdefault("stage_seconds", {})
         hits = summary.setdefault("stage_cache", {})
@@ -430,11 +448,12 @@ ARTIFACTS = ("trace.npz", "dataset.bin", "dataset.json", "model.bin", "model_spl
              "calibration_split.json", "results.csv")
 
 
-def _recorded_runs(out, summary):
+def _recorded_runs(out, summary, ran):
     """The runs of run_manifest.json, kept only while every file it hashes
     is unchanged: they were scored on those files.  Otherwise results.csv
-    and the manifest are deleted, summary loses its runs, seed and window,
-    and no run is kept."""
+    and the manifest are deleted, summary loses its runs, seed and window
+    and the stage times of every stage not in `ran` (the stages this call
+    has run), and no run is kept."""
     manifest = _read_json(out / "run_manifest.json")
     if all((out / name).exists() and _file_hash(out / name) == digest
            for name, digest in manifest.get("artifacts", {}).items()):
@@ -443,6 +462,8 @@ def _recorded_runs(out, summary):
         (out / name).unlink(missing_ok=True)
     for key in ("runs", "seed", "window"):
         summary.pop(key, None)
+    for key in ("stage_seconds", "stage_cache"):
+        summary[key] = {k: v for k, v in summary.get(key, {}).items() if k in ran}
     return {}
 
 

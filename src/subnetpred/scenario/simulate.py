@@ -236,11 +236,11 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
         activity = traffic_proc.step(
             uniforms[:b, :n_push].reshape(b, 2, n_int, traffic_proc.n_push))
         chi[start:stop] = traffic_proc.sample_own_slots(
-            activity, uniforms[:b, n_push:].reshape(b, n_int, n_sa))[0]
+            activity, uniforms[:b, n_push:].reshape(b, n_int, n_sa))
 
     chi[0] = traffic_proc.sample_own_slots(
         traffic_proc.activity,
-        rng.random(out=uniforms[0, n_push:]).reshape(n_int, n_sa))[0]
+        rng.random(out=uniforms[0, n_push:]).reshape(n_int, n_sa))
     reals[0] = real_field.values
     fading_power(fades.values[None], 0, 1)
     event = n_cycles if mobility == "alley" else free_cycles(1)

@@ -1,16 +1,15 @@
 """Slot-level traffic of the interfering sub-networks.
 
-Two models:
+Each sub-network has one slot per SA pair (slot k belongs to pair k) and
+one of two models:
 
-* bernoulli isochronous -- every slot is owned round-robin by one SA pair
-  and carries a transmission with probability eta.
-* push-pull -- the first n_reserved slots belong to fixed pull SA pairs
-  (periodic updates); the remaining slots belong 1:1 to the push SA pairs,
-  which transmit only while executing a task burst.  Bursts start as a
-  Poisson process of rate `intensity` per second and last a geometric
-  number of cycles (mean burst_duration_s), so activity is persistent
-  rather than per-slot coin flips.  A Bern(eta) transmission draw gates
-  every scheduled slot on top.
+* bernoulli isochronous -- every slot transmits with probability eta.
+* push-pull -- the first n_reserved SA pairs are fixed pull pairs (periodic
+  updates); the others are push pairs, which transmit only while executing
+  a task burst.  Bursts start as a Poisson process of rate `intensity` per
+  second and last a geometric number of cycles (mean burst_duration_s), so
+  activity is persistent rather than per-slot coin flips.  A Bern(eta)
+  transmission draw gates every scheduled slot on top.
 
 This module samples each interferer's occupancy on its own slot grid
 (`TrafficProcess.sample_own_slots`).  Sub-networks are not slot-synchronized:
@@ -39,7 +38,7 @@ class TrafficProcess:
 
     step and sample_own_slots work on a block of TX cycles at once, from
     uniforms drawn beforehand: per cycle, n_sn x n_push push-start and as
-    many push-stop uniforms (n_push is 0 for bernoulli), then n_sn x n_slots
+    many push-stop uniforms (n_push is 0 for bernoulli), then n_sn x n_sa
     Bern(eta) uniforms.
     """
 
@@ -73,19 +72,15 @@ class TrafficProcess:
         return out
 
     def sample_own_slots(self, activity, uniforms):
-        """Occupancy and owner of each sub-network's own slot grid.
+        """Occupancy chi [b x n_sn x n_sa] of each sub-network's own slots.
 
         Given the burst states [b x n_sn x n_sa] of a block of cycles (step)
-        and their Bern(eta) uniforms [b x n_sn x n_slots], returns
-        (chi [b x n_sn x n_slots], owner [n_slots]).  Slot k belongs to SA
-        pair k mod n_sa (pull pairs first); a slot carries a transmission
-        when its owner is scheduled (always, for bernoulli and pull; during
-        a task burst, for push) and the Bern(eta) draw passes.
+        and their Bern(eta) uniforms of the same shape: slot k carries a
+        transmission when SA pair k is scheduled (always, for bernoulli and
+        pull; during a task burst, for push) and the Bern(eta) draw passes.
         """
-        owner = np.arange(uniforms.shape[-1]) % self.n_sa
         passed = uniforms < self.model.eta
         if self.model.variant == "bernoulli":
-            return passed, owner
-        scheduled = activity[..., owner]
-        scheduled[..., :self.model.n_reserved] = True
-        return scheduled & passed, owner
+            return passed
+        pull = np.arange(self.n_sa) < self.model.n_reserved
+        return (activity | pull) & passed

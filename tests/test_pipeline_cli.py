@@ -262,6 +262,19 @@ def test_stage_command_that_replaces_a_scored_file_drops_the_runs(tmp_path, comm
     assert not {"runs", "seed", "window"} & set(summary)
 
 
+def test_stage_command_on_another_scenario_drops_the_old_stage_times(tmp_path):
+    """A call that drops the runs keeps only the stage times it measured:
+    the old scenario's train and evaluate times go with its runs."""
+    base = ["--preset", "tiny", "--out", str(tmp_path)]
+    assert main(["evaluate", "--seed", "0", "--variant", "genie", "--variant", "iqpt"]
+                + base) == EXIT_OK
+    assert main(["prepare", "--seed", "1"] + base) == EXIT_OK
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert not {"runs", "seed", "window"} & set(summary)
+    assert summary["stage_cache"] == {"simulate": "miss", "prepare": "miss"}
+    assert set(summary["stage_seconds"]) == {"simulate", "prepare"}
+
+
 def test_calibration_failure_names_calibrate_stage(tmp_path, monkeypatch):
     def fail(*args, **kwargs):
         raise RuntimeError("tail fit failed")
@@ -383,6 +396,47 @@ def test_retrained_model_recomputes_its_thresholds(tmp_path, monkeypatch):
     new = np.load(tmp_path / "thresholds.npy")
     assert np.array_equal(new, pipeline.network.predict(params, cfg, ds.inputs))
     assert not np.array_equal(new, old)
+
+
+def _central_then_split(out):
+    """A cold iqpt run, then iqpt-split, into one directory; returns its
+    dataset."""
+    spec = smoke_spec(seed=8)
+    spec = replace(spec, train=replace(spec.train, lr_decay=0.1))
+    for variant in ("iqpt", "iqpt-split"):
+        run_pipeline(replace(spec, variant=variant), out)
+    return pipeline.windowing.load_dataset(out / "dataset")
+
+
+def test_equal_checkpoints_share_one_threshold_pass(tmp_path, monkeypatch):
+    # split = centralized, so the split model copies the centralized thresholds
+    calls = _count_predicts(monkeypatch)
+    ds = _central_then_split(tmp_path)
+    assert calls == [ds.inputs.shape[0]]
+    assert ((tmp_path / "model_split.bin").read_bytes()
+            == (tmp_path / "model.bin").read_bytes())
+    assert ((tmp_path / "thresholds_split.npy").read_bytes()
+            == (tmp_path / "thresholds.npy").read_bytes())
+
+
+def test_split_checkpoint_that_differs_gets_its_own_threshold_pass(tmp_path,
+                                                                  monkeypatch):
+    split_train = pipeline.split_train
+
+    def nudged(*args, **kwargs):
+        params, curve = split_train(*args, **kwargs)
+        params["head.b"][0] += 1e-3
+        return params, curve
+
+    monkeypatch.setattr(pipeline, "split_train", nudged)
+    calls = _count_predicts(monkeypatch)
+    ds = _central_then_split(tmp_path)
+    assert calls == [ds.inputs.shape[0]] * 2
+    monkeypatch.undo()
+    params, cfg, _ = pipeline.network.load_checkpoint(tmp_path / "model_split")
+    split = np.load(tmp_path / "thresholds_split.npy")
+    assert np.array_equal(split, pipeline.network.predict(params, cfg, ds.inputs))
+    assert not np.array_equal(split, np.load(tmp_path / "thresholds.npy"))
 
 
 def test_stage_version_bump_rebuilds_that_stage_and_every_later_one(

@@ -116,16 +116,15 @@ def test_bernoulli_certain_transmission():
     model = TrafficModel(variant="bernoulli", eta=1.0)
     rng = np.random.default_rng(0)
     proc = TrafficProcess(model, n_sn=8, n_sa=4, dt=1e-3, rng=rng)
-    chi, owner = proc.sample_own_slots(proc.activity, rng.random((8, 6)))
-    assert chi.shape == (8, 6) and chi.all()
-    assert owner.tolist() == [0, 1, 2, 3, 0, 1]   # round-robin slot owners
+    chi = proc.sample_own_slots(proc.activity, rng.random((8, 4)))
+    assert chi.shape == (8, 4) and chi.all()      # one slot per SA pair
 
 
 def test_bernoulli_empirical_rate():
     model = TrafficModel(variant="bernoulli", eta=0.9)
     rng = np.random.default_rng(1)
     proc = TrafficProcess(model, n_sn=25000, n_sa=4, dt=1e-3, rng=rng)
-    chi, _ = proc.sample_own_slots(proc.activity, rng.random((25000, 4)))
+    chi = proc.sample_own_slots(proc.activity, rng.random((25000, 4)))
     n = chi.size
     sigma = np.sqrt(0.9 * 0.1 / n)
     assert n == 100000
@@ -137,10 +136,9 @@ def test_push_pull_reserved_slots_map_to_pull_pairs():
                          n_reserved=2)
     rng = np.random.default_rng(2)
     proc = TrafficProcess(model, n_sn=10, n_sa=6, dt=1e-3, rng=rng)
-    chi, owner = proc.sample_own_slots(proc.activity, rng.random((10, 6)))
-    assert owner[:2].tolist() == [0, 1]
+    chi = proc.sample_own_slots(proc.activity, rng.random((10, 6)))
     assert chi[:, :2].all()                      # eta=1, pull always on
-    assert np.all(owner[2:] >= 2)                # push slots avoid pull pairs
+    assert not proc.activity[:, :2].any()        # the burst states are not written
     # eta=1: a push slot carries a transmission exactly during a burst
     assert np.array_equal(chi[:, 2:], proc.activity[:, 2:])
 

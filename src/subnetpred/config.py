@@ -17,6 +17,11 @@ class ConfigError(ValueError):
     """Invalid or inconsistent configuration input."""
 
 
+# first zero of the Bessel function J0: the AR(1) fading coefficient
+# J0(2 pi doppler_hz tx_cycle_duration) is positive below it
+J0_FIRST_ZERO = 2.404825557695773
+
+
 @dataclass(frozen=True)
 class DeploymentConfig:
     """Geometry, radio, and timing of one simulated deployment.
@@ -213,6 +218,12 @@ class ExperimentSpec:
                 f"push-pull traffic.n_reserved ({self.traffic.n_reserved}) must be "
                 f"below deployment.sa_pairs_per_sn "
                 f"({self.deployment.sa_pairs_per_sn}), so that push pairs remain")
+        x = 2.0 * math.pi * self.channel.doppler_hz * self.deployment.tx_cycle_duration
+        if not 0.0 <= x < J0_FIRST_ZERO:
+            raise ConfigError(
+                f"2 pi channel.doppler_hz deployment.tx_cycle_duration = {x:.4g} must "
+                f"lie in [0, {J0_FIRST_ZERO:.4f}), below the first zero of J0, "
+                f"where the AR(1) fading coefficient J0(x) is positive")
 
 
 def desk_preset(seed):

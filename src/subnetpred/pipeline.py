@@ -362,7 +362,8 @@ def run_plan(spec, out, variants, until="evaluate"):
     with the variants of earlier runs in `out` that were scored on the same
     files.  Every call, whatever its exit, drops the recorded runs once a
     file the manifest hashes has changed (_recorded_runs): a stage command
-    on another scenario, say, or a retrained model.  It also merges its
+    on another scenario, say, or a retrained model; with no manifest, once
+    it rebuilt the trace or the dataset.  It also merges its
     stage times into summary.json: "stage_seconds" times every stage run in
     `out`, and "stage_cache" says whether that time was a cache "hit" or a
     "miss" (the stage did its work); a later hit does not replace a miss.
@@ -415,7 +416,7 @@ def run_plan(spec, out, variants, until="evaluate"):
                     spec_v, out, trace, ds, test.get(split), calibrated.get(split))
                 rows += new_rows
 
-        runs = _recorded_runs(out, summary, stages)
+        runs = _recorded_runs(out, summary, cache)
         _write_results(out, rows, set(runs) - set(specs))
         summary.setdefault("runs", {}).update(details)
         summary.update(window=ds.window, seed=spec.seed)
@@ -428,7 +429,7 @@ def run_plan(spec, out, variants, until="evaluate"):
         (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2))
         return trace, ds, details
     finally:
-        _recorded_runs(out, summary, stages)
+        _recorded_runs(out, summary, cache)
         # a hit keeps the time of the miss that built the stage's artifact
         seconds = summary.setdefault("stage_seconds", {})
         hits = summary.setdefault("stage_cache", {})
@@ -450,13 +451,19 @@ ARTIFACTS = ("trace.npz", "dataset.bin", "dataset.json", "model.bin", "model_spl
 
 def _recorded_runs(out, summary, ran):
     """The runs of run_manifest.json, kept only while every file it hashes
-    is unchanged: they were scored on those files.  Otherwise results.csv
-    and the manifest are deleted, summary loses its runs, seed and window
-    and the stage times of every stage not in `ran` (the stages this call
-    has run), and no run is kept."""
+    is unchanged: they were scored on those files.  With no manifest there
+    are no runs, and the stage times are kept while this call found the
+    trace and the dataset in the cache (`ran` maps the stages it has run to
+    "hit" or "miss").  Otherwise results.csv and the manifest are deleted,
+    summary loses its runs, seed and window and the stage times of every
+    stage not in `ran`, and no run is kept."""
     manifest = _read_json(out / "run_manifest.json")
-    if all((out / name).exists() and _file_hash(out / name) == digest
-           for name, digest in manifest.get("artifacts", {}).items()):
+    if manifest:
+        kept = all((out / name).exists() and _file_hash(out / name) == digest
+                   for name, digest in manifest["artifacts"].items())
+    else:
+        kept = "miss" not in (ran.get("simulate"), ran.get("prepare"))
+    if kept:
         return manifest.get("runs", {})
     for name in ("results.csv", "run_manifest.json"):
         (out / name).unlink(missing_ok=True)

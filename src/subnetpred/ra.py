@@ -9,9 +9,9 @@ given a payload of ``D`` information bits, a target decoding error
 with Shannon capacity ``C(g) = log2(1+g)`` and channel dispersion
 ``V(g) = (1 - (1+g)^-2) * log2(e)^2``.  The closed form returned by
 :func:`blocklength` is the exact positive root of that quadratic in sqrt(R),
-so :func:`achieved_bler` applied to the un-ceiled blocklength recovers
-``eps_target`` to a relative 1e-12 (tests/test_ra.py; 4.4e-14 at most on
-its grid of SINRs, payloads and targets down to 1e-7).
+so the BLER Q((R*C - D) / sqrt(R*V)) that the un-ceiled blocklength achieves
+recovers ``eps_target`` to a relative 1e-12 (tests/test_ra.py; 4.4e-14 at
+most on its grid of SINRs, payloads and targets down to 1e-7).
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import erfc, ndtri
+
+from .cephes import ndtri
 
 LOG2E = float(np.log2(np.e))
 
@@ -27,20 +28,13 @@ LOG2E = float(np.log2(np.e))
 def q_inverse(eps):
     """Inverse Gaussian Q-function: returns x with Q(x) = eps.
 
-    Vectorized; eps must lie in (0, 1).  Taken as -ndtri(eps): ndtri(1 - eps)
-    would round 1 - eps first, a relative error of 7.7e-10 in x at
-    eps = 1e-9.
+    eps is a scalar in (0, 1).  Taken as -ndtri(eps): ndtri(1 - eps) would
+    round 1 - eps first, a relative error of 7.7e-10 in x at eps = 1e-9.
     """
-    eps = np.asarray(eps, dtype=float)
-    if np.any((eps <= 0.0) | (eps >= 1.0)):
+    eps = float(eps)
+    if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     return -ndtri(eps)
-
-
-def q_function(x):
-    """Gaussian upper-tail probability Q(x)."""
-    x = np.asarray(x, dtype=float)
-    return 0.5 * erfc(x / np.sqrt(2.0))
 
 
 def capacity(snr):
@@ -57,7 +51,7 @@ def dispersion(snr):
 @lru_cache(maxsize=None)
 def _q_inverse_sq(eps):
     """Qinv(eps)^2; a decision sizes the same few targets every cycle."""
-    return float(q_inverse(eps)) ** 2
+    return q_inverse(eps) ** 2
 
 
 def blocklength(snr, payload_bits, eps_target):
@@ -80,22 +74,6 @@ def blocklength(snr, payload_bits, eps_target):
     q2v = _q_inverse_sq(float(eps_target)) * ((1.0 - g1 ** -2) * LOG2E**2)
     corr = q2v / (2.0 * c**2) * (1.0 + np.sqrt(1.0 + 4.0 * payload_bits * c / q2v))
     out = base + corr
-    return out if out.shape else float(out)
-
-
-def achieved_bler(r, snr, payload_bits):
-    """BLER obtained when r channel uses carry payload_bits at the true SINR.
-
-    Inverts the normal approximation: eps = Q((r*C - D) / sqrt(r*V)).
-    """
-    r = np.asarray(r, dtype=float)
-    snr = np.asarray(snr, dtype=float)
-    if np.any(r < 1.0):
-        raise ValueError("r must be >= 1")
-    if np.any(snr <= 0.0):
-        raise ValueError("snr must be positive")
-    arg = (r * capacity(snr) - payload_bits) / np.sqrt(r * dispersion(snr))
-    out = q_function(arg)
     return out if out.shape else float(out)
 
 
@@ -137,9 +115,12 @@ def evaluate_ra(pred_interference_w, true_interference_w, signal_w, noise_w,
 
     All power arguments are linear watts with shape [n_instances x n_series]
     (signal_w may be a length-n_series vector).  For each target BLER the
-    predictor's SINR sizes the allocation, the true SINR determines the
-    achieved BLER, and the overhead ratio is computed on the un-ceiled
-    blocklengths against a genie that knows the true interference.
+    predictor's SINR sizes the allocation, the true SINR decides whether it
+    meets the target, and the overhead ratio is computed on the un-ceiled
+    blocklengths against a genie that knows the true interference.  An
+    allocation of r channel uses meets eps when its achieved BLER
+    Q((r*C - D) / sqrt(r*V)) at the true SINR is at most eps; Q is strictly
+    decreasing, so that is tested as (r*C - D) / sqrt(r*V) >= Qinv(eps).
 
     Returns a list of dict rows per target: frac_met, the aggregate
     channel-usage overhead (total predictor usage over total genie usage,
@@ -150,15 +131,16 @@ def evaluate_ra(pred_interference_w, true_interference_w, signal_w, noise_w,
     sig = np.broadcast_to(np.asarray(signal_w, dtype=float), pred.shape)
     snr_hat = sig / (pred + noise_w)
     snr_true = sig / (true + noise_w)
+    c_true, v_true = capacity(snr_true), dispersion(snr_true)
     rows = []
     for eps in eps_targets:
         r_real = blocklength(snr_hat, payload_bits, eps)
         r_int = np.maximum(np.ceil(r_real), 1.0)
-        eps_ach = achieved_bler(r_int, snr_true, payload_bits)
+        margin = (r_int * c_true - payload_bits) / np.sqrt(r_int * v_true)
         r_genie = blocklength(snr_true, payload_bits, eps)
         rows.append({
             "eps_target": float(eps),
-            "frac_met": float((eps_ach <= eps).mean()),
+            "frac_met": float((margin >= q_inverse(eps)).mean()),
             "mean_overhead": float(r_real.sum() / r_genie.sum()),
             "mean_instance_overhead": float((r_real / r_genie).mean()),
         })

@@ -5,7 +5,8 @@ Doppler-matched coefficient, and the soft LOS/NLOS mixing gain."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import j0
+
+from ..cephes import j0
 
 
 def pathloss_inf_db(dist_m, freq_hz, los=True):
@@ -49,8 +50,16 @@ def noise_power_w(bandwidth_hz, n_subbands, noise_figure_db):
 
 
 def fading_coefficient(doppler_hz, dt):
-    """Per-cycle AR(1) coefficient from the Clarke model: J0(2 pi f_d dt)."""
-    return float(j0(2.0 * np.pi * doppler_hz * dt))
+    """Per-cycle AR(1) coefficient from the Clarke model: J0(2 pi f_d dt).
+
+    cephes.j0 covers 2 pi f_d dt in [0, 5]; outside it this raises
+    ValueError.  The configuration keeps it below J0's first zero
+    (config.J0_FIRST_ZERO), where the coefficient is positive.
+    """
+    x = 2.0 * np.pi * doppler_hz * dt
+    if not 0.0 <= x <= 5.0:
+        raise ValueError(f"2 pi doppler_hz dt = {x:g} lies outside [0, 5]")
+    return float(j0(x))
 
 
 def _complex_normal(re, im):

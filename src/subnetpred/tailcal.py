@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import minimize
 
 SHAPE_CLAMP = 0.9
 MIN_EXCEEDANCES = 30         # per series, for a tail fit
@@ -96,12 +95,71 @@ def moments_estimate(samples):
     return float(np.clip(shape, -SHAPE_CLAMP, SHAPE_CLAMP)), scale
 
 
+def _nelder_mead(func, x0, xatol, fatol, maxiter):
+    """Minimize func from x0 by Nelder-Mead; returns (x, converged).
+
+    scipy.optimize.minimize(method="Nelder-Mead") step for step, so both
+    results equal scipy's bit for bit (tests/test_tailcal.py): the initial
+    simplex scales each entry of x0 by 1.05 (0.00025 for a zero entry), the
+    coefficients are reflection 1, expansion 2, contraction and shrink 0.5,
+    the vertices are reordered by np.argsort after every step, and the
+    search stops once both the vertex and the value spreads fall within
+    xatol and fatol.  converged means it stopped before maxiter iterations.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = x0.size
+    sim = np.empty((n + 1, n))
+    sim[0] = x0
+    for k in range(n):
+        sim[k + 1] = x0
+        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([func(x) for x in sim])
+    for _ in range(2):            # scipy sorts once after the evaluations, then again
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - sim[-1]
+        fxr = func(xr)
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = func(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:                       # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = func(xc)
+                shrink = not fxc <= fxr
+            else:                                    # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = func(xc)
+                shrink = not fxc < fsim[-1]
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = func(sim[j])
+            else:
+                sim[-1], fsim[-1] = xc, fxc
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0], iterations < maxiter
+
+
 def gpd_fit(exceedances):
     """Fit GPD (shape, scale) to positive exceedances by MLE.
 
-    Nelder-Mead on (shape, log scale) from the moments initializer; on
-    optimizer failure, a clamped shape, or a likelihood no better than the
-    initializer, the moments estimate is returned with ``fallback=True``.
+    Nelder-Mead (_nelder_mead) on (shape, log scale) from the moments
+    initializer, to xatol 1e-8 and fatol 1e-10 within 2000 iterations; if it
+    does not converge, ends at a clamped shape, or finds a likelihood no
+    better than the initializer's, the moments estimate is returned with
+    ``fallback=True``.
     """
     y = np.asarray(exceedances, dtype=float).ravel()
     if y.size < MIN_EXCEEDANCES:
@@ -118,13 +176,13 @@ def gpd_fit(exceedances):
     def objective(theta):
         return _gpd_nll(theta[0], math.exp(theta[1]), y)
 
-    res = minimize(objective, x0=[shape0, math.log(scale0)], method="Nelder-Mead",
-                   options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000})
-    shape_hat = float(res.x[0])
-    scale_hat = float(math.exp(res.x[1]))
+    x, converged = _nelder_mead(objective, [shape0, math.log(scale0)],
+                                xatol=1e-8, fatol=1e-10, maxiter=2000)
+    shape_hat = float(x[0])
+    scale_hat = float(math.exp(x[1]))
     nll_hat = _gpd_nll(shape_hat, scale_hat, y)
     boundary = abs(shape_hat) >= SHAPE_CLAMP - 1e-6
-    if (not res.success) or boundary or not np.isfinite(nll_hat) or nll_hat > nll0:
+    if (not converged) or boundary or not np.isfinite(nll_hat) or nll_hat > nll0:
         return GpdTail(shape0, scale0, y.size, -min(nll0, nll_hat), fallback=True)
     return GpdTail(shape_hat, scale_hat, y.size, -nll_hat)
 

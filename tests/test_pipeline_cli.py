@@ -2,6 +2,9 @@
 exit codes, sweep and report plumbing (all at smoke scale)."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
 from pathlib import Path
@@ -15,6 +18,20 @@ from subnetpred.config import (ConfigError, ExperimentSpec, desk_preset, parse_c
                                spec_to_dict, tiny_preset)
 from subnetpred.model.train import TrainingDivergedError
 from subnetpred.pipeline import StageError, report, run_pipeline, run_plan, sweep
+from subnetpred.scenario import fading_coefficient
+
+
+def test_the_program_imports_no_scipy():
+    # scipy is a test dependency only: a fresh interpreter that imports the
+    # CLI and the pipeline loads none of it
+    src = str(Path(pipeline.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    code = ("import sys, subnetpred.cli, subnetpred.pipeline; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 def smoke_spec(seed=0, variant="moving-average"):
@@ -271,6 +288,19 @@ def test_stage_command_on_another_scenario_drops_the_old_stage_times(tmp_path):
     assert main(["prepare", "--seed", "1"] + base) == EXIT_OK
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert not {"runs", "seed", "window"} & set(summary)
+    assert summary["stage_cache"] == {"simulate": "miss", "prepare": "miss"}
+    assert set(summary["stage_seconds"]) == {"simulate", "prepare"}
+
+
+def test_stage_command_on_another_scenario_drops_unrecorded_stage_times(tmp_path):
+    """With no run ever recorded there is no manifest to compare: a call
+    that rebuilds the trace and the dataset drops the old scenario's stage
+    times all the same."""
+    base = ["--preset", "tiny", "--out", str(tmp_path)]
+    assert main(["train", "--seed", "0", "--variant", "iqpt"] + base) == EXIT_OK
+    assert not (tmp_path / "run_manifest.json").exists()
+    assert main(["prepare", "--seed", "1"] + base) == EXIT_OK
+    summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["stage_cache"] == {"simulate": "miss", "prepare": "miss"}
     assert set(summary["stage_seconds"]) == {"simulate", "prepare"}
 
@@ -708,6 +738,25 @@ def test_non_positive_tx_cycle_is_a_config_error():
         with pytest.raises(ConfigError, match="tx_cycle_duration"):
             parse_config_text(f"deployment.tx_cycle_duration = {dt}\nmobility = alley\n",
                               preset="tiny")
+
+
+@pytest.mark.parametrize("text", [
+    "channel.doppler_hz = 800\n",               # J0(5.03) = -0.18 at 1 ms
+    "channel.doppler_hz = 383\n",               # 2 pi f dt = 2.4065, past the zero
+    "channel.doppler_hz = -1\n",
+    "channel.doppler_hz = 80\ndeployment.tx_cycle_duration = 0.01\n",
+])
+def test_fading_past_the_first_zero_of_j0_is_a_config_error(text):
+    with pytest.raises(ConfigError, match="doppler_hz.*tx_cycle_duration.*J0"):
+        parse_config_text(text, preset="tiny")
+
+
+def test_fading_below_the_first_zero_of_j0_is_accepted():
+    # 2 pi 382 Hz 1 ms = 2.4002
+    for text in ("channel.doppler_hz = 0\n", "channel.doppler_hz = 382\n"):
+        spec = parse_config_text(text, preset="tiny")
+        assert fading_coefficient(spec.channel.doppler_hz,
+                                  spec.deployment.tx_cycle_duration) > 0.0
 
 
 def test_push_pull_with_one_push_pair_simulates(tmp_path):

@@ -4,11 +4,21 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
-from scipy.special import erfc
+from scipy.special import erfc, ndtri
 
-from subnetpred.ra import (achieved_bler, blocklength, capacity,
-                           coverage_probability, coverage_width, dispersion,
-                           evaluate_ra, q_function, q_inverse)
+from subnetpred.ra import (blocklength, capacity, coverage_probability,
+                           coverage_width, dispersion, evaluate_ra, q_inverse)
+
+
+def q_function(x):
+    """Gaussian upper-tail probability Q(x), from scipy's erfc."""
+    return 0.5 * erfc(np.asarray(x, dtype=float) / np.sqrt(2.0))
+
+
+def achieved_bler(r, snr, payload_bits):
+    """BLER of r channel uses carrying payload_bits at SINR snr under the
+    normal approximation: Q((r*C - D) / sqrt(r*V))."""
+    return q_function((r * capacity(snr) - payload_bits) / np.sqrt(r * dispersion(snr)))
 
 
 def bisect_q_inverse(eps, lo=-10.0, hi=10.0):
@@ -35,8 +45,18 @@ def test_q_inverse_high_reliability_point():
 
 def test_q_roundtrip_on_log_grid():
     eps = np.logspace(-9, -0.5, 40)
-    back = q_function(q_inverse(eps))
+    back = q_function([q_inverse(e) for e in eps])
     assert np.allclose(back, eps, rtol=1e-10, atol=0)
+
+
+def test_q_inverse_is_minus_scipy_ndtri_bit_for_bit():
+    # a log grid through every branch of Cephes' ndtri (both tails, the
+    # centre, z = sqrt(-2 log y) on either side of 8), plus the HRLLC targets
+    eps = np.concatenate([np.logspace(-300, 0, 20000, endpoint=False),
+                          1.0 - np.logspace(-16, -0.01, 2000),
+                          [1e-5, 1e-6, 1e-7, 1e-9, 0.5]])
+    got = np.array([q_inverse(e) for e in eps])
+    np.testing.assert_array_equal(got.view(np.int64), (-ndtri(eps)).view(np.int64))
 
 
 @pytest.mark.parametrize("eps", [1e-5, 1e-7, 1e-9, 1e-12])
@@ -140,6 +160,23 @@ def test_coverage_width_trivials():
     assert np.allclose(normed, 2.5 / span)
 
 
+def test_frac_met_matches_the_achieved_bler_oracle():
+    # evaluate_ra tests the margin against Qinv(eps); the oracle computes
+    # each allocation's BLER with erfc and compares it with eps
+    rng = np.random.default_rng(5)
+    true_i = 10 ** rng.uniform(-9, -6, (400, 3))
+    pred_i = true_i * 10 ** rng.normal(0.0, 0.3, true_i.shape)
+    sig = 10 ** rng.uniform(-6, -4, 3)
+    eps_targets = [1e-5, 1e-6, 1e-7, 0.5]
+    rows = evaluate_ra(pred_i, true_i, sig, 1e-12, 200, eps_targets)
+    snr_hat, snr_true = sig / (pred_i + 1e-12), sig / (true_i + 1e-12)
+    for row, eps in zip(rows, eps_targets):
+        r_int = np.maximum(np.ceil(blocklength(snr_hat, 200, eps)), 1.0)
+        met = achieved_bler(r_int, snr_true, 200) <= eps
+        assert 0.0 < met.mean() < 1.0
+        assert row["frac_met"] == met.mean()
+
+
 def test_evaluate_ra_genie_meets_every_target():
     rng = np.random.default_rng(3)
     true_i = 10 ** rng.uniform(-9, -6, (200, 2))
@@ -154,9 +191,9 @@ def test_ra_config_validation():
     with pytest.raises(ValueError):
         q_inverse(0.0)
     with pytest.raises(ValueError):
-        blocklength(-1.0, 200, 1e-5)
+        q_inverse(1.0)
     with pytest.raises(ValueError):
-        achieved_bler(0.5, 1.0, 200)
+        blocklength(-1.0, 200, 1e-5)
 
 
 def test_dispersion_properties():

@@ -192,6 +192,25 @@ def test_fading_coefficient_clarke_value():
     assert fading_coefficient(80.0, 1e-3) == pytest.approx(0.937, abs=0.002)
 
 
+def test_fading_coefficient_is_scipy_j0_bit_for_bit():
+    # Doppler values whose 2 pi f dt covers [0, J0_FIRST_ZERO), including
+    # the x < 1e-5 branch
+    from scipy.special import j0
+
+    from subnetpred.config import J0_FIRST_ZERO
+    dt = 1e-3
+    top = J0_FIRST_ZERO / (2.0 * np.pi * dt)
+    doppler = np.concatenate([np.linspace(0.0, top, 20000, endpoint=False),
+                              np.logspace(-9, -2, 500) * top])
+    got = np.array([fading_coefficient(f, dt) for f in doppler])
+    np.testing.assert_array_equal(got.view(np.int64),
+                                  j0(2.0 * np.pi * doppler * dt).view(np.int64))
+    assert (got > 0).all()
+    # the rational branch holds on [0, 5] only: 800 Hz at 1 ms is 5.03
+    with pytest.raises(ValueError, match="outside"):
+        fading_coefficient(800.0, dt)
+
+
 def test_fading_power_autocorrelation_matches_coefficient():
     rho = fading_coefficient(80.0, 1e-3)
     rng = np.random.default_rng(7)

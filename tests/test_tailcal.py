@@ -13,7 +13,7 @@ from subnetpred.tailcal import (MIN_EXCEEDANCES, CalibratedTail, GpdTail,
                                 calibrated_quantile, calibration_report,
                                 collect_exceedances, conformity_scores,
                                 finite_sample_quantile, gpd_fit, gpd_quantile,
-                                moments_estimate, _gpd_nll)
+                                moments_estimate, _gpd_nll, _nelder_mead)
 
 
 def gpd_samples(shape, scale, n, rng):
@@ -71,6 +71,69 @@ def test_gpd_fit_requires_minimum_samples_and_positivity():
         gpd_fit(np.ones(10))
     with pytest.raises(ValueError):
         gpd_fit(np.concatenate([np.ones(40), [-1.0]]))
+
+
+def scipy_gpd_fit(y):
+    """gpd_fit with scipy's Nelder-Mead, the oracle of the port."""
+    from scipy.optimize import minimize
+
+    shape0, scale0 = moments_estimate(y)
+    nll0 = _gpd_nll(shape0, scale0, y)
+    res = minimize(lambda th: _gpd_nll(th[0], math.exp(th[1]), y),
+                   x0=[shape0, math.log(scale0)], method="Nelder-Mead",
+                   options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": 2000})
+    shape_hat, scale_hat = float(res.x[0]), float(math.exp(res.x[1]))
+    nll_hat = _gpd_nll(shape_hat, scale_hat, y)
+    if (not res.success) or abs(shape_hat) >= 0.9 - 1e-6 \
+            or not np.isfinite(nll_hat) or nll_hat > nll0:
+        return GpdTail(shape0, scale0, y.size, -min(nll0, nll_hat), fallback=True)
+    return GpdTail(shape_hat, scale_hat, y.size, -nll_hat)
+
+
+def seeded_exceedances(n_samples):
+    """GPD samples over the shapes, scales and sizes the pipeline fits,
+    every seventh rounded so that the likelihood has flat stretches."""
+    rng = np.random.default_rng(20)
+    for i in range(n_samples):
+        y = gpd_samples(rng.uniform(-0.6, 0.8), 10 ** rng.uniform(-2, 1),
+                        int(rng.integers(MIN_EXCEEDANCES, 400)), rng)
+        yield np.round(y, 1) + 0.05 if i % 7 == 0 else y
+
+
+# For strongly negative shapes the moments start can lie outside the
+# sample's support; every vertex of the first simplex then has an infinite
+# likelihood, ordered by np.argsort among ties, and scipy and the port both
+# warn on inf - inf in the fatol test.  Those fits are kept in the comparison.
+SHARED_WARNING = "ignore:invalid value encountered in subtract:RuntimeWarning"
+
+
+@pytest.mark.filterwarnings(SHARED_WARNING)
+def test_gpd_fit_equals_scipy_nelder_mead_fit():
+    fits = [(gpd_fit(y), scipy_gpd_fit(y)) for y in seeded_exceedances(200)]
+    assert all(got == want for got, want in fits)
+    assert 0 < sum(want.fallback for _, want in fits) < len(fits)
+
+
+@pytest.mark.filterwarnings(SHARED_WARNING)
+def test_nelder_mead_equals_scipy_when_stopped_early():
+    # at a small maxiter many searches stop unconverged: the flag and the
+    # vertex it stops at must both match scipy's
+    from scipy.optimize import minimize
+
+    rng = np.random.default_rng(21)
+    flags = []
+    for y in seeded_exceedances(80):
+        def f(th):
+            return _gpd_nll(th[0], math.exp(th[1]), y)
+        shape0, scale0 = moments_estimate(y)
+        x0, maxiter = [shape0, math.log(scale0)], int(rng.integers(2, 80))
+        res = minimize(f, x0=x0, method="Nelder-Mead",
+                       options={"xatol": 1e-8, "fatol": 1e-10, "maxiter": maxiter})
+        x, converged = _nelder_mead(f, x0, xatol=1e-8, fatol=1e-10, maxiter=maxiter)
+        np.testing.assert_array_equal(x.view(np.int64), res.x.view(np.int64))
+        assert converged == res.success
+        flags.append(converged)
+    assert 0 < sum(flags) < len(flags)
 
 
 # ---------------------------------------------------------------- quantiles

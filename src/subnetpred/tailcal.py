@@ -4,7 +4,7 @@ Three ingredients, all operating in the (normalized) label domain:
 
 * exceedances of the training labels over the quantile predictor's
   thresholds, modeled per series with a Generalized Pareto distribution
-  fitted by maximum likelihood,
+  fitted by the Zhang-Stephens posterior-mean estimator,
 * an inductive-conformal score: the finite-sample (1-beta) quantile of
   absolute calibration residuals,
 * a read-out that adds the GPD tail quantile and the conformal score on
@@ -25,7 +25,6 @@ from functools import cached_property
 
 import numpy as np
 
-SHAPE_CLAMP = 0.9
 MIN_EXCEEDANCES = 30         # per series, for a tail fit
 
 
@@ -41,7 +40,7 @@ class GpdTail:
     scale: float
     n_exceedances: int
     log_likelihood: float
-    fallback: bool = False
+    fallback: bool = False      # read only by perfbench's traced gpd_fit hook
 
     def __post_init__(self):
         if self.scale <= 0:
@@ -67,138 +66,46 @@ class CalibratedTail:
                          for tail in self.tails])
 
 
-def _gpd_nll(shape, scale, samples):
-    """Negative log-likelihood of positive exceedances under GPD."""
-    if scale <= 0 or abs(shape) > SHAPE_CLAMP:
-        return np.inf
-    z = shape * samples / scale
-    if np.any(1.0 + z <= 0):
-        return np.inf
-    n = samples.size
-    if abs(shape) < 1e-12:
-        return n * math.log(scale) + float(samples.sum()) / scale
-    return n * math.log(scale) + (1.0 + 1.0 / shape) * float(np.log1p(z).sum())
-
-
-def moments_estimate(samples):
-    """Method-of-moments (shape, scale) initializer.
-
-    Zero-variance input degenerates to an exponential fit (shape 0).
-    """
-    m = float(np.mean(samples))
-    s2 = float(np.var(samples))
-    if s2 <= 0 or m <= 0:
-        return 0.0, max(m, np.finfo(float).tiny)
-    ratio = m * m / s2
-    shape = 0.5 * (1.0 - ratio)
-    scale = 0.5 * m * (ratio + 1.0)
-    return float(np.clip(shape, -SHAPE_CLAMP, SHAPE_CLAMP)), scale
-
-
-def _nelder_mead(func, x0, xatol, fatol, maxiter):
-    """Minimize func from x0 by Nelder-Mead; returns (x, converged).
-
-    scipy.optimize.minimize(method="Nelder-Mead") step for step, so both
-    results equal scipy's bit for bit (tests/test_tailcal.py): the initial
-    simplex scales each entry of x0 by 1.05 (0.00025 for a zero entry), the
-    coefficients are reflection 1, expansion 2, contraction and shrink 0.5,
-    the vertices are reordered by np.argsort after every step, and the
-    search stops once both the vertex and the value spreads fall within
-    xatol and fatol.  converged means it stopped before maxiter iterations.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.size
-    sim = np.empty((n + 1, n))
-    sim[0] = x0
-    for k in range(n):
-        sim[k + 1] = x0
-        sim[k + 1, k] = 1.05 * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([func(x) for x in sim])
-    for _ in range(2):            # scipy sorts once after the evaluations, then again
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    iterations = 1
-    while iterations < maxiter:
-        if (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - sim[-1]
-        fxr = func(xr)
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = func(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            if fxr < fsim[-1]:                       # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = func(xc)
-                shrink = not fxc <= fxr
-            else:                                    # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = func(xc)
-                shrink = not fxc < fsim[-1]
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = func(sim[j])
-            else:
-                sim[-1], fsim[-1] = xc, fxc
-        iterations += 1
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0], iterations < maxiter
-
-
 def gpd_fit(exceedances):
-    """Fit GPD (shape, scale) to positive exceedances by MLE.
+    """Fit GPD (shape, scale) to positive exceedances by the Zhang-Stephens
+    estimator (Zhang & Stephens 2009, Technometrics 51(3)).
 
-    Nelder-Mead (_nelder_mead) on (shape, log scale) from the moments
-    initializer, to xatol 1e-8 and fatol 1e-10 within 2000 iterations; if it
-    does not converge, ends at a clamped shape, or finds a likelihood no
-    better than the initializer's, the moments estimate is returned with
-    ``fallback=True``.
+    With y sorted and n = y.size, the profile log-likelihood
+    l(theta) = n*(log(theta/k) + k - 1), k(theta) = -mean(log1p(-theta*y)),
+    is evaluated on the m = 30 + isqrt(n) points
+    theta_j = 1/y_max + (1 - sqrt(m/(j - 1/2)))/(3*y[(n+2)//4 - 1]), and
+    theta is estimated by its mean under weights exp(l - max l).  Then
+    shape = -k and scale = k/theta.  Every theta_j < 1/y_max, so the fitted
+    support contains every exceedance; log_likelihood is the closed form
+    n*(k - 1 - log(scale)).
     """
-    y = np.asarray(exceedances, dtype=float).ravel()
+    y = np.sort(np.asarray(exceedances, dtype=float).ravel())
     if y.size < MIN_EXCEEDANCES:
         raise InsufficientExceedancesError(
             f"need >= {MIN_EXCEEDANCES} exceedances, got {y.size}")
-    if np.any(y <= 0):
+    if y[0] <= 0:
         raise ValueError("exceedances must be strictly positive")
 
-    shape0, scale0 = moments_estimate(y)
-    nll0 = _gpd_nll(shape0, scale0, y)
-    if float(np.var(y)) <= 0:
-        return GpdTail(shape0, scale0, y.size, -nll0, fallback=True)
-
-    def objective(theta):
-        return _gpd_nll(theta[0], math.exp(theta[1]), y)
-
-    x, converged = _nelder_mead(objective, [shape0, math.log(scale0)],
-                                xatol=1e-8, fatol=1e-10, maxiter=2000)
-    shape_hat = float(x[0])
-    scale_hat = float(math.exp(x[1]))
-    nll_hat = _gpd_nll(shape_hat, scale_hat, y)
-    boundary = abs(shape_hat) >= SHAPE_CLAMP - 1e-6
-    if (not converged) or boundary or not np.isfinite(nll_hat) or nll_hat > nll0:
-        return GpdTail(shape0, scale0, y.size, -min(nll0, nll_hat), fallback=True)
-    return GpdTail(shape_hat, scale_hat, y.size, -nll_hat)
+    n = y.size
+    m = 30 + math.isqrt(n)
+    theta = 1.0 / y[-1] + (1.0 - np.sqrt(m / (np.arange(1, m + 1) - 0.5))) \
+        / (3.0 * y[(n + 2) // 4 - 1])
+    k = -np.mean(np.log1p(-theta[:, None] * y), axis=1)
+    profile = n * (np.log(theta / k) + k - 1.0)
+    weights = np.exp(profile - profile.max())
+    theta_hat = float(weights @ theta / weights.sum())
+    k_hat = -float(np.mean(np.log1p(-theta_hat * y)))
+    scale = k_hat / theta_hat
+    return GpdTail(-k_hat, scale, n, n * (k_hat - 1.0 - math.log(scale)))
 
 
 def gpd_quantile(tail, p):
-    """Exceedance level at tail probability p: Q(p) = scale/shape*((1-p)^-shape - 1).
-
-    The shape->0 limit is -scale*log(1-p).  p = 1 is the finite endpoint
-    scale/|shape| for negative shape and is an error otherwise.
+    """Exceedance level at tail probability p in [0, 1):
+    Q(p) = scale/shape*((1-p)^-shape - 1), with the shape->0 limit
+    -scale*log(1-p).
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError("p must lie in [0, 1]")
-    if p == 1.0:
-        if tail.shape >= 0:
-            raise ValueError("tail quantile is unbounded at p=1 for shape >= 0")
-        return tail.scale / abs(tail.shape)
+    if not 0.0 <= p < 1.0:
+        raise ValueError("p must lie in [0, 1)")
     if abs(tail.shape) < 1e-12:
         return -tail.scale * math.log1p(-p)
     return tail.scale * math.expm1(-tail.shape * math.log1p(-p)) / tail.shape
@@ -288,7 +195,6 @@ def calibration_report(calibrated):
             "scale": tail.scale,
             "n_exceedances": tail.n_exceedances,
             "log_likelihood": tail.log_likelihood,
-            "fallback": tail.fallback,
             "conformity_score": float(calibrated.scores[m]),
             "exceedance_fraction": tail.n_exceedances / calibrated.n_train,
         })

@@ -587,7 +587,7 @@ def test_blocklength_rejects_target_outside_half_open_unit_half(eps):
 def test_calibrated_quantile_matches_per_column_loop(b):
     rng = np.random.default_rng(40 + b)
     tails = (GpdTail(0.3, 0.7, 40, -1.0), GpdTail(-0.4, 1.3, 55, -2.0),
-             GpdTail(0.0, 0.2, 31, -3.0, fallback=True))
+             GpdTail(0.0, 0.2, 31, -3.0))
     cal = CalibratedTail(tails=tails, scores=np.array([0.11, 0.0, 1e-17]),
                          beta=0.05, n_train=2000, n_calibration=100, varsigma=0.37)
     t = rng.normal(size=(b, 3)) * 10.0 ** rng.integers(-8, 8, size=(b, 3))

@@ -10,6 +10,9 @@ whether one series or all M are stacked.  The window centering is one
 function whose summation order does not depend on the layout.  Split and
 centralized execution therefore evaluate the same floating-point operations
 in the same order and stay bit-identical at every window and batch size.
+
+Every function computes in its inputs' dtype and allocates its buffers in
+it: training runs them in float32, inference in float64.
 """
 
 from __future__ import annotations
@@ -193,7 +196,7 @@ def lstm_forward(tokens, wx, wh, bias):
     b, m, _ = tokens.shape
     hsz = wh.shape[0]
     h = c = None
-    hs = np.empty((b, m, hsz))
+    hs = np.empty((b, m, hsz), dtype=tokens.dtype)
     steps = []
     for t in range(m):
         z = tokens[:, t] @ wx
@@ -223,9 +226,9 @@ def lstm_backward(steps, wx, wh, dhs):
     m = dhs.shape[1]
     dwx = np.zeros_like(wx)
     dwh = np.zeros_like(wh)
-    dbias = np.zeros(4 * hsz)
-    dtokens = np.empty((b, m, wx.shape[0]))
-    dz = np.empty((b, 4 * hsz))      # the four gate blocks, i f g o
+    dbias = np.zeros(4 * hsz, dtype=dhs.dtype)
+    dtokens = np.empty((b, m, wx.shape[0]), dtype=dhs.dtype)
+    dz = np.empty((b, 4 * hsz), dtype=dhs.dtype)   # the four gate blocks, i f g o
     for t in reversed(range(m)):
         x_t, h_prev, c_prev, i, f, g, o, tc = steps[t]
         dh = dhs[:, t] if t == m - 1 else dhs[:, t] + dh_next

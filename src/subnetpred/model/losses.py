@@ -26,9 +26,7 @@ def pinball_grad(pred, label, alpha, count=None):
     The mean runs over `count` predictions, all of `pred` by default.  A
     split client passes the whole batch's b*M for its own column [b], so it
     divides once by the same b*M and its gradient is bit-equal to that column
-    of the full-batch gradient.
+    of the full-batch gradient.  The gradient takes the dtype of pred.
     """
-    pred = np.asarray(pred, dtype=float)
-    label = np.asarray(label, dtype=float)
-    g = np.where(pred >= label, alpha, alpha - 1.0)
+    g = np.where(pred >= label, alpha, alpha - 1.0).astype(pred.dtype, copy=False)
     return g / (pred.size if count is None else count)

@@ -68,6 +68,7 @@ def body_forward(params, cfg, tokens, masks=None):
             params[f"enc{l}.bo"], cfg.n_heads)
         mask = masks.mask(f"enc{l}", att.shape) if masks is not None else None
         if mask is not None:
+            mask = mask.astype(att.dtype, copy=False)
             att = att * mask
         normed, c_ln = layers.layer_norm_forward(
             tokens + att, params[f"enc{l}.ln_g"], params[f"enc{l}.ln_b"])
@@ -124,7 +125,7 @@ def forward(params, cfg, x, masks=None):
         b, m, d = tokens.shape
         cols = [embed_dropout(masks, i, (b, d)) for i in range(m)]
         if cols[0] is not None:
-            embed_mask = np.stack(cols, axis=1)
+            embed_mask = np.stack(cols, axis=1).astype(tokens.dtype, copy=False)
             tokens = tokens * embed_mask
     hs, c_body = body_forward(params, cfg, tokens, masks)
     pred, c_head = layers.head_forward(hs, params["head.w"], params["head.b"])

@@ -13,6 +13,10 @@ from .losses import pinball_grad, pinball_loss
 from .network import backward, forward, init_params
 from .optim import Adam, DropoutMasks, tagged_rng
 
+# the precision a model trains in; its checkpoint and every prediction and
+# decision made from it stay float64 (pipeline.stage_train casts both ways)
+TRAIN_DTYPE = np.float32
+
 
 class TrainingDivergedError(RuntimeError):
     """Non-finite loss encountered; carries epoch/batch diagnostics."""
@@ -67,7 +71,8 @@ def run_epochs(n_instances, train_cfg, seed, dropout, optimizers, step, log):
 def train(cfg, x, y, train_cfg, seed, params=None, log=None):
     """Minimize the mean pinball loss at quantile 1 - cfg.alpha.
 
-    x [L x S x M], y [L x M] must already be normalized.  seed drives the
+    x [L x S x M], y [L x M] must already be normalized; the steps run in
+    the dtype of x, y and params (every kernel keeps it).  seed drives the
     initialization (when params is omitted), the batch order and the
     dropout masks.  Returns (trained parameters, per-epoch mean loss
     curve); epochs=0 returns the untouched initialization.

@@ -26,7 +26,7 @@ from . import ra, tailcal, windowing
 from .config import ConfigError, spec_to_dict
 from .model import baselines as bl
 from .model import network
-from .model.train import train
+from .model.train import TRAIN_DTYPE, train
 from .scenario import simulate
 from .split import InProcessChannel, partition, split_train
 
@@ -73,7 +73,7 @@ def _hash(obj):
 # alters what a stage writes for the same inputs bumps the stage's number;
 # each key holds the key of the stage before it, so the stages after it are
 # rebuilt too.
-STAGE_VERSIONS = {"simulate": 1, "prepare": 2, "train": 1}
+STAGE_VERSIONS = {"simulate": 1, "prepare": 2, "train": 2}
 
 
 def _stage_key(stage, inputs):
@@ -183,6 +183,14 @@ def _model_cfg(spec, window):
 
 
 def stage_train(spec, out, ds, split_mode=False):
+    """Train the model, centralized or through the split protocol, or load
+    its cached checkpoint; returns (float64 parameters, model config).
+
+    The windows, labels and warm-started initialization are cast to
+    TRAIN_DTYPE and either mode trains in it; the trained parameters are
+    cast back to float64 (exact) before they are saved, so the checkpoint
+    and everything computed from it run in float64.
+    """
     out = Path(out)
     cfg = _model_cfg(spec, ds.window)
     stem = out / ("model_split" if split_mode else "model")
@@ -199,11 +207,14 @@ def stage_train(spec, out, ds, split_mode=False):
     # warm-start each quantile head at its marginal target quantile; the
     # asymmetric pinball gradients otherwise overshoot and anneal slowly
     init["head.b"][:] = np.quantile(ty, 1.0 - cfg.alpha, axis=0)
+    tx, ty = tx.astype(TRAIN_DTYPE), ty.astype(TRAIN_DTYPE)
+    init = {k: v.astype(TRAIN_DTYPE) for k, v in init.items()}
     if split_mode:
         params, curve = split_train(partition(init, cfg), tx, ty, spec.train,
                                     InProcessChannel(), spec.seed)
     else:
         params, curve = train(cfg, tx, ty, spec.train, spec.seed, params=init)
+    params = {k: v.astype(np.float64) for k, v in params.items()}
     network.save_checkpoint(stem, params, cfg, spec.seed,
                             {"normalization": {"offset": ds.norm.offset.tolist(),
                                                "scale": ds.norm.scale.tolist()}})

@@ -9,11 +9,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..model.network import forward_flops, param_names
+from ..model.train import TRAIN_DTYPE
 
 # per-series tensors; client m owns row m of each
 CLIENT_KEYS = ("embed.w", "embed.b", "head.w", "head.b")
 
-FLOAT_BITS = 64
+# bits of one cut element: training runs in TRAIN_DTYPE, so every cut
+# activation and gradient crosses in it
+FLOAT_BITS = np.dtype(TRAIN_DTYPE).itemsize * 8
 
 
 @dataclass
@@ -48,7 +51,9 @@ def partition_workloads(cfg):
     The body share is expressed per client sample, so n_series * body_flops
     is the full stacked-batch body workload.  Each training instance
     crosses every client's cut twice: forward with up_bits up and down_bits
-    down, backward with the same sizes the other way.
+    down, backward with the same sizes the other way.  A cut carries D
+    (up) or H (down) elements of the training precision, FLOAT_BITS = 32
+    bits each for float32 training.
     """
     m, s, d, h = cfg.n_series, cfg.window, cfg.d_embed, cfg.lstm_hidden
     head = 2 * s * d + d

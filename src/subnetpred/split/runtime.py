@@ -58,6 +58,8 @@ class SplitClient:
                                              self.params["embed.b"])
         token = tokens[:, 0]
         mask = embed_dropout(masks, self.index, token.shape)
+        if mask is not None:
+            mask = mask.astype(token.dtype, copy=False)
         self._cache = {"embed": embed, "mask": mask, "idx": idx, "level": level}
         return token if mask is None else token * mask
 

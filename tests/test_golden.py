@@ -15,11 +15,15 @@ Two comparison levels:
   Measured on the recording machine by forcing OPENBLAS_CORETYPE to
   Sandybridge, to Nehalem, and to Sandybridge with NPY_DISABLE_CPU_FEATURES
   = "X86_V4 AVX512_ICL AVX512_SPR": the model and calibration bytes changed
-  under all three and trace.npz under the last; percentile_met and cov_prob
-  stayed equal; mean_overhead moved by at most 2.7e-9 and cov_width by at
-  most 1.5e-9, relative.  So there percentile_met and cov_prob must be
-  equal and mean_overhead and cov_width agree within RTOL = 1e-8, the
-  largest measured move rounded up to the next decade.
+  under all three and trace.npz and dataset.bin under the last;
+  percentile_met and cov_prob stayed equal; mean_overhead moved by at most
+  6.2e-6, 3.5e-6 and 6.2e-6 and cov_width by at most 2.5e-6, 2.1e-6 and
+  2.5e-6, relative.  The model trains in float32, whose unit roundoff is
+  6e-8 against float64's 1.1e-16, so another kernel's rounding moves the
+  trained weights and what follows from them that much further.  So
+  there percentile_met and cov_prob must be equal and mean_overhead and
+  cov_width agree within RTOL = 1e-5, the largest measured move rounded up
+  to the next decade.
 
 At both levels split training equals centralized training bit for bit:
 both run the same kernels, so model.bin == model_split.bin and
@@ -51,7 +55,7 @@ HASHED = ("model.bin", "model_split.bin", "calibration.json",
           "calibration_split.json", "dataset.bin", "trace.npz")
 EXACT = ("percentile_met", "cov_prob")
 RELATIVE = ("mean_overhead", "cov_width")
-RTOL = 1e-8
+RTOL = 1e-5
 
 
 def _openblas_core():

@@ -16,7 +16,7 @@ from subnetpred import pipeline, tailcal
 from subnetpred.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
 from subnetpred.config import (ConfigError, ExperimentSpec, desk_preset, parse_config_text,
                                spec_to_dict, tiny_preset)
-from subnetpred.model.train import TrainingDivergedError
+from subnetpred.model.train import TRAIN_DTYPE, TrainingDivergedError
 from subnetpred.pipeline import StageError, report, run_pipeline, run_plan, sweep
 from subnetpred.scenario import fading_coefficient
 
@@ -467,6 +467,30 @@ def test_split_checkpoint_that_differs_gets_its_own_threshold_pass(tmp_path,
     split = np.load(tmp_path / "thresholds_split.npy")
     assert np.array_equal(split, pipeline.network.predict(params, cfg, ds.inputs))
     assert not np.array_equal(split, np.load(tmp_path / "thresholds.npy"))
+
+
+def test_trained_parameters_are_the_float64_checkpoint(tmp_path):
+    # training runs in TRAIN_DTYPE; stage_train returns the parameters cast
+    # back to float64, equal to the checkpoint it saved, so a cold run and a
+    # run that loads the checkpoint predict the same thresholds
+    spec = replace(smoke_spec(seed=9), variant="iqpt")
+    direct = tmp_path / "direct"
+    direct.mkdir()
+    trace = pipeline.stage_simulate(spec, direct)
+    ds = pipeline.stage_prepare(spec, direct, trace)
+    params, _ = pipeline.stage_train(spec, direct, ds)
+    saved, _, _ = pipeline.network.load_checkpoint(direct / "model")
+    assert params.keys() == saved.keys()
+    for key, tensor in params.items():
+        assert tensor.dtype == np.float64, key
+        assert np.array_equal(tensor, saved[key]), key
+        assert np.array_equal(tensor, tensor.astype(TRAIN_DTYPE)), key
+
+    run_plan(spec, tmp_path, ["iqpt"], until="train")
+    cold = (tmp_path / "thresholds.npy").read_bytes()
+    (tmp_path / "thresholds.npy").unlink()
+    run_plan(spec, tmp_path, ["iqpt"], until="train")
+    assert (tmp_path / "thresholds.npy").read_bytes() == cold
 
 
 def test_stage_version_bump_rebuilds_that_stage_and_every_later_one(

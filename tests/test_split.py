@@ -9,7 +9,7 @@ import pytest
 
 from subnetpred.config import ModelConfig, TrainConfig
 from subnetpred.model import forward, init_params
-from subnetpred.model.train import train
+from subnetpred.model.train import TRAIN_DTYPE, train
 from subnetpred.split import (InProcessChannel, KIND_ACTIVATION,
                               KIND_GRADIENT, ProtocolError, SplitMessage,
                               build_participants, merge, partition,
@@ -24,6 +24,13 @@ def make_data(n=96, seed=0, cfg=CFG):
     x = rng.standard_normal((n, cfg.window, cfg.n_series))
     y = rng.standard_normal((n, cfg.n_series))
     return x, y
+
+
+def at_training_precision(x, y, params):
+    """The windows, labels and parameters cast as pipeline.stage_train
+    casts them before either mode trains."""
+    return (x.astype(TRAIN_DTYPE), y.astype(TRAIN_DTYPE),
+            {k: v.astype(TRAIN_DTYPE) for k, v in params.items()})
 
 
 def test_partition_counts_and_roundtrip():
@@ -88,6 +95,73 @@ def test_one_split_epoch_matches_centralized_training(window, n_series):
                            train_cfg, InProcessChannel(), seed)
     for key, tensor in central.items():
         assert np.array_equal(split[key], tensor), key
+
+
+@pytest.mark.parametrize("window", [6, 16])
+def test_split_epoch_at_training_precision_matches_centralized(window):
+    cfg = replace(CFG, window=window, center_windows=True)
+    seed = 11
+    x, y, init = at_training_precision(*make_data(96, 5, cfg),
+                                       init_params(cfg, seed=seed))
+    train_cfg = TrainConfig(lr=1e-3, epochs=1, batch_size=32)
+
+    part = partition(init, cfg)
+    central, _ = train(cfg, x, y, train_cfg, seed, params=init)
+    split, _ = split_train(part, x, y, train_cfg, InProcessChannel(), seed)
+    for key, tensor in central.items():
+        assert tensor.dtype == TRAIN_DTYPE, key
+        assert np.array_equal(split[key], tensor), key
+
+
+def _arrays(obj):
+    """Every ndarray inside nested dicts, lists and tuples."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            yield from _arrays(value)
+
+
+def test_one_step_at_training_precision_keeps_its_dtype():
+    # every parameter, gradient, Adam moment, cache array (masks and masked
+    # activations included) and split payload stays in the training dtype:
+    # an in-place update casts silently, so each is checked where it is made
+    from subnetpred.model import Adam, DropoutMasks, backward
+    from subnetpred.model.losses import pinball_grad
+    from subnetpred.split.runtime import split_step
+
+    cfg = replace(CFG, center_windows=True)
+    x, y, params = at_training_precision(*make_data(32, 3, cfg),
+                                         init_params(cfg, seed=3))
+    part = partition(params, cfg)
+    masks = DropoutMasks(cfg.dropout, 3, 0, 0)
+    pred, cache = forward(params, cfg, x, masks)
+    dpred = pinball_grad(pred, y, cfg.alpha)
+    grads = backward(params, cfg, cache, dpred)
+    opt = Adam(params, lr=1e-3)
+    opt.step(params, grads)
+    central = [pred, cache, dpred, grads, params, opt.m, opt.v]
+    assert cache["embed_mask"] is not None and cache["body"]["enc"][0][1] is not None
+
+    clients, server = build_participants(part, x, y, lr=1e-3)
+    seen = []
+    ch = _spied_channel(lambda msg: seen.append(msg.payload))
+    for p in [server] + clients:
+        def spied_step(params, grads, step=p.opt.step):
+            seen.append(grads)
+            step(params, grads)
+        p.opt.step = spied_step
+    split_step(clients, server, ch, 0, 0, np.arange(32), masks)
+    split = [seen, server._cache] + [
+        [cl._cache, cl.params, cl.opt.m, cl.opt.v] for cl in clients] + [
+        server.params, server.opt.m, server.opt.v]
+    assert len(seen) == 4 * cfg.n_series + 1 + cfg.n_series
+    for mode, state in (("central", central), ("split", split)):
+        dtypes = {a.dtype for a in _arrays(state) if a.dtype.kind == "f"}
+        assert dtypes == {np.dtype(TRAIN_DTYPE)}, mode
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 6, 7])
@@ -156,8 +230,9 @@ def test_split_bits_equal_partition_workloads():
     # a [D] token up and a [H] hidden state down, then a [H] gradient up and
     # a [D] token gradient down, whatever the batch split (40 = 16 + 16 + 8)
     n = 40
-    part = partition(init_params(CFG, seed=10), CFG)
-    x, y = make_data(n, 10)
+    x, y, params = at_training_precision(*make_data(n, 10),
+                                         init_params(CFG, seed=10))
+    part = partition(params, CFG)
     bits = []
     ch = _spied_channel(lambda msg: bits.append(msg.payload_bits))
     split_train(part, x, y, TrainConfig(epochs=1, batch_size=16), ch, 0)

@@ -128,12 +128,7 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """iQPT predictor hyperparameters.
-
-    center_windows subtracts each instance's per-series window mean before
-    embedding and adds it back to the prediction (standard non-stationary
-    conditioning: the head predicts the offset from the recent level).
-    """
+    """iQPT predictor hyperparameters."""
 
     n_series: int = 4
     window: int = 8
@@ -143,7 +138,6 @@ class ModelConfig:
     lstm_hidden: int = 64
     dropout: float = 0.1
     alpha: float = 0.05
-    center_windows: bool = True
 
     def __post_init__(self):
         if self.d_embed % self.n_heads != 0:
@@ -279,20 +273,14 @@ _WIRED_KEYS = {
 }
 
 
-_BOOLS = {"true": True, "1": True, "yes": True,
-          "false": False, "0": False, "no": False}
-
-
 def _coerce(key, raw, kind):
     try:
-        if kind is bool:
-            return _BOOLS[raw.lower()]
         if kind is tuple:
             return tuple(float(tok) for tok in raw.replace(",", " ").split())
         if kind is str:
             return raw
         return kind(raw)
-    except (KeyError, ValueError) as err:
+    except ValueError as err:
         raise ConfigError(f"{key} = {raw!r} is not a valid "
                           f"{kind.__name__}") from err
 

@@ -1,8 +1,9 @@
 """The inverted quantile-patch transformer: parameters, forward, backward.
 
-Architecture: per-series window -> tanh embedding token -> n_layers of
-(multi-head attention over series tokens + residual + layer norm) -> LSTM
-across the token sequence -> per-series scalar quantile head.
+Architecture: per-series window, centred on its mean -> tanh embedding
+token -> n_layers of (multi-head attention over series tokens + residual +
+layer norm) -> LSTM across the token sequence -> per-series scalar quantile
+head, which predicts the offset from that mean.
 
 Parameters live in a flat dict keyed by canonical names; the embedding and
 quantile head carry one weight block per series so the U-shaped split
@@ -114,11 +115,9 @@ def forward(params, cfg, x, masks=None):
     if x.ndim != 3 or x.shape[1] != cfg.window or x.shape[2] != cfg.n_series:
         raise ValueError(
             f"expected input [b x {cfg.window} x {cfg.n_series}], got {x.shape}")
-    level = None
-    if cfg.center_windows:
-        # per-instance recent level; the head predicts the offset from it,
-        # which carries no parameters so the backward pass is unaffected
-        x, level = layers.center_windows(x)
+    # per-instance recent level; the head predicts the offset from it,
+    # which carries no parameters so the backward pass is unaffected
+    x, level = layers.center_windows(x)
     tokens, c_embed = layers.embed_forward(x, params["embed.w"], params["embed.b"])
     embed_mask = None
     if masks is not None:
@@ -129,8 +128,7 @@ def forward(params, cfg, x, masks=None):
             tokens = tokens * embed_mask
     hs, c_body = body_forward(params, cfg, tokens, masks)
     pred, c_head = layers.head_forward(hs, params["head.w"], params["head.b"])
-    if level is not None:
-        pred = pred + level
+    pred = pred + level
     cache = {"embed": c_embed, "embed_mask": embed_mask, "body": c_body,
              "head": c_head}
     return pred, cache

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .losses import pinball_grad, pinball_loss
-from .network import backward, forward, init_params
+from .network import backward, forward
 from .optim import Adam, DropoutMasks, tagged_rng
 
 # the precision a model trains in; its checkpoint and every prediction and
@@ -68,17 +68,15 @@ def run_epochs(n_instances, train_cfg, seed, dropout, optimizers, step, log):
     return curve
 
 
-def train(cfg, x, y, train_cfg, seed, params=None, log=None):
-    """Minimize the mean pinball loss at quantile 1 - cfg.alpha.
+def train(cfg, x, y, train_cfg, seed, params, log=None):
+    """Minimize the mean pinball loss at quantile 1 - cfg.alpha, updating
+    the initial params in place.
 
     x [L x S x M], y [L x M] must already be normalized; the steps run in
     the dtype of x, y and params (every kernel keeps it).  seed drives the
-    initialization (when params is omitted), the batch order and the
-    dropout masks.  Returns (trained parameters, per-epoch mean loss
-    curve); epochs=0 returns the untouched initialization.
+    batch order and the dropout masks.  Returns (trained parameters,
+    per-epoch mean loss curve); epochs=0 returns params untouched.
     """
-    if params is None:
-        params = init_params(cfg, seed)
     opt = Adam(params, lr=train_cfg.lr)
     cache = None
 

@@ -50,10 +50,7 @@ class SplitClient:
 
     def head_forward(self, idx, masks):
         """Embed this series' windows of batch idx; returns the token to send."""
-        x_b = self.x[idx]
-        level = None
-        if self.cfg.center_windows:
-            x_b, level = layers.center_windows(x_b)
+        x_b, level = layers.center_windows(self.x[idx])
         tokens, embed = layers.embed_forward(x_b, self.params["embed.w"],
                                              self.params["embed.b"])
         token = tokens[:, 0]
@@ -70,8 +67,7 @@ class SplitClient:
         hs = h_m[:, None]
         pred, _ = layers.head_forward(hs, self.params["head.w"],
                                       self.params["head.b"])
-        if self._cache["level"] is not None:
-            pred = pred + self._cache["level"]
+        pred = pred + self._cache["level"]
         alpha, m = self.cfg.alpha, self.cfg.n_series
         dpred = pinball_grad(pred, y_b, alpha, count=pred.size * m)
         dhs, dw, db = layers.head_backward(hs, self.params["head.w"], dpred)

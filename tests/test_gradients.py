@@ -11,8 +11,7 @@ from subnetpred.model.optim import DropoutMasks
 
 RTOL = 1e-4
 TINY = ModelConfig(n_series=3, window=5, d_embed=8, n_heads=2, n_layers=2,
-                   lstm_hidden=8, dropout=0.0, alpha=0.05,
-                   center_windows=False)
+                   lstm_hidden=8, dropout=0.0, alpha=0.05)
 
 
 def central_diff(f, arr, eps=1e-6):
@@ -155,10 +154,9 @@ def test_dropout_disabled_at_inference_is_deterministic():
 
 def test_gradient_with_window_centering_matches_fd():
     # the window-mean skip path carries no parameters; analytic parameter
-    # gradients must stay exact with centering enabled
+    # gradients stay exact on windows and labels far from zero level
     cfg = ModelConfig(n_series=3, window=5, d_embed=8, n_heads=2, n_layers=1,
-                      lstm_hidden=8, dropout=0.0, alpha=0.05,
-                      center_windows=True)
+                      lstm_hidden=8, dropout=0.0, alpha=0.05)
     params = init_params(cfg, seed=21)
     rng = np.random.default_rng(22)
     x = rng.standard_normal((4, cfg.window, cfg.n_series)) + 3.0
@@ -177,7 +175,7 @@ def test_gradient_with_window_centering_matches_fd():
 
 def test_centered_forward_tracks_level_shift():
     cfg = ModelConfig(n_series=2, window=6, d_embed=8, n_heads=2, n_layers=1,
-                      lstm_hidden=8, dropout=0.0, center_windows=True)
+                      lstm_hidden=8, dropout=0.0)
     params = init_params(cfg, seed=23)
     x = np.random.default_rng(24).standard_normal((5, cfg.window, cfg.n_series))
     base, _ = forward(params, cfg, x)
@@ -187,8 +185,7 @@ def test_centered_forward_tracks_level_shift():
 
 def test_gradient_with_dropout_masks_matches_fd():
     cfg = ModelConfig(n_series=3, window=5, d_embed=8, n_heads=2, n_layers=1,
-                      lstm_hidden=8, dropout=0.3, alpha=0.05,
-                      center_windows=False)
+                      lstm_hidden=8, dropout=0.3, alpha=0.05)
     params = init_params(cfg, seed=12)
     rng = np.random.default_rng(13)
     x = rng.standard_normal((4, cfg.window, cfg.n_series))

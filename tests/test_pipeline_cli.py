@@ -610,7 +610,8 @@ def test_seed_flag_rewires_all_seeds():
 
 @pytest.mark.parametrize("line", ["train.seed = 1", "deployment.rng_seed = 1",
                                   "channel.fading = false", "channel.shadowing = false",
-                                  "deployment.n_slots = 6"])
+                                  "deployment.n_slots = 6",
+                                  "model.center_windows = false"])
 def test_removed_seed_keys_are_config_errors(tmp_path, line):
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text(line, preset="tiny")
@@ -718,14 +719,13 @@ def test_cli_config_error_exit_code(tmp_path):
 
 @pytest.mark.parametrize("config, named", [
     ("n_cycles = abc\n", "n_cycles = 'abc'"),
-    ("model.center_windows = maybe\n", "model.center_windows = 'maybe'"),
     ("deployment.area = 5\n", "area takes exactly two sides"),
     ("deployment.area = 5 5 5\n", "area takes exactly two sides"),
     ("eps_targets =\n", "eps_targets must not be empty"),
     (None, "cannot read config file"),           # missing file
     ("", "cannot read config file"),             # a directory
     (b"\xff\xfe\n", "cannot read config file"),  # not UTF-8
-], ids=["int", "bool", "area-1", "area-3", "eps-empty", "missing", "directory",
+], ids=["int", "area-1", "area-3", "eps-empty", "missing", "directory",
         "binary"])
 def test_unreadable_config_values_exit_2(tmp_path, capsys, config, named):
     path = tmp_path / "run.cfg"

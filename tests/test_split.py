@@ -82,15 +82,16 @@ def test_channel_orders_and_detects_loss():
 @pytest.mark.parametrize("n_series", [4, 1])
 @pytest.mark.parametrize("window", [6, 16])
 def test_one_split_epoch_matches_centralized_training(window, n_series):
-    # bit-exact with window centering on: from window 8 up, a plain mean
-    # sums the client's contiguous column pairwise but the strided column of
-    # the centralized batch in order, so both paths share one centering
-    cfg = replace(CFG, window=window, n_series=n_series, center_windows=True)
+    # bit-exact through the window centering: from window 8 up, a plain
+    # mean sums the client's contiguous column pairwise but the strided
+    # column of the centralized batch in order, so both paths share one
+    # centering
+    cfg = replace(CFG, window=window, n_series=n_series)
     seed = 11
     x, y = make_data(96, 5, cfg)
     train_cfg = TrainConfig(lr=1e-3, epochs=1, batch_size=32)
 
-    central, _ = train(cfg, x, y, train_cfg, seed)
+    central, _ = train(cfg, x, y, train_cfg, seed, init_params(cfg, seed=seed))
     split, _ = split_train(partition(init_params(cfg, seed=seed), cfg), x, y,
                            train_cfg, InProcessChannel(), seed)
     for key, tensor in central.items():
@@ -99,7 +100,7 @@ def test_one_split_epoch_matches_centralized_training(window, n_series):
 
 @pytest.mark.parametrize("window", [6, 16])
 def test_split_epoch_at_training_precision_matches_centralized(window):
-    cfg = replace(CFG, window=window, center_windows=True)
+    cfg = replace(CFG, window=window)
     seed = 11
     x, y, init = at_training_precision(*make_data(96, 5, cfg),
                                        init_params(cfg, seed=seed))
@@ -133,14 +134,13 @@ def test_one_step_at_training_precision_keeps_its_dtype():
     from subnetpred.model.losses import pinball_grad
     from subnetpred.split.runtime import split_step
 
-    cfg = replace(CFG, center_windows=True)
-    x, y, params = at_training_precision(*make_data(32, 3, cfg),
-                                         init_params(cfg, seed=3))
-    part = partition(params, cfg)
-    masks = DropoutMasks(cfg.dropout, 3, 0, 0)
-    pred, cache = forward(params, cfg, x, masks)
-    dpred = pinball_grad(pred, y, cfg.alpha)
-    grads = backward(params, cfg, cache, dpred)
+    x, y, params = at_training_precision(*make_data(32, 3, CFG),
+                                         init_params(CFG, seed=3))
+    part = partition(params, CFG)
+    masks = DropoutMasks(CFG.dropout, 3, 0, 0)
+    pred, cache = forward(params, CFG, x, masks)
+    dpred = pinball_grad(pred, y, CFG.alpha)
+    grads = backward(params, CFG, cache, dpred)
     opt = Adam(params, lr=1e-3)
     opt.step(params, grads)
     central = [pred, cache, dpred, grads, params, opt.m, opt.v]
@@ -158,7 +158,7 @@ def test_one_step_at_training_precision_keeps_its_dtype():
     split = [seen, server._cache] + [
         [cl._cache, cl.params, cl.opt.m, cl.opt.v] for cl in clients] + [
         server.params, server.opt.m, server.opt.v]
-    assert len(seen) == 4 * cfg.n_series + 1 + cfg.n_series
+    assert len(seen) == 4 * CFG.n_series + 1 + CFG.n_series
     for mode, state in (("central", central), ("split", split)):
         dtypes = {a.dtype for a in _arrays(state) if a.dtype.kind == "f"}
         assert dtypes == {np.dtype(TRAIN_DTYPE)}, mode
@@ -175,7 +175,7 @@ def test_split_gradients_equal_centralized_at_every_batch_size(b, window):
     from subnetpred.split.partition import CLIENT_KEYS
     from subnetpred.split.runtime import split_forward_batch
 
-    cfg = replace(CFG, window=window, center_windows=True)
+    cfg = replace(CFG, window=window)
     x, y = make_data(b, 17, cfg)
     params = init_params(cfg, seed=17)
     masks = DropoutMasks(cfg.dropout, 17, 0, 0)

@@ -9,13 +9,13 @@ def pinball_loss(pred, label, alpha):
     """Mean asymmetric loss for the (1 - alpha) quantile.
 
     Overprediction costs alpha per unit, underprediction 1 - alpha, so the
-    minimizer of the mean is the empirical (1 - alpha) quantile.
+    minimizer of the mean is the empirical (1 - alpha) quantile.  The
+    difference is formed in float64 whatever the inputs' dtype, without
+    float64 copies of them.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    pred = np.asarray(pred, dtype=float)
-    label = np.asarray(label, dtype=float)
-    diff = pred - label
+    diff = np.subtract(pred, label, dtype=float)
     loss = np.where(diff >= 0, alpha * diff, (alpha - 1.0) * diff)
     return float(loss.mean())
 

@@ -5,7 +5,8 @@ of the co-channel interferers, and the resulting interference power at the
 victim controller for each of its SA-pair slots.  Estimation noise is added
 in the linear power domain afterwards and clamped at a positive floor so
 the dB conversion is total.  simulate_trace computes the cycles in two
-passes: one that steps through them and one vectorized over all of them.
+passes: one that steps through them and one vectorized over each block of
+them.
 """
 
 from __future__ import annotations
@@ -84,9 +85,9 @@ VICTIM = 0
 # leading share of the trace whose mean true power sets the estimation
 # noise level (a train-prefix statistic)
 NOISE_REF_FRACTION = 0.7
-# cycles per pass-1 block: the block's draws become states at once, and its
-# buffers stay small next to the trace's own arrays (at 250 the peak
-# allocation of a desk trace is that of pass 2)
+# cycles per block: the block's draws become states, and its states power,
+# at once, and its buffers stay small next to the trace's own arrays (a
+# 10,000-cycle desk trace peaks at 3.4 MiB of Python allocation)
 BLOCK = 250
 # rdmm steps per free run (mobility.free_run): FIRST after an event, twice
 # as many after each run that met none, at most HORIZON.  A run costs about
@@ -129,14 +130,16 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     the positions of the steps between events from free runs
     (mobility.free_run, at most HORIZON steps each) and calls step_mobility
     only at the event cycles; the draw order is that of stepping every
-    cycle.  Alley positions draw nothing and are computed up front.  Per
-    block, the rows become states at once, with two AR(1) recursions: one
-    over the three real fields of every link (shadowing LOS and NLOS and
-    the soft-LOS latent), one over the LOS and NLOS fading, which share
-    their coefficient; then the fading looks' power sums per link and the
-    push bursts.  Pass 2 computes the rest for all cycles at once: path
-    loss, shadowing and soft-LOS transforms, link gains, the TDD
-    misalignment and the slot sums.
+    cycle.  Alley positions draw nothing and are computed up front, for
+    the interferers and the victim only.  Per block, the rows become states
+    at once, with two AR(1) recursions: one over the three real fields of
+    every link (shadowing LOS and NLOS and the soft-LOS latent), one over
+    the LOS and NLOS fading, which share their coefficient; then the push
+    bursts.  Pass 2 then runs on the same block (cycle 0 is a block of
+    its own), so no gain or slot array ever spans all cycles: the fading
+    looks' power sums, path loss, shadowing and soft-LOS transforms, link
+    gains, the TDD misalignment and the slot sums, written into the
+    block's columns of the true power.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -183,10 +186,14 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     # centers of the interferers, then the victim, per cycle
     members = np.append(intf, VICTIM)
     if mobility == "alley":
-        centers = alley_positions(state, deployment.speed, dt, n_cycles)[:, members]
+        centers = alley_positions(
+            replace(state, path_ids=state.path_ids[members],
+                    arc_positions=state.arc_positions[members]),
+            deployment.speed, dt, n_cycles)
     else:
         centers = np.empty((n_cycles, n_int + 1, 2))
         centers[0] = state.positions[members]
+    offsets = state.offsets[intf]
     step = deployment.speed * dt
     guard = deployment.min_distance + 2.0 * step
 
@@ -214,35 +221,58 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     normals = np.empty((BLOCK, n_real + 2 * fades.values.size))
     n_push = 2 * n_int * traffic_proc.n_push
     uniforms = np.empty((BLOCK, n_push + n_int * n_sa))
-    reals = np.empty((n_cycles, n_real))
-    h_los_sum = np.empty((n_cycles, n_int, n_sa))
-    h_nlos_sum = np.empty((n_cycles, n_int, n_sa))
-    chi = np.empty((n_cycles, n_int, n_sa), dtype=bool)
+    true_power = np.empty((n_sa, n_cycles))
 
-    def fading_power(values, start, stop):
-        """Look-power sums of the LOS and NLOS fading [b x 2 x ...] of
-        cycles [start, stop)."""
-        h_los_sum[start:stop] = _look_power(ch.rician(values[:, 0], k_lin, specular))
-        h_nlos_sum[start:stop] = _look_power(values[:, 1])
+    def block_power(start, reals, fading, chi):
+        """Pass 2 of the cycles from start on, given their states: the real
+        fields [b x n_real], the LOS and NLOS fading [b x 2 x ...] and the
+        slot occupancy [b x n_int x n_sa]; writes their true power."""
+        stop = start + len(reals)
+        c = centers[start:stop]
+        # per-link gains toward every SA position of each interferer
+        dist = ch.planar_norm(c[:, :-1, None, :] + offsets - c[:, -1, None, None, :])
+        pl_los = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=True))
+        pl_nlos = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=False))
+        # mean fading power over the looks
+        h_los = _look_power(ch.rician(fading[:, 0], k_lin, specular)) / looks
+        h_nlos = _look_power(fading[:, 1]) / looks
+        psi = ch.soft_los_weight(reals[:, -n_int:] + channel_params.soft_los_bias)[:, :, None]
+        sh_los = ch.db_to_linear(reals[:, :n_int])[:, :, None]
+        sh_nlos = ch.db_to_linear(reals[:, n_int:2 * n_int])[:, :, None]
+        gain = ch.channel_gain(psi, h_los, h_nlos, pl_los, pl_nlos, sh_los, sh_nlos)
+        # slot k of every interferer belongs to its SA pair k
+        emitted = deployment.tx_power * chi * gain
+        # victim slot m overlaps two adjacent interferer slots when the
+        # grids are fractionally misaligned; interference is the
+        # time-share-weighted sum of both occupants
+        phase = clock_offset + (np.arange(start, stop) * deployment.schedule_drift)[:, None]
+        u = (np.arange(n_sa) - phase[:, :, None]) % n_sa
+        k1 = np.floor(u)
+        w2 = u - k1
+        k1 = k1.astype(int) % n_sa
+        k2 = (k1 + 1) % n_sa
+        contrib = ((1.0 - w2) * np.take_along_axis(emitted, k1, axis=2)
+                   + w2 * np.take_along_axis(emitted, k2, axis=2))
+        true_power[:, start:stop] = np.add.reduce(contrib, axis=1).T
 
     def block_states(start, stop):
-        """Turn the rows of draws of cycles [start, stop) into their states."""
+        """Turn the rows of draws of cycles [start, stop) into their states,
+        then their true power."""
         b = stop - start
         rel, mid = _link_motion(centers[start:stop] - centers[start - 1:stop - 1])
-        reals[start:stop] = real_field.advance(np.concatenate([rel, rel, mid], axis=1),
-                                               normals[:b, :n_real])
-        fading_power(fades.advance(normals[:b, n_real:].reshape(
-            (b, 2, 2) + fade_shape[1:])), start, stop)
+        reals = real_field.advance(np.concatenate([rel, rel, mid], axis=1),
+                                   normals[:b, :n_real])
+        fading = fades.advance(normals[:b, n_real:].reshape((b, 2, 2) + fade_shape[1:]))
         activity = traffic_proc.step(
             uniforms[:b, :n_push].reshape(b, 2, n_int, traffic_proc.n_push))
-        chi[start:stop] = traffic_proc.sample_own_slots(
+        chi = traffic_proc.sample_own_slots(
             activity, uniforms[:b, n_push:].reshape(b, n_int, n_sa))
+        block_power(start, reals, fading, chi)
 
-    chi[0] = traffic_proc.sample_own_slots(
+    chi = traffic_proc.sample_own_slots(
         traffic_proc.activity,
         rng.random(out=uniforms[0, n_push:]).reshape(n_int, n_sa))
-    reals[0] = real_field.values
-    fading_power(fades.values[None], 0, 1)
+    block_power(0, real_field.values[None], fades.values[None], chi[None])
     event = n_cycles if mobility == "alley" else free_cycles(1)
     for start in range(1, n_cycles, BLOCK):
         stop = min(start + BLOCK, n_cycles)
@@ -256,37 +286,6 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
             rng.random(out=uniforms[i])
         block_states(start, stop)
     del normals, uniforms
-
-    # ---- pass 2: per-link gains toward every SA position of each
-    # interferer, for all cycles at once
-    dist = ch.planar_norm(centers[:, :-1, None, :] + state.offsets[intf]
-                          - centers[:, -1, None, None, :])
-    pl_los = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=True))
-    pl_nlos = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=False))
-    h_los_sum /= looks          # mean fading power over the looks
-    h_nlos_sum /= looks
-    psi = ch.soft_los_weight(reals[:, -n_int:] + channel_params.soft_los_bias)[:, :, None]
-    sh_los = ch.db_to_linear(reals[:, :n_int])[:, :, None]
-    sh_nlos = ch.db_to_linear(reals[:, n_int:2 * n_int])[:, :, None]
-    gain = ch.channel_gain(psi, h_los_sum, h_nlos_sum, pl_los, pl_nlos,
-                           sh_los, sh_nlos)
-    del dist, pl_los, pl_nlos, h_los_sum, h_nlos_sum
-    # slot k of every interferer belongs to its SA pair k
-    emitted = deployment.tx_power * chi * gain
-    del gain
-
-    # victim slot m overlaps two adjacent interferer slots when the
-    # grids are fractionally misaligned; interference is the
-    # time-share-weighted sum of both occupants
-    phase = clock_offset + (np.arange(n_cycles) * deployment.schedule_drift)[:, None]
-    u = (np.arange(n_sa) - phase[:, :, None]) % n_sa
-    k1 = np.floor(u)
-    w2 = u - k1
-    k1 = k1.astype(int) % n_sa
-    k2 = (k1 + 1) % n_sa
-    contrib = ((1.0 - w2) * np.take_along_axis(emitted, k1, axis=2)
-               + w2 * np.take_along_axis(emitted, k2, axis=2))
-    true_power = np.ascontiguousarray(np.add.reduce(contrib, axis=1).T)
 
     ref = max(int(NOISE_REF_FRACTION * n_cycles), 1)
     est_noise_std = channel_params.est_noise_fraction * float(true_power[:, :ref].mean())

@@ -1,10 +1,13 @@
 """Scenario simulator contracts: placement, mobility, traffic, channel, and
 whole-trace invariants (determinism, non-negativity, heavy tails)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from subnetpred.config import ChannelParams, DeploymentConfig, TrafficModel
+from subnetpred.config import (ChannelParams, DeploymentConfig, TrafficModel,
+                               desk_preset)
 from subnetpred.scenario import (PlacementError, TrafficProcess,
                                  build_alley_layout, channel_gain, deploy,
                                  deploy_alley, fading_coefficient,
@@ -315,6 +318,22 @@ def test_interfering_link_count_matches_set_size():
                                 n_subbands=1),
                             TrafficModel(), CHEAP, 10, 8)
     assert len(capped.meta["interferer_set"]) == 1
+
+
+@pytest.mark.parametrize("mobility", ["rdmm", "alley"])
+def test_desk_trace_peak_memory_is_bounded(mobility):
+    # pass 2 runs block by block and alley positions cover the members only:
+    # a 10,000-cycle desk trace peaks at about 3.4 MiB, against 10.7 (rdmm)
+    # and 11.4 MiB (alley) with pass 2 over all cycles at once
+    desk = desk_preset(0)
+    tracemalloc.start()
+    try:
+        simulate_trace(desk.deployment, desk.traffic, desk.channel, 10_000,
+                       desk.seed, mobility=mobility)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
 
 
 def test_interferer_set_prefers_nearest_co_channel():

@@ -68,7 +68,7 @@ class DeploymentConfig:
 class TrafficModel:
     """Slot-level activity of the interfering sub-networks.
 
-    bernoulli: the round-robin scheduled SA pair transmits with prob eta.
+    bernoulli: every SA pair's own slot transmits with probability eta.
     push-pull: the first n_reserved slots belong to fixed pull SA pairs;
     each remaining slot belongs to one push SA pair, which is scheduled
     while it executes a task burst.  Bursts start as a Poisson process of

@@ -62,20 +62,24 @@ def fading_coefficient(doppler_hz, dt):
     return float(j0(x))
 
 
-def _complex_normal(re, im):
+def _complex_normal(re, im, out=None):
     """Unit-power complex normals from standard normal real and imaginary
-    parts."""
-    return (re + 1j * im) / np.sqrt(2.0)
+    parts, (re + 1j im) / sqrt(2), formed in out when given."""
+    out = np.multiply(1j, im, out=out)
+    np.add(re, out, out=out)
+    return np.divide(out, np.sqrt(2.0), out=out)
 
 
 def _recur(coef, drive, values):
     """Rows values_t = coef_t * values_(t-1) + drive_t of a block of cycles,
-    from the values before it; coef holds one coefficient (row) per cycle."""
-    out = np.empty_like(drive)
-    for c, row, d in zip(coef, out, drive):
-        values = np.multiply(c, values, out=row)
-        row += d
-    return out
+    from the values before it, written over the drive [b x ...], which is
+    returned; coef holds one coefficient (row) per cycle.  d + c v rounds
+    as c v + d does, so the states equal those of a separate output."""
+    scaled = np.empty_like(values, dtype=drive.dtype)
+    for c, row in zip(coef, drive):
+        np.multiply(c, values, out=scaled)
+        values = np.add(row, scaled, out=row)
+    return drive
 
 
 class Ar1Field:
@@ -113,11 +117,18 @@ class ComplexAr1:
         z = rng.standard_normal((shape[0], 2) + shape[1:])
         self.values = _complex_normal(z[:, 0], z[:, 1])
 
-    def advance(self, noise):
+    def advance(self, noise, out):
         """Values after each cycle of a block, given per cycle the standard
-        normals in the draw layout [b x shape[0] x 2 x shape[1:]]."""
-        out = _recur([self.rho] * len(noise), np.sqrt(1.0 - self.rho**2)
-                     * _complex_normal(noise[:, :, 0], noise[:, :, 1]), self.values)
+        normals in the draw layout [b x shape[0] x 2 x shape[1:]].
+
+        They are written into the caller's complex buffer out [b x shape],
+        which first holds the drive sqrt(1 - rho^2) (re + 1j im) / sqrt(2),
+        and out is returned.  A caller that advances block after block
+        passes the same buffer each time, so no block allocates its states.
+        """
+        drive = _complex_normal(noise[:, :, 0], noise[:, :, 1], out)
+        np.multiply(np.sqrt(1.0 - self.rho**2), drive, out=drive)
+        _recur([self.rho] * len(noise), drive, self.values)
         self.values = out[-1].copy()
         return out
 
@@ -127,10 +138,11 @@ def los_specular(k_linear, los_phase):
     return np.sqrt(k_linear / (k_linear + 1.0)) * np.exp(1j * los_phase)
 
 
-def rician(scatter, k_linear, specular):
+def rician(scatter, k_linear, specular, out):
     """Rician fading sample: the fixed specular term (los_specular, computed
-    once per link) plus the scattered component."""
-    return specular + np.sqrt(1.0 / (k_linear + 1.0)) * scatter
+    once per link) plus the scattered component, written into out."""
+    np.multiply(np.sqrt(1.0 / (k_linear + 1.0)), scatter, out=out)
+    return np.add(specular, out, out=out)
 
 
 def soft_los_weight(latent):

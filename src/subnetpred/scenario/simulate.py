@@ -6,7 +6,7 @@ victim controller for each of its SA-pair slots.  Estimation noise is added
 in the linear power domain afterwards and clamped at a positive floor so
 the dB conversion is total.  simulate_trace computes the cycles in two
 passes: one that steps through them and one vectorized over each block of
-them.
+them, in buffers allocated once per trace.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ VICTIM = 0
 NOISE_REF_FRACTION = 0.7
 # cycles per block: the block's draws become states, and its states power,
 # at once, and its buffers stay small next to the trace's own arrays (a
-# 10,000-cycle desk trace peaks at 3.4 MiB of Python allocation)
+# 10,000-cycle desk trace peaks at 3.4-3.7 MiB of Python allocation)
 BLOCK = 250
 # rdmm steps per free run (mobility.free_run): FIRST after an event, twice
 # as many after each run that met none, at most HORIZON.  A run costs about
@@ -100,9 +100,11 @@ HORIZON = 64
 FIRST = 4
 
 
-def _look_power(fading):
-    """Summed power of the fading looks [... x looks] of each link."""
-    return np.add.reduce(np.abs(fading) ** 2, axis=-1)
+def _look_power(fading, out):
+    """Summed power of the fading looks [... x looks] of each link; the
+    looks' powers go through out, a float buffer of fading's shape."""
+    np.square(np.abs(fading, out=out), out=out)
+    return np.add.reduce(out, axis=-1)
 
 
 def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
@@ -135,11 +137,18 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     at once, with two AR(1) recursions: one over the three real fields of
     every link (shadowing LOS and NLOS and the soft-LOS latent), one over
     the LOS and NLOS fading, which share their coefficient; then the push
-    bursts.  Pass 2 then runs on the same block (cycle 0 is a block of
-    its own), so no gain or slot array ever spans all cycles: the fading
-    looks' power sums, path loss, shadowing and soft-LOS transforms, link
-    gains, the TDD misalignment and the slot sums, written into the
-    block's columns of the true power.
+    bursts, in one scan (TrafficProcess.step).  Pass 2 then runs on the
+    same block (cycle 0 is a block of its own), so no gain or slot array
+    ever spans all cycles: the fading looks' power sums, path loss,
+    shadowing and soft-LOS transforms, link gains, the TDD misalignment and
+    the slot sums, written into the block's columns of the true power.
+
+    The trace owns its block-sized buffers and allocates them once: the
+    rows of draws, the fading states (ComplexAr1.advance forms the drive
+    in them and runs the recursion over it), the Rician sum of the LOS
+    fading and the looks' powers.  Every block writes into them, so a
+    block frees no large array for the allocator to hand back to the
+    system and fault in again.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -216,26 +225,32 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
             longest = min(2 * longest, HORIZON)
         return t
 
-    # per-block buffers: one row of normals and one of uniforms per cycle,
-    # laid out as the docstring states
+    # the block buffers, laid out and owned as the docstring states: per
+    # cycle one row of normals, one of uniforms, the fading states, the
+    # Rician sum of the LOS fading and the looks' powers
     normals = np.empty((BLOCK, n_real + 2 * fades.values.size))
     n_push = 2 * n_int * traffic_proc.n_push
     uniforms = np.empty((BLOCK, n_push + n_int * n_sa))
+    fading_buf = np.empty((BLOCK,) + fade_shape, dtype=complex)
+    los_buf = np.empty((BLOCK,) + fade_shape[1:], dtype=complex)
+    power_buf = np.empty((BLOCK,) + fade_shape[1:])
     true_power = np.empty((n_sa, n_cycles))
 
     def block_power(start, reals, fading, chi):
         """Pass 2 of the cycles from start on, given their states: the real
         fields [b x n_real], the LOS and NLOS fading [b x 2 x ...] and the
         slot occupancy [b x n_int x n_sa]; writes their true power."""
-        stop = start + len(reals)
+        b = len(reals)
+        stop = start + b
         c = centers[start:stop]
         # per-link gains toward every SA position of each interferer
         dist = ch.planar_norm(c[:, :-1, None, :] + offsets - c[:, -1, None, None, :])
         pl_los = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=True))
         pl_nlos = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=False))
         # mean fading power over the looks
-        h_los = _look_power(ch.rician(fading[:, 0], k_lin, specular)) / looks
-        h_nlos = _look_power(fading[:, 1]) / looks
+        h_los = _look_power(ch.rician(fading[:, 0], k_lin, specular, los_buf[:b]),
+                            power_buf[:b]) / looks
+        h_nlos = _look_power(fading[:, 1], power_buf[:b]) / looks
         psi = ch.soft_los_weight(reals[:, -n_int:] + channel_params.soft_los_bias)[:, :, None]
         sh_los = ch.db_to_linear(reals[:, :n_int])[:, :, None]
         sh_nlos = ch.db_to_linear(reals[:, n_int:2 * n_int])[:, :, None]
@@ -262,7 +277,8 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
         rel, mid = _link_motion(centers[start:stop] - centers[start - 1:stop - 1])
         reals = real_field.advance(np.concatenate([rel, rel, mid], axis=1),
                                    normals[:b, :n_real])
-        fading = fades.advance(normals[:b, n_real:].reshape((b, 2, 2) + fade_shape[1:]))
+        fading = fades.advance(normals[:b, n_real:].reshape((b, 2, 2) + fade_shape[1:]),
+                               fading_buf[:b])
         activity = traffic_proc.step(
             uniforms[:b, :n_push].reshape(b, 2, n_int, traffic_proc.n_push))
         chi = traffic_proc.sample_own_slots(
@@ -285,7 +301,7 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
             rng.standard_normal(out=normals[i])
             rng.random(out=uniforms[i])
         block_states(start, stop)
-    del normals, uniforms
+    del normals, uniforms, fading_buf, los_buf, power_buf
 
     ref = max(int(NOISE_REF_FRACTION * n_cycles), 1)
     est_noise_std = channel_params.est_noise_fraction * float(true_power[:, :ref].mean())

@@ -57,17 +57,38 @@ class TrafficProcess:
     def step(self, uniforms):
         """Burst states [b x n_sn x n_sa] after each cycle of a block, given
         the cycles' push-start and push-stop uniforms [b x 2 x n_sn x n_push].
+
+        Per cycle a push pair's state becomes where(state, stays, starts),
+        with starts = u_start < start and stays = not u_stop < stop.  The
+        block is one scan of that recurrence: a cycle whose stay equals its
+        start resets the state to that value, a start without a stay toggles
+        it, and any other cycle holds it.  So the state is the last reset's
+        value, or the carried state before any reset, XOR the parity of the
+        toggles since; that is, the parity of the starts from the last
+        reset on, with the carried state as a reset before the block.  It
+        is boolean, so it is exact.
         """
-        shape = (len(uniforms),) + self.activity.shape
+        b = len(uniforms)
+        shape = (b,) + self.activity.shape
         if not self.n_push:
             return np.broadcast_to(self.activity, shape)
         starts = uniforms[:, 0] < self.start
         stays = ~(uniforms[:, 1] < self.stop)
+        # parity[i + 1]: XOR of the carried state and the starts of the
+        # block's first i cycles; parity[0] is False
+        parity = np.zeros((b + 2,) + starts.shape[1:], dtype=bool)
+        parity[1] = self.activity[:, self.model.n_reserved:]
+        parity[2:] = starts
+        np.bitwise_xor.accumulate(parity, axis=0, out=parity)
+        # last[t]: r + 1 for the last reset r <= t, or 0 when the block has
+        # none before t; the state after cycle t is then
+        # parity[t + 2] ^ parity[last[t]], the XOR of the starts of cycles
+        # r to t (or of the carried state and every start so far)
+        last = np.where(starts == stays, np.arange(1, b + 1)[:, None, None], 0)
+        np.maximum.accumulate(last, axis=0, out=last)
         out = np.zeros(shape, dtype=bool)
-        push = self.activity[:, self.model.n_reserved:]
-        for t in range(len(uniforms)):
-            push = out[t, :, self.model.n_reserved:] = np.where(push, stays[t],
-                                                                starts[t])
+        np.bitwise_xor(parity[2:], np.take_along_axis(parity, last, axis=0),
+                       out=out[:, :, self.model.n_reserved:])
         self.activity = out[-1]
         return out
 

@@ -12,7 +12,8 @@ two-pass form, with pass 1 in blocks, must give the traces of the
 cycle-by-cycle loop with the scalar mobility kernels and per-cycle channel
 and traffic updates kept here, one generator fill must give the draws of
 the smaller calls it replaces, and free runs of rdmm steps must give the
-positions, headings and draws of stepping every cycle.
+positions, headings and draws of stepping every cycle.  The push bursts
+of a block, found in one scan, must be those of the per-cycle recurrence.
 """
 
 from dataclasses import replace
@@ -31,7 +32,7 @@ from subnetpred.scenario.mobility import (alley_positions, build_alley_layout,
                                           deploy_alley, free_run, step_mobility)
 from subnetpred.scenario.simulate import (BLOCK, FIRST, HORIZON, interferer_set,
                                           simulate_trace, subband_assignment)
-from subnetpred.scenario.traffic import (push_start_probability,
+from subnetpred.scenario.traffic import (TrafficProcess, push_start_probability,
                                          push_stop_probability)
 from subnetpred.tailcal import (CalibratedTail, GpdTail, calibrated_quantile,
                                 gpd_quantile)
@@ -869,6 +870,43 @@ def test_simulate_trace_matches_cycle_by_cycle_reference(name):
     if name == "crowded":
         assert hits["retry"] > 0 and hits["exhausted"] > 0
         assert hits["reflect"] > 0
+
+
+# start and stop probabilities near 1/2, so that toggles and resets to either
+# value are frequent (the desk traces see under one toggle a trace); and no
+# starts at all, from a carried state of half bursts
+SCAN_TRAFFIC = {"churn": replace(PUSH_PULL, intensity=700.0, burst_duration_s=2e-3),
+                "no-starts": replace(PUSH_PULL, intensity=0.0)}
+
+
+@pytest.mark.parametrize("name", SCAN_TRAFFIC)
+def test_burst_scan_matches_per_cycle_recurrence(name):
+    traffic = SCAN_TRAFFIC[name]
+    reserved = traffic.n_reserved
+    rng = np.random.default_rng(5)
+    proc = TrafficProcess(traffic, 5, DESK.deployment.sa_pairs_per_sn,
+                          DESK.deployment.tx_cycle_duration, rng)
+    proc.activity[:, reserved:] = rng.random((5, proc.n_push)) < 0.5
+    push = proc.activity[:, reserved:].copy()
+    seen = {"toggle": 0, "reset to on": 0, "reset to off": 0}
+    # the state carries across consecutive steps of every block length
+    for b in (1, 2, 250, 1, 250, 2, 1):
+        uniforms = rng.random((b, 2, 5, proc.n_push))
+        got = proc.step(uniforms)
+        starts = uniforms[:, 0] < proc.start
+        stays = ~(uniforms[:, 1] < proc.stop)
+        for t in range(b):
+            push = np.where(push, stays[t], starts[t])
+            assert np.array_equal(got[t, :, reserved:], push)
+            assert not got[t, :, :reserved].any()
+        seen["toggle"] += int((starts & ~stays).sum())
+        seen["reset to on"] += int((starts & stays).sum())
+        seen["reset to off"] += int((~starts & ~stays).sum())
+    assert np.array_equal(proc.activity[:, reserved:], push)
+    if name == "churn":
+        assert min(seen.values()) > 0
+    else:
+        assert seen["toggle"] == seen["reset to on"] == 0 < seen["reset to off"]
 
 
 @pytest.mark.parametrize("sizes", [(1,), (3, 1, 7), (40_000, 1, 60_001, 17)])

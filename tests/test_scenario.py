@@ -1,11 +1,16 @@
 """Scenario simulator contracts: placement, mobility, traffic, channel, and
 whole-trace invariants (determinism, non-negativity, heavy tails)."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import subnetpred
 from subnetpred.config import (ChannelParams, DeploymentConfig, TrafficModel,
                                desk_preset)
 from subnetpred.scenario import (PlacementError, TrafficProcess,
@@ -219,7 +224,8 @@ def test_fading_power_autocorrelation_matches_coefficient():
     rng = np.random.default_rng(7)
     proc = ComplexAr1((1,), rho, rng)
     n = 100000
-    vals = np.abs(proc.advance(rng.standard_normal((n, 1, 2)))[:, 0]) ** 2
+    vals = np.abs(proc.advance(rng.standard_normal((n, 1, 2)),
+                               np.empty((n, 1), dtype=complex))[:, 0]) ** 2
     a, b = vals[:-1], vals[1:]
     corr = np.corrcoef(a, b)[0, 1]
     assert corr == pytest.approx(rho**2, abs=0.05)
@@ -323,7 +329,7 @@ def test_interfering_link_count_matches_set_size():
 @pytest.mark.parametrize("mobility", ["rdmm", "alley"])
 def test_desk_trace_peak_memory_is_bounded(mobility):
     # pass 2 runs block by block and alley positions cover the members only:
-    # a 10,000-cycle desk trace peaks at about 3.4 MiB, against 10.7 (rdmm)
+    # a 10,000-cycle desk trace peaks at about 3.4-3.7 MiB, against 10.7 (rdmm)
     # and 11.4 MiB (alley) with pass 2 over all cycles at once
     desk = desk_preset(0)
     tracemalloc.start()
@@ -334,6 +340,38 @@ def test_desk_trace_peak_memory_is_bounded(mobility):
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+# three 10,000-cycle desk traces (rdmm, push-pull) in one process; prints
+# the minor page faults of the third
+WARM_TRACE_FAULTS = """
+import resource
+from dataclasses import replace
+from subnetpred.config import desk_preset
+from subnetpred.scenario import simulate_trace
+desk = desk_preset(0)
+traffic = replace(desk.traffic, variant="push-pull", n_reserved=2, intensity=5.0)
+for k in range(3):
+    if k == 2:
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    simulate_trace(desk.deployment, traffic, desk.channel, 10_000, desk.seed)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_warm_desk_trace_reuses_its_block_buffers():
+    # every block of simulate_trace writes into buffers allocated once per
+    # trace; when each block allocated and freed its own 768 KB of complex
+    # temporaries, the allocator handed them back to the system and faulted
+    # them in again: about 17,000 minor faults per warm trace, against about
+    # 600.  A fresh process, because a large free made earlier in this one
+    # would hide the churn.
+    src = str(Path(subnetpred.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    out = subprocess.run([sys.executable, "-c", WARM_TRACE_FAULTS], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    assert int(out) <= 5_000
 
 
 def test_interferer_set_prefers_nearest_co_channel():

@@ -41,14 +41,13 @@ def lr_at(train_cfg, epoch):
     return train_cfg.lr * train_cfg.lr_decay ** (epoch / (train_cfg.epochs - 1))
 
 
-def run_epochs(n_instances, train_cfg, seed, dropout, optimizers, step, log):
+def run_epochs(n_instances, train_cfg, seed, dropout, optimizers, step):
     """Drive step(epoch, batch, idx, masks) over every batch of every epoch.
 
     Sets each optimizer's learning rate per epoch, draws the batch order and
     one DropoutMasks per batch from seed, and raises TrainingDivergedError
     on the first non-finite batch loss that step returns.  Returns the
-    per-epoch mean loss curve; log(epoch, mean loss) runs after each epoch
-    unless log is None.
+    per-epoch mean loss curve.
     """
     curve = []
     for epoch in range(train_cfg.epochs):
@@ -63,12 +62,10 @@ def run_epochs(n_instances, train_cfg, seed, dropout, optimizers, step, log):
                 raise TrainingDivergedError(epoch, bi, loss)
             losses.append(loss)
         curve.append(float(np.mean(losses)))
-        if log is not None:
-            log(epoch, curve[-1])
     return curve
 
 
-def train(cfg, x, y, train_cfg, seed, params, log=None):
+def train(cfg, x, y, train_cfg, seed, params):
     """Minimize the mean pinball loss at quantile 1 - cfg.alpha, updating
     the initial params in place.
 
@@ -93,4 +90,4 @@ def train(cfg, x, y, train_cfg, seed, params, log=None):
         return loss
 
     return params, run_epochs(x.shape[0], train_cfg, seed, cfg.dropout, [opt],
-                              step, log)
+                              step)

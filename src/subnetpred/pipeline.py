@@ -4,9 +4,10 @@ Simulate, prepare and train write their artifacts plus a cache key derived
 from the relevant configuration slice; re-running with the same spec and
 seed reuses artifacts byte-for-byte (stage idempotency), and variants that
 share a trained model (iqpt / evt-iqpt / cevt-iqpt) reuse the same
-checkpoint and thresholds.  Thresholds are keyed by the checkpoint's bytes,
-so a split checkpoint equal to the centralized one shares its predict pass.
-Calibration is recomputed on every call.
+checkpoint and thresholds.  Nothing after training knows the protocol
+that trained a model: a run keeps one thresholds.npy, keyed by the model's
+parameters (a split model equal to the centralized one shares its predict
+pass), and one calibration.json, recomputed on every call.
 """
 
 from __future__ import annotations
@@ -92,16 +93,11 @@ def _key_path(out, stage):
     return Path(out) / f".{stage}.key"
 
 
-def _holds(out, stage, key, artifact):
-    """Whether the stage's artifact exists under the key."""
-    p = _key_path(out, stage)
-    return p.exists() and p.read_text() == key and artifact.exists()
-
-
 def _cached(out, stage, key, artifact):
     """Whether the stage's artifact exists under its current key; the
     answer is recorded for _stage."""
-    hit = _holds(out, stage, key, artifact)
+    p = _key_path(out, stage)
+    hit = p.exists() and p.read_text() == key and artifact.exists()
     _checks.get([]).append(hit)
     return hit
 
@@ -226,45 +222,45 @@ def stage_train(spec, out, ds, split_mode=False):
     return params, cfg
 
 
-def _thresholds(out, ds, params, cfg, split_mode):
-    """The model's normalized thresholds for every window of ds, [L x M]:
-    one network.predict pass per distinct model, cached under a key of the
-    dataset, the model config and the checkpoint's bytes.  A model whose
-    checkpoint equals the other mode's (split = centralized) copies that
-    mode's thresholds instead of predicting; a retrained model never reads
-    another model's thresholds."""
-    suffix = "_split" if split_mode else ""
+def _params_digest(params, cfg):
+    """sha256 of the parameters' float64 bytes in network.param_names
+    order: the digest of the checkpoint blob they save to."""
+    h = hashlib.sha256()
+    for name in network.param_names(cfg):
+        h.update(np.ascontiguousarray(params[name], dtype="<f8"))
+    return h.hexdigest()
+
+
+def _thresholds(out, ds, params, cfg):
+    """The model's normalized thresholds for every window of ds, [L x M],
+    cached in thresholds.npy under a key of the dataset, the model config
+    and the parameters' bytes: a model equal to the one whose thresholds
+    the file holds reads them, whichever protocol trained it, and any other
+    model predicts its own (one network.predict pass) into the file."""
     key = _stage_key("train", {
         "prep": _key_path(out, "prepare").read_text(), "model": spec_to_dict(cfg),
-        "checkpoint": _file_hash(out / f"model{suffix}.bin")})
-    path = out / f"thresholds{suffix}.npy"
-    if _cached(out, "thresholds" + suffix, key, path):
+        "checkpoint": _params_digest(params, cfg)})
+    path = out / "thresholds.npy"
+    if _cached(out, "thresholds", key, path):
         return np.load(path)
-    other = "" if split_mode else "_split"
-    twin = out / f"thresholds{other}.npy"
-    if _holds(out, "thresholds" + other, key, twin):
-        thresholds = np.load(twin)
-    else:
-        thresholds = network.predict(params, cfg, ds.inputs)
+    thresholds = network.predict(params, cfg, ds.inputs)
     np.save(path, thresholds)
-    _mark(out, "thresholds" + suffix, key)
+    _mark(out, "thresholds", key)
     return thresholds
 
 
-def stage_calibrate(spec, out, ds, params, cfg, split_mode=False):
+def stage_calibrate(spec, out, ds, params, cfg):
     """EVT tail fits on training exceedances plus conformal scores
     (tailcal.calibrate), computed on every call from the thresholds of the
-    model whose checkpoint `out` holds and recorded in calibration.json,
-    the split model's in calibration_split.json; the record is not read
-    back, so the stage is never a cache hit.
+    model with these parameters and recorded in calibration.json; the
+    record is not read back, so the stage is never a cache hit.
     """
     out = Path(out)
-    suffix = "_split" if split_mode else ""
     calibrated = tailcal.calibrate(
-        ds.partition(_thresholds(out, ds, params, cfg, split_mode)),
+        ds.partition(_thresholds(out, ds, params, cfg)),
         ds.partition(ds.labels), spec.beta, spec.varsigma)
     _checks.get([]).append(False)
-    tailcal.write_calibration_report(out / f"calibration{suffix}.json", calibrated)
+    tailcal.write_calibration_report(out / "calibration.json", calibrated)
     return calibrated
 
 
@@ -365,10 +361,10 @@ def run_plan(spec, out, variants, until="evaluate"):
 
     Simulate and prepare; check_tail_fit for every tail variant, before any
     training; train and train_split, once per mode the variants need, each
-    with its model's thresholds over every window (_thresholds: one predict
-    pass per distinct checkpoint, so a split model equal to the centralized
-    one copies its thresholds); calibrate, once per mode; evaluate, one
-    scoring per variant.  Stages cached in `out` are reused.  A full run
+    with its model's thresholds over every window (_thresholds, so a split
+    model equal to the centralized one reads its thresholds instead of
+    predicting); calibrate, once per mode; evaluate, one scoring per
+    variant.  Stages cached in `out` are reused.  A full run
     writes results.csv, summary.json and run_manifest.json once, merged
     with the variants of earlier runs in `out` that were scored on the same
     files.  Every call, whatever its exit, drops the recorded runs once a
@@ -405,7 +401,7 @@ def run_plan(spec, out, variants, until="evaluate"):
         for split in dict.fromkeys(modes.values()):
             with _stage("train_split" if split else "train", stages, cache):
                 models[split] = stage_train(spec, out, ds, split)
-                thresholds[split] = _thresholds(out, ds, *models[split], split)
+                thresholds[split] = _thresholds(out, ds, *models[split])
         if until == "train":
             return trace, ds, {}
         calibrated = {}
@@ -414,7 +410,7 @@ def run_plan(spec, out, variants, until="evaluate"):
             with _stage("calibrate", stages, cache):
                 for split in tail_modes:
                     calibrated[split] = stage_calibrate(spec, out, ds,
-                                                        *models[split], split)
+                                                        *models[split])
         if until == "calibrate":
             return trace, ds, {}
 
@@ -456,8 +452,7 @@ def _read_json(path):
 
 # the files whose hashes run_manifest.json records
 ARTIFACTS = ("trace.npz", "dataset.bin", "dataset.json", "model.bin", "model_split.bin",
-             "thresholds.npy", "thresholds_split.npy", "calibration.json",
-             "calibration_split.json", "results.csv")
+             "thresholds.npy", "calibration.json", "results.csv")
 
 
 def _recorded_runs(out, summary, ran):

@@ -73,7 +73,7 @@ def step_mobility(state, speed, dt, min_distance, rng):
     return replace(state, positions=cand, headings=cand_head)
 
 
-def free_run(state, step, guard, horizon):
+def free_run(state, step, guard, horizon, work):
     """Centers [k x N x 2] and headings [k x N] after each of the next
     k <= horizon rdmm steps of length step from state that neither reflect
     nor crowd (no center closer than guard to another); when k < horizon,
@@ -81,7 +81,9 @@ def free_run(state, step, guard, horizon):
     takes without a draw, with the same bits: the heading recurrence runs
     step by step on [N] rows as in _propose until it reaches a fixed point,
     and the positions are summed in step order.  At step 0 every step
-    leaves the state as it is.
+    leaves the state as it is.  work is the caller's float64 buffer of at
+    least [2 x horizon x N x N]; the pairwise distances are formed in it,
+    so a run allocates nothing of that size.
     """
     n = state.headings.size
     if step == 0.0:
@@ -109,8 +111,13 @@ def free_run(state, step, guard, horizon):
     hi = np.array(state.bounds[2:])[:, None]
     event = ((cand < lo) | (cand > hi)).any(axis=(1, 2))
     x, y = cand[:, 0], cand[:, 1]
-    dx, dy = x[:, :, None] - x[:, None], y[:, :, None] - y[:, None]
-    close = np.sqrt(dx * dx + dy * dy) < guard
+    dx, dy = work[0, :horizon], work[1, :horizon]
+    np.subtract(x[:, :, None], x[:, None], out=dx)
+    np.subtract(y[:, :, None], y[:, None], out=dy)
+    # sqrt(dx * dx + dy * dy), in place
+    np.multiply(dx, dx, out=dx)
+    dx += np.multiply(dy, dy, out=dy)
+    close = np.sqrt(dx, out=dx) < guard
     close[:, np.arange(n), np.arange(n)] = False
     event |= close.any(axis=(1, 2))
     k = int(event.argmax()) if event.any() else horizon

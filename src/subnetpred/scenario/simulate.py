@@ -93,10 +93,12 @@ BLOCK = 250
 # as many after each run that met none, at most HORIZON.  A run costs about
 # 45 us plus 2 us a step, and the steps past its event are dropped.  On desk
 # rdmm traces (seeds 0, 7, 811, both traffic patterns) any cap from 16 to
-# 128 gives the same 0.34-0.35 s a trace (8: 0.41 s, 256: 0.36 s); starting
-# at 4 keeps a crowded floor, with an event about every other step, at the
-# speed of stepping every cycle (1.34 s for 10k cycles against 1.42 s).
-HORIZON = 64
+# 128 gives the same 0.34-0.35 s a trace (8: 0.41 s, 256: 0.36 s); 32 keeps
+# the runs' distance buffer, [2 x HORIZON x N x N] float64, at 128 KiB for
+# 16 sub-networks.  Starting at 4 keeps a crowded floor, with an event about
+# every other step, at the speed of stepping every cycle (1.34 s for 10k
+# cycles against 1.42 s).
+HORIZON = 32
 FIRST = 4
 
 
@@ -146,9 +148,10 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     The trace owns its block-sized buffers and allocates them once: the
     rows of draws, the fading states (ComplexAr1.advance forms the drive
     in them and runs the recursion over it), the Rician sum of the LOS
-    fading and the looks' powers.  Every block writes into them, so a
-    block frees no large array for the allocator to hand back to the
-    system and fault in again.
+    fading and the looks' powers, and the free runs' pairwise distances.
+    Every block and every free run writes into them, so neither frees a
+    large array for the allocator to hand back to the system and fault in
+    again.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -206,6 +209,8 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     step = deployment.speed * dt
     guard = deployment.min_distance + 2.0 * step
 
+    work = np.empty((2, HORIZON) + (deployment.n_subnetworks,) * 2)
+
     def free_cycles(t):
         """Fill the centers from cycle t on with free-run positions, up to
         the next rdmm event; returns the event's cycle (n_cycles if none)."""
@@ -213,7 +218,7 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
         longest = FIRST
         while t < n_cycles:
             horizon = min(longest, n_cycles - t)
-            positions, headings = free_run(state, step, guard, horizon)
+            positions, headings = free_run(state, step, guard, horizon, work)
             k = len(positions)
             if k:
                 centers[t:t + k] = positions[:, members]

@@ -182,5 +182,5 @@ def split_train(part, x, y, train_cfg, channel, seed):
     clients, server = build_participants(part, x, y, train_cfg.lr)
     curve = run_epochs(x.shape[0], train_cfg, seed, part.cfg.dropout,
                        [server.opt] + [cl.opt for cl in clients],
-                       partial(split_step, clients, server, channel), None)
+                       partial(split_step, clients, server, channel))
     return merge(part), curve

@@ -77,8 +77,6 @@ ALLOWED_DEFAULTS = {
     "main(argv)": "the console script passes nothing; tests drive argv",
     "wiener_predict(history)": "two test_model.py tests probe the predictor "
                                "at long history",
-    "train(log)": "per-epoch telemetry, to be wired into run telemetry "
-                  "(ROADMAP item 7)",
 }
 
 

@@ -968,9 +968,10 @@ def test_free_runs_and_event_steps_equal_per_step_mobility(name):
     # reflections and retries at the events; free steps whose heading moved
     hits = {"reflect": 0, "retry": 0, "drift": 0}
     t, longest = 0, FIRST
+    work = np.empty((2, HORIZON, config.n_subnetworks, config.n_subnetworks))
     while t < n_steps:
         horizon = min(longest, n_steps - t)
-        positions, headings = free_run(state, step, guard, horizon)
+        positions, headings = free_run(state, step, guard, horizon, work)
         k = len(positions)
         if k:
             assert np.array_equal(positions, want_pos[t:t + k])

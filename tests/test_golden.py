@@ -2,9 +2,9 @@
 
 One CLI call evaluates all eight variants, cevt-iqpt first, on the desk
 preset at seed 7 with 3 epochs and lr_decay = 0.1.  Its results.csv and the
-sha256 of model.bin, model_split.bin, calibration.json,
-calibration_split.json, dataset.bin and trace.npz are compared with
-tests/golden/results.csv and tests/golden/expected.json.
+sha256 of model.bin, model_split.bin, calibration.json, dataset.bin and
+trace.npz are compared with tests/golden/results.csv and
+tests/golden/expected.json.
 
 Two comparison levels:
 
@@ -26,8 +26,7 @@ Two comparison levels:
   to the next decade.
 
 At both levels split training equals centralized training bit for bit:
-both run the same kernels, so model.bin == model_split.bin and
-calibration.json == calibration_split.json.
+both run the same kernels, so model.bin == model_split.bin.
 
 Regeneration rule: only a change that declares a numerics change may
 regenerate the golden (``python tests/test_golden.py``, in the recorded
@@ -51,8 +50,8 @@ from subnetpred.config import ExperimentSpec
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 VARIANTS = ["cevt-iqpt"] + [v for v in ExperimentSpec.VARIANTS if v != "cevt-iqpt"]
-HASHED = ("model.bin", "model_split.bin", "calibration.json",
-          "calibration_split.json", "dataset.bin", "trace.npz")
+HASHED = ("model.bin", "model_split.bin", "calibration.json", "dataset.bin",
+          "trace.npz")
 EXACT = ("percentile_met", "cov_prob")
 RELATIVE = ("mean_overhead", "cov_width")
 RTOL = 1e-5
@@ -109,9 +108,7 @@ def rows(path):
 def test_fixed_desk_check_matches_golden(tmp_path):
     out = run_fixed_check(tmp_path)
     expected = json.loads((GOLDEN / "expected.json").read_text())
-    for central in ("model.bin", "calibration.json"):
-        split = central.replace(".", "_split.")
-        assert (out / central).read_bytes() == (out / split).read_bytes(), split
+    assert (out / "model.bin").read_bytes() == (out / "model_split.bin").read_bytes()
 
     if environment() == expected["env"]:
         assert ((out / "results.csv").read_text()

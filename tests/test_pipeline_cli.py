@@ -375,12 +375,14 @@ def test_calibration_is_refit_on_every_call_into_an_identical_record(tmp_path,
     assert (tmp_path / "calibration.json").read_bytes() == report
 
     fits.clear()
+    # the split model equals the centralized one, and so does its record,
+    # written into the one calibration.json
     run_pipeline(calibrating_spec("cevt-iqpt-split"), tmp_path)
     assert len(fits) == n_series
     assert (tmp_path / "calibration.json").read_bytes() == report
-    assert (tmp_path / "calibration_split.json").read_bytes() == report
+    assert not (tmp_path / "calibration_split.json").exists()
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    assert {"calibration.json", "calibration_split.json"} <= set(manifest["artifacts"])
+    assert "calibration.json" in manifest["artifacts"]
 
 
 def _count_predicts(monkeypatch):
@@ -428,25 +430,29 @@ def test_retrained_model_recomputes_its_thresholds(tmp_path, monkeypatch):
     assert not np.array_equal(new, old)
 
 
-def _central_then_split(out):
-    """A cold iqpt run, then iqpt-split, into one directory; returns its
-    dataset."""
+def _run_in_turn(out, variants):
+    """Runs of the variants, one after another, into one directory; returns
+    its dataset."""
     spec = smoke_spec(seed=8)
     spec = replace(spec, train=replace(spec.train, lr_decay=0.1))
-    for variant in ("iqpt", "iqpt-split"):
+    for variant in variants:
         run_pipeline(replace(spec, variant=variant), out)
     return pipeline.windowing.load_dataset(out / "dataset")
 
 
 def test_equal_checkpoints_share_one_threshold_pass(tmp_path, monkeypatch):
-    # split = centralized, so the split model copies the centralized thresholds
+    # split = centralized, so whichever model runs second reads the first
+    # one's thresholds
     calls = _count_predicts(monkeypatch)
-    ds = _central_then_split(tmp_path)
-    assert calls == [ds.inputs.shape[0]]
-    assert ((tmp_path / "model_split.bin").read_bytes()
-            == (tmp_path / "model.bin").read_bytes())
-    assert ((tmp_path / "thresholds_split.npy").read_bytes()
-            == (tmp_path / "thresholds.npy").read_bytes())
+    for variants in (("iqpt", "iqpt-split"), ("iqpt-split", "iqpt")):
+        out = tmp_path / variants[0]
+        calls.clear()
+        ds = _run_in_turn(out, variants)
+        assert calls == [ds.inputs.shape[0]], variants
+        assert ((out / "model_split.bin").read_bytes()
+                == (out / "model.bin").read_bytes())
+        assert (out / "thresholds.npy").exists()
+        assert not (out / "thresholds_split.npy").exists()
 
 
 def test_split_checkpoint_that_differs_gets_its_own_threshold_pass(tmp_path,
@@ -460,13 +466,23 @@ def test_split_checkpoint_that_differs_gets_its_own_threshold_pass(tmp_path,
 
     monkeypatch.setattr(pipeline, "split_train", nudged)
     calls = _count_predicts(monkeypatch)
-    ds = _central_then_split(tmp_path)
+    ds = _run_in_turn(tmp_path, ("iqpt", "iqpt-split"))
     assert calls == [ds.inputs.shape[0]] * 2
+    split = np.load(tmp_path / "thresholds.npy")
+    assert not (tmp_path / "thresholds_split.npy").exists()
+
+    # the one file now holds the split model's thresholds, so the central
+    # model predicts its own again rather than reading them
+    calls.clear()
+    ds = _run_in_turn(tmp_path, ("iqpt",))
+    assert calls == [ds.inputs.shape[0]]
+    central = np.load(tmp_path / "thresholds.npy")
     monkeypatch.undo()
-    params, cfg, _ = pipeline.network.load_checkpoint(tmp_path / "model_split")
-    split = np.load(tmp_path / "thresholds_split.npy")
-    assert np.array_equal(split, pipeline.network.predict(params, cfg, ds.inputs))
-    assert not np.array_equal(split, np.load(tmp_path / "thresholds.npy"))
+    for stem, thresholds in (("model_split", split), ("model", central)):
+        params, cfg, _ = pipeline.network.load_checkpoint(tmp_path / stem)
+        assert np.array_equal(thresholds,
+                              pipeline.network.predict(params, cfg, ds.inputs)), stem
+    assert not np.array_equal(split, central)
 
 
 def test_trained_parameters_are_the_float64_checkpoint(tmp_path):
@@ -478,13 +494,16 @@ def test_trained_parameters_are_the_float64_checkpoint(tmp_path):
     direct.mkdir()
     trace = pipeline.stage_simulate(spec, direct)
     ds = pipeline.stage_prepare(spec, direct, trace)
-    params, _ = pipeline.stage_train(spec, direct, ds)
+    params, cfg = pipeline.stage_train(spec, direct, ds)
     saved, _, _ = pipeline.network.load_checkpoint(direct / "model")
     assert params.keys() == saved.keys()
     for key, tensor in params.items():
         assert tensor.dtype == np.float64, key
         assert np.array_equal(tensor, saved[key]), key
         assert np.array_equal(tensor, tensor.astype(TRAIN_DTYPE)), key
+    # the thresholds' key digests the parameters as the checkpoint blob holds them
+    assert (pipeline._params_digest(params, cfg)
+            == pipeline._file_hash(direct / "model.bin"))
 
     run_plan(spec, tmp_path, ["iqpt"], until="train")
     cold = (tmp_path / "thresholds.npy").read_bytes()

@@ -358,20 +358,46 @@ for k in range(3):
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
+# the minor page faults of a fresh process's first 10,000-cycle desk rdmm
+# trace
+FIRST_TRACE_FAULTS = """
+import resource
+from subnetpred.config import desk_preset
+from subnetpred.scenario import simulate_trace
+desk = desk_preset(0)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+simulate_trace(desk.deployment, desk.traffic, desk.channel, 10_000, desk.seed)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _faults_in_fresh_process(script):
+    # a fresh process, because a large free made earlier in this one would
+    # hide the churn
+    src = str(Path(subnetpred.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         check=True, capture_output=True, text=True).stdout
+    return int(out)
+
 
 def test_warm_desk_trace_reuses_its_block_buffers():
     # every block of simulate_trace writes into buffers allocated once per
     # trace; when each block allocated and freed its own 768 KB of complex
     # temporaries, the allocator handed them back to the system and faulted
     # them in again: about 17,000 minor faults per warm trace, against about
-    # 600.  A fresh process, because a large free made earlier in this one
-    # would hide the churn.
-    src = str(Path(subnetpred.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
-    out = subprocess.run([sys.executable, "-c", WARM_TRACE_FAULTS], env=env,
-                         check=True, capture_output=True, text=True).stdout
-    assert int(out) <= 5_000
+    # 600
+    assert _faults_in_fresh_process(WARM_TRACE_FAULTS) <= 5_000
+
+
+def test_first_desk_trace_keeps_its_free_run_temporaries_on_the_heap():
+    # a free run's pairwise [HORIZON x N x N] float64 temporaries stay below
+    # the allocator's initial mmap threshold (128 KiB); at HORIZON = 64 and
+    # 16 sub-networks they were 128 KiB each and every free run of the
+    # process's first trace mapped and faulted them in: about 18,000 minor
+    # faults, against about 1,100
+    assert _faults_in_fresh_process(FIRST_TRACE_FAULTS) <= 5_000
 
 
 def test_interferer_set_prefers_nearest_co_channel():

@@ -74,8 +74,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
-            merged, markdown = report(args.results, args.out)
-            print(markdown)
+            print(report(args.results, args.out)[1])
             return EXIT_OK
 
         spec = _load_spec(args)
@@ -85,11 +84,7 @@ def main(argv=None):
 
         if args.command == "sweep":
             values = [v.strip() for v in args.values.split(",") if v.strip()]
-            rows = sweep(spec, args.axis, values, out)
-            for row in rows:
-                print(f"{row['axis']}={row['value']}: "
-                      f"avg_cov={row['avg_coverage']:.3f} "
-                      f"avg_width={row['avg_width']:.3f}")
+            print(sweep(spec, args.axis, values, out)[1])
             return EXIT_OK
 
         variants = getattr(args, "variant", None) or [spec.variant]

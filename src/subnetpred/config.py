@@ -158,6 +158,14 @@ class TrainConfig:
     batch_size: int = 128
     lr_decay: float = 1.0
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError("batch_size must be >= 1")
+        if self.epochs < 0:
+            raise ConfigError("epochs must be >= 0")
+        if not (self.lr > 0 and self.lr_decay > 0):
+            raise ConfigError("lr and lr_decay must be positive")
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
@@ -202,6 +210,8 @@ class ExperimentSpec:
             raise ConfigError(
                 f"beta = {self.beta:g} must lie in [1/(n_cal + 1), 1) = "
                 f"[{1.0 / (self.n_cal + 1):.3g}, 1) for n_cal = {self.n_cal}")
+        if self.n_test < 1:
+            raise ConfigError("n_test must be >= 1")
         if not self.eps_targets:
             raise ConfigError("eps_targets must not be empty")
         if not all(0.0 < eps <= 0.5 for eps in self.eps_targets):
@@ -212,6 +222,11 @@ class ExperimentSpec:
                 f"push-pull traffic.n_reserved ({self.traffic.n_reserved}) must be "
                 f"below deployment.sa_pairs_per_sn "
                 f"({self.deployment.sa_pairs_per_sn}), so that push pairs remain")
+        if (self.traffic.variant == "push-pull" and self.traffic.intensity == 0
+                and self.traffic.n_reserved == 0):
+            raise ConfigError(
+                "push-pull traffic with traffic.intensity = 0 and traffic.n_reserved "
+                "= 0 never transmits: no push burst starts and no pull pair exists")
         x = 2.0 * math.pi * self.channel.doppler_hz * self.deployment.tx_cycle_duration
         if not 0.0 <= x < J0_FIRST_ZERO:
             raise ConfigError(

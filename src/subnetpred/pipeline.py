@@ -501,13 +501,13 @@ def _sweep_point(spec, axis, value):
 
 
 def sweep(spec, axis, values, out):
-    """Run the pipeline per axis value; emit an aggregated report.
+    """Run the pipeline per axis value, each point in its own subdirectory
+    `{axis}_{value}`, and tabulate them with report(out, out / "report").
 
     Axes: m (SA pairs per sub-network), traffic variant, mobility model;
     the eps_targets of one evaluate give a row per reliability target.
-    Each point runs in its own subdirectory.  Every value is checked before
-    the first point runs; a value the axis cannot take is a ConfigError
-    naming both.
+    Every value is checked before the first point runs; a value the axis
+    cannot take is a ConfigError naming both.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; pick from {SWEEP_AXES}")
@@ -521,80 +521,68 @@ def sweep(spec, axis, values, out):
             raise ConfigError(f"sweep axis {axis!r} cannot take {value!r}: "
                               f"{err}") from err
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
-    report_rows = []
     for value, point in points:
-        sub = out / f"{axis}_{value}"
-        detail = run_pipeline(point, sub)
-        cov = detail["coverage_per_sa"]
-        width = detail["width_norm_per_sa"]
-        report_rows.append({
-            "axis": axis, "value": value, "predictor": point.variant,
-            "worst_coverage": min(cov), "avg_coverage": float(np.mean(cov)),
-            "max_width": max(width), "avg_width": float(np.mean(width)),
-        })
-    path = out / "sweep_report.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(report_rows[0].keys()))
-        writer.writeheader()
-        writer.writerows(report_rows)
-    return report_rows
+        run_pipeline(point, out / f"{axis}_{value}")
+    return report(out, out / "report")
 
 
 # ------------------------------------------------------------------- report
 
 def report(results_dir, out_path=None):
-    """Merge run results under a directory into one long-format table.
+    """Merge the runs under a directory into one table of points.
 
-    Returns (rows, markdown).  Multi-run points aggregate to mean and a
-    normal-approximation 95% CI over runs.
+    A point is the scenario a row was scored in: the config that
+    run_manifest.json records for the row's variant, minus seed and
+    variant, so the runs of one point differ only by seed.  It is named
+    after its first run directory in sorted order; a results.csv whose
+    manifest does not record its row's variant is its own point, named
+    after its directory.  Rows group by point, predictor and eps_target,
+    and every value column of RESULT_FIELDS aggregates to <field>_mean and
+    <field>_ci, a normal-approximation 95% CI over runs (0 for one run).
+    Returns (rows, markdown); with out_path, the runs' rows go to
+    out_path.csv, with their point, run and seed, and the table to
+    out_path.md.
     """
     results_dir = Path(results_dir)
     found = sorted(results_dir.glob("**/results.csv"))
     if not found:
         raise FileNotFoundError(f"no results.csv under {results_dir}")
-    rows = []
+    rows, names, grouped = [], {}, {}
     for path in found:
         run = str(path.parent.relative_to(results_dir)) or "."
-        manifest = path.parent / "run_manifest.json"
-        seed = None
-        if manifest.exists():
-            seed = json.loads(manifest.read_text()).get("seed")
+        manifest = _read_json(path.parent / "run_manifest.json")
         with open(path, newline="") as fh:
             for r in csv.DictReader(fh):
-                r["run"] = run
-                r["seed"] = seed
+                config = manifest.get("runs", {}).get(r["predictor"], {}).get("config")
+                point = run if config is None else _hash(
+                    {k: v for k, v in config.items() if k not in ("seed", "variant")})
+                r.update(point=names.setdefault(point, run), run=run,
+                         seed=manifest.get("seed"))
                 rows.append(r)
-
-    grouped = {}
-    for r in rows:
-        key = (r["predictor"], r["eps_target"])
-        grouped.setdefault(key, []).append(r)
-    lines = ["| predictor | eps_target | met (mean+-ci) | overhead | coverage | width |",
-             "|---|---|---|---|---|---|"]
+                grouped.setdefault((point, r["predictor"], r["eps_target"]),
+                                   []).append(r)
+    values = RESULT_FIELDS[2:]
+    lines = ["| " + " | ".join(["point", "predictor", "eps_target", "n_runs",
+                                *values]) + " |",
+             "|---" * (4 + len(values)) + "|"]
     merged = []
-    for (pred, eps), group in sorted(grouped.items()):
-        def stats(field):
+    for group in sorted(grouped.values(), key=lambda g: (
+            g[0]["point"], g[0]["predictor"], g[0]["eps_target"])):
+        row = {k: group[0][k] for k in ("point", "predictor", "eps_target")}
+        row["n_runs"] = len(group)
+        cells = [str(v) for v in row.values()]
+        for field in values:
             vals = np.array([float(g[field]) for g in group])
             ci = 1.96 * vals.std(ddof=1) / np.sqrt(vals.size) if vals.size > 1 else 0.0
-            return float(vals.mean()), float(ci)
-        met, met_ci = stats("percentile_met")
-        ovh, ovh_ci = stats("mean_overhead")
-        cov, cov_ci = stats("cov_prob")
-        wid, wid_ci = stats("cov_width")
-        merged.append({"predictor": pred, "eps_target": eps, "n_runs": len(group),
-                       "met_mean": met, "met_ci": met_ci,
-                       "overhead_mean": ovh, "overhead_ci": ovh_ci,
-                       "cov_mean": cov, "cov_ci": cov_ci,
-                       "width_mean": wid, "width_ci": wid_ci})
-        lines.append(f"| {pred} | {eps} | {met:.3f}+-{met_ci:.3f} "
-                     f"| {ovh:.2f}+-{ovh_ci:.2f} | {cov:.3f}+-{cov_ci:.3f} "
-                     f"| {wid:.3f}+-{wid_ci:.3f} |")
+            row[f"{field}_mean"], row[f"{field}_ci"] = float(vals.mean()), float(ci)
+            cells.append(f"{vals.mean():.4g}+-{ci:.4g}")
+        merged.append(row)
+        lines.append("| " + " | ".join(cells) + " |")
     markdown = "\n".join(lines)
     if out_path is not None:
         out_path = Path(out_path)
         with open(out_path.with_suffix(".csv"), "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS + ["run", "seed"])
+            writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS + ["point", "run", "seed"])
             writer.writeheader()
             writer.writerows(rows)
         out_path.with_suffix(".md").write_text(markdown + "\n")

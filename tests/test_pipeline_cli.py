@@ -1,6 +1,7 @@
 """Pipeline orchestration and CLI: determinism, caching, config parsing,
 exit codes, sweep and report plumbing (all at smoke scale)."""
 
+import csv
 import json
 import os
 import subprocess
@@ -812,6 +813,36 @@ def test_push_pull_with_one_push_pair_simulates(tmp_path):
     assert (out / "trace.npz").exists()
 
 
+@pytest.mark.parametrize("line", [
+    "train.lr_decay = -1", "train.epochs = -1", "train.batch_size = 0",
+    "train.lr = 0", "n_test = 0"])
+def test_training_and_scoring_values_that_cannot_run_exit_2(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "run"
+    assert main(["evaluate", "--config", str(cfg), "--preset", "tiny", "--seed", "0",
+                 "--variant", "iqpt", "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not (out / "trace.npz").exists()
+
+
+def test_push_pull_sweep_point_that_never_transmits_exits_2(tmp_path, capsys):
+    # at the presets' intensity = 0 and n_reserved = 0 no push burst starts
+    # and no pull pair exists: the point's trace would hold no interference
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("variant = genie\n")
+    args = ["sweep", "--preset", "tiny", "--seed", "0", "--axis", "traffic",
+            "--values", "bernoulli,push-pull", "--config", str(cfg)]
+    assert main([*args, "--out", str(tmp_path / "quiet")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "sweep axis 'traffic' cannot take 'push-pull'" in err and "never transmits" in err
+    assert not list(tmp_path.glob("quiet/**/trace.npz"))
+
+    cfg.write_text("variant = genie\ntraffic.intensity = 5\ntraffic.n_reserved = 2\n")
+    assert main([*args, "--out", str(tmp_path / "busy")]) == EXIT_OK
+    assert "| traffic_push-pull | genie |" in (tmp_path / "busy" / "report.md").read_text()
+
+
 def test_cli_report_missing_dir_exit_code(tmp_path):
     code = main(["report", "--results", str(tmp_path / "none"),
                  "--out", str(tmp_path / "rep")])
@@ -820,17 +851,50 @@ def test_cli_report_missing_dir_exit_code(tmp_path):
 
 def test_sweep_and_report_round_trip(tmp_path):
     spec = smoke_spec(seed=9)
-    rows = sweep(spec, "m", [2, 4], tmp_path / "sweep")
-    assert len(rows) == 2
+    merged, markdown = sweep(spec, "m", [2, 4], tmp_path / "sweep")
     assert (tmp_path / "sweep" / "m_2" / "results.csv").exists()
-    assert (tmp_path / "sweep" / "sweep_report.csv").exists()
+    assert (tmp_path / "sweep" / "report.md").read_text() == markdown + "\n"
+    assert (tmp_path / "sweep" / "report.csv").exists()
+    assert not (tmp_path / "sweep" / "sweep_report.csv").exists()
+    # m = 2 and m = 4 are two scenarios, not two runs of one
+    assert {row["point"] for row in merged} == {"m_2", "m_4"}
+    assert all(row["n_runs"] == 1 for row in merged)
+    assert len(merged) == 2 * len(spec.eps_targets)
+    assert "| m_4 | moving-average |" in markdown
 
-    merged, markdown = report(tmp_path / "sweep", tmp_path / "rep")
-    assert (tmp_path / "rep.csv").exists()
+    assert report(tmp_path / "sweep", tmp_path / "rep") == (merged, markdown)
     assert (tmp_path / "rep.md").exists()
-    assert "moving-average" in markdown
-    # aggregation identity: two runs of the same predictor/eps merge to n=2
-    assert all(row["n_runs"] == 2 for row in merged)
+    with open(tmp_path / "rep.csv", newline="") as fh:
+        assert {r["point"] for r in csv.DictReader(fh)} == {"m_2", "m_4"}
+
+
+def test_report_pools_the_seeds_of_one_scenario_and_keeps_scenarios_apart(tmp_path):
+    for seed in (0, 1):
+        run_pipeline(smoke_spec(seed=seed), tmp_path / f"seed{seed}")
+    other = smoke_spec(seed=0)
+    run_pipeline(replace(other, deployment=replace(other.deployment, sa_pairs_per_sn=2)),
+                 tmp_path / "two_pairs")
+    merged, _ = report(tmp_path)
+    assert {(row["point"], row["n_runs"]) for row in merged} == {("seed0", 2),
+                                                                 ("two_pairs", 1)}
+    met = {}
+    for seed in (0, 1):
+        with open(tmp_path / f"seed{seed}" / "results.csv", newline="") as fh:
+            for r in csv.DictReader(fh):
+                met.setdefault(r["eps_target"], []).append(float(r["percentile_met"]))
+    for row in merged:
+        if row["point"] == "seed0":
+            assert row["percentile_met_mean"] == pytest.approx(np.mean(met[row["eps_target"]]))
+
+
+def test_report_names_an_unrecorded_run_after_its_directory(tmp_path):
+    run_pipeline(smoke_spec(seed=0), tmp_path / "run")
+    (tmp_path / "copy").mkdir()
+    (tmp_path / "copy" / "results.csv").write_bytes(
+        (tmp_path / "run" / "results.csv").read_bytes())
+    merged, markdown = report(tmp_path)
+    assert {(row["point"], row["n_runs"]) for row in merged} == {("copy", 1), ("run", 1)}
+    assert "| copy | moving-average |" in markdown
 
 
 @pytest.mark.parametrize("axis,values,named", [
@@ -862,12 +926,12 @@ def test_report_single_run_passthrough(tmp_path):
     run_pipeline(smoke_spec(seed=10), tmp_path / "solo")
     merged, _ = report(tmp_path)
     with open(tmp_path / "solo" / "results.csv", newline="") as fh:
-        import csv as csvmod
-        raw = list(csvmod.DictReader(fh))
+        raw = list(csv.DictReader(fh))
     by_eps = {float(r["eps_target"]): float(r["percentile_met"]) for r in raw}
     for row in merged:
-        assert row["met_mean"] == pytest.approx(by_eps[float(row["eps_target"])])
-        assert row["met_ci"] == 0.0
+        assert row["percentile_met_mean"] == pytest.approx(
+            by_eps[float(row["eps_target"])])
+        assert row["percentile_met_ci"] == 0.0
 
 
 def test_spec_to_dict_round_trips_json():

@@ -78,7 +78,7 @@ class TrafficModel:
     """
 
     variant: str = "bernoulli"
-    eta: float = 0.9
+    eta: float = 0.85
     intensity: float = 0.0
     n_reserved: int = 0
     burst_duration_s: float = 0.2
@@ -114,11 +114,13 @@ class ChannelParams:
     decorrelation_distance: float = 10.0
     doppler_hz: float = 80.0
     rician_k_db: float = 10.0
-    soft_los_bias: float = 2.0
-    est_looks: int = 1
+    soft_los_bias: float = 3.5
+    est_looks: int = 8
     bandwidth_hz: float = 100e6
     noise_figure_db: float = 5.0
-    est_noise_fraction: float = 0.1
+    # tuned with corr_threshold for a usable window (roughly 4-12 cycles); at
+    # 0.1 and 0.9 noise dominates the lagged correlation: a one-cycle window
+    est_noise_fraction: float = 0.002
     power_floor_w: float = 1e-20
 
     def __post_init__(self):
@@ -128,10 +130,12 @@ class ChannelParams:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """iQPT predictor hyperparameters."""
+    """iQPT predictor hyperparameters, at quantile level 1 - alpha.  The
+    pipeline fills n_series and window in from deployment.sa_pairs_per_sn
+    and the window rule; a config leaves them None (null when recorded)."""
 
-    n_series: int = 4
-    window: int = 8
+    n_series: int | None = None
+    window: int | None = None
     d_embed: int = 64
     n_heads: int = 8
     n_layers: int = 2
@@ -143,7 +147,7 @@ class ModelConfig:
         if self.d_embed % self.n_heads != 0:
             raise ConfigError("d_embed must be divisible by n_heads")
         if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must lie in (0, 1)")
+            raise ConfigError("model.alpha must lie in (0, 1)")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError("dropout must lie in [0, 1)")
 
@@ -154,7 +158,7 @@ class TrainConfig:
     geometric per-epoch schedule (1.0 keeps the rate constant)."""
 
     lr: float = 1e-3
-    epochs: int = 60
+    epochs: int = 200
     batch_size: int = 128
     lr_decay: float = 1.0
 
@@ -182,9 +186,8 @@ class ExperimentSpec:
     n_cycles: int = 10000
     n_cal: int = 1000
     n_test: int = 2000
-    corr_threshold: float = 0.9
-    max_lag: int = 64
-    alpha: float = 0.05
+    corr_threshold: float = 0.4     # see ChannelParams.est_noise_fraction
+    max_lag: int = 16
     beta: float = 0.05
     varsigma: float = 0.5
     payload_bits: int = 200
@@ -199,10 +202,12 @@ class ExperimentSpec:
             raise ConfigError(f"unknown predictor variant {self.variant!r}")
         if self.mobility not in ("rdmm", "alley"):
             raise ConfigError(f"unknown mobility model {self.mobility!r}")
-        for name in ("alpha", "beta", "varsigma"):
+        for name in ("beta", "varsigma"):
             v = getattr(self, name)
             if not 0.0 < v <= 1.0:
                 raise ConfigError(f"{name} must lie in (0, 1]")
+        if self.n_cycles < 1 or self.max_lag < 1:
+            raise ConfigError("n_cycles and max_lag must be >= 1")
         # split conformal certifies 1 - beta only if the calibration block
         # has the order statistic tailcal.finite_sample_quantile reads
         if (self.beta == 1.0
@@ -236,20 +241,8 @@ class ExperimentSpec:
 
 
 def desk_preset(seed):
-    """Laptop-scale preset: full pipeline in minutes, >= 2000 test instances.
-
-    The estimation-noise fraction and correlation threshold are tuned so the
-    measured series keeps a usable stationary interval (roughly 4-12 cycles);
-    at the library defaults (0.1 / 0.9) the noise term dominates the lagged
-    correlation and the window degenerates to one cycle.
-    """
-    return ExperimentSpec(seed=seed,
-                          train=TrainConfig(epochs=200),
-                          traffic=TrafficModel(eta=0.85),
-                          channel=ChannelParams(est_noise_fraction=0.002,
-                                                soft_los_bias=3.5,
-                                                est_looks=8),
-                          corr_threshold=0.4, max_lag=16)
+    """Laptop-scale preset, the field defaults: minutes, >= 2000 test instances."""
+    return ExperimentSpec(seed=seed)
 
 
 def paper_preset(seed):
@@ -282,7 +275,6 @@ _SPEC_KEYS = {f.name for f in fields(ExperimentSpec)} - set(_SECTIONS)
 # ModelConfig fields the pipeline sets itself; a value given here would be
 # dropped without effect, so the parser names the key that sets it instead
 _WIRED_KEYS = {
-    "model.alpha": "set the top-level alpha",
     "model.n_series": "set deployment.sa_pairs_per_sn",
     "model.window": "the window rule sets it (corr_threshold, max_lag)",
 }

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ra, tailcal, windowing
-from .config import ConfigError, spec_to_dict
+from .config import ConfigError, TrafficModel, spec_to_dict
 from .model import baselines as bl
 from .model import network
 from .model.train import TRAIN_DTYPE, train
@@ -108,11 +108,20 @@ def _mark(out, stage, key):
 
 # ------------------------------------------------------------------- stages
 
+def _as_read(spec):
+    """spec with its bernoulli traffic's push-pull fields at their defaults:
+    bernoulli reads eta alone, so those fields change neither the trace nor
+    the run's identity (the simulate key and the recorded config)."""
+    if spec.traffic.variant != "bernoulli":
+        return spec
+    return replace(spec, traffic=TrafficModel(eta=spec.traffic.eta))
+
+
 def stage_simulate(spec, out):
     out = Path(out)
     key = _stage_key("simulate", {
         "dep": spec_to_dict(spec.deployment),
-        "traffic": spec_to_dict(spec.traffic),
+        "traffic": spec_to_dict(_as_read(spec).traffic),
         "channel": spec_to_dict(spec.channel),
         "mobility": spec.mobility, "n_cycles": spec.n_cycles, "seed": spec.seed})
     if _cached(out, "simulate", key, out / "trace.npz"):
@@ -164,18 +173,18 @@ def check_tail_fit(spec, ds):
     tail fit: a quantile head at level 1 - alpha leaves about
     alpha * n_train exceedances per series, and the fit needs
     tailcal.MIN_EXCEEDANCES of them."""
-    expected = spec.alpha * ds.n_train
+    expected = spec.model.alpha * ds.n_train
     if expected < tailcal.MIN_EXCEEDANCES:
         raise ConfigError(
             f"the {spec.variant} tail fit needs {tailcal.MIN_EXCEEDANCES} "
             f"training exceedances per series, but alpha * n_train = "
-            f"{spec.alpha:g} * {ds.n_train} = {expected:g}; raise n_cycles "
-            f"or alpha")
+            f"{spec.model.alpha:g} * {ds.n_train} = {expected:g}; raise n_cycles "
+            f"or model.alpha")
 
 
 def _model_cfg(spec, window):
     return replace(spec.model, n_series=spec.deployment.sa_pairs_per_sn,
-                   window=window, alpha=spec.alpha)
+                   window=window)
 
 
 def stage_train(spec, out, ds, split_mode=False):
@@ -428,9 +437,9 @@ def run_plan(spec, out, variants, until="evaluate"):
         summary.setdefault("runs", {}).update(details)
         summary.update(window=ds.window, seed=spec.seed)
         # each variant's config and the hashes of the files it was scored on
-        runs.update(
-            {v: {"config": spec_to_dict(s), "config_hash": _hash(spec_to_dict(s))}
-             for v, s in specs.items()})
+        configs = {v: spec_to_dict(_as_read(s)) for v, s in specs.items()}
+        runs.update({v: {"config": c, "config_hash": _hash(c)}
+                     for v, c in configs.items()})
         manifest = {"runs": runs, "seed": spec.seed, "artifacts": {
             name: _file_hash(out / name) for name in ARTIFACTS if (out / name).exists()}}
         (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2))
@@ -507,7 +516,8 @@ def sweep(spec, axis, values, out):
     Axes: m (SA pairs per sub-network), traffic variant, mobility model;
     the eps_targets of one evaluate give a row per reliability target.
     Every value is checked before the first point runs; a value the axis
-    cannot take is a ConfigError naming both.
+    cannot take is a ConfigError naming both.  So is a results.csv under
+    `out` outside this sweep's points, which report would tabulate with them.
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; pick from {SWEEP_AXES}")
@@ -521,6 +531,11 @@ def sweep(spec, axis, values, out):
             raise ConfigError(f"sweep axis {axis!r} cannot take {value!r}: "
                               f"{err}") from err
     out = Path(out)
+    runs = {p.parent.relative_to(out) for p in out.glob("**/results.csv")}
+    foreign = sorted(map(str, runs - {Path(f"{axis}_{value}") for value in values}))
+    if foreign:
+        raise ConfigError(f"{out} holds runs outside this sweep's points: "
+                          f"{', '.join(foreign)}; sweep into another directory")
     for value, point in points:
         run_pipeline(point, out / f"{axis}_{value}")
     return report(out, out / "report")

@@ -101,6 +101,23 @@ def test_manifest_keeps_every_variant(tmp_path):
     assert "trace.npz" in manifest["artifacts"]
 
 
+def test_training_writes_its_loss_curve(tmp_path):
+    spec = smoke_spec(seed=0)
+    run_plan(spec, tmp_path, ["iqpt", "iqpt-split"])
+    curves = {}
+    for stem in ("model", "model_split"):
+        with open(tmp_path / f"{stem}_loss.csv", newline="") as fh:
+            reader = csv.reader(fh)
+            assert next(reader) == ["epoch", "pinball_loss"]
+            rows = list(reader)
+        assert [int(r[0]) for r in rows] == list(range(spec.train.epochs))
+        curves[stem] = np.array([float(r[1]) for r in rows])
+        assert np.isfinite(curves[stem]).all()
+    # split clients sum their per-series losses in another order, so the
+    # curves agree to rounding while the checkpoints are byte-equal
+    np.testing.assert_allclose(curves["model_split"], curves["model"], rtol=1e-12, atol=0)
+
+
 def test_trained_variant_shares_checkpoint(tmp_path):
     spec = replace(smoke_spec(seed=7), variant="iqpt")
     run_pipeline(spec, tmp_path)
@@ -606,7 +623,6 @@ def test_parse_config_rejects_unknown_keys():
 
 
 @pytest.mark.parametrize("line, hint", [
-    ("model.alpha = 0.2", "top-level alpha"),
     ("model.window = 8", "window rule"),
     ("model.n_series = 4", "deployment.sa_pairs_per_sn"),
 ])
@@ -620,6 +636,27 @@ def test_parse_config_rejects_pipeline_wired_keys(tmp_path, line, hint):
                  "--out", str(tmp_path / "run")]) == EXIT_CONFIG
 
 
+def test_desk_preset_is_the_field_defaults():
+    # one value per setting: the defaults are the values the desk runs
+    assert desk_preset(3) == ExperimentSpec(seed=3)
+
+
+def test_run_records_the_model_alpha_it_trained_at_and_no_data_shape(tmp_path):
+    cfg = tmp_path / "alpha.cfg"
+    cfg.write_text("deployment.sa_pairs_per_sn = 2\nmodel.alpha = 0.1\n")
+    out = tmp_path / "run"
+    assert main(["evaluate", "--config", str(cfg), "--preset", "tiny", "--seed", "0",
+                 "--variant", "iqpt", "--out", str(out)]) == EXIT_OK
+    recorded = json.loads((out / "run_manifest.json").read_text())
+    model = recorded["runs"]["iqpt"]["config"]["model"]
+    hyper = json.loads((out / "model.json").read_text())["hyper"]
+    # the pipeline fills the shape from the data; the record states no other
+    assert model["n_series"] is None and model["window"] is None
+    assert hyper["n_series"] == 2
+    assert hyper["window"] == json.loads((out / "summary.json").read_text())["window"]
+    assert model["alpha"] == hyper["alpha"] == 0.1
+
+
 def test_seed_flag_rewires_all_seeds():
     spec = parse_config_text("", preset="tiny", seed=99)
     assert spec.seed == 99
@@ -631,7 +668,7 @@ def test_seed_flag_rewires_all_seeds():
 @pytest.mark.parametrize("line", ["train.seed = 1", "deployment.rng_seed = 1",
                                   "channel.fading = false", "channel.shadowing = false",
                                   "deployment.n_slots = 6",
-                                  "model.center_windows = false"])
+                                  "model.center_windows = false", "alpha = 0.1"])
 def test_removed_seed_keys_are_config_errors(tmp_path, line):
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text(line, preset="tiny")
@@ -815,7 +852,7 @@ def test_push_pull_with_one_push_pair_simulates(tmp_path):
 
 @pytest.mark.parametrize("line", [
     "train.lr_decay = -1", "train.epochs = -1", "train.batch_size = 0",
-    "train.lr = 0", "n_test = 0"])
+    "train.lr = 0", "n_test = 0", "max_lag = 0", "n_cycles = 0", "model.alpha = 1"])
 def test_training_and_scoring_values_that_cannot_run_exit_2(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
@@ -841,6 +878,46 @@ def test_push_pull_sweep_point_that_never_transmits_exits_2(tmp_path, capsys):
     cfg.write_text("variant = genie\ntraffic.intensity = 5\ntraffic.n_reserved = 2\n")
     assert main([*args, "--out", str(tmp_path / "busy")]) == EXIT_OK
     assert "| traffic_push-pull | genie |" in (tmp_path / "busy" / "report.md").read_text()
+
+
+def test_bernoulli_run_ignores_the_push_pull_values_it_does_not_read(tmp_path):
+    # bernoulli traffic reads eta alone: a sweep config's push-pull values
+    # change neither the trace, nor the simulate key, nor the point
+    plain, sweep_dir = tmp_path / "plain", tmp_path / "sweep"
+    assert main(["evaluate", "--preset", "tiny", "--seed", "0", "--variant", "genie",
+                 "--out", str(plain)]) == EXIT_OK
+    cfg = tmp_path / "sweep.cfg"
+    cfg.write_text("variant = genie\ntraffic.intensity = 5\ntraffic.n_reserved = 2\n")
+    assert main(["sweep", "--preset", "tiny", "--seed", "0", "--axis", "traffic",
+                 "--values", "bernoulli", "--config", str(cfg),
+                 "--out", str(sweep_dir)]) == EXIT_OK
+    point = sweep_dir / "traffic_bernoulli"
+    for name in ("trace.npz", ".simulate.key"):
+        assert (plain / name).read_bytes() == (point / name).read_bytes(), name
+    configs = [json.loads((d / "run_manifest.json").read_text())["runs"]["genie"]["config"]
+               for d in (plain, point)]
+    assert configs[0] == configs[1]
+    merged, _ = report(tmp_path)
+    assert {(row["point"], row["n_runs"]) for row in merged} == {("plain", 2)}
+
+
+def test_sweep_refuses_a_directory_that_holds_other_points(tmp_path, capsys):
+    # report tabulates every results.csv under the sweep's --out
+    cfg = tmp_path / "ma.cfg"
+    cfg.write_text("variant = moving-average\n")
+    out = tmp_path / "sweep"
+    args = ["sweep", "--preset", "tiny", "--seed", "0", "--axis", "m",
+            "--config", str(cfg), "--out", str(out), "--values"]
+    assert main([*args, "2"]) == EXIT_OK
+    stamp = (out / "m_2" / "trace.npz").stat().st_mtime_ns
+    assert main([*args, "4"]) == EXIT_CONFIG
+    assert "m_2" in capsys.readouterr().err
+    assert not (out / "m_4").exists()
+    assert main([*args, "2,4"]) == EXIT_OK
+    table = (out / "report.md").read_text()
+    assert "| m_2 | moving-average |" in table and "| m_4 | moving-average |" in table
+    # the point that ran before is reused from its cache
+    assert (out / "m_2" / "trace.npz").stat().st_mtime_ns == stamp
 
 
 def test_cli_report_missing_dir_exit_code(tmp_path):

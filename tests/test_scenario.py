@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -23,12 +24,15 @@ from subnetpred.scenario.channel import Ar1Field, ComplexAr1, db_to_linear
 from subnetpred.scenario.mobility import alley_positions
 from subnetpred.scenario.simulate import subband_assignment
 
-CHEAP = ChannelParams()
+# single-look estimates with a 10% noise term (the defaults average eight
+# looks), and bernoulli traffic at eta = 0.9
+CHEAP = ChannelParams(soft_los_bias=2.0, est_looks=1, est_noise_fraction=0.1)
+TRAFFIC = TrafficModel(eta=0.9)
 # no shadowing, no NLOS weight and no scattered fading: every link gain is
 # its LOS path gain to within 3e-15 relative
 DETERMINISTIC = ChannelParams(shadow_std_los_db=0.0, shadow_std_nlos_db=0.0,
                               rician_k_db=300.0, soft_los_bias=50.0,
-                              est_noise_fraction=0.0)
+                              est_looks=1, est_noise_fraction=0.0)
 
 
 def cfg(**kw):
@@ -260,7 +264,7 @@ def test_shadowing_small_step_continuity():
 # ---------------------------------------------------------------- full trace
 
 def small_trace(seed=0, traffic=None, n_cycles=400, **kw):
-    return simulate_trace(cfg(**kw), traffic or TrafficModel(), CHEAP, n_cycles, seed)
+    return simulate_trace(cfg(**kw), traffic or TRAFFIC, CHEAP, n_cycles, seed)
 
 
 def test_trace_determinism_bit_identical():
@@ -280,7 +284,7 @@ def test_no_active_interferers_means_zero_interference():
     quiet = TrafficModel(variant="push-pull", eta=1.0, intensity=0.0,
                          n_reserved=0)
     c = cfg(sa_pairs_per_sn=4)
-    tr = simulate_trace(c, quiet, ChannelParams(est_noise_fraction=0.0), 100, 6)
+    tr = simulate_trace(c, quiet, replace(CHEAP, est_noise_fraction=0.0), 100, 6)
     assert np.all(tr.true_power == 0.0)
 
 
@@ -322,7 +326,7 @@ def test_interfering_link_count_matches_set_size():
     assert len(reuse.meta["interferer_set"]) == 3
     capped = simulate_trace(cfg(n_subnetworks=3, interferer_set_size=2,
                                 n_subbands=1),
-                            TrafficModel(), CHEAP, 10, 8)
+                            TRAFFIC, CHEAP, 10, 8)
     assert len(capped.meta["interferer_set"]) == 1
 
 

@@ -13,7 +13,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import ConfigError, PRESETS, load_config, spec_to_json
+from .config import ConfigError, PRESETS, load_config
 from .pipeline import SWEEP_AXES, StageError, report, run_plan, sweep
 from .scenario.simulate import write_trace_csv
 
@@ -79,8 +79,6 @@ def main(argv=None):
 
         spec = _load_spec(args)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "resolved_config.json").write_text(spec_to_json(spec))
 
         if args.command == "sweep":
             values = [v.strip() for v in args.values.split(",") if v.strip()]

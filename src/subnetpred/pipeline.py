@@ -7,7 +7,9 @@ share a trained model (iqpt / evt-iqpt / cevt-iqpt) reuse the same
 checkpoint and thresholds.  Nothing after training knows the protocol
 that trained a model: a run keeps one thresholds.npy, keyed by the model's
 parameters (a split model equal to the centralized one shares its predict
-pass), and one calibration.json, recomputed on every call.
+pass), and one calibration.json, recomputed on every call.  Every call
+checks and rewrites run_manifest.json, the one record of a directory's
+runs; results.csv is written from it, and summary.json holds stage times.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ra, tailcal, windowing
-from .config import ConfigError, TrafficModel, spec_to_dict
+from .config import ConfigError, TrafficModel, spec_to_dict, spec_to_json
 from .model import baselines as bl
 from .model import network
 from .model.train import TRAIN_DTYPE, train
@@ -314,52 +316,39 @@ def predictions_dbm(spec, out, trace, ds, variant, thresholds=None,
 
 
 def stage_evaluate(spec, out, trace, ds, thresholds, calibrated):
-    """Coverage, width, and target-vs-achieved BLER rows for spec.variant."""
-    variant = spec.variant
+    """Coverage, width, and target-vs-achieved BLER of spec.variant: its
+    per-SA coverage and widths and its ra.evaluate_ra rows."""
     cycles = ds.test_label_cycles()
     labels_dbm = ds.norm.invert(ds.test()[1])
-    pred_dbm = predictions_dbm(spec, out, trace, ds, variant, thresholds,
+    pred_dbm = predictions_dbm(spec, out, trace, ds, spec.variant, thresholds,
                                calibrated)
-    cov = ra.coverage_probability(pred_dbm, labels_dbm)
-    width_db = ra.coverage_width(pred_dbm, labels_dbm)
-    width_norm = ra.coverage_width(pred_dbm, labels_dbm, normalize=True)
-
     true_w = trace.true_power[:, cycles].T
-    rows = ra.evaluate_ra(_dbm_to_w(pred_dbm), true_w, trace.signal_power,
-                          trace.noise_power, spec.payload_bits,
-                          spec.eps_targets)
-    out_rows = [{"predictor": variant, "eps_target": row["eps_target"],
-                 "percentile_met": row["frac_met"],
-                 "mean_overhead": row["mean_overhead"],
-                 "cov_prob": float(cov.mean()),
-                 "cov_width": float(width_norm.mean())} for row in rows]
-    detail = {
-        "variant": variant,
-        "coverage_per_sa": cov.tolist(),
-        "width_db_per_sa": width_db.tolist(),
-        "width_norm_per_sa": width_norm.tolist(),
-        "ra": rows,
+    return {
+        "coverage_per_sa": ra.coverage_probability(pred_dbm, labels_dbm).tolist(),
+        "width_db_per_sa": ra.coverage_width(pred_dbm, labels_dbm).tolist(),
+        "width_norm_per_sa": ra.coverage_width(pred_dbm, labels_dbm,
+                                               normalize=True).tolist(),
+        "ra": ra.evaluate_ra(_dbm_to_w(pred_dbm), true_w, trace.signal_power,
+                             trace.noise_power, spec.payload_bits,
+                             spec.eps_targets),
     }
-    return out_rows, detail
 
 
 RESULT_FIELDS = ["predictor", "eps_target", "percentile_met", "mean_overhead",
                  "cov_prob", "cov_width"]
 
 
-def _write_results(out, new_rows, keep):
-    """Write results.csv: its earlier rows of the predictors in `keep`,
-    then new_rows."""
-    path = Path(out) / "results.csv"
-    rows = []
-    if path.exists():
-        with open(path, newline="") as fh:
-            rows = [r for r in csv.DictReader(fh) if r["predictor"] in keep]
-    rows += [{k: str(v) for k, v in r.items()} for r in new_rows]
-    with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+def _write_results(out, runs):
+    """Write results.csv: one row per run of `runs` and eps target, in
+    order; cov_prob and cov_width are the means over the SA pairs."""
+    with open(Path(out) / "results.csv", "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(RESULT_FIELDS)
+        for variant, run in runs.items():
+            cov = float(np.mean(run["coverage_per_sa"]))
+            width = float(np.mean(run["width_norm_per_sa"]))
+            writer.writerows([variant, row["eps_target"], row["frac_met"],
+                              row["mean_overhead"], cov, width] for row in run["ra"])
 
 
 # ----------------------------------------------------------------- run plan
@@ -373,24 +362,23 @@ def run_plan(spec, out, variants, until="evaluate"):
     with its model's thresholds over every window (_thresholds, so a split
     model equal to the centralized one reads its thresholds instead of
     predicting); calibrate, once per mode; evaluate, one scoring per
-    variant.  Stages cached in `out` are reused.  A full run
-    writes results.csv, summary.json and run_manifest.json once, merged
-    with the variants of earlier runs in `out` that were scored on the same
-    files.  Every call, whatever its exit, drops the recorded runs once a
-    file the manifest hashes has changed (_recorded_runs): a stage command
-    on another scenario, say, or a retrained model; with no manifest, once
-    it rebuilt the trace or the dataset.  It also merges its
-    stage times into summary.json: "stage_seconds" times every stage run in
-    `out`, and "stage_cache" says whether that time was a cache "hit" or a
-    "miss" (the stage did its work); a later hit does not replace a miss.
-    A call that drops the runs also drops the times of the stages it did
-    not run.  A failure raises StageError naming its stage.
+    variant.  Stages cached in `out` are reused.
+
+    A call writes spec to resolved_config.json when it starts and, whatever
+    its exit, records `out`'s runs in run_manifest.json (_record): each
+    scored variant's config and scores, beside those of earlier calls that
+    were scored on the same files, and the sha256 of every artifact.  A
+    full run writes results.csv from those runs.  Its stage times merge
+    into summary.json: "stage_seconds" times every stage run in `out`, and
+    "stage_cache" says whether that time was a cache "hit" or a "miss" (the
+    stage did its work); a later hit does not replace a miss.  A failure
+    raises StageError naming its stage.
     """
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
+    (out / "resolved_config.json").write_text(spec_to_json(spec))
     specs = {v: replace(spec, variant=v) for v in variants}
-    stages, cache = {}, {}
-    summary = _read_json(out / "summary.json")
+    stages, cache, scored = {}, {}, {}
     try:
         with _stage("simulate", stages, cache):
             trace = stage_simulate(spec, out)
@@ -423,36 +411,18 @@ def run_plan(spec, out, variants, until="evaluate"):
         if until == "calibrate":
             return trace, ds, {}
 
-        rows, details = [], {}
+        details = {}
         with _stage("evaluate", stages, cache):
             test = {split: ds.partition(thr)[2] for split, thr in thresholds.items()}
             for v, spec_v in specs.items():
                 split = modes.get(v)                  # None for a baseline
-                new_rows, details[v] = stage_evaluate(
-                    spec_v, out, trace, ds, test.get(split), calibrated.get(split))
-                rows += new_rows
-
-        runs = _recorded_runs(out, summary, cache)
-        _write_results(out, rows, set(runs) - set(specs))
-        summary.setdefault("runs", {}).update(details)
-        summary.update(window=ds.window, seed=spec.seed)
-        # each variant's config and the hashes of the files it was scored on
-        configs = {v: spec_to_dict(_as_read(s)) for v, s in specs.items()}
-        runs.update({v: {"config": c, "config_hash": _hash(c)}
-                     for v, c in configs.items()})
-        manifest = {"runs": runs, "seed": spec.seed, "artifacts": {
-            name: _file_hash(out / name) for name in ARTIFACTS if (out / name).exists()}}
-        (out / "run_manifest.json").write_text(json.dumps(manifest, indent=2))
+                details[v] = stage_evaluate(spec_v, out, trace, ds, test.get(split),
+                                            calibrated.get(split))
+        scored = {v: {"config": spec_to_dict(_as_read(specs[v])), **d}
+                  for v, d in details.items()}
         return trace, ds, details
     finally:
-        _recorded_runs(out, summary, cache)
-        # a hit keeps the time of the miss that built the stage's artifact
-        seconds = summary.setdefault("stage_seconds", {})
-        hits = summary.setdefault("stage_cache", {})
-        for name, state in cache.items():
-            if state == "miss" or hits.get(name) != "miss":
-                seconds[name], hits[name] = stages[name], state
-        (out / "summary.json").write_text(json.dumps(summary, indent=2))
+        _record(out, stages, cache, scored)
 
 
 def _read_json(path):
@@ -464,29 +434,44 @@ ARTIFACTS = ("trace.npz", "dataset.bin", "dataset.json", "model.bin", "model_spl
              "thresholds.npy", "calibration.json", "results.csv")
 
 
-def _recorded_runs(out, summary, ran):
-    """The runs of run_manifest.json, kept only while every file it hashes
-    is unchanged: they were scored on those files.  With no manifest there
-    are no runs, and the stage times are kept while this call found the
-    trace and the dataset in the cache (`ran` maps the stages it has run to
-    "hit" or "miss").  Otherwise results.csv and the manifest are deleted,
-    summary loses its runs, seed and window and the stage times of every
-    stage not in `ran`, and no run is kept."""
+def _record(out, stages, cache, scored):
+    """Record a call in run_manifest.json and summary.json.
+
+    The manifest's runs were scored on the files it hashes, so they are
+    kept while every one of those files is unchanged and every run holds
+    its scores; otherwise results.csv is deleted, and the runs and the
+    stage times of every stage this call did not run are dropped.  The
+    runs this call `scored` then follow the kept ones, results.csv is
+    written from them, and the manifest records them with the sha256 of
+    every artifact.  `stages` and `cache` hold this call's stage times and
+    cache states, merged into summary.json; a hit keeps the time of the
+    miss that built the stage's artifact."""
     manifest = _read_json(out / "run_manifest.json")
-    if manifest:
-        kept = all((out / name).exists() and _file_hash(out / name) == digest
-                   for name, digest in manifest["artifacts"].items())
-    else:
-        kept = "miss" not in (ran.get("simulate"), ran.get("prepare"))
-    if kept:
-        return manifest.get("runs", {})
-    for name in ("results.csv", "run_manifest.json"):
-        (out / name).unlink(missing_ok=True)
-    for key in ("runs", "seed", "window"):
-        summary.pop(key, None)
-    for key in ("stage_seconds", "stage_cache"):
-        summary[key] = {k: v for k, v in summary.get(key, {}).items() if k in ran}
-    return {}
+    summary = _read_json(out / "summary.json")
+    seconds = summary.get("stage_seconds", {})
+    hits = summary.get("stage_cache", {})
+    hashes = {name: _file_hash(out / name) for name in ARTIFACTS if (out / name).exists()}
+    runs = manifest.get("runs", {})
+    changed = any(hashes.get(name) != digest
+                  for name, digest in manifest.get("artifacts", {}).items())
+    # a run without scores was recorded when summary.json held them
+    if changed or any("ra" not in run for run in runs.values()):
+        (out / "results.csv").unlink(missing_ok=True)
+        hashes.pop("results.csv", None)
+        runs = {}
+        seconds = {k: v for k, v in seconds.items() if k in cache}
+        hits = {k: v for k, v in hits.items() if k in cache}
+    if scored:
+        runs = {**{v: run for v, run in runs.items() if v not in scored}, **scored}
+        _write_results(out, runs)
+        hashes["results.csv"] = _file_hash(out / "results.csv")
+    (out / "run_manifest.json").write_text(
+        json.dumps({"runs": runs, "artifacts": hashes}, indent=2))
+    for name, state in cache.items():
+        if state == "miss" or hits.get(name) != "miss":
+            seconds[name], hits[name] = stages[name], state
+    (out / "summary.json").write_text(
+        json.dumps({"stage_seconds": seconds, "stage_cache": hits}, indent=2))
 
 
 def run_pipeline(spec, out):
@@ -572,7 +557,7 @@ def report(results_dir, out_path=None):
                 point = run if config is None else _hash(
                     {k: v for k, v in config.items() if k not in ("seed", "variant")})
                 r.update(point=names.setdefault(point, run), run=run,
-                         seed=manifest.get("seed"))
+                         seed=None if config is None else config["seed"])
                 rows.append(r)
                 grouped.setdefault((point, r["predictor"], r["eps_target"]),
                                    []).append(r)

@@ -92,12 +92,11 @@ def test_manifest_keeps_every_variant(tmp_path):
     for spec in specs:
         run_pipeline(spec, tmp_path)
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    assert manifest["seed"] == 6
     assert set(manifest["runs"]) == {"moving-average", "genie"}
     for spec in specs:
         run = manifest["runs"][spec.variant]
         assert run["config"] == spec_to_dict(spec)
-        assert run["config_hash"] == pipeline._hash(spec_to_dict(spec))
+        assert run["config"]["seed"] == 6
     assert "trace.npz" in manifest["artifacts"]
 
 
@@ -136,6 +135,16 @@ def test_split_variant_trains_via_protocol_and_matches(tmp_path):
     assert detail_split["coverage_per_sa"] == detail_central["coverage_per_sa"]
     assert ((tmp_path / "model_split.bin").read_bytes()
             == (tmp_path / "model.bin").read_bytes())
+
+
+def assert_no_runs(out):
+    """The manifest in `out` records no run, and the hash of every
+    artifact as it is."""
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["runs"] == {}
+    assert manifest["artifacts"] == {name: pipeline._file_hash(out / name)
+                                     for name in pipeline.ARTIFACTS
+                                     if (out / name).exists()}
 
 
 def test_stage_seconds_are_per_stage(tmp_path):
@@ -263,9 +272,9 @@ def test_runs_scored_on_another_dataset_leave_the_directory(tmp_path, between):
     for name in ("results.csv", "run_manifest.json"):
         assert ((tmp_path / "run" / name).read_bytes()
                 == (tmp_path / "fresh" / name).read_bytes()), name
-    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
-    assert set(summary["runs"]) == {"genie"}
-    assert summary["seed"] == 1
+    runs = json.loads((tmp_path / "run" / "run_manifest.json").read_text())["runs"]
+    assert set(runs) == {"genie"}
+    assert runs["genie"]["config"]["seed"] == 1
 
 
 @pytest.mark.parametrize("command, config", [
@@ -278,7 +287,7 @@ def test_stage_command_that_replaces_a_scored_file_drops_the_runs(tmp_path, comm
     """Runs stay recorded while the files they were scored on stay: a
     stage command that rebuilds them in place, on the same scenario, keeps
     every record; one that replaces the trace, the dataset or the model
-    leaves no run, seed or window behind, and no stale hash."""
+    leaves no run and no results behind, and no stale hash."""
     (tmp_path / "run.cfg").write_text(config)
     command = command.split() + ["--config", str(tmp_path / "run.cfg")]
     base = ["--preset", "tiny", "--out", str(tmp_path / "run")]
@@ -292,7 +301,7 @@ def test_stage_command_that_replaces_a_scored_file_drops_the_runs(tmp_path, comm
 
     assert main(command + base) == EXIT_OK
     assert not (tmp_path / "run" / "results.csv").exists()
-    assert not (tmp_path / "run" / "run_manifest.json").exists()
+    assert_no_runs(tmp_path / "run")
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert not {"runs", "seed", "window"} & set(summary)
 
@@ -311,16 +320,62 @@ def test_stage_command_on_another_scenario_drops_the_old_stage_times(tmp_path):
 
 
 def test_stage_command_on_another_scenario_drops_unrecorded_stage_times(tmp_path):
-    """With no run ever recorded there is no manifest to compare: a call
-    that rebuilds the trace and the dataset drops the old scenario's stage
-    times all the same."""
+    """With no run ever recorded the manifest still hashes the files: a
+    call that rebuilds the trace and the dataset drops the old scenario's
+    stage times all the same."""
     base = ["--preset", "tiny", "--out", str(tmp_path)]
     assert main(["train", "--seed", "0", "--variant", "iqpt"] + base) == EXIT_OK
-    assert not (tmp_path / "run_manifest.json").exists()
+    assert_no_runs(tmp_path)
     assert main(["prepare", "--seed", "1"] + base) == EXIT_OK
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert summary["stage_cache"] == {"simulate": "miss", "prepare": "miss"}
     assert set(summary["stage_seconds"]) == {"simulate", "prepare"}
+
+
+def test_a_manifest_whose_runs_hold_no_scores_counts_as_changed_once(tmp_path):
+    """An older layout kept the scores in summary.json and only the configs
+    in run_manifest.json: the manifest cannot rewrite results.csv, so the
+    next call drops its runs, and the call after that keeps the new ones."""
+    run_pipeline(smoke_spec(seed=0, variant="genie"), tmp_path)
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    config = manifest["runs"]["genie"]["config"]
+    manifest["runs"] = {"genie": {"config": config, "config_hash": pipeline._hash(config)}}
+    (tmp_path / "run_manifest.json").write_text(json.dumps({**manifest, "seed": 0}))
+    summary["stage_seconds"]["train"], summary["stage_cache"]["train"] = 1.0, "miss"
+    (tmp_path / "summary.json").write_text(json.dumps(
+        {**summary, "runs": {"genie": {"variant": "genie"}}, "seed": 0, "window": 1}))
+
+    run_pipeline(smoke_spec(seed=0, variant="moving-average"), tmp_path)
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert list(manifest["runs"]) == ["moving-average"]
+    with open(tmp_path / "results.csv", newline="") as fh:
+        assert {r["predictor"] for r in csv.DictReader(fh)} == {"moving-average"}
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert list(summary) == ["stage_seconds", "stage_cache"]
+    assert set(summary["stage_seconds"]) == {"simulate", "prepare", "evaluate"}
+
+    run_pipeline(smoke_spec(seed=0, variant="genie"), tmp_path)
+    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
+    assert list(manifest["runs"]) == ["moving-average", "genie"]
+
+
+def test_a_call_hashes_each_artifact_once(tmp_path, monkeypatch):
+    # a scoring call hashes results.csv again once it has rewritten it
+    run_plan(smoke_spec(seed=0), tmp_path, ["genie", "iqpt"])
+    reads = []
+    file_hash = pipeline._file_hash
+
+    def counted(path):
+        reads.append(Path(path).name)
+        return file_hash(path)
+
+    monkeypatch.setattr(pipeline, "_file_hash", counted)
+    run_pipeline(smoke_spec(seed=0), tmp_path)
+    artifacts = {p.name for p in tmp_path.iterdir()} & set(pipeline.ARTIFACTS)
+    assert set(reads) == artifacts
+    assert reads.count("results.csv") == 2
+    assert all(reads.count(name) == 1 for name in artifacts - {"results.csv"})
 
 
 def test_calibration_failure_names_calibrate_stage(tmp_path, monkeypatch):
@@ -653,7 +708,7 @@ def test_run_records_the_model_alpha_it_trained_at_and_no_data_shape(tmp_path):
     # the pipeline fills the shape from the data; the record states no other
     assert model["n_series"] is None and model["window"] is None
     assert hyper["n_series"] == 2
-    assert hyper["window"] == json.loads((out / "summary.json").read_text())["window"]
+    assert hyper["window"] == json.loads((out / "dataset.json").read_text())["window"]
     assert model["alpha"] == hyper["alpha"] == 0.1
 
 
@@ -918,6 +973,20 @@ def test_sweep_refuses_a_directory_that_holds_other_points(tmp_path, capsys):
     assert "| m_2 | moving-average |" in table and "| m_4 | moving-average |" in table
     # the point that ran before is reused from its cache
     assert (out / "m_2" / "trace.npz").stat().st_mtime_ns == stamp
+
+
+def test_refused_sweep_leaves_the_recorded_configs_as_they_were(tmp_path):
+    # each point records the spec it ran; a refused call records nothing
+    cfg = tmp_path / "genie.cfg"
+    cfg.write_text("variant = genie\n")
+    out = tmp_path / "sweep"
+    args = ["sweep", "--preset", "tiny", "--seed", "0", "--axis", "m",
+            "--out", str(out), "--values"]
+    assert main([*args, "2", "--config", str(cfg)]) == EXIT_OK
+    cfg.write_text("variant = genie\nn_cycles = 650\n")
+    assert main([*args, "4", "--config", str(cfg)]) == EXIT_CONFIG
+    assert json.loads((out / "m_2" / "resolved_config.json").read_text())["n_cycles"] == 700
+    assert not (out / "resolved_config.json").exists()
 
 
 def test_cli_report_missing_dir_exit_code(tmp_path):

@@ -1,8 +1,9 @@
 """Command-line experiment driver.
 
-Subcommands mirror the pipeline stages (simulate, prepare, train, calibrate,
-evaluate) plus sweep and report.  Exit codes: 0 success, 2 configuration
-error, 3 stage failure.
+evaluate runs every pipeline stage (simulate, prepare, train, calibrate,
+evaluate) and scores the variants; sweep runs it along one axis, and
+report merges completed runs.  Exit codes: 0 success, 2 configuration
+error or unknown command, 3 stage failure.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from pathlib import Path
 
 from .config import ConfigError, PRESETS, load_config
 from .pipeline import SWEEP_AXES, StageError, report, run_plan, sweep
-from .scenario.simulate import write_trace_csv
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -35,18 +35,10 @@ def build_parser():
                                      description=__doc__.splitlines()[0])
     subs = parser.add_subparsers(dest="command", required=True)
 
-    for name, desc in [
-            ("simulate", "generate the interference trace and export trace.csv"),
-            ("prepare", "window the trace into train/cal/test instances"),
-            ("train", "train the quantile predictor"),
-            ("calibrate", "fit tail models and conformal scores"),
-            ("evaluate", "run the full pipeline and score the variants"),
-    ]:
-        sub = subs.add_parser(name, help=desc)
-        _add_common(sub)
-        if name in ("train", "calibrate", "evaluate"):
-            sub.add_argument("--variant", action="append",
-                             help="predictor variant; repeat it for several")
+    ev = subs.add_parser("evaluate", help="run every stage and score the variants")
+    _add_common(ev)
+    ev.add_argument("--variant", action="append",
+                    help="predictor variant; repeat it for several")
 
     sw = subs.add_parser("sweep", help="run the pipeline along one axis")
     _add_common(sw)
@@ -85,21 +77,9 @@ def main(argv=None):
             print(sweep(spec, args.axis, values, out)[1])
             return EXIT_OK
 
-        variants = getattr(args, "variant", None) or [spec.variant]
-        trace, ds, details = run_plan(spec, out, variants, until=args.command)
-        if args.command == "simulate":
-            write_trace_csv(trace, out / "trace.csv")
-            print(f"trace: {trace.n_series} series x {trace.n_cycles} cycles "
-                  f"-> {out / 'trace.csv'}")
-        elif args.command == "prepare":
-            print(f"dataset: window={ds.window} train/cal/test = "
-                  f"{ds.n_train}/{ds.n_cal}/{ds.n_test} -> {out / 'dataset.bin'}")
-        elif args.command == "evaluate":
-            for variant, detail in details.items():
-                print(f"{variant}: {json.dumps(detail['ra'], indent=2)}")
-            print(f"results -> {out / 'results.csv'}")
-        else:
-            print(f"{args.command} -> {out}")
+        for variant, detail in run_plan(spec, out, args.variant or [spec.variant]).items():
+            print(f"{variant}: {json.dumps(detail['ra'], indent=2)}")
+        print(f"results -> {out / 'results.csv'}")
         return EXIT_OK
     except ConfigError as err:
         print(f"config error: {err}", file=sys.stderr)

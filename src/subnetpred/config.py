@@ -7,7 +7,6 @@ unset falls back to the selected preset.  See docs/config.md.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -100,9 +99,9 @@ class TrafficModel:
 class ChannelParams:
     """Large/small-scale channel model knobs (indoor factory defaults).
 
-    soft_los_bias shifts the logistic soft-LOS latent so short-range
-    factory links are LOS-dominant on average (bias 2 gives a mean weight
-    around 0.88); set it to 0 for a balanced LOS/NLOS mix.
+    soft_los_bias shifts the unit-variance soft-LOS latent so that
+    short-range factory links are LOS-dominant (mean weight 0.955 at the
+    default 3.5); set it to 0 for a balanced LOS/NLOS mix.
 
     est_looks is the number of independent fading looks -- frequency bins /
     pilot repetitions within the measurement slot -- averaged into each
@@ -354,7 +353,3 @@ def spec_to_dict(spec):
             return list(obj)
         return obj
     return enc(spec)
-
-
-def spec_to_json(spec):
-    return json.dumps(spec_to_dict(spec), indent=2, sort_keys=True)

@@ -1,9 +1,10 @@
-"""The inverted quantile-patch transformer: parameters, forward, backward.
+"""The inverted quantile transformer: parameters, forward, backward.
 
 Architecture: per-series window, centred on its mean -> tanh embedding
-token -> n_layers of (multi-head attention over series tokens + residual +
-layer norm) -> LSTM across the token sequence -> per-series scalar quantile
-head, which predicts the offset from that mean.
+token (the whole window is one token; nothing splits it into patches) ->
+n_layers of (multi-head attention over series tokens + residual + layer
+norm) -> LSTM across the token sequence -> per-series scalar quantile head,
+which predicts the offset from that mean.
 
 Parameters live in a flat dict keyed by canonical names; the embedding and
 quantile head carry one weight block per series so the U-shaped split

@@ -1,8 +1,9 @@
 """Experiment pipeline: simulate -> window -> train -> calibrate -> evaluate.
 
-Simulate, prepare and train write their artifacts plus a cache key derived
-from the relevant configuration slice; re-running with the same spec and
-seed reuses artifacts byte-for-byte (stage idempotency), and variants that
+run_plan (the CLI's evaluate) runs the whole chain on every call.  Simulate,
+prepare and train write their artifacts plus a cache key derived from the
+relevant configuration slice; re-running with the same spec and seed
+reuses artifacts byte-for-byte (stage idempotency), and variants that
 share a trained model (iqpt / evt-iqpt / cevt-iqpt) reuse the same
 checkpoint and thresholds.  Nothing after training knows the protocol
 that trained a model: a run keeps one thresholds.npy, keyed by the model's
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import ra, tailcal, windowing
-from .config import ConfigError, TrafficModel, spec_to_dict, spec_to_json
+from .config import ConfigError, TrafficModel, spec_to_dict
 from .model import baselines as bl
 from .model import network
 from .model.train import TRAIN_DTYPE, train
@@ -353,9 +354,9 @@ def _write_results(out, runs):
 
 # ----------------------------------------------------------------- run plan
 
-def run_plan(spec, out, variants, until="evaluate"):
-    """Run the stage chain once for a set of variants of spec, up to and
-    including the stage `until`; returns (trace, dataset, {variant: detail}).
+def run_plan(spec, out, variants):
+    """Run every stage once for a set of variants of spec; returns
+    {variant: detail}.
 
     Simulate and prepare; check_tail_fit for every tail variant, before any
     training; train and train_split, once per mode the variants need, each
@@ -364,11 +365,10 @@ def run_plan(spec, out, variants, until="evaluate"):
     predicting); calibrate, once per mode; evaluate, one scoring per
     variant.  Stages cached in `out` are reused.
 
-    A call writes spec to resolved_config.json when it starts and, whatever
-    its exit, records `out`'s runs in run_manifest.json (_record): each
-    scored variant's config and scores, beside those of earlier calls that
-    were scored on the same files, and the sha256 of every artifact.  A
-    full run writes results.csv from those runs.  Its stage times merge
+    Whatever its exit, a call records `out`'s runs in run_manifest.json
+    (_record): each scored variant's config and scores, beside those of
+    earlier calls that were scored on the same files, and the sha256 of
+    every artifact; results.csv lists those runs.  Its stage times merge
     into summary.json: "stage_seconds" times every stage run in `out`, and
     "stage_cache" says whether that time was a cache "hit" or a "miss" (the
     stage did its work); a later hit does not replace a miss.  A failure
@@ -376,18 +376,13 @@ def run_plan(spec, out, variants, until="evaluate"):
     """
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "resolved_config.json").write_text(spec_to_json(spec))
     specs = {v: replace(spec, variant=v) for v in variants}
     stages, cache, scored = {}, {}, {}
     try:
         with _stage("simulate", stages, cache):
             trace = stage_simulate(spec, out)
-        if until == "simulate":
-            return trace, None, {}
         with _stage("prepare", stages, cache):
             ds = stage_prepare(spec, out, trace)
-        if until == "prepare":
-            return trace, ds, {}
 
         for v, spec_v in specs.items():
             if v in TAIL_VARIANTS:
@@ -399,8 +394,6 @@ def run_plan(spec, out, variants, until="evaluate"):
             with _stage("train_split" if split else "train", stages, cache):
                 models[split] = stage_train(spec, out, ds, split)
                 thresholds[split] = _thresholds(out, ds, *models[split])
-        if until == "train":
-            return trace, ds, {}
         calibrated = {}
         tail_modes = dict.fromkeys(modes[v] for v in modes if v in TAIL_VARIANTS)
         if tail_modes:
@@ -408,8 +401,6 @@ def run_plan(spec, out, variants, until="evaluate"):
                 for split in tail_modes:
                     calibrated[split] = stage_calibrate(spec, out, ds,
                                                         *models[split])
-        if until == "calibrate":
-            return trace, ds, {}
 
         details = {}
         with _stage("evaluate", stages, cache):
@@ -420,7 +411,7 @@ def run_plan(spec, out, variants, until="evaluate"):
                                             calibrated.get(split))
         scored = {v: {"config": spec_to_dict(_as_read(specs[v])), **d}
                   for v, d in details.items()}
-        return trace, ds, details
+        return details
     finally:
         _record(out, stages, cache, scored)
 
@@ -476,7 +467,7 @@ def _record(out, stages, cache, scored):
 
 def run_pipeline(spec, out):
     """run_plan for spec.variant alone; returns its detail dict."""
-    return run_plan(spec, out, [spec.variant])[2][spec.variant]
+    return run_plan(spec, out, [spec.variant])[spec.variant]
 
 
 # -------------------------------------------------------------------- sweep

@@ -363,7 +363,9 @@ def load_trace(stem):
 
 
 def write_trace_csv(trace, path):
-    """CSV export: cycle,slot,sa_index,true_dBm,est_dBm,signal_dBm."""
+    """CSV export: cycle,slot,sa_index,true_dBm,est_dBm,signal_dBm.  No
+    command calls it; it stays because perfbench's traced run wraps it and
+    counts a missing wrapped function as a failed check."""
     true_dbm = trace.true_dbm()
     est_dbm = trace.est_dbm()
     sig_dbm = ch.watts_to_dbm(trace.signal_power)

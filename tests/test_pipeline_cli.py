@@ -43,7 +43,6 @@ def smoke_spec(seed=0, variant="moving-average"):
 def test_run_pipeline_writes_artifacts(tmp_path):
     detail = run_pipeline(smoke_spec(variant="genie"), tmp_path)
     assert (tmp_path / "trace.npz").exists()
-    assert not (tmp_path / "trace.csv").exists()   # an explicit CLI export
     assert (tmp_path / "dataset.bin").exists()
     assert (tmp_path / "results.csv").exists()
     assert (tmp_path / "run_manifest.json").exists()
@@ -137,11 +136,18 @@ def test_split_variant_trains_via_protocol_and_matches(tmp_path):
             == (tmp_path / "model.bin").read_bytes())
 
 
-def assert_no_runs(out):
-    """The manifest in `out` records no run, and the hash of every
-    artifact as it is."""
+def assert_runs(out, variants):
+    """The manifest in `out` records the runs of `variants` alone, in
+    order, results.csv lists their rows alone (none without a run), and
+    the manifest holds the hash of every artifact as it is."""
     manifest = json.loads((out / "run_manifest.json").read_text())
-    assert manifest["runs"] == {}
+    assert list(manifest["runs"]) == variants
+    if variants:
+        with open(out / "results.csv", newline="") as fh:
+            rows = [r["predictor"] for r in csv.DictReader(fh)]
+        assert list(dict.fromkeys(rows)) == variants
+    else:
+        assert not (out / "results.csv").exists()
     assert manifest["artifacts"] == {name: pipeline._file_hash(out / name)
                                      for name in pipeline.ARTIFACTS
                                      if (out / name).exists()}
@@ -226,16 +232,17 @@ def test_stage_times_merge_over_calls_and_keep_the_misses(tmp_path):
 
 
 def test_stage_commands_record_their_stage_times(tmp_path):
-    # a stage command's times survive the evaluate that finds its stages cached
-    args = ["--preset", "tiny", "--seed", "0", "--variant", "iqpt",
+    # the times of the stages an evaluate builds survive the evaluate after
+    # it, which finds them cached
+    args = ["evaluate", "--preset", "tiny", "--seed", "0", "--variant", "iqpt",
             "--out", str(tmp_path)]
-    assert main(["train"] + args) == EXIT_OK
+    assert main(args) == EXIT_OK
     trained = json.loads((tmp_path / "summary.json").read_text())
     assert trained["stage_cache"] == {"simulate": "miss", "prepare": "miss",
-                                      "train": "miss"}
-    assert main(["evaluate"] + args) == EXIT_OK
+                                      "train": "miss", "evaluate": "miss"}
+    assert main(args + ["--variant", "genie"]) == EXIT_OK
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["stage_cache"] == {**trained["stage_cache"], "evaluate": "miss"}
+    assert summary["stage_cache"] == trained["stage_cache"]
     for name in ("simulate", "prepare", "train"):
         assert summary["stage_seconds"][name] == trained["stage_seconds"][name]
 
@@ -253,22 +260,28 @@ def test_failed_call_records_the_stages_it_completed(tmp_path, monkeypatch):
     assert set(summary["stage_seconds"]) == set(summary["stage_cache"])
 
 
-@pytest.mark.parametrize("between", [[], ["prepare"]])
-def test_runs_scored_on_another_dataset_leave_the_directory(tmp_path, between):
+@pytest.mark.parametrize("between", [[], ["iqpt"]])
+def test_runs_scored_on_another_dataset_leave_the_directory(tmp_path, monkeypatch,
+                                                            between):
     """A directory keeps only the results scored on the dataset it holds:
     evaluate on another scenario drops the runs of the old one, whether it
-    or an earlier stage command rebuilt the dataset."""
-    def cli(command, seed, variants, out):
-        argv = [command, "--preset", "tiny", "--seed", str(seed), "--out", str(out)]
+    or an earlier call rebuilt the dataset (here one whose training fails)."""
+    def cli(seed, variants, out, code=EXIT_OK):
+        argv = ["evaluate", "--preset", "tiny", "--seed", str(seed), "--out", str(out)]
         for variant in variants:
             argv += ["--variant", variant]
-        assert main(argv) == EXIT_OK
+        assert main(argv) == code
 
-    cli("evaluate", 0, ["genie", "moving-average"], tmp_path / "run")
-    for command in between:
-        cli(command, 1, [], tmp_path / "run")
-    cli("evaluate", 1, ["genie"], tmp_path / "run")
-    cli("evaluate", 1, ["genie"], tmp_path / "fresh")
+    def fail(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    cli(0, ["genie", "moving-average"], tmp_path / "run")
+    if between:
+        with monkeypatch.context() as patch:
+            patch.setattr(pipeline, "train", fail)
+            cli(1, between, tmp_path / "run", EXIT_STAGE)
+    cli(1, ["genie"], tmp_path / "run")
+    cli(1, ["genie"], tmp_path / "fresh")
     for name in ("results.csv", "run_manifest.json"):
         assert ((tmp_path / "run" / name).read_bytes()
                 == (tmp_path / "fresh" / name).read_bytes()), name
@@ -277,59 +290,70 @@ def test_runs_scored_on_another_dataset_leave_the_directory(tmp_path, between):
     assert runs["genie"]["config"]["seed"] == 1
 
 
-@pytest.mark.parametrize("command, config", [
-    ("simulate --seed 1", ""),
-    ("prepare --seed 1", ""),
-    ("train --seed 0 --variant iqpt", "train.epochs = 3\n"),
+@pytest.mark.parametrize("seed, variant, config", [
+    ("1", "moving-average", ""),
+    ("0", "moving-average", "n_cal = 80\n"),
+    ("0", "iqpt", "train.epochs = 3\n"),
 ], ids=["simulate", "prepare", "retrain"])
-def test_stage_command_that_replaces_a_scored_file_drops_the_runs(tmp_path, command,
-                                                                  config):
-    """Runs stay recorded while the files they were scored on stay: a
-    stage command that rebuilds them in place, on the same scenario, keeps
+def test_stage_command_that_replaces_a_scored_file_drops_the_runs(tmp_path, seed,
+                                                                  variant, config):
+    """Runs stay recorded while the files they were scored on stay: an
+    evaluate that rebuilds them in place, on the same scenario, keeps
     every record; one that replaces the trace, the dataset or the model
-    leaves no run and no results behind, and no stale hash."""
+    leaves only its own run behind, and no stale hash."""
     (tmp_path / "run.cfg").write_text(config)
-    command = command.split() + ["--config", str(tmp_path / "run.cfg")]
     base = ["--preset", "tiny", "--out", str(tmp_path / "run")]
     assert main(["evaluate", "--seed", "0", "--variant", "genie", "--variant", "iqpt"]
                 + base) == EXIT_OK
     scored = {name: (tmp_path / "run" / name).read_bytes()
               for name in ("results.csv", "run_manifest.json")}
-    assert main(["train", "--seed", "0", "--variant", "iqpt"] + base) == EXIT_OK
+    assert main(["evaluate", "--seed", "0", "--variant", "iqpt"] + base) == EXIT_OK
     for name, blob in scored.items():
         assert (tmp_path / "run" / name).read_bytes() == blob, name
 
-    assert main(command + base) == EXIT_OK
-    assert not (tmp_path / "run" / "results.csv").exists()
-    assert_no_runs(tmp_path / "run")
+    assert main(["evaluate", "--seed", seed, "--variant", variant,
+                 "--config", str(tmp_path / "run.cfg")] + base) == EXIT_OK
+    assert_runs(tmp_path / "run", [variant])
     summary = json.loads((tmp_path / "run" / "summary.json").read_text())
     assert not {"runs", "seed", "window"} & set(summary)
 
 
 def test_stage_command_on_another_scenario_drops_the_old_stage_times(tmp_path):
     """A call that drops the runs keeps only the stage times it measured:
-    the old scenario's train and evaluate times go with its runs."""
+    the old scenario's train time goes with its runs."""
     base = ["--preset", "tiny", "--out", str(tmp_path)]
     assert main(["evaluate", "--seed", "0", "--variant", "genie", "--variant", "iqpt"]
                 + base) == EXIT_OK
-    assert main(["prepare", "--seed", "1"] + base) == EXIT_OK
+    assert main(["evaluate", "--seed", "1", "--variant", "genie"] + base) == EXIT_OK
     summary = json.loads((tmp_path / "summary.json").read_text())
     assert not {"runs", "seed", "window"} & set(summary)
-    assert summary["stage_cache"] == {"simulate": "miss", "prepare": "miss"}
-    assert set(summary["stage_seconds"]) == {"simulate", "prepare"}
+    assert summary["stage_cache"] == {"simulate": "miss", "prepare": "miss",
+                                      "evaluate": "miss"}
+    assert set(summary["stage_seconds"]) == {"simulate", "prepare", "evaluate"}
 
 
-def test_stage_command_on_another_scenario_drops_unrecorded_stage_times(tmp_path):
+def test_stage_command_on_another_scenario_drops_unrecorded_stage_times(tmp_path,
+                                                                        monkeypatch):
     """With no run ever recorded the manifest still hashes the files: a
     call that rebuilds the trace and the dataset drops the old scenario's
-    stage times all the same."""
-    base = ["--preset", "tiny", "--out", str(tmp_path)]
-    assert main(["train", "--seed", "0", "--variant", "iqpt"] + base) == EXIT_OK
-    assert_no_runs(tmp_path)
-    assert main(["prepare", "--seed", "1"] + base) == EXIT_OK
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["stage_cache"] == {"simulate": "miss", "prepare": "miss"}
-    assert set(summary["stage_seconds"]) == {"simulate", "prepare"}
+    stage times all the same (here those of a call that failed after
+    training)."""
+    def fail(*args, **kwargs):
+        raise RuntimeError("tail fit failed")
+
+    monkeypatch.setattr(tailcal, "gpd_fit", fail)
+    cfg = tmp_path / "exp.cfg"
+    cfg.write_text(CALIBRATING_CFG)
+    base = ["evaluate", "--preset", "tiny", "--config", str(cfg),
+            "--out", str(tmp_path / "run")]
+    assert main(base + ["--seed", "0", "--variant", "evt-iqpt"]) == EXIT_STAGE
+    assert_runs(tmp_path / "run", [])
+    monkeypatch.undo()
+    assert main(base + ["--seed", "1", "--variant", "genie"]) == EXIT_OK
+    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
+    assert summary["stage_cache"] == {"simulate": "miss", "prepare": "miss",
+                                      "evaluate": "miss"}
+    assert set(summary["stage_seconds"]) == {"simulate", "prepare", "evaluate"}
 
 
 def test_a_manifest_whose_runs_hold_no_scores_counts_as_changed_once(tmp_path):
@@ -405,11 +429,10 @@ def test_too_few_training_exceedances_fail_before_training(tmp_path, monkeypatch
     with pytest.raises(ConfigError, match=r"needs 30 .* = 0\.05 \* 399 = 19\.95"):
         run_pipeline(smoke_spec(seed=12, variant=variant), tmp_path / "api")
     assert (tmp_path / "api" / "dataset.bin").exists()
-    for command in ("evaluate", "calibrate"):
-        assert main([command, "--preset", "tiny", "--seed", "12", "--variant",
-                     variant, "--out", str(tmp_path / command)]) == EXIT_CONFIG
-        assert "19.95" in capsys.readouterr().err
-        assert not (tmp_path / command / "model.bin").exists()
+    assert main(["evaluate", "--preset", "tiny", "--seed", "12", "--variant",
+                 variant, "--out", str(tmp_path / "cli")]) == EXIT_CONFIG
+    assert "19.95" in capsys.readouterr().err
+    assert not (tmp_path / "cli" / "model.bin").exists()
     # the variants without a tail fit still run on tiny
     monkeypatch.undo()
     run_pipeline(smoke_spec(seed=12, variant="iqpt"), tmp_path / "api")
@@ -578,10 +601,10 @@ def test_trained_parameters_are_the_float64_checkpoint(tmp_path):
     assert (pipeline._params_digest(params, cfg)
             == pipeline._file_hash(direct / "model.bin"))
 
-    run_plan(spec, tmp_path, ["iqpt"], until="train")
+    run_pipeline(spec, tmp_path)
     cold = (tmp_path / "thresholds.npy").read_bytes()
     (tmp_path / "thresholds.npy").unlink()
-    run_plan(spec, tmp_path, ["iqpt"], until="train")
+    run_pipeline(spec, tmp_path)
     assert (tmp_path / "thresholds.npy").read_bytes() == cold
 
 
@@ -687,7 +710,7 @@ def test_parse_config_rejects_pipeline_wired_keys(tmp_path, line, hint):
         parse_config_text(line, preset="tiny")
     cfg = tmp_path / "wired.cfg"
     cfg.write_text(line + "\n")
-    assert main(["prepare", "--config", str(cfg), "--preset", "tiny",
+    assert main(["evaluate", "--config", str(cfg), "--preset", "tiny",
                  "--out", str(tmp_path / "run")]) == EXIT_CONFIG
 
 
@@ -729,7 +752,7 @@ def test_removed_seed_keys_are_config_errors(tmp_path, line):
         parse_config_text(line, preset="tiny")
     cfg = tmp_path / "old.cfg"
     cfg.write_text(line + "\n")
-    assert main(["simulate", "--config", str(cfg), "--preset", "tiny",
+    assert main(["evaluate", "--config", str(cfg), "--preset", "tiny",
                  "--out", str(tmp_path / "run")]) == EXIT_CONFIG
 
 
@@ -738,12 +761,12 @@ def test_config_file_seed_seeds_simulation_and_training(tmp_path):
     cfg.write_text("seed = 3\n")
     runs = {"file": ["--config", str(cfg)], "flag": ["--seed", "3"]}
     for name, args in runs.items():
-        assert main(["train", "--preset", "tiny", "--variant", "iqpt", *args,
+        assert main(["evaluate", "--preset", "tiny", "--variant", "iqpt", *args,
                      "--out", str(tmp_path / name)]) == EXIT_OK
     for artifact in ("trace.npz", "model.bin"):
         assert ((tmp_path / "file" / artifact).read_bytes()
                 == (tmp_path / "flag" / artifact).read_bytes()), artifact
-    assert main(["train", "--preset", "tiny", "--variant", "iqpt", "--seed", "0",
+    assert main(["evaluate", "--preset", "tiny", "--variant", "iqpt", "--seed", "0",
                  "--out", str(tmp_path / "zero")]) == EXIT_OK
     assert ((tmp_path / "zero" / "model.bin").read_bytes()
             != (tmp_path / "flag" / "model.bin").read_bytes())
@@ -765,7 +788,7 @@ def test_beta_the_calibration_block_cannot_support_exits_2(tmp_path, capsys, bet
     cfg = tmp_path / "beta.cfg"
     cfg.write_text(CALIBRATING_CFG + f"beta = {beta}\n")
     out = tmp_path / "run"
-    assert main(["calibrate", "--config", str(cfg), "--preset", "tiny",
+    assert main(["evaluate", "--config", str(cfg), "--preset", "tiny",
                  "--variant", "cevt-iqpt", "--out", str(out)]) == EXIT_CONFIG
     assert "n_cal = 100" in capsys.readouterr().err
     assert not (out / "model.bin").exists()
@@ -783,48 +806,62 @@ def write_cfg(tmp_path):
 def test_cli_simulate_and_evaluate(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "run"
-    assert main(["simulate", "--config", str(cfg), "--preset", "tiny",
-                 "--out", str(out)]) == EXIT_OK
-    assert (out / "trace.csv").exists()
     assert main(["evaluate", "--config", str(cfg), "--preset", "tiny",
                  "--out", str(out)]) == EXIT_OK
     assert (out / "results.csv").exists()
-    config_echo = json.loads((out / "resolved_config.json").read_text())
-    assert config_echo["n_cycles"] == 600
+    runs = json.loads((out / "run_manifest.json").read_text())["runs"]
+    assert runs["moving-average"]["config"]["n_cycles"] == 600
 
 
-def test_cli_prepare_train_calibrate_stage_flow(tmp_path):
+def test_a_refused_call_leaves_the_run_records_as_they_were(tmp_path, capsys):
+    # the tail-fit check refuses evt-iqpt at alpha 0.01 only after simulate
+    # and prepare, and the call still writes no record of its spec
     out = tmp_path / "run"
-    base = ["--preset", "tiny", "--out", str(out), "--seed", "3"]
-    assert main(["prepare", *base]) == EXIT_OK
-    assert (out / "dataset.bin").exists()
-    assert main(["train", *base, "--variant", "iqpt"]) == EXIT_OK
-    assert (out / "model.bin").exists()
+    base = ["evaluate", "--preset", "tiny", "--seed", "0", "--out", str(out)]
+    assert main(base + ["--variant", "genie"]) == EXIT_OK
+    records = {name: (out / name).read_bytes()
+               for name in ("run_manifest.json", "results.csv")}
+    cfg = tmp_path / "alpha.cfg"
+    cfg.write_text("model.alpha = 0.01\n")
+    assert main(base + ["--variant", "evt-iqpt", "--config", str(cfg)]) == EXIT_CONFIG
+    assert "0.01 * 399 = 3.99" in capsys.readouterr().err
+    for name, blob in records.items():
+        assert (out / name).read_bytes() == blob, name
+    assert not (out / "resolved_config.json").exists()
+    # evaluate is the one pipeline command: the stage commands are unknown
+    for command in ("simulate", "prepare", "train", "calibrate"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "--preset", "tiny", "--out", str(out)])
+        assert info.value.code == EXIT_CONFIG
 
 
-@pytest.mark.parametrize("command, variant, target, stage", [
+@pytest.mark.parametrize("fails, variant, target, stage", [
     ("calibrate", "cevt-iqpt", (tailcal, "gpd_fit"), "calibrate"),
     ("calibrate", "cevt-iqpt-split", (tailcal, "gpd_fit"), "calibrate"),
     ("train", "iqpt", (pipeline, "train"), "train"),
     ("train", "iqpt-split", (pipeline, "split_train"), "train_split"),
 ])
 def test_cli_stage_failure_names_stage_and_exits_3(tmp_path, monkeypatch, capsys,
-                                                   command, variant, target, stage):
+                                                   fails, variant, target, stage):
+    # `fails` is the step whose function fails: a model is saved before
+    # calibrate fails, and none when training fails
     def fail(*args, **kwargs):
         raise RuntimeError("injected")
 
     monkeypatch.setattr(*target, fail)
     cfg = tmp_path / "exp.cfg"
     cfg.write_text(CALIBRATING_CFG)
-    assert main([command, "--config", str(cfg), "--preset", "tiny", "--seed", "0",
-                 "--variant", variant, "--out", str(tmp_path / "run")]) == EXIT_STAGE
+    out = tmp_path / "run"
+    assert main(["evaluate", "--config", str(cfg), "--preset", "tiny", "--seed", "0",
+                 "--variant", variant, "--out", str(out)]) == EXIT_STAGE
     assert f"stage {stage!r} failed: injected" in capsys.readouterr().err
+    assert bool(list(out.glob("model*.bin"))) == (fails == "calibrate")
 
 
 def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("deployment.n_subnetworks = -3\n")
-    code = main(["simulate", "--config", str(bad), "--preset", "tiny",
+    code = main(["evaluate", "--config", str(bad), "--preset", "tiny",
                  "--out", str(tmp_path / "x")])
     assert code == EXIT_CONFIG
 
@@ -847,7 +884,7 @@ def test_unreadable_config_values_exit_2(tmp_path, capsys, config, named):
         path.write_bytes(config)
     elif config is not None:
         path.write_text(config)
-    assert main(["simulate", "--config", str(path), "--preset", "tiny",
+    assert main(["evaluate", "--config", str(path), "--preset", "tiny",
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
@@ -863,7 +900,7 @@ def test_push_pull_without_push_pairs_is_a_config_error(tmp_path, n_reserved):
         parse_config_text(text, preset="tiny")
     bad = tmp_path / "bad.cfg"
     bad.write_text(text)
-    assert main(["simulate", "--config", str(bad), "--preset", "tiny",
+    assert main(["evaluate", "--config", str(bad), "--preset", "tiny",
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     assert not (tmp_path / "x" / "trace.npz").exists()
 
@@ -898,9 +935,9 @@ def test_fading_below_the_first_zero_of_j0_is_accepted():
 def test_push_pull_with_one_push_pair_simulates(tmp_path):
     cfg = tmp_path / "ok.cfg"
     cfg.write_text("traffic.variant = push-pull\ntraffic.n_reserved = 3\n"
-                   "traffic.intensity = 5\nn_cycles = 50\n")
+                   "traffic.intensity = 5\nvariant = genie\n")
     out = tmp_path / "run"
-    assert main(["simulate", "--config", str(cfg), "--preset", "tiny",
+    assert main(["evaluate", "--config", str(cfg), "--preset", "tiny",
                  "--out", str(out)]) == EXIT_OK
     assert (out / "trace.npz").exists()
 
@@ -983,10 +1020,12 @@ def test_refused_sweep_leaves_the_recorded_configs_as_they_were(tmp_path):
     args = ["sweep", "--preset", "tiny", "--seed", "0", "--axis", "m",
             "--out", str(out), "--values"]
     assert main([*args, "2", "--config", str(cfg)]) == EXIT_OK
+    recorded = (out / "m_2" / "run_manifest.json").read_bytes()
+    assert json.loads(recorded)["runs"]["genie"]["config"]["n_cycles"] == 700
     cfg.write_text("variant = genie\nn_cycles = 650\n")
     assert main([*args, "4", "--config", str(cfg)]) == EXIT_CONFIG
-    assert json.loads((out / "m_2" / "resolved_config.json").read_text())["n_cycles"] == 700
-    assert not (out / "resolved_config.json").exists()
+    assert (out / "m_2" / "run_manifest.json").read_bytes() == recorded
+    assert not (out / "run_manifest.json").exists()
 
 
 def test_cli_report_missing_dir_exit_code(tmp_path):

@@ -216,6 +216,13 @@ class ExperimentSpec:
                 f"[{1.0 / (self.n_cal + 1):.3g}, 1) for n_cal = {self.n_cal}")
         if self.n_test < 1:
             raise ConfigError("n_test must be >= 1")
+        # window 1 leaves n_cycles - 1 instances, the most any window
+        # leaves, and windowing.restructure needs n_cal + n_test + 1
+        if self.n_cycles < self.n_cal + self.n_test + 2:
+            raise ConfigError(
+                f"n_cycles = {self.n_cycles} must be >= n_cal + n_test + 2 = "
+                f"{self.n_cal + self.n_test + 2}: the trace is too short for "
+                f"the calibration and test partitions and one training instance")
         if not self.eps_targets:
             raise ConfigError("eps_targets must not be empty")
         if not all(0.0 < eps <= 0.5 for eps in self.eps_targets):

@@ -151,17 +151,23 @@ def backward(params, cfg, cache, dpred):
 
 # rows per inference forward.  A forward peaks at about 53 KB per desk
 # window in float64, 47 KB of it the backward caches it returns; predict
-# drops them with the chunk, so the chunk bounds its memory (3.3 MiB at 64
-# rows).  64 rows take the time of 256 on the 9,984 desk windows
+# keeps one chunk's caches until the next chunk's forward returns, so two
+# chunks bound its memory (6.2 MiB at 64 rows).  64 rows take the time of
+# 256 on the 9,984 desk windows
 PREDICT_BATCH = 64
 
 
 def predict(params, cfg, x):
     """Deterministic batched inference (dropout disabled)."""
     out = np.empty((x.shape[0], cfg.n_series))
+    # the last chunk's caches live until this forward returns, as train
+    # keeps its last batch's: freed earlier, glibc's malloc hands their
+    # pages back to the OS and every chunk faults them in again (about
+    # 108,000 minor faults per 9,984-window desk pass, against 2,000)
+    cache = None
     for start in range(0, x.shape[0], PREDICT_BATCH):
         sl = slice(start, start + PREDICT_BATCH)
-        out[sl] = forward(params, cfg, x[sl])[0]
+        out[sl], cache = forward(params, cfg, x[sl])
     return out
 
 

@@ -14,7 +14,8 @@ from .network import backward, forward
 from .optim import Adam, DropoutMasks, tagged_rng
 
 # the precision a model trains in; its checkpoint and every prediction and
-# decision made from it stay float64 (pipeline.stage_train casts both ways)
+# decision made from it stay float64 (pipeline.stage_train casts the
+# parameters both ways, and each training batch is cast to it)
 TRAIN_DTYPE = np.float32
 
 
@@ -69,12 +70,15 @@ def train(cfg, x, y, train_cfg, seed, params):
     """Minimize the mean pinball loss at quantile 1 - cfg.alpha, updating
     the initial params in place.
 
-    x [L x S x M], y [L x M] must already be normalized; the steps run in
-    the dtype of x, y and params (every kernel keeps it).  seed drives the
-    batch order and the dropout masks.  Returns (trained parameters,
-    per-epoch mean loss curve); epochs=0 returns params untouched.
+    x [L x S x M], y [L x M] must already be normalized.  They are held as
+    given, read-only views of the dataset's float64 windows included: each
+    batch is gathered from them and cast to the dtype of params, which
+    every step runs in (every kernel keeps it).  seed drives the batch
+    order and the dropout masks.  Returns (trained parameters, per-epoch
+    mean loss curve); epochs=0 returns params untouched.
     """
     opt = Adam(params, lr=train_cfg.lr)
+    dtype = params["head.b"].dtype
     cache = None
 
     def step(epoch, batch, idx, masks):
@@ -83,9 +87,10 @@ def train(cfg, x, y, train_cfg, seed, params):
         # pages back to the OS and the forward faults them in again, which
         # made a desk-shape epoch about 25% slower
         nonlocal cache
-        pred, cache = forward(params, cfg, x[idx], masks)
-        loss = pinball_loss(pred, y[idx], cfg.alpha)
-        grads = backward(params, cfg, cache, pinball_grad(pred, y[idx], cfg.alpha))
+        y_b = y[idx].astype(dtype, copy=False)
+        pred, cache = forward(params, cfg, x[idx].astype(dtype, copy=False), masks)
+        loss = pinball_loss(pred, y_b, cfg.alpha)
+        grads = backward(params, cfg, cache, pinball_grad(pred, y_b, cfg.alpha))
         opt.step(params, grads)
         return loss
 

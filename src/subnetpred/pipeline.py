@@ -171,17 +171,17 @@ TAIL_VARIANTS = ("evt-iqpt", "cevt-iqpt", "cevt-iqpt-split")
 BASELINES = ("genie", "moving-average", "wiener")
 
 
-def check_tail_fit(spec, ds):
-    """Reject, before any training, a training partition too short for the
-    tail fit: a quantile head at level 1 - alpha leaves about
-    alpha * n_train exceedances per series, and the fit needs
-    tailcal.MIN_EXCEEDANCES of them."""
-    expected = spec.model.alpha * ds.n_train
+def check_tail_fit(spec, n_train):
+    """Reject, before any training, a training partition of n_train
+    instances too short for the tail fit: a quantile head at level
+    1 - alpha leaves about alpha * n_train exceedances per series, and the
+    fit needs tailcal.MIN_EXCEEDANCES of them."""
+    expected = spec.model.alpha * n_train
     if expected < tailcal.MIN_EXCEEDANCES:
         raise ConfigError(
             f"the {spec.variant} tail fit needs {tailcal.MIN_EXCEEDANCES} "
             f"training exceedances per series, but alpha * n_train = "
-            f"{spec.model.alpha:g} * {ds.n_train} = {expected:g}; raise n_cycles "
+            f"{spec.model.alpha:g} * {n_train} = {expected:g}; raise n_cycles "
             f"or model.alpha")
 
 
@@ -194,10 +194,12 @@ def stage_train(spec, out, ds, split_mode=False):
     """Train the model, centralized or through the split protocol, or load
     its cached checkpoint; returns (float64 parameters, model config).
 
-    The windows, labels and warm-started initialization are cast to
-    TRAIN_DTYPE and either mode trains in it; the trained parameters are
-    cast back to float64 (exact) before they are saved, so the checkpoint
-    and everything computed from it run in float64.
+    The warm-started initialization is cast to TRAIN_DTYPE and either mode
+    trains in it.  The training windows and labels stay the dataset's
+    float64 views, held once: each batch is gathered from them and cast
+    to TRAIN_DTYPE.  The trained parameters are cast back to float64
+    (exact) before they are saved, so the checkpoint and everything
+    computed from it run in float64.
     """
     out = Path(out)
     cfg = _model_cfg(spec, ds.window)
@@ -215,7 +217,6 @@ def stage_train(spec, out, ds, split_mode=False):
     # warm-start each quantile head at its marginal target quantile; the
     # asymmetric pinball gradients otherwise overshoot and anneal slowly
     init["head.b"][:] = np.quantile(ty, 1.0 - cfg.alpha, axis=0)
-    tx, ty = tx.astype(TRAIN_DTYPE), ty.astype(TRAIN_DTYPE)
     init = {k: v.astype(TRAIN_DTYPE) for k, v in init.items()}
     if split_mode:
         params, curve = split_train(partition(init, cfg), tx, ty, spec.train,
@@ -358,12 +359,14 @@ def run_plan(spec, out, variants):
     """Run every stage once for a set of variants of spec; returns
     {variant: detail}.
 
-    Simulate and prepare; check_tail_fit for every tail variant, before any
-    training; train and train_split, once per mode the variants need, each
-    with its model's thresholds over every window (_thresholds, so a split
-    model equal to the centralized one reads its thresholds instead of
-    predicting); calibrate, once per mode; evaluate, one scoring per
-    variant.  Stages cached in `out` are reused.
+    check_tail_fit for every tail variant before `out` is touched, at the
+    most training instances any window leaves (window 1: n_cycles - 1 -
+    n_cal - n_test); simulate and prepare; check_tail_fit again at the
+    window's own n_train, before any training; train and train_split, once
+    per mode the variants need, each with its model's thresholds over every
+    window (_thresholds, so a split model equal to the centralized one
+    reads its thresholds instead of predicting); calibrate, once per mode;
+    evaluate, one scoring per variant.  Stages cached in `out` are reused.
 
     Whatever its exit, a call records `out`'s runs in run_manifest.json
     (_record): each scored variant's config and scores, beside those of
@@ -375,8 +378,11 @@ def run_plan(spec, out, variants):
     raises StageError naming its stage.
     """
     out = Path(out)
-    out.mkdir(parents=True, exist_ok=True)
     specs = {v: replace(spec, variant=v) for v in variants}
+    tails = [spec_v for v, spec_v in specs.items() if v in TAIL_VARIANTS]
+    for spec_v in tails:
+        check_tail_fit(spec_v, spec.n_cycles - 1 - spec.n_cal - spec.n_test)
+    out.mkdir(parents=True, exist_ok=True)
     stages, cache, scored = {}, {}, {}
     try:
         with _stage("simulate", stages, cache):
@@ -384,9 +390,8 @@ def run_plan(spec, out, variants):
         with _stage("prepare", stages, cache):
             ds = stage_prepare(spec, out, trace)
 
-        for v, spec_v in specs.items():
-            if v in TAIL_VARIANTS:
-                check_tail_fit(spec_v, ds)
+        for spec_v in tails:
+            check_tail_fit(spec_v, ds.n_train)
         # training mode per model variant: True trains through the split protocol
         modes = {v: v.endswith("-split") for v in specs if v not in BASELINES}
         models, thresholds = {}, {}

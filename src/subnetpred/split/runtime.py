@@ -35,7 +35,9 @@ def client_name(index):
 class SplitClient:
     """One SA pair: its one-series slices of the embedding and quantile-head
     tensors, under the centralized names, and the private data (windows
-    [n x S x 1], labels [n x 1])."""
+    [n x S x 1], labels [n x 1]).  The data is held as given, views into
+    the training tensors included; each batch is gathered from it and cast
+    to the dtype of the client's parameters, as train casts it."""
 
     def __init__(self, index, params, x_col, y_col, cfg, lr):
         self.index = index
@@ -45,12 +47,14 @@ class SplitClient:
         self.x = x_col
         self.y = y_col
         self.opt = Adam(self.params, lr=lr)
+        self.dtype = params["head.b"].dtype
         self._cache = None
         self._grads = None
 
     def head_forward(self, idx, masks):
         """Embed this series' windows of batch idx; returns the token to send."""
-        x_b, level = layers.center_windows(self.x[idx])
+        x_b = self.x[idx].astype(self.dtype, copy=False)
+        x_b, level = layers.center_windows(x_b)
         tokens, embed = layers.embed_forward(x_b, self.params["embed.w"],
                                              self.params["embed.b"])
         token = tokens[:, 0]
@@ -63,7 +67,7 @@ class SplitClient:
     def tail_step(self, h_m):
         """Forward the tail, evaluate the local pinball loss contribution,
         and return the gradient w.r.t. the received hidden state."""
-        y_b = self.y[self._cache["idx"]]
+        y_b = self.y[self._cache["idx"]].astype(self.dtype, copy=False)
         hs = h_m[:, None]
         pred, _ = layers.head_forward(hs, self.params["head.w"],
                                       self.params["head.b"])
@@ -112,12 +116,12 @@ class SplitServer:
 
 
 def build_participants(part, x, y, lr):
-    """Instantiate clients (one per series, owning its data column) and the
+    """Instantiate clients (one per series, holding its data column) and the
     server from a SplitPartition plus the training tensors.  The participants
-    hold the partition's arrays and update them in place."""
+    hold the partition's arrays and update them in place; each client's
+    column is a view of x and y, never a copy."""
     cfg = part.cfg
-    clients = [SplitClient(m, params, x[:, :, m:m + 1].copy(),
-                           y[:, m:m + 1].copy(), cfg, lr)
+    clients = [SplitClient(m, params, x[:, :, m:m + 1], y[:, m:m + 1], cfg, lr)
                for m, params in enumerate(part.clients)]
     server = SplitServer(part.body, cfg, lr)
     return clients, server

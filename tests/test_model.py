@@ -1,11 +1,13 @@
 """Training behavior: quantile convergence oracles, determinism, baselines."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from subnetpred.config import ModelConfig, TrainConfig
+from subnetpred import pipeline, windowing
+from subnetpred.config import ModelConfig, TrainConfig, desk_preset
 from subnetpred.model import (forward_flops, init_params, levinson_durbin,
                               load_checkpoint, moving_average_predict,
                               param_names, predict, save_checkpoint,
@@ -103,10 +105,11 @@ def test_non_finite_loss_aborts_with_diagnostics(run):
 
 
 def test_predict_peak_memory_is_bounded_by_its_chunk():
-    # the threshold pass keeps one chunk's backward caches at a time, so its
-    # peak does not grow with the window count: 1,024 desk-shape windows
-    # peak at 3.3 MiB in 64-row chunks, and at 24.3 MiB in 256-row chunks
-    # whose caches outlived the next chunk's forward
+    # the threshold pass keeps at most two chunks' backward caches, the last
+    # one's until the next forward returns, so its peak does not grow with
+    # the window count: 1,024 desk-shape windows peak at 6.2 MiB in 64-row
+    # chunks (3.3 MiB when each chunk's caches went before the next
+    # forward), and at 24.3 MiB in 256-row chunks
     cfg = ModelConfig(n_series=4, window=16, d_embed=64, lstm_hidden=64)
     params = init_params(cfg, 0)
     x = np.random.default_rng(0).standard_normal((1024, cfg.window, cfg.n_series))
@@ -118,6 +121,36 @@ def test_predict_peak_memory_is_bounded_by_its_chunk():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * 2**20
+
+
+@pytest.mark.parametrize("split_mode", [False, True])
+def test_training_peak_memory_does_not_grow_with_the_training_set(tmp_path,
+                                                                  split_mode):
+    # training holds the dataset's float64 windows once and gathers and
+    # casts each batch from them, so 6,000 more desk-shape training windows
+    # leave the peak where it was; a float32 copy of the training set would
+    # add 1.6 MB, and per-client copies of its columns as much again
+    desk = desk_preset(0)
+    spec = replace(desk, train=replace(desk.train, epochs=1))
+    window = 16
+    peaks = []
+    # the first training of a process also allocates what the process then
+    # keeps (about 1.1 MiB), so a one-batch training goes first
+    for n_train in (128, 1000, 7000):
+        out = tmp_path / str(n_train)
+        out.mkdir()
+        series = np.random.default_rng(0).standard_normal(
+            (desk.deployment.sa_pairs_per_sn, n_train + window + 2))
+        ds = windowing.normalize(windowing.restructure(series, window, 1, 1))
+        assert ds.n_train == n_train
+        pipeline._mark(out, "prepare", f"synthetic {n_train}")
+        tracemalloc.start()
+        try:
+            pipeline.stage_train(spec, out, ds, split_mode)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[2] - peaks[1]) < 0.5 * 2**20, peaks
 
 
 def test_forward_flops_scale_quadratically_in_series():

@@ -428,7 +428,9 @@ def test_too_few_training_exceedances_fail_before_training(tmp_path, monkeypatch
     monkeypatch.setattr(pipeline, "split_train", fail)
     with pytest.raises(ConfigError, match=r"needs 30 .* = 0\.05 \* 399 = 19\.95"):
         run_pipeline(smoke_spec(seed=12, variant=variant), tmp_path / "api")
-    assert (tmp_path / "api" / "dataset.bin").exists()
+    # 399 is the most any window leaves, so the call is refused before it
+    # simulates: the directory is never made
+    assert not (tmp_path / "api").exists()
     assert main(["evaluate", "--preset", "tiny", "--seed", "12", "--variant",
                  variant, "--out", str(tmp_path / "cli")]) == EXIT_CONFIG
     assert "19.95" in capsys.readouterr().err
@@ -436,6 +438,54 @@ def test_too_few_training_exceedances_fail_before_training(tmp_path, monkeypatch
     # the variants without a tail fit still run on tiny
     monkeypatch.undo()
     run_pipeline(smoke_spec(seed=12, variant="iqpt"), tmp_path / "api")
+
+
+def test_refused_tail_variant_leaves_the_directory_as_it_was(tmp_path, capsys):
+    # a genie run, then a tail variant that tiny cannot fit at any window:
+    # the refusal touches none of the first run's files
+    out = tmp_path / "run"
+    assert main(["evaluate", "--preset", "tiny", "--seed", "0", "--variant", "genie",
+                 "--out", str(out)]) == EXIT_OK
+    names = ("trace.npz", "results.csv", "run_manifest.json", "summary.json")
+    before = {name: (out / name).read_bytes() for name in names}
+    assert main(["evaluate", "--preset", "tiny", "--seed", "1", "--variant",
+                 "evt-iqpt", "--out", str(out)]) == EXIT_CONFIG
+    assert "19.95" in capsys.readouterr().err
+    assert {name: (out / name).read_bytes() for name in names} == before
+    assert "genie" in json.loads(before["run_manifest.json"])["runs"]
+
+
+def test_tail_fit_is_checked_again_at_the_window_the_trace_gives(tmp_path,
+                                                                  monkeypatch):
+    # at 902 cycles window 1 would leave 601 training instances (30.05
+    # expected exceedances), so the early check passes; a window of 8 leaves
+    # 594 (29.7), which the check after prepare refuses before training
+    def fail(*args, **kwargs):
+        raise AssertionError("trained an infeasible spec")
+
+    monkeypatch.setattr(pipeline.windowing, "stationary_interval", lambda *a: 8)
+    monkeypatch.setattr(pipeline, "train", fail)
+    spec = replace(smoke_spec(seed=0, variant="evt-iqpt"), n_cycles=902)
+    with pytest.raises(ConfigError, match=r"0\.05 \* 594 = 29\.7"):
+        run_pipeline(spec, tmp_path)
+    assert (tmp_path / "dataset.bin").exists()
+    assert not (tmp_path / "model.bin").exists()
+
+
+def test_trace_too_short_for_its_partitions_exits_2(tmp_path, capsys):
+    # window 1 leaves 699 instances; calibration and test need 800 of them
+    # and training at least one more
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("n_cal = 500\nn_test = 300\nvariant = genie\n")
+    out = tmp_path / "run"
+    assert main(["evaluate", "--preset", "tiny", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "n_cal + n_test + 2 = 802" in capsys.readouterr().err
+    assert not (out / "trace.npz").exists()
+    # the shortest trace the partitions allow runs
+    cfg.write_text("n_cal = 500\nn_test = 200\nn_cycles = 702\nvariant = genie\n")
+    assert main(["evaluate", "--preset", "tiny", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_OK
 
 
 def test_plan_checks_every_tail_fit_before_any_training(tmp_path, monkeypatch):

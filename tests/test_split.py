@@ -27,8 +27,9 @@ def make_data(n=96, seed=0, cfg=CFG):
 
 
 def at_training_precision(x, y, params):
-    """The windows, labels and parameters cast as pipeline.stage_train
-    casts them before either mode trains."""
+    """The windows, labels and parameters in the training dtype: the
+    parameters as pipeline.stage_train casts them, the data as each
+    training batch is cast."""
     return (x.astype(TRAIN_DTYPE), y.astype(TRAIN_DTYPE),
             {k: v.astype(TRAIN_DTYPE) for k, v in params.items()})
 
@@ -112,6 +113,43 @@ def test_split_epoch_at_training_precision_matches_centralized(window):
     for key, tensor in central.items():
         assert tensor.dtype == TRAIN_DTYPE, key
         assert np.array_equal(split[key], tensor), key
+
+
+@pytest.mark.parametrize("window", [6, 16])
+def test_float64_windows_train_as_their_float32_cast(window):
+    # train and the split clients gather each batch from the float64 windows
+    # and labels and cast it to the parameters' dtype: casting element by
+    # element gives the values of rows gathered from a cast copy, so every
+    # step, and the checkpoint, equals training on pre-cast windows
+    cfg = replace(CFG, window=window)
+    seed = 11
+    x, y = make_data(96, 5, cfg)
+    x32, y32, init = at_training_precision(x, y, init_params(cfg, seed=seed))
+    train_cfg = TrainConfig(lr=1e-3, epochs=2, batch_size=32)
+
+    def fresh():
+        return {k: v.copy() for k, v in init.items()}
+
+    cast, cast_curve = train(cfg, x32, y32, train_cfg, seed, fresh())
+    x.flags.writeable = y.flags.writeable = False
+    held, held_curve = train(cfg, x, y, train_cfg, seed, fresh())
+    split, _ = split_train(partition(fresh(), cfg), x, y, train_cfg,
+                           InProcessChannel(), seed)
+    assert held_curve == cast_curve
+    for key, tensor in cast.items():
+        assert tensor.dtype == TRAIN_DTYPE, key
+        assert held[key].dtype == split[key].dtype == TRAIN_DTYPE, key
+        assert np.array_equal(held[key], tensor), key
+        assert np.array_equal(split[key], tensor), key
+
+
+def test_clients_hold_views_of_the_training_tensors():
+    x, y = make_data(16, 2)
+    clients, _ = build_participants(partition(init_params(CFG, seed=2), CFG),
+                                    x, y, lr=1e-3)
+    for m, cl in enumerate(clients):
+        assert cl.x.base is x and cl.y.base is y
+        assert np.array_equal(cl.x[:, :, 0], x[:, :, m])
 
 
 def _arrays(obj):

@@ -1,16 +1,16 @@
 """Experiment pipeline: simulate -> window -> train -> calibrate -> evaluate.
 
-run_plan (the CLI's evaluate) runs the whole chain on every call.  Simulate,
-prepare and train write their artifacts plus a cache key derived from the
-relevant configuration slice; re-running with the same spec and seed
-reuses artifacts byte-for-byte (stage idempotency), and variants that
-share a trained model (iqpt / evt-iqpt / cevt-iqpt) reuse the same
-checkpoint and thresholds.  Nothing after training knows the protocol
-that trained a model: a run keeps one thresholds.npy, keyed by the model's
-parameters (a split model equal to the centralized one shares its predict
-pass), and one calibration.json, recomputed on every call.  Every call
-checks and rewrites run_manifest.json, the one record of a directory's
-runs; results.csv is written from it, and summary.json holds stage times.
+run_plan (the CLI's evaluate) runs the whole chain on every call.  A run
+directory holds one scenario, the spec without its variant: run_plan
+records it in run_manifest.json when it makes the directory and refuses
+any other.  So simulate, prepare and train reuse an artifact whenever its
+last file exists, and variants that share a trained model (iqpt / evt-iqpt
+/ cevt-iqpt) share its checkpoint and thresholds.  Nothing after training
+knows the protocol that trained a model: a run keeps one thresholds.npy,
+keyed by the model's parameters (a split model equal to the centralized
+one shares its predict pass), and one calibration.json, recomputed on
+every call.  run_manifest.json is the one record of a directory's runs;
+results.csv is written from it, and summary.json holds stage times.
 """
 
 from __future__ import annotations
@@ -73,15 +73,9 @@ def _hash(obj):
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()
 
 
-# Output version of each cached stage, folded into its key.  A change that
-# alters what a stage writes for the same inputs bumps the stage's number;
-# each key holds the key of the stage before it, so the stages after it are
-# rebuilt too.
-STAGE_VERSIONS = {"simulate": 1, "prepare": 2, "train": 2}
-
-
-def _stage_key(stage, inputs):
-    return _hash({"version": STAGE_VERSIONS[stage], **inputs})
+# Output version of the stages, recorded with a directory's scenario: a change
+# that alters what a stage writes for the same spec bumps it.
+VERSION = 1
 
 
 def _file_hash(path):
@@ -92,47 +86,23 @@ def _file_hash(path):
     return h.hexdigest()
 
 
-def _key_path(out, stage):
-    return Path(out) / f".{stage}.key"
-
-
-def _cached(out, stage, key, artifact):
-    """Whether the stage's artifact exists under its current key; the
-    answer is recorded for _stage."""
-    p = _key_path(out, stage)
-    hit = p.exists() and p.read_text() == key and artifact.exists()
+def _cached(artifact, hit=True):
+    """Whether the artifact exists and `hit` holds; the answer is recorded
+    for _stage."""
+    hit = hit and artifact.exists()
     _checks.get([]).append(hit)
     return hit
 
 
-def _mark(out, stage, key):
-    _key_path(out, stage).write_text(key)
-
-
 # ------------------------------------------------------------------- stages
-
-def _as_read(spec):
-    """spec with its bernoulli traffic's push-pull fields at their defaults:
-    bernoulli reads eta alone, so those fields change neither the trace nor
-    the run's identity (the simulate key and the recorded config)."""
-    if spec.traffic.variant != "bernoulli":
-        return spec
-    return replace(spec, traffic=TrafficModel(eta=spec.traffic.eta))
-
 
 def stage_simulate(spec, out):
     out = Path(out)
-    key = _stage_key("simulate", {
-        "dep": spec_to_dict(spec.deployment),
-        "traffic": spec_to_dict(_as_read(spec).traffic),
-        "channel": spec_to_dict(spec.channel),
-        "mobility": spec.mobility, "n_cycles": spec.n_cycles, "seed": spec.seed})
-    if _cached(out, "simulate", key, out / "trace.npz"):
+    if _cached(out / "trace.npz"):
         return simulate.load_trace(out / "trace")
     trace = simulate.simulate_trace(spec.deployment, spec.traffic, spec.channel,
                                     spec.n_cycles, spec.seed, mobility=spec.mobility)
     simulate.save_trace(trace, out / "trace")
-    _mark(out, "simulate", key)
     return trace
 
 
@@ -149,11 +119,7 @@ def _learning_dbm(spec, trace):
 
 def stage_prepare(spec, out, trace):
     out = Path(out)
-    key = _stage_key("prepare", {
-        "sim": _key_path(out, "simulate").read_text(),
-        "threshold": spec.corr_threshold, "max_lag": spec.max_lag,
-        "n_cal": spec.n_cal, "n_test": spec.n_test})
-    if _cached(out, "prepare", key, out / "dataset.json"):
+    if _cached(out / "dataset.json"):
         return windowing.load_dataset(out / "dataset")
     series = _learning_dbm(spec, trace)
     window = windowing.stationary_interval(series, spec.corr_threshold,
@@ -161,7 +127,6 @@ def stage_prepare(spec, out, trace):
     ds = windowing.normalize(windowing.restructure(series, window, spec.n_cal,
                                                    spec.n_test))
     windowing.save_dataset(ds, out / "dataset")
-    _mark(out, "prepare", key)
     return ds
 
 
@@ -192,7 +157,8 @@ def _model_cfg(spec, window):
 
 def stage_train(spec, out, ds, split_mode=False):
     """Train the model, centralized or through the split protocol, or load
-    its cached checkpoint; returns (float64 parameters, model config).
+    its checkpoint once its loss curve, the last file training writes,
+    exists; returns (float64 parameters, model config).
 
     The warm-started initialization is cast to TRAIN_DTYPE and either mode
     trains in it.  The training windows and labels stay the dataset's
@@ -204,12 +170,8 @@ def stage_train(spec, out, ds, split_mode=False):
     out = Path(out)
     cfg = _model_cfg(spec, ds.window)
     stem = out / ("model_split" if split_mode else "model")
-    key = _stage_key("train", {
-        "prep": _key_path(out, "prepare").read_text(),
-        "model": spec_to_dict(cfg), "train": spec_to_dict(spec.train),
-        "split": split_mode})
-    stage = "train_split" if split_mode else "train"
-    if _cached(out, stage, key, stem.with_suffix(".json")):
+    loss = out / (stem.name + "_loss.csv")
+    if _cached(loss):
         params, cfg_loaded, _ = network.load_checkpoint(stem)
         return params, cfg_loaded
     tx, ty = ds.train()
@@ -227,11 +189,10 @@ def stage_train(spec, out, ds, split_mode=False):
     network.save_checkpoint(stem, params, cfg, spec.seed,
                             {"normalization": {"offset": ds.norm.offset.tolist(),
                                                "scale": ds.norm.scale.tolist()}})
-    with open(stem.parent / (stem.name + "_loss.csv"), "w", newline="") as fh:
+    with open(loss, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["epoch", "pinball_loss"])
         w.writerows(enumerate(curve))
-    _mark(out, stage, key)
     return params, cfg
 
 
@@ -246,19 +207,17 @@ def _params_digest(params, cfg):
 
 def _thresholds(out, ds, params, cfg):
     """The model's normalized thresholds for every window of ds, [L x M],
-    cached in thresholds.npy under a key of the dataset, the model config
-    and the parameters' bytes: a model equal to the one whose thresholds
-    the file holds reads them, whichever protocol trained it, and any other
-    model predicts its own (one network.predict pass) into the file."""
-    key = _stage_key("train", {
-        "prep": _key_path(out, "prepare").read_text(), "model": spec_to_dict(cfg),
-        "checkpoint": _params_digest(params, cfg)})
-    path = out / "thresholds.npy"
-    if _cached(out, "thresholds", key, path):
+    cached in thresholds.npy under the parameters' digest in
+    .thresholds.key: a model equal to the one whose thresholds the file
+    holds reads them, whichever protocol trained it, and any other model
+    predicts its own (one network.predict pass) into the file."""
+    key, path = out / ".thresholds.key", out / "thresholds.npy"
+    digest = _params_digest(params, cfg)
+    if _cached(path, key.exists() and key.read_text() == digest):
         return np.load(path)
     thresholds = network.predict(params, cfg, ds.inputs)
     np.save(path, thresholds)
-    _mark(out, "thresholds", key)
+    key.write_text(digest)
     return thresholds
 
 
@@ -355,22 +314,58 @@ def _write_results(out, runs):
 
 # ----------------------------------------------------------------- run plan
 
+def _scenario(spec):
+    """The scenario of spec: the spec without its variant, and with a
+    bernoulli traffic's push-pull fields at their defaults, since bernoulli
+    reads eta alone and those fields change neither the trace nor the run."""
+    if spec.traffic.variant == "bernoulli":
+        spec = replace(spec, traffic=TrafficModel(eta=spec.traffic.eta))
+    return {k: v for k, v in spec_to_dict(spec).items() if k != "variant"}
+
+
+def _differ(a, b, prefix=""):
+    """The dotted keys at which two nested dicts differ."""
+    for k in sorted(a.keys() | b.keys()):
+        x, y = a.get(k), b.get(k)
+        if isinstance(x, dict) and isinstance(y, dict):
+            yield from _differ(x, y, f"{prefix}{k}.")
+        elif x != y:
+            yield prefix + k
+
+
+def _check_out(spec, out):
+    """Whether `out` is new: missing or empty.  An `out` that holds files
+    is refused (ConfigError) unless its run_manifest.json records spec's
+    scenario at this VERSION; the message names the keys that differ."""
+    if not out.is_dir() or not any(out.iterdir()):
+        return True
+    held = _read_json(out / "run_manifest.json")
+    differ = list(_differ({"version": VERSION, **_scenario(spec)},
+                          {"version": held.get("version"), **held.get("scenario", {})}))
+    if differ:
+        why = f"differing: {', '.join(differ)}" if "scenario" in held else "none recorded"
+        raise ConfigError(f"{out} holds another scenario ({why}); "
+                          f"evaluate into an empty directory")
+    return False
+
+
 def run_plan(spec, out, variants):
     """Run every stage once for a set of variants of spec; returns
     {variant: detail}.
 
-    check_tail_fit for every tail variant before `out` is touched, at the
+    Before `out` is touched: check_tail_fit for every tail variant at the
     most training instances any window leaves (window 1: n_cycles - 1 -
-    n_cal - n_test); simulate and prepare; check_tail_fit again at the
-    window's own n_train, before any training; train and train_split, once
-    per mode the variants need, each with its model's thresholds over every
-    window (_thresholds, so a split model equal to the centralized one
-    reads its thresholds instead of predicting); calibrate, once per mode;
-    evaluate, one scoring per variant.  Stages cached in `out` are reused.
+    n_cal - n_test), and _check_out; a new `out` is made with a
+    run_manifest.json that records VERSION and the scenario.  Then
+    simulate and prepare; check_tail_fit again at the window's n_train;
+    train and train_split, once per mode the variants need, each with its
+    model's thresholds over every window (_thresholds); calibrate, once
+    per mode; evaluate, one scoring per variant.  Artifacts that `out`
+    holds are reused.
 
-    Whatever its exit, a call records `out`'s runs in run_manifest.json
-    (_record): each scored variant's config and scores, beside those of
-    earlier calls that were scored on the same files, and the sha256 of
+    Whatever its exit after those checks, a call records `out`'s runs in
+    run_manifest.json (_record): each scored variant's scores, beside those
+    of earlier calls that were scored on the same files, and the sha256 of
     every artifact; results.csv lists those runs.  Its stage times merge
     into summary.json: "stage_seconds" times every stage run in `out`, and
     "stage_cache" says whether that time was a cache "hit" or a "miss" (the
@@ -382,7 +377,11 @@ def run_plan(spec, out, variants):
     tails = [spec_v for v, spec_v in specs.items() if v in TAIL_VARIANTS]
     for spec_v in tails:
         check_tail_fit(spec_v, spec.n_cycles - 1 - spec.n_cal - spec.n_test)
-    out.mkdir(parents=True, exist_ok=True)
+    if _check_out(spec, out):
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "run_manifest.json").write_text(json.dumps(
+            {"version": VERSION, "scenario": _scenario(spec), "runs": {},
+             "artifacts": {}}, indent=2))
     stages, cache, scored = {}, {}, {}
     try:
         with _stage("simulate", stages, cache):
@@ -407,16 +406,13 @@ def run_plan(spec, out, variants):
                     calibrated[split] = stage_calibrate(spec, out, ds,
                                                         *models[split])
 
-        details = {}
         with _stage("evaluate", stages, cache):
             test = {split: ds.partition(thr)[2] for split, thr in thresholds.items()}
-            for v, spec_v in specs.items():
-                split = modes.get(v)                  # None for a baseline
-                details[v] = stage_evaluate(spec_v, out, trace, ds, test.get(split),
-                                            calibrated.get(split))
-        scored = {v: {"config": spec_to_dict(_as_read(specs[v])), **d}
-                  for v, d in details.items()}
-        return details
+            # modes.get(v) is None for a baseline
+            scored = {v: stage_evaluate(spec_v, out, trace, ds, test.get(modes.get(v)),
+                                        calibrated.get(modes.get(v)))
+                      for v, spec_v in specs.items()}
+        return scored
     finally:
         _record(out, stages, cache, scored)
 
@@ -434,9 +430,9 @@ def _record(out, stages, cache, scored):
     """Record a call in run_manifest.json and summary.json.
 
     The manifest's runs were scored on the files it hashes, so they are
-    kept while every one of those files is unchanged and every run holds
-    its scores; otherwise results.csv is deleted, and the runs and the
-    stage times of every stage this call did not run are dropped.  The
+    kept while every one of those files is unchanged; once one changes (a
+    split model that differs from the centralized one rewrites
+    thresholds.npy), results.csv is deleted and the runs are dropped.  The
     runs this call `scored` then follow the kept ones, results.csv is
     written from them, and the manifest records them with the sha256 of
     every artifact.  `stages` and `cache` hold this call's stage times and
@@ -447,22 +443,17 @@ def _record(out, stages, cache, scored):
     seconds = summary.get("stage_seconds", {})
     hits = summary.get("stage_cache", {})
     hashes = {name: _file_hash(out / name) for name in ARTIFACTS if (out / name).exists()}
-    runs = manifest.get("runs", {})
-    changed = any(hashes.get(name) != digest
-                  for name, digest in manifest.get("artifacts", {}).items())
-    # a run without scores was recorded when summary.json held them
-    if changed or any("ra" not in run for run in runs.values()):
+    runs = manifest["runs"]
+    if any(hashes.get(name) != digest for name, digest in manifest["artifacts"].items()):
         (out / "results.csv").unlink(missing_ok=True)
         hashes.pop("results.csv", None)
         runs = {}
-        seconds = {k: v for k, v in seconds.items() if k in cache}
-        hits = {k: v for k, v in hits.items() if k in cache}
     if scored:
         runs = {**{v: run for v, run in runs.items() if v not in scored}, **scored}
         _write_results(out, runs)
         hashes["results.csv"] = _file_hash(out / "results.csv")
     (out / "run_manifest.json").write_text(
-        json.dumps({"runs": runs, "artifacts": hashes}, indent=2))
+        json.dumps({**manifest, "runs": runs, "artifacts": hashes}, indent=2))
     for name, state in cache.items():
         if state == "miss" or hits.get(name) != "miss":
             seconds[name], hits[name] = stages[name], state
@@ -498,7 +489,8 @@ def sweep(spec, axis, values, out):
     the eps_targets of one evaluate give a row per reliability target.
     Every value is checked before the first point runs; a value the axis
     cannot take is a ConfigError naming both.  So is a results.csv under
-    `out` outside this sweep's points, which report would tabulate with them.
+    `out` outside this sweep's points, which report would tabulate with
+    them, and a point directory that holds another scenario (_check_out).
     """
     if axis not in SWEEP_AXES:
         raise ConfigError(f"unknown sweep axis {axis!r}; pick from {SWEEP_AXES}")
@@ -518,6 +510,8 @@ def sweep(spec, axis, values, out):
         raise ConfigError(f"{out} holds runs outside this sweep's points: "
                           f"{', '.join(foreign)}; sweep into another directory")
     for value, point in points:
+        _check_out(point, out / f"{axis}_{value}")
+    for value, point in points:
         run_pipeline(point, out / f"{axis}_{value}")
     return report(out, out / "report")
 
@@ -527,14 +521,14 @@ def sweep(spec, axis, values, out):
 def report(results_dir, out_path=None):
     """Merge the runs under a directory into one table of points.
 
-    A point is the scenario a row was scored in: the config that
-    run_manifest.json records for the row's variant, minus seed and
-    variant, so the runs of one point differ only by seed.  It is named
-    after its first run directory in sorted order; a results.csv whose
-    manifest does not record its row's variant is its own point, named
-    after its directory.  Rows group by point, predictor and eps_target,
-    and every value column of RESULT_FIELDS aggregates to <field>_mean and
-    <field>_ci, a normal-approximation 95% CI over runs (0 for one run).
+    A point is the scenario a run directory holds: the one its
+    run_manifest.json records, minus seed, so the runs of one point differ
+    only by seed.  It is named after its first run directory in sorted
+    order; a results.csv whose directory records no scenario is its own
+    point, named after its directory.  Rows group by point, predictor and
+    eps_target, and every value column of RESULT_FIELDS aggregates to
+    <field>_mean and <field>_ci, a normal-approximation 95% CI over runs (0
+    for one run).
     Returns (rows, markdown); with out_path, the runs' rows go to
     out_path.csv, with their point, run and seed, and the table to
     out_path.md.
@@ -546,14 +540,13 @@ def report(results_dir, out_path=None):
     rows, names, grouped = [], {}, {}
     for path in found:
         run = str(path.parent.relative_to(results_dir)) or "."
-        manifest = _read_json(path.parent / "run_manifest.json")
+        scenario = _read_json(path.parent / "run_manifest.json").get("scenario")
+        point = run if scenario is None else _hash(
+            {k: v for k, v in scenario.items() if k != "seed"})
         with open(path, newline="") as fh:
             for r in csv.DictReader(fh):
-                config = manifest.get("runs", {}).get(r["predictor"], {}).get("config")
-                point = run if config is None else _hash(
-                    {k: v for k, v in config.items() if k not in ("seed", "variant")})
                 r.update(point=names.setdefault(point, run), run=run,
-                         seed=None if config is None else config["seed"])
+                         seed=None if scenario is None else scenario["seed"])
                 rows.append(r)
                 grouped.setdefault((point, r["predictor"], r["eps_target"]),
                                    []).append(r)

@@ -143,7 +143,6 @@ def test_training_peak_memory_does_not_grow_with_the_training_set(tmp_path,
             (desk.deployment.sa_pairs_per_sn, n_train + window + 2))
         ds = windowing.normalize(windowing.restructure(series, window, 1, 1))
         assert ds.n_train == n_train
-        pipeline._mark(out, "prepare", f"synthetic {n_train}")
         tracemalloc.start()
         try:
             pipeline.stage_train(spec, out, ds, split_mode)

@@ -92,10 +92,14 @@ def test_manifest_keeps_every_variant(tmp_path):
         run_pipeline(spec, tmp_path)
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert set(manifest["runs"]) == {"moving-average", "genie"}
+    # the directory's scenario is recorded once, and the runs hold their scores
+    assert manifest["version"] == pipeline.VERSION
+    assert manifest["scenario"] == {k: v for k, v in spec_to_dict(specs[0]).items()
+                                    if k != "variant"}
+    assert manifest["scenario"]["seed"] == 6
     for spec in specs:
-        run = manifest["runs"][spec.variant]
-        assert run["config"] == spec_to_dict(spec)
-        assert run["config"]["seed"] == 6
+        assert set(manifest["runs"][spec.variant]) == {
+            "coverage_per_sa", "width_db_per_sa", "width_norm_per_sa", "ra"}
     assert "trace.npz" in manifest["artifacts"]
 
 
@@ -123,6 +127,8 @@ def test_trained_variant_shares_checkpoint(tmp_path):
     stamp = (tmp_path / "model.bin").stat().st_mtime_ns
     run_pipeline(spec, tmp_path)     # cached
     assert (tmp_path / "model.bin").stat().st_mtime_ns == stamp
+    # the thresholds' parameter digest is the one key a directory keeps
+    assert [p.name for p in tmp_path.glob(".*.key")] == [".thresholds.key"]
 
 
 def test_split_variant_trains_via_protocol_and_matches(tmp_path):
@@ -260,128 +266,90 @@ def test_failed_call_records_the_stages_it_completed(tmp_path, monkeypatch):
     assert set(summary["stage_seconds"]) == set(summary["stage_cache"])
 
 
-@pytest.mark.parametrize("between", [[], ["iqpt"]])
-def test_runs_scored_on_another_dataset_leave_the_directory(tmp_path, monkeypatch,
-                                                            between):
-    """A directory keeps only the results scored on the dataset it holds:
-    evaluate on another scenario drops the runs of the old one, whether it
-    or an earlier call rebuilt the dataset (here one whose training fails)."""
-    def cli(seed, variants, out, code=EXIT_OK):
-        argv = ["evaluate", "--preset", "tiny", "--seed", str(seed), "--out", str(out)]
-        for variant in variants:
-            argv += ["--variant", variant]
-        assert main(argv) == code
-
-    def fail(*args, **kwargs):
-        raise RuntimeError("injected")
-
-    cli(0, ["genie", "moving-average"], tmp_path / "run")
-    if between:
-        with monkeypatch.context() as patch:
-            patch.setattr(pipeline, "train", fail)
-            cli(1, between, tmp_path / "run", EXIT_STAGE)
-    cli(1, ["genie"], tmp_path / "run")
-    cli(1, ["genie"], tmp_path / "fresh")
-    for name in ("results.csv", "run_manifest.json"):
-        assert ((tmp_path / "run" / name).read_bytes()
-                == (tmp_path / "fresh" / name).read_bytes()), name
-    runs = json.loads((tmp_path / "run" / "run_manifest.json").read_text())["runs"]
-    assert set(runs) == {"genie"}
-    assert runs["genie"]["config"]["seed"] == 1
+def snapshot(out):
+    """Every file under `out`, by relative path, with its bytes."""
+    return {str(p.relative_to(out)): p.read_bytes()
+            for p in sorted(out.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize("seed, variant, config", [
-    ("1", "moving-average", ""),
-    ("0", "moving-average", "n_cal = 80\n"),
-    ("0", "iqpt", "train.epochs = 3\n"),
-], ids=["simulate", "prepare", "retrain"])
-def test_stage_command_that_replaces_a_scored_file_drops_the_runs(tmp_path, seed,
-                                                                  variant, config):
-    """Runs stay recorded while the files they were scored on stay: an
-    evaluate that rebuilds them in place, on the same scenario, keeps
-    every record; one that replaces the trace, the dataset or the model
-    leaves only its own run behind, and no stale hash."""
+@pytest.mark.parametrize("seed, config, named", [
+    ("1", "", "differing: seed"),
+    ("0", "n_cal = 80\n", "differing: n_cal"),
+    ("0", "train.epochs = 3\n", "differing: train.epochs"),
+    ("0", "", "differing: version"),
+    ("0", "", "none recorded"),
+], ids=["seed", "n_cal", "train.epochs", "version", "unrecorded"])
+def test_another_scenario_is_refused_and_leaves_every_file(tmp_path, monkeypatch,
+                                                          capsys, seed, config, named):
+    """A directory holds one scenario: an evaluate of the same one in place
+    keeps every record byte for byte; one of another seed, n_cal, training,
+    output VERSION, or into a directory that records no scenario, exits 2,
+    names what differs and writes nothing."""
     (tmp_path / "run.cfg").write_text(config)
-    base = ["--preset", "tiny", "--out", str(tmp_path / "run")]
+    out = tmp_path / "run"
+    base = ["--preset", "tiny", "--out", str(out)]
     assert main(["evaluate", "--seed", "0", "--variant", "genie", "--variant", "iqpt"]
                 + base) == EXIT_OK
-    scored = {name: (tmp_path / "run" / name).read_bytes()
+    scored = {name: (out / name).read_bytes()
               for name in ("results.csv", "run_manifest.json")}
     assert main(["evaluate", "--seed", "0", "--variant", "iqpt"] + base) == EXIT_OK
     for name, blob in scored.items():
-        assert (tmp_path / "run" / name).read_bytes() == blob, name
+        assert (out / name).read_bytes() == blob, name
 
-    assert main(["evaluate", "--seed", seed, "--variant", variant,
-                 "--config", str(tmp_path / "run.cfg")] + base) == EXIT_OK
-    assert_runs(tmp_path / "run", [variant])
-    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
-    assert not {"runs", "seed", "window"} & set(summary)
-
-
-def test_stage_command_on_another_scenario_drops_the_old_stage_times(tmp_path):
-    """A call that drops the runs keeps only the stage times it measured:
-    the old scenario's train time goes with its runs."""
-    base = ["--preset", "tiny", "--out", str(tmp_path)]
-    assert main(["evaluate", "--seed", "0", "--variant", "genie", "--variant", "iqpt"]
-                + base) == EXIT_OK
-    assert main(["evaluate", "--seed", "1", "--variant", "genie"] + base) == EXIT_OK
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert not {"runs", "seed", "window"} & set(summary)
-    assert summary["stage_cache"] == {"simulate": "miss", "prepare": "miss",
-                                      "evaluate": "miss"}
-    assert set(summary["stage_seconds"]) == {"simulate", "prepare", "evaluate"}
+    if named == "differing: version":
+        monkeypatch.setattr(pipeline, "VERSION", pipeline.VERSION + 1)
+    elif named == "none recorded":
+        (out / "run_manifest.json").unlink()
+    before = snapshot(out)
+    capsys.readouterr()
+    assert main(["evaluate", "--seed", seed, "--variant", "moving-average",
+                 "--config", str(tmp_path / "run.cfg")] + base) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"holds another scenario ({named})" in err, err
+    assert snapshot(out) == before
 
 
-def test_stage_command_on_another_scenario_drops_unrecorded_stage_times(tmp_path,
-                                                                        monkeypatch):
-    """With no run ever recorded the manifest still hashes the files: a
-    call that rebuilds the trace and the dataset drops the old scenario's
-    stage times all the same (here those of a call that failed after
-    training)."""
-    def fail(*args, **kwargs):
-        raise RuntimeError("tail fit failed")
-
-    monkeypatch.setattr(tailcal, "gpd_fit", fail)
-    cfg = tmp_path / "exp.cfg"
-    cfg.write_text(CALIBRATING_CFG)
-    base = ["evaluate", "--preset", "tiny", "--config", str(cfg),
-            "--out", str(tmp_path / "run")]
-    assert main(base + ["--seed", "0", "--variant", "evt-iqpt"]) == EXIT_STAGE
-    assert_runs(tmp_path / "run", [])
-    monkeypatch.undo()
-    assert main(base + ["--seed", "1", "--variant", "genie"]) == EXIT_OK
-    summary = json.loads((tmp_path / "run" / "summary.json").read_text())
-    assert summary["stage_cache"] == {"simulate": "miss", "prepare": "miss",
-                                      "evaluate": "miss"}
-    assert set(summary["stage_seconds"]) == {"simulate", "prepare", "evaluate"}
+def test_an_empty_out_directory_is_a_new_run(tmp_path):
+    # an existing but empty --out holds no scenario, so any spec may claim it
+    out = tmp_path / "run"
+    out.mkdir()
+    run_pipeline(smoke_spec(seed=3, variant="genie"), out)
+    assert json.loads((out / "run_manifest.json").read_text())["scenario"]["seed"] == 3
 
 
-def test_a_manifest_whose_runs_hold_no_scores_counts_as_changed_once(tmp_path):
-    """An older layout kept the scores in summary.json and only the configs
-    in run_manifest.json: the manifest cannot rewrite results.csv, so the
-    next call drops its runs, and the call after that keeps the new ones."""
-    run_pipeline(smoke_spec(seed=0, variant="genie"), tmp_path)
+def test_a_call_refused_after_prepare_leaves_its_scenario_to_reuse(tmp_path,
+                                                                   monkeypatch):
+    # the scenario is recorded before simulate, so a refusal after prepare
+    # leaves a directory whose next call of that scenario reuses its trace
+    monkeypatch.setattr(pipeline.windowing, "stationary_interval", lambda *a: 8)
+    spec = replace(smoke_spec(seed=0, variant="evt-iqpt"), n_cycles=902)
+    with pytest.raises(ConfigError, match=r"0\.05 \* 594 = 29\.7"):
+        run_pipeline(spec, tmp_path)
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    config = manifest["runs"]["genie"]["config"]
-    manifest["runs"] = {"genie": {"config": config, "config_hash": pipeline._hash(config)}}
-    (tmp_path / "run_manifest.json").write_text(json.dumps({**manifest, "seed": 0}))
-    summary["stage_seconds"]["train"], summary["stage_cache"]["train"] = 1.0, "miss"
-    (tmp_path / "summary.json").write_text(json.dumps(
-        {**summary, "runs": {"genie": {"variant": "genie"}}, "seed": 0, "window": 1}))
+    assert manifest["scenario"]["n_cycles"] == 902 and manifest["runs"] == {}
+    stamp = (tmp_path / "trace.npz").stat().st_mtime_ns
+    run_pipeline(replace(spec, variant="genie"), tmp_path)
+    assert (tmp_path / "trace.npz").stat().st_mtime_ns == stamp
+    assert_runs(tmp_path, ["genie"])
 
-    run_pipeline(smoke_spec(seed=0, variant="moving-average"), tmp_path)
-    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    assert list(manifest["runs"]) == ["moving-average"]
-    with open(tmp_path / "results.csv", newline="") as fh:
-        assert {r["predictor"] for r in csv.DictReader(fh)} == {"moving-average"}
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert list(summary) == ["stage_seconds", "stage_cache"]
-    assert set(summary["stage_seconds"]) == {"simulate", "prepare", "evaluate"}
 
-    run_pipeline(smoke_spec(seed=0, variant="genie"), tmp_path)
-    manifest = json.loads((tmp_path / "run_manifest.json").read_text())
-    assert list(manifest["runs"]) == ["moving-average", "genie"]
+def test_tail_variant_refused_after_its_window_leaves_the_directory_as_it_was(
+        tmp_path, monkeypatch, capsys):
+    # at 902 cycles window 1 leaves 601 training instances (30.05 expected
+    # exceedances), so the spec-only tail check passes; the trace's window
+    # of 8 would leave 594 (29.7).  Another seed is refused before the call
+    # simulates, so the genie run's files stay as they were.
+    (tmp_path / "run.cfg").write_text("n_cycles = 902\n")
+    out = tmp_path / "run"
+    base = ["evaluate", "--preset", "tiny", "--config", str(tmp_path / "run.cfg"),
+            "--out", str(out)]
+    assert main(base + ["--seed", "0", "--variant", "genie"]) == EXIT_OK
+    names = ("trace.npz", "results.csv", "run_manifest.json")
+    before = {name: (out / name).read_bytes() for name in names}
+    monkeypatch.setattr(pipeline.windowing, "stationary_interval", lambda *a: 8)
+    assert main(base + ["--seed", "1", "--variant", "evt-iqpt"]) == EXIT_CONFIG
+    assert {name: (out / name).read_bytes() for name in names} == before
+    assert "(differing: seed)" in capsys.readouterr().err
 
 
 def test_a_call_hashes_each_artifact_once(tmp_path, monkeypatch):
@@ -560,13 +528,22 @@ def test_one_threshold_pass_per_model_serves_calibrate_and_evaluate(
 
 
 def test_retrained_model_recomputes_its_thresholds(tmp_path, monkeypatch):
+    # without its loss curve, the last file training writes, the model is
+    # trained again; here into other parameters, whose digest misses the key
     spec = calibrating_spec("iqpt")
     run_pipeline(spec, tmp_path)
     old = np.load(tmp_path / "thresholds.npy")
+    (tmp_path / "model_loss.csv").unlink()
+    train = pipeline.train
 
+    def nudged(*args, **kwargs):
+        params, curve = train(*args, **kwargs)
+        params["head.b"][0] += 1e-3
+        return params, curve
+
+    monkeypatch.setattr(pipeline, "train", nudged)
     calls = _count_predicts(monkeypatch)
-    longer = replace(spec, train=replace(spec.train, epochs=spec.train.epochs + 1))
-    run_pipeline(replace(longer, variant="evt-iqpt"), tmp_path)
+    run_pipeline(replace(spec, variant="evt-iqpt"), tmp_path)
     ds = pipeline.windowing.load_dataset(tmp_path / "dataset")
     assert calls == [ds.inputs.shape[0]]
     monkeypatch.undo()
@@ -574,6 +551,8 @@ def test_retrained_model_recomputes_its_thresholds(tmp_path, monkeypatch):
     new = np.load(tmp_path / "thresholds.npy")
     assert np.array_equal(new, pipeline.network.predict(params, cfg, ds.inputs))
     assert not np.array_equal(new, old)
+    # the iqpt run was scored on the replaced files, so it leaves the record
+    assert_runs(tmp_path, ["evt-iqpt"])
 
 
 def _run_in_turn(out, variants):
@@ -651,44 +630,12 @@ def test_trained_parameters_are_the_float64_checkpoint(tmp_path):
     assert (pipeline._params_digest(params, cfg)
             == pipeline._file_hash(direct / "model.bin"))
 
-    run_pipeline(spec, tmp_path)
-    cold = (tmp_path / "thresholds.npy").read_bytes()
-    (tmp_path / "thresholds.npy").unlink()
-    run_pipeline(spec, tmp_path)
-    assert (tmp_path / "thresholds.npy").read_bytes() == cold
-
-
-def test_stage_version_bump_rebuilds_that_stage_and_every_later_one(
-        tmp_path, monkeypatch):
-    ran = []
-
-    def counted(stage, owner, name):
-        inner = getattr(owner, name)
-
-        def wrapper(*args, **kwargs):
-            ran.append(stage)
-            return inner(*args, **kwargs)
-        monkeypatch.setattr(owner, name, wrapper)
-
-    counted("simulate", pipeline.simulate, "simulate_trace")
-    counted("prepare", pipeline.windowing, "restructure")
-    counted("train", pipeline, "train")
-    stages = list(pipeline.STAGE_VERSIONS)
-    assert stages == ["simulate", "prepare", "train"]
-    spec = calibrating_spec("cevt-iqpt")
-    run_pipeline(spec, tmp_path)
-    assert ran == stages
-    ran.clear()
-    run_pipeline(spec, tmp_path)
-    assert ran == []
-    results = (tmp_path / "results.csv").read_bytes()
-    for i in reversed(range(len(stages))):
-        monkeypatch.setitem(pipeline.STAGE_VERSIONS, stages[i],
-                            pipeline.STAGE_VERSIONS[stages[i]] + 1)
-        run_pipeline(spec, tmp_path)
-        assert ran == stages[i:], stages[i]
-        assert (tmp_path / "results.csv").read_bytes() == results
-        ran.clear()
+    run = tmp_path / "run"
+    run_pipeline(spec, run)
+    cold = (run / "thresholds.npy").read_bytes()
+    (run / "thresholds.npy").unlink()
+    run_pipeline(spec, run)
+    assert (run / "thresholds.npy").read_bytes() == cold
 
 
 def test_split_training_failure_names_train_split_stage(tmp_path, monkeypatch):
@@ -714,7 +661,6 @@ def test_diverged_training_names_its_stage_and_caches_nothing(
     assert info.value.stage == stage
     assert isinstance(info.value.__cause__, TrainingDivergedError)
     assert not list(tmp_path.glob(stem + "*"))
-    assert not (tmp_path / f".{stage}.key").exists()
 
 
 # ------------------------------------------------------------------- config
@@ -776,7 +722,7 @@ def test_run_records_the_model_alpha_it_trained_at_and_no_data_shape(tmp_path):
     assert main(["evaluate", "--config", str(cfg), "--preset", "tiny", "--seed", "0",
                  "--variant", "iqpt", "--out", str(out)]) == EXIT_OK
     recorded = json.loads((out / "run_manifest.json").read_text())
-    model = recorded["runs"]["iqpt"]["config"]["model"]
+    model = recorded["scenario"]["model"]
     hyper = json.loads((out / "model.json").read_text())["hyper"]
     # the pipeline fills the shape from the data; the record states no other
     assert model["n_series"] is None and model["window"] is None
@@ -859,8 +805,8 @@ def test_cli_simulate_and_evaluate(tmp_path):
     assert main(["evaluate", "--config", str(cfg), "--preset", "tiny",
                  "--out", str(out)]) == EXIT_OK
     assert (out / "results.csv").exists()
-    runs = json.loads((out / "run_manifest.json").read_text())["runs"]
-    assert runs["moving-average"]["config"]["n_cycles"] == 600
+    scenario = json.loads((out / "run_manifest.json").read_text())["scenario"]
+    assert scenario["n_cycles"] == 600
 
 
 def test_a_refused_call_leaves_the_run_records_as_they_were(tmp_path, capsys):
@@ -1024,7 +970,7 @@ def test_push_pull_sweep_point_that_never_transmits_exits_2(tmp_path, capsys):
 
 def test_bernoulli_run_ignores_the_push_pull_values_it_does_not_read(tmp_path):
     # bernoulli traffic reads eta alone: a sweep config's push-pull values
-    # change neither the trace, nor the simulate key, nor the point
+    # change neither the trace, nor the recorded scenario, nor the point
     plain, sweep_dir = tmp_path / "plain", tmp_path / "sweep"
     assert main(["evaluate", "--preset", "tiny", "--seed", "0", "--variant", "genie",
                  "--out", str(plain)]) == EXIT_OK
@@ -1034,9 +980,8 @@ def test_bernoulli_run_ignores_the_push_pull_values_it_does_not_read(tmp_path):
                  "--values", "bernoulli", "--config", str(cfg),
                  "--out", str(sweep_dir)]) == EXIT_OK
     point = sweep_dir / "traffic_bernoulli"
-    for name in ("trace.npz", ".simulate.key"):
-        assert (plain / name).read_bytes() == (point / name).read_bytes(), name
-    configs = [json.loads((d / "run_manifest.json").read_text())["runs"]["genie"]["config"]
+    assert (plain / "trace.npz").read_bytes() == (point / "trace.npz").read_bytes()
+    configs = [json.loads((d / "run_manifest.json").read_text())["scenario"]
                for d in (plain, point)]
     assert configs[0] == configs[1]
     merged, _ = report(tmp_path)
@@ -1071,11 +1016,28 @@ def test_refused_sweep_leaves_the_recorded_configs_as_they_were(tmp_path):
             "--out", str(out), "--values"]
     assert main([*args, "2", "--config", str(cfg)]) == EXIT_OK
     recorded = (out / "m_2" / "run_manifest.json").read_bytes()
-    assert json.loads(recorded)["runs"]["genie"]["config"]["n_cycles"] == 700
+    assert json.loads(recorded)["scenario"]["n_cycles"] == 700
     cfg.write_text("variant = genie\nn_cycles = 650\n")
     assert main([*args, "4", "--config", str(cfg)]) == EXIT_CONFIG
     assert (out / "m_2" / "run_manifest.json").read_bytes() == recorded
     assert not (out / "run_manifest.json").exists()
+
+
+def test_sweep_refuses_a_changed_base_config_before_any_point_runs(tmp_path, capsys):
+    # every point directory must hold its own scenario, so a sweep at
+    # another seed stops before its first point, the new m_4 included
+    cfg = tmp_path / "genie.cfg"
+    cfg.write_text("variant = genie\n")
+    out = tmp_path / "sweep"
+    args = ["sweep", "--preset", "tiny", "--axis", "m", "--config", str(cfg),
+            "--out", str(out), "--values"]
+    assert main([*args, "2", "--seed", "0"]) == EXIT_OK
+    before = snapshot(out)
+    assert main([*args, "2,4", "--seed", "1"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "m_2 holds another scenario (differing: seed)" in err, err
+    assert snapshot(out) == before
+    assert not (out / "m_4").exists()
 
 
 def test_cli_report_missing_dir_exit_code(tmp_path):

@@ -6,18 +6,18 @@ import numpy as np
 
 
 def pinball_loss(pred, label, alpha):
-    """Mean asymmetric loss for the (1 - alpha) quantile.
-
-    Overprediction costs alpha per unit, underprediction 1 - alpha, so the
-    minimizer of the mean is the empirical (1 - alpha) quantile.  The
-    difference is formed in float64 whatever the inputs' dtype, without
-    float64 copies of them.
-    """
+    """Batch loss for the (1 - alpha) quantile: the contiguous mean of each
+    series column of pred, label [b x k], divided by k and added column by
+    column.  Overprediction costs alpha per unit, underprediction 1 - alpha.
+    A split client's one column divided by M is train's term for it, so the
+    clients' terms added in series order are train's loss bit for bit.  The
+    difference is formed in float64, without float64 copies of the inputs."""
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    diff = np.subtract(pred, label, dtype=float)
+    diff = np.subtract(pred, label, dtype=float).reshape(len(pred), -1)
     loss = np.where(diff >= 0, alpha * diff, (alpha - 1.0) * diff)
-    return float(loss.mean())
+    n = loss.shape[1]
+    return sum(float(col.mean()) / n for col in np.ascontiguousarray(loss.T))
 
 
 def pinball_grad(pred, label, alpha, count=None):

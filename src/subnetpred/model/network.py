@@ -102,9 +102,29 @@ def body_backward(params, cfg, cache, dhs):
     return dtokens, grads
 
 
-def embed_dropout(masks, i, shape):
-    """Dropout mask of series i's embedding token; None at inference."""
-    return None if masks is None else masks.mask(f"embed/{i}", shape)
+def client_forward(params, x, masks, first=0):
+    """The client half of series first .. first + k - 1: windows x [b x S x k]
+    centred, embedded and masked by series i's embed/{i} dropout -> (tokens
+    [b x k x D], level [b x k], cache).  forward runs it over all M series,
+    a split client over its own, in the same operations and layout."""
+    x, level = layers.center_windows(x)
+    tokens, c_embed = layers.embed_forward(x, params["embed.w"], params["embed.b"])
+    mask = None
+    if masks is not None:
+        b, k, d = tokens.shape
+        cols = [masks.mask(f"embed/{i}", (b, d)) for i in range(first, first + k)]
+        if cols[0] is not None:
+            mask = np.stack(cols, axis=1).astype(tokens.dtype, copy=False)
+            tokens = tokens * mask
+    return tokens, level, (c_embed, mask)
+
+
+def client_backward(cache, dtokens):
+    """Gradients (embed.w, embed.b) of the client half, given dloss/dtokens."""
+    c_embed, mask = cache
+    if mask is not None:
+        dtokens = dtokens * mask
+    return layers.embed_backward(c_embed, dtokens)
 
 
 def forward(params, cfg, x, masks=None):
@@ -116,23 +136,13 @@ def forward(params, cfg, x, masks=None):
     if x.ndim != 3 or x.shape[1] != cfg.window or x.shape[2] != cfg.n_series:
         raise ValueError(
             f"expected input [b x {cfg.window} x {cfg.n_series}], got {x.shape}")
-    # per-instance recent level; the head predicts the offset from it,
-    # which carries no parameters so the backward pass is unaffected
-    x, level = layers.center_windows(x)
-    tokens, c_embed = layers.embed_forward(x, params["embed.w"], params["embed.b"])
-    embed_mask = None
-    if masks is not None:
-        b, m, d = tokens.shape
-        cols = [embed_dropout(masks, i, (b, d)) for i in range(m)]
-        if cols[0] is not None:
-            embed_mask = np.stack(cols, axis=1).astype(tokens.dtype, copy=False)
-            tokens = tokens * embed_mask
+    # the head predicts the offset from each window's level, which carries
+    # no parameters, so the backward pass is unaffected
+    tokens, level, c_client = client_forward(params, x, masks)
     hs, c_body = body_forward(params, cfg, tokens, masks)
     pred, c_head = layers.head_forward(hs, params["head.w"], params["head.b"])
     pred = pred + level
-    cache = {"embed": c_embed, "embed_mask": embed_mask, "body": c_body,
-             "head": c_head}
-    return pred, cache
+    return pred, {"client": c_client, "body": c_body, "head": c_head}
 
 
 def backward(params, cfg, cache, dpred):
@@ -142,10 +152,7 @@ def backward(params, cfg, cache, dpred):
         cache["head"], params["head.w"], dpred)
     dtokens, body_grads = body_backward(params, cfg, cache["body"], dhs)
     grads.update(body_grads)
-    if cache["embed_mask"] is not None:
-        dtokens = dtokens * cache["embed_mask"]
-    grads["embed.w"], grads["embed.b"] = layers.embed_backward(
-        cache["embed"], dtokens)
+    grads["embed.w"], grads["embed.b"] = client_backward(cache["client"], dtokens)
     return grads
 
 

@@ -43,12 +43,13 @@ def lr_at(train_cfg, epoch):
 
 
 def run_epochs(n_instances, train_cfg, seed, dropout, optimizers, step):
-    """Drive step(epoch, batch, idx, masks) over every batch of every epoch.
+    """Drive step(idx, masks), which returns the batch loss, over every
+    batch of every epoch.
 
     Sets each optimizer's learning rate per epoch, draws the batch order and
     one DropoutMasks per batch from seed, and raises TrainingDivergedError
-    on the first non-finite batch loss that step returns.  Returns the
-    per-epoch mean loss curve.
+    on the first non-finite batch loss.  Returns the per-epoch mean loss
+    curve.
     """
     curve = []
     for epoch in range(train_cfg.epochs):
@@ -58,7 +59,7 @@ def run_epochs(n_instances, train_cfg, seed, dropout, optimizers, step):
         losses = []
         for bi, idx in enumerate(batch_schedule(n_instances, train_cfg.batch_size,
                                                 seed, epoch)):
-            loss = step(epoch, bi, idx, DropoutMasks(dropout, seed, epoch, bi))
+            loss = step(idx, DropoutMasks(dropout, seed, epoch, bi))
             if not np.isfinite(loss):
                 raise TrainingDivergedError(epoch, bi, loss)
             losses.append(loss)
@@ -81,7 +82,7 @@ def train(cfg, x, y, train_cfg, seed, params):
     dtype = params["head.b"].dtype
     cache = None
 
-    def step(epoch, batch, idx, masks):
+    def step(idx, masks):
         # keep the last batch's cache until this forward returns, as the
         # split participants do: freed earlier, glibc's malloc hands its
         # pages back to the OS and the forward faults them in again, which

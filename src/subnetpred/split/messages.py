@@ -1,8 +1,8 @@
 """Message schema and the in-process transport for split execution.
 
-A message carries its kind, its endpoints, the (epoch, batch) of the shared
-epoch loop and a float payload.  The in-process channel delivers exactly
-once and in per-(source, dest) order; a message never sent makes the
+A message carries its kind, its endpoints and a float payload.  The
+in-process channel delivers exactly once and in per-(source, dest) order,
+so a batch's messages need no other header; a message never sent makes the
 receiver's recv raise.
 """
 
@@ -26,8 +26,6 @@ class SplitMessage:
     kind: str
     source: str
     dest: str
-    epoch: int
-    batch: int
     payload: np.ndarray
 
     def __post_init__(self):

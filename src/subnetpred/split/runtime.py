@@ -1,14 +1,14 @@
 """Bulk-synchronous U-shaped split execution.
 
 Every forward/backward step evaluates exactly the operations of the
-centralized network: a client calls the same embedding and quantile-head
-functions on its one-series slice (windows [b x S x 1], weights [1 x ...]),
-which stack their matmuls over the series axis and hand BLAS each series'
-operands in the same contiguous layout at any series count, and the server
+centralized network: a client runs the network's client half and the
+quantile-head functions on its one-series slice (windows [b x S x 1],
+weights [1 x ...]) and adds its series' term of pinball_loss; the server
 calls the same body kernels.  Split training from a partitioned checkpoint
-therefore reproduces centralized training bit-for-bit given the same seed
-and data order.  Labels and raw windows never leave their client; only cut
-activations and cut gradients cross the channel.
+therefore reproduces centralized training, parameters and loss curve, bit
+for bit given the same seed and data order.  Labels and raw windows never
+leave their client; only cut activations and cut gradients cross the
+channel.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ import numpy as np
 
 from ..model import layers
 from ..model.losses import pinball_grad, pinball_loss
-from ..model.network import body_backward, body_forward, embed_dropout
+from ..model.network import (body_backward, body_forward, client_backward,
+                             client_forward)
 from ..model.optim import Adam
 from ..model.train import run_epochs
 from .messages import KIND_ACTIVATION, KIND_GRADIENT, SplitMessage
@@ -52,21 +53,16 @@ class SplitClient:
         self._grads = None
 
     def head_forward(self, idx, masks):
-        """Embed this series' windows of batch idx; returns the token to send."""
+        """The client half of this series' batch idx; returns the token to send."""
         x_b = self.x[idx].astype(self.dtype, copy=False)
-        x_b, level = layers.center_windows(x_b)
-        tokens, embed = layers.embed_forward(x_b, self.params["embed.w"],
-                                             self.params["embed.b"])
-        token = tokens[:, 0]
-        mask = embed_dropout(masks, self.index, token.shape)
-        if mask is not None:
-            mask = mask.astype(token.dtype, copy=False)
-        self._cache = {"embed": embed, "mask": mask, "idx": idx, "level": level}
-        return token if mask is None else token * mask
+        tokens, level, client = client_forward(self.params, x_b, masks,
+                                               first=self.index)
+        self._cache = {"client": client, "idx": idx, "level": level}
+        return tokens[:, 0]
 
     def tail_step(self, h_m):
-        """Forward the tail, evaluate the local pinball loss contribution,
-        and return the gradient w.r.t. the received hidden state."""
+        """Forward the tail and return this series' term of the batch loss
+        and the gradient w.r.t. the received hidden state."""
         y_b = self.y[self._cache["idx"]].astype(self.dtype, copy=False)
         hs = h_m[:, None]
         pred, _ = layers.head_forward(hs, self.params["head.w"],
@@ -79,11 +75,8 @@ class SplitClient:
         return pinball_loss(pred, y_b, alpha) / m, dhs[:, 0]
 
     def head_backward(self, dtoken):
-        mask = self._cache["mask"]
-        if mask is not None:
-            dtoken = dtoken * mask
-        self._grads["embed.w"], self._grads["embed.b"] = layers.embed_backward(
-            self._cache["embed"], dtoken[:, None])
+        self._grads["embed.w"], self._grads["embed.b"] = client_backward(
+            self._cache["client"], dtoken[:, None])
 
     def apply_update(self):
         self.opt.step(self.params, self._grads)
@@ -131,45 +124,41 @@ def _gather(channel, dest, sources, kind):
     return [channel.recv(dest, src, kind).payload for src in sources]
 
 
-def split_forward_batch(clients, server, channel, idx, masks, epoch, batch):
+def split_forward_batch(clients, server, channel, idx, masks):
     """One forward sweep: head activations up, body, hidden states down.
 
     Returns the per-client hidden states (each client keeps its own copy)."""
     for cl in clients:
         token = cl.head_forward(idx, masks)
-        channel.send(SplitMessage(KIND_ACTIVATION, cl.name, SERVER,
-                                  epoch, batch, token))
+        channel.send(SplitMessage(KIND_ACTIVATION, cl.name, SERVER, token))
     tokens = np.stack(_gather(channel, SERVER, [c.name for c in clients],
                               KIND_ACTIVATION), axis=1)
     hs = server.body_forward(tokens, masks)
     for m, cl in enumerate(clients):
-        channel.send(SplitMessage(KIND_ACTIVATION, SERVER, cl.name,
-                                  epoch, batch, hs[:, m]))
+        channel.send(SplitMessage(KIND_ACTIVATION, SERVER, cl.name, hs[:, m]))
     return [channel.recv(cl.name, SERVER, KIND_ACTIVATION).payload
             for cl in clients]
 
 
-def split_step(clients, server, channel, epoch, batch, idx, masks):
+def split_step(clients, server, channel, idx, masks):
     """One synchronous batch of U-shaped split training.
 
     M head activations up, one body pass, M hidden states down, M cut
     gradients up, one body backward, M cut gradients down, then every
-    participant applies its local Adam step.  Returns the batch loss.
+    participant applies its local Adam step.  Returns the batch loss, the
+    clients' terms added in series order.
     """
-    hidden = split_forward_batch(clients, server, channel, idx, masks,
-                                 epoch, batch)
+    hidden = split_forward_batch(clients, server, channel, idx, masks)
     batch_loss = 0.0
     for cl, h_m in zip(clients, hidden):
         loss_m, dh = cl.tail_step(h_m)
         batch_loss += loss_m
-        channel.send(SplitMessage(KIND_GRADIENT, cl.name, SERVER,
-                                  epoch, batch, dh))
+        channel.send(SplitMessage(KIND_GRADIENT, cl.name, SERVER, dh))
     dhs = np.stack(_gather(channel, SERVER, [c.name for c in clients],
                            KIND_GRADIENT), axis=1)
     dtokens = server.body_backward(dhs)
     for m, cl in enumerate(clients):
-        channel.send(SplitMessage(KIND_GRADIENT, SERVER, cl.name,
-                                  epoch, batch, dtokens[:, m]))
+        channel.send(SplitMessage(KIND_GRADIENT, SERVER, cl.name, dtokens[:, m]))
     for cl in clients:
         cl.head_backward(channel.recv(cl.name, SERVER, KIND_GRADIENT).payload)
     server.apply_update()

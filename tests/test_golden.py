@@ -26,7 +26,8 @@ Two comparison levels:
   to the next decade.
 
 At both levels split training equals centralized training bit for bit:
-both run the same kernels, so model.bin == model_split.bin.
+both run the same kernels and form each batch loss by one function, so
+model.bin == model_split.bin and model_loss.csv == model_split_loss.csv.
 
 Regeneration rule: only a change that declares a numerics change may
 regenerate the golden (``python tests/test_golden.py``, in the recorded
@@ -109,6 +110,8 @@ def test_fixed_desk_check_matches_golden(tmp_path):
     out = run_fixed_check(tmp_path)
     expected = json.loads((GOLDEN / "expected.json").read_text())
     assert (out / "model.bin").read_bytes() == (out / "model_split.bin").read_bytes()
+    assert ((out / "model_loss.csv").read_bytes()
+            == (out / "model_split_loss.csv").read_bytes())
 
     if environment() == expected["env"]:
         assert ((out / "results.csv").read_text()

@@ -56,26 +56,26 @@ def test_head_output_shape_matches_body_input():
 
 def test_message_payload_bits():
     payload = np.random.default_rng(2).standard_normal((3, 5))
-    msg = SplitMessage(KIND_ACTIVATION, "sa0", "server", 2, 7, payload)
+    msg = SplitMessage(KIND_ACTIVATION, "sa0", "server", payload)
     assert msg.payload_bits == 3 * 5 * 64
-    assert SplitMessage(KIND_GRADIENT, "server", "sa0", 0, 0,
+    assert SplitMessage(KIND_GRADIENT, "server", "sa0",
                         payload[:, 0]).payload_bits == 3 * 64
+    assert SplitMessage(KIND_GRADIENT, "server", "sa0",
+                        payload.astype(np.float32)).payload_bits == 3 * 5 * 32
     with pytest.raises(ValueError):
-        SplitMessage("label", "sa0", "server", 0, 0, payload)
+        SplitMessage("label", "sa0", "server", payload)
 
 
 def test_channel_orders_and_detects_loss():
     ch = InProcessChannel()
-    a = SplitMessage(KIND_ACTIVATION, "sa0", "server", 0, 0, np.zeros(1))
-    b = SplitMessage(KIND_ACTIVATION, "sa0", "server", 0, 1, np.ones(1))
-    ch.send(a)
-    ch.send(b)
-    assert ch.recv("server", "sa0", KIND_ACTIVATION).batch == 0
-    assert ch.recv("server", "sa0", KIND_ACTIVATION).batch == 1
+    for value in (0.0, 1.0):
+        ch.send(SplitMessage(KIND_ACTIVATION, "sa0", "server", np.full(1, value)))
+    assert ch.recv("server", "sa0", KIND_ACTIVATION).payload[0] == 0.0
+    assert ch.recv("server", "sa0", KIND_ACTIVATION).payload[0] == 1.0
     with pytest.raises(ProtocolError):
         ch.recv("server", "sa0", KIND_ACTIVATION)
     # a lost message is one never sent: sa1's arrives, sa0's does not
-    ch.send(SplitMessage(KIND_ACTIVATION, "sa1", "server", 0, 2, np.zeros(1)))
+    ch.send(SplitMessage(KIND_ACTIVATION, "sa1", "server", np.zeros(1)))
     with pytest.raises(ProtocolError):
         ch.recv("server", "sa0", KIND_ACTIVATION)
 
@@ -92,9 +92,11 @@ def test_one_split_epoch_matches_centralized_training(window, n_series):
     x, y = make_data(96, 5, cfg)
     train_cfg = TrainConfig(lr=1e-3, epochs=1, batch_size=32)
 
-    central, _ = train(cfg, x, y, train_cfg, seed, init_params(cfg, seed=seed))
-    split, _ = split_train(partition(init_params(cfg, seed=seed), cfg), x, y,
-                           train_cfg, InProcessChannel(), seed)
+    central, central_curve = train(cfg, x, y, train_cfg, seed,
+                                   init_params(cfg, seed=seed))
+    split, split_curve = split_train(partition(init_params(cfg, seed=seed), cfg),
+                                     x, y, train_cfg, InProcessChannel(), seed)
+    assert split_curve == central_curve
     for key, tensor in central.items():
         assert np.array_equal(split[key], tensor), key
 
@@ -108,8 +110,10 @@ def test_split_epoch_at_training_precision_matches_centralized(window):
     train_cfg = TrainConfig(lr=1e-3, epochs=1, batch_size=32)
 
     part = partition(init, cfg)
-    central, _ = train(cfg, x, y, train_cfg, seed, params=init)
-    split, _ = split_train(part, x, y, train_cfg, InProcessChannel(), seed)
+    central, central_curve = train(cfg, x, y, train_cfg, seed, params=init)
+    split, split_curve = split_train(part, x, y, train_cfg, InProcessChannel(),
+                                     seed)
+    assert split_curve == central_curve
     for key, tensor in central.items():
         assert tensor.dtype == TRAIN_DTYPE, key
         assert np.array_equal(split[key], tensor), key
@@ -133,9 +137,9 @@ def test_float64_windows_train_as_their_float32_cast(window):
     cast, cast_curve = train(cfg, x32, y32, train_cfg, seed, fresh())
     x.flags.writeable = y.flags.writeable = False
     held, held_curve = train(cfg, x, y, train_cfg, seed, fresh())
-    split, _ = split_train(partition(fresh(), cfg), x, y, train_cfg,
-                           InProcessChannel(), seed)
-    assert held_curve == cast_curve
+    split, split_curve = split_train(partition(fresh(), cfg), x, y, train_cfg,
+                                     InProcessChannel(), seed)
+    assert held_curve == cast_curve == split_curve
     for key, tensor in cast.items():
         assert tensor.dtype == TRAIN_DTYPE, key
         assert held[key].dtype == split[key].dtype == TRAIN_DTYPE, key
@@ -182,7 +186,7 @@ def test_one_step_at_training_precision_keeps_its_dtype():
     opt = Adam(params, lr=1e-3)
     opt.step(params, grads)
     central = [pred, cache, dpred, grads, params, opt.m, opt.v]
-    assert cache["embed_mask"] is not None and cache["body"]["enc"][0][1] is not None
+    assert cache["client"][1] is not None and cache["body"]["enc"][0][1] is not None
 
     clients, server = build_participants(part, x, y, lr=1e-3)
     seen = []
@@ -192,7 +196,7 @@ def test_one_step_at_training_precision_keeps_its_dtype():
             seen.append(grads)
             step(params, grads)
         p.opt.step = spied_step
-    split_step(clients, server, ch, 0, 0, np.arange(32), masks)
+    split_step(clients, server, ch, np.arange(32), masks)
     split = [seen, server._cache] + [
         [cl._cache, cl.params, cl.opt.m, cl.opt.v] for cl in clients] + [
         server.params, server.opt.m, server.opt.v]
@@ -208,7 +212,7 @@ def test_split_gradients_equal_centralized_at_every_batch_size(b, window):
     # an epoch's last batch can have any size (the tiny preset's is 15);
     # every participant's gradient equals the centralized one bit for bit
     from subnetpred.model import backward
-    from subnetpred.model.losses import pinball_grad
+    from subnetpred.model.losses import pinball_grad, pinball_loss
     from subnetpred.model.optim import DropoutMasks
     from subnetpred.split.partition import CLIENT_KEYS
     from subnetpred.split.runtime import split_forward_batch
@@ -222,9 +226,10 @@ def test_split_gradients_equal_centralized_at_every_batch_size(b, window):
 
     clients, server = build_participants(partition(params, cfg), x, y, lr=1e-3)
     hidden = split_forward_batch(clients, server, InProcessChannel(),
-                                 np.arange(b), masks, 0, 0)
-    dhs = np.stack([cl.tail_step(h_m)[1] for cl, h_m in zip(clients, hidden)],
-                   axis=1)
+                                 np.arange(b), masks)
+    losses, dhs = zip(*(cl.tail_step(h_m) for cl, h_m in zip(clients, hidden)))
+    assert sum(losses) == pinball_loss(pred, y, cfg.alpha)
+    dhs = np.stack(dhs, axis=1)
     dtokens = server.body_backward(dhs)
     for m, cl in enumerate(clients):
         cl.head_backward(dtokens[:, m])
@@ -291,19 +296,6 @@ def test_labels_never_leave_clients():
         assert np.abs(payload).max() < 900.0
 
 
-def test_message_headers_follow_the_epoch_loop():
-    # 2 epochs x 2 batches: every message carries the (epoch, batch) of the
-    # shared loop, 4M per batch, in the loop's order
-    part = partition(init_params(CFG, seed=9), CFG)
-    x, y = make_data(64, 9)
-    headers = []
-    ch = _spied_channel(lambda msg: headers.append((msg.epoch, msg.batch)))
-    split_train(part, x, y, TrainConfig(epochs=2, batch_size=32), ch, 0)
-    per_batch = 4 * CFG.n_series
-    assert headers == [(e, b) for e in range(2) for b in range(2)
-                       for _ in range(per_batch)]
-
-
 def test_shuffled_arrival_order_is_reordered_by_id():
     # the server gathers per client id, so send order must not matter
     params = init_params(CFG, seed=8)
@@ -312,7 +304,7 @@ def test_shuffled_arrival_order_is_reordered_by_id():
     ch = InProcessChannel()
     idx = np.arange(12)
     for cl in reversed(clients):     # reversed send order
-        ch.send(SplitMessage(KIND_ACTIVATION, cl.name, "server", 0, 0,
+        ch.send(SplitMessage(KIND_ACTIVATION, cl.name, "server",
                              cl.head_forward(idx, masks=None)))
     tokens = np.stack([ch.recv("server", cl.name, KIND_ACTIVATION).payload
                        for cl in clients], axis=1)
@@ -339,11 +331,11 @@ def test_total_gradient_conserved_across_boundary():
     ch = InProcessChannel()
     masks = None
     from subnetpred.split.runtime import split_forward_batch
-    hidden = split_forward_batch(clients, server, ch, np.arange(64), masks, 0, 0)
+    hidden = split_forward_batch(clients, server, ch, np.arange(64), masks)
     sq = 0.0
     for cl, h_m in zip(clients, hidden):
         _, dh = cl.tail_step(h_m)
-        ch.send(SplitMessage(KIND_GRADIENT, cl.name, "server", 0, 0, dh))
+        ch.send(SplitMessage(KIND_GRADIENT, cl.name, "server", dh))
     dhs = np.stack([ch.recv("server", c.name, KIND_GRADIENT).payload
                     for c in clients], axis=1)
     dtokens = server.body_backward(dhs)

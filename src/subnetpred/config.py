@@ -2,7 +2,9 @@
 
 The config file is plain text, one ``section.key = value`` per line,
 ``#`` starts a comment.  Keys mirror the dataclass fields below; anything
-unset falls back to the selected preset.  See docs/config.md.
+unset falls back to the selected preset.  A numeric field's valid range
+sits beside its default (``metadata=POSITIVE``, ...), and check_ranges
+tests them all.  See docs/config.md.
 """
 
 from __future__ import annotations
@@ -21,6 +23,28 @@ class ConfigError(ValueError):
 J0_FIRST_ZERO = 2.404825557695773
 
 
+# valid ranges of numeric fields, as field metadata; every test is a
+# comparison, so NaN lies in none
+POSITIVE = {"range": ("> 0", lambda v: v > 0)}
+NON_NEGATIVE = {"range": (">= 0", lambda v: v >= 0)}
+AT_LEAST_1 = {"range": (">= 1", lambda v: v >= 1)}
+AT_LEAST_2 = {"range": (">= 2", lambda v: v >= 2)}
+FRACTION = {"range": ("in (0, 1]", lambda v: 0 < v <= 1)}
+LEVEL = {"range": ("in (0, 1)", lambda v: 0 < v < 1)}
+RATE = {"range": ("in [0, 1)", lambda v: 0 <= v < 1)}
+
+
+def check_ranges(config):
+    """Raise ConfigError naming the first field of the dataclass config, and
+    its value, that lies outside the range its metadata declares."""
+    for f in fields(config):
+        if "range" in f.metadata:
+            text, test = f.metadata["range"]
+            value = getattr(config, f.name)
+            if not test(value):
+                raise ConfigError(f"{f.name} = {value!r} must be {text}")
+
+
 @dataclass(frozen=True)
 class DeploymentConfig:
     """Geometry, radio, and timing of one simulated deployment.
@@ -32,35 +56,26 @@ class DeploymentConfig:
     """
 
     n_subnetworks: int = 16
-    sa_pairs_per_sn: int = 4
+    sa_pairs_per_sn: int = field(default=4, metadata=AT_LEAST_1)
     area: tuple = (25.0, 25.0)
-    sn_radius: float = 2.0
-    speed: float = 2.0
-    min_distance: float = 3.0
-    n_subbands: int = 4
-    interferer_set_size: int = 5
-    carrier_freq: float = 6e9
-    tx_power: float = 1.0
-    tx_cycle_duration: float = 1e-3
+    sn_radius: float = field(default=2.0, metadata=POSITIVE)
+    speed: float = field(default=2.0, metadata=NON_NEGATIVE)
+    min_distance: float = field(default=3.0, metadata=NON_NEGATIVE)
+    n_subbands: int = field(default=4, metadata=AT_LEAST_1)
+    interferer_set_size: int = field(default=5, metadata=AT_LEAST_2)
+    carrier_freq: float = field(default=6e9, metadata=POSITIVE)
+    tx_power: float = field(default=1.0, metadata=POSITIVE)
+    tx_cycle_duration: float = field(default=1e-3, metadata=POSITIVE)
     schedule_drift: int = -1    # interferer slot misalignment, slots per cycle
 
     def __post_init__(self):
-        if self.sa_pairs_per_sn < 1:
-            raise ConfigError("sa_pairs_per_sn must be >= 1")
-        if self.n_subbands < 1:
-            raise ConfigError("n_subbands must be >= 1")
+        check_ranges(self)
         if self.interferer_set_size > self.n_subnetworks - 1:
             raise ConfigError("interferer_set_size must be <= n_subnetworks - 1")
-        if self.sn_radius <= 0:
-            raise ConfigError("sn_radius must be positive")
-        if self.min_distance < 0 or self.speed < 0:
-            raise ConfigError("min_distance and speed must be non-negative")
         if len(self.area) != 2:
             raise ConfigError(f"area takes exactly two sides, got {self.area}")
-        if self.area[0] <= 0 or self.area[1] <= 0:
-            raise ConfigError("area sides must be positive")
-        if self.tx_cycle_duration <= 0:
-            raise ConfigError("tx_cycle_duration must be positive")
+        if not (self.area[0] > 0 and self.area[1] > 0):
+            raise ConfigError(f"area sides {self.area} must be positive")
 
 
 @dataclass(frozen=True)
@@ -77,22 +92,15 @@ class TrafficModel:
     """
 
     variant: str = "bernoulli"
-    eta: float = 0.85
-    intensity: float = 0.0
-    n_reserved: int = 0
-    burst_duration_s: float = 0.2
+    eta: float = field(default=0.85, metadata=FRACTION)
+    intensity: float = field(default=0.0, metadata=NON_NEGATIVE)
+    n_reserved: int = field(default=0, metadata=NON_NEGATIVE)
+    burst_duration_s: float = field(default=0.2, metadata=POSITIVE)
 
     def __post_init__(self):
+        check_ranges(self)
         if self.variant not in ("bernoulli", "push-pull"):
             raise ConfigError(f"unknown traffic variant {self.variant!r}")
-        if not 0.0 < self.eta <= 1.0:
-            raise ConfigError("eta must lie in (0, 1]")
-        if self.intensity < 0:
-            raise ConfigError("intensity must be >= 0")
-        if self.n_reserved < 0:
-            raise ConfigError("n_reserved must be >= 0")
-        if self.burst_duration_s <= 0:
-            raise ConfigError("burst_duration_s must be positive")
 
 
 @dataclass(frozen=True)
@@ -110,21 +118,20 @@ class ChannelParams:
 
     shadow_std_los_db: float = 4.0
     shadow_std_nlos_db: float = 7.2
-    decorrelation_distance: float = 10.0
+    decorrelation_distance: float = field(default=10.0, metadata=POSITIVE)
     doppler_hz: float = 80.0
     rician_k_db: float = 10.0
     soft_los_bias: float = 3.5
-    est_looks: int = 8
-    bandwidth_hz: float = 100e6
+    est_looks: int = field(default=8, metadata=AT_LEAST_1)
+    bandwidth_hz: float = field(default=100e6, metadata=POSITIVE)
     noise_figure_db: float = 5.0
     # tuned with corr_threshold for a usable window (roughly 4-12 cycles); at
     # 0.1 and 0.9 noise dominates the lagged correlation: a one-cycle window
-    est_noise_fraction: float = 0.002
+    est_noise_fraction: float = field(default=0.002, metadata=NON_NEGATIVE)
     power_floor_w: float = 1e-20
 
     def __post_init__(self):
-        if self.est_looks < 1:
-            raise ConfigError("est_looks must be >= 1")
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
@@ -135,20 +142,17 @@ class ModelConfig:
 
     n_series: int | None = None
     window: int | None = None
-    d_embed: int = 64
-    n_heads: int = 8
-    n_layers: int = 2
-    lstm_hidden: int = 64
-    dropout: float = 0.1
-    alpha: float = 0.05
+    d_embed: int = field(default=64, metadata=AT_LEAST_1)
+    n_heads: int = field(default=8, metadata=AT_LEAST_1)
+    n_layers: int = field(default=2, metadata=NON_NEGATIVE)
+    lstm_hidden: int = field(default=64, metadata=AT_LEAST_1)
+    dropout: float = field(default=0.1, metadata=RATE)
+    alpha: float = field(default=0.05, metadata=LEVEL)
 
     def __post_init__(self):
+        check_ranges(self)
         if self.d_embed % self.n_heads != 0:
             raise ConfigError("d_embed must be divisible by n_heads")
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("model.alpha must lie in (0, 1)")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must lie in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -156,18 +160,13 @@ class TrainConfig:
     """lr_decay is the final/initial learning-rate ratio, applied as a
     geometric per-epoch schedule (1.0 keeps the rate constant)."""
 
-    lr: float = 1e-3
-    epochs: int = 200
-    batch_size: int = 128
-    lr_decay: float = 1.0
+    lr: float = field(default=1e-3, metadata=POSITIVE)
+    epochs: int = field(default=200, metadata=NON_NEGATIVE)
+    batch_size: int = field(default=128, metadata=AT_LEAST_1)
+    lr_decay: float = field(default=1.0, metadata=POSITIVE)
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
-        if self.epochs < 0:
-            raise ConfigError("epochs must be >= 0")
-        if not (self.lr > 0 and self.lr_decay > 0):
-            raise ConfigError("lr and lr_decay must be positive")
+        check_ranges(self)
 
 
 @dataclass(frozen=True)
@@ -182,13 +181,13 @@ class ExperimentSpec:
     train: TrainConfig = field(default_factory=TrainConfig)
     variant: str = "cevt-iqpt"
     mobility: str = "rdmm"
-    n_cycles: int = 10000
+    n_cycles: int = field(default=10000, metadata=AT_LEAST_1)
     n_cal: int = 1000
-    n_test: int = 2000
+    n_test: int = field(default=2000, metadata=AT_LEAST_1)
     corr_threshold: float = 0.4     # see ChannelParams.est_noise_fraction
-    max_lag: int = 16
-    beta: float = 0.05
-    varsigma: float = 0.5
+    max_lag: int = field(default=16, metadata=AT_LEAST_1)
+    beta: float = field(default=0.05, metadata=FRACTION)
+    varsigma: float = field(default=0.5, metadata=FRACTION)
     payload_bits: int = 200
     eps_targets: tuple = (1e-5, 1e-6, 1e-7)
     seed: int = 0
@@ -197,16 +196,11 @@ class ExperimentSpec:
                 "evt-iqpt", "cevt-iqpt", "cevt-iqpt-split")
 
     def __post_init__(self):
+        check_ranges(self)
         if self.variant not in self.VARIANTS:
             raise ConfigError(f"unknown predictor variant {self.variant!r}")
         if self.mobility not in ("rdmm", "alley"):
             raise ConfigError(f"unknown mobility model {self.mobility!r}")
-        for name in ("beta", "varsigma"):
-            v = getattr(self, name)
-            if not 0.0 < v <= 1.0:
-                raise ConfigError(f"{name} must lie in (0, 1]")
-        if self.n_cycles < 1 or self.max_lag < 1:
-            raise ConfigError("n_cycles and max_lag must be >= 1")
         # split conformal certifies 1 - beta only if the calibration block
         # has the order statistic tailcal.finite_sample_quantile reads
         if (self.beta == 1.0
@@ -214,8 +208,6 @@ class ExperimentSpec:
             raise ConfigError(
                 f"beta = {self.beta:g} must lie in [1/(n_cal + 1), 1) = "
                 f"[{1.0 / (self.n_cal + 1):.3g}, 1) for n_cal = {self.n_cal}")
-        if self.n_test < 1:
-            raise ConfigError("n_test must be >= 1")
         # window 1 leaves n_cycles - 1 instances, the most any window
         # leaves, and windowing.restructure needs n_cal + n_test + 1
         if self.n_cycles < self.n_cal + self.n_test + 2:

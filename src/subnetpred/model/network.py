@@ -127,6 +127,19 @@ def client_backward(cache, dtokens):
     return layers.embed_backward(c_embed, dtokens)
 
 
+def tail_forward(params, hs, level):
+    """The tail half: hidden states hs [b x k x H] through each series' quantile
+    head, plus the window level [b x k] -> (predictions [b x k], cache).
+    forward runs it over all M series, a split client over its own."""
+    pred, cache = layers.head_forward(hs, params["head.w"], params["head.b"])
+    return pred + level, cache
+
+
+def tail_backward(params, cache, dpred):
+    """(dhs, head.w, head.b) gradients of the tail half; the level has none."""
+    return layers.head_backward(cache, params["head.w"], dpred)
+
+
 def forward(params, cfg, x, masks=None):
     """Full forward pass: x [b x S x M] -> thresholds [b x M] plus cache.
 
@@ -136,20 +149,16 @@ def forward(params, cfg, x, masks=None):
     if x.ndim != 3 or x.shape[1] != cfg.window or x.shape[2] != cfg.n_series:
         raise ValueError(
             f"expected input [b x {cfg.window} x {cfg.n_series}], got {x.shape}")
-    # the head predicts the offset from each window's level, which carries
-    # no parameters, so the backward pass is unaffected
     tokens, level, c_client = client_forward(params, x, masks)
     hs, c_body = body_forward(params, cfg, tokens, masks)
-    pred, c_head = layers.head_forward(hs, params["head.w"], params["head.b"])
-    pred = pred + level
+    pred, c_head = tail_forward(params, hs, level)
     return pred, {"client": c_client, "body": c_body, "head": c_head}
 
 
 def backward(params, cfg, cache, dpred):
     """Gradient of a scalar loss w.r.t. every parameter, given dloss/dpred."""
     grads = {}
-    dhs, grads["head.w"], grads["head.b"] = layers.head_backward(
-        cache["head"], params["head.w"], dpred)
+    dhs, grads["head.w"], grads["head.b"] = tail_backward(params, cache["head"], dpred)
     dtokens, body_grads = body_backward(params, cfg, cache["body"], dhs)
     grads.update(body_grads)
     grads["embed.w"], grads["embed.b"] = client_backward(cache["client"], dtokens)

@@ -1,6 +1,14 @@
 """Indoor-factory channel pieces: InF-DL path loss, exponentially correlated
 shadowing advanced along trajectories, AR(1) small-scale fading with a
-Doppler-matched coefficient, and the soft LOS/NLOS mixing gain."""
+Doppler-matched coefficient, and the soft LOS/NLOS mixing gain.
+
+Formulas and their sources, one a line:
+- InF-DL path loss (pathloss_inf_db): 3GPP TR 38.901, Table 7.4.1-1.
+- shadowing correlation exp(-dd / d_corr) over a move dd: Gudmundson, Electron. Lett. 1991.
+- fading coefficient J0(2 pi f_d dt): Clarke's autocorrelation, Bell Syst. Tech. J. 1968.
+- Rician sqrt(K/(K+1)) e^(j phi) + sqrt(1/(K+1)) h: the K-factor split of TR 38.901 7.5.
+- soft-LOS mix of powers psi G_LOS + sqrt(1 - psi^2) G_NLOS: ROADMAP item 23 decides it.
+"""
 
 from __future__ import annotations
 

@@ -1,14 +1,13 @@
 """Bulk-synchronous U-shaped split execution.
 
 Every forward/backward step evaluates exactly the operations of the
-centralized network: a client runs the network's client half and the
-quantile-head functions on its one-series slice (windows [b x S x 1],
-weights [1 x ...]) and adds its series' term of pinball_loss; the server
-calls the same body kernels.  Split training from a partitioned checkpoint
-therefore reproduces centralized training, parameters and loss curve, bit
-for bit given the same seed and data order.  Labels and raw windows never
-leave their client; only cut activations and cut gradients cross the
-channel.
+centralized network: a client runs the network's client and tail halves
+on its one-series slice (windows [b x S x 1], weights [1 x ...]) and adds
+its series' term of pinball_loss; the server calls the same body kernels.
+Split training from a partitioned checkpoint therefore reproduces
+centralized training, parameters and loss curve, bit for bit given the
+same seed and data order.  Labels and raw windows never leave their
+client; only cut activations and cut gradients cross the channel.
 """
 
 from __future__ import annotations
@@ -17,10 +16,9 @@ from functools import partial
 
 import numpy as np
 
-from ..model import layers
 from ..model.losses import pinball_grad, pinball_loss
 from ..model.network import (body_backward, body_forward, client_backward,
-                             client_forward)
+                             client_forward, tail_backward, tail_forward)
 from ..model.optim import Adam
 from ..model.train import run_epochs
 from .messages import KIND_ACTIVATION, KIND_GRADIENT, SplitMessage
@@ -61,16 +59,13 @@ class SplitClient:
         return tokens[:, 0]
 
     def tail_step(self, h_m):
-        """Forward the tail and return this series' term of the batch loss
+        """The tail half of this series: return its term of the batch loss
         and the gradient w.r.t. the received hidden state."""
         y_b = self.y[self._cache["idx"]].astype(self.dtype, copy=False)
-        hs = h_m[:, None]
-        pred, _ = layers.head_forward(hs, self.params["head.w"],
-                                      self.params["head.b"])
-        pred = pred + self._cache["level"]
+        pred, tail = tail_forward(self.params, h_m[:, None], self._cache["level"])
         alpha, m = self.cfg.alpha, self.cfg.n_series
         dpred = pinball_grad(pred, y_b, alpha, count=pred.size * m)
-        dhs, dw, db = layers.head_backward(hs, self.params["head.w"], dpred)
+        dhs, dw, db = tail_backward(self.params, tail, dpred)
         self._grads = {"head.w": dw, "head.b": db}
         return pinball_loss(pred, y_b, alpha) / m, dhs[:, 0]
 

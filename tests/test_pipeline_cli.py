@@ -887,6 +887,31 @@ def test_unreadable_config_values_exit_2(tmp_path, capsys, config, named):
     assert not (tmp_path / "x" / "trace.npz").exists()
 
 
+@pytest.mark.parametrize("line", [
+    "channel.decorrelation_distance = -5",   # exp(-d / d_corr) grows: NaN rows
+    "channel.bandwidth_hz = 0",              # log10 of zero noise bandwidth
+    "deployment.carrier_freq = 0",           # log10 of f in the InF path loss
+    "deployment.tx_power = 0",               # no signal: the RA stage fails
+    "channel.est_noise_fraction = -0.1",     # silently no estimation noise
+    "model.n_layers = -1",                   # silently no encoder layer
+    "model.n_heads = 0",                     # ZeroDivisionError traceback
+    "model.d_embed = 0",
+    "model.lstm_hidden = 0",
+    "deployment.interferer_set_size = 1",    # the victim alone: no interferer
+    "channel.decorrelation_distance = nan",  # NaN lies in no range
+])
+def test_out_of_range_settings_exit_2_before_anything_runs(tmp_path, capsys, line):
+    path = tmp_path / "run.cfg"
+    path.write_text(line + "\n")
+    assert main(["evaluate", "--config", str(path), "--preset", "tiny",
+                 "--variant", "iqpt", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    key, value = (tok.strip() for tok in line.split("="))
+    assert err.startswith("config error:") and key.split(".")[1] in err
+    assert value in err
+    assert not (tmp_path / "x").exists()     # refused before --out is touched
+
+
 @pytest.mark.parametrize("n_reserved", [4, 9])
 def test_push_pull_without_push_pairs_is_a_config_error(tmp_path, n_reserved):
     # tiny has 4 SA pairs: 4 reserved pull slots leave no push pair, and

@@ -45,11 +45,13 @@ def cfg(**kw):
 
 # ----------------------------------------------------------------- placement
 
-def test_single_sn_offsets_within_radius():
-    c = cfg(n_subnetworks=1, interferer_set_size=0)
+def test_sn_offsets_within_radius():
+    # three sub-networks: the fewest that leave a victim an interferer
+    # (interferer_set_size >= 2, <= n_subnetworks - 1)
+    c = cfg(n_subnetworks=3, interferer_set_size=2)
     state = deploy(c, np.random.default_rng(0))
-    assert state.positions.shape == (1, 2)
-    assert np.all(np.linalg.norm(state.offsets[0], axis=1) <= c.sn_radius)
+    assert state.positions.shape == (3, 2)
+    assert np.all(np.linalg.norm(state.offsets, axis=-1) <= c.sn_radius)
 
 
 def test_dense_placement_respects_min_distance():
@@ -82,7 +84,7 @@ def test_zero_speed_leaves_state_unchanged():
 
 
 def test_step_displacement_magnitude():
-    c = cfg(n_subnetworks=2, interferer_set_size=1, min_distance=0.0)
+    c = cfg(n_subnetworks=3, interferer_set_size=2, min_distance=0.0)
     state = deploy(c, np.random.default_rng(0))
     out = step_mobility(state, 2.0, 1e-3, 0.0, np.random.default_rng(1))
     moved = np.linalg.norm(out.positions - state.positions, axis=1)

@@ -23,8 +23,10 @@ class ConfigError(ValueError):
 J0_FIRST_ZERO = 2.404825557695773
 
 
-# valid ranges of numeric fields, as field metadata; every test is a
-# comparison, so NaN lies in none
+# valid ranges of numeric fields, as field metadata; NaN lies in none, since
+# every test is a comparison or math.isfinite
+FINITE = {"range": ("finite", math.isfinite)}
+INTEGER = {"range": ("an integer", lambda v: isinstance(v, int))}
 POSITIVE = {"range": ("> 0", lambda v: v > 0)}
 NON_NEGATIVE = {"range": (">= 0", lambda v: v >= 0)}
 AT_LEAST_1 = {"range": (">= 1", lambda v: v >= 1)}
@@ -49,29 +51,33 @@ def check_ranges(config):
 class DeploymentConfig:
     """Geometry, radio, and timing of one simulated deployment.
 
-    interferer_set_size is the size of the co-channel set including the
-    victim sub-network, so every SA pair sees interferer_set_size - 1
-    interfering links per slot (capped by availability).  A TX cycle has
-    one TDD slot per SA pair.
+    Sub-bands go round-robin over the sub-networks, and every other
+    sub-network on the victim's sub-band interferes with it, so every SA
+    pair sees ceil(n_subnetworks / n_subbands) - 1 interfering links per
+    slot; n_subnetworks > n_subbands puts at least one there.  A TX cycle
+    has one TDD slot per SA pair.
     """
 
-    n_subnetworks: int = 16
+    n_subnetworks: int = field(default=16, metadata=AT_LEAST_2)
     sa_pairs_per_sn: int = field(default=4, metadata=AT_LEAST_1)
     area: tuple = (25.0, 25.0)
     sn_radius: float = field(default=2.0, metadata=POSITIVE)
     speed: float = field(default=2.0, metadata=NON_NEGATIVE)
     min_distance: float = field(default=3.0, metadata=NON_NEGATIVE)
     n_subbands: int = field(default=4, metadata=AT_LEAST_1)
-    interferer_set_size: int = field(default=5, metadata=AT_LEAST_2)
     carrier_freq: float = field(default=6e9, metadata=POSITIVE)
     tx_power: float = field(default=1.0, metadata=POSITIVE)
     tx_cycle_duration: float = field(default=1e-3, metadata=POSITIVE)
-    schedule_drift: int = -1    # interferer slot misalignment, slots per cycle
+    # interferer slot misalignment, slots per cycle
+    schedule_drift: int = field(default=-1, metadata=INTEGER)
 
     def __post_init__(self):
         check_ranges(self)
-        if self.interferer_set_size > self.n_subnetworks - 1:
-            raise ConfigError("interferer_set_size must be <= n_subnetworks - 1")
+        if self.n_subnetworks <= self.n_subbands:
+            raise ConfigError(
+                f"n_subnetworks = {self.n_subnetworks} must be > n_subbands = "
+                f"{self.n_subbands}, so that the victim's sub-band holds "
+                f"another sub-network")
         if len(self.area) != 2:
             raise ConfigError(f"area takes exactly two sides, got {self.area}")
         if not (self.area[0] > 0 and self.area[1] > 0):
@@ -116,19 +122,19 @@ class ChannelParams:
     power sample; 1 keeps single-shot fading.
     """
 
-    shadow_std_los_db: float = 4.0
-    shadow_std_nlos_db: float = 7.2
+    shadow_std_los_db: float = field(default=4.0, metadata=NON_NEGATIVE)
+    shadow_std_nlos_db: float = field(default=7.2, metadata=NON_NEGATIVE)
     decorrelation_distance: float = field(default=10.0, metadata=POSITIVE)
-    doppler_hz: float = 80.0
-    rician_k_db: float = 10.0
-    soft_los_bias: float = 3.5
+    doppler_hz: float = field(default=80.0, metadata=NON_NEGATIVE)
+    rician_k_db: float = field(default=10.0, metadata=FINITE)
+    soft_los_bias: float = field(default=3.5, metadata=FINITE)
     est_looks: int = field(default=8, metadata=AT_LEAST_1)
     bandwidth_hz: float = field(default=100e6, metadata=POSITIVE)
-    noise_figure_db: float = 5.0
+    noise_figure_db: float = field(default=5.0, metadata=FINITE)
     # tuned with corr_threshold for a usable window (roughly 4-12 cycles); at
     # 0.1 and 0.9 noise dominates the lagged correlation: a one-cycle window
     est_noise_fraction: float = field(default=0.002, metadata=NON_NEGATIVE)
-    power_floor_w: float = 1e-20
+    power_floor_w: float = field(default=1e-20, metadata=POSITIVE)
 
     def __post_init__(self):
         check_ranges(self)
@@ -182,15 +188,16 @@ class ExperimentSpec:
     variant: str = "cevt-iqpt"
     mobility: str = "rdmm"
     n_cycles: int = field(default=10000, metadata=AT_LEAST_1)
-    n_cal: int = 1000
+    n_cal: int = field(default=1000, metadata=AT_LEAST_1)
     n_test: int = field(default=2000, metadata=AT_LEAST_1)
-    corr_threshold: float = 0.4     # see ChannelParams.est_noise_fraction
+    # see ChannelParams.est_noise_fraction
+    corr_threshold: float = field(default=0.4, metadata=LEVEL)
     max_lag: int = field(default=16, metadata=AT_LEAST_1)
     beta: float = field(default=0.05, metadata=FRACTION)
     varsigma: float = field(default=0.5, metadata=FRACTION)
-    payload_bits: int = 200
+    payload_bits: int = field(default=200, metadata=AT_LEAST_1)
     eps_targets: tuple = (1e-5, 1e-6, 1e-7)
-    seed: int = 0
+    seed: int = field(default=0, metadata=NON_NEGATIVE)
 
     VARIANTS = ("genie", "moving-average", "wiener", "iqpt", "iqpt-split",
                 "evt-iqpt", "cevt-iqpt", "cevt-iqpt-split")
@@ -231,7 +238,7 @@ class ExperimentSpec:
                 "push-pull traffic with traffic.intensity = 0 and traffic.n_reserved "
                 "= 0 never transmits: no push burst starts and no pull pair exists")
         x = 2.0 * math.pi * self.channel.doppler_hz * self.deployment.tx_cycle_duration
-        if not 0.0 <= x < J0_FIRST_ZERO:
+        if not x < J0_FIRST_ZERO:
             raise ConfigError(
                 f"2 pi channel.doppler_hz deployment.tx_cycle_duration = {x:.4g} must "
                 f"lie in [0, {J0_FIRST_ZERO:.4f}), below the first zero of J0, "
@@ -256,8 +263,7 @@ def tiny_preset(seed):
     """Smoke-test preset for protocol and gradient checks."""
     spec = desk_preset(seed)
     return replace(spec,
-                   deployment=replace(spec.deployment, n_subnetworks=6,
-                                      interferer_set_size=3),
+                   deployment=replace(spec.deployment, n_subnetworks=6),
                    model=replace(spec.model, d_embed=16, lstm_hidden=16,
                                  n_heads=4, dropout=0.0),
                    train=replace(spec.train, epochs=2, batch_size=32),

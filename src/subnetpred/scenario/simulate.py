@@ -57,18 +57,14 @@ def subband_assignment(n_subnetworks, n_subbands):
     return np.arange(n_subnetworks) % n_subbands
 
 
-def interferer_set(positions, victim, set_size, bands):
-    """Interfering members of the victim's co-channel set.
-
-    The set is the victim plus its nearest sub-networks on the same
-    sub-band, at most set_size members in total.  Returns the interferer
-    indices (victim excluded), possibly fewer than set_size - 1 when the
-    co-channel pool is small.
-    """
+def interferer_set(positions, victim, bands):
+    """Indices of every other sub-network on the victim's sub-band, nearest
+    to the victim first at positions.  The order is the per-link layout of
+    simulate_trace's draws and states."""
     dist = np.linalg.norm(positions - positions[victim], axis=1)
     order = np.argsort(dist)
-    pool = [i for i in order if i != victim and bands[i] == bands[victim]]
-    return np.array(pool[:max(set_size - 1, 0)], dtype=int)
+    return np.array([i for i in order if i != victim and bands[i] == bands[victim]],
+                    dtype=int)
 
 
 def _link_motion(delta):
@@ -165,8 +161,7 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
         state = deploy(deployment, rng)
 
     bands = subband_assignment(deployment.n_subnetworks, deployment.n_subbands)
-    intf = interferer_set(state.positions, VICTIM,
-                          deployment.interferer_set_size, bands)
+    intf = interferer_set(state.positions, VICTIM, bands)
     n_int = intf.size
     if n_int == 0:
         raise ValueError("interferer set is empty; nothing to simulate")

@@ -740,7 +740,7 @@ def ref_simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     else:
         state = deploy(deployment, rng)
     bands = subband_assignment(deployment.n_subnetworks, deployment.n_subbands)
-    intf = interferer_set(state.positions, victim, deployment.interferer_set_size, bands)
+    intf = interferer_set(state.positions, victim, bands)
     n_int = intf.size
     k_lin = ch.db_to_linear(channel_params.rician_k_db)
     rho_f = ch.fading_coefficient(channel_params.doppler_hz, dt)
@@ -836,9 +836,8 @@ SIM_CASES = {
     "no-drift": {"deployment": {"schedule_drift": 0}},
     "one-cycle": {"n_cycles": 1},
     "one-cycle-alley": {"n_cycles": 1, "mobility": "alley"},
-    # one slot and nine interferers: the slot sum runs over >= 8 terms
-    "one-slot-nine-interferers": {"deployment": {"sa_pairs_per_sn": 1, "n_subbands": 1,
-                                                 "interferer_set_size": 10}},
+    # one slot and fifteen interferers: the slot sum runs over >= 8 terms
+    "one-slot-fifteen-interferers": {"deployment": {"sa_pairs_per_sn": 1, "n_subbands": 1}},
     "crowded": {"deployment": CROWDED, "traffic": PUSH_PULL},
     # pass 1 runs in blocks of BLOCK cycles after cycle 0
     **{f"{name}-{n}-cycles": {"n_cycles": n, **case}

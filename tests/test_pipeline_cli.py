@@ -7,7 +7,7 @@ import os
 import subprocess
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +15,8 @@ import pytest
 
 from subnetpred import pipeline, tailcal
 from subnetpred.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
-from subnetpred.config import (ConfigError, ExperimentSpec, desk_preset, parse_config_text,
-                               spec_to_dict, tiny_preset)
+from subnetpred.config import (_WIRED_KEYS, PRESETS, ConfigError, ExperimentSpec,
+                               desk_preset, parse_config_text, spec_to_dict, tiny_preset)
 from subnetpred.model.train import TRAIN_DTYPE, TrainingDivergedError
 from subnetpred.pipeline import StageError, report, run_pipeline, run_plan, sweep
 from subnetpred.scenario import fading_coefficient
@@ -715,6 +715,26 @@ def test_desk_preset_is_the_field_defaults():
     assert desk_preset(3) == ExperimentSpec(seed=3)
 
 
+def test_every_numeric_setting_has_a_range_that_refuses_nan():
+    # the int and float fields of the six config classes, ExperimentSpec and
+    # its five sections, by the key a config file gives them
+    spec = desk_preset(0)
+    numeric = {}
+    for f in fields(spec):
+        value = getattr(spec, f.name)
+        keyed = ([(f"{f.name}.{g.name}", g) for g in fields(value)]
+                 if is_dataclass(value) else [(f.name, f)])
+        numeric.update((key, g) for key, g in keyed
+                       if g.type.split(" | ")[0] in ("int", "float")
+                       and key not in _WIRED_KEYS)
+    assert {"seed", "deployment.schedule_drift", "channel.noise_figure_db"} <= set(numeric)
+    assert [key for key, f in numeric.items() if "range" not in f.metadata] == []
+    for preset in PRESETS:
+        for key in (key for key, f in numeric.items() if f.type == "float"):
+            with pytest.raises(ConfigError, match=rf"\b{key.split('.')[-1]} = nan"):
+                parse_config_text(f"{key} = nan", preset=preset)
+
+
 def test_run_records_the_model_alpha_it_trained_at_and_no_data_shape(tmp_path):
     cfg = tmp_path / "alpha.cfg"
     cfg.write_text("deployment.sa_pairs_per_sn = 2\nmodel.alpha = 0.1\n")
@@ -897,17 +917,25 @@ def test_unreadable_config_values_exit_2(tmp_path, capsys, config, named):
     "model.n_heads = 0",                     # ZeroDivisionError traceback
     "model.d_embed = 0",
     "model.lstm_hidden = 0",
-    "deployment.interferer_set_size = 1",    # the victim alone: no interferer
+    "deployment.n_subbands = 6",             # tiny's 6 SNs: the victim alone on its band
     "channel.decorrelation_distance = nan",  # NaN lies in no range
+    "channel.noise_figure_db = nan",         # NaN rows
+    "channel.shadow_std_los_db = -4",        # silently the +4 dB field
+    "channel.power_floor_w = 0",
+    "channel.doppler_hz = -1",
+    "payload_bits = 0",
+    "corr_threshold = 1.5",                  # no lagged correlation reaches it
+    "--seed -1",                             # once refused in simulate, after --out
 ])
 def test_out_of_range_settings_exit_2_before_anything_runs(tmp_path, capsys, line):
+    flags = line.split() if line.startswith("--") else []
     path = tmp_path / "run.cfg"
-    path.write_text(line + "\n")
+    path.write_text("" if flags else line + "\n")
     assert main(["evaluate", "--config", str(path), "--preset", "tiny",
-                 "--variant", "iqpt", "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+                 "--variant", "iqpt", "--out", str(tmp_path / "x"), *flags]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    key, value = (tok.strip() for tok in line.split("="))
-    assert err.startswith("config error:") and key.split(".")[1] in err
+    key, value = flags or (tok.strip() for tok in line.split("="))
+    assert err.startswith("config error:") and key.lstrip("-").rsplit(".", 1)[-1] in err
     assert value in err
     assert not (tmp_path / "x").exists()     # refused before --out is touched
 
@@ -937,7 +965,6 @@ def test_non_positive_tx_cycle_is_a_config_error():
 @pytest.mark.parametrize("text", [
     "channel.doppler_hz = 800\n",               # J0(5.03) = -0.18 at 1 ms
     "channel.doppler_hz = 383\n",               # 2 pi f dt = 2.4065, past the zero
-    "channel.doppler_hz = -1\n",
     "channel.doppler_hz = 80\ndeployment.tx_cycle_duration = 0.01\n",
 ])
 def test_fading_past_the_first_zero_of_j0_is_a_config_error(text):

@@ -37,8 +37,7 @@ DETERMINISTIC = ChannelParams(shadow_std_los_db=0.0, shadow_std_nlos_db=0.0,
 
 def cfg(**kw):
     base = dict(n_subnetworks=16, sa_pairs_per_sn=4, area=(25.0, 25.0),
-                sn_radius=2.0, speed=2.0, min_distance=3.0, n_subbands=4,
-                interferer_set_size=5)
+                sn_radius=2.0, speed=2.0, min_distance=3.0, n_subbands=4)
     base.update(kw)
     return DeploymentConfig(**base)
 
@@ -46,11 +45,11 @@ def cfg(**kw):
 # ----------------------------------------------------------------- placement
 
 def test_sn_offsets_within_radius():
-    # three sub-networks: the fewest that leave a victim an interferer
-    # (interferer_set_size >= 2, <= n_subnetworks - 1)
-    c = cfg(n_subnetworks=3, interferer_set_size=2)
+    # two sub-networks on one sub-band: the fewest that leave a victim an
+    # interferer (n_subnetworks > n_subbands)
+    c = cfg(n_subnetworks=2, n_subbands=1)
     state = deploy(c, np.random.default_rng(0))
-    assert state.positions.shape == (3, 2)
+    assert state.positions.shape == (2, 2)
     assert np.all(np.linalg.norm(state.offsets, axis=-1) <= c.sn_radius)
 
 
@@ -63,8 +62,8 @@ def test_dense_placement_respects_min_distance():
 
 def test_overpacked_area_raises():
     with pytest.raises(PlacementError):
-        deploy(cfg(n_subnetworks=50, area=(5.0, 5.0), interferer_set_size=4,
-                   sn_radius=1.5), np.random.default_rng(0))
+        deploy(cfg(n_subnetworks=50, area=(5.0, 5.0), sn_radius=1.5),
+               np.random.default_rng(0))
 
 
 def test_deployment_determinism():
@@ -84,7 +83,7 @@ def test_zero_speed_leaves_state_unchanged():
 
 
 def test_step_displacement_magnitude():
-    c = cfg(n_subnetworks=3, interferer_set_size=2, min_distance=0.0)
+    c = cfg(n_subnetworks=3, n_subbands=1, min_distance=0.0)
     state = deploy(c, np.random.default_rng(0))
     out = step_mobility(state, 2.0, 1e-3, 0.0, np.random.default_rng(1))
     moved = np.linalg.norm(out.positions - state.positions, axis=1)
@@ -108,8 +107,7 @@ def test_long_rdmm_run_stays_in_bounds_and_spaced():
 
 
 def test_alley_mobility_follows_loops_and_wraps():
-    c = cfg(n_subnetworks=6, area=(180.0, 90.0), interferer_set_size=3,
-            speed=2.0)
+    c = cfg(n_subnetworks=6, area=(180.0, 90.0), speed=2.0)
     rng = np.random.default_rng(6)
     state = deploy_alley(c, rng)
     positions = alley_positions(state, c.speed, c.tx_cycle_duration, 201)
@@ -291,12 +289,12 @@ def test_no_active_interferers_means_zero_interference():
 
 
 def test_single_interferer_contribution_is_gain():
-    c = cfg(n_subnetworks=3, interferer_set_size=2, n_subbands=1, speed=0.0)
+    c = cfg(n_subnetworks=2, n_subbands=1, speed=0.0)
     tr = simulate_trace(c, TrafficModel(eta=1.0), DETERMINISTIC, 12, 7)
     # deterministic channel, static geometry: reconstruct the one-term
     # per-SA gains of the single interferer (placement is the first draw)
     state = deploy(c, np.random.default_rng(7))
-    intf = interferer_set(state.positions, 0, 2, subband_assignment(3, 1))
+    intf = interferer_set(state.positions, 0, subband_assignment(2, 1))
     tx = state.positions[intf[0]] + state.offsets[intf[0]]
     dist = np.linalg.norm(tx - state.positions[0], axis=1)
     expected = c.tx_power * db_to_linear(-pathloss_inf_db(dist, c.carrier_freq))
@@ -313,23 +311,18 @@ def test_single_interferer_contribution_is_gain():
 
 
 def test_zero_drift_keeps_slot_gains_constant():
-    c = cfg(n_subnetworks=3, interferer_set_size=2, n_subbands=1, speed=0.0,
-            schedule_drift=0)
+    c = cfg(n_subnetworks=2, n_subbands=1, speed=0.0, schedule_drift=0)
     tr = simulate_trace(c, TrafficModel(eta=1.0), DETERMINISTIC, 8, 7)
     assert np.allclose(tr.true_power, tr.true_power[:, :1])
 
 
 def test_interfering_link_count_matches_set_size():
-    # single sub-band: the set size alone fixes the link count at |B| - 1
+    # every other sub-network on the victim's sub-band interferes: one band
+    # over 16 SNs gives 15 links, and reuse 1/4 gives 16 / 4 - 1 = 3
     full = small_trace(seed=8, n_cycles=10, n_subbands=1)
-    assert len(full.meta["interferer_set"]) == 4    # |B| - 1 with |B| = 5
-    # reuse 1/4 over 16 SNs leaves a co-channel pool of 3 interferers
+    assert len(full.meta["interferer_set"]) == 15
     reuse = small_trace(seed=8, n_cycles=10)
     assert len(reuse.meta["interferer_set"]) == 3
-    capped = simulate_trace(cfg(n_subnetworks=3, interferer_set_size=2,
-                                n_subbands=1),
-                            TRAFFIC, CHEAP, 10, 8)
-    assert len(capped.meta["interferer_set"]) == 1
 
 
 @pytest.mark.parametrize("mobility", ["rdmm", "alley"])
@@ -409,11 +402,12 @@ def test_first_desk_trace_keeps_its_free_run_temporaries_on_the_heap():
 def test_interferer_set_prefers_nearest_co_channel():
     state = deploy(cfg(), np.random.default_rng(12))
     bands = subband_assignment(16, 4)
-    chosen = interferer_set(state.positions, 0, 5, bands)
-    assert all(bands[j] == bands[0] for j in chosen)
+    chosen = interferer_set(state.positions, 0, bands)
+    # the whole co-channel band, nearest first
     dist = np.linalg.norm(state.positions - state.positions[0], axis=1)
     pool = [j for j in range(16) if j != 0 and bands[j] == bands[0]]
-    assert sorted(chosen.tolist()) == sorted(sorted(pool, key=lambda j: dist[j])[:4])
+    assert chosen.tolist() == sorted(pool, key=lambda j: dist[j])
+    assert len(pool) == 3 and np.all(np.diff(dist[chosen]) > 0)
 
 
 def test_heavy_tail_exceeds_gaussian_surrogate():

@@ -27,8 +27,8 @@ J0_FIRST_ZERO = 2.404825557695773
 # every test is a comparison or math.isfinite
 FINITE = {"range": ("finite", math.isfinite)}
 INTEGER = {"range": ("an integer", lambda v: isinstance(v, int))}
-POSITIVE = {"range": ("> 0", lambda v: v > 0)}
-NON_NEGATIVE = {"range": (">= 0", lambda v: v >= 0)}
+POSITIVE = {"range": ("in (0, inf)", lambda v: 0 < v < math.inf)}
+NON_NEGATIVE = {"range": ("in [0, inf)", lambda v: 0 <= v < math.inf)}
 AT_LEAST_1 = {"range": (">= 1", lambda v: v >= 1)}
 AT_LEAST_2 = {"range": (">= 2", lambda v: v >= 2)}
 FRACTION = {"range": ("in (0, 1]", lambda v: 0 < v <= 1)}
@@ -80,8 +80,8 @@ class DeploymentConfig:
                 f"another sub-network")
         if len(self.area) != 2:
             raise ConfigError(f"area takes exactly two sides, got {self.area}")
-        if not (self.area[0] > 0 and self.area[1] > 0):
-            raise ConfigError(f"area sides {self.area} must be positive")
+        if not all(0 < side < math.inf for side in self.area):
+            raise ConfigError(f"area sides {self.area} must be positive and finite")
 
 
 @dataclass(frozen=True)

@@ -88,17 +88,17 @@ def levinson_durbin(r, order):
     return a.reshape(r.shape[:-1] + (order,))
 
 
-def wiener_predict(series, t_indices, order, history=None):
+def wiener_predict(series, t_indices, order):
     """One-step linear prediction with coefficients refit per target point.
 
     For each t the coefficients solve the Yule-Walker normal equations on
     the raw sample correlation (no mean removal, the sample interference
     correlation convention) of the trailing history window; the prediction
     is the plain linear combination of the last `order` samples.  The
-    default history spans a few stationarity intervals (4*(order+1)
-    samples): beyond the interval that sets the order, sample correlations
-    mix regimes and stop being trustworthy.  A flat window, every sample
-    equal to the last, predicts that value.
+    history spans a few stationarity intervals (4*(order+1) samples):
+    beyond the interval that sets the order, sample correlations mix
+    regimes and stop being trustworthy.  A flat window, every sample equal
+    to the last, predicts that value.
 
     The refits run batched, one batch per window length (points with
     t < history see the shorter window s[:t]); each point gets the bits of
@@ -111,7 +111,7 @@ def wiener_predict(series, t_indices, order, history=None):
     """
     s = np.asarray(series, dtype=float).ravel()
     t_indices = np.asarray(t_indices, dtype=int)
-    hist = history if history is not None else 4 * (order + 1)
+    hist = 4 * (order + 1)
     if np.any(t_indices < order + 1):
         raise ValueError("need order+1 history samples before every prediction point")
     preds = np.empty(t_indices.size)

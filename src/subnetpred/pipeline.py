@@ -10,12 +10,12 @@ knows the protocol that trained a model: a run keeps one thresholds.npy,
 keyed by the model's parameters (a split model equal to the centralized
 one shares its predict pass), and one calibration.json, recomputed on
 every call.  run_manifest.json is the one record of a directory's runs;
-results.csv is written from it, and summary.json holds stage times.
+results.csv is written from it, and summary.json holds each stage's time
+from the first call that completed it.
 """
 
 from __future__ import annotations
 
-import contextvars
 import csv
 import hashlib
 import json
@@ -43,19 +43,11 @@ class StageError(RuntimeError):
         self.stage = stage
 
 
-# the answers of the _cached calls inside the running _stage block; a
-# stage call that caches nothing answers False
-_checks = contextvars.ContextVar("stage_cache_checks")
-
-
 @contextmanager
-def _stage(name, seconds, cache):
+def _stage(name, seconds):
     """Report any failure inside the block but a ConfigError as
     StageError(name); once the block completes, store its wall time in
-    seconds[name] and in cache[name] "hit" when every stage call in it
-    reused its cached artifact, else "miss"."""
-    checks = []
-    token = _checks.set(checks)
+    seconds[name]."""
     t0 = time.perf_counter()
     try:
         yield
@@ -63,10 +55,7 @@ def _stage(name, seconds, cache):
         raise
     except Exception as err:                       # noqa: BLE001
         raise StageError(name, err) from err
-    finally:
-        _checks.reset(token)
     seconds[name] = time.perf_counter() - t0
-    cache[name] = "hit" if checks and all(checks) else "miss"
 
 
 def _hash(obj):
@@ -86,19 +75,11 @@ def _file_hash(path):
     return h.hexdigest()
 
 
-def _cached(artifact, hit=True):
-    """Whether the artifact exists and `hit` holds; the answer is recorded
-    for _stage."""
-    hit = hit and artifact.exists()
-    _checks.get([]).append(hit)
-    return hit
-
-
 # ------------------------------------------------------------------- stages
 
 def stage_simulate(spec, out):
     out = Path(out)
-    if _cached(out / "trace.npz"):
+    if (out / "trace.npz").exists():
         return simulate.load_trace(out / "trace")
     trace = simulate.simulate_trace(spec.deployment, spec.traffic, spec.channel,
                                     spec.n_cycles, spec.seed, mobility=spec.mobility)
@@ -119,7 +100,7 @@ def _learning_dbm(spec, trace):
 
 def stage_prepare(spec, out, trace):
     out = Path(out)
-    if _cached(out / "dataset.json"):
+    if (out / "dataset.json").exists():
         return windowing.load_dataset(out / "dataset")
     series = _learning_dbm(spec, trace)
     window = windowing.stationary_interval(series, spec.corr_threshold,
@@ -171,7 +152,7 @@ def stage_train(spec, out, ds, split_mode=False):
     cfg = _model_cfg(spec, ds.window)
     stem = out / ("model_split" if split_mode else "model")
     loss = out / (stem.name + "_loss.csv")
-    if _cached(loss):
+    if loss.exists():
         params, cfg_loaded, _ = network.load_checkpoint(stem)
         return params, cfg_loaded
     tx, ty = ds.train()
@@ -213,7 +194,7 @@ def _thresholds(out, ds, params, cfg):
     predicts its own (one network.predict pass) into the file."""
     key, path = out / ".thresholds.key", out / "thresholds.npy"
     digest = _params_digest(params, cfg)
-    if _cached(path, key.exists() and key.read_text() == digest):
+    if path.exists() and key.exists() and key.read_text() == digest:
         return np.load(path)
     thresholds = network.predict(params, cfg, ds.inputs)
     np.save(path, thresholds)
@@ -224,14 +205,13 @@ def _thresholds(out, ds, params, cfg):
 def stage_calibrate(spec, out, ds, params, cfg):
     """EVT tail fits on training exceedances plus conformal scores
     (tailcal.calibrate), computed on every call from the thresholds of the
-    model with these parameters and recorded in calibration.json; the
-    record is not read back, so the stage is never a cache hit.
+    model with these parameters and recorded in calibration.json, which
+    is not read back.
     """
     out = Path(out)
     calibrated = tailcal.calibrate(
         ds.partition(_thresholds(out, ds, params, cfg)),
         ds.partition(ds.labels), spec.beta, spec.varsigma)
-    _checks.get([]).append(False)
     tailcal.write_calibration_report(out / "calibration.json", calibrated)
     return calibrated
 
@@ -366,11 +346,10 @@ def run_plan(spec, out, variants):
     Whatever its exit after those checks, a call records `out`'s runs in
     run_manifest.json (_record): each scored variant's scores, beside those
     of earlier calls that were scored on the same files, and the sha256 of
-    every artifact; results.csv lists those runs.  Its stage times merge
-    into summary.json: "stage_seconds" times every stage run in `out`, and
-    "stage_cache" says whether that time was a cache "hit" or a "miss" (the
-    stage did its work); a later hit does not replace a miss.  A failure
-    raises StageError naming its stage.
+    every artifact; results.csv lists those runs.  summary.json's
+    "stage_seconds" gains the time of each stage it completed that no
+    earlier call into `out` completed.  A failure raises StageError naming
+    its stage.
     """
     out = Path(out)
     specs = {v: replace(spec, variant=v) for v in variants}
@@ -382,11 +361,11 @@ def run_plan(spec, out, variants):
         (out / "run_manifest.json").write_text(json.dumps(
             {"version": VERSION, "scenario": _scenario(spec), "runs": {},
              "artifacts": {}}, indent=2))
-    stages, cache, scored = {}, {}, {}
+    stages, scored = {}, {}
     try:
-        with _stage("simulate", stages, cache):
+        with _stage("simulate", stages):
             trace = stage_simulate(spec, out)
-        with _stage("prepare", stages, cache):
+        with _stage("prepare", stages):
             ds = stage_prepare(spec, out, trace)
 
         for spec_v in tails:
@@ -395,18 +374,18 @@ def run_plan(spec, out, variants):
         modes = {v: v.endswith("-split") for v in specs if v not in BASELINES}
         models, thresholds = {}, {}
         for split in dict.fromkeys(modes.values()):
-            with _stage("train_split" if split else "train", stages, cache):
+            with _stage("train_split" if split else "train", stages):
                 models[split] = stage_train(spec, out, ds, split)
                 thresholds[split] = _thresholds(out, ds, *models[split])
         calibrated = {}
         tail_modes = dict.fromkeys(modes[v] for v in modes if v in TAIL_VARIANTS)
         if tail_modes:
-            with _stage("calibrate", stages, cache):
+            with _stage("calibrate", stages):
                 for split in tail_modes:
                     calibrated[split] = stage_calibrate(spec, out, ds,
                                                         *models[split])
 
-        with _stage("evaluate", stages, cache):
+        with _stage("evaluate", stages):
             test = {split: ds.partition(thr)[2] for split, thr in thresholds.items()}
             # modes.get(v) is None for a baseline
             scored = {v: stage_evaluate(spec_v, out, trace, ds, test.get(modes.get(v)),
@@ -414,7 +393,7 @@ def run_plan(spec, out, variants):
                       for v, spec_v in specs.items()}
         return scored
     finally:
-        _record(out, stages, cache, scored)
+        _record(out, stages, scored)
 
 
 def _read_json(path):
@@ -426,7 +405,7 @@ ARTIFACTS = ("trace.npz", "dataset.bin", "dataset.json", "model.bin", "model_spl
              "thresholds.npy", "calibration.json", "results.csv")
 
 
-def _record(out, stages, cache, scored):
+def _record(out, stages, scored):
     """Record a call in run_manifest.json and summary.json.
 
     The manifest's runs were scored on the files it hashes, so they are
@@ -435,13 +414,12 @@ def _record(out, stages, cache, scored):
     thresholds.npy), results.csv is deleted and the runs are dropped.  The
     runs this call `scored` then follow the kept ones, results.csv is
     written from them, and the manifest records them with the sha256 of
-    every artifact.  `stages` and `cache` hold this call's stage times and
-    cache states, merged into summary.json; a hit keeps the time of the
-    miss that built the stage's artifact."""
+    every artifact.  `stages` holds this call's stage times; summary.json
+    keeps each stage's time from the first call that completed it, the call
+    that built its artifact, and adds the others.  The manifest holds no
+    time, so that two equal runs write it byte for byte."""
     manifest = _read_json(out / "run_manifest.json")
-    summary = _read_json(out / "summary.json")
-    seconds = summary.get("stage_seconds", {})
-    hits = summary.get("stage_cache", {})
+    recorded = _read_json(out / "summary.json").get("stage_seconds", {})
     hashes = {name: _file_hash(out / name) for name in ARTIFACTS if (out / name).exists()}
     runs = manifest["runs"]
     if any(hashes.get(name) != digest for name, digest in manifest["artifacts"].items()):
@@ -454,11 +432,8 @@ def _record(out, stages, cache, scored):
         hashes["results.csv"] = _file_hash(out / "results.csv")
     (out / "run_manifest.json").write_text(
         json.dumps({**manifest, "runs": runs, "artifacts": hashes}, indent=2))
-    for name, state in cache.items():
-        if state == "miss" or hits.get(name) != "miss":
-            seconds[name], hits[name] = stages[name], state
     (out / "summary.json").write_text(
-        json.dumps({"stage_seconds": seconds, "stage_cache": hits}, indent=2))
+        json.dumps({"stage_seconds": {**stages, **recorded}}, indent=2))
 
 
 def run_pipeline(spec, out):

@@ -75,8 +75,6 @@ def test_allowlist_names_exist_and_carry_a_reason():
 # parameters with a default that no program call sets, one reason each
 ALLOWED_DEFAULTS = {
     "main(argv)": "the console script passes nothing; tests drive argv",
-    "wiener_predict(history)": "two test_model.py tests probe the predictor "
-                               "at long history",
 }
 
 

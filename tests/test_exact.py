@@ -173,10 +173,10 @@ def ref_levinson_durbin(r, order, ridge=1e-8, exits=None):
     return a
 
 
-def ref_wiener_predict(series, t_indices, order, history=None):
+def ref_wiener_predict(series, t_indices, order):
     """The per-point refit: one window, one recursion, one dot per point."""
     s = np.asarray(series, dtype=float).ravel()
-    hist = history if history is not None else 4 * (order + 1)
+    hist = 4 * (order + 1)
     preds = np.empty(len(t_indices))
     for j, t in enumerate(t_indices):
         window = s[max(t - hist, 0):t]

@@ -178,14 +178,6 @@ def test_plan_times_every_stage_it_runs(tmp_path):
     assert sum(stages.values()) <= wall
 
 
-def test_stage_cache_records_hits_of_a_fresh_summary(tmp_path):
-    run_pipeline(smoke_spec(seed=11), tmp_path)
-    (tmp_path / "summary.json").unlink()
-    run_pipeline(smoke_spec(seed=11), tmp_path)
-    cache = json.loads((tmp_path / "summary.json").read_text())["stage_cache"]
-    assert cache == {"simulate": "hit", "prepare": "hit", "evaluate": "miss"}
-
-
 def test_cli_variant_set_equals_one_run_pipeline_per_variant(tmp_path):
     variants = ["genie", "moving-average"]
     for variant in variants:
@@ -209,8 +201,8 @@ CALIBRATING_CFG = "n_cycles = 2000\ntrain.lr_decay = 0.1\n"
 
 def test_stage_times_merge_over_calls_and_keep_the_misses(tmp_path):
     """The fixed check's shape, one run_pipeline call per variant: the
-    summary names every stage any call ran, and a stage that a later call
-    found in the cache keeps the time of the call that built it."""
+    summary names every stage any call ran, with the time of the first call
+    that completed it, the call that built its artifact."""
     variants = ["cevt-iqpt"] + [v for v in ExperimentSpec.VARIANTS if v != "cevt-iqpt"]
     t0 = time.perf_counter()
     for variant in variants:
@@ -219,22 +211,18 @@ def test_stage_times_merge_over_calls_and_keep_the_misses(tmp_path):
             first = json.loads((tmp_path / "summary.json").read_text())
     wall = time.perf_counter() - t0
     summary = json.loads((tmp_path / "summary.json").read_text())
-    stages, cache = summary["stage_seconds"], summary["stage_cache"]
-    assert set(stages) == set(cache) == {"simulate", "prepare", "train", "train_split",
-                                         "calibrate", "evaluate"}
-    assert set(cache.values()) == {"miss"}
+    assert set(summary) == {"stage_seconds"}
+    stages = summary["stage_seconds"]
+    assert set(stages) == {"simulate", "prepare", "train", "train_split",
+                           "calibrate", "evaluate"}
     assert sum(stages.values()) <= wall
-    for name in ("simulate", "prepare", "train"):
-        assert stages[name] == first["stage_seconds"][name]
+    assert {k: v for k, v in stages.items() if k in first["stage_seconds"]} \
+        == first["stage_seconds"]
 
-    # a second pass over all variants finds every stage cached but calibrate
-    # and evaluate, which run on every call
+    # a second pass over all variants leaves every time as the first pass
+    # wrote it, calibrate and evaluate included, though they run on every call
     run_plan(calibrating_spec(variants[0]), tmp_path, variants)
-    again = json.loads((tmp_path / "summary.json").read_text())
-    assert again["stage_cache"] == cache
-    rerun = ("calibrate", "evaluate")
-    assert {k: v for k, v in again["stage_seconds"].items() if k not in rerun} \
-        == {k: v for k, v in stages.items() if k not in rerun}
+    assert json.loads((tmp_path / "summary.json").read_text()) == summary
 
 
 def test_stage_commands_record_their_stage_times(tmp_path):
@@ -243,14 +231,13 @@ def test_stage_commands_record_their_stage_times(tmp_path):
     args = ["evaluate", "--preset", "tiny", "--seed", "0", "--variant", "iqpt",
             "--out", str(tmp_path)]
     assert main(args) == EXIT_OK
-    trained = json.loads((tmp_path / "summary.json").read_text())
-    assert trained["stage_cache"] == {"simulate": "miss", "prepare": "miss",
-                                      "train": "miss", "evaluate": "miss"}
+    trained = json.loads((tmp_path / "summary.json").read_text())["stage_seconds"]
+    assert set(trained) == {"simulate", "prepare", "train", "evaluate"}
     assert main(args + ["--variant", "genie"]) == EXIT_OK
-    summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["stage_cache"] == trained["stage_cache"]
+    summary = json.loads((tmp_path / "summary.json").read_text())["stage_seconds"]
+    assert set(summary) == set(trained)
     for name in ("simulate", "prepare", "train"):
-        assert summary["stage_seconds"][name] == trained["stage_seconds"][name]
+        assert summary[name] == trained[name]
 
 
 def test_failed_call_records_the_stages_it_completed(tmp_path, monkeypatch):
@@ -261,9 +248,7 @@ def test_failed_call_records_the_stages_it_completed(tmp_path, monkeypatch):
     with pytest.raises(StageError):
         run_pipeline(calibrating_spec("evt-iqpt"), tmp_path)
     summary = json.loads((tmp_path / "summary.json").read_text())
-    assert summary["stage_cache"] == {"simulate": "miss", "prepare": "miss",
-                                      "train": "miss"}
-    assert set(summary["stage_seconds"]) == set(summary["stage_cache"])
+    assert set(summary["stage_seconds"]) == {"simulate", "prepare", "train"}
 
 
 def snapshot(out):
@@ -519,12 +504,8 @@ def test_one_threshold_pass_per_model_serves_calibrate_and_evaluate(
     assert calls == [ds.inputs.shape[0]]
 
     calls.clear()
-    (tmp_path / "summary.json").unlink()
     run_pipeline(calibrating_spec("evt-iqpt"), tmp_path)
     assert calls == []
-    cache = json.loads((tmp_path / "summary.json").read_text())["stage_cache"]
-    assert cache == {"simulate": "hit", "prepare": "hit", "train": "hit",
-                     "calibrate": "miss", "evaluate": "miss"}
 
 
 def test_retrained_model_recomputes_its_thresholds(tmp_path, monkeypatch):
@@ -729,10 +710,13 @@ def test_every_numeric_setting_has_a_range_that_refuses_nan():
                        and key not in _WIRED_KEYS)
     assert {"seed", "deployment.schedule_drift", "channel.noise_figure_db"} <= set(numeric)
     assert [key for key, f in numeric.items() if "range" not in f.metadata] == []
+    # NaN and the infinities lie in no float range
     for preset in PRESETS:
         for key in (key for key, f in numeric.items() if f.type == "float"):
-            with pytest.raises(ConfigError, match=rf"\b{key.split('.')[-1]} = nan"):
-                parse_config_text(f"{key} = nan", preset=preset)
+            for value in ("nan", "inf", "-inf"):
+                with pytest.raises(ConfigError,
+                                   match=rf"\b{key.split('.')[-1]} = {value}\b"):
+                    parse_config_text(f"{key} = {value}", preset=preset)
 
 
 def test_run_records_the_model_alpha_it_trained_at_and_no_data_shape(tmp_path):
@@ -886,11 +870,12 @@ def test_cli_config_error_exit_code(tmp_path):
     ("n_cycles = abc\n", "n_cycles = 'abc'"),
     ("deployment.area = 5\n", "area takes exactly two sides"),
     ("deployment.area = 5 5 5\n", "area takes exactly two sides"),
+    ("deployment.area = inf 25\n", "area sides (inf, 25.0) must be positive and finite"),
     ("eps_targets =\n", "eps_targets must not be empty"),
     (None, "cannot read config file"),           # missing file
     ("", "cannot read config file"),             # a directory
     (b"\xff\xfe\n", "cannot read config file"),  # not UTF-8
-], ids=["int", "area-1", "area-3", "eps-empty", "missing", "directory",
+], ids=["int", "area-1", "area-3", "area-inf", "eps-empty", "missing", "directory",
         "binary"])
 def test_unreadable_config_values_exit_2(tmp_path, capsys, config, named):
     path = tmp_path / "run.cfg"
@@ -926,6 +911,8 @@ def test_unreadable_config_values_exit_2(tmp_path, capsys, config, named):
     "payload_bits = 0",
     "corr_threshold = 1.5",                  # no lagged correlation reaches it
     "--seed -1",                             # once refused in simulate, after --out
+    "deployment.speed = inf",                # NaN rows
+    "channel.bandwidth_hz = inf",            # once refused in evaluate, after the trace
 ])
 def test_out_of_range_settings_exit_2_before_anything_runs(tmp_path, capsys, line):
     flags = line.split() if line.startswith("--") else []

@@ -22,6 +22,9 @@ class ConfigError(ValueError):
 # J0(2 pi doppler_hz tx_cycle_duration) is positive below it
 J0_FIRST_ZERO = 2.404825557695773
 
+# least distance of the alley circuits from the area border, meters
+ALLEY_MIN_MARGIN = 5.0
+
 
 # valid ranges of numeric fields, as field metadata; NaN lies in none, since
 # every test is a comparison or math.isfinite
@@ -82,6 +85,15 @@ class DeploymentConfig:
             raise ConfigError(f"area takes exactly two sides, got {self.area}")
         if not all(0 < side < math.inf for side in self.area):
             raise ConfigError(f"area sides {self.area} must be positive and finite")
+        # rdmm keeps each center sn_radius inside the area
+        if not min(self.area) > 2.0 * self.sn_radius:
+            raise ConfigError(f"both area sides {self.area} must exceed 2 sn_radius "
+                              f"= {2.0 * self.sn_radius:g}")
+
+    @property
+    def alley_margin(self):
+        """Distance from the area border to the alley circuits, meters."""
+        return max(2.0 * self.sn_radius, ALLEY_MIN_MARGIN)
 
 
 @dataclass(frozen=True)
@@ -199,8 +211,19 @@ class ExperimentSpec:
     eps_targets: tuple = (1e-5, 1e-6, 1e-7)
     seed: int = field(default=0, metadata=NON_NEGATIVE)
 
-    VARIANTS = ("genie", "moving-average", "wiener", "iqpt", "iqpt-split",
-                "evt-iqpt", "cevt-iqpt", "cevt-iqpt-split")
+    # predictor variant: (protocol that trains its model, None for none;
+    # read-out).  threshold is the model's quantile, gpd adds the tail fit's
+    # margin and conformal is tailcal.calibrated_quantile
+    VARIANTS = {
+        "genie": (None, "genie"),
+        "moving-average": (None, "moving-average"),
+        "wiener": (None, "wiener"),
+        "iqpt": ("central", "threshold"),
+        "iqpt-split": ("split", "threshold"),
+        "evt-iqpt": ("central", "gpd"),
+        "cevt-iqpt": ("central", "conformal"),
+        "cevt-iqpt-split": ("split", "conformal"),
+    }
 
     def __post_init__(self):
         check_ranges(self)
@@ -208,6 +231,12 @@ class ExperimentSpec:
             raise ConfigError(f"unknown predictor variant {self.variant!r}")
         if self.mobility not in ("rdmm", "alley"):
             raise ConfigError(f"unknown mobility model {self.mobility!r}")
+        margin = self.deployment.alley_margin
+        if self.mobility == "alley" and not min(self.deployment.area) > 2.0 * margin:
+            raise ConfigError(
+                f"mobility = alley keeps its circuits max(2 deployment.sn_radius, "
+                f"{ALLEY_MIN_MARGIN:g}) = {margin:g} m inside deployment.area, so "
+                f"both sides of {self.deployment.area} must exceed {2.0 * margin:g}")
         # split conformal certifies 1 - beta only if the calibration block
         # has the order statistic tailcal.finite_sample_quantile reads
         if (self.beta == 1.0

@@ -111,10 +111,9 @@ def stage_prepare(spec, out, trace):
     return ds
 
 
-# variants whose read-out adds a GPD tail fitted to the training exceedances
-TAIL_VARIANTS = ("evt-iqpt", "cevt-iqpt", "cevt-iqpt-split")
-# variants that train no model
-BASELINES = ("genie", "moving-average", "wiener")
+# the read-outs of ExperimentSpec.VARIANTS that add a GPD tail fitted to the
+# training exceedances, and so need a calibration
+TAIL_READOUTS = ("gpd", "conformal")
 
 
 def check_tail_fit(spec, n_train):
@@ -224,36 +223,35 @@ def _dbm_to_w(dbm):
 
 def predictions_dbm(spec, out, trace, ds, variant, thresholds=None,
                     calibrated=None):
-    """Test-partition interference predictions in dBm for one variant.
+    """Test-partition interference predictions in dBm of one variant's read-out.
 
     Baselines run on the interference-to-noise ratio in dB (power over the
     receiver noise floor, the link-adaptation convention); the two-tap
     average is invariant to that reference, the raw-correlation Wiener is
-    not, which is its documented failure mode.  The model variants read
+    not, which is its documented failure mode.  The model read-outs take
     `thresholds`, their model's normalized test-partition thresholds, and
-    the tail variants also `calibrated`; run_plan computes both once per
+    the tail read-outs also `calibrated`; run_plan computes both once per
     model.  `out` is the run directory; nothing is read from it.
     """
+    readout = spec.VARIANTS[variant][1]
     cycles = ds.test_label_cycles()
     noise_dbm = 10.0 * np.log10(trace.noise_power) + 30.0
     inr = _learning_dbm(spec, trace) - noise_dbm
-    if variant == "genie":
+    if readout == "genie":
         return trace.true_dbm()[:, cycles].T
-    if variant == "moving-average":
+    if readout == "moving-average":
         return noise_dbm + np.stack(
             [bl.moving_average_predict(inr[m], cycles)
              for m in range(inr.shape[0])], axis=1)
-    if variant == "wiener":
+    if readout == "wiener":
         return noise_dbm + np.stack(
             [bl.wiener_predict(inr[m], cycles, order=ds.window)
              for m in range(inr.shape[0])], axis=1)
-    if variant in ("iqpt", "iqpt-split"):
+    if readout == "threshold":
         return ds.norm.invert(thresholds)
-    if variant == "evt-iqpt":
+    if readout == "gpd":
         return ds.norm.invert(thresholds + calibrated.margins)
-    if variant in ("cevt-iqpt", "cevt-iqpt-split"):
-        return ds.norm.invert(tailcal.calibrated_quantile(thresholds, calibrated))
-    raise ConfigError(f"unknown predictor variant {variant!r}")
+    return ds.norm.invert(tailcal.calibrated_quantile(thresholds, calibrated))
 
 
 def stage_evaluate(spec, out, trace, ds, thresholds, calibrated):
@@ -333,15 +331,15 @@ def run_plan(spec, out, variants):
     """Run every stage once for a set of variants of spec; returns
     {variant: detail}.
 
-    Before `out` is touched: check_tail_fit for every tail variant at the
+    Before `out` is touched: check_tail_fit for every tail read-out at the
     most training instances any window leaves (window 1: n_cycles - 1 -
     n_cal - n_test), and _check_out; a new `out` is made with a
     run_manifest.json that records VERSION and the scenario.  Then
     simulate and prepare; check_tail_fit again at the window's n_train;
-    train and train_split, once per mode the variants need, each with its
-    model's thresholds over every window (_thresholds); calibrate, once
-    per mode; evaluate, one scoring per variant.  Artifacts that `out`
-    holds are reused.
+    train and train_split, once per protocol of ExperimentSpec.VARIANTS
+    the variants name, each with its model's thresholds over every window
+    (_thresholds); calibrate, once per protocol of a tail read-out;
+    evaluate, one scoring per variant.  Artifacts that `out` holds are reused.
 
     Whatever its exit after those checks, a call records `out`'s runs in
     run_manifest.json (_record): each scored variant's scores, beside those
@@ -353,7 +351,9 @@ def run_plan(spec, out, variants):
     """
     out = Path(out)
     specs = {v: replace(spec, variant=v) for v in variants}
-    tails = [spec_v for v, spec_v in specs.items() if v in TAIL_VARIANTS]
+    # the protocol that trains each variant's model, None for a baseline
+    protocols = {v: spec.VARIANTS[v][0] for v in specs}
+    tails = [spec_v for v, spec_v in specs.items() if spec.VARIANTS[v][1] in TAIL_READOUTS]
     for spec_v in tails:
         check_tail_fit(spec_v, spec.n_cycles - 1 - spec.n_cal - spec.n_test)
     if _check_out(spec, out):
@@ -370,26 +370,24 @@ def run_plan(spec, out, variants):
 
         for spec_v in tails:
             check_tail_fit(spec_v, ds.n_train)
-        # training mode per model variant: True trains through the split protocol
-        modes = {v: v.endswith("-split") for v in specs if v not in BASELINES}
         models, thresholds = {}, {}
-        for split in dict.fromkeys(modes.values()):
+        for protocol in dict.fromkeys(filter(None, protocols.values())):
+            split = protocol == "split"
             with _stage("train_split" if split else "train", stages):
-                models[split] = stage_train(spec, out, ds, split)
-                thresholds[split] = _thresholds(out, ds, *models[split])
+                models[protocol] = stage_train(spec, out, ds, split)
+                thresholds[protocol] = _thresholds(out, ds, *models[protocol])
         calibrated = {}
-        tail_modes = dict.fromkeys(modes[v] for v in modes if v in TAIL_VARIANTS)
-        if tail_modes:
+        tail_protocols = dict.fromkeys(protocols[spec_v.variant] for spec_v in tails)
+        if tail_protocols:
             with _stage("calibrate", stages):
-                for split in tail_modes:
-                    calibrated[split] = stage_calibrate(spec, out, ds,
-                                                        *models[split])
+                for protocol in tail_protocols:
+                    calibrated[protocol] = stage_calibrate(spec, out, ds,
+                                                           *models[protocol])
 
         with _stage("evaluate", stages):
-            test = {split: ds.partition(thr)[2] for split, thr in thresholds.items()}
-            # modes.get(v) is None for a baseline
-            scored = {v: stage_evaluate(spec_v, out, trace, ds, test.get(modes.get(v)),
-                                        calibrated.get(modes.get(v)))
+            test = {p: ds.partition(thr)[2] for p, thr in thresholds.items()}
+            scored = {v: stage_evaluate(spec_v, out, trace, ds, test.get(protocols[v]),
+                                        calibrated.get(protocols[v]))
                       for v, spec_v in specs.items()}
         return scored
     finally:

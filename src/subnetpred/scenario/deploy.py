@@ -41,16 +41,14 @@ def deploy(config, rng):
     """Place sub-network centers uniformly with pairwise spacing >= min_distance.
 
     Centers stay sn_radius away from the area border so SA pairs remain
-    inside.  Raises PlacementError after MAX_TRIES_PER_SN draws for one
-    sub-network.
+    inside; DeploymentConfig makes both sides exceed 2 sn_radius.  Raises
+    PlacementError after MAX_TRIES_PER_SN draws for one sub-network.
     """
     n = config.n_subnetworks
     r = config.sn_radius
     width, height = config.area
     lo_x, hi_x = r, width - r
     lo_y, hi_y = r, height - r
-    if lo_x >= hi_x or lo_y >= hi_y:
-        raise PlacementError(f"area {config.area} too small for radius {r}")
 
     centers = np.empty((n, 2))
     for i in range(n):

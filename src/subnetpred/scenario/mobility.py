@@ -183,7 +183,7 @@ def build_alley_layout(area=(180.0, 90.0), margin=10.0):
 
 def deploy_alley(config, rng):
     """Assign sub-networks round-robin to alley loops with staggered starts."""
-    layout = build_alley_layout(config.area, margin=max(config.sn_radius * 2, 5.0))
+    layout = build_alley_layout(config.area, margin=config.alley_margin)
     n = config.n_subnetworks
     path_ids = np.arange(n) % layout.n_loops
     per_loop = np.maximum(np.bincount(path_ids, minlength=layout.n_loops), 1)

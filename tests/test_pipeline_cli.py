@@ -4,6 +4,7 @@ exit codes, sweep and report plumbing (all at smoke scale)."""
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -370,7 +371,11 @@ def test_calibration_failure_names_calibrate_stage(tmp_path, monkeypatch):
         == EXIT_STAGE
 
 
-@pytest.mark.parametrize("variant", pipeline.TAIL_VARIANTS)
+TAIL_VARIANTS = [v for v, (_, readout) in ExperimentSpec.VARIANTS.items()
+                 if readout in pipeline.TAIL_READOUTS]
+
+
+@pytest.mark.parametrize("variant", TAIL_VARIANTS)
 def test_too_few_training_exceedances_fail_before_training(tmp_path, monkeypatch,
                                                            capsys, variant):
     # tiny at its 700 cycles: alpha * n_train = 0.05 * 399 = 19.95 < 30
@@ -871,12 +876,20 @@ def test_cli_config_error_exit_code(tmp_path):
     ("deployment.area = 5\n", "area takes exactly two sides"),
     ("deployment.area = 5 5 5\n", "area takes exactly two sides"),
     ("deployment.area = inf 25\n", "area sides (inf, 25.0) must be positive and finite"),
+    # rdmm keeps each center sn_radius inside the area: once exit 3 in simulate
+    ("deployment.area = 3 3\n", "both area sides (3.0, 3.0) must exceed 2 sn_radius = 4"),
+    ("deployment.sn_radius = 1e6\n", "must exceed 2 sn_radius = 2e+06"),
+    # the alley circuits sit max(2 sn_radius, 5) m inside the area: once exit 0,
+    # with zero-length loops and a NaN overhead (10 10) or loops outside it (9 9)
+    ("mobility = alley\ndeployment.area = 10 10\n", "both sides of (10.0, 10.0) must "
+                                                     "exceed 10"),
+    ("mobility = alley\ndeployment.area = 9 9\n", "both sides of (9.0, 9.0) must exceed 10"),
     ("eps_targets =\n", "eps_targets must not be empty"),
     (None, "cannot read config file"),           # missing file
     ("", "cannot read config file"),             # a directory
     (b"\xff\xfe\n", "cannot read config file"),  # not UTF-8
-], ids=["int", "area-1", "area-3", "area-inf", "eps-empty", "missing", "directory",
-        "binary"])
+], ids=["int", "area-1", "area-3", "area-inf", "area-rdmm", "radius-rdmm", "area-alley-10",
+        "area-alley-9", "eps-empty", "missing", "directory", "binary"])
 def test_unreadable_config_values_exit_2(tmp_path, capsys, config, named):
     path = tmp_path / "run.cfg"
     if config == "":
@@ -884,12 +897,12 @@ def test_unreadable_config_values_exit_2(tmp_path, capsys, config, named):
     elif isinstance(config, bytes):
         path.write_bytes(config)
     elif config is not None:
-        path.write_text(config)
+        path.write_text(config + "variant = genie\n")
     assert main(["evaluate", "--config", str(path), "--preset", "tiny",
                  "--out", str(tmp_path / "x")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith("config error:") and named in err
-    assert not (tmp_path / "x" / "trace.npz").exists()
+    assert not (tmp_path / "x").exists()     # refused before --out is touched
 
 
 @pytest.mark.parametrize("line", [
@@ -957,6 +970,21 @@ def test_non_positive_tx_cycle_is_a_config_error():
 def test_fading_past_the_first_zero_of_j0_is_a_config_error(text):
     with pytest.raises(ConfigError, match="doppler_hz.*tx_cycle_duration.*J0"):
         parse_config_text(text, preset="tiny")
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_every_preset_holds_both_mobility_models(preset):
+    for mobility in ("rdmm", "alley"):
+        assert replace(PRESETS[preset](0), mobility=mobility).mobility == mobility
+
+
+def test_the_variant_row_of_the_config_doc_follows_the_variant_table():
+    doc = Path(__file__).resolve().parents[1] / "docs" / "config.md"
+    row, = [line for line in doc.read_text().splitlines()
+            if line.startswith("| `variant` |")]
+    rows = re.findall(r"`([a-z-]+)` \(([a-z]+), ([a-z-]+)\)", row)
+    assert rows == [(v, protocol or "none", readout)
+                    for v, (protocol, readout) in ExperimentSpec.VARIANTS.items()]
 
 
 def test_fading_below_the_first_zero_of_j0_is_accepted():

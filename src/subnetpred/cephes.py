@@ -1,10 +1,7 @@
-"""Two special functions from S. L. Moshier's Cephes library, ported with
-the coefficients and the operation order of scipy.special, so each result
-equals scipy's bit for bit (tests/test_ra.py, tests/test_scenario.py) with
-numpy alone.
-
-ndtri is the inverse of the standard normal CDF; j0 is the Bessel function
-of the first kind of order zero on [0, 5], Cephes' rational branch.
+"""ndtri, the inverse of the standard normal CDF, from S. L. Moshier's
+Cephes library, ported with the coefficients and the operation order of
+scipy.special, so each result equals scipy's bit for bit
+(tests/test_ra.py) with the stdlib alone.
 """
 
 from __future__ import annotations
@@ -41,17 +38,6 @@ _NDTRI_Q2 = (6.02427039364742014255E0, 3.67983563856160859403E0,
 _EXP_M2 = 0.13533528323661269189           # exp(-2)
 _SQRT_2PI = 2.50662827463100050242E0
 
-# j0 on [0, 5]: (z - DR1)(z - DR2) RP(z) / RQ(z) at z = x^2, DR1 and DR2 the
-# squares of the first two zeros; RQ after a leading 1
-_J0_RP = (-4.79443220978201773821E9, 1.95617491946556577543E12,
-          -2.49248344360967716204E14, 9.70862251047306323952E15)
-_J0_RQ = (4.99563147152651017219E2, 1.73785401676374683123E5,
-          4.84409658339962045305E7, 1.11855537045356834862E10,
-          2.11277520115489217587E12, 3.10518229857422583814E14,
-          3.18121955943204943306E16, 1.71086294081043136091E18)
-_J0_DR1 = 5.78318596294678452118E0
-_J0_DR2 = 3.04712623436620863991E1
-
 
 def _polevl(x, coef):
     """The polynomial with coefficients coef, highest degree first, at x by
@@ -78,11 +64,3 @@ def ndtri(y):
     x = x - math.log(x) / x - z * _polevl(z, p) / _polevl(z, (1.0, *q))
     return -x if lower else x
 
-
-def j0(x):
-    """J0(x) for a float x in [0, 5]."""
-    z = x * x
-    if x < 1.0e-5:
-        return 1.0 - z / 4.0
-    p = (z - _J0_DR1) * (z - _J0_DR2)
-    return p * _polevl(z, _J0_RP) / _polevl(z, (1.0, *_J0_RQ))

@@ -2,7 +2,7 @@ from .baselines import levinson_durbin, moving_average_predict, wiener_predict
 from .losses import pinball_grad, pinball_loss
 from .network import (backward, forward, forward_flops, init_params,
                       load_checkpoint, param_names, predict, save_checkpoint)
-from .optim import Adam, DropoutMasks, tagged_rng
+from .optim import Adam, DropoutMasks
 from .train import TrainingDivergedError, batch_schedule, lr_at
 
 __all__ = [
@@ -10,7 +10,7 @@ __all__ = [
     "forward_flops",
     "save_checkpoint", "load_checkpoint",
     "pinball_loss", "pinball_grad",
-    "Adam", "DropoutMasks", "tagged_rng",
+    "Adam", "DropoutMasks",
     "TrainingDivergedError", "batch_schedule", "lr_at",
     "moving_average_predict", "wiener_predict", "levinson_durbin",
 ]

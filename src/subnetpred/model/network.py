@@ -19,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..rng import tagged_rng
 from . import layers
-from .optim import tagged_rng
 
 
 def param_names(cfg):

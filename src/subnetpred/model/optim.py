@@ -1,27 +1,16 @@
-"""Adam optimizer and deterministic tagged RNG helpers.
+"""Adam optimizer and per-batch dropout masks.
 
-The tagged RNG makes every stochastic choice (shuffling, dropout masks)
-reproducible from (seed, epoch, batch, tag) alone, independent of which
-process evaluates it -- the property the split runtime relies on to stay
-bit-identical with centralized training.
+Each mask draws from its own stream (rng.tagged_rng), keyed by (seed,
+epoch, batch, tag) alone, so it is the same in whichever process evaluates
+it -- the property the split runtime relies on to stay bit-identical with
+centralized training.
 """
 
 from __future__ import annotations
 
-import zlib
-
 import numpy as np
 
-
-def tagged_rng(seed, *tags):
-    """Deterministic Generator keyed by seed plus arbitrary int/str tags."""
-    keys = [int(seed) & 0xFFFFFFFF]
-    for tag in tags:
-        if isinstance(tag, str):
-            keys.append(zlib.crc32(tag.encode("utf-8")))
-        else:
-            keys.append(int(tag) & 0xFFFFFFFF)
-    return np.random.default_rng(np.random.SeedSequence(keys))
+from ..rng import tagged_rng
 
 
 class DropoutMasks:

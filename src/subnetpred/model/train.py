@@ -9,9 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..rng import tagged_rng
 from .losses import pinball_grad, pinball_loss
 from .network import backward, forward
-from .optim import Adam, DropoutMasks, tagged_rng
+from .optim import Adam, DropoutMasks
 
 # the precision a model trains in; its checkpoint and every prediction and
 # decision made from it stay float64 (pipeline.stage_train casts the

@@ -64,7 +64,7 @@ def _hash(obj):
 
 # Output version of the stages, recorded with a directory's scenario: a change
 # that alters what a stage writes for the same spec bumps it.
-VERSION = 1
+VERSION = 2
 
 
 def _file_hash(path):

@@ -12,9 +12,11 @@ Formulas and their sources, one a line:
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from ..cephes import j0
+from ..config import J0_FIRST_ZERO
 
 
 def pathloss_inf_db(dist_m, freq_hz, los=True):
@@ -60,14 +62,23 @@ def noise_power_w(bandwidth_hz, n_subbands, noise_figure_db):
 def fading_coefficient(doppler_hz, dt):
     """Per-cycle AR(1) coefficient from the Clarke model: J0(2 pi f_d dt).
 
-    cephes.j0 covers 2 pi f_d dt in [0, 5]; outside it this raises
-    ValueError.  The configuration keeps it below J0's first zero
-    (config.J0_FIRST_ZERO), where the coefficient is positive.
+    J0(x) is its power series, sum over k of (-x^2/4)^k / (k!)^2, summed
+    until a term falls below 1e-18; on [0, config.J0_FIRST_ZERO] it lies
+    within 1e-15 of scipy.special.j0.  J0 is positive below that first
+    zero, the bound the configuration keeps x under; outside [0,
+    J0_FIRST_ZERO] this raises ValueError.
     """
-    x = 2.0 * np.pi * doppler_hz * dt
-    if not 0.0 <= x <= 5.0:
-        raise ValueError(f"2 pi doppler_hz dt = {x:g} lies outside [0, 5]")
-    return float(j0(x))
+    x = 2.0 * math.pi * doppler_hz * dt
+    if not 0.0 <= x <= J0_FIRST_ZERO:
+        raise ValueError(f"2 pi doppler_hz dt = {x:g} lies outside [0, {J0_FIRST_ZERO:.4f}]")
+    step = -x * x / 4.0
+    term = total = 1.0
+    k = 0
+    while abs(term) >= 1e-18:
+        k += 1
+        term *= step / (k * k)
+        total += term
+    return total
 
 
 def _complex_normal(re, im, out=None):

@@ -4,9 +4,9 @@ Per TX cycle: mobility step, correlated channel updates, slot-level traffic
 of the co-channel interferers, and the resulting interference power at the
 victim controller for each of its SA-pair slots.  Estimation noise is added
 in the linear power domain afterwards and clamped at a positive floor so
-the dB conversion is total.  simulate_trace computes the cycles in two
-passes: one that steps through them and one vectorized over each block of
-them, in buffers allocated once per trace.
+the dB conversion is total.  simulate_trace draws from one random stream
+per component, computes the trajectory up front, and then the cycles block
+by block, in buffers allocated once per trace.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ..config import spec_to_dict
+from ..rng import tagged_rng
 from . import channel as ch
 from .deploy import deploy
 from .mobility import alley_positions, deploy_alley, free_run, step_mobility
@@ -105,6 +106,37 @@ def _look_power(fading, out):
     return np.add.reduce(out, axis=-1)
 
 
+def _rdmm_centers(state, deployment, members, n_cycles, rng):
+    """Centers [n_cycles x members x 2] of the sub-networks members along
+    an rdmm trajectory from state.  The steps between events come from
+    free runs (mobility.free_run): FIRST steps after an event, twice as
+    many after each run that met none, at most HORIZON; step_mobility,
+    drawing from rng, takes each event step."""
+    speed, dt, min_distance = (deployment.speed, deployment.tx_cycle_duration,
+                               deployment.min_distance)
+    step = speed * dt
+    guard = min_distance + 2.0 * step
+    work = np.empty((2, HORIZON) + (deployment.n_subnetworks,) * 2)
+    centers = np.empty((n_cycles, members.size, 2))
+    centers[0] = state.positions[members]
+    t, longest = 1, FIRST
+    while t < n_cycles:
+        horizon = min(longest, n_cycles - t)
+        positions, headings = free_run(state, step, guard, horizon, work)
+        k = len(positions)
+        if k:
+            centers[t:t + k] = positions[:, members]
+            state = replace(state, positions=positions[-1], headings=headings[-1])
+        t += k
+        if k == horizon:
+            longest = min(2 * longest, HORIZON)
+        else:
+            state = step_mobility(state, speed, dt, min_distance, rng)
+            centers[t] = state.positions[members]
+            t, longest = t + 1, FIRST
+    return centers
+
+
 def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
                    mobility="rdmm"):
     """Simulate the estimated-interference time series of one sub-network.
@@ -115,31 +147,37 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     channel_params.est_noise_fraction times the mean true power over the
     leading NOISE_REF_FRACTION of the trace.
 
-    The cycles run in two passes.  Pass 1 makes every draw from the trace's
-    generator, in the order of a cycle-by-cycle simulation, so the stream
-    and the trace do not depend on how the cycles are grouped.  It runs in
-    blocks of BLOCK cycles.  Per cycle it makes only the draws: those of an
-    rdmm mobility step, then one standard-normal fill of a row holding all
-    of the cycle's normals (shadowing LOS, shadowing NLOS, soft-LOS latent,
-    then the LOS and NLOS fading, real parts before imaginary), then one
-    uniform fill of a row holding its traffic uniforms (push starts, push
-    stops, then the Bern(eta) draws).  A fill equals the consecutive
-    smaller draws it replaces.  Cycle 0 keeps the initial states and draws
-    only its Bern(eta) uniforms.  An rdmm step draws only when it reflects
-    at the border or crowds another sub-network (an event), so pass 1 takes
-    the positions of the steps between events from free runs
-    (mobility.free_run, at most HORIZON steps each) and calls step_mobility
-    only at the event cycles; the draw order is that of stepping every
-    cycle.  Alley positions draw nothing and are computed up front, for
-    the interferers and the victim only.  Per block, the rows become states
-    at once, with two AR(1) recursions: one over the three real fields of
-    every link (shadowing LOS and NLOS and the soft-LOS latent), one over
-    the LOS and NLOS fading, which share their coefficient; then the push
+    Each component draws from a stream of its own, rng.tagged_rng(seed,
+    name) with the component's name, so its draws do not depend on what
+    the others drew, or on how the cycles are grouped:
+
+    - mobility: the placement (deploy, or deploy_alley's SA offsets), then
+      rdmm's event steps in cycle order.  An rdmm step draws only when it
+      reflects at the border or crowds another sub-network (an event), so
+      the trajectory is computed up front: free runs (mobility.free_run)
+      between the events, step_mobility at them.  Alley positions draw
+      nothing.  Both cover the interferers and the victim only.
+    - channel: the initial real fields (shadowing LOS, shadowing NLOS and
+      soft-LOS latent of every link), the initial LOS and NLOS fading,
+      the LOS phases, then per cycle one row of standard normals in the
+      same layout: the three real fields, then the LOS and NLOS fading,
+      real parts before imaginary.
+    - traffic: the initial push bursts, the clock offsets, cycle 0's
+      Bern(eta) uniforms, then per cycle one row of uniforms: push starts,
+      push stops, then the Bern(eta) draws.
+    - noise: the estimation noise of every SA pair and cycle.
+
+    Cycle 0 keeps the initial states.  The later cycles run in blocks of
+    BLOCK cycles; each block fills its rows of normals and of uniforms
+    with one call per stream, which equals the row-by-row draws it
+    replaces.  Pass 1 turns the rows into states at once, with two AR(1)
+    recursions: one over the three real fields of every link, one over the
+    LOS and NLOS fading, which share their coefficient; then the push
     bursts, in one scan (TrafficProcess.step).  Pass 2 then runs on the
     same block (cycle 0 is a block of its own), so no gain or slot array
     ever spans all cycles: the fading looks' power sums, path loss,
-    shadowing and soft-LOS transforms, link gains, the TDD misalignment and
-    the slot sums, written into the block's columns of the true power.
+    shadowing and soft-LOS transforms, link gains, the TDD misalignment
+    and the slot sums, written into the block's columns of the true power.
 
     The trace owns its block-sized buffers and allocates them once: the
     rows of draws, the fading states (ComplexAr1.advance forms the drive
@@ -151,14 +189,15 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
-    rng = np.random.default_rng(seed)
+    rng_mobility, rng_channel, rng_traffic, rng_noise = (
+        tagged_rng(seed, name) for name in ("mobility", "channel", "traffic", "noise"))
     n_sa = deployment.sa_pairs_per_sn
     dt = deployment.tx_cycle_duration
 
     if mobility == "alley":
-        state = deploy_alley(deployment, rng)
+        state = deploy_alley(deployment, rng_mobility)
     else:
-        state = deploy(deployment, rng)
+        state = deploy(deployment, rng_mobility)
 
     bands = subband_assignment(deployment.n_subnetworks, deployment.n_subbands)
     intf = interferer_set(state.positions, VICTIM, bands)
@@ -172,24 +211,23 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     # soft-LOS latent of every link, in the order of their draws
     stds = np.repeat([channel_params.shadow_std_los_db,
                       channel_params.shadow_std_nlos_db, 1.0], n_int)
-    real_field = ch.Ar1Field(stds, channel_params.decorrelation_distance, rng)
+    real_field = ch.Ar1Field(stds, channel_params.decorrelation_distance, rng_channel)
     n_real = stds.size
     # independent fading looks per link (frequency/pilot diversity of the
     # slot power estimate); the measured power averages their energies.
     # One process holds the LOS and then the NLOS fading.
     looks = channel_params.est_looks
     fade_shape = (2, n_int, n_sa, looks)
-    fades = ch.ComplexAr1(fade_shape, rho_f, rng)
-    specular = ch.los_specular(k_lin, rng.uniform(0.0, 2.0 * np.pi,
-                                                  (n_int, n_sa, looks)))
+    fades = ch.ComplexAr1(fade_shape, rho_f, rng_channel)
+    specular = ch.los_specular(k_lin, rng_channel.uniform(0.0, 2.0 * np.pi,
+                                                          (n_int, n_sa, looks)))
 
-    traffic_proc = TrafficProcess(traffic, n_int, n_sa, dt, rng)
+    traffic_proc = TrafficProcess(traffic, n_int, n_sa, dt, rng_traffic)
     # TDD misalignment of non-synchronized sub-networks: every interferer's
     # slot grid sits at a fractional offset (partial slot collisions) and
     # drifts by schedule_drift slots per TX cycle
-    clock_offset = rng.uniform(0.0, n_sa, n_int)
+    clock_offset = rng_traffic.uniform(0.0, n_sa, n_int)
 
-    # ---- pass 1: every draw, cycle by cycle; the states, block by block
     # centers of the interferers, then the victim, per cycle
     members = np.append(intf, VICTIM)
     if mobility == "alley":
@@ -198,32 +236,8 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
                     arc_positions=state.arc_positions[members]),
             deployment.speed, dt, n_cycles)
     else:
-        centers = np.empty((n_cycles, n_int + 1, 2))
-        centers[0] = state.positions[members]
+        centers = _rdmm_centers(state, deployment, members, n_cycles, rng_mobility)
     offsets = state.offsets[intf]
-    step = deployment.speed * dt
-    guard = deployment.min_distance + 2.0 * step
-
-    work = np.empty((2, HORIZON) + (deployment.n_subnetworks,) * 2)
-
-    def free_cycles(t):
-        """Fill the centers from cycle t on with free-run positions, up to
-        the next rdmm event; returns the event's cycle (n_cycles if none)."""
-        nonlocal state
-        longest = FIRST
-        while t < n_cycles:
-            horizon = min(longest, n_cycles - t)
-            positions, headings = free_run(state, step, guard, horizon, work)
-            k = len(positions)
-            if k:
-                centers[t:t + k] = positions[:, members]
-                state = replace(state, positions=positions[-1],
-                                headings=headings[-1])
-            t += k
-            if k < horizon:
-                break
-            longest = min(2 * longest, HORIZON)
-        return t
 
     # the block buffers, laid out and owned as the docstring states: per
     # cycle one row of normals, one of uniforms, the fading states, the
@@ -270,10 +284,15 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
                    + w2 * np.take_along_axis(emitted, k2, axis=2))
         true_power[:, start:stop] = np.add.reduce(contrib, axis=1).T
 
-    def block_states(start, stop):
-        """Turn the rows of draws of cycles [start, stop) into their states,
-        then their true power."""
+    chi = traffic_proc.sample_own_slots(
+        traffic_proc.activity,
+        rng_traffic.random(out=uniforms[0, n_push:]).reshape(n_int, n_sa))
+    block_power(0, real_field.values[None], fades.values[None], chi[None])
+    for start in range(1, n_cycles, BLOCK):
+        stop = min(start + BLOCK, n_cycles)
         b = stop - start
+        rng_channel.standard_normal(out=normals[:b])
+        rng_traffic.random(out=uniforms[:b])
         rel, mid = _link_motion(centers[start:stop] - centers[start - 1:stop - 1])
         reals = real_field.advance(np.concatenate([rel, rel, mid], axis=1),
                                    normals[:b, :n_real])
@@ -284,28 +303,11 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
         chi = traffic_proc.sample_own_slots(
             activity, uniforms[:b, n_push:].reshape(b, n_int, n_sa))
         block_power(start, reals, fading, chi)
-
-    chi = traffic_proc.sample_own_slots(
-        traffic_proc.activity,
-        rng.random(out=uniforms[0, n_push:]).reshape(n_int, n_sa))
-    block_power(0, real_field.values[None], fades.values[None], chi[None])
-    event = n_cycles if mobility == "alley" else free_cycles(1)
-    for start in range(1, n_cycles, BLOCK):
-        stop = min(start + BLOCK, n_cycles)
-        for i in range(stop - start):
-            if start + i == event:
-                state = step_mobility(state, deployment.speed, dt,
-                                      deployment.min_distance, rng)
-                centers[event] = state.positions[members]
-                event = free_cycles(event + 1)
-            rng.standard_normal(out=normals[i])
-            rng.random(out=uniforms[i])
-        block_states(start, stop)
     del normals, uniforms, fading_buf, los_buf, power_buf
 
     ref = max(int(NOISE_REF_FRACTION * n_cycles), 1)
     est_noise_std = channel_params.est_noise_fraction * float(true_power[:, :ref].mean())
-    est_power = true_power + rng.normal(0.0, est_noise_std, true_power.shape) \
+    est_power = true_power + rng_noise.normal(0.0, est_noise_std, true_power.shape) \
         if est_noise_std > 0 else true_power.copy()
     est_power = np.maximum(est_power, channel_params.power_floor_w)
 

@@ -8,12 +8,13 @@ give the same bits as the plain formula kept here as its reference, so
 that results, checkpoints and loss curves do not depend on the fast form.
 The Adam step is pinned to its textbook form the same way, for any later
 rewrite of it.  The same holds for the interference simulator: its
-two-pass form, with pass 1 in blocks, must give the traces of the
+block form, one fill per stream and block, must give the traces of the
 cycle-by-cycle loop with the scalar mobility kernels and per-cycle channel
-and traffic updates kept here, one generator fill must give the draws of
-the smaller calls it replaces, and free runs of rdmm steps must give the
-positions, headings and draws of stepping every cycle.  The push bursts
-of a block, found in one scan, must be those of the per-cycle recurrence.
+and traffic updates kept here, drawing from the same four streams; one
+generator fill must give the draws of the smaller calls it replaces, and
+free runs of rdmm steps must give the positions, headings and draws of
+stepping every cycle.  The push bursts of a block, found in one scan,
+must be those of the per-cycle recurrence.
 """
 
 from dataclasses import replace
@@ -24,8 +25,9 @@ import pytest
 from subnetpred import ra
 from subnetpred.config import ModelConfig, TrafficModel, desk_preset
 from subnetpred.model import baselines, layers
-from subnetpred.model.optim import Adam, DropoutMasks, tagged_rng
 from subnetpred.model.network import PREDICT_BATCH, forward, init_params, predict
+from subnetpred.model.optim import Adam, DropoutMasks
+from subnetpred.rng import tagged_rng
 from subnetpred.scenario import channel as ch
 from subnetpred.scenario.deploy import MobilityState, deploy, disc_offsets
 from subnetpred.scenario.mobility import (alley_positions, build_alley_layout,
@@ -732,13 +734,14 @@ def ref_sample_own_slots(traffic, activity, rng):
 def ref_simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
                        mobility, hits, victim=0, noise_ref_fraction=0.7):
     """The cycle-by-cycle simulator: (true_power, est_power, signal_power)."""
-    rng = np.random.default_rng(seed)
+    mob, chan, traf, noise = (tagged_rng(seed, name)
+                              for name in ("mobility", "channel", "traffic", "noise"))
     n_sa = deployment.sa_pairs_per_sn
     dt = deployment.tx_cycle_duration
     if mobility == "alley":
-        state = ref_deploy_alley(deployment, rng)
+        state = ref_deploy_alley(deployment, mob)
     else:
-        state = deploy(deployment, rng)
+        state = deploy(deployment, mob)
     bands = subband_assignment(deployment.n_subnetworks, deployment.n_subbands)
     intf = interferer_set(state.positions, victim, bands)
     n_int = intf.size
@@ -746,21 +749,21 @@ def ref_simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     rho_f = ch.fading_coefficient(channel_params.doppler_hz, dt)
     dcorr = channel_params.decorrelation_distance
     std_los, std_nlos = channel_params.shadow_std_los_db, channel_params.shadow_std_nlos_db
-    shadow_los = std_los * rng.standard_normal(n_int)
-    shadow_nlos = std_nlos * rng.standard_normal(n_int)
-    psi_latent = 1.0 * rng.standard_normal(n_int)
+    shadow_los = std_los * chan.standard_normal(n_int)
+    shadow_nlos = std_nlos * chan.standard_normal(n_int)
+    psi_latent = 1.0 * chan.standard_normal(n_int)
     looks = channel_params.est_looks
-    fade_los = ref_complex_normal(rng, (n_int, n_sa, looks))
-    fade_nlos = ref_complex_normal(rng, (n_int, n_sa, looks))
-    los_phase = rng.uniform(0.0, 2.0 * np.pi, (n_int, n_sa, looks))
+    fade_los = ref_complex_normal(chan, (n_int, n_sa, looks))
+    fade_nlos = ref_complex_normal(chan, (n_int, n_sa, looks))
+    los_phase = chan.uniform(0.0, 2.0 * np.pi, (n_int, n_sa, looks))
     start = push_start_probability(traffic, dt)
     stop = push_stop_probability(traffic, dt)
     activity = np.zeros((n_int, n_sa), dtype=bool)
     if traffic.variant == "push-pull":
         duty = start / max(start + stop, 1e-12)
         activity[:, traffic.n_reserved:] = (
-            rng.random((n_int, n_sa - traffic.n_reserved)) < duty)
-    clock_offset = rng.uniform(0.0, n_sa, n_int)
+            traf.random((n_int, n_sa - traffic.n_reserved)) < duty)
+    clock_offset = traf.uniform(0.0, n_sa, n_int)
 
     true_power = np.zeros((n_sa, n_cycles))
     rows = np.arange(n_int)
@@ -772,18 +775,18 @@ def ref_simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
                 state = ref_step_alley(state, deployment.speed, dt)
             else:
                 state = ref_step_rdmm(state, deployment.speed, dt,
-                                      deployment.min_distance, rng, hits)
+                                      deployment.min_distance, mob, hits)
             delta = state.positions - prev_positions
             rel = np.linalg.norm(delta[intf] - delta[victim], axis=1)
             mid = np.linalg.norm((delta[intf] + delta[victim]) / 2.0, axis=1)
             prev_positions = state.positions.copy()
-            shadow_los = ref_ar1_advance(shadow_los, std_los, dcorr, rel, rng)
-            shadow_nlos = ref_ar1_advance(shadow_nlos, std_nlos, dcorr, rel, rng)
-            psi_latent = ref_ar1_advance(psi_latent, 1.0, dcorr, mid, rng)
-            fade_los = ref_complex_advance(fade_los, rho_f, rng)
-            fade_nlos = ref_complex_advance(fade_nlos, rho_f, rng)
-            ref_traffic_step(traffic, activity, start, stop, rng)
-        chi = ref_sample_own_slots(traffic, activity, rng)
+            shadow_los = ref_ar1_advance(shadow_los, std_los, dcorr, rel, chan)
+            shadow_nlos = ref_ar1_advance(shadow_nlos, std_nlos, dcorr, rel, chan)
+            psi_latent = ref_ar1_advance(psi_latent, 1.0, dcorr, mid, chan)
+            fade_los = ref_complex_advance(fade_los, rho_f, chan)
+            fade_nlos = ref_complex_advance(fade_nlos, rho_f, chan)
+            ref_traffic_step(traffic, activity, start, stop, traf)
+        chi = ref_sample_own_slots(traffic, activity, traf)
 
         tx_pos = state.positions[intf, None, :] + state.offsets[intf]
         dist = np.linalg.norm(tx_pos - state.positions[victim], axis=-1)
@@ -810,7 +813,7 @@ def ref_simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
 
     ref = max(int(noise_ref_fraction * n_cycles), 1)
     est_noise_std = channel_params.est_noise_fraction * float(true_power[:, :ref].mean())
-    est_power = true_power + rng.normal(0.0, est_noise_std, true_power.shape) \
+    est_power = true_power + noise.normal(0.0, est_noise_std, true_power.shape) \
         if est_noise_std > 0 else true_power.copy()
     est_power = np.maximum(est_power, channel_params.power_floor_w)
     sa_dist = np.linalg.norm(state.offsets[victim], axis=1)
@@ -910,8 +913,8 @@ def test_burst_scan_matches_per_cycle_recurrence(name):
 
 @pytest.mark.parametrize("sizes", [(1,), (3, 1, 7), (40_000, 1, 60_001, 17)])
 def test_one_fill_equals_the_consecutive_draws_it_replaces(sizes):
-    """simulate_trace draws each cycle's normals, and then its uniforms,
-    with one fill each; the stream must equal the smaller draws in a row.
+    """simulate_trace draws a block's normals, and its uniforms, with one
+    fill per stream; the stream must equal the smaller draws in a row.
     The 10^5 normals take the ziggurat's rejection path many times."""
     for fill in ("standard_normal", "random"):
         rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)

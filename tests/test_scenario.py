@@ -14,6 +14,7 @@ import pytest
 import subnetpred
 from subnetpred.config import (ChannelParams, DeploymentConfig, TrafficModel,
                                desk_preset)
+from subnetpred.rng import tagged_rng
 from subnetpred.scenario import (PlacementError, TrafficProcess,
                                  build_alley_layout, channel_gain, deploy,
                                  deploy_alley, fading_coefficient,
@@ -204,21 +205,25 @@ def test_fading_coefficient_clarke_value():
     assert fading_coefficient(80.0, 1e-3) == pytest.approx(0.937, abs=0.002)
 
 
-def test_fading_coefficient_is_scipy_j0_bit_for_bit():
-    # Doppler values whose 2 pi f dt covers [0, J0_FIRST_ZERO), including
-    # the x < 1e-5 branch
+def test_fading_coefficient_is_j0_within_1e_15():
+    # the power series against scipy on Doppler values whose 2 pi f dt
+    # covers [0, J0_FIRST_ZERO], and against two entries of Abramowitz &
+    # Stegun, Table 9.1 (J0 to 15 decimals), at a stated 1e-15 absolute
     from scipy.special import j0
 
     from subnetpred.config import J0_FIRST_ZERO
     dt = 1e-3
     top = J0_FIRST_ZERO / (2.0 * np.pi * dt)
-    doppler = np.concatenate([np.linspace(0.0, top, 20000, endpoint=False),
+    doppler = np.concatenate([np.linspace(0.0, top, 20001),
                               np.logspace(-9, -2, 500) * top])
     got = np.array([fading_coefficient(f, dt) for f in doppler])
-    np.testing.assert_array_equal(got.view(np.int64),
-                                  j0(2.0 * np.pi * doppler * dt).view(np.int64))
-    assert (got > 0).all()
-    # the rational branch holds on [0, 5] only: 800 Hz at 1 ms is 5.03
+    np.testing.assert_allclose(got, j0(2.0 * np.pi * doppler * dt), rtol=0, atol=1e-15)
+    assert (got[:20000] > 0).all()
+    for x, table in ((1.0, 0.765197686557967), (2.0, 0.223890779141236)):
+        assert fading_coefficient(x / (2.0 * np.pi * dt), dt) == pytest.approx(
+            table, rel=0, abs=1e-15)
+    # outside [0, J0_FIRST_ZERO] the coefficient is refused: 800 Hz at 1 ms
+    # is 5.03
     with pytest.raises(ValueError, match="outside"):
         fading_coefficient(800.0, dt)
 
@@ -274,6 +279,24 @@ def test_trace_determinism_bit_identical():
     assert np.array_equal(a.est_power, b.est_power)
 
 
+def test_components_draw_from_streams_of_their_own():
+    # at one seed a desk rdmm trace and an alley trace are placed and move
+    # apart, but draw the same estimation noise from the noise stream: the
+    # noise each adds, in units of its std, agrees wherever neither
+    # estimate was clamped at the power floor
+    desk = desk_preset(3)
+    rdmm, alley = (simulate_trace(desk.deployment, desk.traffic, desk.channel,
+                                  1000, desk.seed, mobility=mobility)
+                   for mobility in ("rdmm", "alley"))
+    floor = desk.channel.power_floor_w
+    kept = (rdmm.est_power > floor) & (alley.est_power > floor)
+    assert kept.mean() > 0.5
+    rdmm_z, alley_z = ((t.est_power - t.true_power)[kept] / t.est_noise_std
+                       for t in (rdmm, alley))
+    np.testing.assert_allclose(rdmm_z, alley_z, rtol=1e-6)
+    assert not np.allclose(rdmm.true_power, alley.true_power)
+
+
 def test_trace_non_negative_and_est_floor():
     tr = small_trace(seed=5)
     assert tr.true_power.min() >= 0.0
@@ -292,8 +315,9 @@ def test_single_interferer_contribution_is_gain():
     c = cfg(n_subnetworks=2, n_subbands=1, speed=0.0)
     tr = simulate_trace(c, TrafficModel(eta=1.0), DETERMINISTIC, 12, 7)
     # deterministic channel, static geometry: reconstruct the one-term
-    # per-SA gains of the single interferer (placement is the first draw)
-    state = deploy(c, np.random.default_rng(7))
+    # per-SA gains of the single interferer (placement is the first draw
+    # of the mobility stream)
+    state = deploy(c, tagged_rng(7, "mobility"))
     intf = interferer_set(state.positions, 0, subband_assignment(2, 1))
     tx = state.positions[intf[0]] + state.offsets[intf[0]]
     dist = np.linalg.norm(tx - state.positions[0], axis=1)

@@ -19,19 +19,17 @@ import numpy as np
 from ..config import J0_FIRST_ZERO
 
 
-def pathloss_inf_db(dist_m, freq_hz, los=True):
-    """3GPP InF-DL path loss in dB; distance clamped to the 1 m model floor.
+def pathloss_inf_db(dist_m, freq_hz):
+    """3GPP InF-DL path loss in dB, (pl_los, pl_nlos), from one log10 of
+    the distance, clamped to the 1 m model floor.
 
-    LOS : 31.84 + 21.5 log10(d) + 19 log10(f_GHz)
-    NLOS: max(LOS, 18.6 + 35.7 log10(d) + 20 log10(f_GHz))
+    pl_los : 31.84 + 21.5 log10(d) + 19 log10(f_GHz)
+    pl_nlos: max(pl_los, 18.6 + 35.7 log10(d) + 20 log10(f_GHz))
     """
-    d = np.maximum(np.asarray(dist_m, dtype=float), 1.0)
-    f_ghz = freq_hz / 1e9
-    pl_los = 31.84 + 21.5 * np.log10(d) + 19.0 * np.log10(f_ghz)
-    if los:
-        return pl_los
-    pl_nlos = 18.6 + 35.7 * np.log10(d) + 20.0 * np.log10(f_ghz)
-    return np.maximum(pl_los, pl_nlos)
+    log_d = np.log10(np.maximum(np.asarray(dist_m, dtype=float), 1.0))
+    log_f = np.log10(freq_hz / 1e9)
+    pl_los = 31.84 + 21.5 * log_d + 19.0 * log_f
+    return pl_los, np.maximum(pl_los, 18.6 + 35.7 * log_d + 20.0 * log_f)
 
 
 def planar_norm(v):

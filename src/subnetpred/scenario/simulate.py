@@ -86,17 +86,15 @@ NOISE_REF_FRACTION = 0.7
 # at once, and its buffers stay small next to the trace's own arrays (a
 # 10,000-cycle desk trace peaks at 3.4-3.7 MiB of Python allocation)
 BLOCK = 250
-# rdmm steps per free run (mobility.free_run): FIRST after an event, twice
-# as many after each run that met none, at most HORIZON.  A run costs about
-# 45 us plus 2 us a step, and the steps past its event are dropped.  On desk
-# rdmm traces (seeds 0, 7, 811, both traffic patterns) any cap from 16 to
-# 128 gives the same 0.34-0.35 s a trace (8: 0.41 s, 256: 0.36 s); 32 keeps
-# the runs' distance buffer, [2 x HORIZON x N x N] float64, at 128 KiB for
-# 16 sub-networks.  Starting at 4 keeps a crowded floor, with an event about
-# every other step, at the speed of stepping every cycle (1.34 s for 10k
-# cycles against 1.42 s).
+# rdmm steps per free run (mobility.free_run); an event ends a run early.
+# A run costs about 45 us plus 2 us a step, and the steps past its event are
+# dropped.  On desk rdmm traces (seeds 0, 7, 811, both traffic patterns) any
+# horizon from 16 to 64 gives the same time within the host's spread; 32
+# keeps the runs' distance buffer, [2 x HORIZON x N x N] float64, at
+# 128 KiB for 16 sub-networks.  A floor with an event about every other
+# step drops most of each run: 10k cycles of such a crowded floor take
+# about 0.8 s against 0.16-0.2 s for a desk trace.
 HORIZON = 32
-FIRST = 4
 
 
 def _look_power(fading, out):
@@ -109,8 +107,7 @@ def _look_power(fading, out):
 def _rdmm_centers(state, deployment, members, n_cycles, rng):
     """Centers [n_cycles x members x 2] of the sub-networks members along
     an rdmm trajectory from state.  The steps between events come from
-    free runs (mobility.free_run): FIRST steps after an event, twice as
-    many after each run that met none, at most HORIZON; step_mobility,
+    free runs (mobility.free_run) of at most HORIZON steps; step_mobility,
     drawing from rng, takes each event step."""
     speed, dt, min_distance = (deployment.speed, deployment.tx_cycle_duration,
                                deployment.min_distance)
@@ -119,21 +116,19 @@ def _rdmm_centers(state, deployment, members, n_cycles, rng):
     work = np.empty((2, HORIZON) + (deployment.n_subnetworks,) * 2)
     centers = np.empty((n_cycles, members.size, 2))
     centers[0] = state.positions[members]
-    t, longest = 1, FIRST
+    t = 1
     while t < n_cycles:
-        horizon = min(longest, n_cycles - t)
+        horizon = min(HORIZON, n_cycles - t)
         positions, headings = free_run(state, step, guard, horizon, work)
         k = len(positions)
         if k:
             centers[t:t + k] = positions[:, members]
             state = replace(state, positions=positions[-1], headings=headings[-1])
         t += k
-        if k == horizon:
-            longest = min(2 * longest, HORIZON)
-        else:
+        if k < horizon:
             state = step_mobility(state, speed, dt, min_distance, rng)
             centers[t] = state.positions[members]
-            t, longest = t + 1, FIRST
+            t += 1
     return centers
 
 
@@ -155,8 +150,9 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
       rdmm's event steps in cycle order.  An rdmm step draws only when it
       reflects at the border or crowds another sub-network (an event), so
       the trajectory is computed up front: free runs (mobility.free_run)
-      between the events, step_mobility at them.  Alley positions draw
-      nothing.  Both cover the interferers and the victim only.
+      of at most HORIZON steps between the events, step_mobility at them.
+      Alley positions draw nothing.  Both cover the interferers and the
+      victim only.
     - channel: the initial real fields (shadowing LOS, shadowing NLOS and
       soft-LOS latent of every link), the initial LOS and NLOS fading,
       the LOS phases, then per cycle one row of standard normals in the
@@ -202,8 +198,6 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     bands = subband_assignment(deployment.n_subnetworks, deployment.n_subbands)
     intf = interferer_set(state.positions, VICTIM, bands)
     n_int = intf.size
-    if n_int == 0:
-        raise ValueError("interferer set is empty; nothing to simulate")
 
     k_lin = ch.db_to_linear(channel_params.rician_k_db)
     rho_f = ch.fading_coefficient(channel_params.doppler_hz, dt)
@@ -259,8 +253,8 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
         c = centers[start:stop]
         # per-link gains toward every SA position of each interferer
         dist = ch.planar_norm(c[:, :-1, None, :] + offsets - c[:, -1, None, None, :])
-        pl_los = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=True))
-        pl_nlos = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=False))
+        pl_los, pl_nlos = (ch.db_to_linear(-pl)
+                           for pl in ch.pathloss_inf_db(dist, deployment.carrier_freq))
         # mean fading power over the looks
         h_los = _look_power(ch.rician(fading[:, 0], k_lin, specular, los_buf[:b]),
                             power_buf[:b]) / looks
@@ -313,7 +307,7 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
 
     sa_dist = np.linalg.norm(state.offsets[VICTIM], axis=1)
     signal_power = deployment.tx_power * ch.db_to_linear(
-        -ch.pathloss_inf_db(sa_dist, deployment.carrier_freq, los=True))
+        -ch.pathloss_inf_db(sa_dist, deployment.carrier_freq)[0])
     noise_power = ch.noise_power_w(channel_params.bandwidth_hz,
                                    deployment.n_subbands,
                                    channel_params.noise_figure_db)

@@ -32,7 +32,7 @@ from subnetpred.scenario import channel as ch
 from subnetpred.scenario.deploy import MobilityState, deploy, disc_offsets
 from subnetpred.scenario.mobility import (alley_positions, build_alley_layout,
                                           deploy_alley, free_run, step_mobility)
-from subnetpred.scenario.simulate import (BLOCK, FIRST, HORIZON, interferer_set,
+from subnetpred.scenario.simulate import (BLOCK, HORIZON, interferer_set,
                                           simulate_trace, subband_assignment)
 from subnetpred.scenario.traffic import (TrafficProcess, push_start_probability,
                                          push_stop_probability)
@@ -790,8 +790,9 @@ def ref_simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
 
         tx_pos = state.positions[intf, None, :] + state.offsets[intf]
         dist = np.linalg.norm(tx_pos - state.positions[victim], axis=-1)
-        pl_los = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=True))
-        pl_nlos = ch.db_to_linear(-ch.pathloss_inf_db(dist, deployment.carrier_freq, los=False))
+        pl_los_db, pl_nlos_db = ch.pathloss_inf_db(dist, deployment.carrier_freq)
+        pl_los = ch.db_to_linear(-pl_los_db)
+        pl_nlos = ch.db_to_linear(-pl_nlos_db)
         h_los = (np.sqrt(k_lin / (k_lin + 1.0)) * np.exp(1j * los_phase)
                  + np.sqrt(1.0 / (k_lin + 1.0)) * fade_los)
         h_los_sq = (np.abs(h_los) ** 2).mean(axis=2)
@@ -818,7 +819,7 @@ def ref_simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     est_power = np.maximum(est_power, channel_params.power_floor_w)
     sa_dist = np.linalg.norm(state.offsets[victim], axis=1)
     signal_power = deployment.tx_power * ch.db_to_linear(
-        -ch.pathloss_inf_db(sa_dist, deployment.carrier_freq, los=True))
+        -ch.pathloss_inf_db(sa_dist, deployment.carrier_freq)[0])
     return true_power, est_power, signal_power
 
 
@@ -948,10 +949,9 @@ FREE_RUN_CASES = {**{f"desk-{seed}": ({}, seed) for seed in (0, 7, 811)},
 @pytest.mark.parametrize("name", FREE_RUN_CASES)
 def test_free_runs_and_event_steps_equal_per_step_mobility(name):
     """simulate_trace takes the rdmm steps that draw nothing from free runs,
-    of FIRST steps after an event and twice as many after each full one up
-    to HORIZON, and calls step_mobility only at the other steps (the
-    events); positions, headings and the generator's stream must equal
-    10,000 plain steps."""
+    of at most HORIZON steps, and calls step_mobility only at the other
+    steps (the events); positions, headings and the generator's stream
+    must equal 10,000 plain steps."""
     changes, seed = FREE_RUN_CASES[name]
     config = replace(DESK.deployment, **changes)
     n_steps = 10_000
@@ -969,10 +969,10 @@ def test_free_runs_and_event_steps_equal_per_step_mobility(name):
     lo, hi = np.array(state.bounds[:2]), np.array(state.bounds[2:])
     # reflections and retries at the events; free steps whose heading moved
     hits = {"reflect": 0, "retry": 0, "drift": 0}
-    t, longest = 0, FIRST
+    t = 0
     work = np.empty((2, HORIZON, config.n_subnetworks, config.n_subnetworks))
     while t < n_steps:
-        horizon = min(longest, n_steps - t)
+        horizon = min(HORIZON, n_steps - t)
         positions, headings = free_run(state, step, guard, horizon, work)
         k = len(positions)
         if k:
@@ -982,7 +982,6 @@ def test_free_runs_and_event_steps_equal_per_step_mobility(name):
             hits["drift"] += int((headings != previous).any(axis=1).sum())
             state = replace(state, positions=positions[-1], headings=headings[-1])
         t += k
-        longest = min(2 * longest, HORIZON)
         if k < horizon:
             unit = np.stack([np.cos(state.headings), np.sin(state.headings)], axis=1)
             cand = state.positions + step * unit
@@ -993,7 +992,7 @@ def test_free_runs_and_event_steps_equal_per_step_mobility(name):
             hits["retry"] += rng.bit_generator.state != before
             assert np.array_equal(state.positions, want_pos[t])
             assert np.array_equal(state.headings, want_head[t])
-            t, longest = t + 1, FIRST
+            t += 1
     assert rng.random() == ref_rng.random()
     if name == "zero-speed":
         assert hits == {"reflect": 0, "retry": 0, "drift": 0}

@@ -183,16 +183,31 @@ def test_channel_gain_deterministic_pathloss_value():
     # hand evaluation of the InF-DL LOS formula at 10 m, 6 GHz
     pl_db = 31.84 + 21.5 * np.log10(10.0) + 19.0 * np.log10(6.0)
     lin = 10 ** (-pl_db / 10.0)
-    got = channel_gain(1.0, 1.0, 1.0, db_to_linear(-pathloss_inf_db(10.0, 6e9)),
-                       db_to_linear(-pathloss_inf_db(10.0, 6e9, los=False)))
+    pl_los, pl_nlos = pathloss_inf_db(10.0, 6e9)
+    got = channel_gain(1.0, 1.0, 1.0, db_to_linear(-pl_los), db_to_linear(-pl_nlos))
     assert got == pytest.approx(lin, rel=1e-12)
 
 
 def test_nlos_pathloss_takes_max():
     # at short range the LOS formula dominates the NLOS expression
-    assert pathloss_inf_db(1.0, 6e9, los=False) == pytest.approx(
-        pathloss_inf_db(1.0, 6e9, los=True))
-    assert pathloss_inf_db(100.0, 6e9, los=False) > pathloss_inf_db(100.0, 6e9)
+    pl_los, pl_nlos = pathloss_inf_db(1.0, 6e9)
+    assert pl_nlos == pytest.approx(pl_los)
+    pl_los, pl_nlos = pathloss_inf_db(100.0, 6e9)
+    assert pl_nlos > pl_los
+    # spot values of 3GPP TR 38.901 Table 7.4.1-1 (InF) at f = 6 GHz,
+    # d the 3D distance in m, f in GHz:
+    #   PL_LOS    = 31.84 + 21.5 log10(d) + 19.0 log10(f)
+    #   PL_InF-DL = 18.6  + 35.7 log10(d) + 20.0 log10(f)
+    #   PL_NLOS   = max(PL_LOS, PL_InF-DL)
+    # d = 10 m: 31.84 + 21.5 + 14.7849 = 68.1249 and 18.6 + 35.7 + 15.5630
+    # = 69.8630; d = 1 m: 31.84 + 14.7849 = 46.6249 > 18.6 + 15.5630, and
+    # below 1 m the distance is clamped to 1 m.  The values are written to
+    # 4 decimals, so they hold within 5e-5 dB.
+    for d, los, nlos in ((10.0, 68.1249, 69.8630), (1.0, 46.6249, 46.6249),
+                         (0.5, 46.6249, 46.6249)):
+        pl_los, pl_nlos = pathloss_inf_db(d, 6e9)
+        assert pl_los == pytest.approx(los, rel=0, abs=5e-5)
+        assert pl_nlos == pytest.approx(nlos, rel=0, abs=5e-5)
 
 
 def test_noise_power_reference_value():
@@ -251,6 +266,22 @@ def test_shadowing_increment_matches_gudmundson_structure():
     rms = np.sqrt(np.mean((field.values - before) ** 2))
     expect = np.sqrt(2 * sigma**2 * (1 - np.exp(-delta / dcorr)))
     assert rms == pytest.approx(expect, rel=0.03)
+
+
+def test_shadowing_correlation_over_a_move_is_exponential():
+    # one move of dd over n links: the field's values before and after are
+    # correlated exp(-dd / d_corr) (Gudmundson).  The sample correlation
+    # of n bivariate normal pairs has standard error about (1 - rho^2) /
+    # sqrt(n), so it must lie within five of them: 0.0117 at n = 20,000.
+    n, dd, dcorr = 20_000, 2.0, 10.0
+    rng = np.random.default_rng(12)
+    field = Ar1Field(np.full(n, 4.0), dcorr, rng)
+    before = field.values.copy()
+    field.advance(np.full((1, n), dd), rng.standard_normal((1, n)))
+    rho = np.exp(-dd / dcorr)
+    assert rho == pytest.approx(0.8187, abs=1e-4)
+    tol = 5.0 * (1.0 - rho**2) / np.sqrt(n)
+    assert np.corrcoef(before, field.values)[0, 1] == pytest.approx(rho, rel=0, abs=tol)
 
 
 def test_shadowing_small_step_continuity():
@@ -321,7 +352,7 @@ def test_single_interferer_contribution_is_gain():
     intf = interferer_set(state.positions, 0, subband_assignment(2, 1))
     tx = state.positions[intf[0]] + state.offsets[intf[0]]
     dist = np.linalg.norm(tx - state.positions[0], axis=1)
-    expected = c.tx_power * db_to_linear(-pathloss_inf_db(dist, c.carrier_freq))
+    expected = c.tx_power * db_to_linear(-pathloss_inf_db(dist, c.carrier_freq)[0])
     m = c.sa_pairs_per_sn
     # every victim slot is a convex blend of two adjacent interferer slots,
     # so each cycle's slot powers partition the emitted energy exactly and

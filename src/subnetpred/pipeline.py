@@ -64,7 +64,7 @@ def _hash(obj):
 
 # Output version of the stages, recorded with a directory's scenario: a change
 # that alters what a stage writes for the same spec bumps it.
-VERSION = 2
+VERSION = 3
 
 
 def _file_hash(path):
@@ -102,11 +102,8 @@ def stage_prepare(spec, out, trace):
     out = Path(out)
     if (out / "dataset.json").exists():
         return windowing.load_dataset(out / "dataset")
-    series = _learning_dbm(spec, trace)
-    window = windowing.stationary_interval(series, spec.corr_threshold,
-                                           spec.max_lag)
-    ds = windowing.normalize(windowing.restructure(series, window, spec.n_cal,
-                                                   spec.n_test))
+    ds = windowing.normalize(windowing.restructure(
+        _learning_dbm(spec, trace), spec.model.window, spec.n_cal, spec.n_test))
     windowing.save_dataset(ds, out / "dataset")
     return ds
 
@@ -116,11 +113,13 @@ def stage_prepare(spec, out, trace):
 TAIL_READOUTS = ("gpd", "conformal")
 
 
-def check_tail_fit(spec, n_train):
-    """Reject, before any training, a training partition of n_train
-    instances too short for the tail fit: a quantile head at level
-    1 - alpha leaves about alpha * n_train exceedances per series, and the
-    fit needs tailcal.MIN_EXCEEDANCES of them."""
+def check_tail_fit(spec):
+    """Reject, before any training, a training partition too short for the
+    tail fit: the trace leaves n_train = n_cycles - model.window - n_cal -
+    n_test training instances, a quantile head at level 1 - alpha leaves
+    about alpha * n_train exceedances per series, and the fit needs
+    tailcal.MIN_EXCEEDANCES of them."""
+    n_train = spec.n_cycles - spec.model.window - spec.n_cal - spec.n_test
     expected = spec.model.alpha * n_train
     if expected < tailcal.MIN_EXCEEDANCES:
         raise ConfigError(
@@ -128,11 +127,6 @@ def check_tail_fit(spec, n_train):
             f"training exceedances per series, but alpha * n_train = "
             f"{spec.model.alpha:g} * {n_train} = {expected:g}; raise n_cycles "
             f"or model.alpha")
-
-
-def _model_cfg(spec, window):
-    return replace(spec.model, n_series=spec.deployment.sa_pairs_per_sn,
-                   window=window)
 
 
 def stage_train(spec, out, ds, split_mode=False):
@@ -148,7 +142,7 @@ def stage_train(spec, out, ds, split_mode=False):
     computed from it run in float64.
     """
     out = Path(out)
-    cfg = _model_cfg(spec, ds.window)
+    cfg = replace(spec.model, n_series=spec.deployment.sa_pairs_per_sn)
     stem = out / ("model_split" if split_mode else "model")
     loss = out / (stem.name + "_loss.csv")
     if loss.exists():
@@ -331,12 +325,10 @@ def run_plan(spec, out, variants):
     """Run every stage once for a set of variants of spec; returns
     {variant: detail}.
 
-    Before `out` is touched: check_tail_fit for every tail read-out at the
-    most training instances any window leaves (window 1: n_cycles - 1 -
-    n_cal - n_test), and _check_out; a new `out` is made with a
-    run_manifest.json that records VERSION and the scenario.  Then
-    simulate and prepare; check_tail_fit again at the window's n_train;
-    train and train_split, once per protocol of ExperimentSpec.VARIANTS
+    Before `out` is touched: check_tail_fit for every tail read-out, and
+    _check_out; a new `out` is made with a run_manifest.json that records
+    VERSION and the scenario.  Then simulate and prepare; train and
+    train_split, once per protocol of ExperimentSpec.VARIANTS
     the variants name, each with its model's thresholds over every window
     (_thresholds); calibrate, once per protocol of a tail read-out;
     evaluate, one scoring per variant.  Artifacts that `out` holds are reused.
@@ -355,7 +347,7 @@ def run_plan(spec, out, variants):
     protocols = {v: spec.VARIANTS[v][0] for v in specs}
     tails = [spec_v for v, spec_v in specs.items() if spec.VARIANTS[v][1] in TAIL_READOUTS]
     for spec_v in tails:
-        check_tail_fit(spec_v, spec.n_cycles - 1 - spec.n_cal - spec.n_test)
+        check_tail_fit(spec_v)
     if _check_out(spec, out):
         out.mkdir(parents=True, exist_ok=True)
         (out / "run_manifest.json").write_text(json.dumps(
@@ -368,8 +360,6 @@ def run_plan(spec, out, variants):
         with _stage("prepare", stages):
             ds = stage_prepare(spec, out, trace)
 
-        for spec_v in tails:
-            check_tail_fit(spec_v, ds.n_train)
         models, thresholds = {}, {}
         for protocol in dict.fromkeys(filter(None, protocols.values())):
             split = protocol == "split"

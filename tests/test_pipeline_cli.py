@@ -303,16 +303,21 @@ def test_an_empty_out_directory_is_a_new_run(tmp_path):
     assert json.loads((out / "run_manifest.json").read_text())["scenario"]["seed"] == 3
 
 
-def test_a_call_refused_after_prepare_leaves_its_scenario_to_reuse(tmp_path,
-                                                                   monkeypatch):
-    # the scenario is recorded before simulate, so a refusal after prepare
+def test_a_call_failed_after_prepare_leaves_its_scenario_to_reuse(tmp_path,
+                                                                  monkeypatch):
+    # the scenario is recorded before simulate, so a failure after prepare
     # leaves a directory whose next call of that scenario reuses its trace
-    monkeypatch.setattr(pipeline.windowing, "stationary_interval", lambda *a: 8)
-    spec = replace(smoke_spec(seed=0, variant="evt-iqpt"), n_cycles=902)
-    with pytest.raises(ConfigError, match=r"0\.05 \* 594 = 29\.7"):
+    def fail(*args, **kwargs):
+        raise RuntimeError("training failed")
+
+    monkeypatch.setattr(pipeline, "train", fail)
+    spec = smoke_spec(seed=0, variant="iqpt")
+    spec = replace(spec, n_cycles=902, model=replace(spec.model, window=8))
+    with pytest.raises(StageError, match="training failed"):
         run_pipeline(spec, tmp_path)
     manifest = json.loads((tmp_path / "run_manifest.json").read_text())
     assert manifest["scenario"]["n_cycles"] == 902 and manifest["runs"] == {}
+    assert manifest["scenario"]["model"]["window"] == 8
     stamp = (tmp_path / "trace.npz").stat().st_mtime_ns
     run_pipeline(replace(spec, variant="genie"), tmp_path)
     assert (tmp_path / "trace.npz").stat().st_mtime_ns == stamp
@@ -320,22 +325,21 @@ def test_a_call_refused_after_prepare_leaves_its_scenario_to_reuse(tmp_path,
 
 
 def test_tail_variant_refused_after_its_window_leaves_the_directory_as_it_was(
-        tmp_path, monkeypatch, capsys):
-    # at 902 cycles window 1 leaves 601 training instances (30.05 expected
-    # exceedances), so the spec-only tail check passes; the trace's window
-    # of 8 would leave 594 (29.7).  Another seed is refused before the call
-    # simulates, so the genie run's files stay as they were.
-    (tmp_path / "run.cfg").write_text("n_cycles = 902\n")
+        tmp_path, capsys):
+    # at 902 cycles a window of 8 leaves 594 training instances (29.7
+    # expected exceedances): a tail variant of the genie run's own scenario
+    # is refused before the call reads the directory, so the genie run's
+    # files stay as they were
+    (tmp_path / "run.cfg").write_text("n_cycles = 902\nmodel.window = 8\n")
     out = tmp_path / "run"
-    base = ["evaluate", "--preset", "tiny", "--config", str(tmp_path / "run.cfg"),
-            "--out", str(out)]
-    assert main(base + ["--seed", "0", "--variant", "genie"]) == EXIT_OK
-    names = ("trace.npz", "results.csv", "run_manifest.json")
+    base = ["evaluate", "--preset", "tiny", "--seed", "0",
+            "--config", str(tmp_path / "run.cfg"), "--out", str(out)]
+    assert main(base + ["--variant", "genie"]) == EXIT_OK
+    names = ("trace.npz", "results.csv", "run_manifest.json", "summary.json")
     before = {name: (out / name).read_bytes() for name in names}
-    monkeypatch.setattr(pipeline.windowing, "stationary_interval", lambda *a: 8)
-    assert main(base + ["--seed", "1", "--variant", "evt-iqpt"]) == EXIT_CONFIG
+    assert main(base + ["--variant", "evt-iqpt"]) == EXIT_CONFIG
     assert {name: (out / name).read_bytes() for name in names} == before
-    assert "(differing: seed)" in capsys.readouterr().err
+    assert "0.05 * 594 = 29.7" in capsys.readouterr().err
 
 
 def test_a_call_hashes_each_artifact_once(tmp_path, monkeypatch):
@@ -378,20 +382,20 @@ TAIL_VARIANTS = [v for v, (_, readout) in ExperimentSpec.VARIANTS.items()
 @pytest.mark.parametrize("variant", TAIL_VARIANTS)
 def test_too_few_training_exceedances_fail_before_training(tmp_path, monkeypatch,
                                                            capsys, variant):
-    # tiny at its 700 cycles: alpha * n_train = 0.05 * 399 = 19.95 < 30
+    # tiny at its 700 cycles: alpha * n_train = 0.05 * 384 = 19.2 < 30
     def fail(*args, **kwargs):
         raise AssertionError("trained an infeasible spec")
 
     monkeypatch.setattr(pipeline, "train", fail)
     monkeypatch.setattr(pipeline, "split_train", fail)
-    with pytest.raises(ConfigError, match=r"needs 30 .* = 0\.05 \* 399 = 19\.95"):
+    with pytest.raises(ConfigError, match=r"needs 30 .* = 0\.05 \* 384 = 19\.2\b"):
         run_pipeline(smoke_spec(seed=12, variant=variant), tmp_path / "api")
-    # 399 is the most any window leaves, so the call is refused before it
-    # simulates: the directory is never made
+    # the window is a setting, so the call is refused before it simulates:
+    # the directory is never made
     assert not (tmp_path / "api").exists()
     assert main(["evaluate", "--preset", "tiny", "--seed", "12", "--variant",
                  variant, "--out", str(tmp_path / "cli")]) == EXIT_CONFIG
-    assert "19.95" in capsys.readouterr().err
+    assert "19.2" in capsys.readouterr().err
     assert not (tmp_path / "cli" / "model.bin").exists()
     # the variants without a tail fit still run on tiny
     monkeypatch.undo()
@@ -399,7 +403,7 @@ def test_too_few_training_exceedances_fail_before_training(tmp_path, monkeypatch
 
 
 def test_refused_tail_variant_leaves_the_directory_as_it_was(tmp_path, capsys):
-    # a genie run, then a tail variant that tiny cannot fit at any window:
+    # a genie run, then a tail variant that tiny cannot fit at its window:
     # the refusal touches none of the first run's files
     out = tmp_path / "run"
     assert main(["evaluate", "--preset", "tiny", "--seed", "0", "--variant", "genie",
@@ -408,42 +412,80 @@ def test_refused_tail_variant_leaves_the_directory_as_it_was(tmp_path, capsys):
     before = {name: (out / name).read_bytes() for name in names}
     assert main(["evaluate", "--preset", "tiny", "--seed", "1", "--variant",
                  "evt-iqpt", "--out", str(out)]) == EXIT_CONFIG
-    assert "19.95" in capsys.readouterr().err
+    assert "19.2" in capsys.readouterr().err
     assert {name: (out / name).read_bytes() for name in names} == before
     assert "genie" in json.loads(before["run_manifest.json"])["runs"]
 
 
-def test_tail_fit_is_checked_again_at_the_window_the_trace_gives(tmp_path,
-                                                                  monkeypatch):
-    # at 902 cycles window 1 would leave 601 training instances (30.05
-    # expected exceedances), so the early check passes; a window of 8 leaves
-    # 594 (29.7), which the check after prepare refuses before training
-    def fail(*args, **kwargs):
-        raise AssertionError("trained an infeasible spec")
-
-    monkeypatch.setattr(pipeline.windowing, "stationary_interval", lambda *a: 8)
-    monkeypatch.setattr(pipeline, "train", fail)
-    spec = replace(smoke_spec(seed=0, variant="evt-iqpt"), n_cycles=902)
-    with pytest.raises(ConfigError, match=r"0\.05 \* 594 = 29\.7"):
-        run_pipeline(spec, tmp_path)
-    assert (tmp_path / "dataset.bin").exists()
-    assert not (tmp_path / "model.bin").exists()
-
-
 def test_trace_too_short_for_its_partitions_exits_2(tmp_path, capsys):
-    # window 1 leaves 699 instances; calibration and test need 800 of them
+    # window 16 leaves 684 instances; calibration and test need 800 of them
     # and training at least one more
     cfg = tmp_path / "short.cfg"
     cfg.write_text("n_cal = 500\nn_test = 300\nvariant = genie\n")
     out = tmp_path / "run"
     assert main(["evaluate", "--preset", "tiny", "--config", str(cfg),
                  "--out", str(out)]) == EXIT_CONFIG
-    assert "n_cal + n_test + 2 = 802" in capsys.readouterr().err
+    assert "model.window + n_cal + n_test + 1 = 817" in capsys.readouterr().err
+    assert not (out / "trace.npz").exists()
+    # one cycle short of the shortest trace a window of 8 allows
+    cfg.write_text("n_cal = 500\nn_test = 200\nn_cycles = 708\nmodel.window = 8\n"
+                   "variant = genie\n")
+    assert main(["evaluate", "--preset", "tiny", "--config", str(cfg),
+                 "--out", str(out)]) == EXIT_CONFIG
+    assert "= 709" in capsys.readouterr().err
     assert not (out / "trace.npz").exists()
     # the shortest trace the partitions allow runs
-    cfg.write_text("n_cal = 500\nn_test = 200\nn_cycles = 702\nvariant = genie\n")
+    cfg.write_text("n_cal = 500\nn_test = 200\nn_cycles = 717\nvariant = genie\n")
     assert main(["evaluate", "--preset", "tiny", "--config", str(cfg),
                  "--out", str(out)]) == EXIT_OK
+    assert pipeline.windowing.load_dataset(out / "dataset").n_train == 1
+
+
+def test_a_set_window_runs_end_to_end(tmp_path):
+    # the window is the model's input length and the instance count
+    cfg = tmp_path / "w8.cfg"
+    cfg.write_text("model.window = 8\n")
+    out = tmp_path / "run"
+    assert main(["evaluate", "--config", str(cfg), "--preset", "tiny", "--seed", "0",
+                 "--variant", "iqpt", "--out", str(out)]) == EXIT_OK
+    spec = tiny_preset(0)
+    assert json.loads((out / "model.json").read_text())["hyper"]["window"] == 8
+    assert json.loads((out / "run_manifest.json").read_text())[
+        "scenario"]["model"]["window"] == 8
+    ds = pipeline.windowing.load_dataset(out / "dataset")
+    assert ds.window == 8
+    assert ds.n_train == spec.n_cycles - 8 - spec.n_cal - spec.n_test == 392
+    assert ds.inputs.shape == (spec.n_cycles - 8, 8, spec.deployment.sa_pairs_per_sn)
+
+
+class _WhiteNoiseTrace:
+    """The two members of a trace that stage_prepare reads."""
+
+    noise_power = 1e-12
+
+    def __init__(self, series):
+        self.series = series
+
+    def est_dbm(self, floor):
+        return self.series
+
+
+def test_a_white_noise_series_gets_the_set_window(tmp_path):
+    # no lag of white noise correlates: the old window rule gave it one
+    # cycle, and the dataset's input length is now the setting whatever the
+    # series, 16 by default
+    spec = tiny_preset(0)
+    assert spec.model.window == 16
+    series = np.random.default_rng(0).normal(-80.0, 3.0,
+                                             (spec.deployment.sa_pairs_per_sn,
+                                              spec.n_cycles))
+    for window in (spec.model.window, 5):
+        spec_w = replace(spec, model=replace(spec.model, window=window))
+        out = tmp_path / f"w{window}"
+        out.mkdir()
+        ds = pipeline.stage_prepare(spec_w, out, _WhiteNoiseTrace(series))
+        assert ds.window == window and ds.inputs.shape[1] == window
+        assert ds.n_train == spec.n_cycles - window - spec.n_cal - spec.n_test
 
 
 def test_plan_checks_every_tail_fit_before_any_training(tmp_path, monkeypatch):
@@ -683,7 +725,6 @@ def test_parse_config_rejects_unknown_keys():
 
 
 @pytest.mark.parametrize("line, hint", [
-    ("model.window = 8", "window rule"),
     ("model.n_series = 4", "deployment.sa_pairs_per_sn"),
 ])
 def test_parse_config_rejects_pipeline_wired_keys(tmp_path, line, hint):
@@ -733,10 +774,11 @@ def test_run_records_the_model_alpha_it_trained_at_and_no_data_shape(tmp_path):
     recorded = json.loads((out / "run_manifest.json").read_text())
     model = recorded["scenario"]["model"]
     hyper = json.loads((out / "model.json").read_text())["hyper"]
-    # the pipeline fills the shape from the data; the record states no other
-    assert model["n_series"] is None and model["window"] is None
-    assert hyper["n_series"] == 2
-    assert hyper["window"] == json.loads((out / "dataset.json").read_text())["window"]
+    # the pipeline fills the series count in from the deployment; the record
+    # states no other, and the window is the setting
+    assert model["n_series"] is None and hyper["n_series"] == 2
+    assert model["window"] == hyper["window"] == 16
+    assert json.loads((out / "dataset.json").read_text())["window"] == 16
     assert model["alpha"] == hyper["alpha"] == 0.1
 
 
@@ -751,7 +793,8 @@ def test_seed_flag_rewires_all_seeds():
 @pytest.mark.parametrize("line", ["train.seed = 1", "deployment.rng_seed = 1",
                                   "channel.fading = false", "channel.shadowing = false",
                                   "deployment.n_slots = 6",
-                                  "model.center_windows = false", "alpha = 0.1"])
+                                  "model.center_windows = false", "alpha = 0.1",
+                                  "corr_threshold = 0.4", "max_lag = 16"])
 def test_removed_seed_keys_are_config_errors(tmp_path, line):
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text(line, preset="tiny")
@@ -819,8 +862,8 @@ def test_cli_simulate_and_evaluate(tmp_path):
 
 
 def test_a_refused_call_leaves_the_run_records_as_they_were(tmp_path, capsys):
-    # the tail-fit check refuses evt-iqpt at alpha 0.01 only after simulate
-    # and prepare, and the call still writes no record of its spec
+    # the tail-fit check refuses evt-iqpt at alpha 0.01, and the call
+    # writes no record of its spec
     out = tmp_path / "run"
     base = ["evaluate", "--preset", "tiny", "--seed", "0", "--out", str(out)]
     assert main(base + ["--variant", "genie"]) == EXIT_OK
@@ -829,7 +872,7 @@ def test_a_refused_call_leaves_the_run_records_as_they_were(tmp_path, capsys):
     cfg = tmp_path / "alpha.cfg"
     cfg.write_text("model.alpha = 0.01\n")
     assert main(base + ["--variant", "evt-iqpt", "--config", str(cfg)]) == EXIT_CONFIG
-    assert "0.01 * 399 = 3.99" in capsys.readouterr().err
+    assert "0.01 * 384 = 3.84" in capsys.readouterr().err
     for name, blob in records.items():
         assert (out / name).read_bytes() == blob, name
     assert not (out / "resolved_config.json").exists()
@@ -922,7 +965,7 @@ def test_unreadable_config_values_exit_2(tmp_path, capsys, config, named):
     "channel.power_floor_w = 0",
     "channel.doppler_hz = -1",
     "payload_bits = 0",
-    "corr_threshold = 1.5",                  # no lagged correlation reaches it
+    "model.window = 0",                      # no input to predict from
     "--seed -1",                             # once refused in simulate, after --out
     "deployment.speed = inf",                # NaN rows
     "channel.bandwidth_hz = inf",            # once refused in evaluate, after the trace
@@ -1007,7 +1050,8 @@ def test_push_pull_with_one_push_pair_simulates(tmp_path):
 
 @pytest.mark.parametrize("line", [
     "train.lr_decay = -1", "train.epochs = -1", "train.batch_size = 0",
-    "train.lr = 0", "n_test = 0", "max_lag = 0", "n_cycles = 0", "model.alpha = 1"])
+    "train.lr = 0", "n_test = 0", "model.window = 0", "n_cycles = 0",
+    "model.alpha = 1"])
 def test_training_and_scoring_values_that_cannot_run_exit_2(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(line + "\n")
@@ -1019,10 +1063,10 @@ def test_training_and_scoring_values_that_cannot_run_exit_2(tmp_path, capsys, li
 
 
 def test_push_pull_sweep_point_that_never_transmits_exits_2(tmp_path, capsys):
-    # at the presets' intensity = 0 and n_reserved = 0 no push burst starts
-    # and no pull pair exists: the point's trace would hold no interference
+    # at intensity = 0 and n_reserved = 0 no push burst starts and no pull
+    # pair exists: the point's trace would hold no interference
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("variant = genie\n")
+    cfg.write_text("variant = genie\ntraffic.intensity = 0\ntraffic.n_reserved = 0\n")
     args = ["sweep", "--preset", "tiny", "--seed", "0", "--axis", "traffic",
             "--values", "bernoulli,push-pull", "--config", str(cfg)]
     assert main([*args, "--out", str(tmp_path / "quiet")]) == EXIT_CONFIG
@@ -1030,19 +1074,22 @@ def test_push_pull_sweep_point_that_never_transmits_exits_2(tmp_path, capsys):
     assert "sweep axis 'traffic' cannot take 'push-pull'" in err and "never transmits" in err
     assert not list(tmp_path.glob("quiet/**/trace.npz"))
 
-    cfg.write_text("variant = genie\ntraffic.intensity = 5\ntraffic.n_reserved = 2\n")
+    # the presets' push-pull values transmit
+    cfg.write_text("variant = genie\n")
     assert main([*args, "--out", str(tmp_path / "busy")]) == EXIT_OK
     assert "| traffic_push-pull | genie |" in (tmp_path / "busy" / "report.md").read_text()
 
 
 def test_bernoulli_run_ignores_the_push_pull_values_it_does_not_read(tmp_path):
-    # bernoulli traffic reads eta alone: a sweep config's push-pull values
-    # change neither the trace, nor the recorded scenario, nor the point
+    # bernoulli traffic reads eta alone: a sweep config's push-pull values,
+    # none of them the defaults, change neither the trace, nor the recorded
+    # scenario, nor the point
     plain, sweep_dir = tmp_path / "plain", tmp_path / "sweep"
     assert main(["evaluate", "--preset", "tiny", "--seed", "0", "--variant", "genie",
                  "--out", str(plain)]) == EXIT_OK
     cfg = tmp_path / "sweep.cfg"
-    cfg.write_text("variant = genie\ntraffic.intensity = 5\ntraffic.n_reserved = 2\n")
+    cfg.write_text("variant = genie\ntraffic.intensity = 7\ntraffic.n_reserved = 1\n"
+                   "traffic.burst_duration_s = 0.5\n")
     assert main(["sweep", "--preset", "tiny", "--seed", "0", "--axis", "traffic",
                  "--values", "bernoulli", "--config", str(cfg),
                  "--out", str(sweep_dir)]) == EXIT_OK
@@ -1172,6 +1219,20 @@ def test_sweep_rejects_bad_values_before_any_point_runs(tmp_path, capsys, axis,
                  "--values", values, "--out", str(tmp_path / "sweep")]) == EXIT_CONFIG
     assert f"config error: sweep axis {axis!r} {named}" in capsys.readouterr().err
     assert not list(tmp_path.glob("**/results.csv"))
+
+
+def test_every_documented_sweep_value_builds_a_spec_on_every_preset():
+    # docs/config.md gives each axis's values as "`axis` sets `key` (`--values
+    # a,b`)"; ExperimentSpec's checks run on each point, so a value that
+    # cannot run raises ConfigError here, as sweep would before any point runs
+    doc = (Path(__file__).resolve().parents[1] / "docs" / "config.md").read_text()
+    documented = dict(re.findall(r"`(\w+)`(?: axis)? sets\s+`[\w.]+`\s+"
+                                 r"\(`--values ([\w,-]+)`\)", doc))
+    assert set(documented) == set(pipeline.SWEEP_AXES)
+    for preset in PRESETS:
+        for axis, values in documented.items():
+            for value in values.split(","):
+                pipeline._sweep_point(PRESETS[preset](0), axis, value)
 
 
 def test_sweep_has_no_eps_target_axis(tmp_path):

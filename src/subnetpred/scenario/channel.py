@@ -1,6 +1,9 @@
 """Indoor-factory channel pieces: InF-DL path loss, exponentially correlated
 shadowing advanced along trajectories, AR(1) small-scale fading with a
-Doppler-matched coefficient, and the soft LOS/NLOS mixing gain.
+Doppler-matched coefficient, and the soft LOS/NLOS mixing gain.  The
+AR(1) processes of a link advance as one row of floats (Ar1Field): the
+real fields, then the fading, which is complex in law and held as the
+(re, im) floats it is drawn as (ComplexAr1).
 
 Formulas and their sources, one a line:
 - InF-DL path loss (pathloss_inf_db): 3GPP TR 38.901, Table 7.4.1-1.
@@ -79,20 +82,12 @@ def fading_coefficient(doppler_hz, dt):
     return total
 
 
-def _complex_normal(re, im, out=None):
-    """Unit-power complex normals from standard normal real and imaginary
-    parts, (re + 1j im) / sqrt(2), formed in out when given."""
-    out = np.multiply(1j, im, out=out)
-    np.add(re, out, out=out)
-    return np.divide(out, np.sqrt(2.0), out=out)
-
-
 def _recur(coef, drive, values):
     """Rows values_t = coef_t * values_(t-1) + drive_t of a block of cycles,
     from the values before it, written over the drive [b x ...], which is
-    returned; coef holds one coefficient (row) per cycle.  d + c v rounds
+    returned; coef holds one coefficient row per cycle.  d + c v rounds
     as c v + d does, so the states equal those of a separate output."""
-    scaled = np.empty_like(values, dtype=drive.dtype)
+    scaled = np.empty_like(values)
     for c, row in zip(coef, drive):
         np.multiply(c, values, out=scaled)
         values = np.add(row, scaled, out=row)
@@ -100,66 +95,74 @@ def _recur(coef, drive, values):
 
 
 class Ar1Field:
-    """Gaussian value per link, correlated along the trajectory.
+    """One row of Gaussian AR(1) values, advanced by one recursion.
 
-    Each advance uses coefficient exp(-displacement / decorrelation), the
-    exponential (Gudmundson-style) correlation evaluated at the distance the
-    link endpoints moved since the previous cycle.  std holds one standard
-    deviation per link, so fields of different spread advance as one.
+    The row's leading columns are real values per link, correlated along
+    the trajectory: each advance uses coefficient exp(-displacement /
+    decorrelation), the exponential (Gudmundson-style) correlation
+    evaluated at the distance the link endpoints moved since the previous
+    cycle.  std holds one standard deviation per such column, so fields of
+    different spread advance as one.  The columns after them hold the
+    (re, im) floats of a ComplexAr1, whose coefficient the caller presets
+    and whose drive ComplexAr1.advance forms.
     """
 
-    def __init__(self, std, decorrelation, rng):
+    def __init__(self, std, decorrelation, values):
+        """values: standard normals, one per column of the row; the leading
+        std.size become the fields, std times them, in place."""
         self.std = std
         self.decorrelation = decorrelation
-        self.values = std * rng.standard_normal(std.shape)
+        n = std.size
+        np.multiply(std, values[:n], out=values[:n])
+        self.values = values
 
-    def advance(self, displacement, noise):
-        """Values after each cycle of a block, given the distance each link
-        moved [b x n] and one standard normal per link [b x n] per cycle."""
-        a = np.exp(-np.asarray(displacement, dtype=float) / self.decorrelation)
-        out = _recur(a, np.sqrt(1.0 - a**2) * self.std * noise, self.values)
-        self.values = out[-1].copy()
-        return out
+    def advance(self, displacement, row, coef):
+        """The row's values after each cycle of a block, written over row
+        [b x columns] and returned.  row holds per cycle one standard
+        normal per real field, then the drive of the columns after them;
+        displacement [b x std.size] is the distance each link moved; coef
+        [b x columns] holds the later columns' coefficients and takes the
+        real fields' in front of them.  values takes the last row in place,
+        so a view of it (ComplexAr1.values) follows."""
+        n = self.std.size
+        a = np.exp(-displacement / self.decorrelation, out=coef[:, :n])
+        np.multiply(np.sqrt(1.0 - a**2) * self.std, row[:, :n], out=row[:, :n])
+        _recur(coef, row, self.values)
+        self.values[...] = row[-1]
+        return row
 
 
 class ComplexAr1:
     """Unit-power complex Gaussian AR(1) processes (Rayleigh envelope) of one
-    coefficient; values [shape].  The normals of each index of the leading
-    axis are its real parts and then its imaginary parts, laid out
-    [shape[0] x 2 x shape[1:]], so processes drawn one after another
-    advance as one."""
+    coefficient rho; values [shape] in law.  In storage they are the floats
+    they are drawn as: the real parts and then the imaginary parts of each
+    index of the leading axis, [shape[0] x 2 x shape[1:]], so processes
+    drawn one after another advance as one.  A real rho times a complex
+    state is rho re + 1j rho im, so the floats, advanced as columns of an
+    Ar1Field's row with coefficient rho, keep the complex recursion's bits.
+    """
 
-    def __init__(self, shape, rho, rng):
+    def __init__(self, shape, rho, values):
+        """values: standard normals in the draw layout, turned in place into
+        the initial values (re + 1j im) / sqrt(2) and held as a view."""
         self.rho = rho
-        z = rng.standard_normal((shape[0], 2) + shape[1:])
-        self.values = _complex_normal(z[:, 0], z[:, 1])
+        values *= 1.0 / np.sqrt(2.0)
+        self.values = values.reshape((shape[0], 2) + shape[1:])
 
-    def advance(self, noise, out):
-        """Values after each cycle of a block, given per cycle the standard
-        normals in the draw layout [b x shape[0] x 2 x shape[1:]].
-
-        They are written into the caller's complex buffer out [b x shape],
-        which first holds the drive sqrt(1 - rho^2) (re + 1j im) / sqrt(2),
-        and out is returned.  A caller that advances block after block
-        passes the same buffer each time, so no block allocates its states.
-        """
-        drive = _complex_normal(noise[:, :, 0], noise[:, :, 1], out)
-        np.multiply(np.sqrt(1.0 - self.rho**2), drive, out=drive)
-        _recur([self.rho] * len(noise), drive, self.values)
-        self.values = out[-1].copy()
-        return out
+    def advance(self, noise):
+        """Turn a block's standard normals in the draw layout [b x ...] in
+        place into the drive sqrt(1 - rho^2) (re + 1j im) / sqrt(2) of the
+        next values, and return them.  numpy divides a complex by a real
+        sqrt(2) as a product with 1 / sqrt(2), so the two products round as
+        the complex drive does."""
+        noise *= 1.0 / np.sqrt(2.0)
+        noise *= np.sqrt(1.0 - self.rho**2)
+        return noise
 
 
 def los_specular(k_linear, los_phase):
     """Fixed specular term sqrt(K/(K+1)) exp(j los_phase) of Rician fading."""
     return np.sqrt(k_linear / (k_linear + 1.0)) * np.exp(1j * los_phase)
-
-
-def rician(scatter, k_linear, specular, out):
-    """Rician fading sample: the fixed specular term (los_specular, computed
-    once per link) plus the scattered component, written into out."""
-    np.multiply(np.sqrt(1.0 / (k_linear + 1.0)), scatter, out=out)
-    return np.add(specular, out, out=out)
 
 
 def soft_los_weight(latent):

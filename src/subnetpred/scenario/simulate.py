@@ -82,9 +82,9 @@ VICTIM = 0
 # leading share of the trace whose mean true power sets the estimation
 # noise level (a train-prefix statistic)
 NOISE_REF_FRACTION = 0.7
-# cycles per block: the block's draws become states, and its states power,
-# at once, and its buffers stay small next to the trace's own arrays (a
-# 10,000-cycle desk trace peaks at 3.4-3.7 MiB of Python allocation)
+# cycles per block: the block's rows of normals become its states in place,
+# by one recursion, and its states power, at once; its buffers stay small
+# next to the trace's own arrays (a 10,000-cycle desk trace peaks at 3.4 MiB)
 BLOCK = 250
 # rdmm steps per free run (mobility.free_run); an event ends a run early.
 # A run costs about 45 us plus 2 us a step, and the steps past its event are
@@ -166,19 +166,22 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     Cycle 0 keeps the initial states.  The later cycles run in blocks of
     BLOCK cycles; each block fills its rows of normals and of uniforms
     with one call per stream, which equals the row-by-row draws it
-    replaces.  Pass 1 turns the rows into states at once, with two AR(1)
-    recursions: one over the three real fields of every link, one over the
-    LOS and NLOS fading, which share their coefficient; then the push
-    bursts, in one scan (TrafficProcess.step).  Pass 2 then runs on the
+    replaces.  Pass 1 turns the rows of normals into states in place, with
+    one AR(1) recursion over the whole row (Ar1Field.advance): the three
+    real fields of every link take exp(-move / d_corr), and the LOS and
+    NLOS fading's (re, im) floats take their shared coefficient, once
+    ComplexAr1.advance has scaled their normals into the drive; then the
+    push bursts, in one scan (TrafficProcess.step).  Pass 2 then runs on the
     same block (cycle 0 is a block of its own), so no gain or slot array
     ever spans all cycles: the fading looks' power sums, path loss,
     shadowing and soft-LOS transforms, link gains, the TDD misalignment
     and the slot sums, written into the block's columns of the true power.
 
     The trace owns its block-sized buffers and allocates them once: the
-    rows of draws, the fading states (ComplexAr1.advance forms the drive
-    in them and runs the recursion over it), the Rician sum of the LOS
-    fading and the looks' powers, and the free runs' pairwise distances.
+    rows of draws, which become the states, the rows of coefficients, the
+    complex looks of one link kind (the Rician sum of the LOS fading, then
+    the NLOS fading, the one complex array, which _look_power reads) and
+    their powers, and the free runs' pairwise distances.
     Every block and every free run writes into them, so neither frees a
     large array for the allocator to hand back to the system and fault in
     again.
@@ -201,20 +204,23 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
 
     k_lin = ch.db_to_linear(channel_params.rician_k_db)
     rho_f = ch.fading_coefficient(channel_params.doppler_hz, dt)
-    # one real field over the shadowing LOS, the shadowing NLOS and the
-    # soft-LOS latent of every link, in the order of their draws
+    # one row of AR(1) values, in the order of their draws: a real field
+    # over the shadowing LOS, the shadowing NLOS and the soft-LOS latent of
+    # every link, then the LOS and NLOS fading.  The fading has independent
+    # looks per link (frequency/pilot diversity of the slot power
+    # estimate); the measured power averages their energies.
     stds = np.repeat([channel_params.shadow_std_los_db,
                       channel_params.shadow_std_nlos_db, 1.0], n_int)
-    real_field = ch.Ar1Field(stds, channel_params.decorrelation_distance, rng_channel)
     n_real = stds.size
-    # independent fading looks per link (frequency/pilot diversity of the
-    # slot power estimate); the measured power averages their energies.
-    # One process holds the LOS and then the NLOS fading.
     looks = channel_params.est_looks
     fade_shape = (2, n_int, n_sa, looks)
-    fades = ch.ComplexAr1(fade_shape, rho_f, rng_channel)
+    n_row = n_real + 4 * n_int * n_sa * looks
+    real_field = ch.Ar1Field(stds, channel_params.decorrelation_distance,
+                             rng_channel.standard_normal(n_row))
+    fades = ch.ComplexAr1(fade_shape, rho_f, real_field.values[n_real:])
     specular = ch.los_specular(k_lin, rng_channel.uniform(0.0, 2.0 * np.pi,
                                                           (n_int, n_sa, looks)))
+    scatter = np.sqrt(1.0 / (k_lin + 1.0))
 
     traffic_proc = TrafficProcess(traffic, n_int, n_sa, dt, rng_traffic)
     # TDD misalignment of non-synchronized sub-networks: every interferer's
@@ -234,20 +240,23 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     offsets = state.offsets[intf]
 
     # the block buffers, laid out and owned as the docstring states: per
-    # cycle one row of normals, one of uniforms, the fading states, the
-    # Rician sum of the LOS fading and the looks' powers
-    normals = np.empty((BLOCK, n_real + 2 * fades.values.size))
+    # cycle one row of normals (then states), one of coefficients, whose
+    # fading columns hold rho_f throughout, and one of uniforms; the looks
+    # of one link kind, complex, and their powers
+    normals = np.empty((BLOCK, n_row))
+    coef = np.empty((BLOCK, n_row))
+    coef[:, n_real:] = rho_f
     n_push = 2 * n_int * traffic_proc.n_push
     uniforms = np.empty((BLOCK, n_push + n_int * n_sa))
-    fading_buf = np.empty((BLOCK,) + fade_shape, dtype=complex)
-    los_buf = np.empty((BLOCK,) + fade_shape[1:], dtype=complex)
+    looks_buf = np.empty((BLOCK,) + fade_shape[1:], dtype=complex)
     power_buf = np.empty((BLOCK,) + fade_shape[1:])
     true_power = np.empty((n_sa, n_cycles))
 
     def block_power(start, reals, fading, chi):
         """Pass 2 of the cycles from start on, given their states: the real
-        fields [b x n_real], the LOS and NLOS fading [b x 2 x ...] and the
-        slot occupancy [b x n_int x n_sa]; writes their true power."""
+        fields [b x n_real], the LOS and NLOS fading as (re, im) floats [b
+        x 2 x 2 x ...] and the slot occupancy [b x n_int x n_sa]; writes
+        their true power."""
         b = len(reals)
         stop = start + b
         c = centers[start:stop]
@@ -255,10 +264,15 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
         dist = ch.planar_norm(c[:, :-1, None, :] + offsets - c[:, -1, None, None, :])
         pl_los, pl_nlos = (ch.db_to_linear(-pl)
                            for pl in ch.pathloss_inf_db(dist, deployment.carrier_freq))
-        # mean fading power over the looks
-        h_los = _look_power(ch.rician(fading[:, 0], k_lin, specular, los_buf[:b]),
-                            power_buf[:b]) / looks
-        h_nlos = _look_power(fading[:, 1], power_buf[:b]) / looks
+        # mean fading power over the looks: the Rician sum of the LOS
+        # fading, sqrt(1/(K+1)) h plus the specular term, then the NLOS
+        h = looks_buf[:b]
+        for part, spec, fade in ((h.real, specular.real, fading[:, 0, 0]),
+                                 (h.imag, specular.imag, fading[:, 0, 1])):
+            np.add(spec, np.multiply(scatter, fade, out=part), out=part)
+        h_los = _look_power(h, power_buf[:b]) / looks
+        h.real, h.imag = fading[:, 1, 0], fading[:, 1, 1]
+        h_nlos = _look_power(h, power_buf[:b]) / looks
         psi = ch.soft_los_weight(reals[:, -n_int:] + channel_params.soft_los_bias)[:, :, None]
         sh_los = ch.db_to_linear(reals[:, :n_int])[:, :, None]
         sh_nlos = ch.db_to_linear(reals[:, n_int:2 * n_int])[:, :, None]
@@ -281,23 +295,23 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     chi = traffic_proc.sample_own_slots(
         traffic_proc.activity,
         rng_traffic.random(out=uniforms[0, n_push:]).reshape(n_int, n_sa))
-    block_power(0, real_field.values[None], fades.values[None], chi[None])
+    block_power(0, real_field.values[None, :n_real], fades.values[None], chi[None])
     for start in range(1, n_cycles, BLOCK):
         stop = min(start + BLOCK, n_cycles)
         b = stop - start
         rng_channel.standard_normal(out=normals[:b])
         rng_traffic.random(out=uniforms[:b])
         rel, mid = _link_motion(centers[start:stop] - centers[start - 1:stop - 1])
-        reals = real_field.advance(np.concatenate([rel, rel, mid], axis=1),
-                                   normals[:b, :n_real])
-        fading = fades.advance(normals[:b, n_real:].reshape((b, 2, 2) + fade_shape[1:]),
-                               fading_buf[:b])
+        fades.advance(normals[:b, n_real:])
+        states = real_field.advance(np.concatenate([rel, rel, mid], axis=1),
+                                    normals[:b], coef[:b])
         activity = traffic_proc.step(
             uniforms[:b, :n_push].reshape(b, 2, n_int, traffic_proc.n_push))
         chi = traffic_proc.sample_own_slots(
             activity, uniforms[:b, n_push:].reshape(b, n_int, n_sa))
-        block_power(start, reals, fading, chi)
-    del normals, uniforms, fading_buf, los_buf, power_buf
+        block_power(start, states[:, :n_real],
+                    states[:, n_real:].reshape((b,) + fades.values.shape), chi)
+    del normals, coef, uniforms, looks_buf, power_buf
 
     ref = max(int(NOISE_REF_FRACTION * n_cycles), 1)
     est_noise_std = channel_params.est_noise_fraction * float(true_power[:, :ref].mean())

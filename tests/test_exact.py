@@ -843,6 +843,12 @@ SIM_CASES = {
     # one slot and fifteen interferers: the slot sum runs over >= 8 terms
     "one-slot-fifteen-interferers": {"deployment": {"sa_pairs_per_sn": 1, "n_subbands": 1}},
     "crowded": {"deployment": CROWDED, "traffic": PUSH_PULL},
+    # real-field coefficients far from 1 and different per link, beside the
+    # fading's constant rho in one recursion
+    **{name: {"n_cycles": n, "channel": {"decorrelation_distance": 0.05},
+              "deployment": {"speed": 30.0}}
+       for name, n in (("fast-decorrelation", 300),
+                       (f"fast-decorrelation-{BLOCK + 1}-cycles", BLOCK + 1))},
     # pass 1 runs in blocks of BLOCK cycles after cycle 0
     **{f"{name}-{n}-cycles": {"n_cycles": n, **case}
        for n in (BLOCK, BLOCK + 1, 2 * BLOCK + 3)
@@ -873,6 +879,45 @@ def test_simulate_trace_matches_cycle_by_cycle_reference(name):
     if name == "crowded":
         assert hits["retry"] > 0 and hits["exhausted"] > 0
         assert hits["reflect"] > 0
+
+
+@pytest.mark.parametrize("n_int", (1, 3, 15))
+@pytest.mark.parametrize("looks", (1, 8, 12))
+def test_row_recursion_matches_complex_reference(looks, n_int):
+    # simulate_trace's row: three real fields per link, then the LOS and
+    # NLOS fading as (re, im) floats, advanced by one recursion over two
+    # blocks, the second a single row, so the states cross a block boundary
+    n_sa, dcorr, rho = 4, 10.0, ch.fading_coefficient(80.0, 1e-3)
+    field_stds = (4.0, 7.0, 1.0)
+    n_real = 3 * n_int
+    shape = (2, n_int, n_sa, looks)
+    n_row = n_real + 4 * n_int * n_sa * looks
+    got_rng, want_rng = np.random.default_rng(21), np.random.default_rng(21)
+    moves = np.random.default_rng(22)
+    field = ch.Ar1Field(np.repeat(field_stds, n_int), dcorr, got_rng.standard_normal(n_row))
+    fades = ch.ComplexAr1(shape, rho, field.values[n_real:])
+    reals = [s * want_rng.standard_normal(n_int) for s in field_stds]
+    fading = [ref_complex_normal(want_rng, shape[1:]) for _ in range(2)]
+
+    def check(got_reals, got_fading):
+        assert np.array_equal(got_reals, np.concatenate(reals))
+        for k in range(2):
+            assert np.array_equal(got_fading[k, 0], fading[k].real)
+            assert np.array_equal(got_fading[k, 1], fading[k].imag)
+
+    check(field.values[:n_real], fades.values)
+    for b in (5, 1):
+        disp = moves.uniform(0.0, 30.0, (b, n_real))
+        coef = np.full((b, n_row), rho)
+        row = got_rng.standard_normal((b, n_row))
+        fades.advance(row[:, n_real:])
+        states = field.advance(disp, row, coef)
+        for t in range(b):
+            reals = [ref_ar1_advance(v, s, dcorr, disp[t, k * n_int:(k + 1) * n_int], want_rng)
+                     for k, (v, s) in enumerate(zip(reals, field_stds))]
+            fading = [ref_complex_advance(f, rho, want_rng) for f in fading]
+            check(states[t, :n_real], states[t, n_real:].reshape(fades.values.shape))
+        check(field.values[:n_real], fades.values)
 
 
 # start and stop probabilities near 1/2, so that toggles and resets to either

@@ -246,10 +246,12 @@ def test_fading_coefficient_is_j0_within_1e_15():
 def test_fading_power_autocorrelation_matches_coefficient():
     rho = fading_coefficient(80.0, 1e-3)
     rng = np.random.default_rng(7)
-    proc = ComplexAr1((1,), rho, rng)
+    field = Ar1Field(np.empty(0), 1.0, rng.standard_normal(2))
+    proc = ComplexAr1((1,), rho, field.values)
     n = 100000
-    vals = np.abs(proc.advance(rng.standard_normal((n, 1, 2)),
-                               np.empty((n, 1), dtype=complex))[:, 0]) ** 2
+    states = field.advance(np.empty((n, 0)), proc.advance(rng.standard_normal((n, 2))),
+                           np.full((n, 2), rho))
+    vals = np.abs(states[:, 0] + 1j * states[:, 1]) ** 2
     a, b = vals[:-1], vals[1:]
     corr = np.corrcoef(a, b)[0, 1]
     assert corr == pytest.approx(rho**2, abs=0.05)
@@ -259,10 +261,11 @@ def test_shadowing_increment_matches_gudmundson_structure():
     # RMS difference over displacement delta follows sqrt(2 sigma^2 (1-exp(-delta/d)))
     rng = np.random.default_rng(8)
     sigma, dcorr = 4.0, 10.0
-    field = Ar1Field(np.full(20000, sigma), dcorr, rng)
+    field = Ar1Field(np.full(20000, sigma), dcorr, rng.standard_normal(20000))
     before = field.values.copy()
     delta = 0.1 * dcorr
-    field.advance(np.full((1, 20000), delta), rng.standard_normal((1, 20000)))
+    field.advance(np.full((1, 20000), delta), rng.standard_normal((1, 20000)),
+                  np.empty((1, 20000)))
     rms = np.sqrt(np.mean((field.values - before) ** 2))
     expect = np.sqrt(2 * sigma**2 * (1 - np.exp(-delta / dcorr)))
     assert rms == pytest.approx(expect, rel=0.03)
@@ -275,9 +278,9 @@ def test_shadowing_correlation_over_a_move_is_exponential():
     # sqrt(n), so it must lie within five of them: 0.0117 at n = 20,000.
     n, dd, dcorr = 20_000, 2.0, 10.0
     rng = np.random.default_rng(12)
-    field = Ar1Field(np.full(n, 4.0), dcorr, rng)
+    field = Ar1Field(np.full(n, 4.0), dcorr, rng.standard_normal(n))
     before = field.values.copy()
-    field.advance(np.full((1, n), dd), rng.standard_normal((1, n)))
+    field.advance(np.full((1, n), dd), rng.standard_normal((1, n)), np.empty((1, n)))
     rho = np.exp(-dd / dcorr)
     assert rho == pytest.approx(0.8187, abs=1e-4)
     tol = 5.0 * (1.0 - rho**2) / np.sqrt(n)
@@ -288,9 +291,10 @@ def test_shadowing_small_step_continuity():
     # sub-centimeter motion moves the field by far less than its std
     rng = np.random.default_rng(9)
     sigma, dcorr = 4.0, 10.0
-    field = Ar1Field(np.full(20000, sigma), dcorr, rng)
+    field = Ar1Field(np.full(20000, sigma), dcorr, rng.standard_normal(20000))
     before = field.values.copy()
-    field.advance(np.full((1, 20000), 0.002), rng.standard_normal((1, 20000)))
+    field.advance(np.full((1, 20000), 0.002), rng.standard_normal((1, 20000)),
+                  np.empty((1, 20000)))
     rms = np.sqrt(np.mean((field.values - before) ** 2))
     assert rms < 0.12       # analytic value 0.080 dB at 2 mm
     assert rms == pytest.approx(np.sqrt(2 * sigma**2 * (1 - np.exp(-0.0002))),

@@ -1,4 +1,2 @@
 """subnetpred: interference simulation, calibrated tail prediction, and
 risk-aware resource allocation for dense industrial sub-networks."""
-
-__version__ = "0.1.0"

@@ -160,8 +160,9 @@ def normalize(dataset):
     """Min-max normalize per series using train-partition statistics only.
 
     The train windows and labels cover the first n_train + window samples.
-    Returns a new dataset plus the affine parameters; degenerate series
-    (min == max) fall back to unit scale so the map stays invertible.
+    Returns a new dataset with the affine parameters attached as `.norm`;
+    degenerate series (min == max) fall back to unit scale so the map stays
+    invertible.
     """
     train = dataset.series[:dataset.n_train + dataset.window]
     lo = train.min(axis=0)

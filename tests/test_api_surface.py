@@ -6,6 +6,12 @@ Tests do not count as callers, and neither do the re-exports in
 __init__.py files.  A reference is a name, an attribute or a dotted string
 (perfbench/layers.py names the functions it wraps as strings); matching is
 by bare name, so it errs on the side of "referenced".
+
+A package re-exports only what the program imports through it: every name
+an __init__.py imports must be imported through that package, relatively
+(`from .split import …`) or absolutely (`from subnetpred.split import …`),
+by a module in src/ or perfbench/.  Tests do not count, and importing a
+submodule (`from subnetpred.model import network`) is not a re-export.
 """
 
 import ast
@@ -70,6 +76,40 @@ def test_allowlist_names_exist_and_carry_a_reason():
     defined = {qual for _, qual, *_ in _definitions()}
     assert set(ALLOWED) <= defined
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def _from_imports(path):
+    """(absolute module, imported names) for each `from … import` in path;
+    a relative one is resolved against the directory path sits in."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        module = node.module or ""
+        if node.level:
+            package = path.relative_to(PACKAGE.parent).parts[:-1]
+            base = package[:len(package) - node.level + 1]
+            module = ".".join(base + ((node.module,) if node.module else ()))
+        yield module, {alias.name for alias in node.names}
+
+
+def test_every_package_reexport_is_imported_through_its_package():
+    """A name an __init__.py imports is a second import path; it stays only
+    if a module in src/ or perfbench/ imports it through the package."""
+    exported = {}
+    for init in sorted(PACKAGE.rglob("__init__.py")):
+        package = ".".join(init.parent.relative_to(PACKAGE.parent).parts)
+        for _, names in _from_imports(init):
+            exported.setdefault(package, set()).update(names)
+    used = {}
+    sources = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+    for path in sources:
+        if path.name == "__init__.py":
+            continue
+        for module, names in _from_imports(path):
+            used.setdefault(module, set()).update(names)
+    unused = sorted(f"{package}.{name}" for package, names in exported.items()
+                    for name in names - used.get(package, set()))
+    assert unused == [], "re-exports no module in src/ or perfbench/ imports"
 
 
 # parameters with a default that no program call sets, one reason each

@@ -8,14 +8,16 @@ import pytest
 
 from subnetpred import pipeline, windowing
 from subnetpred.config import ModelConfig, TrainConfig, desk_preset
-from subnetpred.model import (forward_flops, init_params, levinson_durbin,
-                              load_checkpoint, moving_average_predict,
-                              param_names, predict, save_checkpoint,
-                              wiener_predict)
 from subnetpred.model import network
-from subnetpred.model.baselines import autocorrelation
+from subnetpred.model.baselines import (autocorrelation, levinson_durbin,
+                                        moving_average_predict, wiener_predict)
+from subnetpred.model.network import (forward_flops, init_params,
+                                      load_checkpoint, param_names, predict,
+                                      save_checkpoint)
 from subnetpred.model.train import TrainingDivergedError, train
-from subnetpred.split import InProcessChannel, partition, split_train
+from subnetpred.split.messages import InProcessChannel
+from subnetpred.split.partition import partition
+from subnetpred.split.runtime import split_train
 
 SMALL = ModelConfig(n_series=2, window=4, d_embed=16, n_heads=4, n_layers=1,
                     lstm_hidden=16, dropout=0.0, alpha=0.05)

@@ -15,15 +15,15 @@ import subnetpred
 from subnetpred.config import (ChannelParams, DeploymentConfig, TrafficModel,
                                desk_preset)
 from subnetpred.rng import tagged_rng
-from subnetpred.scenario import (PlacementError, TrafficProcess,
-                                 build_alley_layout, channel_gain, deploy,
-                                 deploy_alley, fading_coefficient,
-                                 interferer_set, noise_power_w,
-                                 pathloss_inf_db, simulate_trace,
-                                 step_mobility, write_trace_csv)
-from subnetpred.scenario.channel import Ar1Field, ComplexAr1, db_to_linear
-from subnetpred.scenario.mobility import alley_positions
-from subnetpred.scenario.simulate import subband_assignment
+from subnetpred.scenario.channel import (Ar1Field, ComplexAr1, channel_gain,
+                                         db_to_linear, fading_coefficient,
+                                         noise_power_w, pathloss_inf_db)
+from subnetpred.scenario.deploy import PlacementError, deploy
+from subnetpred.scenario.mobility import (alley_positions, build_alley_layout,
+                                          deploy_alley, step_mobility)
+from subnetpred.scenario.simulate import (interferer_set, simulate_trace,
+                                          subband_assignment, write_trace_csv)
+from subnetpred.scenario.traffic import TrafficProcess
 
 # single-look estimates with a 10% noise term (the defaults average eight
 # looks), and bernoulli traffic at eta = 0.9
@@ -406,7 +406,7 @@ WARM_TRACE_FAULTS = """
 import resource
 from dataclasses import replace
 from subnetpred.config import desk_preset
-from subnetpred.scenario import simulate_trace
+from subnetpred.scenario.simulate import simulate_trace
 desk = desk_preset(0)
 traffic = replace(desk.traffic, variant="push-pull", n_reserved=2, intensity=5.0)
 for k in range(3):
@@ -421,7 +421,7 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 FIRST_TRACE_FAULTS = """
 import resource
 from subnetpred.config import desk_preset
-from subnetpred.scenario import simulate_trace
+from subnetpred.scenario.simulate import simulate_trace
 desk = desk_preset(0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 simulate_trace(desk.deployment, desk.traffic, desk.channel, 10_000, desk.seed)

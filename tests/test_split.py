@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from subnetpred.config import ModelConfig, TrainConfig
-from subnetpred.model import forward, init_params
+from subnetpred.model.network import forward, init_params
 from subnetpred.model.train import TRAIN_DTYPE, train
-from subnetpred.split import (InProcessChannel, KIND_ACTIVATION,
-                              KIND_GRADIENT, ProtocolError, SplitMessage,
-                              build_participants, merge, partition,
-                              partition_workloads, split_train)
+from subnetpred.split.messages import (KIND_ACTIVATION, KIND_GRADIENT,
+                                       InProcessChannel, ProtocolError,
+                                       SplitMessage)
+from subnetpred.split.partition import merge, partition, partition_workloads
+from subnetpred.split.runtime import build_participants, split_train
 
 CFG = ModelConfig(n_series=4, window=6, d_embed=16, n_heads=4, n_layers=2,
                   lstm_hidden=12, dropout=0.1, alpha=0.05)
@@ -172,8 +173,9 @@ def test_one_step_at_training_precision_keeps_its_dtype():
     # every parameter, gradient, Adam moment, cache array (masks and masked
     # activations included) and split payload stays in the training dtype:
     # an in-place update casts silently, so each is checked where it is made
-    from subnetpred.model import Adam, DropoutMasks, backward
     from subnetpred.model.losses import pinball_grad
+    from subnetpred.model.network import backward
+    from subnetpred.model.optim import Adam, DropoutMasks
     from subnetpred.split.runtime import split_step
 
     x, y, params = at_training_precision(*make_data(32, 3, CFG),
@@ -211,8 +213,8 @@ def test_one_step_at_training_precision_keeps_its_dtype():
 def test_split_gradients_equal_centralized_at_every_batch_size(b, window):
     # an epoch's last batch can have any size (the tiny preset's is 15);
     # every participant's gradient equals the centralized one bit for bit
-    from subnetpred.model import backward
     from subnetpred.model.losses import pinball_grad, pinball_loss
+    from subnetpred.model.network import backward
     from subnetpred.model.optim import DropoutMasks
     from subnetpred.split.partition import CLIENT_KEYS
     from subnetpred.split.runtime import split_forward_batch
@@ -315,9 +317,9 @@ def test_shuffled_arrival_order_is_reordered_by_id():
 
 def test_total_gradient_conserved_across_boundary():
     # sum of squared grads assembled from participants equals centralized
-    from subnetpred.model import backward as nn_backward
-    from subnetpred.model import forward as nn_forward
     from subnetpred.model.losses import pinball_grad
+    from subnetpred.model.network import backward as nn_backward
+    from subnetpred.model.network import forward as nn_forward
 
     seed = 13
     x, y = make_data(64, seed)

@@ -170,17 +170,29 @@ def test_conformity_scores_per_series_differ():
 
 
 def test_marginal_coverage_guarantee_on_exchangeable_data():
-    # Monte-Carlo check of the conformal validity property
+    # the split-conformal law: with one-sided scores y - p from n
+    # exchangeable calibration draws, the coverage of one calibration set is
+    # Beta(k, n + 1 - k), k = ceil((n + 1)(1 - beta)).  Labels are a level
+    # plus N(0, 1) noise and the predictor is biased by +0.3, so a label is
+    # covered when its noise lies below q + 0.3: each set's coverage is
+    # exactly Phi(q + 0.3), the k-th order statistic of uniforms
+    from scipy.stats import beta as beta_law
+    from scipy.stats import kstest, norm
+
+    n, beta, bias, sets = 1000, 0.05, 0.3, 2000
+    k = math.ceil((n + 1) * (1 - beta))
+    assert k == 951
     rng = np.random.default_rng(6)
-    beta = 0.1
-    hits = []
-    for _ in range(100):
-        cal = rng.standard_normal(500)
-        test = rng.standard_normal(500)
-        cs = finite_sample_quantile(np.abs(cal), beta)
-        hits.append((test <= cs).mean())
-    mean_cov = float(np.mean(hits))
-    assert mean_cov >= 1 - beta - 0.01
+    level = rng.uniform(-10.0, 10.0, (sets, n))
+    labels = level + rng.standard_normal((sets, n))
+    preds = level + bias
+    q = np.array([finite_sample_quantile(y - p, beta)
+                  for y, p in zip(labels, preds)])
+    coverage = norm.cdf(q + bias)
+    law = beta_law(k, n + 1 - k)
+    assert abs(coverage.mean() - law.mean()) <= 4 * law.std() / math.sqrt(sets)
+    # a KS test of size 0.001 against the law
+    assert kstest(coverage, law.cdf).pvalue > 0.001
 
 
 # --------------------------------------------------------------- read-out

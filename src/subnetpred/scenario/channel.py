@@ -142,22 +142,28 @@ class ComplexAr1:
     Ar1Field's row with coefficient rho, keep the complex recursion's bits.
     """
 
-    def __init__(self, shape, rho, values):
+    def __init__(self, shape, rho, values, n_lead):
         """values: standard normals in the draw layout, turned in place into
-        the initial values (re + 1j im) / sqrt(2) and held as a view."""
-        self.rho = rho
+        the initial values (re + 1j im) / sqrt(2) and held as a view; in the
+        rows that advance scales, n_lead columns come before them."""
         values *= 1.0 / np.sqrt(2.0)
         self.values = values.reshape((shape[0], 2) + shape[1:])
+        # advance's two per-column factors; 1.0 keeps a leading column's bits
+        self.scales = np.ones((2, n_lead + values.size))
+        self.scales[0, n_lead:] = 1.0 / np.sqrt(2.0)
+        self.scales[1, n_lead:] = np.sqrt(1.0 - rho**2)
 
-    def advance(self, noise):
-        """Turn a block's standard normals in the draw layout [b x ...] in
-        place into the drive sqrt(1 - rho^2) (re + 1j im) / sqrt(2) of the
-        next values, and return them.  numpy divides a complex by a real
-        sqrt(2) as a product with 1 / sqrt(2), so the two products round as
-        the complex drive does."""
-        noise *= 1.0 / np.sqrt(2.0)
-        noise *= np.sqrt(1.0 - self.rho**2)
-        return noise
+    def advance(self, row):
+        """Turn the standard normals in a block's rows [b x (n_lead + ...)],
+        after the n_lead leading columns, in place into the drive sqrt(1 -
+        rho^2) (re + 1j im) / sqrt(2) of the next values, and return row.
+        numpy divides a complex by a real sqrt(2) as a product with 1 /
+        sqrt(2), so the two products round as the complex drive does; each
+        runs over the whole contiguous row, and the leading columns are
+        multiplied by 1.0."""
+        row *= self.scales[0]
+        row *= self.scales[1]
+        return row
 
 
 def los_specular(k_linear, los_phase):

@@ -73,7 +73,7 @@ def step_mobility(state, speed, dt, min_distance, rng):
     return replace(state, positions=cand, headings=cand_head)
 
 
-def free_run(state, step, guard, horizon, work):
+def free_run(state, step, guard, horizon):
     """Centers [k x N x 2] and headings [k x N] after each of the next
     k <= horizon rdmm steps of length step from state that neither reflect
     nor crowd (no center closer than guard to another); when k < horizon,
@@ -81,9 +81,15 @@ def free_run(state, step, guard, horizon, work):
     takes without a draw, with the same bits: the heading recurrence runs
     step by step on [N] rows as in _propose until it reaches a fixed point,
     and the positions are summed in step order.  At step 0 every step
-    leaves the state as it is.  work is the caller's float64 buffer of at
-    least [2 x horizon x N x N]; the pairwise distances are formed in it,
-    so a run allocates nothing of that size.
+    leaves the state as it is.
+
+    Only the pairs that start closer than guard + 2 step horizon can crowd
+    during the run, since each center moves at most step a step; the
+    distances of those pairs alone are formed, with _crowded's ufuncs in
+    its order, so each is bit for bit the distance it would compute.  The
+    screen's margin, 1e-9 of the area's extent and of that reach, lies far
+    above the rounding the summed positions gather over a run (a few ulps
+    of the extent a step), so no pair it drops is one that crowds.
     """
     n = state.headings.size
     if step == 0.0:
@@ -106,22 +112,22 @@ def free_run(state, step, guard, horizon, work):
             heads[k + 2:] = heads[k + 1]
             break
     moves[1:] *= step
-    cand = np.add.accumulate(moves, axis=0)[1:]         # [horizon x 2 x N]
+    cand = np.add.accumulate(moves, axis=0)             # [horizon + 1 x 2 x N]
     lo = np.array(state.bounds[:2])[:, None]
     hi = np.array(state.bounds[2:])[:, None]
-    event = ((cand < lo) | (cand > hi)).any(axis=(1, 2))
-    x, y = cand[:, 0], cand[:, 1]
-    dx, dy = work[0, :horizon], work[1, :horizon]
-    np.subtract(x[:, :, None], x[:, None], out=dx)
-    np.subtract(y[:, :, None], y[:, None], out=dy)
-    # sqrt(dx * dx + dy * dy), in place
-    np.multiply(dx, dx, out=dx)
-    dx += np.multiply(dy, dy, out=dy)
-    close = np.sqrt(dx, out=dx) < guard
-    close[:, np.arange(n), np.arange(n)] = False
-    event |= close.any(axis=(1, 2))
+    event = ((cand[1:] < lo) | (cand[1:] > hi)).any(axis=(1, 2))
+    reach = guard + 2.0 * step * horizon
+    reach += 1e-9 * (reach + max(map(abs, state.bounds)))
+    x, y = moves[0]
+    i, j = np.nonzero(np.hypot(x[:, None] - x, y[:, None] - y) < reach)
+    i, j = i[i < j], j[i < j]
+    # sqrt(dx * dx + dy * dy) of the kept pairs, in place
+    d = np.subtract(cand[1:, :, i], cand[1:, :, j])
+    np.multiply(d, d, out=d)
+    dist = np.add(d[:, 0], d[:, 1])
+    event |= (np.sqrt(dist, out=dist) < guard).any(axis=1)
     k = int(event.argmax()) if event.any() else horizon
-    return cand[:k].transpose(0, 2, 1), heads[1:k + 1]
+    return cand[1:k + 1].transpose(0, 2, 1), heads[1:k + 1]
 
 
 @dataclass(frozen=True)

@@ -86,15 +86,17 @@ NOISE_REF_FRACTION = 0.7
 # by one recursion, and its states power, at once; its buffers stay small
 # next to the trace's own arrays (a 10,000-cycle desk trace peaks at 3.4 MiB)
 BLOCK = 250
-# rdmm steps per free run (mobility.free_run); an event ends a run early.
-# A run costs about 45 us plus 2 us a step, and the steps past its event are
-# dropped.  On desk rdmm traces (seeds 0, 7, 811, both traffic patterns) any
-# horizon from 16 to 64 gives the same time within the host's spread; 32
-# keeps the runs' distance buffer, [2 x HORIZON x N x N] float64, at
-# 128 KiB for 16 sub-networks.  A floor with an event about every other
-# step drops most of each run: 10k cycles of such a crowded floor take
-# about 0.8 s against 0.16-0.2 s for a desk trace.
-HORIZON = 32
+# rdmm steps per free run (mobility.free_run); an event ends a run early,
+# and the steps past it are dropped.  A run forms the distances of only the
+# pairs that start within its reach, so on a desk floor a longer run costs
+# little: a 10,000-cycle desk trajectory (seeds 0 and 7) takes about 21, 19,
+# 18, 17 and 16 ms at horizons 32, 48, 64, 80 and 96, against 30 ms when
+# every run formed all N x N distances at 32.  On a crowded floor, with an
+# event about every other step and most pairs in reach, the dropped steps
+# cost more as the horizon grows: 10,000 cycles take 0.72 s at 48, 0.76 s
+# at 64, as the unscreened runs at 32 did, and about 15% more at 80.  64 is
+# the longest horizon that does not slow that floor.
+HORIZON = 64
 
 
 def _look_power(fading, out):
@@ -113,13 +115,12 @@ def _rdmm_centers(state, deployment, members, n_cycles, rng):
                                deployment.min_distance)
     step = speed * dt
     guard = min_distance + 2.0 * step
-    work = np.empty((2, HORIZON) + (deployment.n_subnetworks,) * 2)
     centers = np.empty((n_cycles, members.size, 2))
     centers[0] = state.positions[members]
     t = 1
     while t < n_cycles:
         horizon = min(HORIZON, n_cycles - t)
-        positions, headings = free_run(state, step, guard, horizon, work)
+        positions, headings = free_run(state, step, guard, horizon)
         k = len(positions)
         if k:
             centers[t:t + k] = positions[:, members]
@@ -181,10 +182,8 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     rows of draws, which become the states, the rows of coefficients, the
     complex looks of one link kind (the Rician sum of the LOS fading, then
     the NLOS fading, the one complex array, which _look_power reads) and
-    their powers, and the free runs' pairwise distances.
-    Every block and every free run writes into them, so neither frees a
-    large array for the allocator to hand back to the system and fault in
-    again.
+    their powers.  Every block writes into them, so none frees a large
+    array for the allocator to hand back to the system and fault in again.
     """
     if n_cycles < 1:
         raise ValueError("n_cycles must be >= 1")
@@ -217,7 +216,7 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
     n_row = n_real + 4 * n_int * n_sa * looks
     real_field = ch.Ar1Field(stds, channel_params.decorrelation_distance,
                              rng_channel.standard_normal(n_row))
-    fades = ch.ComplexAr1(fade_shape, rho_f, real_field.values[n_real:])
+    fades = ch.ComplexAr1(fade_shape, rho_f, real_field.values[n_real:], n_real)
     specular = ch.los_specular(k_lin, rng_channel.uniform(0.0, 2.0 * np.pi,
                                                           (n_int, n_sa, looks)))
     scatter = np.sqrt(1.0 / (k_lin + 1.0))
@@ -302,7 +301,7 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
         rng_channel.standard_normal(out=normals[:b])
         rng_traffic.random(out=uniforms[:b])
         rel, mid = _link_motion(centers[start:stop] - centers[start - 1:stop - 1])
-        fades.advance(normals[:b, n_real:])
+        fades.advance(normals[:b])
         states = real_field.advance(np.concatenate([rel, rel, mid], axis=1),
                                     normals[:b], coef[:b])
         activity = traffic_proc.step(

@@ -895,7 +895,7 @@ def test_row_recursion_matches_complex_reference(looks, n_int):
     got_rng, want_rng = np.random.default_rng(21), np.random.default_rng(21)
     moves = np.random.default_rng(22)
     field = ch.Ar1Field(np.repeat(field_stds, n_int), dcorr, got_rng.standard_normal(n_row))
-    fades = ch.ComplexAr1(shape, rho, field.values[n_real:])
+    fades = ch.ComplexAr1(shape, rho, field.values[n_real:], n_real)
     reals = [s * want_rng.standard_normal(n_int) for s in field_stds]
     fading = [ref_complex_normal(want_rng, shape[1:]) for _ in range(2)]
 
@@ -910,7 +910,7 @@ def test_row_recursion_matches_complex_reference(looks, n_int):
         disp = moves.uniform(0.0, 30.0, (b, n_real))
         coef = np.full((b, n_row), rho)
         row = got_rng.standard_normal((b, n_row))
-        fades.advance(row[:, n_real:])
+        fades.advance(row)
         states = field.advance(disp, row, coef)
         for t in range(b):
             reals = [ref_ar1_advance(v, s, dcorr, disp[t, k * n_int:(k + 1) * n_int], want_rng)
@@ -986,9 +986,11 @@ def test_rdmm_step_matches_scalar_reference_through_collisions():
     assert hits["retry"] > 0 and hits["exhausted"] > 0
 
 
-# desk deployments at three seeds, a crowded floor and a standing one
+# desk deployments at three seeds, a crowded floor, a sparse one, where most
+# free runs start with no pair within reach of a crowding, and a standing one
 FREE_RUN_CASES = {**{f"desk-{seed}": ({}, seed) for seed in (0, 7, 811)},
-                  "crowded": (CROWDED, 3), "zero-speed": ({"speed": 0.0}, 0)}
+                  "crowded": (CROWDED, 3), "sparse": ({"area": (100.0, 100.0)}, 0),
+                  "zero-speed": ({"speed": 0.0}, 0)}
 
 
 @pytest.mark.parametrize("name", FREE_RUN_CASES)
@@ -1014,11 +1016,16 @@ def test_free_runs_and_event_steps_equal_per_step_mobility(name):
     lo, hi = np.array(state.bounds[:2]), np.array(state.bounds[2:])
     # reflections and retries at the events; free steps whose heading moved
     hits = {"reflect": 0, "retry": 0, "drift": 0}
+    # free runs, and those with no pair closer than guard + 2 step horizon
+    runs = {"all": 0, "no pair in reach": 0}
     t = 0
-    work = np.empty((2, HORIZON, config.n_subnetworks, config.n_subnetworks))
     while t < n_steps:
         horizon = min(HORIZON, n_steps - t)
-        positions, headings = free_run(state, step, guard, horizon, work)
+        dist = np.linalg.norm(state.positions[:, None] - state.positions, axis=-1)
+        np.fill_diagonal(dist, np.inf)
+        runs["all"] += 1
+        runs["no pair in reach"] += bool((dist >= guard + 2.0 * step * horizon).all())
+        positions, headings = free_run(state, step, guard, horizon)
         k = len(positions)
         if k:
             assert np.array_equal(positions, want_pos[t:t + k])
@@ -1043,6 +1050,42 @@ def test_free_runs_and_event_steps_equal_per_step_mobility(name):
         assert hits == {"reflect": 0, "retry": 0, "drift": 0}
     else:
         assert hits["reflect"] > 0 and hits["retry"] > 0 and hits["drift"] > 0
+    if name == "sparse":
+        assert runs["no pair in reach"] > runs["all"] / 2
+
+
+@pytest.mark.parametrize("center", (0.0, 7.0))
+@pytest.mark.parametrize("ulps", (-1, 0, 1))
+def test_free_run_stops_where_a_pair_from_the_screens_edge_crowds(ulps, center):
+    """Two sub-networks head at each other from guard + 2 step HORIZON
+    apart, the farthest start of a pair that can crowd within a free run,
+    and from one ulp nearer or farther; centered at 7 m, the positions
+    round that distance by another ulp or two.  Stepping every cycle, they
+    first crowd at step HORIZON or HORIZON + 1, by rounding; the free run
+    must stop right before that step."""
+    config = DESK.deployment
+    step = config.speed * config.tx_cycle_duration
+    guard = config.min_distance + 2.0 * step
+    gap = guard + 2.0 * step * HORIZON
+    if ulps:
+        gap = np.nextafter(gap, ulps * np.inf)
+    state = MobilityState(positions=np.array([[center - gap / 2, 0.3], [center + gap / 2, 0.3]]),
+                          headings=np.array([0.0, np.pi]), offsets=np.zeros((2, 1, 2)),
+                          bounds=(-20.0, -20.0, 20.0, 20.0))
+    positions, headings = free_run(state, step, guard, HORIZON)
+    rng = np.random.default_rng(0)
+    ref_state, want = state, []
+    for _ in range(HORIZON + 1):
+        before = rng.bit_generator.state
+        ref_state = step_mobility(ref_state, config.speed, config.tx_cycle_duration,
+                                  config.min_distance, rng)
+        if rng.bit_generator.state != before:       # this step crowds
+            break
+        want.append(ref_state)
+    assert len(want) in (HORIZON - 1, HORIZON) and len(positions) == len(want)
+    for got_pos, got_head, ref in zip(positions, headings, want):
+        assert np.array_equal(got_pos, ref.positions)
+        assert np.array_equal(got_head, ref.headings)
 
 
 def test_alley_lookup_matches_scalar_point_at():

@@ -247,7 +247,7 @@ def test_fading_power_autocorrelation_matches_coefficient():
     rho = fading_coefficient(80.0, 1e-3)
     rng = np.random.default_rng(7)
     field = Ar1Field(np.empty(0), 1.0, rng.standard_normal(2))
-    proc = ComplexAr1((1,), rho, field.values)
+    proc = ComplexAr1((1,), rho, field.values, 0)
     n = 100000
     states = field.advance(np.empty((n, 0)), proc.advance(rng.standard_normal((n, 2))),
                            np.full((n, 2), rho))
@@ -450,11 +450,13 @@ def test_warm_desk_trace_reuses_its_block_buffers():
 
 
 def test_first_desk_trace_keeps_its_free_run_temporaries_on_the_heap():
-    # a free run's pairwise [HORIZON x N x N] float64 temporaries stay below
-    # the allocator's initial mmap threshold (128 KiB); at HORIZON = 64 and
-    # 16 sub-networks they were 128 KiB each and every free run of the
-    # process's first trace mapped and faulted them in: about 18,000 minor
-    # faults, against about 1,100
+    # a free run's temporaries, its [HORIZON x 2 x N] steps and positions
+    # and the distances of the pairs within reach of a crowding, stay far
+    # below the allocator's initial mmap threshold (128 KiB), so the free
+    # runs of a process's first trace reuse the heap; when a run formed all
+    # N x N distances in fresh 128 KiB arrays (HORIZON = 64, 16
+    # sub-networks), each run mapped and faulted them in: about 18,000 minor
+    # faults, against about 1,350
     assert _faults_in_fresh_process(FIRST_TRACE_FAULTS) <= 5_000
 
 

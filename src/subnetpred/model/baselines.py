@@ -9,18 +9,26 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 # relative ridge on r[0] in levinson_durbin
 RIDGE = 1e-8
+# the moving average's taps as a column: one gather reads both, tap by tap
+# in contiguous rows
+LAGS = np.array([[1], [2]])
 
 
 def moving_average_predict(series, t_indices):
     """Two-tap average prediction of series[t] from t-1 and t-2.
 
-    series is 1-D; t_indices must all be >= 2.
+    series is 1-D and t_indices a 1-D list of cycles, all >= 2.  Both taps
+    come from one gather, which would wrap a negative index to the series'
+    end, so every cycle below 2 is refused, negative ones included.  Each
+    prediction has the bits of 0.5*s[t-1] + 0.5*s[t-2]; no cycles give an
+    empty array.
     """
     s = np.asarray(series, dtype=float).ravel()
     t = np.asarray(t_indices, dtype=int)
-    if (t < 2).any():
+    if t.min(initial=2) < 2:
         raise ValueError("need two history samples before every prediction point")
-    return 0.5 * s[t - 1] + 0.5 * s[t - 2]
+    x = 0.5 * s[t - LAGS]
+    return x[0] + x[1]
 
 
 def autocorrelation(x, max_lag):

@@ -46,7 +46,7 @@ def db_to_linear(db):
     return 10.0 ** (np.asarray(db, dtype=float) / 10.0)
 
 
-def linear_to_db(lin, floor=1e-20):
+def linear_to_db(lin, floor):
     return 10.0 * np.log10(np.maximum(np.asarray(lin, dtype=float), floor))
 
 

@@ -167,7 +167,7 @@ class AlleyLayout:
 N_ALLEY_LOOPS = 3
 
 
-def build_alley_layout(area=(180.0, 90.0), margin=10.0):
+def build_alley_layout(area, margin):
     """Axis-aligned alley circuits: N_ALLEY_LOOPS horizontal racetracks."""
     width, height = area
     usable_h = height - 2.0 * margin

@@ -177,10 +177,17 @@ def test_checkpoint_round_trip(tmp_path):
 
 # ------------------------------------------------------------------ baselines
 
-@pytest.mark.parametrize("t", [[1], [5, 0], np.array([2, 1, 9])])
+@pytest.mark.parametrize("t", [[1], [5, 0], np.array([2, 1, 9]), [-1],
+                               np.array([3, -2])])
 def test_moving_average_needs_two_history_samples(t):
+    # a negative cycle would wrap to the series' end in the gather
     with pytest.raises(ValueError, match="two history samples"):
         moving_average_predict(np.arange(10.0), t)
+
+
+def test_moving_average_of_no_cycles_is_empty():
+    out = moving_average_predict(np.arange(10.0), [])
+    assert out.shape == (0,) and out.dtype == np.float64
 
 
 def test_moving_average_constant_and_arithmetic():
@@ -188,6 +195,17 @@ def test_moving_average_constant_and_arithmetic():
     assert moving_average_predict(series, [5])[0] == pytest.approx(3.3)
     s = np.array([0.0, 0.0, 2.0, 4.0])           # t-1 = 4, t-2 = 2
     assert moving_average_predict(s, [4])[0] == pytest.approx(3.0)
+
+
+def test_moving_average_one_cycle_equals_batched_and_two_taps():
+    # the decision loop reads one cycle at a time, the pipeline all of them:
+    # both give the bits of the two taps read one by one
+    s = np.random.default_rng(3).standard_normal(200) * 30.0 - 80.0
+    t = np.arange(2, s.size)
+    batched = moving_average_predict(s, t)
+    taps = 0.5 * s[t - 1] + 0.5 * s[t - 2]
+    one = np.array([moving_average_predict(s, (k,))[0] for k in t])
+    assert (batched == taps).all() and (one == taps).all()
 
 
 def test_wiener_recovers_ar1_coefficient():

@@ -12,6 +12,13 @@ with Shannon capacity ``C(g) = log2(1+g)`` and channel dispersion
 so the BLER Q((R*C - D) / sqrt(R*V)) that the un-ceiled blocklength achieves
 recovers ``eps_target`` to a relative 1e-12 (tests/test_ra.py; 4.4e-14 at
 most on its grid of SINRs, payloads and targets down to 1e-7).
+
+A decision sizes several targets for one SINR, so the closed form's
+SINR-only half (the positivity check, then D/C, V, 2C^2 and 4DC) runs once per
+SINR and its terms are cached for the two most recent SINRs, keyed by the
+SINR's float64 bytes, its shape and the payload: two, because
+:func:`evaluate_ra` alternates the predicted and the true SINR per target.
+The cached arrays are read-only and no returned array aliases them.
 """
 
 from __future__ import annotations
@@ -54,25 +61,39 @@ def _q_inverse_sq(eps):
     return q_inverse(eps) ** 2
 
 
+@lru_cache(maxsize=2)
+def _sinr_terms(snr_bytes, shape, payload_bits):
+    """(D/C, V, 2C^2, 4DC) of one SINR, read-only, in blocklength's order."""
+    snr = np.frombuffer(snr_bytes).reshape(shape)
+    if (snr <= 0.0).any():
+        raise ValueError("snr must be positive")
+    # capacity and dispersion inline, sharing 1 + snr
+    g1 = 1.0 + snr
+    c = np.log2(g1)
+    terms = (payload_bits / c, (1.0 - g1 ** -2) * LOG2E**2, 2.0 * c**2,
+             4.0 * payload_bits * c)
+    for t in terms:
+        if t.shape:
+            t.setflags(write=False)
+    return terms
+
+
 def blocklength(snr, payload_bits, eps_target):
     """Real-valued channel usage meeting the target BLER at the given SINR.
 
     At eps_target = 0.5 the dispersion correction vanishes and the result is
-    exactly payload_bits / C(snr).
+    exactly payload_bits / C(snr).  The SINR-only terms come from the two-entry
+    cache keyed by (snr's float64 bytes, its shape, payload_bits); each call
+    returns a new array, or a float for a 0-d snr, that aliases none of them.
     """
     snr = np.asarray(snr, dtype=float)
-    if (snr <= 0.0).any():
-        raise ValueError("snr must be positive")
+    base, v, two_c2, four_dc = _sinr_terms(snr.tobytes(), snr.shape, payload_bits)
     if not 0.0 < eps_target <= 0.5:
         raise ValueError("eps_target must lie in (0, 0.5]")
-    # capacity and dispersion inline, sharing 1 + snr
-    g1 = 1.0 + snr
-    c = np.log2(g1)
-    base = payload_bits / c
     if eps_target == 0.5:
-        return base if base.shape else float(base)
-    q2v = _q_inverse_sq(float(eps_target)) * ((1.0 - g1 ** -2) * LOG2E**2)
-    corr = q2v / (2.0 * c**2) * (1.0 + np.sqrt(1.0 + 4.0 * payload_bits * c / q2v))
+        return base.copy() if base.shape else float(base)
+    q2v = _q_inverse_sq(float(eps_target)) * v
+    corr = q2v / two_c2 * (1.0 + np.sqrt(1.0 + four_dc / q2v))
     out = base + corr
     return out if out.shape else float(out)
 

@@ -6,6 +6,8 @@ the dropout masks, the blocklength, the calibrated read-out and the
 batched Wiener refit are written for low per-call overhead.  Each must
 give the same bits as the plain formula kept here as its reference, so
 that results, checkpoints and loss curves do not depend on the fast form.
+The blocklength keeps its bits whatever targets, SINRs and payloads come
+before a call, and a scheduler's row-by-row sizing equals the batched call.
 The Adam step is pinned to its textbook form the same way, for any later
 rewrite of it.  The same holds for the interference simulator: its
 block form, one fill per stream and block, must give the traces of the
@@ -22,8 +24,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from subnetpred import ra
-from subnetpred.config import ModelConfig, TrafficModel, desk_preset
+from subnetpred import pipeline, ra
+from subnetpred.config import ModelConfig, TrafficModel, desk_preset, tiny_preset
 from subnetpred.model import baselines, layers
 from subnetpred.model.network import PREDICT_BATCH, forward, init_params, predict
 from subnetpred.model.optim import Adam, DropoutMasks
@@ -569,6 +571,96 @@ def test_blocklength_matches_reference(b, eps):
                           ref_blocklength(snr[::-1, 0], 32, eps))
     scalar = ra.blocklength(float(snr[-1, 0]), 200, eps)
     assert type(scalar) is float and scalar == ref_blocklength(float(snr[-1, 0]), 200, eps)
+
+
+# the targets a decision sizes, and the one without a dispersion correction
+DECISION_EPS = (1e-5, 1e-6, 1e-7, 0.5)
+
+
+@pytest.mark.parametrize("b", BATCHES)
+@pytest.mark.parametrize("payload", [32, 200])
+def test_blocklength_targets_in_any_order_match_reference(b, payload):
+    rng = np.random.default_rng(10 * b + payload)
+    snr, other = 10.0 ** rng.uniform(-3, 4, size=(2, b))
+    want = {eps: ref_blocklength(snr, payload, eps) for eps in DECISION_EPS}
+    want_other = {eps: ref_blocklength(other, payload, eps) for eps in DECISION_EPS}
+    for order in (DECISION_EPS, DECISION_EPS[::-1]):
+        for eps in order:
+            assert np.array_equal(ra.blocklength(snr, payload, eps), want[eps])
+    # evaluate_ra's order: the predicted and the true SINR in turn per target
+    for eps in DECISION_EPS:
+        assert np.array_equal(ra.blocklength(snr, payload, eps), want[eps])
+        assert np.array_equal(ra.blocklength(other, payload, eps), want_other[eps])
+    # the payload is part of what the SINR's terms are kept for
+    for eps in DECISION_EPS:
+        assert np.array_equal(ra.blocklength(snr, 232 - payload, eps),
+                              ref_blocklength(snr, 232 - payload, eps))
+        assert np.array_equal(ra.blocklength(snr, payload, eps), want[eps])
+
+
+def test_blocklength_sees_a_sinr_changed_in_place():
+    snr = np.array([0.5, 3.0, 40.0])
+    first = ra.blocklength(snr, 200, 1e-5)
+    snr[1] = 7.0
+    second = ra.blocklength(snr, 200, 1e-5)
+    assert np.array_equal(second, ref_blocklength(snr, 200, 1e-5))
+    assert second[1] < first[1] and second[[0, 2]].tolist() == first[[0, 2]].tolist()
+
+
+def test_blocklength_keeps_the_shape_of_each_input_with_equal_bytes():
+    flat = np.array([0.5, 3.0, 40.0, 900.0])
+    # equal bytes as [4] and [2 x 2], and as [1], 0-d and a float
+    inputs = (flat, flat.reshape(2, 2), flat[:1], flat[:1].reshape(()), 0.5, flat)
+    for eps in DECISION_EPS + DECISION_EPS[::-1]:
+        for snr in inputs:
+            got = ra.blocklength(snr, 200, eps)
+            want = ref_blocklength(snr, 200, eps)
+            if np.ndim(snr):
+                assert got.shape == np.shape(snr) and np.array_equal(got, want)
+            else:
+                assert type(got) is float and got == want
+
+
+@pytest.mark.parametrize("eps", [0.5, 1e-5])
+def test_a_mutated_result_leaves_the_next_call_alone(eps):
+    snr = np.array([0.5, 3.0, 40.0])
+    got = ra.blocklength(snr, 200, eps)
+    got[:] = -1.0
+    assert np.array_equal(ra.blocklength(snr, 200, eps), ref_blocklength(snr, 200, eps))
+    for other in DECISION_EPS:
+        assert np.array_equal(ra.blocklength(snr, 200, other),
+                              ref_blocklength(snr, 200, other))
+
+
+def test_a_non_positive_sinr_after_a_valid_one_of_its_shape_still_raises():
+    snr = np.array([2.0, 3.0])
+    ra.blocklength(snr, 200, 1e-5)
+    with pytest.raises(ValueError, match="snr"):
+        ra.blocklength(np.array([2.0, 0.0]), 200, 1e-5)
+    snr[0] = -2.0
+    with pytest.raises(ValueError, match="snr"):
+        ra.blocklength(snr, 200, 1e-5)
+    # the SINR is checked before the target
+    with pytest.raises(ValueError, match="snr"):
+        ra.blocklength(snr, 200, 0.7)
+
+
+@pytest.mark.parametrize("variant", ["genie", "moving-average"])
+def test_decisions_sized_target_by_target_equal_the_batched_blocklength(tmp_path,
+                                                                         variant):
+    # a scheduler sizes each cycle's SINR row once per target, in order
+    spec = replace(tiny_preset(seed=0), variant=variant)
+    trace = pipeline.stage_simulate(spec, tmp_path)
+    ds = pipeline.stage_prepare(spec, tmp_path, trace)
+    pred_w = 10.0 ** (pipeline.predictions_dbm(spec, tmp_path, trace, ds, variant)
+                      / 10.0) * 1e-3
+    sig, noise = trace.signal_power, trace.noise_power
+    decided = np.array([[ra.blocklength(sig / (row + noise), spec.payload_bits, eps)
+                         for eps in spec.eps_targets] for row in pred_w])
+    snr = sig / (pred_w + noise)
+    assert decided.shape == (spec.n_test, len(spec.eps_targets), snr.shape[1])
+    for k, eps in enumerate(spec.eps_targets):
+        assert np.array_equal(decided[:, k], ra.blocklength(snr, spec.payload_bits, eps))
 
 
 @pytest.mark.parametrize("snr", [0.0, -1.0, -0.0, np.array([3.0, 0.0]),

@@ -254,6 +254,10 @@ class ExperimentSpec:
             raise ConfigError("eps_targets must not be empty")
         if not all(0.0 < eps <= 0.5 for eps in self.eps_targets):
             raise ConfigError(f"eps_targets {self.eps_targets} must lie in (0, 0.5]")
+        repeated = sorted({eps for eps in self.eps_targets
+                           if self.eps_targets.count(eps) > 1})
+        if repeated:
+            raise ConfigError(f"eps_targets lists {repeated} more than once")
         if (self.traffic.variant == "push-pull"
                 and self.traffic.n_reserved >= self.deployment.sa_pairs_per_sn):
             raise ConfigError(
@@ -321,12 +325,13 @@ def _coerce(key, raw, kind):
                           f"{kind.__name__}") from err
 
 
-def parse_config_text(text, preset="desk", seed=None):
-    """Parse ``section.key = value`` lines on top of a preset."""
+def parse_config_text(text, preset, seed):
+    """Parse ``section.key = value`` lines on top of a preset; a seed that is
+    not None overrides the file's."""
     if preset not in PRESETS:
         raise ConfigError(f"unknown preset {preset!r}")
     spec = PRESETS[preset](0)
-    overrides = {}
+    overrides, linenos = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -334,7 +339,10 @@ def parse_config_text(text, preset="desk", seed=None):
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected key = value")
         key, raw = (tok.strip() for tok in line.split("=", 1))
-        overrides[key] = raw
+        if key in overrides:
+            raise ConfigError(f"{key!r} is set twice, on lines {linenos[key]} "
+                              f"and {lineno}")
+        overrides[key], linenos[key] = raw, lineno
 
     # every value is coerced to the type of the value it replaces
     section_updates = {name: {} for name in _SECTIONS}
@@ -364,7 +372,7 @@ def parse_config_text(text, preset="desk", seed=None):
     return spec
 
 
-def load_config(path, preset="desk", seed=None):
+def load_config(path, preset, seed):
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as err:                  # the message names the path

@@ -64,7 +64,7 @@ def _hash(obj):
 
 # Output version of the stages, recorded with a directory's scenario: a change
 # that alters what a stage writes for the same spec bumps it.
-VERSION = 3
+VERSION = 4
 
 
 def _file_hash(path):
@@ -481,7 +481,7 @@ def sweep(spec, axis, values, out):
 
 # ------------------------------------------------------------------- report
 
-def report(results_dir, out_path=None):
+def report(results_dir, out_path):
     """Merge the runs under a directory into one table of points.
 
     A point is the scenario a run directory holds: the one its
@@ -492,9 +492,8 @@ def report(results_dir, out_path=None):
     eps_target, and every value column of RESULT_FIELDS aggregates to
     <field>_mean and <field>_ci, a normal-approximation 95% CI over runs (0
     for one run).
-    Returns (rows, markdown); with out_path, the runs' rows go to
-    out_path.csv, with their point, run and seed, and the table to
-    out_path.md.
+    Returns (rows, markdown); the runs' rows go to out_path.csv, with their
+    point, run and seed, and the table to out_path.md.
     """
     results_dir = Path(results_dir)
     found = sorted(results_dir.glob("**/results.csv"))
@@ -531,11 +530,10 @@ def report(results_dir, out_path=None):
         merged.append(row)
         lines.append("| " + " | ".join(cells) + " |")
     markdown = "\n".join(lines)
-    if out_path is not None:
-        out_path = Path(out_path)
-        with open(out_path.with_suffix(".csv"), "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS + ["point", "run", "seed"])
-            writer.writeheader()
-            writer.writerows(rows)
-        out_path.with_suffix(".md").write_text(markdown + "\n")
+    out_path = Path(out_path)
+    with open(out_path.with_suffix(".csv"), "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=RESULT_FIELDS + ["point", "run", "seed"])
+        writer.writeheader()
+        writer.writerows(rows)
+    out_path.with_suffix(".md").write_text(markdown + "\n")
     return merged, markdown

@@ -177,7 +177,7 @@ def soft_los_weight(latent):
 
 
 def channel_gain(psi, h_los_sq, h_nlos_sq, pl_los_lin, pl_nlos_lin,
-                 sh_los_lin=1.0, sh_nlos_lin=1.0):
+                 sh_los_lin, sh_nlos_lin):
     """Linear power gain of one link at its current soft LOS state.
 
     gain = psi*|H_LOS|^2 + sqrt(1-psi^2)*|H_NLOS|^2 where each |H|^2 is the

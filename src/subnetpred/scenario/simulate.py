@@ -133,8 +133,7 @@ def _rdmm_centers(state, deployment, members, n_cycles, rng):
     return centers
 
 
-def simulate_trace(deployment, traffic, channel_params, n_cycles, seed,
-                   mobility="rdmm"):
+def simulate_trace(deployment, traffic, channel_params, n_cycles, seed, mobility):
     """Simulate the estimated-interference time series of one sub-network.
 
     Deterministic given seed.  Every sub-network has one TDD slot per SA

@@ -7,6 +7,12 @@ __init__.py files.  A reference is a name, an attribute or a dotted string
 (perfbench/layers.py names the functions it wraps as strings); matching is
 by bare name, so it errs on the side of "referenced".
 
+Every defaulted parameter of a public function is both set by some
+program call and left at its default by another: a default that every
+program call overrides is a value only the tests rely on.  Calls match by
+bare name, and a call with *args or **kwargs counts as setting and as
+leaving every parameter, so both rules err on the side of "used".
+
 A package re-exports only what the program imports through it: every name
 an __init__.py imports must be imported through that package, relatively
 (`from .split import …`) or absolutely (`from subnetpred.split import …`),
@@ -148,9 +154,9 @@ def _defaulted_parameters():
                         yield callee, arg.arg, None, qual
 
 
-def _set_parameters():
-    """callee bare name -> (positions set, keywords set) over the program's
-    calls; a call with *args or **kwargs sets everything (None)."""
+def _program_calls():
+    """callee bare name -> [(positional count, keywords)] over the program's
+    calls; a call with *args or **kwargs is (None, None)."""
     calls = {}
     sources = sorted(PACKAGE.rglob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
     for path in sources:
@@ -160,31 +166,46 @@ def _set_parameters():
             name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
             if name is None:
                 continue
-            positions, keywords = calls.setdefault(name, (set(), set()))
             if any(isinstance(a, ast.Starred) for a in node.args) \
                     or any(k.arg is None for k in node.keywords):
-                calls[name] = (None, None)
-            elif positions is not None:
-                positions.update(range(len(node.args)))
-                keywords.update(k.arg for k in node.keywords)
+                call = (None, None)
+            else:
+                call = (len(node.args), {k.arg for k in node.keywords})
+            calls.setdefault(name, []).append(call)
     return calls
+
+
+def _sets(call, param, pos):
+    """Whether a call passes param, by keyword or at position pos."""
+    count, keywords = call
+    return count is None or param in keywords or (pos is not None and pos < count)
+
+
+def _leaves(call, param, pos):
+    """Whether a call leaves param at its default."""
+    return call[0] is None or not _sets(call, param, pos)
 
 
 def test_every_defaulted_parameter_is_set_by_a_program_call():
     """A default no program call overrides is a constant in disguise; it
     goes, or becomes a named constant.  Calls match by bare name."""
-    calls = _set_parameters()
-    unset = []
-    for callee, param, pos, qual in _defaulted_parameters():
-        label = f"{callee}({param})"
-        if label in ALLOWED_DEFAULTS or qual in ALLOWED:
-            continue
-        positions, keywords = calls.get(callee, (set(), set()))
-        if positions is None or param in keywords \
-                or (pos is not None and pos in positions):
-            continue
-        unset.append(label)
-    assert sorted(unset) == [], "parameters with a default no program call sets"
+    calls = _program_calls()
+    unset = sorted(f"{callee}({param})"
+                   for callee, param, pos, qual in _defaulted_parameters()
+                   if f"{callee}({param})" not in ALLOWED_DEFAULTS and qual not in ALLOWED
+                   and not any(_sets(c, param, pos) for c in calls.get(callee, [])))
+    assert unset == [], "parameters with a default no program call sets"
+
+
+def test_every_default_is_left_in_place_by_a_program_call():
+    """A default every program call overrides serves the tests alone; it
+    goes, and the tests pass the value.  Calls match by bare name."""
+    calls = _program_calls()
+    overridden = sorted(
+        f"{callee}({param})" for callee, param, pos, qual in _defaulted_parameters()
+        if qual not in ALLOWED
+        and not any(_leaves(c, param, pos) for c in calls.get(callee, [])))
+    assert overridden == [], "defaults every program call overrides"
 
 
 def test_default_allowlist_entries_exist_and_carry_a_reason():

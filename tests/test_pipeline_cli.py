@@ -704,7 +704,7 @@ def test_parse_config_overrides():
     variant = wiener
     eps_targets = 1e-4 1e-5
     """
-    spec = parse_config_text(text, preset="tiny")
+    spec = parse_config_text(text, preset="tiny", seed=None)
     assert spec.deployment.n_subnetworks == 8
     assert spec.traffic.variant == "push-pull"
     assert spec.traffic.intensity == 5.0
@@ -716,11 +716,33 @@ def test_parse_config_overrides():
 
 def test_parse_config_rejects_unknown_keys():
     with pytest.raises(ConfigError):
-        parse_config_text("deployment.bogus = 3")
+        parse_config_text("deployment.bogus = 3", preset="desk", seed=None)
     with pytest.raises(ConfigError):
-        parse_config_text("nonsense = 3")
+        parse_config_text("nonsense = 3", preset="desk", seed=None)
     with pytest.raises(ConfigError):
-        parse_config_text("deployment.n_subnetworks") # no '='
+        # no '='
+        parse_config_text("deployment.n_subnetworks", preset="desk", seed=None)
+
+
+def test_parse_config_rejects_a_key_set_twice(tmp_path):
+    # the last value used to win silently: 20 epochs, then 2, trained 2
+    text = "train.epochs = 20\n# shorter\ntrain.epochs = 2\n"
+    with pytest.raises(ConfigError, match=r"'train\.epochs' is set twice, on lines 1 and 3"):
+        parse_config_text(text, preset="tiny", seed=None)
+    cfg = tmp_path / "twice.cfg"
+    cfg.write_text(text)
+    assert main(["evaluate", "--config", str(cfg), "--preset", "tiny",
+                 "--out", str(tmp_path / "run")]) == EXIT_CONFIG
+    assert not (tmp_path / "run").exists()
+
+
+def test_a_repeated_eps_target_is_a_config_error():
+    # a target listed twice wrote two equal rows, which report counted as
+    # two runs
+    with pytest.raises(ConfigError, match=r"eps_targets lists \[1e-05\] more than once"):
+        parse_config_text("eps_targets = 1e-5, 1e-05, 1e-6", preset="tiny", seed=None)
+    with pytest.raises(ConfigError, match="more than once"):
+        replace(desk_preset(0), eps_targets=(1e-6, 1e-7, 1e-6))
 
 
 @pytest.mark.parametrize("line, hint", [
@@ -729,7 +751,7 @@ def test_parse_config_rejects_unknown_keys():
 def test_parse_config_rejects_pipeline_wired_keys(tmp_path, line, hint):
     # valid values the pipeline would overwrite without a word
     with pytest.raises(ConfigError, match=hint):
-        parse_config_text(line, preset="tiny")
+        parse_config_text(line, preset="tiny", seed=None)
     cfg = tmp_path / "wired.cfg"
     cfg.write_text(line + "\n")
     assert main(["evaluate", "--config", str(cfg), "--preset", "tiny",
@@ -761,7 +783,7 @@ def test_every_numeric_setting_has_a_range_that_refuses_nan():
             for value in ("nan", "inf", "-inf"):
                 with pytest.raises(ConfigError,
                                    match=rf"\b{key.split('.')[-1]} = {value}\b"):
-                    parse_config_text(f"{key} = {value}", preset=preset)
+                    parse_config_text(f"{key} = {value}", preset=preset, seed=None)
 
 
 def test_run_records_the_model_alpha_it_trained_at_and_no_data_shape(tmp_path):
@@ -786,7 +808,7 @@ def test_seed_flag_rewires_all_seeds():
     assert spec.seed == 99
     # the flag wins over the file's value
     assert parse_config_text("seed = 3", preset="tiny", seed=99).seed == 99
-    assert parse_config_text("seed = 3", preset="tiny").seed == 3
+    assert parse_config_text("seed = 3", preset="tiny", seed=None).seed == 3
 
 
 @pytest.mark.parametrize("line", ["train.seed = 1", "deployment.rng_seed = 1",
@@ -796,7 +818,7 @@ def test_seed_flag_rewires_all_seeds():
                                   "corr_threshold = 0.4", "max_lag = 16"])
 def test_removed_seed_keys_are_config_errors(tmp_path, line):
     with pytest.raises(ConfigError, match="unknown key"):
-        parse_config_text(line, preset="tiny")
+        parse_config_text(line, preset="tiny", seed=None)
     cfg = tmp_path / "old.cfg"
     cfg.write_text(line + "\n")
     assert main(["evaluate", "--config", str(cfg), "--preset", "tiny",
@@ -825,7 +847,7 @@ def test_spec_validation_errors():
     with pytest.raises(ConfigError):
         replace(desk_preset(0), beta=0.0)
     with pytest.raises(ConfigError):
-        parse_config_text("model.d_embed = 60")    # not divisible by heads
+        parse_config_text("model.d_embed = 60", preset="desk", seed=None)    # not divisible by heads
 
 
 @pytest.mark.parametrize("beta", ["1", "0.001"])
@@ -988,7 +1010,7 @@ def test_push_pull_without_push_pairs_is_a_config_error(tmp_path, n_reserved):
     # more than 4 cannot be laid out at all
     text = f"traffic.variant = push-pull\ntraffic.n_reserved = {n_reserved}\n"
     with pytest.raises(ConfigError, match="traffic.n_reserved.*deployment.sa_pairs_per_sn"):
-        parse_config_text(text, preset="tiny")
+        parse_config_text(text, preset="tiny", seed=None)
     bad = tmp_path / "bad.cfg"
     bad.write_text(text)
     assert main(["evaluate", "--config", str(bad), "--preset", "tiny",
@@ -1001,7 +1023,7 @@ def test_non_positive_tx_cycle_is_a_config_error():
     for dt in (0, -1e-3):
         with pytest.raises(ConfigError, match="tx_cycle_duration"):
             parse_config_text(f"deployment.tx_cycle_duration = {dt}\nmobility = alley\n",
-                              preset="tiny")
+                              preset="tiny", seed=None)
 
 
 @pytest.mark.parametrize("text", [
@@ -1011,7 +1033,7 @@ def test_non_positive_tx_cycle_is_a_config_error():
 ])
 def test_fading_past_the_first_zero_of_j0_is_a_config_error(text):
     with pytest.raises(ConfigError, match="doppler_hz.*tx_cycle_duration.*J0"):
-        parse_config_text(text, preset="tiny")
+        parse_config_text(text, preset="tiny", seed=None)
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -1032,7 +1054,7 @@ def test_the_variant_row_of_the_config_doc_follows_the_variant_table():
 def test_fading_below_the_first_zero_of_j0_is_accepted():
     # 2 pi 382 Hz 1 ms = 2.4002
     for text in ("channel.doppler_hz = 0\n", "channel.doppler_hz = 382\n"):
-        spec = parse_config_text(text, preset="tiny")
+        spec = parse_config_text(text, preset="tiny", seed=None)
         assert fading_coefficient(spec.channel.doppler_hz,
                                   spec.deployment.tx_cycle_duration) > 0.0
 
@@ -1097,7 +1119,7 @@ def test_bernoulli_run_ignores_the_push_pull_values_it_does_not_read(tmp_path):
     configs = [json.loads((d / "run_manifest.json").read_text())["scenario"]
                for d in (plain, point)]
     assert configs[0] == configs[1]
-    merged, _ = report(tmp_path)
+    merged, _ = report(tmp_path, tmp_path / "report")
     assert {(row["point"], row["n_runs"]) for row in merged} == {("plain", 2)}
 
 
@@ -1184,7 +1206,7 @@ def test_report_pools_the_seeds_of_one_scenario_and_keeps_scenarios_apart(tmp_pa
     other = smoke_spec(seed=0)
     run_pipeline(replace(other, deployment=replace(other.deployment, sa_pairs_per_sn=2)),
                  tmp_path / "two_pairs")
-    merged, _ = report(tmp_path)
+    merged, _ = report(tmp_path, tmp_path / "report")
     assert {(row["point"], row["n_runs"]) for row in merged} == {("seed0", 2),
                                                                  ("two_pairs", 1)}
     met = {}
@@ -1202,7 +1224,7 @@ def test_report_names_an_unrecorded_run_after_its_directory(tmp_path):
     (tmp_path / "copy").mkdir()
     (tmp_path / "copy" / "results.csv").write_bytes(
         (tmp_path / "run" / "results.csv").read_bytes())
-    merged, markdown = report(tmp_path)
+    merged, markdown = report(tmp_path, tmp_path / "report")
     assert {(row["point"], row["n_runs"]) for row in merged} == {("copy", 1), ("run", 1)}
     assert "| copy | moving-average |" in markdown
 
@@ -1248,7 +1270,7 @@ def test_sweep_has_no_eps_target_axis(tmp_path):
 
 def test_report_single_run_passthrough(tmp_path):
     run_pipeline(smoke_spec(seed=10), tmp_path / "solo")
-    merged, _ = report(tmp_path)
+    merged, _ = report(tmp_path, tmp_path / "report")
     with open(tmp_path / "solo" / "results.csv", newline="") as fh:
         raw = list(csv.DictReader(fh))
     by_eps = {float(r["eps_target"]): float(r["percentile_met"]) for r in raw}

@@ -175,8 +175,8 @@ def test_push_burst_duty_cycle_matches_equilibrium():
 # ------------------------------------------------------------------- channel
 
 def test_channel_gain_pure_los_and_nlos_limits():
-    assert channel_gain(1.0, 2.0, 7.0, 0.5, 0.25) == pytest.approx(1.0)
-    assert channel_gain(0.0, 2.0, 7.0, 0.5, 0.25) == pytest.approx(1.75)
+    assert channel_gain(1.0, 2.0, 7.0, 0.5, 0.25, 1.0, 1.0) == pytest.approx(1.0)
+    assert channel_gain(0.0, 2.0, 7.0, 0.5, 0.25, 1.0, 1.0) == pytest.approx(1.75)
 
 
 def test_channel_gain_deterministic_pathloss_value():
@@ -184,7 +184,7 @@ def test_channel_gain_deterministic_pathloss_value():
     pl_db = 31.84 + 21.5 * np.log10(10.0) + 19.0 * np.log10(6.0)
     lin = 10 ** (-pl_db / 10.0)
     pl_los, pl_nlos = pathloss_inf_db(10.0, 6e9)
-    got = channel_gain(1.0, 1.0, 1.0, db_to_linear(-pl_los), db_to_linear(-pl_nlos))
+    got = channel_gain(1.0, 1.0, 1.0, db_to_linear(-pl_los), db_to_linear(-pl_nlos), 1.0, 1.0)
     assert got == pytest.approx(lin, rel=1e-12)
 
 
@@ -304,7 +304,7 @@ def test_shadowing_small_step_continuity():
 # ---------------------------------------------------------------- full trace
 
 def small_trace(seed=0, traffic=None, n_cycles=400, **kw):
-    return simulate_trace(cfg(**kw), traffic or TRAFFIC, CHEAP, n_cycles, seed)
+    return simulate_trace(cfg(**kw), traffic or TRAFFIC, CHEAP, n_cycles, seed, "rdmm")
 
 
 def test_trace_determinism_bit_identical():
@@ -342,13 +342,13 @@ def test_no_active_interferers_means_zero_interference():
     quiet = TrafficModel(variant="push-pull", eta=1.0, intensity=0.0,
                          n_reserved=0)
     c = cfg(sa_pairs_per_sn=4)
-    tr = simulate_trace(c, quiet, replace(CHEAP, est_noise_fraction=0.0), 100, 6)
+    tr = simulate_trace(c, quiet, replace(CHEAP, est_noise_fraction=0.0), 100, 6, "rdmm")
     assert np.all(tr.true_power == 0.0)
 
 
 def test_single_interferer_contribution_is_gain():
     c = cfg(n_subnetworks=2, n_subbands=1, speed=0.0)
-    tr = simulate_trace(c, TrafficModel(eta=1.0), DETERMINISTIC, 12, 7)
+    tr = simulate_trace(c, TrafficModel(eta=1.0), DETERMINISTIC, 12, 7, "rdmm")
     # deterministic channel, static geometry: reconstruct the one-term
     # per-SA gains of the single interferer (placement is the first draw
     # of the mobility stream)
@@ -371,7 +371,7 @@ def test_single_interferer_contribution_is_gain():
 
 def test_zero_drift_keeps_slot_gains_constant():
     c = cfg(n_subnetworks=2, n_subbands=1, speed=0.0, schedule_drift=0)
-    tr = simulate_trace(c, TrafficModel(eta=1.0), DETERMINISTIC, 8, 7)
+    tr = simulate_trace(c, TrafficModel(eta=1.0), DETERMINISTIC, 8, 7, "rdmm")
     assert np.allclose(tr.true_power, tr.true_power[:, :1])
 
 
@@ -412,7 +412,7 @@ traffic = replace(desk.traffic, variant="push-pull", n_reserved=2, intensity=5.0
 for k in range(3):
     if k == 2:
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    simulate_trace(desk.deployment, traffic, desk.channel, 10_000, desk.seed)
+    simulate_trace(desk.deployment, traffic, desk.channel, 10_000, desk.seed, "rdmm")
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -424,7 +424,7 @@ from subnetpred.config import desk_preset
 from subnetpred.scenario.simulate import simulate_trace
 desk = desk_preset(0)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-simulate_trace(desk.deployment, desk.traffic, desk.channel, 10_000, desk.seed)
+simulate_trace(desk.deployment, desk.traffic, desk.channel, 10_000, desk.seed, "rdmm")
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 

@@ -13,12 +13,23 @@ so the BLER Q((R*C - D) / sqrt(R*V)) that the un-ceiled blocklength achieves
 recovers ``eps_target`` to a relative 1e-12 (tests/test_ra.py; 4.4e-14 at
 most on its grid of SINRs, payloads and targets down to 1e-7).
 
-A decision sizes several targets for one SINR, so the closed form's
-SINR-only half (the positivity check, then D/C, V, 2C^2 and 4DC) runs once per
-SINR and its terms are cached for the two most recent SINRs, keyed by the
-SINR's float64 bytes, its shape and the payload: two, because
-:func:`evaluate_ra` alternates the predicted and the true SINR per target.
-The cached arrays are read-only and no returned array aliases them.
+A decision sizes several targets for one SINR, so :func:`blocklength`
+keeps a table of its two most recent SINRs, keyed by the SINR's float64
+bytes, its shape and the payload: two, because :func:`evaluate_ra`
+alternates the predicted and the true SINR per target.  An entry holds the
+SINR's terms (D/C, V, 2C^2 and 4DC, formed once after the check that the
+SINR is positive and finite; D/C is the row at 0.5) and one finished row
+per target sized at it.  A new SINR is sized in one pass broadcast over a
+leading target axis, at the targets asked at the most recent SINR plus the
+one asked for, so the rest of a decision's targets are a row lookup; a
+target an entry lacks is sized into it.  Asked, not sized: a caller that
+asks each SINR at another target then keeps two rows an entry, not every
+target it ever asked.  Every row keeps the per-target closed form's bits:
+the same operations in the same order.  An entry holds (5 + T) arrays of
+the SINR's size at T targets below 0.5, the key's bytes included: 256 B of
+data for a decision's 4-series SINR at three targets, 2 MB for a
+[2,002 x 16] test block.  The rows are read-only and no returned array
+aliases them.
 """
 
 from __future__ import annotations
@@ -53,43 +64,83 @@ def _capacity_dispersion(snr):
 
 
 @lru_cache(maxsize=None)
-def _q_inverse_sq(eps):
-    """Qinv(eps)^2; a decision sizes the same few targets every cycle."""
-    return q_inverse(eps) ** 2
+def _q2_column(targets, ndim):
+    """Qinv(eps)^2 of each target, read-only, on a leading axis over an
+    ndim-D SINR; a decision sizes the same few targets every cycle."""
+    q2 = np.array([q_inverse(eps) ** 2 for eps in targets])
+    q2 = q2.reshape(q2.shape + (1,) * ndim)
+    q2.setflags(write=False)
+    return q2
 
 
-@lru_cache(maxsize=2)
-def _sinr_terms(snr_bytes, shape, payload_bits):
-    """(D/C, V, 2C^2, 4DC) of one SINR, read-only, in blocklength's order."""
-    snr = np.frombuffer(snr_bytes).reshape(shape)
-    if (snr <= 0.0).any():
-        raise ValueError("snr must be positive")
+# blocklength's table, least recent SINR first: key -> (terms, {target:
+# row}, the targets below 0.5 asked at the SINR)
+_TABLE = {}
+
+
+def _sinr_terms(snr, payload_bits):
+    """(D/C, V, 2C^2, 4DC) of one SINR, in blocklength's order; D/C is
+    read-only, as it is the row at eps = 0.5."""
+    # x / 2 < x holds for every positive finite double and fails at 0, below
+    # 0, at +-inf and at NaN: the whole check in one comparison
+    if not (0.5 * snr < snr).all():
+        raise ValueError("snr must be positive and finite")
     c, v = _capacity_dispersion(snr)
-    terms = (payload_bits / c, v, 2.0 * c**2, 4.0 * payload_bits * c)
-    for t in terms:
-        if t.shape:
-            t.setflags(write=False)
-    return terms
+    base = payload_bits / c
+    if base.shape:
+        base.setflags(write=False)
+    return base, v, 2.0 * c**2, 4.0 * payload_bits * c
+
+
+def _rows(terms, targets):
+    """{target: read-only row} at targets below 0.5, sized in one pass
+    broadcast over a leading target axis."""
+    base, v, two_c2, four_dc = terms
+    q2v = _q2_column(targets, v.ndim) * v
+    out = base + q2v / two_c2 * (1.0 + np.sqrt(1.0 + four_dc / q2v))
+    out.setflags(write=False)
+    return dict(zip(targets, out))
 
 
 def blocklength(snr, payload_bits, eps_target):
     """Real-valued channel usage meeting the target BLER at the given SINR.
 
-    At eps_target = 0.5 the dispersion correction vanishes and the result is
-    exactly payload_bits / C(snr).  The SINR-only terms come from the two-entry
-    cache keyed by (snr's float64 bytes, its shape, payload_bits); each call
-    returns a new array, or a float for a 0-d snr, that aliases none of them.
+    snr must be positive and finite.  At eps_target = 0.5 the dispersion
+    correction vanishes and the result is exactly payload_bits / C(snr).
+    Rows come from a table of the two most recent SINRs, keyed by (snr's
+    float64 bytes, its shape, payload_bits), with one read-only row per
+    target sized at each: a SINR it lacks is sized in one pass at the
+    targets asked at the most recent SINR plus eps_target and evicts the
+    least recent, and a target an entry lacks is sized into it.  An entry
+    holds (5 + T) arrays of the SINR's size at T targets below 0.5.  Each
+    call returns a new array, or a float for a 0-d snr, that aliases none
+    of them.
     """
     snr = np.asarray(snr, dtype=float)
-    base, v, two_c2, four_dc = _sinr_terms(snr.tobytes(), snr.shape, payload_bits)
+    key = (snr.tobytes(), snr.shape, payload_bits)
+    entry = _TABLE.pop(key, None)
+    if entry is None:
+        terms = _sinr_terms(snr, payload_bits)
     if not 0.0 < eps_target <= 0.5:
         raise ValueError("eps_target must lie in (0, 0.5]")
-    if eps_target == 0.5:
-        return base.copy() if base.shape else float(base)
-    q2v = _q_inverse_sq(float(eps_target)) * v
-    corr = q2v / two_c2 * (1.0 + np.sqrt(1.0 + four_dc / q2v))
-    out = base + corr
-    return out if out.shape else float(out)
+    eps = float(eps_target)
+    if entry is None:
+        recent = next(reversed(_TABLE.values()))[2] if _TABLE else ()
+        sized = recent if eps in recent or eps == 0.5 else (*recent, eps)
+        entry = terms, _rows(terms, sized), ()
+        if len(_TABLE) == 2:
+            del _TABLE[next(iter(_TABLE))]
+    terms, rows, asked = entry
+    if eps == 0.5:
+        row = terms[0]
+    else:
+        if eps not in rows:
+            rows.update(_rows(terms, (eps,)))
+        if eps not in asked:
+            asked += (eps,)
+        row = rows[eps]
+    _TABLE[key] = terms, rows, asked
+    return row.copy() if row.shape else float(row)
 
 
 def coverage_probability(predictions, labels):

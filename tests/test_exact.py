@@ -109,6 +109,25 @@ def ref_blocklength(snr, payload_bits, eps_target):
     return out if out.shape else float(out)
 
 
+def ref_evaluate_ra(pred_w, true_w, signal_w, noise_w, payload_bits, eps_targets):
+    """evaluate_ra's rows from ref_blocklength, with C and V formed here."""
+    sig = np.broadcast_to(np.asarray(signal_w, dtype=float), pred_w.shape)
+    snr_hat, snr_true = sig / (pred_w + noise_w), sig / (true_w + noise_w)
+    c_true = np.log2(1.0 + snr_true)
+    v_true = (1.0 - (1.0 + snr_true) ** -2) * np.log2(np.e) ** 2
+    rows = []
+    for eps in eps_targets:
+        r_real = ref_blocklength(snr_hat, payload_bits, eps)
+        r_int = np.maximum(np.ceil(r_real), 1.0)
+        margin = (r_int * c_true - payload_bits) / np.sqrt(r_int * v_true)
+        r_genie = ref_blocklength(snr_true, payload_bits, eps)
+        rows.append({"eps_target": float(eps),
+                     "frac_met": float((margin >= ra.q_inverse(eps)).mean()),
+                     "mean_overhead": float(r_real.sum() / r_genie.sum()),
+                     "mean_instance_overhead": float((r_real / r_genie).mean())})
+    return rows
+
+
 def ref_calibrated_quantile(thresholds, calibrated):
     t = np.asarray(thresholds, dtype=float)
     t2 = np.atleast_2d(t.T).T
@@ -644,6 +663,35 @@ def test_a_non_positive_sinr_after_a_valid_one_of_its_shape_still_raises():
     # the SINR is checked before the target
     with pytest.raises(ValueError, match="snr"):
         ra.blocklength(snr, 200, 0.7)
+
+
+def test_the_table_holds_two_sinrs_and_the_rows_asked_near_them():
+    # a new SINR is sized at the targets asked at the one before it, so a
+    # caller that asks each SINR at another target keeps a few rows, not all
+    rng = np.random.default_rng(12)
+    for k, eps in enumerate(10.0 ** -rng.uniform(1.0, 9.0, 40)):
+        snr = 10.0 ** rng.uniform(-3, 4, 8)
+        got = ra.blocklength(snr, 200, eps)
+        assert np.array_equal(got, ref_blocklength(snr, 200, eps))
+        assert len(ra._TABLE) <= 2
+        for _, rows, _ in ra._TABLE.values():
+            assert not any(np.shares_memory(got, row) for row in rows.values())
+            # once both SINRs are this loop's: the SINR's own target and
+            # the one asked at the SINR before it
+            assert k < 2 or len(rows) <= 2
+
+
+def test_evaluate_ra_at_desk_shape_equals_the_reference_evaluate():
+    rng = np.random.default_rng(13)
+    true_w = 10.0 ** rng.uniform(-12, -6, (2000, 4))
+    sig = 10.0 ** rng.uniform(-7, -4, 4)
+    spec, noise = desk_preset(seed=0), 1e-12
+    for pred_w in (true_w * 10.0 ** rng.normal(0.0, 0.3, true_w.shape),
+                   true_w * 10.0 ** rng.normal(0.1, 0.3, true_w.shape)):
+        for targets in (spec.eps_targets, spec.eps_targets[::-1]):
+            assert (ra.evaluate_ra(pred_w, true_w, sig, noise, spec.payload_bits, targets)
+                    == ref_evaluate_ra(pred_w, true_w, sig, noise, spec.payload_bits,
+                                       targets))
 
 
 @pytest.mark.parametrize("variant", ["genie", "moving-average"])

@@ -224,6 +224,15 @@ def test_ra_config_validation():
         blocklength(-1.0, 200, 1e-5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_blocklength_refuses_a_nan_or_infinite_sinr(bad):
+    # neither is positive and finite: a NaN SINR would give NaN channel uses,
+    # and an infinite one too, as the correction multiplies 0 by inf
+    for snr in (bad, -bad, np.array([3.0, bad]), np.array([[2.0], [bad]])):
+        with pytest.raises(ValueError, match="snr"):
+            blocklength(snr, 200, 1e-5)
+
+
 def test_dispersion_properties():
     # the program's C and V against the oracles, and V's limits: 0 at g = 0
     # and log2(e)^2 as g grows

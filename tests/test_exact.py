@@ -679,6 +679,13 @@ def test_the_table_holds_two_sinrs_and_the_rows_asked_near_them():
             # once both SINRs are this loop's: the SINR's own target and
             # the one asked at the SINR before it
             assert k < 2 or len(rows) <= 2
+    # a decision's first call on a new SINR sizes the targets asked at the
+    # SINR before it, so its further calls find their rows
+    first, second = 10.0 ** rng.uniform(-3, 4, (2, 8))
+    for eps in DECISION_EPS[:3]:
+        ra.blocklength(first, 200, eps)
+    ra.blocklength(second, 200, DECISION_EPS[1])
+    assert sorted(ra._TABLE[second.tobytes(), second.shape, 200][1]) == [1e-7, 1e-6, 1e-5]
 
 
 def test_evaluate_ra_at_desk_shape_equals_the_reference_evaluate():

@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, PRESETS, load_config
@@ -54,12 +53,8 @@ def build_parser():
 
 def _load_spec(args):
     if args.config:
-        spec = load_config(args.config, preset=args.preset, seed=args.seed)
-    else:
-        spec = PRESETS[args.preset](seed=args.seed if args.seed is not None else 0)
-    if getattr(args, "variant", None):
-        spec = replace(spec, variant=args.variant[0])
-    return spec
+        return load_config(args.config, preset=args.preset, seed=args.seed)
+    return PRESETS[args.preset](seed=args.seed if args.seed is not None else 0)
 
 
 def main(argv=None):

@@ -3,7 +3,7 @@ drawn as a binomial point process on a disc around each center."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,16 +14,13 @@ class PlacementError(RuntimeError):
 
 @dataclass
 class MobilityState:
-    """Positions/headings of all sub-network centers plus fixed SA offsets."""
+    """An rdmm state: the sub-network centers, their headings, the fixed SA
+    offsets and the box the centers move in."""
 
     positions: np.ndarray          # [N x 2] centers, meters
     headings: np.ndarray           # [N] radians
     offsets: np.ndarray            # [N x M x 2] SA offsets from center
-    # alley-mode bookkeeping (unused for rdmm)
-    path_ids: np.ndarray | None = None
-    arc_positions: np.ndarray | None = None
-    layout: object = None
-    bounds: tuple = field(default=(0.0, 0.0, 1.0, 1.0))
+    bounds: tuple                  # (lo_x, lo_y, hi_x, hi_y), meters
 
 
 def disc_offsets(n_sn, n_sa, radius, rng):

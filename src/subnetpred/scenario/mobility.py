@@ -1,6 +1,9 @@
 """Mobility models: random-direction movement with collision avoidance, and
 fixed alley circuits for the factory-floor layout.
 
+An alley trajectory draws nothing: alley_centers gives each sub-network's
+center as a function of its index and the cycle alone.
+
 An rdmm step draws only when it reflects at the border or crowds another
 sub-network; every other step just moves each center along its heading.
 free_run computes a stretch of such event-free steps at once, bit for bit
@@ -13,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-
-from .deploy import MobilityState, disc_offsets
 
 
 def _propose(positions, headings, step, bounds):
@@ -137,21 +138,12 @@ class AlleyLayout:
     loops: tuple            # tuple of [k x 2] vertex arrays, closed polylines
     cum_lengths: tuple      # per loop: cumulative segment lengths, leading 0
 
-    @property
-    def n_loops(self):
-        return len(self.loops)
-
-    def total_length(self, k):
-        return float(self.cum_lengths[k][-1])
-
     def locate(self, path_ids, arcs):
-        """Positions [... x 2] and tangent headings [...] at arc lengths arcs
-        along the loops path_ids (broadcast against arcs), wrapping at each
-        loop's end."""
+        """Positions [... x 2] at arc lengths arcs along the loops path_ids
+        (broadcast against arcs), wrapping at each loop's end."""
         arcs = np.asarray(arcs, dtype=float)
         path_ids = np.broadcast_to(path_ids, arcs.shape)
         positions = np.empty(arcs.shape + (2,))
-        headings = np.empty(arcs.shape)
         for k, (verts, cum) in enumerate(zip(self.loops, self.cum_lengths)):
             on_loop = path_ids == k
             s = arcs[on_loop] % cum[-1]
@@ -159,8 +151,7 @@ class AlleyLayout:
             a, b = verts[seg], verts[seg + 1]
             frac = (s - cum[seg]) / (cum[seg + 1] - cum[seg])
             positions[on_loop] = a + frac[:, None] * (b - a)
-            headings[on_loop] = np.arctan2(b[:, 1] - a[:, 1], b[:, 0] - a[:, 0])
-        return positions, headings
+        return positions
 
 
 # horizontal racetracks in the alley layout
@@ -187,27 +178,19 @@ def build_alley_layout(area, margin):
     return AlleyLayout(loops=tuple(loops), cum_lengths=tuple(cums))
 
 
-def deploy_alley(config, rng):
-    """Assign sub-networks round-robin to alley loops with staggered starts."""
+def alley_centers(config, members, n_cycles):
+    """Centers [n_cycles x members x 2] of the sub-networks members (an
+    index array) on the alley circuits of config, a DeploymentConfig; they
+    draw nothing.  Sub-network i runs loop i % N_ALLEY_LOOPS and starts at
+    arc length (i // N_ALLEY_LOOPS) * L / n, L being the loop's length and
+    n its count of sub-networks; each cycle adds speed * tx_cycle_duration
+    to the arc length, and the centers wrap at the loop's end.  A center
+    depends on its own index and cycle alone, so any set of members gives
+    the matching columns of the set of all N."""
     layout = build_alley_layout(config.area, margin=config.alley_margin)
-    n = config.n_subnetworks
-    path_ids = np.arange(n) % layout.n_loops
-    per_loop = np.maximum(np.bincount(path_ids, minlength=layout.n_loops), 1)
-    lengths = np.array([layout.total_length(k) for k in range(layout.n_loops)])
-    rank_in_loop = np.arange(n) // layout.n_loops
-    arc = rank_in_loop * lengths[path_ids] / per_loop[path_ids]
-    positions, headings = layout.locate(path_ids, arc)
-    offsets = disc_offsets(n, config.sa_pairs_per_sn, config.sn_radius, rng)
-    w, h = config.area
-    return MobilityState(positions=positions, headings=headings, offsets=offsets,
-                         path_ids=path_ids, arc_positions=arc, layout=layout,
-                         bounds=(0.0, 0.0, w, h))
-
-
-def alley_positions(state, speed, dt, n_cycles):
-    """Positions [n_cycles x N x 2] along the circuits at every cycle,
-    starting at state: each cycle adds speed * dt to every arc length, and
-    the positions wrap at each loop's end."""
-    steps = np.full((n_cycles, state.arc_positions.size), speed * dt)
-    steps[0] = state.arc_positions
-    return state.layout.locate(state.path_ids, np.add.accumulate(steps, axis=0))[0]
+    loop = members % N_ALLEY_LOOPS
+    lengths = np.array([cum[-1] for cum in layout.cum_lengths])
+    per_loop = np.bincount(np.arange(config.n_subnetworks) % N_ALLEY_LOOPS)
+    arcs = np.full((n_cycles, members.size), config.speed * config.tx_cycle_duration)
+    arcs[0] = members // N_ALLEY_LOOPS * lengths[loop] / per_loop[loop]
+    return layout.locate(loop, np.add.accumulate(arcs, axis=0))

@@ -21,8 +21,8 @@ import numpy as np
 from ..config import spec_to_dict
 from ..rng import tagged_rng
 from . import channel as ch
-from .deploy import deploy
-from .mobility import alley_positions, deploy_alley, free_run, step_mobility
+from .deploy import deploy, disc_offsets
+from .mobility import alley_centers, free_run, step_mobility
 from .traffic import TrafficProcess
 
 
@@ -146,13 +146,14 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed, mobility
     name) with the component's name, so its draws do not depend on what
     the others drew, or on how the cycles are grouped:
 
-    - mobility: the placement (deploy, or deploy_alley's SA offsets), then
+    - mobility: the placement (deploy, or the alley's SA offsets), then
       rdmm's event steps in cycle order.  An rdmm step draws only when it
       reflects at the border or crowds another sub-network (an event), so
       the trajectory is computed up front: free runs (mobility.free_run)
       of at most HORIZON steps between the events, step_mobility at them.
-      Alley positions draw nothing.  Both cover the interferers and the
-      victim only.
+      An alley center is a function of its sub-network's index and the
+      cycle (mobility.alley_centers) and draws nothing.  Both trajectories
+      cover the interferers and the victim only.
     - channel: the initial real fields (shadowing LOS, shadowing NLOS and
       soft-LOS latent of every link), the initial LOS and NLOS fading,
       the LOS phases, then per cycle one row of standard normals in the
@@ -188,16 +189,19 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed, mobility
         raise ValueError("n_cycles must be >= 1")
     rng_mobility, rng_channel, rng_traffic, rng_noise = (
         tagged_rng(seed, name) for name in ("mobility", "channel", "traffic", "noise"))
+    n_sn = deployment.n_subnetworks
     n_sa = deployment.sa_pairs_per_sn
     dt = deployment.tx_cycle_duration
 
     if mobility == "alley":
-        state = deploy_alley(deployment, rng_mobility)
+        positions = alley_centers(deployment, np.arange(n_sn), 1)[0]
+        offsets = disc_offsets(n_sn, n_sa, deployment.sn_radius, rng_mobility)
     else:
         state = deploy(deployment, rng_mobility)
+        positions, offsets = state.positions, state.offsets
 
-    bands = subband_assignment(deployment.n_subnetworks, deployment.n_subbands)
-    intf = interferer_set(state.positions, VICTIM, bands)
+    bands = subband_assignment(n_sn, deployment.n_subbands)
+    intf = interferer_set(positions, VICTIM, bands)
     n_int = intf.size
 
     k_lin = ch.db_to_linear(channel_params.rician_k_db)
@@ -229,13 +233,10 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed, mobility
     # centers of the interferers, then the victim, per cycle
     members = np.append(intf, VICTIM)
     if mobility == "alley":
-        centers = alley_positions(
-            replace(state, path_ids=state.path_ids[members],
-                    arc_positions=state.arc_positions[members]),
-            deployment.speed, dt, n_cycles)
+        centers = alley_centers(deployment, members, n_cycles)
     else:
         centers = _rdmm_centers(state, deployment, members, n_cycles, rng_mobility)
-    offsets = state.offsets[intf]
+    intf_offsets = offsets[intf]
 
     # the block buffers, laid out and owned as the docstring states: per
     # cycle one row of normals (then states), one of coefficients, whose
@@ -259,7 +260,7 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed, mobility
         stop = start + b
         c = centers[start:stop]
         # per-link gains toward every SA position of each interferer
-        dist = ch.planar_norm(c[:, :-1, None, :] + offsets - c[:, -1, None, None, :])
+        dist = ch.planar_norm(c[:, :-1, None, :] + intf_offsets - c[:, -1, None, None, :])
         pl_los, pl_nlos = (ch.db_to_linear(-pl)
                            for pl in ch.pathloss_inf_db(dist, deployment.carrier_freq))
         # mean fading power over the looks: the Rician sum of the LOS
@@ -313,11 +314,11 @@ def simulate_trace(deployment, traffic, channel_params, n_cycles, seed, mobility
 
     ref = max(int(NOISE_REF_FRACTION * n_cycles), 1)
     est_noise_std = channel_params.est_noise_fraction * float(true_power[:, :ref].mean())
-    est_power = true_power + rng_noise.normal(0.0, est_noise_std, true_power.shape) \
-        if est_noise_std > 0 else true_power.copy()
-    est_power = np.maximum(est_power, channel_params.power_floor_w)
+    est_power = np.maximum(
+        true_power + rng_noise.normal(0.0, est_noise_std, true_power.shape),
+        channel_params.power_floor_w)
 
-    sa_dist = np.linalg.norm(state.offsets[VICTIM], axis=1)
+    sa_dist = np.linalg.norm(offsets[VICTIM], axis=1)
     signal_power = deployment.tx_power * ch.db_to_linear(
         -ch.pathloss_inf_db(sa_dist, deployment.carrier_freq)[0])
     noise_power = ch.noise_power_w(channel_params.bandwidth_hz,

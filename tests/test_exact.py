@@ -19,7 +19,7 @@ stepping every cycle.  The push bursts of a block, found in one scan,
 must be those of the per-cycle recurrence.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -32,8 +32,8 @@ from subnetpred.model.optim import Adam, DropoutMasks
 from subnetpred.rng import tagged_rng
 from subnetpred.scenario import channel as ch
 from subnetpred.scenario.deploy import MobilityState, deploy, disc_offsets
-from subnetpred.scenario.mobility import (alley_positions, build_alley_layout,
-                                          deploy_alley, free_run, step_mobility)
+from subnetpred.scenario.mobility import (N_ALLEY_LOOPS, alley_centers,
+                                          build_alley_layout, free_run, step_mobility)
 from subnetpred.scenario.simulate import (BLOCK, HORIZON, interferer_set,
                                           simulate_trace, subband_assignment)
 from subnetpred.scenario.traffic import (TrafficProcess, push_start_probability,
@@ -842,36 +842,46 @@ def ref_point_at(layout, k, s):
     seg = min(seg, len(verts) - 2)
     a, b = verts[seg], verts[seg + 1]
     frac = (s - cum[seg]) / (cum[seg + 1] - cum[seg])
-    return a + frac * (b - a), float(np.arctan2(b[1] - a[1], b[0] - a[0]))
+    return a + frac * (b - a)
+
+
+@dataclass
+class RefAlley:
+    """The reference's alley state: the centers, the SA offsets, and each
+    sub-network's loop and arc length on the layout."""
+
+    positions: np.ndarray
+    offsets: np.ndarray
+    path_ids: np.ndarray
+    arc_positions: np.ndarray
+    layout: object
 
 
 def ref_deploy_alley(config, rng):
     layout = build_alley_layout(config.area, margin=max(config.sn_radius * 2, 5.0))
+    n_loops = len(layout.loops)
     n = config.n_subnetworks
-    path_ids = np.arange(n) % layout.n_loops
+    path_ids = np.arange(n) % n_loops
     arc = np.empty(n)
     positions = np.empty((n, 2))
-    headings = np.empty(n)
-    per_loop = np.bincount(path_ids, minlength=layout.n_loops)
-    seen = np.zeros(layout.n_loops, dtype=int)
+    per_loop = np.bincount(path_ids, minlength=n_loops)
+    seen = np.zeros(n_loops, dtype=int)
     for i in range(n):
         k = path_ids[i]
-        arc[i] = seen[k] * layout.total_length(k) / max(per_loop[k], 1)
+        arc[i] = seen[k] * layout.cum_lengths[k][-1] / max(per_loop[k], 1)
         seen[k] += 1
-        positions[i], headings[i] = ref_point_at(layout, k, arc[i])
+        positions[i] = ref_point_at(layout, k, arc[i])
     offsets = disc_offsets(n, config.sa_pairs_per_sn, config.sn_radius, rng)
-    return MobilityState(positions=positions, headings=headings, offsets=offsets,
-                         path_ids=path_ids, arc_positions=arc, layout=layout,
-                         bounds=(0.0, 0.0, *config.area))
+    return RefAlley(positions=positions, offsets=offsets, path_ids=path_ids,
+                    arc_positions=arc, layout=layout)
 
 
 def ref_step_alley(state, speed, dt):
     arc = state.arc_positions + speed * dt
     positions = np.empty_like(state.positions)
-    headings = np.empty_like(state.headings)
     for i in range(positions.shape[0]):
-        positions[i], headings[i] = ref_point_at(state.layout, state.path_ids[i], arc[i])
-    return replace(state, positions=positions, headings=headings, arc_positions=arc)
+        positions[i] = ref_point_at(state.layout, state.path_ids[i], arc[i])
+    return replace(state, positions=positions, arc_positions=arc)
 
 
 def ref_ar1_advance(values, std, decorrelation, displacement, rng):
@@ -1267,26 +1277,49 @@ def test_free_run_stops_where_a_pair_from_the_screens_edge_crowds(ulps, center):
 def test_alley_lookup_matches_scalar_point_at():
     layout = build_alley_layout((180.0, 90.0), margin=6.0)
     rng = np.random.default_rng(5)
-    for k in range(layout.n_loops):
+    for k in range(N_ALLEY_LOOPS):
         cum = layout.cum_lengths[k]
         # vertices, both sides of each loop's wrap, and random arc lengths
         arcs = np.concatenate([cum, cum[-1] * np.array([2.0, 3.0, 1.0 - 1e-16]),
                                np.nextafter(cum, np.inf), rng.uniform(0, 5 * cum[-1], 200)])
-        positions, headings = layout.locate(np.full(arcs.size, k), arcs)
-        for s, pos, head in zip(arcs, positions, headings):
-            ref_pos, ref_head = ref_point_at(layout, k, s)
-            assert np.array_equal(pos, ref_pos) and head == ref_head
+        positions = layout.locate(np.full(arcs.size, k), arcs)
+        for s, pos in zip(arcs, positions):
+            assert np.array_equal(pos, ref_point_at(layout, k, s))
 
 
 def test_alley_steps_equal_precomputed_positions():
     config = replace(DESK.deployment, n_subnetworks=7)
-    state = deploy_alley(config, np.random.default_rng(4))
     ref_state = ref_deploy_alley(config, np.random.default_rng(4))
-    assert np.array_equal(state.positions, ref_state.positions)
-    assert np.array_equal(state.headings, ref_state.headings)
-    assert np.array_equal(state.arc_positions, ref_state.arc_positions)
-    got = alley_positions(state, config.speed, config.tx_cycle_duration, 201)
-    assert np.array_equal(got[0], state.positions)
+    got = alley_centers(config, np.arange(config.n_subnetworks), 201)
+    assert np.array_equal(got[0], ref_state.positions)
     for t in range(1, 201):
         ref_state = ref_step_alley(ref_state, config.speed, config.tx_cycle_duration)
         assert np.array_equal(got[t], ref_state.positions)
+
+
+@pytest.mark.parametrize("n_subnetworks", (2, 7, DESK.deployment.n_subnetworks))
+def test_alley_centers_of_any_members_are_the_columns_of_all(n_subnetworks):
+    """The alley trajectory of a set of sub-networks is the matching columns
+    of every sub-network's, bit for bit, in any order: the interferers and
+    the victim that simulate_trace asks for, a random subset, one, none.
+    The trajectory of all of them is the reference's, also where a loop
+    runs no sub-network."""
+    config = replace(DESK.deployment, n_subnetworks=n_subnetworks, n_subbands=1)
+    n_cycles = 301
+    everyone = alley_centers(config, np.arange(n_subnetworks), n_cycles)
+    ref_state = ref_deploy_alley(config, np.random.default_rng(0))
+    assert np.array_equal(everyone[0], ref_state.positions)
+    for t in range(1, n_cycles):
+        ref_state = ref_step_alley(ref_state, config.speed, config.tx_cycle_duration)
+        assert np.array_equal(everyone[t], ref_state.positions)
+
+    rng = np.random.default_rng(n_subnetworks)
+    bands = subband_assignment(n_subnetworks, config.n_subbands)
+    subsets = [np.append(interferer_set(everyone[0], 0, bands), 0),
+               rng.permutation(n_subnetworks)[:rng.integers(1, n_subnetworks + 1)],
+               np.arange(n_subnetworks)[::-1], np.array([n_subnetworks - 1]),
+               np.array([], dtype=int)]
+    for members in subsets:
+        got = alley_centers(config, members, n_cycles)
+        assert got.shape == (n_cycles, members.size, 2)
+        assert got.tobytes() == everyone[:, members].tobytes()

@@ -189,6 +189,18 @@ def test_cli_variant_set_equals_one_run_pipeline_per_variant(tmp_path):
                 == (tmp_path / "cli" / name).read_bytes()), name
 
 
+@pytest.mark.parametrize("variants", (["genie", "nope"], ["nope", "genie"]))
+def test_an_unknown_variant_anywhere_in_the_set_exits_2_before_out_is_made(
+        tmp_path, capsys, variants):
+    out = tmp_path / "run"
+    args = ["evaluate", "--preset", "tiny", "--seed", "0", "--out", str(out)]
+    for variant in variants:
+        args += ["--variant", variant]
+    assert main(args) == EXIT_CONFIG
+    assert "unknown predictor variant 'nope'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def calibrating_spec(variant):
     """A tiny spec whose model leaves >= 30 training exceedances per series."""
     spec = replace(smoke_spec(seed=0, variant=variant), n_cycles=2000)

@@ -19,8 +19,8 @@ from subnetpred.scenario.channel import (Ar1Field, ComplexAr1, channel_gain,
                                          db_to_linear, fading_coefficient,
                                          noise_power_w, pathloss_inf_db)
 from subnetpred.scenario.deploy import PlacementError, deploy
-from subnetpred.scenario.mobility import (alley_positions, build_alley_layout,
-                                          deploy_alley, step_mobility)
+from subnetpred.scenario.mobility import (alley_centers, build_alley_layout,
+                                          step_mobility)
 from subnetpred.scenario.simulate import (interferer_set, simulate_trace,
                                           subband_assignment, write_trace_csv)
 from subnetpred.scenario.traffic import TrafficProcess
@@ -109,17 +109,16 @@ def test_long_rdmm_run_stays_in_bounds_and_spaced():
 
 def test_alley_mobility_follows_loops_and_wraps():
     c = cfg(n_subnetworks=6, area=(180.0, 90.0), speed=2.0)
-    rng = np.random.default_rng(6)
-    state = deploy_alley(c, rng)
-    positions = alley_positions(state, c.speed, c.tx_cycle_duration, 201)
-    assert np.array_equal(positions[0], state.positions)
+    members = np.arange(c.n_subnetworks)
+    positions = alley_centers(c, members, 201)
+    assert np.array_equal(positions[0], alley_centers(c, members, 1)[0])
     assert np.all(positions[..., 0] >= 0)
     assert np.all(positions[..., 0] <= 180.0)
     moved = np.linalg.norm(positions[-1] - positions[0], axis=1)
     assert moved.max() > 0.2     # 200 steps x 2 mm
     # past a full circuit every sub-network is back on its loop's start
-    total = state.layout.total_length(0)
-    laps = alley_positions(state, total / c.tx_cycle_duration, c.tx_cycle_duration, 2)
+    total = build_alley_layout(c.area, c.alley_margin).cum_lengths[0][-1]
+    laps = alley_centers(replace(c, speed=total / c.tx_cycle_duration), members, 2)
     assert np.allclose(laps[1], laps[0])
 
 
@@ -336,6 +335,20 @@ def test_trace_non_negative_and_est_floor():
     tr = small_trace(seed=5)
     assert tr.true_power.min() >= 0.0
     assert tr.est_power.min() >= CHEAP.power_floor_w
+
+
+@pytest.mark.parametrize("mobility", ("rdmm", "alley"))
+def test_noiseless_estimate_is_the_true_power_at_its_floor(mobility):
+    # with no estimation noise the estimate is the true power clamped at
+    # the floor, bit for bit; at eta = 0.3 with one interferer some slots
+    # are silent, so the floor is reached
+    c = cfg(n_subnetworks=8, n_subbands=4)
+    channel = replace(CHEAP, est_noise_fraction=0.0)
+    tr = simulate_trace(c, TrafficModel(eta=0.3), channel, 400, 8, mobility)
+    assert tr.est_noise_std == 0.0
+    assert (tr.true_power == 0.0).any() and (tr.true_power > 0.0).any()
+    want = np.maximum(tr.true_power, channel.power_floor_w)
+    assert tr.est_power.tobytes() == want.tobytes()
 
 
 def test_no_active_interferers_means_zero_interference():

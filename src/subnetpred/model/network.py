@@ -60,7 +60,7 @@ def init_params(cfg, seed):
     return params
 
 
-def body_forward(params, cfg, tokens, masks=None):
+def body_forward(params, cfg, tokens, masks):
     """Encoder stack + LSTM: tokens [b x M x D] -> hidden states [b x M x H]."""
     cache = {"enc": []}
     for l in range(cfg.n_layers):
@@ -234,4 +234,4 @@ def load_checkpoint(stem):
         size = int(np.prod(entry["shape"]))
         params[entry["name"]] = blob[pos:pos + size].reshape(entry["shape"])
         pos += size
-    return params, cfg, manifest
+    return params, cfg

@@ -84,10 +84,10 @@ def train(cfg, x, y, train_cfg, seed, params):
     cache = None
 
     def step(idx, masks):
-        # keep the last batch's cache until this forward returns, as the
-        # split participants do: freed earlier, glibc's malloc hands its
-        # pages back to the OS and the forward faults them in again, which
-        # made a desk-shape epoch about 25% slower
+        # keep the last batch's cache until this forward returns, as
+        # split_train's step keeps its caches: freed earlier, glibc's malloc
+        # hands its pages back to the OS and the forward faults them in
+        # again, which made a desk-shape epoch about 25% slower
         nonlocal cache
         y_b = y[idx].astype(dtype, copy=False)
         pred, cache = forward(params, cfg, x[idx].astype(dtype, copy=False), masks)

@@ -146,8 +146,7 @@ def stage_train(spec, out, ds, split_mode=False):
     stem = out / ("model_split" if split_mode else "model")
     loss = out / (stem.name + "_loss.csv")
     if loss.exists():
-        params, cfg_loaded, _ = network.load_checkpoint(stem)
-        return params, cfg_loaded
+        return network.load_checkpoint(stem)
     tx, ty = ds.train()
     init = network.init_params(cfg, spec.seed)
     # warm-start each quantile head at its marginal target quantile; the

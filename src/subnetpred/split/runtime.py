@@ -1,18 +1,18 @@
-"""Bulk-synchronous U-shaped split execution.
+"""Bulk-synchronous U-shaped split training: train's epoch loop driving one
+per-batch step that moves the cut tensors.
 
 Every forward/backward step evaluates exactly the operations of the
-centralized network: a client runs the network's client and tail halves
-on its one-series slice (windows [b x S x 1], weights [1 x ...]) and adds
-its series' term of pinball_loss; the server calls the same body kernels.
-Split training from a partitioned checkpoint therefore reproduces
-centralized training, parameters and loss curve, bit for bit given the
-same seed and data order.  Labels and raw windows never leave their
-client; only cut activations and cut gradients cross the channel.
+centralized network: client m (SA pair "sa{m}") runs the network's client
+and tail halves on its one-series slice (windows [b x S x 1], weights
+[1 x ...]) and adds its series' term of pinball_loss; the server runs the
+same body kernels on the stacked tokens.  Split training from a
+partitioned checkpoint therefore reproduces centralized training,
+parameters and loss curve, bit for bit given the same seed and data order.
+Labels and raw windows never leave their client; only cut activations and
+cut gradients cross the channel, each crossing through _cross.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 
@@ -27,148 +27,61 @@ from .partition import merge
 SERVER = "server"
 
 
-def client_name(index):
-    return f"sa{index}"
-
-
-class SplitClient:
-    """One SA pair: its one-series slices of the embedding and quantile-head
-    tensors, under the centralized names, and the private data (windows
-    [n x S x 1], labels [n x 1]).  The data is held as given, views into
-    the training tensors included; each batch is gathered from it and cast
-    to the dtype of the client's parameters, as train casts it."""
-
-    def __init__(self, index, params, x_col, y_col, cfg, lr):
-        self.index = index
-        self.name = client_name(index)
-        self.cfg = cfg
-        self.params = params
-        self.x = x_col
-        self.y = y_col
-        self.opt = Adam(self.params, lr=lr)
-        self.dtype = params["head.b"].dtype
-        self._cache = None
-        self._grads = None
-
-    def head_forward(self, idx, masks):
-        """The client half of this series' batch idx; returns the token to send."""
-        x_b = self.x[idx].astype(self.dtype, copy=False)
-        tokens, level, client = client_forward(self.params, x_b, masks,
-                                               first=self.index)
-        self._cache = {"client": client, "idx": idx, "level": level}
-        return tokens[:, 0]
-
-    def tail_step(self, h_m):
-        """The tail half of this series: return its term of the batch loss
-        and the gradient w.r.t. the received hidden state."""
-        y_b = self.y[self._cache["idx"]].astype(self.dtype, copy=False)
-        pred, tail = tail_forward(self.params, h_m[:, None], self._cache["level"])
-        alpha, m = self.cfg.alpha, self.cfg.n_series
-        dpred = pinball_grad(pred, y_b, alpha, count=pred.size * m)
-        dhs, dw, db = tail_backward(self.params, tail, dpred)
-        self._grads = {"head.w": dw, "head.b": db}
-        return pinball_loss(pred, y_b, alpha) / m, dhs[:, 0]
-
-    def head_backward(self, dtoken):
-        self._grads["embed.w"], self._grads["embed.b"] = client_backward(
-            self._cache["client"], dtoken[:, None])
-
-    def apply_update(self):
-        self.opt.step(self.params, self._grads)
-        self._grads = None
-
-
-class SplitServer:
-    """The sub-network controller: encoder stack and LSTM."""
-
-    def __init__(self, body, cfg, lr):
-        self.params = body
-        self.cfg = cfg
-        self.opt = Adam(self.params, lr=lr)
-        self._cache = None
-        self._grads = None
-
-    def body_forward(self, tokens, masks):
-        hs, cache = body_forward(self.params, self.cfg, tokens, masks)
-        self._cache = cache
-        return hs
-
-    def body_backward(self, dhs):
-        dtokens, self._grads = body_backward(self.params, self.cfg,
-                                             self._cache, dhs)
-        return dtokens
-
-    def apply_update(self):
-        self.opt.step(self.params, self._grads)
-        self._grads = None
-
-
-def build_participants(part, x, y, lr):
-    """Instantiate clients (one per series, holding its data column) and the
-    server from a SplitPartition plus the training tensors.  The participants
-    hold the partition's arrays and update them in place; each client's
-    column is a view of x and y, never a copy."""
-    cfg = part.cfg
-    clients = [SplitClient(m, params, x[:, :, m:m + 1], y[:, m:m + 1], cfg, lr)
-               for m, params in enumerate(part.clients)]
-    server = SplitServer(part.body, cfg, lr)
-    return clients, server
-
-
-def _gather(channel, dest, sources, kind):
-    return [channel.recv(dest, src, kind).payload for src in sources]
-
-
-def split_forward_batch(clients, server, channel, idx, masks):
-    """One forward sweep: head activations up, body, hidden states down.
-
-    Returns the per-client hidden states (each client keeps its own copy)."""
-    for cl in clients:
-        token = cl.head_forward(idx, masks)
-        channel.send(SplitMessage(KIND_ACTIVATION, cl.name, SERVER, token))
-    tokens = np.stack(_gather(channel, SERVER, [c.name for c in clients],
-                              KIND_ACTIVATION), axis=1)
-    hs = server.body_forward(tokens, masks)
-    for m, cl in enumerate(clients):
-        channel.send(SplitMessage(KIND_ACTIVATION, SERVER, cl.name, hs[:, m]))
-    return [channel.recv(cl.name, SERVER, KIND_ACTIVATION).payload
-            for cl in clients]
-
-
-def split_step(clients, server, channel, idx, masks):
-    """One synchronous batch of U-shaped split training.
-
-    M head activations up, one body pass, M hidden states down, M cut
-    gradients up, one body backward, M cut gradients down, then every
-    participant applies its local Adam step.  Returns the batch loss, the
-    clients' terms added in series order.
-    """
-    hidden = split_forward_batch(clients, server, channel, idx, masks)
-    batch_loss = 0.0
-    for cl, h_m in zip(clients, hidden):
-        loss_m, dh = cl.tail_step(h_m)
-        batch_loss += loss_m
-        channel.send(SplitMessage(KIND_GRADIENT, cl.name, SERVER, dh))
-    dhs = np.stack(_gather(channel, SERVER, [c.name for c in clients],
-                           KIND_GRADIENT), axis=1)
-    dtokens = server.body_backward(dhs)
-    for m, cl in enumerate(clients):
-        channel.send(SplitMessage(KIND_GRADIENT, SERVER, cl.name, dtokens[:, m]))
-    for cl in clients:
-        cl.head_backward(channel.recv(cl.name, SERVER, KIND_GRADIENT).payload)
-    server.apply_update()
-    for cl in clients:
-        cl.apply_update()
-    return batch_loss
+def _cross(channel, kind, edges, payloads):
+    """Carry one cut: send payload k along edges[k] = (source, dest) as a
+    SplitMessage, then receive each in turn; returns the received payloads."""
+    for (source, dest), payload in zip(edges, payloads):
+        channel.send(SplitMessage(kind, source, dest, payload))
+    return [channel.recv(dest, source, kind).payload for source, dest in edges]
 
 
 def split_train(part, x, y, train_cfg, channel, seed):
     """Full split training run from the partition's weights, which it trains
     in place; the epoch loop is train's (run_epochs), so seed drives the
-    batch order and the dropout masks as there.  Returns (merged
-    parameters, per-epoch loss curve)."""
-    clients, server = build_participants(part, x, y, train_cfg.lr)
-    curve = run_epochs(x.shape[0], train_cfg, seed, part.cfg.dropout,
-                       [server.opt] + [cl.opt for cl in clients],
-                       partial(split_step, clients, server, channel))
+    batch order and the dropout masks as there.  Client m gathers each batch
+    from its column of x [L x S x M] and y [L x M] and casts it to the dtype
+    of its parameters, as train casts it.  Returns (merged parameters,
+    per-epoch loss curve)."""
+    cfg, n = part.cfg, part.cfg.n_series
+    up = [(f"sa{m}", SERVER) for m in range(n)]
+    down = [(SERVER, f"sa{m}") for m in range(n)]
+    body_opt = Adam(part.body, lr=train_cfg.lr)
+    client_opts = [Adam(params, lr=train_cfg.lr) for params in part.clients]
+    # each client's cache and then the body's, kept until the next batch's
+    # forward has made its own, as train keeps its cache
+    kept = [None] * (n + 1)
+
+    def step(idx, masks):
+        tokens, levels = [], []
+        for m, params in enumerate(part.clients):
+            x_b = x[idx, :, m:m + 1].astype(params["head.b"].dtype, copy=False)
+            token, level, kept[m] = client_forward(params, x_b, masks, first=m)
+            tokens.append(token[:, 0])
+            levels.append(level)
+        tokens = np.stack(_cross(channel, KIND_ACTIVATION, up, tokens), axis=1)
+        hs, kept[n] = body_forward(part.body, cfg, tokens, masks)
+        hidden = _cross(channel, KIND_ACTIVATION, down, hs.swapaxes(0, 1))
+        loss, dhs, grads = 0.0, [], []
+        for m, (params, h_m) in enumerate(zip(part.clients, hidden)):
+            y_b = y[idx, m:m + 1].astype(params["head.b"].dtype, copy=False)
+            pred, tail = tail_forward(params, h_m[:, None], levels[m])
+            dpred = pinball_grad(pred, y_b, cfg.alpha, count=pred.size * n)
+            dh, dw, db = tail_backward(params, tail, dpred)
+            grads.append({"head.w": dw, "head.b": db})
+            loss += pinball_loss(pred, y_b, cfg.alpha) / n
+            dhs.append(dh[:, 0])
+        dtokens, body_grads = body_backward(
+            part.body, cfg, kept[n],
+            np.stack(_cross(channel, KIND_GRADIENT, up, dhs), axis=1))
+        dtokens = _cross(channel, KIND_GRADIENT, down, dtokens.swapaxes(0, 1))
+        for m, dtoken in enumerate(dtokens):
+            grads[m]["embed.w"], grads[m]["embed.b"] = client_backward(
+                kept[m], dtoken[:, None])
+        body_opt.step(part.body, body_grads)
+        for opt, params, g in zip(client_opts, part.clients, grads):
+            opt.step(params, g)
+        return loss
+
+    curve = run_epochs(x.shape[0], train_cfg, seed, cfg.dropout,
+                       [body_opt] + client_opts, step)
     return merge(part), curve

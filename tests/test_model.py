@@ -1,5 +1,6 @@
 """Training behavior: quantile convergence oracles, determinism, baselines."""
 
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -166,7 +167,8 @@ def test_forward_flops_scale_quadratically_in_series():
 def test_checkpoint_round_trip(tmp_path):
     params = init_params(SMALL, seed=7)
     save_checkpoint(tmp_path / "model", params, SMALL, 7, {"note": "unit-test"})
-    back, cfg, manifest = load_checkpoint(tmp_path / "model")
+    back, cfg = load_checkpoint(tmp_path / "model")
+    manifest = json.loads((tmp_path / "model.json").read_text(encoding="utf-8"))
     assert manifest["quantile"] == 0.95
     assert manifest["seed"] == 7 and manifest["note"] == "unit-test"
     assert cfg == SMALL

@@ -586,7 +586,7 @@ def test_retrained_model_recomputes_its_thresholds(tmp_path, monkeypatch):
     ds = pipeline.windowing.load_dataset(tmp_path / "dataset")
     assert calls == [ds.inputs.shape[0]]
     monkeypatch.undo()
-    params, cfg, _ = pipeline.network.load_checkpoint(tmp_path / "model")
+    params, cfg = pipeline.network.load_checkpoint(tmp_path / "model")
     new = np.load(tmp_path / "thresholds.npy")
     assert np.array_equal(new, pipeline.network.predict(params, cfg, ds.inputs))
     assert not np.array_equal(new, old)
@@ -643,7 +643,7 @@ def test_split_checkpoint_that_differs_gets_its_own_threshold_pass(tmp_path,
     central = np.load(tmp_path / "thresholds.npy")
     monkeypatch.undo()
     for stem, thresholds in (("model_split", split), ("model", central)):
-        params, cfg, _ = pipeline.network.load_checkpoint(tmp_path / stem)
+        params, cfg = pipeline.network.load_checkpoint(tmp_path / stem)
         assert np.array_equal(thresholds,
                               pipeline.network.predict(params, cfg, ds.inputs)), stem
     assert not np.array_equal(split, central)
@@ -659,7 +659,7 @@ def test_trained_parameters_are_the_float64_checkpoint(tmp_path):
     trace = pipeline.stage_simulate(spec, direct)
     ds = pipeline.stage_prepare(spec, direct, trace)
     params, cfg = pipeline.stage_train(spec, direct, ds)
-    saved, _, _ = pipeline.network.load_checkpoint(direct / "model")
+    saved, _ = pipeline.network.load_checkpoint(direct / "model")
     assert params.keys() == saved.keys()
     for key, tensor in params.items():
         assert tensor.dtype == np.float64, key

@@ -196,6 +196,37 @@ def test_float64_windows_train_as_their_float32_cast(window):
         assert np.array_equal(split[key], tensor), key
 
 
+class _ReadLog(np.ndarray):
+    """A view that logs the index of every read and hands back plain
+    arrays."""
+
+    def __getitem__(self, key):
+        self.reads.append(key)
+        return np.asarray(super().__getitem__(key))
+
+
+def test_clients_hold_views_of_the_training_tensors():
+    # split training reads x and y where they are: client m gathers each
+    # batch from its own column of each, and neither is copied, whole or
+    # by column, before the batch is gathered
+    x, y = make_data(16, 2)
+    x.flags.writeable = y.flags.writeable = False
+    x_log, y_log = x.view(_ReadLog), y.view(_ReadLog)
+    x_log.reads, y_log.reads = [], []
+    split_train(partition(init_params(CFG, seed=2), CFG), x_log, y_log,
+                TrainConfig(epochs=2, batch_size=6), InProcessChannel(), 2)
+    assert x_log.base is x and y_log.base is y
+    columns = [slice(m, m + 1) for m in range(CFG.n_series)]
+    batches = [idx for epoch in range(2) for idx in batch_schedule(16, 6, 2, epoch)]
+    assert len(x_log.reads) == len(y_log.reads) == len(batches) * CFG.n_series
+    for k, idx in enumerate(batches):
+        for m, column in enumerate(columns):
+            x_idx, *x_rest = x_log.reads[k * CFG.n_series + m]
+            y_idx, *y_rest = y_log.reads[k * CFG.n_series + m]
+            assert np.array_equal(x_idx, idx) and x_rest == [slice(None), column]
+            assert np.array_equal(y_idx, idx) and y_rest == [column]
+
+
 def _arrays(obj):
     """Every ndarray inside nested dicts, lists and tuples."""
     if isinstance(obj, np.ndarray):

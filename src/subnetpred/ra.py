@@ -13,23 +13,12 @@ so the BLER Q((R*C - D) / sqrt(R*V)) that the un-ceiled blocklength achieves
 recovers ``eps_target`` to a relative 1e-12 (tests/test_ra.py; 4.4e-14 at
 most on its grid of SINRs, payloads and targets down to 1e-7).
 
-A decision sizes several targets for one SINR, so :func:`blocklength`
-keeps a table of its two most recent SINRs, keyed by the SINR's float64
-bytes, its shape and the payload: two, because :func:`evaluate_ra`
-alternates the predicted and the true SINR per target.  An entry holds the
-SINR's terms (D/C, V, 2C^2 and 4DC, formed once after the check that the
-SINR is positive and finite; D/C is the row at 0.5) and one finished row
-per target sized at it.  A new SINR is sized in one pass broadcast over a
-leading target axis, at the targets asked at the most recent SINR plus the
-one asked for, so the rest of a decision's targets are a row lookup; a
-target an entry lacks is sized into it.  Asked, not sized: a caller that
-asks each SINR at another target then keeps two rows an entry, not every
-target it ever asked.  Every row keeps the per-target closed form's bits:
-the same operations in the same order.  An entry holds (5 + T) arrays of
-the SINR's size at T targets below 0.5, the key's bytes included: 256 B of
-data for a decision's 4-series SINR at three targets, 2 MB for a
-[2,002 x 16] test block.  The rows are read-only and no returned array
-aliases them.
+A SINR is sized in one pass broadcast over a leading target axis, with the
+per-target closed form's bits.  :func:`evaluate_ra` makes one pass per
+SINR.  A decision sizes several targets for one SINR, so
+:func:`blocklength` keeps one read-only row per target of its most recent
+SINR, sized at the targets asked at the SINR before it plus the one asked
+for: the rest of a decision's targets are a row lookup.
 """
 
 from __future__ import annotations
@@ -73,9 +62,9 @@ def _q2_column(targets, ndim):
     return q2
 
 
-# blocklength's table, least recent SINR first: key -> (terms, {target:
-# row}, the targets below 0.5 asked at the SINR)
-_TABLE = {}
+# blocklength's most recent SINR: its key, its terms, {target: row} and the
+# targets asked at it
+_LAST = [None, None, {}, ()]
 
 
 def _sinr_terms(snr, payload_bits):
@@ -87,19 +76,22 @@ def _sinr_terms(snr, payload_bits):
         raise ValueError("snr must be positive and finite")
     c, v = _capacity_dispersion(snr)
     base = payload_bits / c
-    if base.shape:
-        base.setflags(write=False)
+    base.setflags(write=False)
     return base, v, 2.0 * c**2, 4.0 * payload_bits * c
 
 
 def _rows(terms, targets):
-    """{target: read-only row} at targets below 0.5, sized in one pass
-    broadcast over a leading target axis."""
+    """{target: read-only row} at targets in (0, 0.5]: D/C at 0.5, the rest
+    sized in one pass broadcast over a leading target axis."""
+    if not all(0.0 < eps <= 0.5 for eps in targets):
+        raise ValueError("eps_target must lie in (0, 0.5]")
     base, v, two_c2, four_dc = terms
-    q2v = _q2_column(targets, v.ndim) * v
+    below = tuple(eps for eps in targets if eps != 0.5)
+    q2v = _q2_column(below, v.ndim) * v
     out = base + q2v / two_c2 * (1.0 + np.sqrt(1.0 + four_dc / q2v))
     out.setflags(write=False)
-    return dict(zip(targets, out))
+    rows = iter(out)
+    return {eps: base if eps == 0.5 else next(rows) for eps in targets}
 
 
 def blocklength(snr, payload_bits, eps_target):
@@ -107,40 +99,33 @@ def blocklength(snr, payload_bits, eps_target):
 
     snr must be positive and finite.  At eps_target = 0.5 the dispersion
     correction vanishes and the result is exactly payload_bits / C(snr).
-    Rows come from a table of the two most recent SINRs, keyed by (snr's
-    float64 bytes, its shape, payload_bits), with one read-only row per
-    target sized at each: a SINR it lacks is sized in one pass at the
-    targets asked at the most recent SINR plus eps_target and evicts the
-    least recent, and a target an entry lacks is sized into it.  An entry
-    holds (5 + T) arrays of the SINR's size at T targets below 0.5.  Each
-    call returns a new array, or a float for a 0-d snr, that aliases none
-    of them.
+    Rows come from the most recent SINR, keyed by (snr's float64 bytes, its
+    shape, payload_bits).  Each call returns a new array, or a float for a
+    0-d snr.
     """
     snr = np.asarray(snr, dtype=float)
     key = (snr.tobytes(), snr.shape, payload_bits)
-    entry = _TABLE.pop(key, None)
-    if entry is None:
-        terms = _sinr_terms(snr, payload_bits)
-    if not 0.0 < eps_target <= 0.5:
-        raise ValueError("eps_target must lie in (0, 0.5]")
     eps = float(eps_target)
-    if entry is None:
-        recent = next(reversed(_TABLE.values()))[2] if _TABLE else ()
-        sized = recent if eps in recent or eps == 0.5 else (*recent, eps)
-        entry = terms, _rows(terms, sized), ()
-        if len(_TABLE) == 2:
-            del _TABLE[next(iter(_TABLE))]
-    terms, rows, asked = entry
-    if eps == 0.5:
-        row = terms[0]
-    else:
-        if eps not in rows:
-            rows.update(_rows(terms, (eps,)))
-        if eps not in asked:
-            asked += (eps,)
-        row = rows[eps]
-    _TABLE[key] = terms, rows, asked
+    if key != _LAST[0]:
+        terms, recent = _sinr_terms(snr, payload_bits), _LAST[3]
+        sized = recent if eps in recent else (*recent, eps)
+        _LAST[:] = key, terms, _rows(terms, sized), ()
+    _, terms, rows, asked = _LAST
+    if eps not in rows:
+        rows.update(_rows(terms, (eps,)))
+    if eps not in asked:
+        _LAST[3] = (*asked, eps)
+    row = rows[eps]
     return row.copy() if row.shape else float(row)
+
+
+def _columns(predictions, labels):
+    """Both as float [n x n_series] arrays of equal shape."""
+    p = np.atleast_2d(np.asarray(predictions, dtype=float).T).T
+    y = np.atleast_2d(np.asarray(labels, dtype=float).T).T
+    if p.shape != y.shape:
+        raise ValueError("predictions and labels must have equal shapes")
+    return p, y
 
 
 def coverage_probability(predictions, labels):
@@ -149,10 +134,7 @@ def coverage_probability(predictions, labels):
     Both arguments are [n_instances x n_series]; returns a length-n_series
     vector. 1-D inputs are treated as a single series.
     """
-    p = np.atleast_2d(np.asarray(predictions, dtype=float).T).T
-    y = np.atleast_2d(np.asarray(labels, dtype=float).T).T
-    if p.shape != y.shape:
-        raise ValueError("predictions and labels must have equal shapes")
+    p, y = _columns(predictions, labels)
     return (y <= p).mean(axis=0)
 
 
@@ -163,10 +145,7 @@ def coverage_width(predictions, labels, normalize=False):
     ranges fall back to 1), matching the normalized-width reporting
     convention used alongside :func:`coverage_probability`.
     """
-    p = np.atleast_2d(np.asarray(predictions, dtype=float).T).T
-    y = np.atleast_2d(np.asarray(labels, dtype=float).T).T
-    if p.shape != y.shape:
-        raise ValueError("predictions and labels must have equal shapes")
+    p, y = _columns(predictions, labels)
     width = np.abs(p - y).mean(axis=0)
     if normalize:
         span = y.max(axis=0) - y.min(axis=0)
@@ -195,17 +174,19 @@ def evaluate_ra(pred_interference_w, true_interference_w, signal_w, noise_w,
     pred = np.asarray(pred_interference_w, dtype=float)
     true = np.asarray(true_interference_w, dtype=float)
     sig = np.broadcast_to(np.asarray(signal_w, dtype=float), pred.shape)
+    targets = tuple(map(float, eps_targets))
     snr_hat = sig / (pred + noise_w)
     snr_true = sig / (true + noise_w)
+    hat = _rows(_sinr_terms(snr_hat, payload_bits), targets)
+    genie = _rows(_sinr_terms(snr_true, payload_bits), targets)
     c_true, v_true = _capacity_dispersion(snr_true)
     rows = []
-    for eps in eps_targets:
-        r_real = blocklength(snr_hat, payload_bits, eps)
+    for eps in targets:
+        r_real, r_genie = hat[eps], genie[eps]
         r_int = np.maximum(np.ceil(r_real), 1.0)
         margin = (r_int * c_true - payload_bits) / np.sqrt(r_int * v_true)
-        r_genie = blocklength(snr_true, payload_bits, eps)
         rows.append({
-            "eps_target": float(eps),
+            "eps_target": eps,
             "frac_met": float((margin >= q_inverse(eps)).mean()),
             "mean_overhead": float(r_real.sum() / r_genie.sum()),
             "mean_instance_overhead": float((r_real / r_genie).mean()),

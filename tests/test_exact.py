@@ -607,7 +607,7 @@ def test_blocklength_targets_in_any_order_match_reference(b, payload):
     for order in (DECISION_EPS, DECISION_EPS[::-1]):
         for eps in order:
             assert np.array_equal(ra.blocklength(snr, payload, eps), want[eps])
-    # evaluate_ra's order: the predicted and the true SINR in turn per target
+    # two SINRs in turn per target, each sized afresh at every call
     for eps in DECISION_EPS:
         assert np.array_equal(ra.blocklength(snr, payload, eps), want[eps])
         assert np.array_equal(ra.blocklength(other, payload, eps), want_other[eps])
@@ -665,7 +665,14 @@ def test_a_non_positive_sinr_after_a_valid_one_of_its_shape_still_raises():
         ra.blocklength(snr, 200, 0.7)
 
 
-def test_the_table_holds_two_sinrs_and_the_rows_asked_near_them():
+def _count_sinr_terms(monkeypatch):
+    """A list that grows by one at each SINR blocklength sizes afresh."""
+    calls, terms = [], ra._sinr_terms
+    monkeypatch.setattr(ra, "_sinr_terms", lambda *a: calls.append(a) or terms(*a))
+    return calls
+
+
+def test_blocklength_holds_one_sinr_and_the_rows_asked_near_it(monkeypatch):
     # a new SINR is sized at the targets asked at the one before it, so a
     # caller that asks each SINR at another target keeps a few rows, not all
     rng = np.random.default_rng(12)
@@ -673,19 +680,39 @@ def test_the_table_holds_two_sinrs_and_the_rows_asked_near_them():
         snr = 10.0 ** rng.uniform(-3, 4, 8)
         got = ra.blocklength(snr, 200, eps)
         assert np.array_equal(got, ref_blocklength(snr, 200, eps))
-        assert len(ra._TABLE) <= 2
-        for _, rows, _ in ra._TABLE.values():
-            assert not any(np.shares_memory(got, row) for row in rows.values())
-            # once both SINRs are this loop's: the SINR's own target and
-            # the one asked at the SINR before it
-            assert k < 2 or len(rows) <= 2
+        key, terms, rows, _ = ra._LAST
+        assert key == (snr.tobytes(), snr.shape, 200)
+        assert not any(np.shares_memory(got, row) for row in (*terms, *rows.values()))
+        # once the SINR before is this loop's: its own target and the one
+        # asked at the SINR before it
+        assert k < 1 or len(rows) <= 2
+    # one SINR is held: going back to the SINR before sizes it again
+    first, second = 10.0 ** rng.uniform(-3, 4, (2, 8))
+    calls = _count_sinr_terms(monkeypatch)
+    for snr in (first, second, first, first):
+        assert np.array_equal(ra.blocklength(snr, 200, 1e-5),
+                              ref_blocklength(snr, 200, 1e-5))
+    assert len(calls) == 3
     # a decision's first call on a new SINR sizes the targets asked at the
     # SINR before it, so its further calls find their rows
-    first, second = 10.0 ** rng.uniform(-3, 4, (2, 8))
     for eps in DECISION_EPS[:3]:
         ra.blocklength(first, 200, eps)
     ra.blocklength(second, 200, DECISION_EPS[1])
-    assert sorted(ra._TABLE[second.tobytes(), second.shape, 200][1]) == [1e-7, 1e-6, 1e-5]
+    assert ra._LAST[0] == (second.tobytes(), second.shape, 200)
+    assert sorted(ra._LAST[2]) == [1e-7, 1e-6, 1e-5]
+
+
+def test_evaluate_ra_leaves_the_decision_rows_alone(monkeypatch):
+    rng = np.random.default_rng(14)
+    snr = 10.0 ** rng.uniform(-3, 4, 4)
+    true_w = 10.0 ** rng.uniform(-12, -6, (2000, 4))
+    pred_w = true_w * 10.0 ** rng.normal(0.0, 0.3, true_w.shape)
+    ra.blocklength(snr, 200, 1e-5)
+    ra.evaluate_ra(pred_w, true_w, 10.0 ** rng.uniform(-7, -4, 4), 1e-12, 200,
+                   (1e-5, 1e-6, 1e-7))
+    calls = _count_sinr_terms(monkeypatch)
+    assert np.array_equal(ra.blocklength(snr, 200, 1e-6), ref_blocklength(snr, 200, 1e-6))
+    assert calls == []
 
 
 def test_evaluate_ra_at_desk_shape_equals_the_reference_evaluate():

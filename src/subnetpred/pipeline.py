@@ -32,6 +32,7 @@ from .model import baselines as bl
 from .model import network
 from .model.train import TRAIN_DTYPE, train
 from .scenario import simulate
+from .scenario.channel import dbm_to_watts, watts_to_dbm
 from .split import InProcessChannel, partition, split_train
 
 
@@ -210,10 +211,6 @@ def stage_calibrate(spec, out, ds, params, cfg):
 
 # ----------------------------------------------------------- evaluate stage
 
-def _dbm_to_w(dbm):
-    return 10.0 ** (np.asarray(dbm) / 10.0) * 1e-3
-
-
 def predictions_dbm(spec, out, trace, ds, variant, thresholds=None,
                     calibrated=None):
     """Test-partition interference predictions in dBm of one variant's read-out.
@@ -228,18 +225,16 @@ def predictions_dbm(spec, out, trace, ds, variant, thresholds=None,
     """
     readout = spec.VARIANTS[variant][1]
     cycles = ds.test_label_cycles()
-    noise_dbm = 10.0 * np.log10(trace.noise_power) + 30.0
-    inr = _learning_dbm(spec, trace) - noise_dbm
     if readout == "genie":
         return trace.true_dbm()[:, cycles].T
-    if readout == "moving-average":
-        return noise_dbm + np.stack(
-            [bl.moving_average_predict(inr[m], cycles)
-             for m in range(inr.shape[0])], axis=1)
-    if readout == "wiener":
-        return noise_dbm + np.stack(
-            [bl.wiener_predict(inr[m], cycles, order=ds.window)
-             for m in range(inr.shape[0])], axis=1)
+    if readout in ("moving-average", "wiener"):
+        noise_dbm = watts_to_dbm(trace.noise_power)
+        inr = _learning_dbm(spec, trace) - noise_dbm
+        if readout == "moving-average":
+            rows = [bl.moving_average_predict(series, cycles) for series in inr]
+        else:
+            rows = [bl.wiener_predict(series, cycles, order=ds.window) for series in inr]
+        return noise_dbm + np.stack(rows, axis=1)
     if readout == "threshold":
         return ds.norm.invert(thresholds)
     if readout == "gpd":
@@ -260,7 +255,7 @@ def stage_evaluate(spec, out, trace, ds, thresholds, calibrated):
         "width_db_per_sa": ra.coverage_width(pred_dbm, labels_dbm).tolist(),
         "width_norm_per_sa": ra.coverage_width(pred_dbm, labels_dbm,
                                                normalize=True).tolist(),
-        "ra": ra.evaluate_ra(_dbm_to_w(pred_dbm), true_w, trace.signal_power,
+        "ra": ra.evaluate_ra(dbm_to_watts(pred_dbm), true_w, trace.signal_power,
                              trace.noise_power, spec.payload_bits,
                              spec.eps_targets),
     }

@@ -54,6 +54,10 @@ def watts_to_dbm(watts, floor=1e-20):
     return linear_to_db(watts, floor) + 30.0
 
 
+def dbm_to_watts(dbm):
+    return 10.0 ** (np.asarray(dbm) / 10.0) * 1e-3
+
+
 def noise_power_w(bandwidth_hz, n_subbands, noise_figure_db):
     """Thermal noise over one sub-band: -174 dBm/Hz + 10log10(B/Omega) + NF."""
     n_dbm = -174.0 + 10.0 * np.log10(bandwidth_hz / n_subbands) + noise_figure_db

@@ -184,6 +184,7 @@ def test_cli_variant_set_equals_one_run_pipeline_per_variant(tmp_path):
         run_pipeline(smoke_spec(seed=0, variant=variant), tmp_path / "api")
     assert main(["evaluate", "--preset", "tiny", "--seed", "0", "--variant", variants[0],
                  "--variant", variants[1], "--out", str(tmp_path / "cli")]) == EXIT_OK
+    assert_runs(tmp_path / "cli", variants)
     for name in ("results.csv", "run_manifest.json"):
         assert ((tmp_path / "api" / name).read_bytes()
                 == (tmp_path / "cli" / name).read_bytes()), name
@@ -237,7 +238,7 @@ def test_stage_times_merge_over_calls_and_keep_the_misses(tmp_path):
     assert json.loads((tmp_path / "summary.json").read_text()) == summary
 
 
-def test_stage_commands_record_their_stage_times(tmp_path):
+def test_a_cached_stage_keeps_the_time_of_the_call_that_built_it(tmp_path):
     # the times of the stages an evaluate builds survive the evaluate after
     # it, which finds them cached
     args = ["evaluate", "--preset", "tiny", "--seed", "0", "--variant", "iqpt",
@@ -826,9 +827,10 @@ def test_seed_flag_rewires_all_seeds():
 @pytest.mark.parametrize("line", ["train.seed = 1", "deployment.rng_seed = 1",
                                   "channel.fading = false", "channel.shadowing = false",
                                   "deployment.n_slots = 6",
+                                  "deployment.interferer_set_size = 5",
                                   "model.center_windows = false", "alpha = 0.1",
                                   "corr_threshold = 0.4", "max_lag = 16"])
-def test_removed_seed_keys_are_config_errors(tmp_path, line):
+def test_deleted_settings_are_unknown_keys_that_exit_2(tmp_path, line):
     with pytest.raises(ConfigError, match="unknown key"):
         parse_config_text(line, preset="tiny", seed=None)
     cfg = tmp_path / "old.cfg"
@@ -884,7 +886,7 @@ def write_cfg(tmp_path):
     return cfg
 
 
-def test_cli_simulate_and_evaluate(tmp_path):
+def test_evaluate_runs_and_records_the_config_file_values(tmp_path):
     cfg = write_cfg(tmp_path)
     out = tmp_path / "run"
     assert main(["evaluate", "--config", str(cfg), "--preset", "tiny",
@@ -939,80 +941,83 @@ def test_cli_stage_failure_names_stage_and_exits_3(tmp_path, monkeypatch, capsys
     assert bool(list(out.glob("model*.bin"))) == (fails == "calibrate")
 
 
-def test_cli_config_error_exit_code(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("deployment.n_subnetworks = -3\n")
-    code = main(["evaluate", "--config", str(bad), "--preset", "tiny",
-                 "--out", str(tmp_path / "x")])
-    assert code == EXIT_CONFIG
-
-
-@pytest.mark.parametrize("config, named", [
-    ("n_cycles = abc\n", "n_cycles = 'abc'"),
-    ("deployment.area = 5\n", "area takes exactly two sides"),
-    ("deployment.area = 5 5 5\n", "area takes exactly two sides"),
-    ("deployment.area = inf 25\n", "area sides (inf, 25.0) must be positive and finite"),
+# a row is (id, config, named), or (config, named) with the config line as
+# its id.  A config is the file's text, or flags ("--seed -1") with an empty
+# file; None is a missing file and "" a directory
+CONFIG_ERRORS = [
+    # values and files that cannot be read
+    ("int", "n_cycles = abc", "n_cycles = 'abc'"),
+    ("area-1", "deployment.area = 5", "area takes exactly two sides"),
+    ("area-3", "deployment.area = 5 5 5", "area takes exactly two sides"),
+    ("area-inf", "deployment.area = inf 25",
+     "area sides (inf, 25.0) must be positive and finite"),
     # rdmm keeps each center sn_radius inside the area: once exit 3 in simulate
-    ("deployment.area = 3 3\n", "both area sides (3.0, 3.0) must exceed 2 sn_radius = 4"),
-    ("deployment.sn_radius = 1e6\n", "must exceed 2 sn_radius = 2e+06"),
+    ("area-rdmm", "deployment.area = 3 3",
+     "both area sides (3.0, 3.0) must exceed 2 sn_radius = 4"),
+    ("radius-rdmm", "deployment.sn_radius = 1e6", "must exceed 2 sn_radius = 2e+06"),
     # the alley circuits sit max(2 sn_radius, 5) m inside the area: once exit 0,
     # with zero-length loops and a NaN overhead (10 10) or loops outside it (9 9)
-    ("mobility = alley\ndeployment.area = 10 10\n", "both sides of (10.0, 10.0) must "
-                                                     "exceed 10"),
-    ("mobility = alley\ndeployment.area = 9 9\n", "both sides of (9.0, 9.0) must exceed 10"),
-    ("eps_targets =\n", "eps_targets must not be empty"),
-    (None, "cannot read config file"),           # missing file
-    ("", "cannot read config file"),             # a directory
-    (b"\xff\xfe\n", "cannot read config file"),  # not UTF-8
-], ids=["int", "area-1", "area-3", "area-inf", "area-rdmm", "radius-rdmm", "area-alley-10",
-        "area-alley-9", "eps-empty", "missing", "directory", "binary"])
-def test_unreadable_config_values_exit_2(tmp_path, capsys, config, named):
+    ("area-alley-10", "mobility = alley\ndeployment.area = 10 10",
+     "both sides of (10.0, 10.0) must exceed 10"),
+    ("area-alley-9", "mobility = alley\ndeployment.area = 9 9",
+     "both sides of (9.0, 9.0) must exceed 10"),
+    ("eps-empty", "eps_targets =", "eps_targets must not be empty"),
+    ("missing", None, "cannot read config file"),
+    ("directory", "", "cannot read config file"),
+    ("binary", b"\xff\xfe\n", "cannot read config file"),   # not UTF-8
+    # settings outside their range: the key's last part and the value are named
+    ("deployment.n_subnetworks = -3", "n_subnetworks = -3"),
+    # exp(-d / d_corr) grows: NaN rows
+    ("channel.decorrelation_distance = -5", "decorrelation_distance = -5"),
+    ("channel.bandwidth_hz = 0", "bandwidth_hz = 0"),     # log10 of zero noise bandwidth
+    ("deployment.carrier_freq = 0", "carrier_freq = 0"),  # log10 of f in the InF path loss
+    ("deployment.tx_power = 0", "tx_power = 0"),          # no signal: the RA stage fails
+    # silently no estimation noise
+    ("channel.est_noise_fraction = -0.1", "est_noise_fraction = -0.1"),
+    ("model.n_layers = -1", "n_layers = -1"),             # silently no encoder layer
+    ("model.n_heads = 0", "n_heads = 0"),                 # ZeroDivisionError traceback
+    ("model.d_embed = 0", "d_embed = 0"),
+    ("model.lstm_hidden = 0", "lstm_hidden = 0"),
+    # tiny's 6 SNs: the victim alone on its band
+    ("deployment.n_subbands = 6", "n_subbands = 6"),
+    # NaN lies in no range
+    ("channel.decorrelation_distance = nan", "decorrelation_distance = nan"),
+    ("channel.noise_figure_db = nan", "noise_figure_db = nan"),    # NaN rows
+    # silently the +4 dB field
+    ("channel.shadow_std_los_db = -4", "shadow_std_los_db = -4"),
+    ("channel.power_floor_w = 0", "power_floor_w = 0"),
+    ("channel.doppler_hz = -1", "doppler_hz = -1"),
+    ("payload_bits = 0", "payload_bits = 0"),
+    ("model.window = 0", "window = 0"),                   # no input to predict from
+    ("--seed -1", "seed = -1"),             # once refused in simulate, after --out
+    ("deployment.speed = inf", "speed = inf"),            # NaN rows
+    # once refused in evaluate, after the trace
+    ("channel.bandwidth_hz = inf", "bandwidth_hz = inf"),
+    ("train.lr_decay = -1", "lr_decay = -1"),
+    ("train.epochs = -1", "epochs = -1"),
+    ("train.batch_size = 0", "batch_size = 0"),
+    ("train.lr = 0", "lr = 0"),
+    ("n_test = 0", "n_test = 0"),
+    ("n_cycles = 0", "n_cycles = 0"),
+    ("model.alpha = 1", "alpha = 1"),
+]
+
+
+@pytest.mark.parametrize("config, named", [pytest.param(*row[-2:], id=row[0])
+                                           for row in CONFIG_ERRORS])
+def test_config_errors_exit_2_before_out_is_made(tmp_path, capsys, config, named):
     path = tmp_path / "run.cfg"
+    flags = config.split() if isinstance(config, str) and config.startswith("--") else []
     if config == "":
         path.mkdir()
     elif isinstance(config, bytes):
         path.write_bytes(config)
     elif config is not None:
-        path.write_text(config + "variant = genie\n")
-    assert main(["evaluate", "--config", str(path), "--preset", "tiny",
-                 "--out", str(tmp_path / "x")]) == EXIT_CONFIG
+        path.write_text("" if flags else config + "\n")
+    assert main(["evaluate", "--config", str(path), "--preset", "tiny", "--variant", "iqpt",
+                 "--out", str(tmp_path / "x"), *flags]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and named in err
-    assert not (tmp_path / "x").exists()     # refused before --out is touched
-
-
-@pytest.mark.parametrize("line", [
-    "channel.decorrelation_distance = -5",   # exp(-d / d_corr) grows: NaN rows
-    "channel.bandwidth_hz = 0",              # log10 of zero noise bandwidth
-    "deployment.carrier_freq = 0",           # log10 of f in the InF path loss
-    "deployment.tx_power = 0",               # no signal: the RA stage fails
-    "channel.est_noise_fraction = -0.1",     # silently no estimation noise
-    "model.n_layers = -1",                   # silently no encoder layer
-    "model.n_heads = 0",                     # ZeroDivisionError traceback
-    "model.d_embed = 0",
-    "model.lstm_hidden = 0",
-    "deployment.n_subbands = 6",             # tiny's 6 SNs: the victim alone on its band
-    "channel.decorrelation_distance = nan",  # NaN lies in no range
-    "channel.noise_figure_db = nan",         # NaN rows
-    "channel.shadow_std_los_db = -4",        # silently the +4 dB field
-    "channel.power_floor_w = 0",
-    "channel.doppler_hz = -1",
-    "payload_bits = 0",
-    "model.window = 0",                      # no input to predict from
-    "--seed -1",                             # once refused in simulate, after --out
-    "deployment.speed = inf",                # NaN rows
-    "channel.bandwidth_hz = inf",            # once refused in evaluate, after the trace
-])
-def test_out_of_range_settings_exit_2_before_anything_runs(tmp_path, capsys, line):
-    flags = line.split() if line.startswith("--") else []
-    path = tmp_path / "run.cfg"
-    path.write_text("" if flags else line + "\n")
-    assert main(["evaluate", "--config", str(path), "--preset", "tiny",
-                 "--variant", "iqpt", "--out", str(tmp_path / "x"), *flags]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    key, value = flags or (tok.strip() for tok in line.split("="))
-    assert err.startswith("config error:") and key.lstrip("-").rsplit(".", 1)[-1] in err
-    assert value in err
+    assert err.startswith("config error:") and named in err, err
     assert not (tmp_path / "x").exists()     # refused before --out is touched
 
 
@@ -1071,6 +1076,18 @@ def test_fading_below_the_first_zero_of_j0_is_accepted():
                                   spec.deployment.tx_cycle_duration) > 0.0
 
 
+def test_an_alley_run_scores_its_targets(tmp_path):
+    # the alley branch of simulate_trace, through every stage
+    cfg = tmp_path / "alley.cfg"
+    cfg.write_text("mobility = alley\nvariant = genie\n")
+    out = tmp_path / "run"
+    assert main(["evaluate", "--config", str(cfg), "--preset", "tiny", "--seed", "0",
+                 "--out", str(out)]) == EXIT_OK
+    assert_runs(out, ["genie"])
+    assert json.loads((out / "run_manifest.json").read_text())["scenario"]["mobility"] \
+        == "alley"
+
+
 def test_push_pull_with_one_push_pair_simulates(tmp_path):
     cfg = tmp_path / "ok.cfg"
     cfg.write_text("traffic.variant = push-pull\ntraffic.n_reserved = 3\n"
@@ -1079,20 +1096,6 @@ def test_push_pull_with_one_push_pair_simulates(tmp_path):
     assert main(["evaluate", "--config", str(cfg), "--preset", "tiny",
                  "--out", str(out)]) == EXIT_OK
     assert (out / "trace.npz").exists()
-
-
-@pytest.mark.parametrize("line", [
-    "train.lr_decay = -1", "train.epochs = -1", "train.batch_size = 0",
-    "train.lr = 0", "n_test = 0", "model.window = 0", "n_cycles = 0",
-    "model.alpha = 1"])
-def test_training_and_scoring_values_that_cannot_run_exit_2(tmp_path, capsys, line):
-    cfg = tmp_path / "bad.cfg"
-    cfg.write_text(line + "\n")
-    out = tmp_path / "run"
-    assert main(["evaluate", "--config", str(cfg), "--preset", "tiny", "--seed", "0",
-                 "--variant", "iqpt", "--out", str(out)]) == EXIT_CONFIG
-    assert capsys.readouterr().err.startswith("config error:")
-    assert not (out / "trace.npz").exists()
 
 
 def test_push_pull_sweep_point_that_never_transmits_exits_2(tmp_path, capsys):
@@ -1111,6 +1114,11 @@ def test_push_pull_sweep_point_that_never_transmits_exits_2(tmp_path, capsys):
     cfg.write_text("variant = genie\n")
     assert main([*args, "--out", str(tmp_path / "busy")]) == EXIT_OK
     assert "| traffic_push-pull | genie |" in (tmp_path / "busy" / "report.md").read_text()
+    # each point records the traffic it ran
+    for value in ("bernoulli", "push-pull"):
+        manifest = tmp_path / "busy" / f"traffic_{value}" / "run_manifest.json"
+        assert (json.loads(manifest.read_text())["scenario"]["traffic"]
+                == {**spec_to_dict(tiny_preset(0))["traffic"], "variant": value})
 
 
 def test_bernoulli_run_ignores_the_push_pull_values_it_does_not_read(tmp_path):
